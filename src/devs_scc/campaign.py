@@ -331,7 +331,7 @@ def run_campaign(c: Campaign) -> CampaignResult:
             report.config_errors.append(str(err))
     report.configs_selected = len(configs)
 
-    sequences, seq_notes = build_sequences(c.model, catalog, c.bounds)
+    sequences, seq_notes = build_sequences(c.model, catalog, c.bounds, configs)
     report.notes.extend(seq_notes)
     report.sequence_count = len(sequences)
 

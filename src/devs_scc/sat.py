@@ -1,12 +1,26 @@
 """Bounded satisfiability and witness search.
 
-The search runs depth-first over the declared variable order with each
-variable's grid ascending, so the first witness found is the
-lexicographically least satisfying assignment — reproducible across
-runs and platforms.  Conjuncts are checked as soon as all their
-variables are bound, which prunes most of the product space for the
-conjunction-shaped predicates the criteria produce.  A verdict of
-"unsat" always means: no witness within the supplied bounds.
+One depth-first generator enumerates the witnesses of a predicate over
+the declared variable order with each variable's grid ascending, so the
+first witness found is the lexicographically least satisfying
+assignment — reproducible across runs and platforms.  `satisfiable` is
+its first result and `iter_witnesses` drains it.
+
+Conjuncts are checked as soon as all their variables are bound.  Those
+that mention a single search variable (unary conjuncts) depend only on
+that variable and the fixed base environment, so they are split out per
+depth and evaluated lazily, memoised per grid index: a value known to
+fail them is skipped without charge, and once every value of a grid has
+failed them the whole search is unsat at once (node consistency,
+Mackworth 1977, applied lazily).  Skipping only visits fewer nodes of
+the plain search, so the witness and every verdict the plain search
+reaches stay the same.
+
+Every evaluated grid value, and every conjunct free of search
+variables, costs one attempt of the budget.  A verdict of "unsat"
+always means: no witness within the supplied bounds; "unknown" means
+the search ran out of attempts first, i.e. the instance is hard within
+the budget.
 """
 
 from __future__ import annotations
@@ -32,6 +46,10 @@ Space = list[tuple[str, list[Value]]]
 
 class BudgetExhausted(Exception):
     pass
+
+
+class _Empty(Exception):
+    """Some variable has no grid value satisfying its unary conjuncts."""
 
 
 @dataclass
@@ -65,62 +83,14 @@ def satisfiable(
 ) -> SatResult:
     """Least witness over `space`, or unsat-within-bounds, or unknown when
     the attempt budget runs out."""
-    env = dict(base_env) if base_env else {}
-    if model is not None:
-        env = {**const_env(bounds, model), **env}
     budget = _Budget(bounds.max_attempts)
     try:
-        witness = _search(pred, space, env, bounds, model, budget)
+        witness = next(_witnesses(pred, space, bounds, model, base_env, budget), None)
     except BudgetExhausted:
         return SatResult("unknown", attempts=budget.used)
     if witness is None:
         return SatResult("unsat", attempts=budget.used)
     return SatResult("sat", witness=witness, attempts=budget.used)
-
-
-def _search(pred, space, base_env, bounds, model, budget):
-    norm = normalize(pred)
-    if norm == FALSE:
-        return None
-    names = [n for n, _ in space]
-    order = {n: i for i, n in enumerate(names)}
-    pre: list[Predicate] = []
-    per_depth: list[list[Predicate]] = [[] for _ in names]
-    for c in conjuncts(norm):
-        touched = [order[v] for v in pred_vars(c) if v in order]
-        if touched:
-            per_depth[max(touched)].append(c)
-        else:
-            pre.append(c)
-    for c in pre:
-        budget.spend()
-        if not _holds(c, base_env, model, bounds):
-            return None
-
-    env = dict(base_env)
-
-    def dfs(depth: int):
-        if depth == len(space):
-            return {n: env[n] for n in names}
-        name, grid = space[depth]
-        for v in grid:
-            budget.spend()
-            env[name] = v
-            if all(_holds(c, env, model, bounds) for c in per_depth[depth]):
-                found = dfs(depth + 1)
-                if found is not None:
-                    return found
-        env.pop(name, None)
-        return None
-
-    return dfs(0)
-
-
-def _holds(pred, env, model, bounds) -> bool:
-    try:
-        return eval_pred(pred, env, model, bounds)
-    except EvalError:
-        return False
 
 
 def iter_witnesses(
@@ -131,7 +101,17 @@ def iter_witnesses(
     base_env: dict[str, Value] | None = None,
     limit: int = 1_000_000,
 ):
-    """All witnesses in lexicographic order (up to an attempt limit)."""
+    """All witnesses in lexicographic order, stopping quietly once `limit`
+    attempts are spent."""
+    try:
+        yield from _witnesses(pred, space, bounds, model, base_env, _Budget(limit))
+    except BudgetExhausted:
+        return
+
+
+def _witnesses(pred, space, bounds, model, base_env, budget):
+    """Witnesses in lexicographic order; raises BudgetExhausted when the
+    budget runs out first."""
     env = dict(base_env) if base_env else {}
     if model is not None:
         env = {**const_env(bounds, model), **env}
@@ -141,33 +121,58 @@ def iter_witnesses(
     names = [n for n, _ in space]
     order = {n: i for i, n in enumerate(names)}
     pre: list[Predicate] = []
-    per_depth: list[list[Predicate]] = [[] for _ in names]
+    unary: list[list[Predicate]] = [[] for _ in names]
+    joint: list[list[Predicate]] = [[] for _ in names]
     for c in conjuncts(norm):
-        touched = [order[v] for v in pred_vars(c) if v in order]
-        if touched:
-            per_depth[max(touched)].append(c)
-        else:
+        touched = {order[v] for v in pred_vars(c) if v in order}
+        if not touched:
             pre.append(c)
-    if not all(_holds(c, env, model, bounds) for c in pre):
-        return
-    budget = _Budget(limit)
+        elif len(touched) == 1:
+            unary[touched.pop()].append(c)
+        else:
+            joint[max(touched)].append(c)
+    for c in pre:
+        budget.spend()
+        if not _holds(c, env, model, bounds):
+            return
+    # per depth: None without unary conjuncts, else each grid index's
+    # unary verdict once evaluated; and how many indices have failed
+    known = [[None] * len(g) if unary[d] else None for d, (_, g) in enumerate(space)]
+    failed = [0] * len(names)
 
     def dfs(depth: int):
         if depth == len(space):
             yield {n: env[n] for n in names}
             return
         name, grid = space[depth]
-        for v in grid:
-            try:
-                budget.spend()
-            except BudgetExhausted:
-                return
+        memo = known[depth]
+        for i, v in enumerate(grid):
+            if memo is not None and memo[i] is False:
+                continue
+            budget.spend()
             env[name] = v
-            if all(_holds(c, env, model, bounds) for c in per_depth[depth]):
+            if memo is not None and memo[i] is None:
+                memo[i] = all(_holds(c, env, model, bounds) for c in unary[depth])
+                if not memo[i]:
+                    failed[depth] += 1
+                    if failed[depth] == len(grid):
+                        raise _Empty()
+                    continue
+            if all(_holds(c, env, model, bounds) for c in joint[depth]):
                 yield from dfs(depth + 1)
         env.pop(name, None)
 
-    yield from dfs(0)
+    try:
+        yield from dfs(0)
+    except _Empty:
+        return
+
+
+def _holds(pred, env, model, bounds) -> bool:
+    try:
+        return eval_pred(pred, env, model, bounds)
+    except EvalError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .evaluator import eval_pred
 from .model import Model
 from .sat import satisfiable
 from .scc import SCC
-from .selector import SelectError, select_config
+from .selector import SelectError, SimulationConfig, select_config
 from .simulator import SimError, SimState, UndefinedTransition, init, step, time_advance
 from .syntax import Cmp, Const, Ref, conj, conjuncts, subst_pred
 from .values import EvalError, Inf, Num, TAU, Value, render_value
@@ -59,8 +59,14 @@ class SimulationSequence:
 
 
 def build_sequences(
-    model: Model, sccs: list[SCC], bounds: Bounds
+    model: Model,
+    sccs: list[SCC],
+    bounds: Bounds,
+    configs: dict[int, SimulationConfig] | None = None,
 ) -> tuple[list[SimulationSequence], list[str]]:
+    """Chain the classes into sequences.  `configs` holds representatives
+    already selected, by class id; a head without one is selected here."""
+    configs = configs or {}
     consts = const_env(bounds, model)
     remaining = sorted(sccs, key=lambda s: s.id)
     sequences: list[SimulationSequence] = []
@@ -71,7 +77,7 @@ def build_sequences(
         seq = SimulationSequence(covered=[scc.id])
         sequences.append(seq)
         try:
-            cfg = select_config(scc, model, bounds)
+            cfg = configs.get(scc.id) or select_config(scc, model, bounds)
         except SelectError as err:
             notes.append(f"class {scc.id}: {err}")
             seq.steps.append(

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from devs_scc.algebra import CombinationPlan, combine_and_prune, intersect
-from devs_scc.bounds import Bounds
+from devs_scc.bounds import Bounds, state_space
 from devs_scc.campaign import apply_selection
 from devs_scc.parser import parse_model_text
+from devs_scc.sat import satisfiable
 from devs_scc.scc import SCC, assign_ids, make_scc
 from devs_scc.syntax import And, Cmp, Const, Ref, render_pred
 from devs_scc.values import Lit, num
@@ -104,10 +105,14 @@ def test_budget_exhaustion_is_flagged(toy, toy_bounds):
 
 
 def test_unknown_emptiness_keeps_the_combination(toy):
+    # x < t /\ t < x is empty, but the contradiction spans two variables,
+    # so per-variable filtering cannot refute it within 3 attempts
     tiny = Bounds(nat_ranges={"": (0, 20)}, max_attempts=3)
     a, b, c = toy_classes()
-    plan = CombinationPlan(groups=((2, 3),))
-    catalog, report = combine_and_prune([a, b, c], plan, toy, tiny)
+    below = make_scc(a.init_states, Cmp("<", Ref("x"), Ref("t")), "t", "below", id=4)
+    above = make_scc(a.init_states, Cmp("<", Ref("t"), Ref("x")), "t", "above", id=5)
+    plan = CombinationPlan(groups=((4, 5),))
+    catalog, report = combine_and_prune([a, b, c, below, above], plan, toy, tiny)
     assert report.unknown == 1
     assert report.kept == 1  # kept but flagged rather than silently lost
 
@@ -120,9 +125,8 @@ def test_all_pairs_default_plan(toy, toy_bounds):
     assert len(catalog) == 3 + report.kept
 
 
-def test_elevator_worked_combinations(
-    elevator, elevator_bounds, elevator_tables
-):
+@pytest.fixture(scope="module")
+def elevator_base(elevator, elevator_bounds, elevator_tables):
     from tests.conftest import ELEVATOR_SELECTIONS
 
     raw = []
@@ -130,6 +134,11 @@ def test_elevator_worked_combinations(
         _, sccs, _ = apply_selection(sel, elevator, elevator_bounds, elevator_tables, False)
         raw.extend(sccs)
     base, _ = assign_ids(raw)
+    return base
+
+
+def test_elevator_worked_combinations(elevator, elevator_bounds, elevator_base):
+    base = elevator_base
     plan = CombinationPlan(groups=((1, 49), (1, 57), (36, 87), (13, 59, 85)), max_arity=3)
     catalog, report = combine_and_prune(base, plan, elevator, elevator_bounds)
     assert report.kept == 4 and report.dropped == 0
@@ -145,6 +154,26 @@ def test_elevator_worked_combinations(
     call_at_gf = by_target["36+87"]
     assert render_pred(call_at_gf.init_states) == "true"
     assert render_pred(call_at_gf.input_pairs) == "t = TGF /\\ x in nat"
+
+
+def test_contradiction_on_the_last_state_variable_is_dropped(
+    elevator, elevator_bounds, elevator_base
+):
+    # dint case 1 meets dint case 11 on nt = D1 /\ nt = O; nt is the last
+    # of 14 state variables, so a search that tests the conjunct only once
+    # nt is bound runs out of the 200k-attempt budget before deciding
+    by_id = {s.id: s for s in elevator_base}
+    combo = intersect(by_id[18], by_id[28])
+    rendered = render_pred(combo.init_states)
+    assert "nt = D1" in rendered and "nt = O" in rendered
+    verdict = satisfiable(combo.init_states, state_space(elevator, elevator_bounds),
+                          elevator_bounds, elevator)
+    assert verdict.status == "unsat"
+    assert verdict.attempts <= 100
+    plan = CombinationPlan(groups=((18, 28),))
+    catalog, report = combine_and_prune(elevator_base, plan, elevator, elevator_bounds)
+    assert (report.kept, report.dropped, report.unknown) == (0, 1, 0)
+    assert catalog == elevator_base
 
 
 def random_scc(rng: random.Random, ident: int) -> SCC:
@@ -172,7 +201,6 @@ def test_commutativity_and_associativity_on_generated_classes():
 
 
 def test_combination_members_satisfy_all_ancestors(toy, toy_bounds):
-    from devs_scc.bounds import state_space
     from devs_scc.evaluator import eval_pred
     from devs_scc.sat import iter_witnesses
 

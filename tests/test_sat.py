@@ -1,10 +1,15 @@
 import itertools
 
+from hypothesis import given, strategies as st
+
 from devs_scc.bounds import Bounds, var_grid
 from devs_scc.evaluator import eval_pred
 from devs_scc.sat import iter_witnesses, project_exists, satisfiable
-from devs_scc.syntax import And, Cmp, Const, Exists, Ref, TRUE, render_pred
-from devs_scc.values import EnumSort, Lit, NAT, TIME, num
+from devs_scc.syntax import (
+    And, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, pred_vars,
+    render_pred,
+)
+from devs_scc.values import EnumSort, EvalError, Lit, NAT, TIME, num
 
 ONOFF = EnumSort(("ON", "OFF"))
 
@@ -17,7 +22,10 @@ def toy_space(hi=20):
 def test_contradictory_enum_equalities_are_unsat():
     b, space = toy_space()
     p = And((Cmp("=", Ref("m"), Const(Lit("ON"))), Cmp("=", Ref("m"), Const(Lit("OFF")))))
-    assert satisfiable(p, space, b).status == "unsat"
+    verdict = satisfiable(p, space, b)
+    assert verdict.status == "unsat"
+    # n = 0, then both values of m fail: no other value of n is visited
+    assert verdict.attempts == 3
 
 
 def test_true_selects_the_minimal_assignment():
@@ -75,6 +83,150 @@ def test_iter_witnesses_in_grid_order():
     ws = list(iter_witnesses(p, space, b))
     assert [(w["n"], w["m"].name) for w in ws] == [
         (num(2), "ON"), (num(2), "OFF"), (num(3), "ON"), (num(3), "OFF"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# pruned search against plain enumeration
+
+ABC = [Lit("A"), Lit("B"), Lit("C")]
+
+
+@st.composite
+def problems(draw):
+    """A conjunction of unary and binary comparisons over 1-3 small nat
+    and enum grids."""
+    kinds = draw(st.lists(st.sampled_from(["nat", "enum"]), min_size=1, max_size=3))
+    space = []
+    for i, kind in enumerate(kinds):
+        if kind == "nat":
+            grid = [num(k) for k in range(draw(st.integers(1, 5)))]
+        else:
+            grid = ABC[: draw(st.integers(1, 3))]
+        space.append((f"v{i}", grid))
+
+    def atom():
+        i = draw(st.integers(0, len(kinds) - 1))
+        peers = [j for j, k in enumerate(kinds) if k == kinds[i] and j != i]
+        if peers and draw(st.booleans()):
+            right = Ref(f"v{draw(st.sampled_from(peers))}")
+        elif kinds[i] == "nat":
+            right = Const(num(draw(st.integers(0, 5))))
+        else:
+            right = Const(draw(st.sampled_from(ABC)))
+        ops = ["<", "<=", "=", "!=", ">", ">="] if kinds[i] == "nat" else ["=", "!="]
+        return Cmp(draw(st.sampled_from(ops)), Ref(f"v{i}"), right)
+
+    return space, conj([atom() for _ in range(draw(st.integers(1, 4)))])
+
+
+def product_members(pred, space):
+    names = [n for n, _ in space]
+    members = []
+    for values in itertools.product(*(g for _, g in space)):
+        env = dict(zip(names, values))
+        try:
+            if eval_pred(pred, env):
+                members.append(env)
+        except EvalError:
+            pass
+    return members
+
+
+class _OutOfAttempts(Exception):
+    pass
+
+
+def unpruned_search(pred, space, limit):
+    """Depth-first search that checks each conjunct once all its
+    variables are bound and skips nothing: (status, attempts)."""
+    norm = normalize(pred)
+    if norm == FALSE:
+        return "unsat", 0
+    order = {n: i for i, (n, _) in enumerate(space)}
+    pre, per_depth = [], [[] for _ in space]
+    for c in conjuncts(norm):
+        touched = [order[v] for v in pred_vars(c) if v in order]
+        (per_depth[max(touched)] if touched else pre).append(c)
+    env, used = {}, 0
+
+    def spend():
+        nonlocal used
+        used += 1
+        if used > limit:
+            raise _OutOfAttempts()
+
+    def holds(c):
+        try:
+            return eval_pred(c, env)
+        except EvalError:
+            return False
+
+    def dfs(depth):
+        if depth == len(space):
+            return True
+        name, grid = space[depth]
+        for v in grid:
+            spend()
+            env[name] = v
+            if all(holds(c) for c in per_depth[depth]) and dfs(depth + 1):
+                return True
+        env.pop(name, None)
+        return False
+
+    try:
+        for c in pre:
+            spend()
+            if not holds(c):
+                return "unsat", used
+        return ("sat" if dfs(0) else "unsat"), used
+    except _OutOfAttempts:
+        return "unknown", used
+
+
+@given(problems())
+def test_pruned_search_matches_plain_enumeration(problem):
+    space, pred = problem
+    b = Bounds(max_attempts=10_000)
+    members = product_members(pred, space)
+    verdict = satisfiable(pred, space, b)
+    if members:
+        assert verdict.sat and verdict.witness == members[0]
+    else:
+        assert verdict.status == "unsat"
+    assert list(iter_witnesses(pred, space, b)) == members
+    status, attempts = unpruned_search(pred, space, b.max_attempts)
+    assert status == verdict.status
+    assert verdict.attempts <= attempts
+
+
+@given(problems(), st.integers(0, 6))
+def test_pruned_search_decides_whatever_plain_search_decides(problem, budget):
+    space, pred = problem
+    verdict = satisfiable(pred, space, Bounds(max_attempts=budget))
+    status, attempts = unpruned_search(pred, space, budget)
+    assert verdict.attempts <= attempts
+    if status != "unknown":
+        assert verdict.status == status
+    if verdict.status != "unknown":
+        assert verdict.sat == bool(product_members(pred, space))
+
+
+def test_binary_contradiction_still_exhausts_a_tiny_budget():
+    # per-variable filtering cannot see a contradiction spanning two variables
+    space = [("n", [num(k) for k in range(5)]), ("k", [num(k) for k in range(5)])]
+    p = And((Cmp("<", Ref("n"), Ref("k")), Cmp("<", Ref("k"), Ref("n"))))
+    verdict = satisfiable(p, space, Bounds(max_attempts=3))
+    assert verdict.status == "unknown"
+    assert satisfiable(p, space, Bounds()).status == "unsat"
+
+
+def test_iter_witnesses_stops_quietly_at_its_limit():
+    b, space = toy_space(3)
+    # n = 0, m = ON, m = OFF, n = 1, m = ON: five attempts, three witnesses
+    ws = list(iter_witnesses(TRUE, space, b, limit=5))
+    assert [(w["n"], w["m"].name) for w in ws] == [
+        (num(0), "ON"), (num(0), "OFF"), (num(1), "ON"),
     ]
 
 

@@ -43,6 +43,23 @@ def test_toggle_chain_gives_two_sequences(toggle, toggle_bounds):
     assert sequences[1].steps[0].state_used["m"] == Lit("B")
 
 
+def test_selected_representatives_are_reused(toggle, toggle_bounds, monkeypatch):
+    import devs_scc.sequencer as sequencer
+    from devs_scc.selector import select_config
+
+    classes = toggle_classes()
+    expected, expected_notes = build_sequences(toggle, classes, toggle_bounds)
+    configs = {s.id: select_config(s, toggle, toggle_bounds) for s in classes}
+
+    def refuse(*args):
+        raise AssertionError("representative selected twice")
+
+    monkeypatch.setattr(sequencer, "select_config", refuse)
+    sequences, notes = build_sequences(toggle, classes, toggle_bounds, configs)
+    assert [s.to_json() for s in sequences] == [s.to_json() for s in expected]
+    assert notes == expected_notes
+
+
 def test_disjoint_classes_get_one_sequence_each(toggle, toggle_bounds):
     one = make_scc(_at("m", "A"), _go(), "manual", "one", id=1)
     # class 2 requires m = B but class 1 leaves the system in B as well;
