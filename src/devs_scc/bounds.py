@@ -12,6 +12,7 @@ beyond the largest, which is exactly the shape the time criterion needs
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -159,3 +160,21 @@ def joint_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
 
 def schema_space(schema: StateSchema, bounds: Bounds) -> list[tuple[str, list[Value]]]:
     return [(name, var_grid(bounds, name, sort)) for name, sort in schema.vars]
+
+
+def index_digits(idx: int, sizes: Sequence[int]) -> list[int]:
+    """Digits of a mixed-radix index into a product space, most
+    significant first: the inverse of `digits_index`."""
+    digits = [0] * len(sizes)
+    for d in range(len(sizes) - 1, -1, -1):
+        idx, digits[d] = divmod(idx, sizes[d])
+    return digits
+
+
+def digits_index(digits: Sequence[int], sizes: Sequence[int]) -> int:
+    """Mixed-radix index of grid positions, most significant first, so
+    that index order is the lexicographic order of the positions."""
+    idx = 0
+    for digit, size in zip(digits, sizes):
+        idx = idx * size + digit
+    return idx

@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import CombinationPlan, CombineReport, combine_and_prune
@@ -286,7 +285,6 @@ class Campaign:
     plan: CombinationPlan | None = None
     include_otherwise: bool = False
     probe_k: int = 0
-    jobs: int = 1
 
 
 @dataclass
@@ -335,13 +333,7 @@ def run_campaign(c: Campaign) -> CampaignResult:
     report.notes.extend(seq_notes)
     report.sequence_count = len(sequences)
 
-    if c.jobs > 1:
-        with ThreadPoolExecutor(max_workers=c.jobs) as pool:
-            traces = list(
-                pool.map(lambda s: replay_sequence(c.model, s, c.bounds), sequences)
-            )
-    else:
-        traces = [replay_sequence(c.model, s, c.bounds) for s in sequences]
+    traces = [replay_sequence(c.model, s, c.bounds) for s in sequences]
     for trace in traces:
         report.trace_events += len(trace.events)
         report.findings.extend(trace.findings)

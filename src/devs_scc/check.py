@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import prod
 
-from .bounds import Bounds, const_env, schema_space, sort_grid, time_points
+from .bounds import (
+    Bounds,
+    const_env,
+    index_digits,
+    schema_space,
+    sort_grid,
+    time_points,
+)
 from .evaluator import eval_expr, eval_pred
 from .model import GuardedCase, Model, OperatorDef, ValidationReport
 from .syntax import (
@@ -547,12 +554,8 @@ def _strided(space, budget: int):
         return
     take = min(total, budget)
     for i in range(take):
-        idx = i * total // take
-        env = {}
-        for (name, grid), size in zip(reversed(space), reversed(sizes)):
-            env[name] = grid[idx % size]
-            idx //= size
-        yield env
+        digits = index_digits(i * total // take, sizes)
+        yield {name: grid[d] for (name, grid), d in zip(space, digits)}
 
 
 def _render_env(env) -> str:

@@ -3,16 +3,13 @@
 Subcommands mirror the pipeline: parse, criteria, combine, select,
 sequence, simulate, campaign, report.  Exit codes: 0 clean, 2 parse or
 usage error, 3 a validation finding (an undefined transition) was
-produced, 4 an execution error stopped a simulation.  DEVS_SCC_JOBS caps
-stage parallelism (default 1, which is also the determinism-friendly
-choice).
+produced, 4 an execution error stopped a simulation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .campaign import (
@@ -141,7 +138,6 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
             max_arity=args.max_arity,
             budget=args.budget,
         )
-    jobs = max(1, int(os.environ.get("DEVS_SCC_JOBS", "1")))
     campaign = Campaign(
         model=model,
         bounds=bounds,
@@ -150,7 +146,6 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
         plan=plan,
         include_otherwise=args.include_otherwise,
         probe_k=args.probe_k,
-        jobs=jobs,
     )
     return campaign, notes
 

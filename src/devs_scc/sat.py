@@ -16,6 +16,13 @@ Mackworth 1977, applied lazily).  Skipping only visits fewer nodes of
 the plain search, so the witness and every verdict the plain search
 reaches stay the same.
 
+A search can be confined to an inclusive range of grid positions,
+given as the least and the greatest position tuple in lexicographic
+order; each bound holds only while the positions chosen so far equal
+its prefix ("tight"), so the search visits exactly the nodes of the
+plain search that lead into the range.  By default the range is the
+whole grid.
+
 Every evaluated grid value, and every conjunct free of search
 variables, costs one attempt of the budget.  A verdict of "unsat"
 always means: no witness within the supplied bounds; "unknown" means
@@ -25,6 +32,7 @@ the budget.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .bounds import Bounds, const_env, var_grid
@@ -57,6 +65,7 @@ class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
     witness: dict[str, Value] | None = None
     attempts: int = 0
+    index: tuple[int, ...] | None = None  # the witness's grid positions
 
     @property
     def sat(self) -> bool:
@@ -80,17 +89,27 @@ def satisfiable(
     bounds: Bounds,
     model: Model | None = None,
     base_env: dict[str, Value] | None = None,
+    *,
+    lo: Sequence[int] | None = None,
+    hi: Sequence[int] | None = None,
+    limit: int | None = None,
 ) -> SatResult:
     """Least witness over `space`, or unsat-within-bounds, or unknown when
-    the attempt budget runs out."""
-    budget = _Budget(bounds.max_attempts)
+    the attempt budget runs out.
+
+    `lo` and `hi` bound the search to grid positions from `lo` to `hi`
+    (inclusive, one position per variable, lexicographic order); `limit`
+    replaces the budget of `bounds.max_attempts`."""
+    budget = _Budget(bounds.max_attempts if limit is None else limit)
+    search = _witnesses(pred, space, bounds, model, base_env, budget, lo, hi)
     try:
-        witness = next(_witnesses(pred, space, bounds, model, base_env, budget), None)
+        found = next(search, None)
     except BudgetExhausted:
         return SatResult("unknown", attempts=budget.used)
-    if witness is None:
+    if found is None:
         return SatResult("unsat", attempts=budget.used)
-    return SatResult("sat", witness=witness, attempts=budget.used)
+    index, witness = found
+    return SatResult("sat", witness=witness, attempts=budget.used, index=index)
 
 
 def iter_witnesses(
@@ -104,13 +123,15 @@ def iter_witnesses(
     """All witnesses in lexicographic order, stopping quietly once `limit`
     attempts are spent."""
     try:
-        yield from _witnesses(pred, space, bounds, model, base_env, _Budget(limit))
+        for _, witness in _witnesses(pred, space, bounds, model, base_env, _Budget(limit)):
+            yield witness
     except BudgetExhausted:
         return
 
 
-def _witnesses(pred, space, bounds, model, base_env, budget):
-    """Witnesses in lexicographic order; raises BudgetExhausted when the
+def _witnesses(pred, space, bounds, model, base_env, budget, lo=None, hi=None):
+    """(grid positions, witness) pairs in lexicographic order, within the
+    positions `lo` to `hi` when given; raises BudgetExhausted when the
     budget runs out first."""
     env = dict(base_env) if base_env else {}
     if model is not None:
@@ -139,18 +160,21 @@ def _witnesses(pred, space, bounds, model, base_env, budget):
     # unary verdict once evaluated; and how many indices have failed
     known = [[None] * len(g) if unary[d] else None for d, (_, g) in enumerate(space)]
     failed = [0] * len(names)
+    path = [0] * len(names)
 
-    def dfs(depth: int):
+    def dfs(depth: int, lo_tight: bool, hi_tight: bool):
         if depth == len(space):
-            yield {n: env[n] for n in names}
+            yield tuple(path), {n: env[n] for n in names}
             return
         name, grid = space[depth]
         memo = known[depth]
-        for i, v in enumerate(grid):
+        first = lo[depth] if lo_tight else 0
+        last = hi[depth] if hi_tight else len(grid) - 1
+        for i in range(first, last + 1):
             if memo is not None and memo[i] is False:
                 continue
             budget.spend()
-            env[name] = v
+            env[name] = grid[i]
             if memo is not None and memo[i] is None:
                 memo[i] = all(_holds(c, env, model, bounds) for c in unary[depth])
                 if not memo[i]:
@@ -159,11 +183,12 @@ def _witnesses(pred, space, bounds, model, base_env, budget):
                         raise _Empty()
                     continue
             if all(_holds(c, env, model, bounds) for c in joint[depth]):
-                yield from dfs(depth + 1)
+                path[depth] = i
+                yield from dfs(depth + 1, lo_tight and i == first, hi_tight and i == last)
         env.pop(name, None)
 
     try:
-        yield from dfs(0)
+        yield from dfs(0, lo is not None, hi is not None)
     except _Empty:
         return
 

@@ -25,12 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .bounds import Bounds, const_env, joint_space, pair_space, state_space
+from .bounds import (
+    Bounds,
+    const_env,
+    digits_index,
+    index_digits,
+    joint_space,
+    pair_space,
+    state_space,
+)
 from .evaluator import eval_expr, eval_pred
 from .model import Model
 from .sat import SatResult, satisfiable
 from .scc import SCC
-from .syntax import Cmp, MinOp, Predicate, Ref, conj, conjuncts
+from .syntax import Cmp, MinOp, Predicate, Ref, conj, conjuncts, normalize
 from .values import Inf, Num, TAU, Value, render_value
 
 
@@ -142,77 +150,59 @@ _STRIDES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 def sample_configs(
     scc: SCC, k: int, model: Model, bounds: Bounds, scan_cap: int = 20_000
 ) -> list[SimulationConfig]:
-    """Up to k distinct members, spread over the joint grid.
+    """Up to k distinct executable members, spread over the joint grid.
 
-    Stratum s starts from the grid point whose coordinate in every
-    dimension is s steps of a fixed prime stride (a low-discrepancy
-    spread, no randomness); from there members are taken in grid order,
-    event and time varying fastest.  Stratum 0 starts at the least
-    member, so the selected representative is always among the samples.
+    The grid is numbered in mixed radix with the event varying fastest,
+    then the time, then the state variables in declaration order.
+    Stratum s starts at the point whose position in every dimension is
+    s steps of a fixed prime stride (a low-discrepancy spread, no
+    randomness) and takes the first member at or after it in that
+    numbering.  The strata share a budget of `scan_cap` grid points,
+    charged as a scan from each start would charge them: up to and
+    including the member found, or to the end of the grid or the budget.
+    A member already sampled ends its stratum without a new sample.
+
+    Each window is at most `scan_cap` points long, so it moves only the
+    fastest-varying dimensions away from its start: the samples need not
+    include the selected representative, and a class with no member in
+    any window yields none.  Each window is searched by the pruned
+    witness search over the reversed joint space, whose lexicographic
+    order is the numbering above, with a budget that covers every node
+    of the window, so `bounds.max_attempts` never cuts it short.
     """
-    space = joint_space(model, bounds)
+    space = joint_space(model, bounds)[::-1]
     sizes = [len(g) for _, g in space]
     total = prod(sizes)
     if total == 0 or k <= 0:
         return []
-    consts = const_env(bounds, model)
-    member = scc.joint if scc.joint is not None else None
-    exec_pred = conj(executability(model))
+    if scc.joint is not None:
+        member = conjuncts(scc.joint)
+    else:
+        member = conjuncts(scc.init_states) + conjuncts(scc.input_pairs)
+    # only members the simulator can actually run
+    pred = normalize(conj(executability(model) + member))
     state_names = model.schema.names()
-
-    def start_index(s: int) -> int:
-        idx = 0
-        weight = 1
-        for dim, size in enumerate(sizes):
-            stride = _STRIDES[dim % len(_STRIDES)]
-            idx += ((s * stride) % size) * weight
-            weight *= size
-        return idx
-
-    def decode(idx: int) -> dict[str, Value]:
-        env: dict[str, Value] = {}
-        for (name, grid), size in zip(space, sizes):
-            env[name] = grid[idx % size]
-            idx //= size
-        return env
-
-    def is_member(env: dict[str, Value]) -> bool:
-        full = {**consts, **env}
-        if not _safe(exec_pred, full, model, bounds):
-            return False  # only members the simulator can actually run
-        if member is not None:
-            return _safe(member, full, model, bounds)
-        pe = {**consts, "x": env["x"], "t": env["t"]}
-        return _safe(scc.init_states, full, model, bounds) and _safe(
-            scc.input_pairs, pe, model, bounds
-        )
+    strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
 
     found: dict[str, SimulationConfig] = {}
     scanned = 0
-    strata = min(k, total)
-    for s in range(strata):
-        idx = start_index(s)
-        while idx < total and scanned < scan_cap:
-            scanned += 1
-            env = decode(idx)
-            idx += 1
-            if is_member(env):
-                cfg = SimulationConfig(
-                    scc.id, {n: env[n] for n in state_names}, env["x"], env["t"]
-                )
-                key = repr(cfg.to_json())
-                if key not in found:
-                    found[key] = cfg
-                break
-        if len(found) >= k:
+    for s in range(min(k, total)):
+        if scanned >= scan_cap:
             break
+        lo = [(s * stride) % size for stride, size in zip(strides, sizes)]
+        start = digits_index(lo, sizes)
+        end = min(total, start + scan_cap - scanned)
+        verdict = satisfiable(
+            pred, space, bounds, model,
+            lo=lo,
+            hi=index_digits(end - 1, sizes),
+            limit=len(space) * (end - start) + len(conjuncts(pred)),
+        )
+        if not verdict.sat:
+            scanned += end - start
+            continue
+        scanned += digits_index(verdict.index, sizes) - start + 1
+        w = verdict.witness
+        cfg = SimulationConfig(scc.id, {n: w[n] for n in state_names}, w["x"], w["t"])
+        found.setdefault(repr(cfg.to_json()), cfg)
     return list(found.values())
-
-
-def _safe(pred, env, model, bounds) -> bool:
-    from .values import EvalError
-
-    try:
-        return eval_pred(pred, env, model, bounds)
-    except EvalError:
-        return False

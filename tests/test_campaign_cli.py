@@ -229,15 +229,6 @@ def test_combine_command_reports_counts(tmp_path):
     assert "4 attempted, 4 kept, 0 dropped" in out
 
 
-def test_parallel_jobs_keep_reports_identical():
-    sequential = _elevator_campaign()
-    parallel = _elevator_campaign()
-    parallel.jobs = 4
-    a = run_campaign(sequential).report.to_json()
-    b = run_campaign(parallel).report.to_json()
-    assert a == b
-
-
 def test_validation_warns_about_overlapping_output_cases(tmp_path):
     # the elevator's output function has open-door cases that shadow a
     # later alarm-driven one; the bounded coverage check says so

@@ -1,8 +1,9 @@
 import itertools
+from math import prod
 
 from hypothesis import given, strategies as st
 
-from devs_scc.bounds import Bounds, var_grid
+from devs_scc.bounds import Bounds, index_digits, var_grid
 from devs_scc.evaluator import eval_pred
 from devs_scc.sat import iter_witnesses, project_exists, satisfiable
 from devs_scc.syntax import (
@@ -295,3 +296,59 @@ def test_exists_membership_enumerates(elevator, elevator_bounds):
     # exists x . x != f is true whenever some grid value differs from f
     p = Exists((("x", elevator.input_sort),), Cmp("!=", Ref("x"), Ref("f")))
     assert eval_pred(p, {"f": num(0)}, elevator, elevator_bounds)
+
+
+# ---------------------------------------------------------------------------
+# searches confined to a range of grid positions
+
+
+@given(problems(), st.data())
+def test_windowed_search_matches_filtered_enumeration(problem, data):
+    space, pred = problem
+    sizes = [len(g) for _, g in space]
+    total = prod(sizes)
+    first, last = sorted(
+        data.draw(st.integers(0, total - 1), label=f"index {i}") for i in range(2)
+    )
+    lo, hi = index_digits(first, sizes), index_digits(last, sizes)
+    members = product_members(pred, space)
+    in_window = [
+        (index, env)
+        for index, env in zip(
+            itertools.product(*map(range, sizes)), product_members(TRUE, space)
+        )
+        if lo <= list(index) <= hi and env in members
+    ]
+    b = Bounds(max_attempts=10_000)
+    verdict = satisfiable(pred, space, b, lo=lo, hi=hi)
+    if in_window:
+        assert verdict.sat
+        assert (verdict.index, verdict.witness) == in_window[0]
+    else:
+        assert verdict.status == "unsat"
+    # a budget of one attempt per node of the window always suffices
+    limit = len(space) * (last - first + 1) + len(conjuncts(normalize(pred)))
+    assert satisfiable(pred, space, Bounds(max_attempts=0), lo=lo, hi=hi, limit=limit) == verdict
+
+
+@given(problems())
+def test_the_whole_grid_as_a_window_is_the_plain_search(problem):
+    space, pred = problem
+    b = Bounds(max_attempts=10_000)
+    whole = satisfiable(
+        pred, space, b, lo=[0] * len(space), hi=[len(g) - 1 for _, g in space]
+    )
+    assert whole == satisfiable(pred, space, b)
+
+
+def test_window_bounds_are_inclusive():
+    b, space = toy_space(9)
+    p = And((Cmp("=", Ref("n"), Const(num(3))), Cmp("=", Ref("m"), Const(Lit("OFF")))))
+    # the only member sits at positions (3, 1), index 7
+    assert satisfiable(p, space, b).index == (3, 1)
+    last = satisfiable(p, space, b, lo=[0, 0], hi=[3, 1])
+    assert last.sat and last.index == (3, 1) and last.witness["n"] == num(3)
+    assert satisfiable(p, space, b, lo=[0, 0], hi=[3, 0]).status == "unsat"
+    first = satisfiable(p, space, b, lo=[3, 1], hi=[9, 1])
+    assert first.sat and first.index == (3, 1)
+    assert satisfiable(p, space, b, lo=[4, 0], hi=[9, 1]).status == "unsat"

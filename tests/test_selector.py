@@ -1,15 +1,25 @@
 import itertools
+from math import prod
 
 import pytest
 
-from devs_scc.bounds import Bounds, const_env
+from devs_scc.bounds import Bounds, const_env, joint_space
 from devs_scc.criteria import cases_criterion
 from devs_scc.evaluator import eval_pred
-from devs_scc.parser import parse_model_text
+from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
 from devs_scc.scc import make_scc
-from devs_scc.selector import SelectError, sample_configs, select_config
-from devs_scc.syntax import And, Cmp, Const, FALSE, Ref
-from devs_scc.values import Lit, TAU, num
+from devs_scc.selector import (
+    _STRIDES,
+    SelectError,
+    SimulationConfig,
+    executability,
+    sample_configs,
+    select_config,
+)
+from devs_scc.syntax import And, Cmp, Const, FALSE, Ref, conj
+from devs_scc.values import EvalError, Lit, TAU, num
+
+from tests.conftest import FIXTURES
 
 TOY_MODEL = """
 model toy {
@@ -126,3 +136,133 @@ def test_sampling_is_deterministic(soda, soda_bounds):
     a = [c.to_json() for c in sample_configs(sccs[3], 5, soda, soda_bounds)]
     b = [c.to_json() for c in sample_configs(sccs[3], 5, soda, soda_bounds)]
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# windowed sampling against a plain decode-and-scan
+
+
+def scan_samples(scc, k, model, bounds, scan_cap):
+    """Reference sampler: decode each grid index of a stratum's window in
+    turn, event fastest, and evaluate the class predicates on it."""
+    space = joint_space(model, bounds)
+    sizes = [len(g) for _, g in space]
+    total = prod(sizes)
+    if total == 0 or k <= 0:
+        return []
+    consts = const_env(bounds, model)
+    exec_pred = conj(executability(model))
+
+    def holds(pred, env):
+        try:
+            return eval_pred(pred, env, model, bounds)
+        except EvalError:
+            return False
+
+    def start_index(s):
+        idx, weight = 0, 1
+        for dim, size in enumerate(sizes):
+            idx += ((s * _STRIDES[dim % len(_STRIDES)]) % size) * weight
+            weight *= size
+        return idx
+
+    def decode(idx):
+        env = {}
+        for (name, grid), size in zip(space, sizes):
+            env[name] = grid[idx % size]
+            idx //= size
+        return env
+
+    def is_member(env):
+        full = {**consts, **env}
+        if not holds(exec_pred, full):
+            return False
+        if scc.joint is not None:
+            return holds(scc.joint, full)
+        pair = {**consts, "x": env["x"], "t": env["t"]}
+        return holds(scc.init_states, full) and holds(scc.input_pairs, pair)
+
+    found = {}
+    scanned = 0
+    for s in range(min(k, total)):
+        idx = start_index(s)
+        while idx < total and scanned < scan_cap:
+            scanned += 1
+            env = decode(idx)
+            idx += 1
+            if is_member(env):
+                cfg = SimulationConfig(
+                    scc.id, {n: env[n] for n in model.schema.names()}, env["x"], env["t"]
+                )
+                found.setdefault(repr(cfg.to_json()), cfg)
+                break
+    return list(found.values())
+
+
+def _fixture(name, bounds_text=None):
+    model, report = parse_model_file(str(FIXTURES / f"{name}.devs"))
+    assert report.usable, report.errors
+    if bounds_text is None:
+        return model, parse_bounds_file(str(FIXTURES / f"{name}.bounds"))
+    return model, parse_bounds_text(bounds_text)
+
+
+def _same_samples(scc, k, model, bounds, scan_cap):
+    got = [c.to_json() for c in sample_configs(scc, k, model, bounds, scan_cap)]
+    want = [c.to_json() for c in scan_samples(scc, k, model, bounds, scan_cap)]
+    assert got == want, (scc.id, k, scan_cap)
+    return len(got)
+
+
+@pytest.mark.parametrize("name, scan_cap", [("soda", 1500), ("toggle", 20), ("elevator", 400)])
+def test_sampling_matches_the_plain_scan(name, scan_cap):
+    model, bounds = _fixture(name)
+    sccs, _ = cases_criterion(model, bounds)
+    sampled = 0
+    for k in (2, 4, 6):
+        for scc in sccs:
+            sampled += _same_samples(scc, k, model, bounds, scan_cap)
+    assert sampled > 0
+
+
+def _least_cap(scc, k, model, bounds):
+    """The least scan cap at which the plain scan yields k samples."""
+    for cap in itertools.count(1):
+        if len(scan_samples(scc, k, model, bounds, cap)) == k:
+            return cap
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_window_ends_exactly_at_the_scan_cap(soda, soda_bounds, k):
+    # with k = 2 the second window's length depends on where the first
+    # stratum found its member
+    sccs, _ = cases_criterion(soda, soda_bounds)
+    scc = sccs[1]
+    cap = _least_cap(scc, k, soda, soda_bounds)
+    assert cap > k
+    # the member at the window's last index is found ...
+    assert _same_samples(scc, k, soda, soda_bounds, cap) == k
+    # ... and one index past the window it is not
+    assert _same_samples(scc, k, soda, soda_bounds, cap - 1) == k - 1
+
+
+def test_low_max_attempts_does_not_change_the_samples(soda, soda_bounds):
+    text = (FIXTURES / "soda.bounds").read_text()
+    _, frugal = _fixture("soda", text.replace("max attempts = 200000", "max attempts = 1"))
+    assert frugal.max_attempts == 1
+    sccs, _ = cases_criterion(soda, soda_bounds)
+    for scc in sccs:
+        want = [c.to_json() for c in sample_configs(scc, 4, soda, soda_bounds)]
+        assert [c.to_json() for c in sample_configs(scc, 4, soda, frugal)] == want
+        assert _same_samples(scc, 4, soda, frugal, 1500) <= 4
+
+
+def test_repeated_grid_values_keep_the_scan_accounting():
+    # a repeated value makes two grid indices decode to the same member, so
+    # the consumed budget must follow the index found, not the value
+    text = (FIXTURES / "soda.bounds").read_text()
+    model, bounds = _fixture("soda", text.replace("{0, 25, 75, 125}", "{0, 25, 25, 75, 75, 125}"))
+    sccs, _ = cases_criterion(model, bounds)
+    for scc in sccs:
+        for k in (2, 5):
+            _same_samples(scc, k, model, bounds, 1500)
