@@ -20,6 +20,7 @@ from .model import Model, StateSchema
 from .values import (
     INF,
     TAU,
+    TIME,
     EnumSort,
     ExtSort,
     IntSort,
@@ -47,6 +48,15 @@ class BoundsError(Exception):
 
 @dataclass
 class Bounds:
+    """The enumeration bounds of one bounds file.
+
+    Read-only once built, like `Model`: `parse_bounds_text` is its only
+    writer, and it finishes before any grid is built.  Each grid is built
+    on first use and kept, so every search over these bounds shares it;
+    the grid functions below hand out fresh lists, so no caller can
+    change a shared grid.
+    """
+
     nat_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
     int_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
     rat_grids: dict[str, tuple[Fraction, Fraction, Fraction]] = field(default_factory=dict)
@@ -54,17 +64,37 @@ class Bounds:
     time_samples: list[Fraction] | None = None
     const_values: dict[str, Value] = field(default_factory=dict)
     max_attempts: int = 200_000
+    # (sort, variable name) -> grid, filled by `_grid`
+    _grids: dict[tuple[Sort, str], list[Value]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def validate(self) -> None:
-        for name, (lo, hi) in {**self.nat_ranges, **self.int_ranges}.items():
+        for name, (lo, hi) in self.nat_ranges.items():
+            if max(lo, 0) > hi:
+                raise BoundsError(f"empty range for {name or 'default'}: {lo}..{hi}")
+        for name, (lo, hi) in self.int_ranges.items():
+            if lo > hi:
+                raise BoundsError(f"empty range for {name or 'default'}: {lo}..{hi}")
+        for name, (lo, hi, step) in self.rat_grids.items():
+            if step <= 0:
+                raise BoundsError(f"step must be positive for {name or 'default'}: {step}")
             if lo > hi:
                 raise BoundsError(f"empty range for {name or 'default'}: {lo}..{hi}")
         if self.time_samples is not None:
             if Fraction(0) not in self.time_samples:
                 raise BoundsError("time sample set must contain 0")
+            least = min(self.time_samples)
+            if least < 0:
+                raise BoundsError(f"time samples must not be negative: {least}")
+        if self.max_attempts < 0:
+            raise BoundsError(f"max attempts must not be negative: {self.max_attempts}")
 
     def times(self) -> list[Fraction]:
         """Finite time samples, ascending."""
+        return [v.value for v in _grid(self, TIME)[:-1]]
+
+    def _sample_times(self) -> list[Fraction]:
         if self.time_samples is not None:
             return sorted(set(self.time_samples))
         consts = sorted(
@@ -96,10 +126,24 @@ def var_grid(bounds: Bounds, name: str, sort: Sort) -> list[Value]:
     """Deterministic ascending domain for one variable."""
     if name in bounds.value_sets:
         return list(bounds.value_sets[name])
-    return sort_grid(bounds, sort, name)
+    return list(_grid(bounds, sort, name))
 
 
 def sort_grid(bounds: Bounds, sort: Sort, name: str = "") -> list[Value]:
+    return list(_grid(bounds, sort, name))
+
+
+def _grid(bounds: Bounds, sort: Sort, name: str = "") -> list[Value]:
+    """The shared grid of `sort` for variable `name`, built on first use.
+    Callers must not change it."""
+    key = (sort, name)
+    grid = bounds._grids.get(key)
+    if grid is None:
+        grid = bounds._grids[key] = _build_grid(bounds, sort, name)
+    return grid
+
+
+def _build_grid(bounds: Bounds, sort: Sort, name: str) -> list[Value]:
     if isinstance(sort, NatSort):
         lo, hi = bounds.nat_ranges.get(name) or bounds.nat_ranges.get("") or DEFAULT_NAT
         return [Num(Fraction(k)) for k in range(max(lo, 0), hi + 1)]
@@ -117,26 +161,25 @@ def sort_grid(bounds: Bounds, sort: Sort, name: str = "") -> list[Value]:
             v += step
         return out
     if isinstance(sort, TimeSort):
-        return [Num(v) for v in bounds.times()] + [INF]
+        return [Num(v) for v in bounds._sample_times()] + [INF]
     if isinstance(sort, EnumSort):
         return [Lit(n) for n in sort.literals]
     if isinstance(sort, ExtSort):
-        base = sort_grid(bounds, ext_base(sort), name)
-        return base + [Lit(n) for n in ext_literals(sort)]
+        return _grid(bounds, ext_base(sort), name) + [Lit(n) for n in ext_literals(sort)]
     if isinstance(sort, TupleSort):
-        parts = [sort_grid(bounds, s, name) for s in sort.items]
+        parts = [_grid(bounds, s, name) for s in sort.items]
         return [Tup(tuple(combo)) for combo in itertools.product(*parts)]
     raise BoundsError(f"no grid for sort {sort}")
 
 
 def time_points(bounds: Bounds) -> list[Value]:
     """Grid for the input-pair time t and the elapsed time e (finite only)."""
-    return [Num(v) for v in bounds.times()]
+    return _grid(bounds, TIME)[:-1]
 
 
 def input_grid(bounds: Bounds, model: Model, with_tau: bool) -> list[Value]:
-    grid = sort_grid(bounds, model.input_sort, "x")
-    return grid + [TAU] if with_tau else grid
+    grid = _grid(bounds, model.input_sort, "x")
+    return grid + [TAU] if with_tau else list(grid)
 
 
 def state_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:

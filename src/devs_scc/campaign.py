@@ -296,7 +296,16 @@ class CampaignResult:
     traces: list[Trace]
 
 
-def run_campaign(c: Campaign) -> CampaignResult:
+# Pipeline stages a campaign can stop after, in order; "simulate" covers
+# the replay and the uniformity probe and runs the whole campaign.
+STAGES = ("combine", "select", "sequence", "simulate")
+
+
+def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
+    """Run the pipeline up to and including the stage `stop_after`; the
+    artifacts of the stages after it stay empty."""
+    if stop_after not in STAGES:
+        raise ValueError(f"unknown stage {stop_after!r}, want one of {STAGES}")
     report = Report(model=c.model.name)
     raw: list[SCC] = []
     for text in c.selections:
@@ -320,21 +329,29 @@ def run_campaign(c: Campaign) -> CampaignResult:
     else:
         catalog = base
     report.catalog_size = len(catalog)
+    result = CampaignResult(report, catalog, configs={}, sequences=[], traces=[])
+    if stop_after == "combine":
+        return result
 
-    configs: dict[int, SimulationConfig] = {}
     for scc in catalog:
         try:
-            configs[scc.id] = select_config(scc, c.model, c.bounds)
+            result.configs[scc.id] = select_config(scc, c.model, c.bounds)
         except SelectError as err:
             report.config_errors.append(str(err))
-    report.configs_selected = len(configs)
+    report.configs_selected = len(result.configs)
+    if stop_after == "select":
+        return result
 
-    sequences, seq_notes = build_sequences(c.model, catalog, c.bounds, configs)
+    result.sequences, seq_notes = build_sequences(
+        c.model, catalog, c.bounds, result.configs
+    )
     report.notes.extend(seq_notes)
-    report.sequence_count = len(sequences)
+    report.sequence_count = len(result.sequences)
+    if stop_after == "sequence":
+        return result
 
-    traces = [replay_sequence(c.model, s, c.bounds) for s in sequences]
-    for trace in traces:
+    result.traces = [replay_sequence(c.model, s, c.bounds) for s in result.sequences]
+    for trace in result.traces:
         report.trace_events += len(trace.events)
         report.findings.extend(trace.findings)
 
@@ -344,7 +361,7 @@ def run_campaign(c: Campaign) -> CampaignResult:
             if not probe.uniform:
                 report.probe_flags.append(probe.to_json())
 
-    return CampaignResult(report, catalog, configs, sequences, traces)
+    return result
 
 
 def replay_sequence(model: Model, seq: SimulationSequence, bounds: Bounds) -> Trace:

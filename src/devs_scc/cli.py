@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .bounds import BoundsError
 from .campaign import (
     Campaign,
     CampaignError,
@@ -88,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
         for d in err.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_PARSE
-    except (CampaignError, CriterionError, SelectError, FileNotFoundError) as err:
+    except (BoundsError, CampaignError, CriterionError, SelectError,
+            FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -150,9 +152,15 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
     return campaign, notes
 
 
+# The last stage each pipeline subcommand needs: `criteria` prints the
+# catalog, which holds the combined classes when a plan is given.
+_STOP_AFTER = {"criteria": "combine", "combine": "combine", "select": "select",
+               "sequence": "sequence", "campaign": "simulate"}
+
+
 def _cmd_pipeline(args) -> int:
     campaign, table_notes = _build_campaign(args)
-    result = run_campaign(campaign)
+    result = run_campaign(campaign, stop_after=_STOP_AFTER[args.command])
     result.report.notes = table_notes + result.report.notes
 
     if args.command == "criteria":

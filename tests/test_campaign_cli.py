@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import devs_scc.campaign as campaign_mod
 from devs_scc.campaign import (
     Campaign,
     load_plan,
@@ -9,6 +12,7 @@ from devs_scc.campaign import (
     run_campaign,
     write_artifacts,
 )
+from devs_scc.cli import main
 from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES
 
 
@@ -33,6 +37,20 @@ def test_parse_command_rejects_malformed_input(tmp_path):
     code, _, err = run_cli("parse", str(bad))
     assert code == 2
     assert "error:" in err and ":" in err
+
+
+def test_invalid_bounds_exit_2_without_a_traceback(tmp_path):
+    bad = tmp_path / "bad.bounds"
+    bad.write_text("bounds { nat default = 5..0; }")
+    code, out, err = run_cli(
+        "criteria",
+        "--model", str(FIXTURES / "soda.devs"),
+        "--bounds", str(bad),
+        "--criteria", "cases",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: empty range for default: 5..0\n"
 
 
 def test_criteria_command_counts_soda_cases(tmp_path):
@@ -276,3 +294,46 @@ def test_combine_via_cli_flags(tmp_path):
     )
     assert code == 0
     assert "2 attempted, 2 kept, 0 dropped" in out
+
+
+ELEVATOR_ARGS = [
+    "--model", str(FIXTURES / "elevator.devs"),
+    "--bounds", str(FIXTURES / "elevator.bounds"),
+    "--parts", str(FIXTURES / "elevator.parts"),
+    "--group", "1,49",
+    "--group", "13,59,85",
+    "--max-arity", "3",
+    "--probe-k", "2",
+    *[arg for sel in ELEVATOR_SELECTIONS for arg in ("--criteria", sel)],
+]
+LATER_STAGES = {
+    "combine": ("select_config", "build_sequences", "replay_sequence", "uniformity_probe"),
+    "select": ("build_sequences", "replay_sequence", "uniformity_probe"),
+    "sequence": ("replay_sequence", "uniformity_probe"),
+}
+
+
+@pytest.mark.parametrize("command, artifact, last_stage", [
+    ("criteria", "catalog.json", "combine"),
+    ("combine", "catalog.json", "combine"),
+    ("select", "configs.json", "select"),
+    ("sequence", "sequences.json", "sequence"),
+])
+def test_pipeline_commands_stop_after_their_stage(
+    command, artifact, last_stage, tmp_path, monkeypatch, capsys
+):
+    assert main(["campaign", *ELEVATOR_ARGS, "--out", str(tmp_path / "full")]) == 0
+    capsys.readouterr()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{command} ran a stage after {last_stage}")
+
+    for name in LATER_STAGES[last_stage]:
+        monkeypatch.setattr(campaign_mod, name, unreachable)
+    assert main([command, *ELEVATOR_ARGS, "--out", str(tmp_path / artifact)]) == 0
+    assert (tmp_path / artifact).read_bytes() == (tmp_path / "full" / artifact).read_bytes()
+
+
+def test_run_campaign_rejects_an_unknown_stage():
+    with pytest.raises(ValueError, match="unknown stage"):
+        run_campaign(_elevator_campaign(), stop_after="replay")

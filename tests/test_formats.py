@@ -62,9 +62,39 @@ def test_time_samples_must_contain_zero():
         parse_bounds_text("bounds { time samples = {1, 2}; }")
 
 
+def test_negative_time_sample_is_rejected():
+    with pytest.raises(BoundsError, match="must not be negative"):
+        parse_bounds_text("bounds { time samples = {0, -1}; }")
+
+
 def test_empty_range_is_rejected():
     with pytest.raises(BoundsError, match="empty range"):
         parse_bounds_text("bounds { nat f = 3..1; }")
+
+
+def test_nat_range_below_zero_is_rejected():
+    with pytest.raises(BoundsError, match="empty range"):
+        parse_bounds_text("bounds { nat f = -3..-1; }")
+
+
+def test_empty_rational_range_is_rejected():
+    with pytest.raises(BoundsError, match="empty range"):
+        parse_bounds_text("bounds { rational d = 2..1; }")
+
+
+def test_zero_rational_step_is_rejected():
+    with pytest.raises(BoundsError, match="step must be positive"):
+        parse_bounds_text("bounds { rational default = 0..1 step 0; }")
+
+
+def test_negative_rational_step_is_rejected():
+    with pytest.raises(BoundsError, match="step must be positive"):
+        parse_bounds_text("bounds { rational d = 0..1 step -1/2; }")
+
+
+def test_negative_max_attempts_is_rejected():
+    with pytest.raises(BoundsError, match="max attempts"):
+        parse_bounds_text("bounds { max attempts = -1; }")
 
 
 def test_parts_file_round_trip():
