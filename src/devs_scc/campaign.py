@@ -49,12 +49,12 @@ from .simulator import (
     Trace,
     TraceEvent,
     UndefinedTransition,
+    advance,
     init,
-    step,
     uniformity_probe,
 )
 from .syntax import Apply, iter_subpreds
-from .values import EvalError, Num, TAU, Value
+from .values import EvalError, Num, Value
 
 SCHEMA = "devs-scc/1"
 
@@ -295,6 +295,18 @@ class CampaignResult:
     sequences: list[SimulationSequence]
     traces: list[Trace]
 
+    def catalog_json(self) -> dict:
+        return {"schema": SCHEMA, "classes": [scc_to_json(s) for s in self.catalog]}
+
+    def configs_json(self) -> dict:
+        return {
+            "schema": SCHEMA,
+            "configs": [self.configs[i].to_json() for i in sorted(self.configs)],
+        }
+
+    def sequences_json(self) -> dict:
+        return {"schema": SCHEMA, "sequences": [s.to_json() for s in self.sequences]}
+
 
 # Pipeline stages a campaign can stop after, in order; "simulate" covers
 # the replay and the uniformity probe and runs the whole campaign.
@@ -333,18 +345,21 @@ def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
     if stop_after == "combine":
         return result
 
+    # each class's representative or SelectError, handed to the sequencer
+    selected: dict[int, SimulationConfig | SelectError] = {}
     for scc in catalog:
         try:
-            result.configs[scc.id] = select_config(scc, c.model, c.bounds)
+            selected[scc.id] = result.configs[scc.id] = select_config(
+                scc, c.model, c.bounds
+            )
         except SelectError as err:
+            selected[scc.id] = err
             report.config_errors.append(str(err))
     report.configs_selected = len(result.configs)
     if stop_after == "select":
         return result
 
-    result.sequences, seq_notes = build_sequences(
-        c.model, catalog, c.bounds, result.configs
-    )
+    result.sequences, seq_notes = build_sequences(c.model, catalog, c.bounds, selected)
     report.notes.extend(seq_notes)
     report.sequence_count = len(result.sequences)
     if stop_after == "sequence":
@@ -376,11 +391,7 @@ def replay_sequence(model: Model, seq: SimulationSequence, bounds: Bounds) -> Tr
         try:
             if sim is None:
                 sim = init(model, s.state_used)
-            if s.event == TAU:
-                sim, _, ev = step(model, sim, consts)
-            else:
-                at = sim.last + s.time.value  # type: ignore[union-attr]
-                sim, _, ev = step(model, sim, consts, (s.event, at))
+            sim, ev = advance(model, sim, consts, s.event, s.time)
             trace.events.append(ev)
         except UndefinedTransition as err:
             trace.findings.append(str(err))
@@ -409,18 +420,9 @@ def write_artifacts(result: CampaignResult, out_dir: str) -> None:
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    write("catalog.json", dump_json({
-        "schema": SCHEMA,
-        "classes": [scc_to_json(s) for s in result.catalog],
-    }))
-    write("configs.json", dump_json({
-        "schema": SCHEMA,
-        "configs": [result.configs[i].to_json() for i in sorted(result.configs)],
-    }))
-    write("sequences.json", dump_json({
-        "schema": SCHEMA,
-        "sequences": [s.to_json() for s in result.sequences],
-    }))
+    write("catalog.json", dump_json(result.catalog_json()))
+    write("configs.json", dump_json(result.configs_json()))
+    write("sequences.json", dump_json(result.sequences_json()))
     lines = []
     for i, trace in enumerate(result.traces):
         for ev in trace.events:

@@ -70,6 +70,7 @@ from .values import (
     numeric_join,
     sort_literals,
     render_value,
+    value_conforms,
 )
 
 
@@ -350,9 +351,22 @@ def validate_model(model: Model, bounds: Bounds | None = None) -> tuple[Model, V
 
     bound = replace(model, delta_ext=dext, delta_int=dint, output_fn=lam, ta=ta)
     _suggest_time_vars(bound, report)
-    if bounds is not None and report.usable:
-        _dynamic_checks(bound, bounds, report)
+    if bounds is not None:
+        report.errors.extend(bounds_errors(bound, bounds))
+        if report.usable:
+            _dynamic_checks(bound, bounds, report)
     return bound, report
+
+
+def bounds_errors(model: Model, bounds: Bounds) -> list[str]:
+    """Values of a bounds `set` outside the sort of its state variable:
+    every search would range over states no run can reach."""
+    return [
+        f"bounds set {name} holds {render_value(v)}, outside its sort {sort}"
+        for name, sort in model.schema.vars
+        for v in bounds.value_sets.get(name, ())
+        if not value_conforms(v, sort)
+    ]
 
 
 def _bind_operators(model: Model, report: ValidationReport) -> tuple[OperatorDef, ...]:

@@ -25,13 +25,13 @@ from .campaign import (
     run_campaign,
     write_artifacts,
 )
+from .check import bounds_errors, validate_model
 from .criteria import CriterionError
 from .parser import (
     ParseFailure,
     parse_bounds_file,
     parse_model_file,
 )
-from .scc import scc_to_json
 from .selector import SelectError
 from .simulator import run_config
 
@@ -108,8 +108,6 @@ def _dispatch(args) -> int:
 def _cmd_parse(args) -> int:
     model, report = parse_model_file(args.model)
     if args.bounds and report.usable:
-        from .check import validate_model
-
         bounds = parse_bounds_file(args.bounds)
         model, report = validate_model(model, bounds)
     for err in report.errors:
@@ -127,6 +125,9 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
     if not report.usable:
         raise CampaignError("model rejected: " + "; ".join(report.errors))
     bounds = parse_bounds_file(args.bounds)
+    errors = bounds_errors(model, bounds)
+    if errors:
+        raise BoundsError("; ".join(errors))
     tables, notes = load_tables(args.parts)
     plan = load_plan(args.plan) if args.plan else None
     if plan is None and (args.all_pairs or args.group):
@@ -164,17 +165,13 @@ def _cmd_pipeline(args) -> int:
     result.report.notes = table_notes + result.report.notes
 
     if args.command == "criteria":
-        payload = {"schema": "devs-scc/1",
-                   "classes": [scc_to_json(s) for s in result.catalog]}
-        _emit(args, payload)
+        _emit(args, result.catalog_json())
         for label, n in result.report.criteria_counts:
             print(f"{label}: {n} classes")
         print(f"base catalog: {result.report.base_count} classes")
         return EXIT_OK
     if args.command == "combine":
-        payload = {"schema": "devs-scc/1",
-                   "classes": [scc_to_json(s) for s in result.catalog]}
-        _emit(args, payload)
+        _emit(args, result.catalog_json())
         if result.report.combine:
             c = result.report.combine
             print(f"combinations: {c.attempted} attempted, {c.kept} kept, "
@@ -182,16 +179,12 @@ def _cmd_pipeline(args) -> int:
         print(f"catalog: {result.report.catalog_size} classes")
         return EXIT_OK
     if args.command == "select":
-        payload = {"schema": "devs-scc/1",
-                   "configs": [result.configs[i].to_json() for i in sorted(result.configs)]}
-        _emit(args, payload)
+        _emit(args, result.configs_json())
         print(f"configs: {len(result.configs)} selected, "
               f"{len(result.report.config_errors)} failed")
         return EXIT_OK
     if args.command == "sequence":
-        payload = {"schema": "devs-scc/1",
-                   "sequences": [s.to_json() for s in result.sequences]}
-        _emit(args, payload)
+        _emit(args, result.sequences_json())
         print(f"sequences: {len(result.sequences)}")
         return EXIT_OK
     # campaign

@@ -42,11 +42,12 @@ from .values import (
     EnumSort,
     ExtSort,
     Inf,
+    Lit,
     Num,
-    Sort,
     TAU,
     TIME,
     ext_base,
+    ext_literals,
     is_numeric,
 )
 
@@ -115,44 +116,26 @@ def extensional_criterion(model: Model, target: str) -> tuple[list[SCC], list[st
     if target == "input":
         sort = model.input_sort
         subject: Expr = Ref("x")
-        make = lambda p: make_scc(TRUE, p, "extensional", f"input x = {_cell_name(p)}")
+        make = lambda p: make_scc(TRUE, p, "extensional", f"input x = {render_pred(p)}")
     else:
         try:
             sort = model.schema.sort_of(target)
         except KeyError:
             raise CriterionError(f"no state variable named {target}") from None
         subject = Ref(target)
-        make = lambda p: make_scc(p, TRUE, "extensional", f"state {target}: {_cell_name(p)}")
+        make = lambda p: make_scc(p, TRUE, "extensional", f"state {target}: {render_pred(p)}")
 
     preds: list[Predicate] = []
     if isinstance(sort, EnumSort):
-        preds = [Cmp("=", subject, Const(_lit(l))) for l in sort.literals]
+        preds = [Cmp("=", subject, Const(Lit(l))) for l in sort.literals]
     elif isinstance(sort, ExtSort):
         if not is_numeric(ext_base(sort)):
             raise CriterionError("extensional criterion requires an enumerated set")
         preds = [InBase(subject)]
-        preds += [Cmp("=", subject, Const(_lit(l))) for l in _ext_literals(sort)]
+        preds += [Cmp("=", subject, Const(Lit(l))) for l in ext_literals(sort)]
     else:
         raise CriterionError("extensional criterion requires an enumerated set")
     return _number([make(p) for p in preds]), []
-
-
-def _lit(name: str):
-    from .values import Lit
-
-    return Lit(name)
-
-
-def _ext_literals(sort: Sort) -> list[str]:
-    out: list[str] = []
-    while isinstance(sort, ExtSort):
-        out.append(sort.literal)
-        sort = sort.base
-    return list(reversed(out))
-
-
-def _cell_name(p: Predicate) -> str:
-    return render_pred(p)
 
 
 # ---------------------------------------------------------------------------

@@ -534,23 +534,9 @@ def _parse_opdef(p: Parser, aliases: dict[str, Sort]) -> OperatorDef:
     p.expect(":")
     result = p.sort(aliases)
     p.expect("{")
-    lets: dict[str, Expr] = {}
-    while p.accept("let"):
-        lname = p.ident("let name")
-        p.expect("=")
-        lets[lname] = subst_expr(p.expr(), lets)
-        p.expect(";")
-    cases: list[GuardedCase] = []
+    lets = _parse_lets(p)
     if p.at("case") or p.at("otherwise"):
-        cases = [
-            GuardedCase(
-                c.id,
-                subst_pred(c.guard, lets),
-                subst_expr(c.result, lets),
-                c.is_otherwise,
-            )
-            for c in _parse_cases(p)
-        ]
+        cases = _parse_cases(p, lets)
     else:
         body = subst_expr(p.expr(), lets)
         p.expect(";")
@@ -561,37 +547,36 @@ def _parse_opdef(p: Parser, aliases: dict[str, Sort]) -> OperatorDef:
 
 def _parse_fnbody(p: Parser, fn: str) -> tuple[GuardedCase, ...]:
     p.expect("{")
+    cases = _parse_cases(p, _parse_lets(p))
+    p.expect("}")
+    return tuple(cases)
+
+
+def _parse_lets(p: Parser) -> dict[str, Expr]:
+    """The `let` block opening a body; each binding may use the earlier
+    ones, which are substituted in."""
     lets: dict[str, Expr] = {}
     while p.accept("let"):
         lname = p.ident("let name")
         p.expect("=")
         lets[lname] = subst_expr(p.expr(), lets)
         p.expect(";")
-    cases = [
-        GuardedCase(
-            c.id,
-            subst_pred(c.guard, lets),
-            subst_expr(c.result, lets),
-            c.is_otherwise,
-        )
-        for c in _parse_cases(p)
-    ]
-    p.expect("}")
-    return tuple(cases)
+    return lets
 
 
-def _parse_cases(p: Parser):
+def _parse_cases(p: Parser, lets: dict[str, Expr]) -> list[GuardedCase]:
+    """Guarded cases, numbered from 1, with the `let` names substituted."""
     cases: list[GuardedCase] = []
     while True:
         if p.accept("case"):
-            guard = p.pred()
+            guard = subst_pred(p.pred(), lets)
             p.expect("->")
-            result = p.expr()
+            result = subst_expr(p.expr(), lets)
             p.expect(";")
             cases.append(GuardedCase(len(cases) + 1, guard, result))
         elif p.accept("otherwise"):
             p.expect("->")
-            result = p.expr()
+            result = subst_expr(p.expr(), lets)
             p.expect(";")
             cases.append(GuardedCase(len(cases) + 1, TRUE, result, is_otherwise=True))
         else:

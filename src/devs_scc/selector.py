@@ -3,17 +3,18 @@
 The witness is the lexicographically least assignment under a fixed
 variable order (input event, then time, then the state variables in
 declaration order), so identical inputs always select identical
-representatives.  Classes born from the cases criterion carry a joint
-predicate linking state and input through the original guard; those are
-solved jointly so the chosen state and the chosen event actually
-exercise the targeted case.  For anything else the two predicates are
-solved independently.
+representatives.  A class's members are the assignments satisfying its
+joint predicate, when it has one (classes born from the cases criterion
+link state and input through the original guard, so the chosen state
+and event actually exercise the targeted case), and otherwise both its
+state and its pair predicate.  Every class is solved by one search over
+the joint space.
 
 A configuration is only executable when its pair time fits inside the
 chosen state's time advance (the total-state constraint 0 <= e <= ta),
-so selection first looks for members satisfying that as well; if a class
-has none within bounds, the bare member is returned and the simulator
-reports the failure, which is itself a finding worth seeing.
+so selection picks the least member satisfying that as well; if a class
+has none within bounds, the least bare member is returned and the
+simulator reports the failure, which is itself a finding worth seeing.
 
 For the uniformity probe a class can also yield several distinct
 witnesses, picked by deterministic stratified selection over the grid
@@ -25,25 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .bounds import (
-    Bounds,
-    const_env,
-    digits_index,
-    index_digits,
-    joint_space,
-    pair_space,
-    state_space,
-)
-from .evaluator import eval_expr, eval_pred
+from .bounds import Bounds, const_env, digits_index, index_digits, joint_space
+from .evaluator import eval_pred
 from .model import Model
 from .sat import SatResult, satisfiable
 from .scc import SCC
 from .syntax import Cmp, MinOp, Predicate, Ref, conj, conjuncts, normalize
-from .values import Inf, Num, TAU, Value, render_value
+from .values import Value, render_value
 
 
 class SelectError(Exception):
-    pass
+    """A class with no usable representative; the message names the class."""
+
+    def __init__(self, scc_id: int, reason: str):
+        super().__init__(f"class {scc_id}: {reason}")
+        self.reason = reason
 
 
 def executability(model: Model) -> list[Predicate]:
@@ -75,73 +72,47 @@ class SimulationConfig:
 
 
 def select_config(scc: SCC, model: Model, bounds: Bounds) -> SimulationConfig:
-    """Least representative of a class, re-checked by evaluation."""
-    state_names = model.schema.names()
-    exec_conjs = executability(model)
-    if scc.joint is not None:
-        space = joint_space(model, bounds)
-        verdict = satisfiable(
-            conj(conjuncts(scc.joint) + exec_conjs), space, bounds, model
-        )
-        if verdict.status != "sat":
-            verdict = satisfiable(scc.joint, space, bounds, model)
-        _require_sat(verdict, scc)
-        w = verdict.witness
-        config = SimulationConfig(
-            scc.id, {n: w[n] for n in state_names}, w["x"], w["t"]
-        )
-    else:
-        sverdict = satisfiable(scc.init_states, state_space(model, bounds), bounds, model)
-        _require_sat(sverdict, scc)
-        pverdict = satisfiable(scc.input_pairs, pair_space(model, bounds), bounds, model)
-        _require_sat(pverdict, scc)
-        config = SimulationConfig(
-            scc.id,
-            {n: sverdict.witness[n] for n in state_names},
-            pverdict.witness["x"],
-            pverdict.witness["t"],
-        )
-        if not _executable(config, model, bounds):
-            joint = conj(
-                conjuncts(scc.init_states) + conjuncts(scc.input_pairs) + exec_conjs
-            )
-            retry = satisfiable(joint, joint_space(model, bounds), bounds, model)
-            if retry.sat:
-                w = retry.witness
-                config = SimulationConfig(
-                    scc.id, {n: w[n] for n in state_names}, w["x"], w["t"]
-                )
+    """Least executable member of a class, else its least member,
+    re-checked by evaluation."""
+    member = _member(scc)
+    space = joint_space(model, bounds)
+    verdict = satisfiable(conj(member + executability(model)), space, bounds, model)
+    if verdict.status != "sat":
+        verdict = satisfiable(conj(member), space, bounds, model)
+    _require_sat(verdict, scc)
+    config = _config(scc, verdict.witness, model)
     _check_membership(config, scc, model, bounds)
     return config
 
 
-def _executable(config: SimulationConfig, model: Model, bounds: Bounds) -> bool:
-    consts = const_env(bounds, model)
-    ta = eval_expr(model.ta, {**consts, **config.state}, model)
-    if config.event == TAU:
-        return not isinstance(ta, Inf)
-    if isinstance(ta, Inf):
-        return True
-    return isinstance(config.time, Num) and config.time.value <= ta.value
+def _member(scc: SCC) -> list[Predicate]:
+    """Conjuncts a configuration of the class satisfies: its joint
+    predicate, else its state and pair predicates together."""
+    if scc.joint is not None:
+        return conjuncts(scc.joint)
+    return conjuncts(scc.init_states) + conjuncts(scc.input_pairs)
+
+
+def _config(scc: SCC, witness: dict[str, Value], model: Model) -> SimulationConfig:
+    state = {n: witness[n] for n in model.schema.names()}
+    return SimulationConfig(scc.id, state, witness["x"], witness["t"])
 
 
 def _require_sat(verdict: SatResult, scc: SCC) -> None:
     if verdict.status == "unsat":
-        raise SelectError(f"class {scc.id}: no representative within bounds")
+        raise SelectError(scc.id, "no representative within bounds")
     if verdict.status == "unknown":
-        raise SelectError(
-            f"class {scc.id}: witness search exhausted its attempt budget"
-        )
+        raise SelectError(scc.id, "witness search exhausted its attempt budget")
 
 
 def _check_membership(config: SimulationConfig, scc: SCC, model: Model, bounds: Bounds) -> None:
     consts = const_env(bounds, model)
     env = {**consts, **config.state}
     if not eval_pred(scc.init_states, env, model, bounds):
-        raise SelectError(f"class {scc.id}: selected state fails its own predicate")
+        raise SelectError(scc.id, "selected state fails its own predicate")
     penv = {**consts, "x": config.event, "t": config.time}
     if not eval_pred(scc.input_pairs, penv, model, bounds):
-        raise SelectError(f"class {scc.id}: selected input pair fails its own predicate")
+        raise SelectError(scc.id, "selected input pair fails its own predicate")
 
 
 _STRIDES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
@@ -175,13 +146,8 @@ def sample_configs(
     total = prod(sizes)
     if total == 0 or k <= 0:
         return []
-    if scc.joint is not None:
-        member = conjuncts(scc.joint)
-    else:
-        member = conjuncts(scc.init_states) + conjuncts(scc.input_pairs)
     # only members the simulator can actually run
-    pred = normalize(conj(executability(model) + member))
-    state_names = model.schema.names()
+    pred = normalize(conj(executability(model) + _member(scc)))
     strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
 
     found: dict[str, SimulationConfig] = {}
@@ -202,7 +168,6 @@ def sample_configs(
             scanned += end - start
             continue
         scanned += digits_index(verdict.index, sizes) - start + 1
-        w = verdict.witness
-        cfg = SimulationConfig(scc.id, {n: w[n] for n in state_names}, w["x"], w["t"])
+        cfg = _config(scc, verdict.witness, model)
         found.setdefault(repr(cfg.to_json()), cfg)
     return list(found.values())

@@ -22,7 +22,7 @@ from .model import Model
 from .sat import satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, select_config
-from .simulator import SimError, SimState, UndefinedTransition, init, step, time_advance
+from .simulator import SimError, SimState, UndefinedTransition, advance, init, time_advance
 from .syntax import Cmp, Const, Ref, conj, conjuncts, subst_pred
 from .values import EvalError, Inf, Num, TAU, Value, render_value
 
@@ -62,10 +62,11 @@ def build_sequences(
     model: Model,
     sccs: list[SCC],
     bounds: Bounds,
-    configs: dict[int, SimulationConfig] | None = None,
+    configs: dict[int, SimulationConfig | SelectError] | None = None,
 ) -> tuple[list[SimulationSequence], list[str]]:
-    """Chain the classes into sequences.  `configs` holds representatives
-    already selected, by class id; a head without one is selected here."""
+    """Chain the classes into sequences.  `configs` holds, by class id,
+    what selection already gave a class: its representative or its
+    `SelectError`; a head not in it is selected here."""
     configs = configs or {}
     consts = const_env(bounds, model)
     remaining = sorted(sccs, key=lambda s: s.id)
@@ -76,13 +77,15 @@ def build_sequences(
         scc = remaining.pop(0)
         seq = SimulationSequence(covered=[scc.id])
         sequences.append(seq)
-        try:
-            cfg = configs.get(scc.id) or select_config(scc, model, bounds)
-        except SelectError as err:
-            notes.append(f"class {scc.id}: {err}")
-            seq.steps.append(
-                SeqStep(scc.id, {}, TAU, Num(0), error=str(err))
-            )
+        cfg = configs.get(scc.id)
+        if cfg is None:
+            try:
+                cfg = select_config(scc, model, bounds)
+            except SelectError as err:
+                cfg = err
+        if isinstance(cfg, SelectError):
+            notes.append(str(cfg))
+            seq.steps.append(SeqStep(scc.id, {}, TAU, Num(0), error=cfg.reason))
             continue
         sim = init(model, cfg.state)
         sim, ok = _run_step(model, sim, consts, cfg.event, cfg.time, seq, scc.id)
@@ -106,13 +109,7 @@ def _run_step(model, sim, consts, event, rel_time, seq, scc_id):
     to the state the class matched on."""
     state_used = dict(sim.state)
     try:
-        if event == TAU:
-            nxt, _, ev = step(model, sim, consts)
-        else:
-            if not isinstance(rel_time, Num):
-                raise SimError("external event needs a finite time")
-            at = sim.last + rel_time.value
-            nxt, _, ev = step(model, sim, consts, (event, at))
+        nxt, ev = advance(model, sim, consts, event, rel_time)
         seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, fired=ev.fired))
         return nxt, True
     except (UndefinedTransition, SimError, EvalError) as err:

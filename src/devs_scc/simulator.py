@@ -178,6 +178,21 @@ def step(
     return nxt, None, event
 
 
+def advance(
+    model: Model, st: SimState, consts: dict[str, Value], event: Value, rel_time: Value
+) -> tuple[SimState, TraceEvent]:
+    """One configured step: the no-event marker fires the pending internal
+    transition, any other event is injected `rel_time` after the most
+    recent transition."""
+    if event == TAU:
+        nxt, _, ev = step(model, st, consts)
+    else:
+        if not isinstance(rel_time, Num):
+            raise SimError("external event needs a finite time")
+        nxt, _, ev = step(model, st, consts, (event, st.last + rel_time.value))
+    return nxt, ev
+
+
 def _apply_result(model: Model, result, env) -> dict[str, Value]:
     names = model.schema.names()
     if len(names) == 1:
@@ -201,8 +216,7 @@ def _state_str(state: dict[str, Value]) -> str:
 
 
 def run_config(model: Model, config: SimulationConfig, bounds: Bounds) -> Trace:
-    """Drive one configuration: tau asks for the pending internal
-    transition, anything else is injected at the configured time."""
+    """Drive one configuration from its state, by `advance`."""
     consts = const_env(bounds, model)
     trace = Trace()
     try:
@@ -211,12 +225,7 @@ def run_config(model: Model, config: SimulationConfig, bounds: Bounds) -> Trace:
         trace.findings.append(f"setup failed: {err}")
         return trace
     try:
-        if config.event == TAU:
-            st, _, event = step(model, st, consts)
-        else:
-            if not isinstance(config.time, Num):
-                raise SimError("external event needs a finite time")
-            st, _, event = step(model, st, consts, (config.event, config.time.value))
+        st, event = advance(model, st, consts, config.event, config.time)
         trace.events.append(event)
     except UndefinedTransition as err:
         trace.findings.append(str(err))

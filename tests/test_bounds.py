@@ -195,3 +195,14 @@ def test_worked_campaign_builds_each_grid_once(elevator, elevator_tables, monkey
     assert result.report.catalog_size == 92
     assert builds and {key[0] for key in builds} == {id(b)}
     assert max(builds.values()) == 1
+
+
+def test_a_set_value_outside_its_sort_is_a_validation_error(toggle):
+    b = parse_bounds_text("bounds { set m = {A, C}; time samples = {0, 1}; }")
+    _, report = validate_model(toggle, b)
+    assert not report.usable
+    assert report.errors == ["bounds set m holds C, outside its sort enum {A, B}"]
+    # no coverage sampling over the unreachable state
+    assert report.warnings == []
+    _, clean = validate_model(toggle, parse_bounds_text("bounds { set m = {B}; }"))
+    assert clean.usable

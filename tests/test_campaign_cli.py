@@ -337,3 +337,64 @@ def test_pipeline_commands_stop_after_their_stage(
 def test_run_campaign_rejects_an_unknown_stage():
     with pytest.raises(ValueError, match="unknown stage"):
         run_campaign(_elevator_campaign(), stop_after="replay")
+
+
+def test_set_value_outside_its_sort_exits_2(tmp_path):
+    bad = tmp_path / "bad.bounds"
+    bad.write_text("bounds { set m = {C}; time samples = {0, 1, 2}; }")
+    message = "error: bounds set m holds C, outside its sort enum {A, B}\n"
+    code, out, err = run_cli("parse", str(FIXTURES / "toggle.devs"), "--bounds", str(bad))
+    assert code == 2
+    assert err.startswith(message)
+    code, out, err = run_cli(
+        "select",
+        "--model", str(FIXTURES / "toggle.devs"),
+        "--bounds", str(bad),
+        "--criteria", "cases",
+    )
+    assert (code, out, err) == (2, "", message)
+
+
+def test_simulate_sequence_with_an_infinite_external_time_exits_4(tmp_path):
+    step = {"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "infinity"}}
+    sequences = tmp_path / "sequences.json"
+    sequences.write_text(json.dumps({
+        "schema": "devs-scc/1",
+        "sequences": [{"steps": [step], "covered": [1]}],
+    }))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema": "devs-scc/1", **step}))
+    toggle = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURES / "toggle.bounds")]
+    for source in (["--sequence", str(sequences)], ["--config", str(config)]):
+        code, _, err = run_cli("simulate", *toggle, *source)
+        assert code == 4
+        assert err == "error: step failed: external event needs a finite time\n"
+
+
+def test_unselectable_class_is_selected_once_and_named_once(toggle, toggle_bounds, monkeypatch):
+    import devs_scc.sequencer as sequencer
+
+    calls = []
+    select = campaign_mod.select_config
+
+    def counting(scc, *args):
+        calls.append(scc.id)
+        return select(scc, *args)
+
+    def refuse(*args):
+        raise AssertionError("class selected twice")
+
+    monkeypatch.setattr(campaign_mod, "select_config", counting)
+    monkeypatch.setattr(sequencer, "select_config", refuse)
+    result = run_campaign(Campaign(
+        model=toggle,
+        bounds=toggle_bounds,
+        tables={},
+        selections=["cases", "intentional state m = A /\\ m = B"],
+    ))
+    message = "class 3: no representative within bounds"
+    assert calls == [1, 2, 3]
+    assert result.report.config_errors == [message]
+    assert result.report.findings == [message]
+    assert result.report.notes.count(message) == 1
+    assert result.sequences[-1].to_json()["steps"][0]["error"] == "no representative within bounds"

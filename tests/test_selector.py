@@ -3,10 +3,14 @@ from math import prod
 
 import pytest
 
-from devs_scc.bounds import Bounds, const_env, joint_space
+from devs_scc.algebra import CombinationPlan
+from devs_scc.bounds import Bounds, const_env, joint_space, pair_space, state_space
+from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.criteria import cases_criterion
-from devs_scc.evaluator import eval_pred
+from devs_scc.evaluator import eval_expr, eval_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
+from devs_scc.partitions import builtin_tables
+from devs_scc.sat import satisfiable
 from devs_scc.scc import make_scc
 from devs_scc.selector import (
     _STRIDES,
@@ -16,10 +20,10 @@ from devs_scc.selector import (
     sample_configs,
     select_config,
 )
-from devs_scc.syntax import And, Cmp, Const, FALSE, Ref, conj
-from devs_scc.values import EvalError, Lit, TAU, num
+from devs_scc.syntax import And, Cmp, Const, FALSE, Ref, conj, conjuncts
+from devs_scc.values import EvalError, Inf, Lit, Num, TAU, num
 
-from tests.conftest import FIXTURES
+from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS
 
 TOY_MODEL = """
 model toy {
@@ -266,3 +270,91 @@ def test_repeated_grid_values_keep_the_scan_accounting():
     for scc in sccs:
         for k in (2, 5):
             _same_samples(scc, k, model, bounds, 1500)
+
+
+# ---------------------------------------------------------------------------
+# the single selection rule against the former two-path rule
+
+
+def two_path_select(scc, model, bounds):
+    """Reference: the rule `select_config` replaced.  A class with a joint
+    predicate gets one joint search; any other class gets independent
+    state and pair searches, kept when the pair fits the state's time
+    advance by evaluation, else retried jointly."""
+    names = model.schema.names()
+    exec_conjs = executability(model)
+
+    def require(verdict):
+        if verdict.status == "unsat":
+            raise SelectError(scc.id, "no representative within bounds")
+        if verdict.status == "unknown":
+            raise SelectError(scc.id, "witness search exhausted its attempt budget")
+        return verdict.witness
+
+    def config(state_w, pair_w):
+        return SimulationConfig(scc.id, {n: state_w[n] for n in names}, pair_w["x"], pair_w["t"])
+
+    if scc.joint is not None:
+        space = joint_space(model, bounds)
+        verdict = satisfiable(conj(conjuncts(scc.joint) + exec_conjs), space, bounds, model)
+        if verdict.status != "sat":
+            verdict = satisfiable(scc.joint, space, bounds, model)
+        w = require(verdict)
+        cfg = config(w, w)
+    else:
+        state = require(satisfiable(scc.init_states, state_space(model, bounds), bounds, model))
+        pair = require(satisfiable(scc.input_pairs, pair_space(model, bounds), bounds, model))
+        cfg = config(state, pair)
+        ta = eval_expr(model.ta, {**const_env(bounds, model), **cfg.state}, model)
+        if cfg.event == TAU:
+            runs = not isinstance(ta, Inf)
+        else:
+            runs = isinstance(ta, Inf) or (isinstance(cfg.time, Num) and cfg.time.value <= ta.value)
+        if not runs:
+            joint = conj(conjuncts(scc.init_states) + conjuncts(scc.input_pairs) + exec_conjs)
+            retry = satisfiable(joint, joint_space(model, bounds), bounds, model)
+            if retry.sat:
+                cfg = config(retry.witness, retry.witness)
+    consts = const_env(bounds, model)
+    if not eval_pred(scc.init_states, {**consts, **cfg.state}, model, bounds):
+        raise SelectError(scc.id, "selected state fails its own predicate")
+    if not eval_pred(scc.input_pairs, {**consts, "x": cfg.event, "t": cfg.time}, model, bounds):
+        raise SelectError(scc.id, "selected input pair fails its own predicate")
+    return cfg
+
+
+def _outcome(select, scc, model, bounds):
+    try:
+        return select(scc, model, bounds).to_json()
+    except SelectError as err:
+        return str(err)
+
+
+def _catalog(model, bounds, selections, plan, tables=None):
+    campaign = Campaign(model, bounds, tables or builtin_tables(), list(selections), plan=plan)
+    return run_campaign(campaign, stop_after="combine").catalog
+
+
+@pytest.mark.parametrize("name", ["soda all-pairs", "toggle all-pairs", "elevator worked plan"])
+def test_single_rule_matches_the_two_path_rule(name, elevator_tables):
+    if name == "soda all-pairs":
+        model, bounds = _fixture("soda")
+        catalog = _catalog(model, bounds, SODA_SELECTIONS, CombinationPlan(all_pairs=True))
+    elif name == "toggle all-pairs":
+        model, bounds = _fixture("toggle")
+        selections = ["cases", "extensional input", "extensional state:m"]
+        catalog = _catalog(model, bounds, selections, CombinationPlan(all_pairs=True))
+    else:
+        model, bounds = _fixture("elevator")
+        plan = load_plan(str(FIXTURES / "elevator.plan.json"))
+        catalog = _catalog(model, bounds, ELEVATOR_SELECTIONS, plan, elevator_tables)
+    outcomes = [
+        (_outcome(select_config, scc, model, bounds), _outcome(two_path_select, scc, model, bounds))
+        for scc in catalog
+    ]
+    assert [new for new, _ in outcomes] == [old for _, old in outcomes]
+    # both branches of the old rule, and the errors, are exercised
+    assert any(scc.joint is None for scc in catalog)
+    assert any(scc.joint is not None for scc in catalog)
+    if name == "soda all-pairs":
+        assert any(isinstance(new, str) for new, _ in outcomes)

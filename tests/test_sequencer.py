@@ -145,3 +145,14 @@ def test_coverage_partition_on_generated_class_sets(toggle, toggle_bounds):
         covered = [i for seq in sequences for i in seq.covered]
         assert sorted(covered) == [s.id for s in classes]
         assert len(set(covered)) == len(covered)
+
+
+def test_a_head_without_configs_is_selected_and_named_once(toggle, toggle_bounds):
+    from devs_scc.campaign import replay_sequence
+    from devs_scc.syntax import FALSE
+
+    impossible = make_scc(FALSE, _go(), "manual", "impossible", id=3)
+    sequences, notes = build_sequences(toggle, [impossible], toggle_bounds)
+    assert notes == ["class 3: no representative within bounds"]
+    trace = replay_sequence(toggle, sequences[0], toggle_bounds)
+    assert trace.findings == ["class 3: no representative within bounds"]

@@ -10,6 +10,7 @@ from devs_scc.selector import SimulationConfig, select_config
 from devs_scc.simulator import (
     SimError,
     UndefinedTransition,
+    advance,
     init,
     run_config,
     step,
@@ -17,7 +18,7 @@ from devs_scc.simulator import (
     uniformity_probe,
 )
 from devs_scc.syntax import Cmp, Const, Ref, TRUE
-from devs_scc.values import INF, Lit, Num, Tup, num
+from devs_scc.values import INF, Lit, Num, TAU, Tup, num
 
 
 def coins(*xs):
@@ -214,3 +215,14 @@ def test_probe_with_too_few_witnesses_is_skipped(soda, soda_bounds):
     report = uniformity_probe(soda, pinned, 1, soda_bounds)
     assert report.uniform
     assert "skipped" in report.note
+
+
+def test_advance_fires_tau_and_injects_relative_to_the_last_transition(soda, soda_bounds):
+    consts = const_env(soda_bounds, soda)
+    st = init(soda, soda_idle_state(ot=num(10)))
+    st, ev = advance(soda, st, consts, TAU, num(0))
+    assert (ev.kind, ev.fired, st.last) == ("internal", ("dint", 5), 10)
+    st, ev = advance(soda, st, consts, Lit("c25"), num(3))
+    assert (ev.kind, ev.at, ev.fired) == ("external", num(13), ("dext", 1))
+    with pytest.raises(SimError, match="finite time"):
+        advance(soda, st, consts, Lit("c25"), INF)
