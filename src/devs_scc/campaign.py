@@ -43,7 +43,7 @@ from .parser import Parser, _parse_value, parse_expr_text, parse_pred_text
 from .partitions import StandardPartition, builtin_tables, check_partition
 from .scc import SCC, assign_ids, scc_to_json, shape_overlaps
 from .selector import SelectError, SimulationConfig, select_config
-from .sequencer import SimulationSequence, build_sequences
+from .sequencer import SeqStep, SimulationSequence, build_sequences
 from .simulator import (
     SimError,
     Trace,
@@ -53,7 +53,7 @@ from .simulator import (
     init,
     uniformity_probe,
 )
-from .syntax import Apply, iter_subpreds
+from .syntax import Apply, Cmp, InBase, InSet, expr_nodes, iter_subpreds
 from .values import EvalError, Num, Value
 
 SCHEMA = "devs-scc/1"
@@ -189,37 +189,37 @@ def load_tables(parts_paths: list[str]) -> tuple[dict[str, StandardPartition], l
 
 
 def _plain_cells(table: StandardPartition) -> bool:
-    return not any(
-        isinstance(node, Apply)
-        for cell in table.cells
-        for p in iter_subpreds(cell)
-        for node in _exprs_of(p)
-    )
-
-
-def _exprs_of(p):
-    from .syntax import Cmp, InBase, InSet
-    from .check import _expr_nodes
-
-    if isinstance(p, Cmp):
-        yield from _expr_nodes(p.left)
-        yield from _expr_nodes(p.right)
-    elif isinstance(p, (InSet, InBase)):
-        yield from _expr_nodes(p.expr)
+    atoms = [p for cell in table.cells for p in iter_subpreds(cell)]
+    exprs = [e for p in atoms if isinstance(p, Cmp) for e in (p.left, p.right)]
+    exprs += [p.expr for p in atoms if isinstance(p, (InSet, InBase))]
+    return not any(isinstance(n, Apply) for e in exprs for n in expr_nodes(e))
 
 
 # ---------------------------------------------------------------------------
 # plans
 
 def load_plan(path: str) -> CombinationPlan:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return CombinationPlan(
+    return _load_json(path, lambda raw: CombinationPlan(
         groups=tuple(tuple(g) for g in raw.get("groups", [])),
         all_pairs=raw.get("allPairs", False),
         max_arity=raw.get("maxArity", 2),
         budget=raw.get("budget", 1000),
-    )
+    ))
+
+
+def _load_json(path: str, build):
+    """`build` applied to the JSON in `path`; a malformed file is a
+    CampaignError."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return build(json.loads(text))
+    except json.JSONDecodeError as err:
+        raise CampaignError(f"{path}: invalid JSON: {err}") from None
+    except KeyError as err:
+        raise CampaignError(f"{path}: missing field {err}") from None
+    except ValueError as err:
+        raise CampaignError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,6 @@ class CampaignResult:
     catalog: list[SCC]
     configs: dict[int, SimulationConfig]
     sequences: list[SimulationSequence]
-    traces: list[Trace]
 
     def catalog_json(self) -> dict:
         return {"schema": SCHEMA, "classes": [scc_to_json(s) for s in self.catalog]}
@@ -308,8 +307,8 @@ class CampaignResult:
         return {"schema": SCHEMA, "sequences": [s.to_json() for s in self.sequences]}
 
 
-# Pipeline stages a campaign can stop after, in order; "simulate" covers
-# the replay and the uniformity probe and runs the whole campaign.
+# Pipeline stages a campaign can stop after, in order; "simulate" tallies
+# the traces the sequencer recorded and runs the uniformity probe.
 STAGES = ("combine", "select", "sequence", "simulate")
 
 
@@ -341,7 +340,7 @@ def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
     else:
         catalog = base
     report.catalog_size = len(catalog)
-    result = CampaignResult(report, catalog, configs={}, sequences=[], traces=[])
+    result = CampaignResult(report, catalog, configs={}, sequences=[])
     if stop_after == "combine":
         return result
 
@@ -365,10 +364,9 @@ def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
     if stop_after == "sequence":
         return result
 
-    result.traces = [replay_sequence(c.model, s, c.bounds) for s in result.sequences]
-    for trace in result.traces:
-        report.trace_events += len(trace.events)
-        report.findings.extend(trace.findings)
+    for seq in result.sequences:
+        report.trace_events += len(seq.trace.events)
+        report.findings.extend(seq.trace.findings)
 
     if c.probe_k >= 2:
         for scc in base:
@@ -424,8 +422,8 @@ def write_artifacts(result: CampaignResult, out_dir: str) -> None:
     write("configs.json", dump_json(result.configs_json()))
     write("sequences.json", dump_json(result.sequences_json()))
     lines = []
-    for i, trace in enumerate(result.traces):
-        for ev in trace.events:
+    for i, seq in enumerate(result.sequences):
+        for ev in seq.trace.events:
             lines.append(json.dumps({"sequence": i, **ev.to_json()}, sort_keys=True))
     write("traces.jsonl", "\n".join(lines) + ("\n" if lines else ""))
     write("report.json", dump_json(result.report.to_json()))
@@ -456,22 +454,19 @@ def _report_csv(result: CampaignResult) -> str:
 # config / sequence files for the simulate command
 
 def load_config(path: str) -> SimulationConfig:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    state = {k: parse_value_text(v) for k, v in raw["state"].items()}
-    return SimulationConfig(
+    return _load_json(path, lambda raw: SimulationConfig(
         scc_id=raw.get("scc", 0),
-        state=state,
+        state={k: parse_value_text(v) for k, v in raw["state"].items()},
         event=parse_value_text(raw["input"]["event"]),
         time=parse_value_text(raw["input"]["time"]),
-    )
+    ))
 
 
 def load_sequences(path: str) -> list[SimulationSequence]:
-    from .sequencer import SeqStep
+    return _load_json(path, _sequences)
 
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+
+def _sequences(raw: dict) -> list[SimulationSequence]:
     out = []
     for rec in raw["sequences"]:
         seq = SimulationSequence(covered=list(rec["covered"]))

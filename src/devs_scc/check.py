@@ -47,7 +47,10 @@ from .syntax import (
     Proj,
     Ref,
     TupleExpr,
+    expr_nodes,
     expr_vars,
+    iter_subpreds,
+    pred_vars,
     render_expr,
     render_pred,
 )
@@ -398,7 +401,7 @@ def _check_operator_cycles(ops: list[OperatorDef], report: ValidationReport) -> 
     for op in ops:
         used: set[str] = set()
         for case in op.cases:
-            for node in _expr_nodes(case.result):
+            for node in expr_nodes(case.result):
                 if isinstance(node, Apply):
                     used.add(node.op)
         calls[op.name] = used
@@ -448,26 +451,6 @@ def _bind_cases(model, cases, ctx, result_sort, fn, report) -> tuple[GuardedCase
     return tuple(out)
 
 
-def _expr_nodes(expr: Expr):
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from _expr_nodes(expr.left)
-        yield from _expr_nodes(expr.right)
-    elif isinstance(expr, Neg):
-        yield from _expr_nodes(expr.arg)
-    elif isinstance(expr, MinOp):
-        for a in expr.args:
-            yield from _expr_nodes(a)
-    elif isinstance(expr, TupleExpr):
-        for a in expr.items:
-            yield from _expr_nodes(a)
-    elif isinstance(expr, Proj):
-        yield from _expr_nodes(expr.base)
-    elif isinstance(expr, Apply):
-        for a in expr.args:
-            yield from _expr_nodes(a)
-
-
 def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
     """Non-binding hint: variables that look time-interacting but carry no
     @time annotation.  Looks for atoms mixing a state variable with the
@@ -475,34 +458,17 @@ def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
     suspects: set[str] = set(expr_vars(model.ta)) if model.ta is not None else set()
     state_names = set(model.schema.names())
     for case in model.delta_ext:
-        for atom in _atoms_of(case.guard):
-            vs = expr_vars(atom.left) | expr_vars(atom.right)
+        groups = [pred_vars(p) for p in iter_subpreds(case.guard) if isinstance(p, Cmp)]
+        groups += [expr_vars(n) for n in expr_nodes(case.result) if isinstance(n, BinOp)]
+        for vs in groups:
             if "e" in vs:
                 suspects |= vs & state_names
-        for node in _expr_nodes(case.result):
-            if isinstance(node, BinOp):
-                vs = expr_vars(node)
-                if "e" in vs:
-                    suspects |= vs & state_names
     missing = sorted(suspects & state_names - set(model.schema.time_vars))
     if missing:
         report.notes.append(
             "variables that appear time-interacting but lack @time: "
             + ", ".join(missing)
         )
-
-
-def _atoms_of(pred: Predicate):
-    if isinstance(pred, Cmp):
-        yield pred
-    elif isinstance(pred, (And, Or)):
-        for q in pred.items:
-            yield from _atoms_of(q)
-    elif isinstance(pred, Not):
-        yield from _atoms_of(pred.arg)
-    elif isinstance(pred, Implies):
-        yield from _atoms_of(pred.left)
-        yield from _atoms_of(pred.right)
 
 
 _COVERAGE_BUDGET = 400

@@ -133,14 +133,17 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
     if plan is None and (args.all_pairs or args.group):
         from .algebra import CombinationPlan
 
-        plan = CombinationPlan(
-            groups=tuple(
-                tuple(int(i) for i in group.split(",")) for group in args.group
-            ),
-            all_pairs=args.all_pairs,
-            max_arity=args.max_arity,
-            budget=args.budget,
-        )
+        try:
+            plan = CombinationPlan(
+                groups=tuple(
+                    tuple(int(i) for i in group.split(",")) for group in args.group
+                ),
+                all_pairs=args.all_pairs,
+                max_arity=args.max_arity,
+                budget=args.budget,
+            )
+        except ValueError as err:
+            raise CampaignError(f"bad combination flags: {err}") from None
     campaign = Campaign(
         model=model,
         bounds=bounds,

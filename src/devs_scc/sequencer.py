@@ -8,8 +8,9 @@ lowest remaining id, the first state and input pair come from the
 selector's least witness, and a chained input pair is the least pair the
 current state admits.  Every class is consumed exactly once, so the
 covered-id sets of the produced sequences partition the input catalog.
-A failing step ends its sequence with the failure recorded and the
-remaining classes continue in fresh sequences.
+Each step runs once: its trace event, or the finding of a failed step,
+is kept on the sequence.  A failing step ends its sequence with the
+failure recorded and the remaining classes continue in fresh sequences.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .model import Model
 from .sat import satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, select_config
-from .simulator import SimError, SimState, UndefinedTransition, advance, init, time_advance
+from .simulator import SimError, SimState, Trace, UndefinedTransition, advance, init, time_advance
 from .syntax import Cmp, Const, Ref, conj, conjuncts, subst_pred
 from .values import EvalError, Inf, Num, TAU, Value, render_value
 
@@ -53,6 +54,8 @@ class SeqStep:
 class SimulationSequence:
     steps: list[SeqStep] = field(default_factory=list)
     covered: list[int] = field(default_factory=list)
+    # what running the steps produced while chaining; not part of the file
+    trace: Trace = field(default_factory=Trace, compare=False)
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps], "covered": self.covered}
@@ -86,6 +89,7 @@ def build_sequences(
         if isinstance(cfg, SelectError):
             notes.append(str(cfg))
             seq.steps.append(SeqStep(scc.id, {}, TAU, Num(0), error=cfg.reason))
+            seq.trace.findings.append(str(cfg))
             continue
         sim = init(model, cfg.state)
         sim, ok = _run_step(model, sim, consts, cfg.event, cfg.time, seq, scc.id)
@@ -105,15 +109,18 @@ def build_sequences(
 
 
 def _run_step(model, sim, consts, event, rel_time, seq, scc_id):
-    """Execute one sequence step; the pair's time is elapsed time relative
-    to the state the class matched on."""
+    """Execute one sequence step, recording it and its trace event or
+    finding; the pair's time is elapsed time relative to the state the
+    class matched on."""
     state_used = dict(sim.state)
     try:
         nxt, ev = advance(model, sim, consts, event, rel_time)
         seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, fired=ev.fired))
+        seq.trace.events.append(ev)
         return nxt, True
     except (UndefinedTransition, SimError, EvalError) as err:
         seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, error=str(err)))
+        seq.trace.findings.append(f"class {scc_id}: {err}")
         return sim, False
 
 

@@ -227,16 +227,9 @@ def run_config(model: Model, config: SimulationConfig, bounds: Bounds) -> Trace:
     try:
         st, event = advance(model, st, consts, config.event, config.time)
         trace.events.append(event)
-    except UndefinedTransition as err:
-        trace.findings.append(str(err))
-        trace.events.append(
-            TraceEvent(
-                at=Num(st.clock), kind="error", fired=None,
-                state_after=dict(st.state), error=str(err),
-            )
-        )
-    except (SimError, EvalError) as err:
-        trace.findings.append(f"step failed: {err}")
+    except (UndefinedTransition, SimError, EvalError) as err:
+        undefined = isinstance(err, UndefinedTransition)
+        trace.findings.append(str(err) if undefined else f"step failed: {err}")
         trace.events.append(
             TraceEvent(
                 at=Num(st.clock), kind="error", fired=None,

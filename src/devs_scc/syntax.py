@@ -239,28 +239,23 @@ def _rp(p: Predicate, prec: int) -> str:
 # ---------------------------------------------------------------------------
 # traversal
 
-def expr_vars(e: Expr) -> set[str]:
-    out: set[str] = set()
-    _ev(e, out)
-    return out
-
-
-def _ev(e: Expr, out: set[str]) -> None:
-    if isinstance(e, (Ref, Name)):
-        out.add(e.name)
-    elif isinstance(e, BinOp):
-        _ev(e.left, out)
-        _ev(e.right, out)
+def expr_nodes(e: Expr) -> Iterator[Expr]:
+    """`e` and every expression below it, parents first."""
+    yield e
+    if isinstance(e, BinOp):
+        yield from expr_nodes(e.left)
+        yield from expr_nodes(e.right)
     elif isinstance(e, Neg):
-        _ev(e.arg, out)
-    elif isinstance(e, (MinOp, TupleExpr)):
-        for a in (e.args if isinstance(e, MinOp) else e.items):
-            _ev(a, out)
+        yield from expr_nodes(e.arg)
+    elif isinstance(e, (MinOp, TupleExpr, Apply)):
+        for a in (e.items if isinstance(e, TupleExpr) else e.args):
+            yield from expr_nodes(a)
     elif isinstance(e, Proj):
-        _ev(e.base, out)
-    elif isinstance(e, Apply):
-        for a in e.args:
-            _ev(a, out)
+        yield from expr_nodes(e.base)
+
+
+def expr_vars(e: Expr) -> set[str]:
+    return {n.name for n in expr_nodes(e) if isinstance(n, (Ref, Name))}
 
 
 def pred_vars(p: Predicate) -> set[str]:

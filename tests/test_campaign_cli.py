@@ -307,9 +307,9 @@ ELEVATOR_ARGS = [
     *[arg for sel in ELEVATOR_SELECTIONS for arg in ("--criteria", sel)],
 ]
 LATER_STAGES = {
-    "combine": ("select_config", "build_sequences", "replay_sequence", "uniformity_probe"),
-    "select": ("build_sequences", "replay_sequence", "uniformity_probe"),
-    "sequence": ("replay_sequence", "uniformity_probe"),
+    "combine": ("select_config", "build_sequences", "uniformity_probe"),
+    "select": ("build_sequences", "uniformity_probe"),
+    "sequence": ("uniformity_probe",),
 }
 
 
@@ -398,3 +398,59 @@ def test_unselectable_class_is_selected_once_and_named_once(toggle, toggle_bound
     assert result.report.findings == [message]
     assert result.report.notes.count(message) == 1
     assert result.sequences[-1].to_json()["steps"][0]["error"] == "no representative within bounds"
+
+
+def test_run_campaign_runs_each_sequence_step_once(monkeypatch):
+    import devs_scc.sequencer as sequencer
+    import devs_scc.simulator as simulator
+
+    calls = []
+    advance = simulator.advance
+
+    def counting(*args):
+        calls.append(args)
+        return advance(*args)
+
+    for module in (simulator, sequencer, campaign_mod):
+        monkeypatch.setattr(module, "advance", counting)
+    result = run_campaign(_elevator_campaign(plan=True))
+    steps = [step for seq in result.sequences for step in seq.steps]
+    # an unselectable head's step has no state and never runs
+    ran = [step for step in steps if step.state_used]
+    assert len(calls) == len(ran) == 92
+    assert sum(1 for step in ran if step.error) == 2
+    assert len(result.report.findings) == 2
+
+
+TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURES / "toggle.bounds")]
+
+
+@pytest.mark.parametrize("command, flags, text, message", [
+    ("combine", ["--all-pairs", "--max-arity", "1"], None,
+     "bad combination flags: max_arity must be at least 2"),
+    ("combine", ["--plan"], '{"maxArity": 1}', "max_arity must be at least 2"),
+    ("combine", ["--group", "1,x"], None,
+     "bad combination flags: invalid literal for int() with base 10: 'x'"),
+    ("combine", ["--plan"], '{"groups": [', "invalid JSON: "),
+    ("simulate", ["--config"], '{"state": ', "invalid JSON: "),
+    ("simulate", ["--sequence"], '{"sequences": [}', "invalid JSON: "),
+    ("simulate", ["--config"], '{"input": {"event": "go", "time": "1"}}',
+     "missing field 'state'"),
+    ("simulate", ["--sequence"], '{"schema": "devs-scc/1"}', "missing field 'sequences'"),
+])
+def test_malformed_combination_or_simulation_input_exits_2(
+    command, flags, text, message, tmp_path, capsys
+):
+    args = [command, *TOGGLE_ARGS, *flags]
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        args.append(str(path))
+        message = f"{path}: {message}"
+    if command == "combine":
+        args += ["--criteria", "cases"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from devs_scc.bounds import const_env
 from devs_scc.criteria import cases_criterion
 from devs_scc.evaluator import eval_pred
@@ -7,6 +9,7 @@ from devs_scc.scc import make_scc
 from devs_scc.sequencer import build_sequences
 from devs_scc.syntax import Cmp, Const, Ref
 from devs_scc.values import Lit
+from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES
 
 
 def _go():
@@ -156,3 +159,37 @@ def test_a_head_without_configs_is_selected_and_named_once(toggle, toggle_bounds
     assert notes == ["class 3: no representative within bounds"]
     trace = replay_sequence(toggle, sequences[0], toggle_bounds)
     assert trace.findings == ["class 3: no representative within bounds"]
+    assert sequences[0].trace.findings == trace.findings
+
+
+@pytest.mark.parametrize("name", ["elevator worked plan", "soda all-pairs", "toggle all-pairs"])
+def test_recorded_traces_equal_a_replay(name, request):
+    """The trace each sequence keeps from chaining is what re-executing
+    its steps gives."""
+    from devs_scc.algebra import CombinationPlan
+    from devs_scc.campaign import Campaign, load_plan, replay_sequence, run_campaign
+    from devs_scc.partitions import builtin_tables
+
+    fixture, plan, selections, unselectable = {
+        "elevator worked plan": (
+            "elevator", load_plan(str(FIXTURES / "elevator.plan.json")), ELEVATOR_SELECTIONS, 0),
+        "soda all-pairs": ("soda", CombinationPlan(all_pairs=True), [
+            "cases", "extensional input", "extensional state:m",
+            "time chain:0,Tchg,Tret,Tincr", "standard >= dext:2,3"], 53),
+        "toggle all-pairs": (
+            "toggle", CombinationPlan(all_pairs=True),
+            ["cases", "extensional input", "extensional state:m"], 0),
+    }[name]
+    model = request.getfixturevalue(fixture)
+    bounds = request.getfixturevalue(f"{fixture}_bounds")
+    tables = request.getfixturevalue("elevator_tables") if fixture == "elevator" else builtin_tables()
+    campaign = Campaign(model, bounds, tables, list(selections), plan=plan)
+    sequences = run_campaign(campaign, stop_after="sequence").sequences
+    assert sum(1 for seq in sequences if not seq.steps[0].state_used) == unselectable
+    for seq in sequences:
+        replayed = replay_sequence(model, seq, bounds)
+        assert [e.to_json() for e in seq.trace.events] == [e.to_json() for e in replayed.events]
+        assert seq.trace.findings == replayed.findings
+    assert sum(len(seq.trace.events) for seq in sequences) > 0
+    if fixture != "toggle":
+        assert any(seq.trace.findings for seq in sequences)
