@@ -1,12 +1,15 @@
 """Combining classes by intersection and pruning the empty results.
 
 Intersecting two classes conjoins their state predicates and their
-input-pair predicates.  Normalization flattens and orders conjuncts, so
-intersection is commutative and associative up to structural equality.
-Empty intersections (unsatisfiable within bounds) are dropped while the
-base classes are always retained; a combination whose emptiness could
-not be decided within the attempt budget is kept and flagged rather than
-silently losing coverage.
+input-pair predicates, and, when either side has a joint predicate, their
+member predicates into the combined joint.  Normalization flattens and
+orders conjuncts, so intersection is commutative and associative up to
+structural equality.  A combination is empty when its member predicate
+has no witness over the joint space within bounds; empty combinations are
+dropped before any representative is sought (Stocks & Carrington's
+pruning of empty test templates), while the base classes are always
+retained.  A combination whose emptiness could not be decided within the
+attempt budget is kept and flagged rather than silently losing coverage.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .bounds import Bounds, pair_space, state_space
+from .bounds import Bounds, joint_space
 from .model import Model
 from .sat import satisfiable
 from .scc import SCC, make_scc
-from .syntax import conj, conjuncts
+from .syntax import conj
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,13 @@ class CombineReport:
 
 
 def intersect(a: SCC, b: SCC) -> SCC:
-    """Class intersection: conjunction on both components, ancestry is the
-    sorted union of the operands' ancestries."""
+    """Class intersection: conjunction on both components and, when either
+    operand has a joint predicate, of both member predicates; ancestry is
+    the sorted union of the operands' ancestries."""
     ancestry = tuple(sorted(set(a.ancestry()) | set(b.ancestry())))
     joint = None
     if a.joint is not None or b.joint is not None:
-        left = a.joint if a.joint is not None else conj([a.init_states, a.input_pairs])
-        right = b.joint if b.joint is not None else conj([b.init_states, b.input_pairs])
-        joint = conj(conjuncts(left) + conjuncts(right))
+        joint = conj(a.member + b.member)
     out = make_scc(
         conj([a.init_states, b.init_states]),
         conj([a.input_pairs, b.input_pairs]),
@@ -76,8 +78,7 @@ def combine_and_prune(
     if plan.all_pairs:
         groups.extend(itertools.combinations(sorted(by_id), 2))
 
-    sspace = state_space(model, bounds)
-    pspace = pair_space(model, bounds)
+    space = joint_space(model, bounds)
     kept: list[SCC] = []
     seen: set[tuple[int, ...]] = set()
     for group in groups:
@@ -103,12 +104,11 @@ def combine_and_prune(
         combo = by_id[members[0]]
         for i in members[1:]:
             combo = intersect(combo, by_id[i])
-        init_ok = satisfiable(combo.init_states, sspace, bounds, model)
-        pairs_ok = satisfiable(combo.input_pairs, pspace, bounds, model)
-        if init_ok.status == "unsat" or pairs_ok.status == "unsat":
+        verdict = satisfiable(conj(combo.member), space, bounds, model)
+        if verdict.status == "unsat":
             report.dropped += 1
             continue
-        if init_ok.status == "unknown" or pairs_ok.status == "unknown":
+        if verdict.status == "unknown":
             report.unknown += 1
             report.notes.append(
                 f"combination {combo.target}: emptiness unknown within budget, kept"

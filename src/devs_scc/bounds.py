@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Model, StateSchema
+from .model import Model
 from .values import (
     INF,
     TAU,
@@ -199,10 +199,6 @@ def joint_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
     executability constraints (t bounded by each timer) can prune the
     state search at the depth of the timer variables."""
     return pair_space(model, bounds) + state_space(model, bounds)
-
-
-def schema_space(schema: StateSchema, bounds: Bounds) -> list[tuple[str, list[Value]]]:
-    return [(name, var_grid(bounds, name, sort)) for name, sort in schema.vars]
 
 
 def index_digits(idx: int, sizes: Sequence[int]) -> list[int]:

@@ -123,6 +123,8 @@ def apply_selection(
                 raise CampaignError(f"bad occurrence {word!r}, want fn:case,...")
             fn, ids = word.split(":", 1)
             for cid in ids.split(","):
+                if not cid.isdigit():
+                    raise CampaignError(f"bad case id {cid!r} in {word!r}")
                 occurrences.append(Occurrence(fn, int(cid)))
         if ops is not None:
             occurrences = [Occurrence(o.function, o.case_id, ops) for o in occurrences]

@@ -19,8 +19,8 @@ from .bounds import (
     Bounds,
     const_env,
     index_digits,
-    schema_space,
     sort_grid,
+    state_space,
     time_points,
 )
 from .evaluator import eval_expr, eval_pred
@@ -39,7 +39,6 @@ from .syntax import (
     InBase,
     InSet,
     MinOp,
-    Name,
     Neg,
     Not,
     Or,
@@ -108,7 +107,7 @@ def infer_expr(expr: Expr, ctx: Ctx) -> tuple[Expr, Sort]:
         if isinstance(v, Inf):
             return expr, TIME
         raise Unresolved(render_value(v))
-    if isinstance(expr, (Ref, Name)):
+    if isinstance(expr, Ref):
         if expr.name in ctx.vars:
             return Ref(expr.name), ctx.vars[expr.name]
         if expr.name in ctx.consts:
@@ -181,7 +180,7 @@ def infer_expr(expr: Expr, ctx: Ctx) -> tuple[Expr, Sort]:
 
 def check_expr(expr: Expr, ctx: Ctx, expected: Sort) -> Expr:
     # literal resolution happens only here, against the expected sort
-    if isinstance(expr, (Ref, Name)) and expr.name not in ctx.vars and expr.name not in ctx.consts:
+    if isinstance(expr, Ref) and expr.name not in ctx.vars and expr.name not in ctx.consts:
         if expr.name in sort_literals(expected):
             return Const(Lit(expr.name))
         raise BindError(f"unbound variable {expr.name}{_at(ctx)}")
@@ -203,7 +202,7 @@ def check_expr(expr: Expr, ctx: Ctx, expected: Sort) -> Expr:
     if isinstance(expected, ExtSort):
         # a name may be one of the added literals; otherwise fall through to
         # the numeric base
-        if isinstance(expr, (Ref, Name)) and expr.name in ctx.vars:
+        if isinstance(expr, Ref) and expr.name in ctx.vars:
             typed, actual = infer_expr(expr, ctx)
             if _compat(actual, expected):
                 return typed
@@ -476,7 +475,7 @@ _COVERAGE_BUDGET = 400
 
 def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> None:
     consts = const_env(bounds, model)
-    space = schema_space(model.schema, bounds)
+    space = state_space(model, bounds)
     ext_space = space + [
         ("e", time_points(bounds)),
         ("x", sort_grid(bounds, model.input_sort, "x")),

@@ -25,8 +25,9 @@ from .campaign import (
     run_campaign,
     write_artifacts,
 )
-from .check import bounds_errors, validate_model
+from .check import BindError, bounds_errors, validate_model
 from .criteria import CriterionError
+from .dnf import DnfCapError
 from .parser import (
     ParseFailure,
     parse_bounds_file,
@@ -89,8 +90,8 @@ def main(argv: list[str] | None = None) -> int:
         for d in err.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_PARSE
-    except (BoundsError, CampaignError, CriterionError, SelectError,
-            FileNotFoundError) as err:
+    except (BindError, BoundsError, CampaignError, CriterionError, DnfCapError,
+            SelectError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 

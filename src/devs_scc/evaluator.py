@@ -28,7 +28,6 @@ from .syntax import (
     InBase,
     InSet,
     MinOp,
-    Name,
     Neg,
     Not,
     Or,
@@ -64,7 +63,7 @@ def eval_expr(expr: Expr, env: Env, model: Model | None = None, _depth: int = 0)
         raise EvalError("operator expansion too deep (recursive definition?)")
     if isinstance(expr, Const):
         return expr.value
-    if isinstance(expr, (Ref, Name)):
+    if isinstance(expr, Ref):
         try:
             return env[expr.name]
         except KeyError:

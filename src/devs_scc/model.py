@@ -76,12 +76,6 @@ class Model:
                 return op
         raise KeyError(name)
 
-    def constant_sort(self, name: str) -> Sort:
-        for n, s in self.constants:
-            if n == name:
-                return s
-        raise KeyError(name)
-
 
 @dataclass
 class ValidationReport:

@@ -28,12 +28,12 @@ from .syntax import (
     InBase,
     InSet,
     MinOp,
-    Name,
     Neg,
     Not,
     Or,
     Predicate,
     Proj,
+    Ref,
     TRUE,
     TupleExpr,
     subst_expr,
@@ -332,7 +332,7 @@ class Parser:
                     args.append(self.expr())
                 self.expect(")")
                 return Apply(name, tuple(args))
-            return Name(name)
+            return Ref(name)
         if self.accept("("):
             items = [self.expr()]
             while self.accept(","):

@@ -4,15 +4,19 @@ A class pairs a predicate over the state variables (which initial states
 belong to it) with a predicate over an input pair (x, t), where x ranges
 over the input events plus the no-event marker tau and t over time.
 Classes produced by the cases criterion also carry a joint predicate
-linking state and input through the original guard, so a representative
-can be picked consistently.
+linking state and input through the original guard.
+
+A class is a set of configurations, and `SCC.member` is its one
+definition: the joint predicate when there is one, else the state and
+pair predicates together.  Combination, selection and chaining all
+decide on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .syntax import Predicate, normalize, render_pred
+from .syntax import Predicate, conjuncts, normalize, render_pred
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,13 @@ class SCC:
 
     def key(self) -> tuple[str, str]:
         return (render_pred(self.init_states), render_pred(self.input_pairs))
+
+    @property
+    def member(self) -> list[Predicate]:
+        """Conjuncts every configuration of the class satisfies."""
+        if self.joint is not None:
+            return conjuncts(self.joint)
+        return conjuncts(self.init_states) + conjuncts(self.input_pairs)
 
     def ancestry(self) -> tuple[int, ...]:
         return self.combined_from if self.combined_from else (self.id,)

@@ -3,12 +3,11 @@
 The witness is the lexicographically least assignment under a fixed
 variable order (input event, then time, then the state variables in
 declaration order), so identical inputs always select identical
-representatives.  A class's members are the assignments satisfying its
-joint predicate, when it has one (classes born from the cases criterion
-link state and input through the original guard, so the chosen state
-and event actually exercise the targeted case), and otherwise both its
-state and its pair predicate.  Every class is solved by one search over
-the joint space.
+representatives.  A class's members are the assignments satisfying
+`SCC.member` (for classes born from the cases criterion that is the
+joint predicate, linking state and input through the original guard, so
+the chosen state and event actually exercise the targeted case).  Every
+class is solved by one search over the joint space.
 
 A configuration is only executable when its pair time fits inside the
 chosen state's time advance (the total-state constraint 0 <= e <= ta),
@@ -74,7 +73,7 @@ class SimulationConfig:
 def select_config(scc: SCC, model: Model, bounds: Bounds) -> SimulationConfig:
     """Least executable member of a class, else its least member,
     re-checked by evaluation."""
-    member = _member(scc)
+    member = scc.member
     space = joint_space(model, bounds)
     verdict = satisfiable(conj(member + executability(model)), space, bounds, model)
     if verdict.status != "sat":
@@ -83,14 +82,6 @@ def select_config(scc: SCC, model: Model, bounds: Bounds) -> SimulationConfig:
     config = _config(scc, verdict.witness, model)
     _check_membership(config, scc, model, bounds)
     return config
-
-
-def _member(scc: SCC) -> list[Predicate]:
-    """Conjuncts a configuration of the class satisfies: its joint
-    predicate, else its state and pair predicates together."""
-    if scc.joint is not None:
-        return conjuncts(scc.joint)
-    return conjuncts(scc.init_states) + conjuncts(scc.input_pairs)
 
 
 def _config(scc: SCC, witness: dict[str, Value], model: Model) -> SimulationConfig:
@@ -147,7 +138,7 @@ def sample_configs(
     if total == 0 or k <= 0:
         return []
     # only members the simulator can actually run
-    pred = normalize(conj(executability(model) + _member(scc)))
+    pred = normalize(conj(executability(model) + scc.member))
     strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
 
     found: dict[str, SimulationConfig] = {}

@@ -5,9 +5,11 @@ another class's state set; chaining reuses it instead of configuring a
 fresh run.  The three nondeterministic choices of the sequencing
 algorithm are fixed for reproducibility: the next class is always the
 lowest remaining id, the first state and input pair come from the
-selector's least witness, and a chained input pair is the least pair the
-current state admits.  Every class is consumed exactly once, so the
-covered-id sets of the produced sequences partition the input catalog.
+selector's least witness, and a chained input pair is the least pair
+that, with the current state, is a member of the class (`SCC.member`),
+so a class is covered only by a step inside it.  Every class is
+consumed exactly once, so the covered-id sets of the produced sequences
+partition the input catalog.
 Each step runs once: its trace event, or the finding of a failed step,
 is kept on the sequence.  A failing step ends its sequence with the
 failure recorded and the remaining classes continue in fresh sequences.
@@ -24,7 +26,7 @@ from .sat import satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, select_config
 from .simulator import SimError, SimState, Trace, UndefinedTransition, advance, init, time_advance
-from .syntax import Cmp, Const, Ref, conj, conjuncts, subst_pred
+from .syntax import Cmp, Const, Ref, conj
 from .values import EvalError, Inf, Num, TAU, Value, render_value
 
 
@@ -126,7 +128,8 @@ def _run_step(model, sim, consts, event, rel_time, seq, scc_id):
 
 def _next_reachable(remaining, sim, consts, model, bounds):
     """First remaining class (ascending id) whose state set contains the
-    current state and which admits an executable input pair from it."""
+    current state and which has a member made of that state and an input
+    pair executable from it."""
     env = {**consts, **sim.state}
     for scc in remaining:
         try:
@@ -141,9 +144,9 @@ def _next_reachable(remaining, sim, consts, model, bounds):
 
 
 def _pick_pair(scc: SCC, sim: SimState, consts, model, bounds):
-    """Least input pair compatible with, and executable from, the current
-    state: t must not exceed the pending time advance, and the no-event
-    marker needs a finite one."""
+    """Least input pair that, with the current state, is a member of the
+    class and is executable from it: t must not exceed the pending time
+    advance, and the no-event marker needs a finite one."""
     ta = time_advance(model, sim, consts)
     space = pair_space(model, bounds)
     if isinstance(ta, Inf):
@@ -151,19 +154,9 @@ def _pick_pair(scc: SCC, sim: SimState, consts, model, bounds):
         bound = []
     else:
         bound = [Cmp("<=", Ref("t"), Const(ta))]
-    if scc.joint is not None:
-        pred = subst_pred(scc.joint, {k: Const(v) for k, v in sim.state.items()})
-    else:
-        pred = scc.input_pairs
     verdict = satisfiable(
-        conj(conjuncts(pred) + bound), space, bounds, model, base_env=dict(consts)
+        conj(scc.member + bound), space, bounds, model, base_env={**consts, **sim.state}
     )
-    if verdict.status != "sat" and scc.joint is not None:
-        # the guard may reject this exact state; fall back to the bare pair
-        verdict = satisfiable(
-            conj(conjuncts(scc.input_pairs) + bound), space, bounds, model,
-            base_env=dict(consts),
-        )
     if verdict.status != "sat":
         return None
     w = verdict.witness

@@ -25,7 +25,9 @@ class Const:
 @dataclass(frozen=True)
 class Ref:
     """A variable: state variable, operator parameter, or one of the
-    reserved names x (input), e (elapsed time), t (pair time)."""
+    reserved names x (input), e (elapsed time), t (pair time).  The
+    parser emits every bare identifier as a Ref; binding resolves it to
+    a Ref, a ConstRef or a literal Const."""
 
     name: str
 
@@ -72,15 +74,7 @@ class Apply:
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Name:
-    """An unresolved identifier fresh from the parser; binding turns it
-    into Ref, ConstRef or a literal Const."""
-
-    name: str
-
-
-Expr = Union[Const, Ref, ConstRef, BinOp, Neg, MinOp, TupleExpr, Proj, Apply, Name]
+Expr = Union[Const, Ref, ConstRef, BinOp, Neg, MinOp, TupleExpr, Proj, Apply]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +180,7 @@ def render_expr(e: Expr) -> str:
 def _rx(e: Expr, prec: int) -> str:
     if isinstance(e, Const):
         return render_value(e.value)
-    if isinstance(e, (Ref, ConstRef, Name)):
+    if isinstance(e, (Ref, ConstRef)):
         return e.name
     if isinstance(e, BinOp):
         p = _PREC[e.op]
@@ -255,7 +249,7 @@ def expr_nodes(e: Expr) -> Iterator[Expr]:
 
 
 def expr_vars(e: Expr) -> set[str]:
-    return {n.name for n in expr_nodes(e) if isinstance(n, (Ref, Name))}
+    return {n.name for n in expr_nodes(e) if isinstance(n, Ref)}
 
 
 def pred_vars(p: Predicate) -> set[str]:
@@ -281,7 +275,7 @@ def pred_vars(p: Predicate) -> set[str]:
 
 
 def subst_expr(e: Expr, env: Mapping[str, Expr]) -> Expr:
-    if isinstance(e, (Ref, Name)):
+    if isinstance(e, Ref):
         return env.get(e.name, e)
     if isinstance(e, BinOp):
         return BinOp(e.op, subst_expr(e.left, env), subst_expr(e.right, env))

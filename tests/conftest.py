@@ -5,6 +5,9 @@ import pytest
 
 from devs_scc.campaign import load_tables
 from devs_scc.parser import parse_bounds_file, parse_model_file
+from devs_scc.scc import make_scc
+from devs_scc.syntax import TRUE, Cmp, Const, Ref, conj
+from devs_scc.values import Lit
 
 hypothesis.settings.register_profile("ci", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("ci")
@@ -27,6 +30,22 @@ SODA_SELECTIONS = [
     "standard >= dext:2,3 ops:>=",
     "time chain:0,Tchg,Tret,Tincr",
 ]
+
+# the criteria of the soda all-pairs campaign the README describes
+SODA_PAIRS_SELECTIONS = [
+    "cases",
+    "extensional input",
+    "extensional state:m",
+    "time chain:0,Tchg,Tret,Tincr",
+    "standard >= dext:2,3",
+]
+
+
+def soda_contradiction(id: int):
+    """A hand-built soda class whose pair predicate has members but whose
+    joint predicate has none, so no configuration can represent it."""
+    diet, normal = (Cmp("=", Ref("x"), Const(Lit(v))) for v in ("getDiet", "getNormal"))
+    return make_scc(TRUE, normal, "manual", "contradiction", joint=conj([diet, normal]), id=id)
 
 
 @pytest.fixture(scope="session")

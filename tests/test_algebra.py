@@ -8,7 +8,7 @@ from devs_scc.campaign import apply_selection
 from devs_scc.parser import parse_model_text
 from devs_scc.sat import satisfiable
 from devs_scc.scc import SCC, assign_ids, make_scc
-from devs_scc.syntax import And, Cmp, Const, Ref, render_pred
+from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, render_pred
 from devs_scc.values import Lit, num
 
 TOY_MODEL = """
@@ -87,6 +87,21 @@ def test_pairwise_combination_keeps_two_and_drops_the_contradiction(toy, toy_bou
     assert len(catalog) == 5
     kept_inits = {render_pred(s.init_states) for s in catalog[3:]}
     assert kept_inits == {"m = ON /\\ n <= 10", "m = OFF /\\ n <= 10"}
+
+
+def test_combination_is_decided_on_the_joint_predicate(toggle, toggle_bounds):
+    # each class's split predicates have members, but the joints pin m
+    # to different values, so the combination has no configuration
+    go = Cmp("=", Ref("x"), Const(Lit("go")))
+
+    def pinned(ident, lit):
+        joint = And((Cmp("=", Ref("m"), Const(Lit(lit))), go))
+        return make_scc(TRUE, go, "t", lit, joint=joint, id=ident)
+
+    plan = CombinationPlan(groups=((1, 2),))
+    catalog, report = combine_and_prune([pinned(1, "A"), pinned(2, "B")], plan, toggle, toggle_bounds)
+    assert (report.kept, report.dropped, report.unknown) == (0, 1, 0)
+    assert [s.id for s in catalog] == [1, 2]
 
 
 def test_empty_plan_returns_the_base_catalog(toy, toy_bounds):

@@ -454,3 +454,24 @@ def test_malformed_combination_or_simulation_input_exits_2(
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
+
+
+def _fixture_args(name):
+    return ["--model", str(FIXTURES / f"{name}.devs"), "--bounds", str(FIXTURES / f"{name}.bounds")]
+
+
+@pytest.mark.parametrize("fixture, selection, message", [
+    ("toggle", "intentional state m = Q", "unbound variable Q"),
+    ("toggle", "intentional input x in {foo}", "foo is not a literal of enum {go}"),
+    ("toggle", "time chain:0,NOPE", "unbound variable NOPE"),
+    ("soda", "standard >= dext:x", "bad case id 'x' in 'dext:x'"),
+    ("elevator", "intentional state " + " /\\ ".join(["(f = 0 \\/ f = 1)"] * 13),
+     "DNF clause cap 4096 exceeded"),
+    ("toggle", "extensional state:zz", "no state variable named zz"),
+])
+def test_a_selection_that_cannot_be_applied_exits_2(fixture, selection, message, capsys):
+    assert main(["criteria", *_fixture_args(fixture), "--criteria", selection]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1

@@ -23,7 +23,7 @@ from devs_scc.selector import (
 from devs_scc.syntax import And, Cmp, Const, FALSE, Ref, conj, conjuncts
 from devs_scc.values import EvalError, Inf, Lit, Num, TAU, num
 
-from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS
+from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS, soda_contradiction
 
 TOY_MODEL = """
 model toy {
@@ -340,6 +340,9 @@ def test_single_rule_matches_the_two_path_rule(name, elevator_tables):
     if name == "soda all-pairs":
         model, bounds = _fixture("soda")
         catalog = _catalog(model, bounds, SODA_SELECTIONS, CombinationPlan(all_pairs=True))
+        # combination decides on the joint predicate, so the only
+        # unselectable class is a hand-built one
+        catalog.append(soda_contradiction(len(catalog) + 1))
     elif name == "toggle all-pairs":
         model, bounds = _fixture("toggle")
         selections = ["cases", "extensional input", "extensional state:m"]
@@ -357,4 +360,6 @@ def test_single_rule_matches_the_two_path_rule(name, elevator_tables):
     assert any(scc.joint is None for scc in catalog)
     assert any(scc.joint is not None for scc in catalog)
     if name == "soda all-pairs":
-        assert any(isinstance(new, str) for new, _ in outcomes)
+        assert [new for new, _ in outcomes if isinstance(new, str)] == [
+            f"class {len(catalog)}: no representative within bounds"
+        ]

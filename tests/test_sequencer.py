@@ -7,9 +7,9 @@ from devs_scc.criteria import cases_criterion
 from devs_scc.evaluator import eval_pred
 from devs_scc.scc import make_scc
 from devs_scc.sequencer import build_sequences
-from devs_scc.syntax import Cmp, Const, Ref
+from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, conj
 from devs_scc.values import Lit
-from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES
+from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_PAIRS_SELECTIONS, soda_contradiction
 
 
 def _go():
@@ -44,6 +44,18 @@ def test_toggle_chain_gives_two_sequences(toggle, toggle_bounds):
     assert first.steps[1].state_used["m"] == Lit("B")
     assert first.steps[1].fired == ("dext", 2)
     assert sequences[1].steps[0].state_used["m"] == Lit("B")
+
+
+def test_a_class_is_covered_only_by_a_step_inside_it(toggle, toggle_bounds):
+    # class 2 admits every state but its joint predicate pins m = A; after
+    # class 1 the toggle is in B, so class 2 cannot chain and opens its own
+    # sequence from m = A
+    one = make_scc(_at("m", "A"), _go(), "manual", "one", id=1)
+    two = make_scc(TRUE, _go(), "manual", "two", joint=And((_at("m", "A"), _go())), id=2)
+    sequences, notes = build_sequences(toggle, [one, two], toggle_bounds)
+    assert notes == []
+    assert [seq.covered for seq in sequences] == [[1], [2]]
+    assert sequences[1].steps[0].state_used["m"] == Lit("A")
 
 
 def test_selected_representatives_are_reused(toggle, toggle_bounds, monkeypatch):
@@ -170,22 +182,26 @@ def test_recorded_traces_equal_a_replay(name, request):
     from devs_scc.campaign import Campaign, load_plan, replay_sequence, run_campaign
     from devs_scc.partitions import builtin_tables
 
-    fixture, plan, selections, unselectable = {
+    fixture, plan, selections = {
         "elevator worked plan": (
-            "elevator", load_plan(str(FIXTURES / "elevator.plan.json")), ELEVATOR_SELECTIONS, 0),
-        "soda all-pairs": ("soda", CombinationPlan(all_pairs=True), [
-            "cases", "extensional input", "extensional state:m",
-            "time chain:0,Tchg,Tret,Tincr", "standard >= dext:2,3"], 53),
+            "elevator", load_plan(str(FIXTURES / "elevator.plan.json")), ELEVATOR_SELECTIONS),
+        "soda all-pairs": ("soda", CombinationPlan(all_pairs=True), SODA_PAIRS_SELECTIONS),
         "toggle all-pairs": (
             "toggle", CombinationPlan(all_pairs=True),
-            ["cases", "extensional input", "extensional state:m"], 0),
+            ["cases", "extensional input", "extensional state:m"]),
     }[name]
     model = request.getfixturevalue(fixture)
     bounds = request.getfixturevalue(f"{fixture}_bounds")
     tables = request.getfixturevalue("elevator_tables") if fixture == "elevator" else builtin_tables()
     campaign = Campaign(model, bounds, tables, list(selections), plan=plan)
     sequences = run_campaign(campaign, stop_after="sequence").sequences
-    assert sum(1 for seq in sequences if not seq.steps[0].state_used) == unselectable
+    # combination decides on the joint predicate: every class is selectable
+    assert sum(1 for seq in sequences if not seq.steps[0].state_used) == 0
+    if fixture == "soda":
+        # keep an unselectable head's recorded finding under test
+        bad, _ = build_sequences(model, [soda_contradiction(1000)], bounds)
+        assert not bad[0].steps[0].state_used
+        sequences += bad
     for seq in sequences:
         replayed = replay_sequence(model, seq, bounds)
         assert [e.to_json() for e in seq.trace.events] == [e.to_json() for e in replayed.events]
@@ -193,3 +209,41 @@ def test_recorded_traces_equal_a_replay(name, request):
     assert sum(len(seq.trace.events) for seq in sequences) > 0
     if fixture != "toggle":
         assert any(seq.trace.findings for seq in sequences)
+
+
+@pytest.mark.parametrize("fixture", ["soda", "elevator"])
+def test_all_pairs_classes_are_inhabited_and_covered_from_inside(fixture, request):
+    """Every kept combination of an all-pairs catalog has a member within
+    bounds, and every step that covers a class is a member of it."""
+    from devs_scc.algebra import CombinationPlan
+    from devs_scc.bounds import joint_space
+    from devs_scc.campaign import Campaign, run_campaign
+    from devs_scc.partitions import builtin_tables
+    from devs_scc.sat import satisfiable
+
+    model = request.getfixturevalue(fixture)
+    bounds = request.getfixturevalue(f"{fixture}_bounds")
+    if fixture == "elevator":
+        tables, selections = request.getfixturevalue("elevator_tables"), ELEVATOR_SELECTIONS
+    else:
+        tables, selections = builtin_tables(), SODA_PAIRS_SELECTIONS
+    plan = CombinationPlan(all_pairs=True, budget=10_000)
+    result = run_campaign(Campaign(model, bounds, tables, list(selections), plan=plan),
+                          stop_after="sequence")
+    consts = const_env(bounds, model)
+
+    def is_member(scc, env):
+        return all(eval_pred(c, {**consts, **env}, model, bounds) for c in scc.member)
+
+    space = joint_space(model, bounds)
+    combos = [s for s in result.catalog if s.combined_from]
+    assert combos
+    for scc in combos:
+        verdict = satisfiable(conj(scc.member), space, bounds, model)
+        assert verdict.sat and is_member(scc, verdict.witness), scc.target
+    by_id = {s.id: s for s in result.catalog}
+    steps = [step for seq in result.sequences for step in seq.steps]
+    assert sorted(step.scc_id for step in steps) == sorted(by_id)
+    for step in steps:
+        env = {**step.state_used, "x": step.event, "t": step.time}
+        assert is_member(by_id[step.scc_id], env), step.scc_id
