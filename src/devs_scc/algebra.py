@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .bounds import Bounds, joint_space
 from .model import Model
-from .sat import satisfiable
+from .sat import member_form, satisfiable
 from .scc import SCC, make_scc
 from .syntax import conj
 
@@ -104,7 +104,8 @@ def combine_and_prune(
         combo = by_id[members[0]]
         for i in members[1:]:
             combo = intersect(combo, by_id[i])
-        verdict = satisfiable(conj(combo.member), space, bounds, model)
+        form = member_form(combo, model, bounds, [by_id[i] for i in members])
+        verdict = satisfiable(form, space, bounds, model)
         if verdict.status == "unsat":
             report.dropped += 1
             continue
@@ -120,5 +121,5 @@ def combine_and_prune(
     catalog = list(base)
     for combo in sorted(kept, key=lambda s: s.combined_from):
         next_id += 1
-        catalog.append(replace(combo, id=next_id))
+        catalog.append(combo.renumbered(next_id))
     return catalog, report

@@ -63,6 +63,10 @@ class CampaignError(Exception):
     pass
 
 
+# the comparison operators a standard selection's `ops:` may name
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+
+
 # ---------------------------------------------------------------------------
 # criterion selections
 
@@ -118,6 +122,10 @@ def apply_selection(
         for word in words[2:]:
             if word.startswith("ops:"):
                 ops = tuple(word[len("ops:"):].split(","))
+                if not set(ops) <= set(_COMPARISONS):
+                    raise CampaignError(
+                        f"bad operators {word!r}, want some of {' '.join(_COMPARISONS)}"
+                    )
                 continue
             if ":" not in word:
                 raise CampaignError(f"bad occurrence {word!r}, want fn:case,...")

@@ -4,7 +4,8 @@ A model owns its value universe (state schema, input and output sorts),
 the guarded case lists for the two transition functions and the output
 function, the time-advance expression, named symbolic constants and
 user-defined operators.  Instances are immutable after construction and
-safe to share across threads.
+safe to share across threads; the compiled forms a model keeps are derived
+from it and never change what it means.
 """
 
 from __future__ import annotations
@@ -69,12 +70,22 @@ class Model:
     ta: Expr
     constants: tuple[tuple[str, Sort], ...] = ()
     operators: tuple[OperatorDef, ...] = ()
+    # compiled forms of the model's operators, cases and predicates, built
+    # on first use by `keep`; a model made by `replace` starts without them
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def operator(self, name: str) -> OperatorDef:
         for op in self.operators:
             if op.name == name:
                 return op
         raise KeyError(name)
+
+    def keep(self, key, build):
+        """`build()`, made on first use and kept on the model under `key`."""
+        code = self.compiled.get(key)
+        if code is None:
+            code = self.compiled[key] = build()
+        return code
 
 
 @dataclass

@@ -1,10 +1,20 @@
 """Bounded satisfiability and witness search.
 
-One depth-first generator enumerates the witnesses of a predicate over
-the declared variable order with each variable's grid ascending, so the
+One depth-first search enumerates the witnesses of a predicate over the
+declared variable order with each variable's grid ascending, so the
 first witness found is the lexicographically least satisfying
 assignment — reproducible across runs and platforms.  `satisfiable` is
-its first result and `iter_witnesses` drains it.
+its first result and `iter_witnesses` drains it.  The search is one loop
+over an explicit stack of grid positions, one per variable, rather than
+one generator frame per variable.
+
+A predicate is searched in its prepared form, a `Conjunction`: its
+normal form's conjuncts in canonical order, each with its text, its free
+variables and a closure compiled by `evaluator.compile_pred`.  A search
+accepts a predicate and prepares it, or a form prepared before: a class
+keeps its member form (`member_form`) and a model its executability
+form, so the searches of one campaign prepare each once, and forms
+combine by `&` without re-normalizing.
 
 Conjuncts are checked as soon as all their variables are bound.  Those
 that mention a single search variable (unary conjuncts) depend only on
@@ -36,16 +46,18 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .bounds import Bounds, const_env, var_grid
-from .evaluator import eval_pred
+from .evaluator import compile_pred
 from .model import Model
+from .scc import SCC
 from .syntax import (
+    BoolConst,
     Exists,
-    FALSE,
     Predicate,
     conj,
     conjuncts,
     normalize,
     pred_vars,
+    render_pred,
 )
 from .values import EvalError, Sort, Value
 
@@ -54,10 +66,6 @@ Space = list[tuple[str, list[Value]]]
 
 class BudgetExhausted(Exception):
     pass
-
-
-class _Empty(Exception):
-    """Some variable has no grid value satisfying its unary conjuncts."""
 
 
 @dataclass
@@ -77,14 +85,80 @@ class _Budget:
     limit: int
     used: int = 0
 
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise BudgetExhausted()
+
+class Conjunct:
+    """One conjunct of a normalized predicate, prepared for search: its
+    canonical text, its free variables and its compiled test."""
+
+    __slots__ = ("pred", "text", "vars", "test")
+
+    def __init__(self, pred: Predicate, model: Model | None, bounds: Bounds | None):
+        self.pred = pred
+        self.text = render_pred(pred)
+        self.vars = tuple(pred_vars(pred))
+        self.test = compile_pred(pred, model, bounds)
+
+
+class Conjunction:
+    """A normalized conjunction prepared for search: its conjuncts in
+    canonical order (ascending text, no two alike), or false.  `a & b` is
+    the prepared form of the normalized conjunction of both."""
+
+    __slots__ = ("items", "false")
+
+    def __init__(self, items: tuple[Conjunct, ...] = (), false: bool = False):
+        self.items = items
+        self.false = false
+
+    def __and__(self, other: Conjunction) -> Conjunction:
+        if self.false or not (other.items or other.false):
+            return self
+        if other.false or not self.items:
+            return other
+        return _ordered(self.items + other.items)
+
+
+def _ordered(items) -> Conjunction:
+    by_text: dict[str, Conjunct] = {}
+    for c in items:
+        by_text.setdefault(c.text, c)
+    return Conjunction(tuple(by_text[t] for t in sorted(by_text)))
+
+
+def prepare(pred: Predicate, model: Model | None = None, bounds: Bounds | None = None) -> Conjunction:
+    """The prepared form of `pred`."""
+    return prepare_conjuncts(conjuncts(normalize(pred)), model, bounds)
+
+
+def prepare_conjuncts(
+    preds: Sequence[Predicate], model: Model | None = None, bounds: Bounds | None = None
+) -> Conjunction:
+    """The prepared form of the conjunction of `preds`, each already in
+    normal form."""
+    if any(isinstance(p, BoolConst) and not p.value for p in preds):
+        return Conjunction(false=True)
+    return _ordered(Conjunct(p, model, bounds) for p in preds)
+
+
+def member_form(
+    scc: SCC, model: Model, bounds: Bounds, operands: Sequence[SCC] = ()
+) -> Conjunction:
+    """`scc.member` prepared for search, made once for this model and
+    bounds and kept on the class.  For a class made by intersecting
+    `operands`, it is the conjunction of their forms, so no conjunct is
+    prepared again."""
+    def build() -> Conjunction:
+        if not operands:
+            return prepare_conjuncts(scc.member, model, bounds)
+        form = member_form(operands[0], model, bounds)
+        for other in operands[1:]:
+            form = form & member_form(other, model, bounds)
+        return form
+    return scc.keep("member", model, bounds, build)
 
 
 def satisfiable(
-    pred: Predicate,
+    pred: Predicate | Conjunction,
     space: Space,
     bounds: Bounds,
     model: Model | None = None,
@@ -97,11 +171,13 @@ def satisfiable(
     """Least witness over `space`, or unsat-within-bounds, or unknown when
     the attempt budget runs out.
 
-    `lo` and `hi` bound the search to grid positions from `lo` to `hi`
-    (inclusive, one position per variable, lexicographic order); `limit`
-    replaces the budget of `bounds.max_attempts`."""
+    `pred` is a predicate or its prepared form; `lo` and `hi` bound the
+    search to grid positions from `lo` to `hi` (inclusive, one position
+    per variable, lexicographic order); `limit` replaces the budget of
+    `bounds.max_attempts`."""
     budget = _Budget(bounds.max_attempts if limit is None else limit)
-    search = _witnesses(pred, space, bounds, model, base_env, budget, lo, hi)
+    search = _witnesses(_form(pred, model, bounds), space,
+                        _env(bounds, model, base_env), budget, lo, hi)
     try:
         found = next(search, None)
     except BudgetExhausted:
@@ -113,7 +189,7 @@ def satisfiable(
 
 
 def iter_witnesses(
-    pred: Predicate,
+    pred: Predicate | Conjunction,
     space: Space,
     bounds: Bounds,
     model: Model | None = None,
@@ -122,82 +198,130 @@ def iter_witnesses(
 ):
     """All witnesses in lexicographic order, stopping quietly once `limit`
     attempts are spent."""
+    search = _witnesses(_form(pred, model, bounds), space,
+                        _env(bounds, model, base_env), _Budget(limit))
     try:
-        for _, witness in _witnesses(pred, space, bounds, model, base_env, _Budget(limit)):
+        for _, witness in search:
             yield witness
     except BudgetExhausted:
         return
 
 
-def _witnesses(pred, space, bounds, model, base_env, budget, lo=None, hi=None):
-    """(grid positions, witness) pairs in lexicographic order, within the
-    positions `lo` to `hi` when given; raises BudgetExhausted when the
-    budget runs out first."""
+def _form(pred, model, bounds) -> Conjunction:
+    return pred if isinstance(pred, Conjunction) else prepare(pred, model, bounds)
+
+
+def _env(bounds, model, base_env) -> dict[str, Value]:
     env = dict(base_env) if base_env else {}
     if model is not None:
         env = {**const_env(bounds, model), **env}
-    norm = normalize(pred)
-    if norm == FALSE:
+    return env
+
+
+def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=None, hi=None):
+    """(grid positions, witness) pairs in lexicographic order, within the
+    positions `lo` to `hi` when given; raises BudgetExhausted when the
+    budget runs out first.  The attempts are counted in a local and are
+    in `budget.used` whenever the search yields, returns or raises."""
+    if form.false:
         return
     names = [n for n, _ in space]
-    order = {n: i for i, n in enumerate(names)}
-    pre: list[Predicate] = []
-    unary: list[list[Predicate]] = [[] for _ in names]
-    joint: list[list[Predicate]] = [[] for _ in names]
-    for c in conjuncts(norm):
-        touched = {order[v] for v in pred_vars(c) if v in order}
+    grids = [g for _, g in space]
+    depth_of = {n: d for d, n in enumerate(names)}
+    pre = []
+    unary: dict[int, list] = {}
+    joint: dict[int, list] = {}
+    for c in form.items:
+        touched = [depth_of[v] for v in c.vars if v in depth_of]
         if not touched:
-            pre.append(c)
+            pre.append(c.test)
         elif len(touched) == 1:
-            unary[touched.pop()].append(c)
+            unary.setdefault(touched[0], []).append(c.test)
         else:
-            joint[max(touched)].append(c)
-    for c in pre:
-        budget.spend()
-        if not _holds(c, env, model, bounds):
+            joint.setdefault(max(touched), []).append(c.test)
+    used, limit = budget.used, budget.limit
+    for test in pre:
+        used += 1
+        if used > limit:
+            budget.used = used
+            raise BudgetExhausted()
+        if not _all_of((test,))(env):
+            budget.used = used
             return
-    # per depth: None without unary conjuncts, else each grid index's
-    # unary verdict once evaluated; and how many indices have failed
-    known = [[None] * len(g) if unary[d] else None for d, (_, g) in enumerate(space)]
-    failed = [0] * len(names)
-    path = [0] * len(names)
-
-    def dfs(depth: int, lo_tight: bool, hi_tight: bool):
-        if depth == len(space):
-            yield tuple(path), {n: env[n] for n in names}
-            return
-        name, grid = space[depth]
-        memo = known[depth]
-        first = lo[depth] if lo_tight else 0
-        last = hi[depth] if hi_tight else len(grid) - 1
-        for i in range(first, last + 1):
-            if memo is not None and memo[i] is False:
-                continue
-            budget.spend()
-            env[name] = grid[i]
-            if memo is not None and memo[i] is None:
-                memo[i] = all(_holds(c, env, model, bounds) for c in unary[depth])
-                if not memo[i]:
-                    failed[depth] += 1
-                    if failed[depth] == len(grid):
-                        raise _Empty()
-                    continue
-            if all(_holds(c, env, model, bounds) for c in joint[depth]):
-                path[depth] = i
-                yield from dfs(depth + 1, lo_tight and i == first, hi_tight and i == last)
-        env.pop(name, None)
-
-    try:
-        yield from dfs(0, lo is not None, hi is not None)
-    except _Empty:
+    n = len(names)
+    if n == 0:
+        budget.used = used
+        yield (), {}
         return
+    # per depth: the test of its unary and of its other conjuncts, None
+    # without any; for unary conjuncts, each grid index's verdict once
+    # evaluated, and how many indices have failed
+    unary_test, joint_test, known = [None] * n, [None] * n, [None] * n
+    for d, tests in unary.items():
+        unary_test[d] = _all_of(tests)
+        known[d] = [None] * len(grids[d])
+    for d, tests in joint.items():
+        joint_test[d] = _all_of(tests)
+    failed = [0] * n
+    # the stack: per depth the next grid index to try, the last one in
+    # range, and whether the positions above it equal the prefix of lo / hi
+    pos, end = [0] * n, [0] * n
+    lo_tight, hi_tight = [False] * n, [False] * n
+    lo_tight[0], hi_tight[0] = lo is not None, hi is not None
+    pos[0] = lo[0] if lo is not None else 0
+    end[0] = hi[0] if hi is not None else len(grids[0]) - 1
+    last, d = n - 1, 0
+    while True:
+        i = pos[d]
+        if i > end[d]:
+            if d == 0:
+                break
+            d -= 1
+            continue
+        pos[d] = i + 1
+        memo = known[d]
+        if memo is not None and memo[i] is False:
+            continue
+        used += 1
+        if used > limit:
+            budget.used = used
+            raise BudgetExhausted()
+        env[names[d]] = grids[d][i]
+        if memo is not None and memo[i] is None:
+            memo[i] = unary_test[d](env)
+            if not memo[i]:
+                failed[d] += 1
+                if failed[d] == len(grids[d]):
+                    break  # no value of this variable satisfies its unary conjuncts
+                continue
+        test = joint_test[d]
+        if test is not None and not test(env):
+            continue
+        if d == last:
+            budget.used = used
+            yield tuple(p - 1 for p in pos), {name: env[name] for name in names}
+            continue
+        down_lo = lo_tight[d] and i == lo[d]
+        down_hi = hi_tight[d] and i == hi[d]
+        d += 1
+        lo_tight[d], hi_tight[d] = down_lo, down_hi
+        pos[d] = lo[d] if down_lo else 0
+        end[d] = hi[d] if down_hi else len(grids[d]) - 1
+    budget.used = used
 
 
-def _holds(pred, env, model, bounds) -> bool:
-    try:
-        return eval_pred(pred, env, model, bounds)
-    except EvalError:
-        return False
+def _all_of(tests):
+    """One test for all of `tests`; a conjunct whose evaluation fails does
+    not hold."""
+    def all_hold(env):
+        try:
+            for test in tests:
+                if not test(env):
+                    return False
+            return True
+        except EvalError:
+            return False
+    return all_hold
 
 
 # ---------------------------------------------------------------------------

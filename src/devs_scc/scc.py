@@ -14,7 +14,7 @@ decide on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .syntax import Predicate, conjuncts, normalize, render_pred
 
@@ -28,6 +28,9 @@ class SCC:
     target: str
     combined_from: tuple[int, ...] = ()
     joint: Predicate | None = None
+    # forms derived from the predicates for one model and bounds (compiled
+    # tests, prepared search forms), made by `keep`
+    prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def key(self) -> tuple[str, str]:
         return (render_pred(self.init_states), render_pred(self.input_pairs))
@@ -41,6 +44,20 @@ class SCC:
 
     def ancestry(self) -> tuple[int, ...]:
         return self.combined_from if self.combined_from else (self.id,)
+
+    def keep(self, key: str, model, bounds, build):
+        """`build()` for this model and bounds, made once and kept on the
+        class under `key`."""
+        entry = self.prepared.get(key)
+        if entry is None or entry[0] is not model or entry[1] is not bounds:
+            entry = self.prepared[key] = (model, bounds, build())
+        return entry[2]
+
+    def renumbered(self, id: int) -> SCC:
+        """This class under another id, with the forms it keeps."""
+        out = replace(self, id=id)
+        out.prepared.update(self.prepared)
+        return out
 
 
 def make_scc(

@@ -28,9 +28,9 @@ from math import prod
 from .bounds import Bounds, const_env, digits_index, index_digits, joint_space
 from .evaluator import eval_pred
 from .model import Model
-from .sat import SatResult, satisfiable
+from .sat import Conjunction, SatResult, member_form, prepare_conjuncts, satisfiable
 from .scc import SCC
-from .syntax import Cmp, MinOp, Predicate, Ref, conj, conjuncts, normalize
+from .syntax import Cmp, MinOp, Predicate, Ref
 from .values import Value, render_value
 
 
@@ -55,6 +55,11 @@ def executability(model: Model) -> list[Predicate]:
     return [Cmp("<=", Ref("t"), ta)]
 
 
+def _executable(model: Model) -> Conjunction:
+    """`executability(model)` prepared for search, kept on the model."""
+    return model.keep("executability", lambda: prepare_conjuncts(executability(model), model))
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     scc_id: int
@@ -73,11 +78,11 @@ class SimulationConfig:
 def select_config(scc: SCC, model: Model, bounds: Bounds) -> SimulationConfig:
     """Least executable member of a class, else its least member,
     re-checked by evaluation."""
-    member = scc.member
+    member = member_form(scc, model, bounds)
     space = joint_space(model, bounds)
-    verdict = satisfiable(conj(member + executability(model)), space, bounds, model)
+    verdict = satisfiable(member & _executable(model), space, bounds, model)
     if verdict.status != "sat":
-        verdict = satisfiable(conj(member), space, bounds, model)
+        verdict = satisfiable(member, space, bounds, model)
     _require_sat(verdict, scc)
     config = _config(scc, verdict.witness, model)
     _check_membership(config, scc, model, bounds)
@@ -138,7 +143,7 @@ def sample_configs(
     if total == 0 or k <= 0:
         return []
     # only members the simulator can actually run
-    pred = normalize(conj(executability(model) + scc.member))
+    form = _executable(model) & member_form(scc, model, bounds)
     strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
 
     found: dict[str, SimulationConfig] = {}
@@ -150,10 +155,10 @@ def sample_configs(
         start = digits_index(lo, sizes)
         end = min(total, start + scan_cap - scanned)
         verdict = satisfiable(
-            pred, space, bounds, model,
+            form, space, bounds, model,
             lo=lo,
             hi=index_digits(end - 1, sizes),
-            limit=len(space) * (end - start) + len(conjuncts(pred)),
+            limit=len(space) * (end - start) + len(form.items),
         )
         if not verdict.sat:
             scanned += end - start

@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bounds import Bounds, const_env, pair_space
-from .evaluator import eval_pred
+from .evaluator import compile_pred
 from .model import Model
-from .sat import satisfiable
+from .sat import member_form, prepare_conjuncts, satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, select_config
 from .simulator import SimError, SimState, Trace, UndefinedTransition, advance, init, time_advance
-from .syntax import Cmp, Const, Ref, conj
+from .syntax import Cmp, Const, Ref
 from .values import EvalError, Inf, Num, TAU, Value, render_value
 
 
@@ -132,8 +132,11 @@ def _next_reachable(remaining, sim, consts, model, bounds):
     pair executable from it."""
     env = {**consts, **sim.state}
     for scc in remaining:
+        in_state_set = scc.keep(
+            "init_states", model, bounds, lambda: compile_pred(scc.init_states, model, bounds)
+        )
         try:
-            if not eval_pred(scc.init_states, env, model, bounds):
+            if not in_state_set(env):
                 continue
         except EvalError:
             continue
@@ -149,14 +152,12 @@ def _pick_pair(scc: SCC, sim: SimState, consts, model, bounds):
     advance, and the no-event marker needs a finite one."""
     ta = time_advance(model, sim, consts)
     space = pair_space(model, bounds)
+    form = member_form(scc, model, bounds)
     if isinstance(ta, Inf):
         space = [("x", [v for v in space[0][1] if v != TAU]), space[1]]
-        bound = []
     else:
-        bound = [Cmp("<=", Ref("t"), Const(ta))]
-    verdict = satisfiable(
-        conj(scc.member + bound), space, bounds, model, base_env={**consts, **sim.state}
-    )
+        form = form & prepare_conjuncts([Cmp("<=", Ref("t"), Const(ta))])
+    verdict = satisfiable(form, space, bounds, model, base_env={**consts, **sim.state})
     if verdict.status != "sat":
         return None
     w = verdict.witness

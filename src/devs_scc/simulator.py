@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import Bounds, const_env
-from .evaluator import eval_expr, select_case
+from .evaluator import compile_expr, compile_pred
 from .model import Model
 from .scc import SCC
 from .selector import SimulationConfig, sample_configs
-from .syntax import TupleExpr
 from .values import (
     EvalError,
     Inf,
@@ -110,7 +109,8 @@ def init(model: Model, s0: dict[str, Value]) -> SimState:
 
 
 def time_advance(model: Model, st: SimState, consts: dict[str, Value]) -> Value:
-    v = eval_expr(model.ta, {**consts, **st.state}, model)
+    ta = model.keep("ta", lambda: compile_expr(model.ta, model))
+    v = ta({**consts, **st.state})
     if isinstance(v, Inf):
         return v
     if isinstance(v, Num) and v.value >= 0:
@@ -132,19 +132,19 @@ def step(
             raise SimError("passive state, no internal transition")
         deadline = st.last + ta.value
         env = {**consts, **st.state}
-        out_case = select_case(model.output_fn, env, model)
-        if out_case is None:
+        fired = _first_case(model, "lambda", env)
+        if fired is None:
             raise UndefinedTransition("lambda", _state_str(st.state))
-        output = eval_expr(out_case.result, env, model)
-        int_case = select_case(model.delta_int, env, model)
-        if int_case is None:
+        output = fired[1](env)
+        fired = _first_case(model, "dint", env)
+        if fired is None:
             raise UndefinedTransition("dint", _state_str(st.state))
-        new_state = _apply_result(model, int_case.result, env)
+        new_state = _apply_result(model, fired[1], env)
         nxt = SimState(new_state, deadline, deadline)
         event = TraceEvent(
             at=Num(deadline),
             kind="internal",
-            fired=("dint", int_case.id),
+            fired=("dint", fired[0].id),
             state_after=dict(new_state),
             output=output,
         )
@@ -160,17 +160,17 @@ def step(
             raise SimError("event after internal deadline")
         tie = e == ta.value
     env = {**consts, **st.state, "e": Num(e), "x": x}
-    ext_case = select_case(model.delta_ext, env, model)
-    if ext_case is None:
+    fired = _first_case(model, "dext", env)
+    if fired is None:
         raise UndefinedTransition(
             "dext", f"{_state_str(st.state)}, x={render_value(x)}, e={e}"
         )
-    new_state = _apply_result(model, ext_case.result, env)
+    new_state = _apply_result(model, fired[1], env)
     nxt = SimState(new_state, at_time, at_time)
     event = TraceEvent(
         at=Num(at_time),
         kind="external",
-        fired=("dext", ext_case.id),
+        fired=("dext", fired[0].id),
         state_after=dict(new_state),
         input=x,
         tie=tie,
@@ -193,21 +193,35 @@ def advance(
     return nxt, ev
 
 
+def _first_case(model: Model, function: str, env):
+    """The first case of a transition or output function whose guard
+    holds, with its compiled result; None when none holds.  The compiled
+    guards and results are kept on the model."""
+    def build():
+        cases = {"dext": model.delta_ext, "dint": model.delta_int, "lambda": model.output_fn}
+        return [
+            (case, None if case.is_otherwise else compile_pred(case.guard, model),
+             compile_expr(case.result, model))
+            for case in cases[function]
+        ]
+    for case, guard, result in model.keep(("cases", function), build):
+        if guard is None or guard(env):
+            return case, result
+    return None
+
+
 def _apply_result(model: Model, result, env) -> dict[str, Value]:
-    names = model.schema.names()
-    if len(names) == 1:
-        value = eval_expr(result, env, model)
-        return {names[0]: coerce(value, model.schema.vars[0][1], names[0])}
-    if isinstance(result, TupleExpr) and len(result.items) == len(names):
-        parts = [eval_expr(item, env, model) for item in result.items]
-    else:
-        whole = eval_expr(result, env, model)
-        if not isinstance(whole, Tup) or len(whole.items) != len(names):
-            raise EvalError("transition result does not match the state schema")
-        parts = list(whole.items)
+    """The next state from a case's compiled result: the value itself for
+    a one-variable schema, else a tuple with one item per variable."""
+    value = result(env)
+    if len(model.schema.vars) == 1:
+        name, sort = model.schema.vars[0]
+        return {name: coerce(value, sort, name)}
+    if not isinstance(value, Tup) or len(value.items) != len(model.schema.vars):
+        raise EvalError("transition result does not match the state schema")
     return {
         name: coerce(part, sort, name)
-        for (name, sort), part in zip(model.schema.vars, parts)
+        for (name, sort), part in zip(model.schema.vars, value.items)
     }
 
 

@@ -249,6 +249,10 @@ def expr_nodes(e: Expr) -> Iterator[Expr]:
 
 
 def expr_vars(e: Expr) -> set[str]:
+    if isinstance(e, Ref):
+        return {e.name}
+    if isinstance(e, (Const, ConstRef)):
+        return set()
     return {n.name for n in expr_nodes(e) if isinstance(n, Ref)}
 
 

@@ -465,6 +465,9 @@ def _fixture_args(name):
     ("toggle", "intentional input x in {foo}", "foo is not a literal of enum {go}"),
     ("toggle", "time chain:0,NOPE", "unbound variable NOPE"),
     ("soda", "standard >= dext:x", "bad case id 'x' in 'dext:x'"),
+    ("soda", "standard >= dext:2 ops:~", "bad operators 'ops:~', want some of = != < <= > >="),
+    ("soda", "standard >= dext:2 ops:", "bad operators 'ops:', want some of = != < <= > >="),
+    ("soda", "standard >= dext:2 ops:>=,", "bad operators 'ops:>=,'"),
     ("elevator", "intentional state " + " /\\ ".join(["(f = 0 \\/ f = 1)"] * 13),
      "DNF clause cap 4096 exceeded"),
     ("toggle", "extensional state:zz", "no state variable named zz"),

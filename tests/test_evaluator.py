@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -186,3 +188,141 @@ def test_first_matching_guard_wins(soda, soda_bounds):
             assert chosen is not None and chosen.id == scan[0].id
         else:
             assert chosen is None
+
+
+# ---------------------------------------------------------------------------
+# compiled closures against the tree-walking oracle
+
+from hypothesis import given, strategies as st
+
+from devs_scc.evaluator import compile_expr, compile_pred
+from devs_scc.syntax import (
+    FALSE, TRUE, And, BinOp, Cmp, ConstRef, Implies, InBase, MinOp, Neg, Not, Or, Proj,
+    TupleExpr,
+)
+
+_scalars = st.one_of(
+    st.builds(lambda n, d: Num(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 3)),
+    st.just(INF),
+    st.sampled_from([Lit("A"), Lit("B")]),
+)
+_values = st.recursive(
+    _scalars, lambda inner: st.builds(lambda xs: Tup(tuple(xs)), st.lists(inner, min_size=2, max_size=3)),
+    max_leaves=4,
+)
+# "a" and "b" may be bound, "u" never is
+_names = st.sampled_from(["a", "b", "u"])
+_exprs = st.recursive(
+    st.one_of(st.builds(Const, _values), st.builds(Ref, _names), st.builds(ConstRef, _names)),
+    lambda inner: st.one_of(
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "div"]), inner, inner),
+        st.builds(Neg, inner),
+        st.builds(lambda xs: MinOp(tuple(xs)), st.lists(inner, min_size=1, max_size=3)),
+        st.builds(lambda xs: TupleExpr(tuple(xs)), st.lists(inner, min_size=2, max_size=3)),
+        st.builds(Proj, inner, st.integers(0, 3)),
+        st.builds(lambda xs: Apply("op", tuple(xs)), st.lists(inner, max_size=2)),
+    ),
+    max_leaves=6,
+)
+_atoms = st.one_of(
+    st.builds(Cmp, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), _exprs, _exprs),
+    st.builds(
+        lambda e, lits: InSet(e, tuple(lits)), _exprs,
+        st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=2),
+    ),
+    st.builds(InBase, _exprs),
+    st.sampled_from([TRUE, FALSE]),
+)
+_preds = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.builds(lambda xs: And(tuple(xs)), st.lists(inner, min_size=2, max_size=3)),
+        st.builds(lambda xs: Or(tuple(xs)), st.lists(inner, min_size=2, max_size=3)),
+        st.builds(Not, inner),
+        st.builds(Implies, inner, inner),
+    ),
+    max_leaves=8,
+)
+_envs = st.dictionaries(st.sampled_from(["a", "b"]), _values)
+
+
+def _outcome(run):
+    """The value computed, or the message of the EvalError raised."""
+    try:
+        return "value", run()
+    except EvalError as err:
+        return "error", str(err)
+
+
+@given(_preds, _envs)
+def test_compiled_predicates_agree_with_the_oracle(pred, env):
+    oracle = _outcome(lambda: eval_pred(pred, env))
+    compiled = _outcome(lambda: compile_pred(pred)(env))
+    assert compiled == oracle
+    assert type(compiled[1]) is type(oracle[1])
+
+
+@given(_exprs, _envs)
+def test_compiled_expressions_agree_with_the_oracle(expr, env):
+    assert _outcome(lambda: compile_expr(expr)(env)) == _outcome(lambda: eval_expr(expr, env))
+
+
+def test_compiled_ntsel_agrees_with_the_oracle(elevator, elevator_bounds):
+    from devs_scc.bounds import time_points
+
+    times = [*time_points(elevator_bounds), INF]
+    calls = [
+        Apply("ntsel", tuple(Const(t) for t in timers))
+        for timers in itertools.product(times[::3] + [times[1]], repeat=5)
+    ]
+    assert len(calls) == 5 ** 5
+    for call in calls:
+        want = _outcome(lambda: eval_expr(call, {}, elevator))
+        assert _outcome(lambda: compile_expr(call, elevator)({})) == want
+
+
+@pytest.mark.parametrize("name", ["elevator", "soda", "toggle"])
+def test_compiled_cases_agree_with_the_oracle(name, request):
+    """Every guard, result and the time advance of a fixture, on random
+    configurations within bounds."""
+    import random
+
+    from devs_scc.bounds import const_env, joint_space
+
+    model = request.getfixturevalue(name)
+    bounds = request.getfixturevalue(f"{name}_bounds")
+    cases = model.delta_ext + model.delta_int + model.output_fn
+    guards = [(c.guard, compile_pred(c.guard, model)) for c in cases]
+    exprs = [(e, compile_expr(e, model)) for e in [c.result for c in cases] + [model.ta]]
+    space = joint_space(model, bounds)
+    rng = random.Random(7)
+    for _ in range(40):
+        env = {**const_env(bounds, model), **{n: rng.choice(g) for n, g in space}}
+        env["e"] = env["t"]
+        for guard, compiled in guards:
+            assert _outcome(lambda: compiled(env)) == _outcome(lambda: eval_pred(guard, env, model))
+        for expr, compiled in exprs:
+            assert _outcome(lambda: compiled(env)) == _outcome(lambda: eval_expr(expr, env, model))
+
+
+def test_runaway_operator_expansion_is_an_evaluation_error():
+    from devs_scc.model import GuardedCase, Model, OperatorDef, StateSchema
+    from devs_scc.values import NAT
+
+    step = BinOp("+", Ref("n"), Const(num(1)))
+    loop = OperatorDef(
+        "loop", (("n", NAT),), NAT,
+        (GuardedCase(1, TRUE, Apply("loop", (step,)), is_otherwise=True),),
+    )
+    model = Model(
+        "runaway", StateSchema((("m", NAT),)), NAT, NAT, (), (), (), Const(INF),
+        operators=(loop,),
+    )
+    call = Apply("loop", (Const(num(0)),))
+    message = "operator expansion too deep (recursive definition?)"
+    with pytest.raises(EvalError, match=re.escape(message)):
+        eval_expr(call, {}, model)
+    with pytest.raises(EvalError, match=re.escape(message)):
+        compile_expr(call, model)({})
+    with pytest.raises(EvalError, match=re.escape(message)):
+        compile_pred(Cmp("=", call, Const(num(0))), model)({})

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from devs_scc.bounds import Bounds, index_digits, var_grid
 from devs_scc.evaluator import eval_pred
-from devs_scc.sat import iter_witnesses, project_exists, satisfiable
+from devs_scc.sat import iter_witnesses, prepare, project_exists, satisfiable
 from devs_scc.syntax import (
     And, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, pred_vars,
     render_pred,
@@ -352,3 +352,141 @@ def test_window_bounds_are_inclusive():
     first = satisfiable(p, space, b, lo=[3, 1], hi=[9, 1])
     assert first.sat and first.index == (3, 1)
     assert satisfiable(p, space, b, lo=[4, 0], hi=[9, 1]).status == "unsat"
+
+
+# ---------------------------------------------------------------------------
+# the iterative kernel against the recursive one it replaced
+
+
+class _Exhausted(Exception):
+    pass
+
+
+class _NoValue(Exception):
+    pass
+
+
+def recursive_witnesses(pred, space, budget, lo=None, hi=None):
+    """The recursive depth-first kernel: one generator frame per variable,
+    conjuncts decided by `eval_pred` after re-normalizing the predicate,
+    with the same lazy unary memo, window tightness and attempt charge.
+    `budget` is a two-item list [attempts used, limit]; an attempt past the
+    limit is counted, then raises _Exhausted.  Yields (grid positions,
+    witness)."""
+    norm = normalize(pred)
+    if norm == FALSE:
+        return
+    names = [n for n, _ in space]
+    order = {n: i for i, n in enumerate(names)}
+    pre, unary, joint = [], [[] for _ in names], [[] for _ in names]
+    for c in conjuncts(norm):
+        touched = {order[v] for v in pred_vars(c) if v in order}
+        if not touched:
+            pre.append(c)
+        elif len(touched) == 1:
+            unary[touched.pop()].append(c)
+        else:
+            joint[max(touched)].append(c)
+    env = {}
+
+    def spend():
+        budget[0] += 1
+        if budget[0] > budget[1]:
+            raise _Exhausted()
+
+    def holds(c):
+        try:
+            return eval_pred(c, env)
+        except EvalError:
+            return False
+
+    for c in pre:
+        spend()
+        if not holds(c):
+            return
+    known = [[None] * len(g) if unary[d] else None for d, (_, g) in enumerate(space)]
+    failed = [0] * len(names)
+    path = [0] * len(names)
+
+    def dfs(depth, lo_tight, hi_tight):
+        if depth == len(space):
+            yield tuple(path), {n: env[n] for n in names}
+            return
+        name, grid = space[depth]
+        memo = known[depth]
+        first = lo[depth] if lo_tight else 0
+        last = hi[depth] if hi_tight else len(grid) - 1
+        for i in range(first, last + 1):
+            if memo is not None and memo[i] is False:
+                continue
+            spend()
+            env[name] = grid[i]
+            if memo is not None and memo[i] is None:
+                memo[i] = all(holds(c) for c in unary[depth])
+                if not memo[i]:
+                    failed[depth] += 1
+                    if failed[depth] == len(grid):
+                        raise _NoValue()
+                    continue
+            if all(holds(c) for c in joint[depth]):
+                path[depth] = i
+                yield from dfs(depth + 1, lo_tight and i == first, hi_tight and i == last)
+        env.pop(name, None)
+
+    try:
+        yield from dfs(0, lo is not None, hi is not None)
+    except _NoValue:
+        return
+
+
+def recursive_search(pred, space, limit, lo=None, hi=None):
+    """(status, attempts, index, witness) of the recursive kernel."""
+    budget = [0, limit]
+    try:
+        found = next(recursive_witnesses(pred, space, budget, lo, hi), None)
+    except _Exhausted:
+        return "unknown", budget[0], None, None
+    if found is None:
+        return "unsat", budget[0], None, None
+    return "sat", budget[0], *found
+
+
+def recursive_drain(pred, space, limit):
+    out, budget = [], [0, limit]
+    try:
+        for _, witness in recursive_witnesses(pred, space, budget):
+            out.append(witness)
+    except _Exhausted:
+        pass
+    return out
+
+
+@given(problems(), st.data(), st.integers(0, 8))
+def test_kernel_matches_the_recursive_kernel(problem, data, budget):
+    space, pred = problem
+    sizes = [len(g) for _, g in space]
+    lo = hi = None
+    if data.draw(st.booleans(), label="windowed"):
+        first, last = sorted(
+            data.draw(st.integers(0, prod(sizes) - 1), label=f"index {i}") for i in range(2)
+        )
+        lo, hi = index_digits(first, sizes), index_digits(last, sizes)
+    verdict = satisfiable(pred, space, Bounds(max_attempts=budget), lo=lo, hi=hi)
+    assert (verdict.status, verdict.attempts, verdict.index, verdict.witness) == (
+        recursive_search(pred, space, budget, lo, hi)
+    )
+    assert list(iter_witnesses(pred, space, Bounds(), limit=budget)) == (
+        recursive_drain(pred, space, budget)
+    )
+
+
+@given(problems(), problems(), st.booleans())
+def test_conjoined_forms_are_the_form_of_the_conjunction(first, second, contradict):
+    p, q = first[1], second[1]
+    if contradict:
+        q = conj([q, FALSE])
+    both = prepare(p) & prepare(q)
+    norm = normalize(And((p, q)))
+    assert both.false == (norm == FALSE)
+    expected = [] if both.false else [render_pred(c) for c in conjuncts(norm)]
+    assert [c.text for c in both.items] == expected
