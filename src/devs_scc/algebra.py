@@ -32,6 +32,12 @@ class CombinationPlan:
     budget: int = 1000
 
     def __post_init__(self) -> None:
+        for name in ("max_arity", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.all_pairs, bool):
+            raise ValueError(f"all_pairs must be true or false, not {self.all_pairs!r}")
         if self.max_arity < 2:
             raise ValueError("max_arity must be at least 2")
 
@@ -91,15 +97,16 @@ def combine_and_prune(
         if missing:
             report.notes.append(f"group {group}: unknown ids {missing}, skipped")
             continue
+        members = sorted(group)
+        key = tuple(members)
+        if key in seen:
+            report.notes.append(f"group {group}: repeated, skipped")
+            continue
         if report.attempted >= plan.budget:
             report.budget_exhausted = True
             report.notes.append("combination budget exhausted; partial result")
             break
         report.attempted += 1
-        members = sorted(group)
-        key = tuple(members)
-        if key in seen:
-            continue
         seen.add(key)
         combo = by_id[members[0]]
         for i in members[1:]:

@@ -209,17 +209,33 @@ def _plain_cells(table: StandardPartition) -> bool:
 # plans
 
 def load_plan(path: str) -> CombinationPlan:
-    return _load_json(path, lambda raw: CombinationPlan(
-        groups=tuple(tuple(g) for g in raw.get("groups", [])),
-        all_pairs=raw.get("allPairs", False),
-        max_arity=raw.get("maxArity", 2),
-        budget=raw.get("budget", 1000),
-    ))
+    def build(raw) -> CombinationPlan:
+        raw = _shaped(raw, dict, "a plan")
+        return CombinationPlan(
+            groups=tuple(tuple(_shaped(g, list, "a group"))
+                         for g in _shaped(raw.get("groups", []), list, "groups")),
+            all_pairs=raw.get("allPairs", False),
+            max_arity=raw.get("maxArity", 2),
+            budget=raw.get("budget", 1000),
+        )
+    return _load_json(path, build)
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _shaped(value, kind: type, what: str):
+    """`value`, which must be a JSON `kind` (dict, list or str); a
+    ValueError naming `what` otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, not {_JSON_KINDS[type(value)]}")
+    return value
 
 
 def _load_json(path: str, build):
-    """`build` applied to the JSON in `path`; a malformed file is a
-    CampaignError."""
+    """`build` applied to the JSON in `path`; a malformed file, or one of
+    the wrong shape, is a CampaignError."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -464,32 +480,47 @@ def _report_csv(result: CampaignResult) -> str:
 # config / sequence files for the simulate command
 
 def load_config(path: str) -> SimulationConfig:
-    return _load_json(path, lambda raw: SimulationConfig(
-        scc_id=raw.get("scc", 0),
-        state={k: parse_value_text(v) for k, v in raw["state"].items()},
-        event=parse_value_text(raw["input"]["event"]),
-        time=parse_value_text(raw["input"]["time"]),
-    ))
+    def build(raw) -> SimulationConfig:
+        raw = _shaped(raw, dict, "a config")
+        event, time = _pair(raw["input"])
+        return SimulationConfig(raw.get("scc", 0), _state(raw["state"]), event, time)
+    return _load_json(path, build)
 
 
 def load_sequences(path: str) -> list[SimulationSequence]:
     return _load_json(path, _sequences)
 
 
-def _sequences(raw: dict) -> list[SimulationSequence]:
+def _sequences(raw) -> list[SimulationSequence]:
     out = []
-    for rec in raw["sequences"]:
-        seq = SimulationSequence(covered=list(rec["covered"]))
-        for s in rec["steps"]:
+    for rec in _shaped(_shaped(raw, dict, "a sequence file")["sequences"], list, "sequences"):
+        rec = _shaped(rec, dict, "a sequence")
+        seq = SimulationSequence(covered=list(_shaped(rec["covered"], list, "covered")))
+        for s in _shaped(rec["steps"], list, "steps"):
+            s = _shaped(s, dict, "a step")
+            event, time = _pair(s["input"])
             seq.steps.append(SeqStep(
                 scc_id=s["scc"],
-                state_used={k: parse_value_text(v) for k, v in s["state"].items()},
-                event=parse_value_text(s["input"]["event"]),
-                time=parse_value_text(s["input"]["time"]),
+                state_used=_state(s["state"]),
+                event=event,
+                time=time,
                 error=s.get("error"),
             ))
         out.append(seq)
     return out
+
+
+def _state(raw) -> dict[str, Value]:
+    return {k: _value(v) for k, v in _shaped(raw, dict, "a state").items()}
+
+
+def _pair(raw) -> tuple[Value, Value]:
+    raw = _shaped(raw, dict, "an input")
+    return _value(raw["event"]), _value(raw["time"])
+
+
+def _value(text) -> Value:
+    return parse_value_text(_shaped(text, str, "a value"))
 
 
 def parse_value_text(text: str) -> Value:

@@ -18,7 +18,7 @@ from .bounds import Bounds, const_env, state_space, time_points
 from .evaluator import eval_expr
 from .model import GuardedCase, Model
 from .partitions import StandardPartition, instantiate
-from .sat import project_exists, satisfiable
+from .sat import prepare_conjuncts, project_exists, satisfiable
 from .scc import SCC, make_scc
 from .syntax import (
     And,
@@ -199,6 +199,7 @@ def standard_partition_criterion(
     sccs: list[SCC] = []
     dropped = 0
     unknown = 0
+    space = state_space(model, bounds)
     for occ in occurrences:
         cases = _function_cases(model, occ.function)
         case = next((c for c in cases if c.id == occ.case_id), None)
@@ -210,29 +211,30 @@ def standard_partition_criterion(
                 f"no comparison occurrence in {occ.function} case {occ.case_id}"
             )
             continue
+        if table.arity != 2:
+            raise CriterionError(
+                f"partition {table.name} has arity {table.arity}, "
+                "comparison occurrences are binary"
+            )
+        states, joint, pairs = _occurrence_context(model, occ.function, context, bounds)
         for atom in atoms:
-            if table.arity != 2:
-                raise CriterionError(
-                    f"partition {table.name} has arity {table.arity}, "
-                    "comparison occurrences are binary"
-                )
             cells = instantiate(table, [atom.left, atom.right])
             for cell_no, cell in enumerate(cells, start=1):
-                init, pairs, joint = _occurrence_class(
-                    model, occ.function, context, cell, bounds
-                )
-                verdict = satisfiable(init, state_space(model, bounds), bounds, model)
-                if verdict.status == "unsat":
-                    dropped += 1
-                    continue
-                if verdict.status == "unknown":
-                    unknown += 1
                 target = (
                     f"operator {atom.op} ({render_expr(atom.left)}, "
                     f"{render_expr(atom.right)}) at {occ.function} case "
                     f"{occ.case_id} cell {cell_no}"
                 )
-                sccs.append(make_scc(init, pairs, "standard", target, joint=joint))
+                scc = make_scc(conj(states + conjuncts(cell)), pairs, "standard", target,
+                               joint=conj(joint + conjuncts(cell)))
+                init = prepare_conjuncts(conjuncts(scc.init_states), model, bounds)
+                verdict = satisfiable(init, space, bounds, model)
+                if verdict.status == "unsat":
+                    dropped += 1
+                    continue
+                if verdict.status == "unknown":
+                    unknown += 1
+                sccs.append(scc)
     if dropped:
         notes.append(f"standard partition: {dropped} infeasible cells dropped")
     if unknown:
@@ -283,25 +285,16 @@ def _numeric_operands(model: Model, atom: Cmp) -> bool:
     return True
 
 
-def _occurrence_class(model, fn, context, cell, bounds):
+def _occurrence_context(model, fn, context, bounds):
+    """(state conjuncts, joint conjuncts, input pairs) that every cell at
+    an occurrence in a case of `fn` with guard context `context` adds to
+    the cell; a dext context constrains the states through its projection
+    onto the state variables."""
     if fn == "dext":
-        init = normalize(
-            conj(
-                conjuncts(cell)
-                + conjuncts(
-                    project_exists(
-                        context, [("e", TIME), ("x", model.input_sort)], bounds, model
-                    )
-                )
-            )
-        )
-        pairs = TRUE
-        joint = conj(conjuncts(_e_to_t(context)) + conjuncts(cell))
-    else:
-        init = normalize(conj(conjuncts(context) + conjuncts(cell)))
-        pairs = TAU_PAIR
-        joint = conj(conjuncts(init) + conjuncts(TAU_PAIR))
-    return init, pairs, joint
+        drop = [("e", TIME), ("x", model.input_sort)]
+        states = conjuncts(project_exists(context, drop, bounds, model))
+        return states, conjuncts(_e_to_t(context)), TRUE
+    return conjuncts(context), conjuncts(context) + conjuncts(TAU_PAIR), TAU_PAIR
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ class is solved by one search over the joint space.
 
 A configuration is only executable when its pair time fits inside the
 chosen state's time advance (the total-state constraint 0 <= e <= ta),
-so selection picks the least member satisfying that as well; if a class
-has none within bounds, the least bare member is returned and the
-simulator reports the failure, which is itself a finding worth seeing.
+so selection picks the least member of the class's `runnable_form`, the
+members satisfying that as well, which chaining also searches with the
+state fixed; if a class has none within bounds, the least bare member is
+returned and the simulator reports the failure, which is itself a
+finding worth seeing.
 
 For the uniformity probe a class can also yield several distinct
 witnesses, picked by deterministic stratified selection over the grid
@@ -55,9 +57,11 @@ def executability(model: Model) -> list[Predicate]:
     return [Cmp("<=", Ref("t"), ta)]
 
 
-def _executable(model: Model) -> Conjunction:
-    """`executability(model)` prepared for search, kept on the model."""
-    return model.keep("executability", lambda: prepare_conjuncts(executability(model), model))
+def runnable_form(scc: SCC, model: Model, bounds: Bounds) -> Conjunction:
+    """The member and executability forms conjoined, kept on the class."""
+    executable = model.keep(
+        "executability", lambda: prepare_conjuncts(executability(model), model))
+    return scc.keep("runnable", model, bounds, lambda: member_form(scc, model, bounds) & executable)
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,10 @@ class SimulationConfig:
 def select_config(scc: SCC, model: Model, bounds: Bounds) -> SimulationConfig:
     """Least executable member of a class, else its least member,
     re-checked by evaluation."""
-    member = member_form(scc, model, bounds)
     space = joint_space(model, bounds)
-    verdict = satisfiable(member & _executable(model), space, bounds, model)
+    verdict = satisfiable(runnable_form(scc, model, bounds), space, bounds, model)
     if verdict.status != "sat":
-        verdict = satisfiable(member, space, bounds, model)
+        verdict = satisfiable(member_form(scc, model, bounds), space, bounds, model)
     _require_sat(verdict, scc)
     config = _config(scc, verdict.witness, model)
     _check_membership(config, scc, model, bounds)
@@ -142,8 +145,7 @@ def sample_configs(
     total = prod(sizes)
     if total == 0 or k <= 0:
         return []
-    # only members the simulator can actually run
-    form = _executable(model) & member_form(scc, model, bounds)
+    form = runnable_form(scc, model, bounds)
     strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
 
     found: dict[str, SimulationConfig] = {}

@@ -6,10 +6,10 @@ fresh run.  The three nondeterministic choices of the sequencing
 algorithm are fixed for reproducibility: the next class is always the
 lowest remaining id, the first state and input pair come from the
 selector's least witness, and a chained input pair is the least pair
-that, with the current state, is a member of the class (`SCC.member`),
-so a class is covered only by a step inside it.  Every class is
-consumed exactly once, so the covered-id sets of the produced sequences
-partition the input catalog.
+that, with the current state, is in the class's `runnable_form` (the
+selector's search, with the state fixed), so a class is covered only by
+a runnable step inside it.  Every class is consumed exactly once, so the
+covered-id sets of the produced sequences partition the input catalog.
 Each step runs once: its trace event, or the finding of a failed step,
 is kept on the sequence.  A failing step ends its sequence with the
 failure recorded and the remaining classes continue in fresh sequences.
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import Bounds, const_env, pair_space
+from .bounds import Bounds, const_env, input_grid, time_points
 from .evaluator import compile_pred
 from .model import Model
-from .sat import member_form, prepare_conjuncts, satisfiable
+from .sat import satisfiable
 from .scc import SCC
-from .selector import SelectError, SimulationConfig, select_config
-from .simulator import SimError, SimState, Trace, UndefinedTransition, advance, init, time_advance
-from .syntax import Cmp, Const, Ref
+from .selector import SelectError, SimulationConfig, runnable_form, select_config
+from .simulator import SimError, Trace, UndefinedTransition, advance, init, time_advance
 from .values import EvalError, Inf, Num, TAU, Value, render_value
 
 
@@ -98,7 +97,11 @@ def build_sequences(
         if not ok:
             continue
         while True:
-            found = _next_reachable(remaining, sim, consts, model, bounds)
+            try:
+                found = _next_reachable(remaining, sim, consts, model, bounds)
+            except EvalError as err:
+                notes.append(f"class {seq.covered[-1]}: cannot chain from its post-state: {err}")
+                break
             if found is None:
                 break
             nxt, (event, rel_time) = found
@@ -127,10 +130,12 @@ def _run_step(model, sim, consts, event, rel_time, seq, scc_id):
 
 
 def _next_reachable(remaining, sim, consts, model, bounds):
-    """First remaining class (ascending id) whose state set contains the
-    current state and which has a member made of that state and an input
-    pair executable from it."""
+    """First remaining class (ascending id) with a runnable member made of
+    the current state, and that member's pair.  The pair space, built
+    once, lacks the no-event marker when the state's time advance is
+    infinite; an EvalError from that time advance ends the chain."""
     env = {**consts, **sim.state}
+    space = None
     for scc in remaining:
         in_state_set = scc.keep(
             "init_states", model, bounds, lambda: compile_pred(scc.init_states, model, bounds)
@@ -140,25 +145,10 @@ def _next_reachable(remaining, sim, consts, model, bounds):
                 continue
         except EvalError:
             continue
-        pair = _pick_pair(scc, sim, consts, model, bounds)
-        if pair is not None:
-            return scc, pair
+        if space is None:
+            tau = not isinstance(time_advance(model, sim, consts), Inf)
+            space = [("x", input_grid(bounds, model, with_tau=tau)), ("t", time_points(bounds))]
+        verdict = satisfiable(runnable_form(scc, model, bounds), space, bounds, model, base_env=env)
+        if verdict.sat:
+            return scc, (verdict.witness["x"], verdict.witness["t"])
     return None
-
-
-def _pick_pair(scc: SCC, sim: SimState, consts, model, bounds):
-    """Least input pair that, with the current state, is a member of the
-    class and is executable from it: t must not exceed the pending time
-    advance, and the no-event marker needs a finite one."""
-    ta = time_advance(model, sim, consts)
-    space = pair_space(model, bounds)
-    form = member_form(scc, model, bounds)
-    if isinstance(ta, Inf):
-        space = [("x", [v for v in space[0][1] if v != TAU]), space[1]]
-    else:
-        form = form & prepare_conjuncts([Cmp("<=", Ref("t"), Const(ta))])
-    verdict = satisfiable(form, space, bounds, model, base_env={**consts, **sim.state})
-    if verdict.status != "sat":
-        return None
-    w = verdict.witness
-    return w["x"], w["t"]

@@ -104,6 +104,15 @@ def test_combination_is_decided_on_the_joint_predicate(toggle, toggle_bounds):
     assert [s.id for s in catalog] == [1, 2]
 
 
+def test_a_repeated_group_is_skipped_before_the_budget(toy, toy_bounds):
+    a, b, c = toy_classes()
+    plan = CombinationPlan(groups=((1, 3), (3, 1), (1, 3), (2, 3)), budget=2)
+    catalog, report = combine_and_prune([a, b, c], plan, toy, toy_bounds)
+    assert report.attempted == report.kept + report.dropped == 2
+    assert not report.budget_exhausted
+    assert report.notes == ["group (3, 1): repeated, skipped", "group (1, 3): repeated, skipped"]
+
+
 def test_empty_plan_returns_the_base_catalog(toy, toy_bounds):
     base = list(toy_classes())
     catalog, report = combine_and_prune(base, CombinationPlan(), toy, toy_bounds)

@@ -437,6 +437,18 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
     ("simulate", ["--config"], '{"input": {"event": "go", "time": "1"}}',
      "missing field 'state'"),
     ("simulate", ["--sequence"], '{"schema": "devs-scc/1"}', "missing field 'sequences'"),
+    ("combine", ["--plan"], '{"groups": [[1, 3]], "budget": "x"}',
+     "budget must be an integer, not 'x'"),
+    ("combine", ["--plan"], '{"maxArity": "3"}', "max_arity must be an integer, not '3'"),
+    ("combine", ["--plan"], '{"groups": 5}', "groups must be an array, not a number"),
+    ("combine", ["--plan"], '[1, 2]', "a plan must be an object, not an array"),
+    ("simulate", ["--config"], '{"state": [1], "input": {"event": "go", "time": "0"}}',
+     "a state must be an object, not an array"),
+    ("simulate", ["--config"], '{"state": {"m": 5}, "input": {"event": "go", "time": "0"}}',
+     "a value must be a string, not a number"),
+    ("simulate", ["--config"], '{"state": {"m": "A"}, "input": "go"}',
+     "an input must be an object, not a string"),
+    ("simulate", ["--sequence"], '{"sequences": 3}', "sequences must be an array, not a number"),
 ])
 def test_malformed_combination_or_simulation_input_exits_2(
     command, flags, text, message, tmp_path, capsys

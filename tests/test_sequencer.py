@@ -174,12 +174,14 @@ def test_a_head_without_configs_is_selected_and_named_once(toggle, toggle_bounds
     assert sequences[0].trace.findings == trace.findings
 
 
-@pytest.mark.parametrize("name", ["elevator worked plan", "soda all-pairs", "toggle all-pairs"])
-def test_recorded_traces_equal_a_replay(name, request):
-    """The trace each sequence keeps from chaining is what re-executing
-    its steps gives."""
+CAMPAIGNS = ["elevator worked plan", "soda all-pairs", "toggle all-pairs"]
+
+
+def _sequenced(name, request):
+    """The model, bounds and campaign result, up to sequencing, of one of
+    `CAMPAIGNS`."""
     from devs_scc.algebra import CombinationPlan
-    from devs_scc.campaign import Campaign, load_plan, replay_sequence, run_campaign
+    from devs_scc.campaign import Campaign, load_plan, run_campaign
     from devs_scc.partitions import builtin_tables
 
     fixture, plan, selections = {
@@ -193,11 +195,22 @@ def test_recorded_traces_equal_a_replay(name, request):
     model = request.getfixturevalue(fixture)
     bounds = request.getfixturevalue(f"{fixture}_bounds")
     tables = request.getfixturevalue("elevator_tables") if fixture == "elevator" else builtin_tables()
-    campaign = Campaign(model, bounds, tables, list(selections), plan=plan)
-    sequences = run_campaign(campaign, stop_after="sequence").sequences
+    result = run_campaign(Campaign(model, bounds, tables, list(selections), plan=plan),
+                          stop_after="sequence")
+    return model, bounds, result
+
+
+@pytest.mark.parametrize("name", CAMPAIGNS)
+def test_recorded_traces_equal_a_replay(name, request):
+    """The trace each sequence keeps from chaining is what re-executing
+    its steps gives."""
+    from devs_scc.campaign import replay_sequence
+
+    model, bounds, result = _sequenced(name, request)
+    sequences = result.sequences
     # combination decides on the joint predicate: every class is selectable
     assert sum(1 for seq in sequences if not seq.steps[0].state_used) == 0
-    if fixture == "soda":
+    if model.name == "soda":
         # keep an unselectable head's recorded finding under test
         bad, _ = build_sequences(model, [soda_contradiction(1000)], bounds)
         assert not bad[0].steps[0].state_used
@@ -207,8 +220,86 @@ def test_recorded_traces_equal_a_replay(name, request):
         assert [e.to_json() for e in seq.trace.events] == [e.to_json() for e in replayed.events]
         assert seq.trace.findings == replayed.findings
     assert sum(len(seq.trace.events) for seq in sequences) > 0
-    if fixture != "toggle":
+    if model.name != "toggle":
         assert any(seq.trace.findings for seq in sequences)
+
+
+def reference_pair(scc, state, model, bounds):
+    """The chaining rule by plain enumeration: the least (x, t) that with
+    `state` satisfies the class's member predicate and has t <= ta(state),
+    without the no-event marker when ta is infinite."""
+    from devs_scc.bounds import input_grid, time_points
+    from devs_scc.simulator import init, time_advance
+    from devs_scc.values import EvalError, Inf
+
+    consts = const_env(bounds, model)
+    ta = time_advance(model, init(model, state), consts)
+    passive = isinstance(ta, Inf)
+    for x in input_grid(bounds, model, with_tau=not passive):
+        for t in time_points(bounds):
+            if not passive and t.value > ta.value:
+                continue
+            env = {**consts, **state, "x": x, "t": t}
+            try:
+                if all(eval_pred(c, env, model, bounds) for c in scc.member):
+                    return x, t
+            except EvalError:
+                continue
+    return None
+
+
+@pytest.mark.parametrize("name", CAMPAIGNS)
+def test_chained_pairs_match_the_reference_rule(name, request):
+    """Every chained step's pair is the reference rule's pair from the
+    state the step started in."""
+    model, bounds, result = _sequenced(name, request)
+    by_id = {s.id: s for s in result.catalog}
+    chained = [step for seq in result.sequences for step in seq.steps[1:]]
+    assert chained
+    for step in chained:
+        expected = reference_pair(by_id[step.scc_id], step.state_used, model, bounds)
+        assert (step.event, step.time) == expected, step.scc_id
+
+
+LATE_MODEL = """
+model late {
+  state {
+    c: time;
+  }
+  input enum {go};
+  output enum {ping};
+  ta = c - 1;
+  dext(s, e, x) {
+    case x = go -> c - 5;
+  }
+  dint(s) {
+    otherwise -> c;
+  }
+  lambda(s) {
+    otherwise -> ping;
+  }
+}
+"""
+
+
+def test_a_post_state_without_a_valid_time_advance_ends_its_sequence():
+    """A step can leave a state whose time advance is negative; no class
+    chains from it, the sequence ends with a note and no finding."""
+    from devs_scc.campaign import Campaign, replay_sequence, run_campaign
+    from devs_scc.parser import parse_bounds_text, parse_model_text
+    from devs_scc.partitions import builtin_tables
+
+    model, report = parse_model_text(LATE_MODEL)
+    assert report.usable, report.errors
+    bounds = parse_bounds_text("bounds {\n  time samples = {0, 1, 5, 6};\n}\n")
+    result = run_campaign(Campaign(model, bounds, builtin_tables(),
+                                   ["extensional input", "time chain:0,1"]))
+    notes = [n for n in result.report.notes if "cannot chain" in n]
+    assert notes == ["class 3: cannot chain from its post-state: ta produced -1"]
+    assert sorted(i for seq in result.sequences for i in seq.covered) == [1, 2, 3, 4]
+    assert not any("ta produced" in f for f in result.report.findings)
+    for seq in result.sequences:
+        assert seq.trace.findings == replay_sequence(model, seq, bounds).findings
 
 
 @pytest.mark.parametrize("fixture", ["soda", "elevator"])
