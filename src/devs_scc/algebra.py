@@ -4,23 +4,27 @@ Intersecting two classes conjoins their state predicates and their
 input-pair predicates, and, when either side has a joint predicate, their
 member predicates into the combined joint.  Normalization flattens and
 orders conjuncts, so intersection is commutative and associative up to
-structural equality.  A combination is empty when its member predicate
-has no witness over the joint space within bounds; empty combinations are
-dropped before any representative is sought (Stocks & Carrington's
-pruning of empty test templates), while the base classes are always
-retained.  A combination whose emptiness could not be decided within the
-attempt budget is kept and flagged rather than silently losing coverage.
+structural equality.  A combination is empty when its operands' member
+forms conjoined have no witness over the joint space within bounds.
+Each group is decided before it is built (Stocks & Carrington prune
+empty test templates before instantiating them): only the kept ones are
+intersected and numbered, after the base classes.  A combination whose
+emptiness could not be decided within the attempt budget is kept and
+flagged rather than silently losing coverage.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import and_
 
 from .bounds import Bounds, joint_space
 from .model import Model
-from .sat import member_form, satisfiable
+from .sat import satisfiable
 from .scc import SCC, make_scc
+from .selector import member_form
 from .syntax import conj
 
 
@@ -52,11 +56,16 @@ class CombineReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _lineage(*classes: SCC) -> tuple[tuple[int, ...], str]:
+    ancestry = tuple(sorted(set().union(*(s.ancestry() for s in classes))))
+    return ancestry, "+".join(str(i) for i in ancestry)
+
+
 def intersect(a: SCC, b: SCC) -> SCC:
     """Class intersection: conjunction on both components and, when either
     operand has a joint predicate, of both member predicates; ancestry is
     the sorted union of the operands' ancestries."""
-    ancestry = tuple(sorted(set(a.ancestry()) | set(b.ancestry())))
+    ancestry, target = _lineage(a, b)
     joint = None
     if a.joint is not None or b.joint is not None:
         joint = conj(a.member + b.member)
@@ -64,7 +73,7 @@ def intersect(a: SCC, b: SCC) -> SCC:
         conj([a.init_states, b.init_states]),
         conj([a.input_pairs, b.input_pairs]),
         "combined",
-        "+".join(str(i) for i in ancestry),
+        target,
         joint=joint,
     )
     return replace(out, combined_from=ancestry)
@@ -76,7 +85,8 @@ def combine_and_prune(
     """Run a combination plan over a base catalog.
 
     Returns the full catalog (all base classes followed by the kept
-    combinations, renumbered after the last base id) and the counts.
+    combinations in ascending ancestry, numbered after the last base id,
+    each keeping the form it was decided on) and the counts.
     """
     report = CombineReport()
     by_id = {s.id: s for s in base}
@@ -85,7 +95,7 @@ def combine_and_prune(
         groups.extend(itertools.combinations(sorted(by_id), 2))
 
     space = joint_space(model, bounds)
-    kept: list[SCC] = []
+    kept = []
     seen: set[tuple[int, ...]] = set()
     for group in groups:
         if len(group) < 2 or len(group) > plan.max_arity:
@@ -97,8 +107,10 @@ def combine_and_prune(
         if missing:
             report.notes.append(f"group {group}: unknown ids {missing}, skipped")
             continue
-        members = sorted(group)
-        key = tuple(members)
+        if len(set(group)) < len(group):
+            report.notes.append(f"group {group}: repeated id, skipped")
+            continue
+        key = tuple(sorted(group))
         if key in seen:
             report.notes.append(f"group {group}: repeated, skipped")
             continue
@@ -108,25 +120,23 @@ def combine_and_prune(
             break
         report.attempted += 1
         seen.add(key)
-        combo = by_id[members[0]]
-        for i in members[1:]:
-            combo = intersect(combo, by_id[i])
-        form = member_form(combo, model, bounds, [by_id[i] for i in members])
+        operands = [by_id[i] for i in key]
+        form = reduce(and_, (member_form(s, model, bounds) for s in operands))
         verdict = satisfiable(form, space, bounds, model)
         if verdict.status == "unsat":
             report.dropped += 1
             continue
+        ancestry, target = _lineage(*operands)
         if verdict.status == "unknown":
             report.unknown += 1
-            report.notes.append(
-                f"combination {combo.target}: emptiness unknown within budget, kept"
-            )
+            report.notes.append(f"combination {target}: emptiness unknown within budget, kept")
         report.kept += 1
-        kept.append(combo)
+        kept.append((ancestry, operands, form))
 
-    next_id = max((s.id for s in base), default=0)
     catalog = list(base)
-    for combo in sorted(kept, key=lambda s: s.combined_from):
-        next_id += 1
-        catalog.append(combo.renumbered(next_id))
+    first = max((s.id for s in base), default=0) + 1
+    for next_id, (_, operands, form) in enumerate(sorted(kept, key=lambda k: k[0]), first):
+        combo = replace(reduce(intersect, operands), id=next_id)
+        combo.keep("member", model, bounds, lambda: form)
+        catalog.append(combo)
     return catalog, report

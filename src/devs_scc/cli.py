@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bounds import BoundsError
+from .bounds import Bounds, BoundsError
 from .campaign import (
     Campaign,
     CampaignError,
@@ -28,6 +28,7 @@ from .campaign import (
 from .check import BindError, bounds_errors, validate_model
 from .criteria import CriterionError
 from .dnf import DnfCapError
+from .model import Model
 from .parser import (
     ParseFailure,
     parse_bounds_file,
@@ -121,7 +122,8 @@ def _cmd_parse(args) -> int:
     return EXIT_OK if report.usable else EXIT_PARSE
 
 
-def _build_campaign(args) -> tuple[Campaign, list[str]]:
+def _load_model_and_bounds(args) -> tuple[Model, Bounds]:
+    """The usable model and the bounds checked against its sorts."""
     model, report = parse_model_file(args.model)
     if not report.usable:
         raise CampaignError("model rejected: " + "; ".join(report.errors))
@@ -129,6 +131,11 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
     errors = bounds_errors(model, bounds)
     if errors:
         raise BoundsError("; ".join(errors))
+    return model, bounds
+
+
+def _build_campaign(args) -> tuple[Campaign, list[str]]:
+    model, bounds = _load_model_and_bounds(args)
     tables, notes = load_tables(args.parts)
     plan = load_plan(args.plan) if args.plan else None
     if plan is None and (args.all_pairs or args.group):
@@ -169,13 +176,13 @@ def _cmd_pipeline(args) -> int:
     result.report.notes = table_notes + result.report.notes
 
     if args.command == "criteria":
-        _emit(args, result.catalog_json())
+        _emit(args, dump_json(result.catalog_json()))
         for label, n in result.report.criteria_counts:
             print(f"{label}: {n} classes")
         print(f"base catalog: {result.report.base_count} classes")
         return EXIT_OK
     if args.command == "combine":
-        _emit(args, result.catalog_json())
+        _emit(args, dump_json(result.catalog_json()))
         if result.report.combine:
             c = result.report.combine
             print(f"combinations: {c.attempted} attempted, {c.kept} kept, "
@@ -183,12 +190,12 @@ def _cmd_pipeline(args) -> int:
         print(f"catalog: {result.report.catalog_size} classes")
         return EXIT_OK
     if args.command == "select":
-        _emit(args, result.configs_json())
+        _emit(args, dump_json(result.configs_json()))
         print(f"configs: {len(result.configs)} selected, "
               f"{len(result.report.config_errors)} failed")
         return EXIT_OK
     if args.command == "sequence":
-        _emit(args, result.sequences_json())
+        _emit(args, dump_json(result.sequences_json()))
         print(f"sequences: {len(result.sequences)}")
         return EXIT_OK
     # campaign
@@ -203,8 +210,7 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _emit(args, payload) -> None:
-    text = dump_json(payload)
+def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -213,10 +219,7 @@ def _emit(args, payload) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    model, report = parse_model_file(args.model)
-    if not report.usable:
-        raise CampaignError("model rejected: " + "; ".join(report.errors))
-    bounds = parse_bounds_file(args.bounds)
+    model, bounds = _load_model_and_bounds(args)
     traces = []
     if args.config:
         traces.append(run_config(model, load_config(args.config), bounds))
@@ -231,12 +234,7 @@ def _cmd_simulate(args) -> int:
             lines.append(json.dumps({"trace": i, **ev.to_json()}, sort_keys=True))
         for f in trace.findings:
             (findings if "undefined transition" in f else exec_errors).append(f)
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(args, "\n".join(lines) + ("\n" if lines else ""))
     for f in findings:
         print(f"finding: {f}", file=sys.stderr)
     for f in exec_errors:

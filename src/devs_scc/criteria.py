@@ -142,12 +142,12 @@ def extensional_criterion(model: Model, target: str) -> tuple[list[SCC], list[st
 # intentional sets
 
 def intentional_criterion(
-    model: Model, kind: str, pred: Predicate, cap: int = 4096
+    model: Model, kind: str, pred: Predicate
 ) -> tuple[list[SCC], list[str]]:
     """Split a set comprehension along the disjuncts of its defining
-    predicate's DNF: one class per clause.  `kind` is "state" or
-    "input"."""
-    clauses = to_dnf(pred, cap)
+    predicate's DNF (at most `dnf.DEFAULT_CLAUSE_CAP` clauses): one class
+    per clause.  `kind` is "state" or "input"."""
+    clauses = to_dnf(pred)
     sccs: list[SCC] = []
     for i, clause in enumerate(clauses, start=1):
         body = clause.predicate()

@@ -41,6 +41,7 @@ from .syntax import (
 )
 from .values import (
     EnumSort,
+    EvalError,
     ExtSort,
     INF,
     INT,
@@ -232,9 +233,12 @@ class Parser:
     def number(self) -> Fraction:
         if self.tok.kind != "number":
             raise self.fail("expected number")
-        t = self.tok
+        try:
+            value = Fraction(self.tok.text)
+        except ZeroDivisionError:
+            raise self.fail("division by zero") from None
         self.pos += 1
-        return Fraction(t.text)
+        return value
 
     # ---- sorts ------------------------------------------------------------
 
@@ -730,9 +734,12 @@ def _const_number(p: Parser, b: Bounds) -> Fraction:
     """A constant arithmetic expression over previously defined constants."""
     from .evaluator import eval_expr
 
+    start = p.tok
     expr = p.expr()
-    env = {k: v for k, v in b.const_values.items()}
-    v = eval_expr(expr, env)
+    try:
+        v = eval_expr(expr, dict(b.const_values))
+    except EvalError as err:
+        raise ParseFailure([Diagnostic(start.line, start.col, str(err))]) from None
     if not isinstance(v, Num):
         raise p.fail("expected a finite number")
     return v.value

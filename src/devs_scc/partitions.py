@@ -54,11 +54,9 @@ def builtin_tables() -> dict[str, StandardPartition]:
     return tables
 
 
-def check_partition(
-    table: StandardPartition, lo: int = -2, hi: int = 2
-) -> tuple[bool, bool]:
-    """(disjoint, exhaustive) over an integer grid, by enumeration."""
-    grid = [Num(Fraction(k)) for k in range(lo, hi + 1)]
+def check_partition(table: StandardPartition) -> tuple[bool, bool]:
+    """(disjoint, exhaustive) over the integers -2..2, by enumeration."""
+    grid = [Num(Fraction(k)) for k in range(-2, 3)]
     disjoint = exhaustive = True
     for combo in itertools.product(grid, repeat=table.arity):
         env = dict(zip(table.formals, combo))

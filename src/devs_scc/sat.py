@@ -11,10 +11,10 @@ one generator frame per variable.
 A predicate is searched in its prepared form, a `Conjunction`: its
 normal form's conjuncts in canonical order, each with its text, its free
 variables and a closure compiled by `evaluator.compile_pred`.  A search
-accepts a predicate and prepares it, or a form prepared before: a class
-keeps its member form (`member_form`) and a model its executability
-form, so the searches of one campaign prepare each once, and forms
-combine by `&` without re-normalizing.
+accepts a predicate and prepares it, or a form prepared before, so a
+caller that keeps its forms prepares each once per campaign; forms
+combine by `&` without re-normalizing.  The search knows predicates and
+spaces, not classes.
 
 Conjuncts are checked as soon as all their variables are bound.  Those
 that mention a single search variable (unary conjuncts) depend only on
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from .bounds import Bounds, const_env, var_grid
 from .evaluator import compile_pred
 from .model import Model
-from .scc import SCC
 from .syntax import (
     BoolConst,
     Exists,
@@ -138,23 +137,6 @@ def prepare_conjuncts(
     if any(isinstance(p, BoolConst) and not p.value for p in preds):
         return Conjunction(false=True)
     return _ordered(Conjunct(p, model, bounds) for p in preds)
-
-
-def member_form(
-    scc: SCC, model: Model, bounds: Bounds, operands: Sequence[SCC] = ()
-) -> Conjunction:
-    """`scc.member` prepared for search, made once for this model and
-    bounds and kept on the class.  For a class made by intersecting
-    `operands`, it is the conjunction of their forms, so no conjunct is
-    prepared again."""
-    def build() -> Conjunction:
-        if not operands:
-            return prepare_conjuncts(scc.member, model, bounds)
-        form = member_form(operands[0], model, bounds)
-        for other in operands[1:]:
-            form = form & member_form(other, model, bounds)
-        return form
-    return scc.keep("member", model, bounds, build)
 
 
 def satisfiable(

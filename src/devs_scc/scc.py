@@ -53,12 +53,6 @@ class SCC:
             entry = self.prepared[key] = (model, bounds, build())
         return entry[2]
 
-    def renumbered(self, id: int) -> SCC:
-        """This class under another id, with the forms it keeps."""
-        out = replace(self, id=id)
-        out.prepared.update(self.prepared)
-        return out
-
 
 def make_scc(
     init_states: Predicate,

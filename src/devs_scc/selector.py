@@ -7,7 +7,8 @@ representatives.  A class's members are the assignments satisfying
 `SCC.member` (for classes born from the cases criterion that is the
 joint predicate, linking state and input through the original guard, so
 the chosen state and event actually exercise the targeted case).  Every
-class is solved by one search over the joint space.
+class is solved by one search over the joint space of its `member_form`,
+prepared once per model and bounds and kept on the class.
 
 A configuration is only executable when its pair time fits inside the
 chosen state's time advance (the total-state constraint 0 <= e <= ta),
@@ -30,7 +31,7 @@ from math import prod
 from .bounds import Bounds, const_env, digits_index, index_digits, joint_space
 from .evaluator import eval_pred
 from .model import Model
-from .sat import Conjunction, SatResult, member_form, prepare_conjuncts, satisfiable
+from .sat import Conjunction, SatResult, prepare_conjuncts, satisfiable
 from .scc import SCC
 from .syntax import Cmp, MinOp, Predicate, Ref
 from .values import Value, render_value
@@ -55,6 +56,12 @@ def executability(model: Model) -> list[Predicate]:
     if isinstance(ta, MinOp) and all(isinstance(a, Ref) for a in ta.args):
         return [Cmp("<=", Ref("t"), a) for a in ta.args]
     return [Cmp("<=", Ref("t"), ta)]
+
+
+def member_form(scc: SCC, model: Model, bounds: Bounds) -> Conjunction:
+    """`scc.member` prepared for search, made once for this model and
+    bounds and kept on the class."""
+    return scc.keep("member", model, bounds, lambda: prepare_conjuncts(scc.member, model, bounds))
 
 
 def runnable_form(scc: SCC, model: Model, bounds: Bounds) -> Conjunction:

@@ -131,7 +131,7 @@ def test_criterion_04_builtin_less_than_table():
     with Timer(1.0) as t:
         table = builtin_tables()["<"]
         assert len(table.cells) == 9
-        disjoint, exhaustive = check_partition(table, -2, 2)
+        disjoint, exhaustive = check_partition(table)
         assert disjoint and exhaustive
     report(4, t, "built-in < partition: 9 cells, disjoint and exhaustive on [-2,2]^2")
 

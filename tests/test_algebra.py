@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -238,3 +240,160 @@ def test_combination_members_satisfy_all_ancestors(toy, toy_bounds):
         if count > 30:
             break
     assert count > 0
+
+
+def test_a_group_naming_one_class_twice_is_skipped_before_the_budget(toy, toy_bounds):
+    a, b, c = toy_classes()
+    plan = CombinationPlan(groups=((1, 1), (2, 1, 2), (1, 2)), max_arity=3, budget=1)
+    catalog, report = combine_and_prune([a, b, c], plan, toy, toy_bounds)
+    assert report.notes == ["group (1, 1): repeated id, skipped",
+                            "group (2, 1, 2): repeated id, skipped"]
+    assert (report.attempted, report.kept, report.budget_exhausted) == (1, 1, False)
+    assert [s.combined_from for s in catalog[3:]] == [(1, 2)]
+
+
+def _build_then_decide(base, plan, model, bounds):
+    """The combination loop as it was before groups were decided ahead of
+    building: every group is built with `intersect`, then its operands'
+    member forms conjoined are searched, and the kept ones are numbered
+    at the end, each keeping that form."""
+    from devs_scc.algebra import CombineReport
+    from devs_scc.bounds import joint_space
+    from devs_scc.selector import member_form
+
+    report = CombineReport()
+    by_id = {s.id: s for s in base}
+    groups = [tuple(g) for g in plan.groups]
+    if plan.all_pairs:
+        groups.extend(itertools.combinations(sorted(by_id), 2))
+    space = joint_space(model, bounds)
+    kept, seen = [], set()
+    for group in groups:
+        if len(group) < 2 or len(group) > plan.max_arity:
+            report.notes.append(f"group {group}: size outside 2..{plan.max_arity}, skipped")
+            continue
+        missing = [i for i in group if i not in by_id]
+        if missing:
+            report.notes.append(f"group {group}: unknown ids {missing}, skipped")
+            continue
+        members = sorted(group)
+        key = tuple(members)
+        if key in seen:
+            report.notes.append(f"group {group}: repeated, skipped")
+            continue
+        if report.attempted >= plan.budget:
+            report.budget_exhausted = True
+            report.notes.append("combination budget exhausted; partial result")
+            break
+        report.attempted += 1
+        seen.add(key)
+        combo = by_id[members[0]]
+        for i in members[1:]:
+            combo = intersect(combo, by_id[i])
+        form = member_form(by_id[members[0]], model, bounds)
+        for i in members[1:]:
+            form = form & member_form(by_id[i], model, bounds)
+        verdict = satisfiable(form, space, bounds, model)
+        if verdict.status == "unsat":
+            report.dropped += 1
+            continue
+        if verdict.status == "unknown":
+            report.unknown += 1
+            report.notes.append(f"combination {combo.target}: emptiness unknown within budget, kept")
+        report.kept += 1
+        kept.append((combo, form))
+    next_id = max((s.id for s in base), default=0)
+    catalog = list(base)
+    for combo, form in sorted(kept, key=lambda k: k[0].combined_from):
+        next_id += 1
+        combo = replace(combo, id=next_id)
+        combo.keep("member", model, bounds, lambda: form)
+        catalog.append(combo)
+    return catalog, report
+
+
+def _base(model, bounds, selections, tables=None):
+    from devs_scc.partitions import builtin_tables
+
+    raw = []
+    for sel in selections:
+        _, sccs, _ = apply_selection(sel, model, bounds, tables or builtin_tables(), False)
+        raw.extend(sccs)
+    return assign_ids(raw)[0]
+
+
+TOGGLE_SELECTIONS = ["cases", "extensional input", "extensional state:m"]
+
+
+def _combination_case(name, request):
+    """(model, bounds, base, plan) of one combination campaign."""
+    from devs_scc.campaign import load_plan
+    from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_PAIRS_SELECTIONS
+
+    pairs = CombinationPlan(all_pairs=True)
+    if name == "elevator worked plan":
+        model, bounds = request.getfixturevalue("elevator"), request.getfixturevalue("elevator_bounds")
+        base = _base(model, bounds, ELEVATOR_SELECTIONS, request.getfixturevalue("elevator_tables"))
+        return model, bounds, base, load_plan(str(FIXTURES / "elevator.plan.json"))
+    if name == "soda all-pairs":
+        model, bounds = request.getfixturevalue("soda"), request.getfixturevalue("soda_bounds")
+        return model, bounds, _base(model, bounds, SODA_PAIRS_SELECTIONS), pairs
+    if name == "unknown emptiness":
+        model = request.getfixturevalue("toy")
+        tiny = Bounds(nat_ranges={"": (0, 20)}, max_attempts=3)
+        a, b, c = toy_classes()
+        below = make_scc(a.init_states, Cmp("<", Ref("x"), Ref("t")), "t", "below", id=4)
+        above = make_scc(a.init_states, Cmp("<", Ref("t"), Ref("x")), "t", "above", id=5)
+        # every group runs out of attempts; the notes follow the plan's
+        # order and the ids ascending ancestry
+        return model, tiny, [a, b, c, below, above], CombinationPlan(groups=((4, 5), (1, 3), (4, 2)))
+    model, bounds = request.getfixturevalue("toggle"), request.getfixturevalue("toggle_bounds")
+    base = _base(model, bounds, TOGGLE_SELECTIONS)
+    if name == "combined base":
+        # all pairs over a catalog that already holds combinations: groups
+        # such as (1, 5) and (1, 1+5) share one ancestry
+        base, _ = combine_and_prune(base, pairs, model, bounds)
+        assert any(s.combined_from for s in base)
+    return model, bounds, base, pairs
+
+
+COMBINATION_CASES = ["toggle all-pairs", "soda all-pairs", "elevator worked plan",
+                     "combined base", "unknown emptiness"]
+
+
+@pytest.mark.parametrize("name", COMBINATION_CASES)
+def test_deciding_before_building_matches_building_first(name, request):
+    from devs_scc.scc import scc_to_json
+    from devs_scc.selector import member_form
+
+    model, bounds, base, plan = _combination_case(name, request)
+    got, got_report = combine_and_prune(base, plan, model, bounds)
+    want, want_report = _build_then_decide(base, plan, model, bounds)
+    assert [scc_to_json(s) for s in got] == [scc_to_json(s) for s in want]
+    assert got_report == want_report
+    if name == "unknown emptiness":
+        assert [n.split(":")[0] for n in got_report.notes] == [
+            "combination 4+5", "combination 1+3", "combination 2+4"]
+        assert [s.target for s in got[5:]] == ["1+3", "2+4", "4+5"]
+
+    def forms(catalog):
+        return [[c.text for c in member_form(s, model, bounds).items] for s in catalog]
+
+    assert forms(got) == forms(want)
+
+
+@pytest.mark.parametrize("name", ["toggle all-pairs", "soda all-pairs", "combined base"])
+def test_only_kept_combinations_are_built(name, request, monkeypatch):
+    import devs_scc.algebra as algebra
+
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.ancestry(), b.ancestry()))
+        return intersect(a, b)
+
+    model, bounds, base, plan = _combination_case(name, request)
+    monkeypatch.setattr(algebra, "intersect", counting)
+    _, report = combine_and_prune(base, plan, model, bounds)
+    assert report.dropped > 0
+    assert len(calls) == report.kept

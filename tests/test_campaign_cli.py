@@ -490,3 +490,36 @@ def test_a_selection_that_cannot_be_applied_exits_2(fixture, selection, message,
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("config", '{"state": {"m": "A"}, "input": {"event": "go", "time": "1/0"}}',
+     "1:1: division by zero, found '1/0'"),
+    ("model", (FIXTURES / "toggle.devs").read_text().replace("ta = infinity;", "ta = 1/0;"),
+     "10:8: division by zero, found '1/0'"),
+    ("bounds", "bounds {\n  const Tchg = 1/0;\n}\n", "2:16: division by zero, found '1/0'"),
+    ("bounds", "bounds {\n  const Tchg = 1 div 0;\n}\n", "2:16: division by zero"),
+    ("bounds", "bounds {\n  const Tchg = Tfoo + 1;\n}\n", "2:16: unbound variable Tfoo"),
+])
+def test_a_number_that_cannot_be_evaluated_exits_2(kind, text, message, tmp_path, capsys):
+    path = tmp_path / f"input.{kind}"
+    path.write_text(text)
+    if kind == "config":
+        args = ["simulate", *TOGGLE_ARGS, "--config", str(path)]
+    elif kind == "model":
+        args = ["parse", str(path)]
+    else:
+        args = ["parse", str(FIXTURES / "toggle.devs"), "--bounds", str(path)]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_simulate_checks_the_bounds_as_select_does(tmp_path, capsys):
+    bad = tmp_path / "bad.bounds"
+    bad.write_text("bounds { set m = {C}; time samples = {0, 1, 2}; }")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"state": {"m": "A"}, "input": {"event": "go", "time": "0"}}))
+    model = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(bad)]
+    for command in (["select", *model, "--criteria", "cases"], ["simulate", *model, "--config", str(config)]):
+        assert main(command) == 2
+        assert capsys.readouterr() == ("", "error: bounds set m holds C, outside its sort enum {A, B}\n")

@@ -16,7 +16,7 @@ def test_builtin_less_than_has_nine_cells():
 
 
 def test_builtin_less_than_is_disjoint_and_exhaustive():
-    disjoint, exhaustive = check_partition(builtin_tables()["<"], -2, 2)
+    disjoint, exhaustive = check_partition(builtin_tables()["<"])
     assert disjoint and exhaustive
 
 
@@ -29,7 +29,7 @@ def test_every_builtin_table_is_healthy():
 def test_ordcmp_fixture_table_is_healthy(elevator_tables):
     table = elevator_tables["ordcmp"]
     assert len(table.cells) == 13
-    disjoint, exhaustive = check_partition(table, -2, 2)
+    disjoint, exhaustive = check_partition(table)
     assert disjoint and exhaustive
 
 
