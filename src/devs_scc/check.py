@@ -6,25 +6,20 @@ against the sort expected where they appear.  Sort checking is
 bidirectional — inference where possible, checking against an expected
 sort where a literal needs context.  `validate_model` re-binds an entire
 model, so it also works as a standalone audit of programmatically built
-models, and optionally runs bounded dynamic checks (guard overlap and
-exhaustiveness sampling) when given enumeration bounds.
+models.  Given enumeration bounds, it also decides by bounded search
+(`sat.coverage`, `sat.satisfiable`) whether each case table leaves a
+gap or hides a case behind an earlier overlapping one, and whether the
+time advance can be negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import prod
+from fractions import Fraction
 
-from .bounds import (
-    Bounds,
-    const_env,
-    index_digits,
-    sort_grid,
-    state_space,
-    time_points,
-)
-from .evaluator import eval_expr, eval_pred
+from .bounds import Bounds, sort_grid, state_space, time_points
 from .model import GuardedCase, Model, OperatorDef, ValidationReport
+from .sat import SatResult, coverage, satisfiable
 from .syntax import (
     And,
     Apply,
@@ -54,7 +49,6 @@ from .syntax import (
     render_pred,
 )
 from .values import (
-    EvalError,
     Inf,
     Lit,
     NatSort,
@@ -325,9 +319,11 @@ def validate_model(model: Model, bounds: Bounds | None = None) -> tuple[Model, V
 
     Returns the rebound model (identical modulo resolved names) and a
     report.  The model is usable only when the report carries no errors.
-    With bounds, also samples guard coverage: states where no case of a
-    transition function matches (non-exhaustive) or several do (overlap,
-    resolved by first-match order but worth knowing about).
+    With bounds, also warns at the least point where no case of a
+    function matches (a gap), where two guarded cases both match (an
+    overlap, resolved by first-match order but worth knowing about) and
+    where `ta` is negative; a search that runs out of budget warns that
+    its check is undecided.
     """
     report = ValidationReport()
     report.ext_cases = len(model.delta_ext)
@@ -470,71 +466,40 @@ def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
         )
 
 
-_COVERAGE_BUDGET = 400
-
-
 def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> None:
-    consts = const_env(bounds, model)
     space = state_space(model, bounds)
-    ext_space = space + [
-        ("e", time_points(bounds)),
-        ("x", sort_grid(bounds, model.input_sort, "x")),
-    ]
-    _coverage(model, model.delta_ext, ext_space, consts, "dext", report)
-    _coverage(model, model.delta_int, space, consts, "dint", report)
-    _coverage(model, model.output_fn, space, consts, "lambda", report)
-    # ta totality over sampled states
-    for env in _strided(space, _COVERAGE_BUDGET // 4):
-        try:
-            v = eval_expr(model.ta, {**consts, **env}, model)
-        except EvalError as err:
-            report.warnings.append(f"ta failed on a sampled state: {err}")
-            break
-        if not (isinstance(v, (Num, Inf)) and (isinstance(v, Inf) or v.value >= 0)):
-            report.warnings.append("ta produced a non-time value on a sampled state")
-            break
+    # the input first: with it last, soda's dext gap was not found within 10^6 attempts
+    ext_space = [("x", sort_grid(bounds, model.input_sort, "x")), ("e", time_points(bounds))] + space
+    for fn, cases, fn_space in (("dext", model.delta_ext, ext_space),
+                                ("dint", model.delta_int, space),
+                                ("lambda", model.output_fn, space)):
+        if not cases:
+            report.warnings.append(f"{fn} has no cases")
+            continue
+        guarded = [c for c in cases if not c.is_otherwise]
+        gap, overlaps = coverage([c.guard for c in guarded], len(guarded) < len(cases),
+                                 fn_space, bounds, model)
+        if gap is not None:
+            _warn(report, bounds, gap, f"{fn} is not exhaustive within bounds", f"{fn}: exhaustiveness")
+        for (i, j), found in overlaps:
+            pair = f"{fn} cases {guarded[i].id} and {guarded[j].id}"
+            _warn(report, bounds, found, f"{pair} overlap (first match wins)", f"{pair}: overlap")
+    # one search per argument of a top-level min: the search of the min
+    # itself stays unknown on the elevator; warn at the least negative
+    # point over all of them, else at any undecided search
+    ta = model.ta
+    verdicts = [satisfiable(Cmp("<", a, Const(Num(Fraction(0)))), space, bounds, model)
+                for a in (ta.args if isinstance(ta, MinOp) else (ta,))]
+    first = min(verdicts, key=lambda r: (not r.sat, r.status == "unsat", r.index))
+    _warn(report, bounds, first, "ta is negative within bounds", "ta: non-negativity")
 
 
-def _coverage(model, cases, space, consts, fn, report) -> None:
-    if not cases:
-        report.warnings.append(f"{fn} has no cases")
-        return
-    gap_seen = overlap_seen = False
-    for env in _strided(space, _COVERAGE_BUDGET):
-        full = {**consts, **env}
-        hits = []
-        for case in cases:
-            try:
-                if case.is_otherwise or eval_pred(case.guard, full, model):
-                    hits.append(case.id)
-            except EvalError:
-                continue
-        if not hits and not gap_seen:
-            gap_seen = True
-            report.warnings.append(
-                f"{fn} is not exhaustive within bounds, e.g. "
-                + _render_env(env)
-            )
-        if len(hits) > 1 and not overlap_seen:
-            overlap_seen = True
-            report.warnings.append(
-                f"{fn} cases {hits[0]} and {hits[1]} overlap (first match wins), e.g. "
-                + _render_env(env)
-            )
-        if gap_seen and overlap_seen:
-            break
-
-
-def _strided(space, budget: int):
-    """Deterministic stratified sample of a mixed-radix product space."""
-    sizes = [len(grid) for _, grid in space]
-    total = prod(sizes)
-    if total == 0:
-        return
-    take = min(total, budget)
-    for i in range(take):
-        digits = index_digits(i * total // take, sizes)
-        yield {name: grid[d] for (name, grid), d in zip(space, digits)}
+def _warn(report: ValidationReport, bounds: Bounds, result: SatResult, found: str, check: str) -> None:
+    """Warn of a witness found or of the budget running out; a proof says nothing."""
+    if result.sat:
+        report.warnings.append(f"{found}, e.g. {_render_env(result.witness)}")
+    elif result.status == "unknown":
+        report.warnings.append(f"{check} undecided within {bounds.max_attempts} attempts")
 
 
 def _render_env(env) -> str:

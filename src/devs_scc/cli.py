@@ -16,6 +16,8 @@ from .bounds import Bounds, BoundsError
 from .campaign import (
     Campaign,
     CampaignError,
+    _load_json,
+    _shaped,
     dump_json,
     load_config,
     load_plan,
@@ -135,6 +137,9 @@ def _load_model_and_bounds(args) -> tuple[Model, Bounds]:
 
 
 def _build_campaign(args) -> tuple[Campaign, list[str]]:
+    if args.probe_k == 1 or args.probe_k < 0:
+        # one sample cannot disagree with itself
+        raise CampaignError("--probe-k must be 0 (off) or at least 2")
     model, bounds = _load_model_and_bounds(args)
     tables, notes = load_tables(args.parts)
     plan = load_plan(args.plan) if args.plan else None
@@ -247,30 +252,38 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        rec = json.load(fh)
-    print(f"model: {rec['model']}")
-    for entry in rec["criteria"]:
-        print(f"  {entry['selection']}: {entry['classes']} classes")
-    print(f"base classes: {rec['base_classes']}")
-    if "combined" in rec:
-        c = rec["combined"]
-        print(f"combined: {c['attempted']} attempted, {c['kept']} kept, "
-              f"{c['dropped']} dropped, {c['unknown']} unknown")
-    print(f"catalog: {rec['catalog_size']} (reconciles: {rec['reconciles']})")
-    print(f"configs: {rec['configs_selected']}, sequences: {rec['sequences']}, "
-          f"trace events: {rec['trace_events']}")
-    if rec["findings"]:
-        print("findings:")
-        for f in rec["findings"]:
-            print(f"  {f}")
-    if rec["probe_flags"]:
-        print("non-uniform classes:")
-        for p in rec["probe_flags"]:
-            print(f"  class {p['scc']}: {p['note']}")
-    for note in rec["notes"]:
-        print(f"note: {note}")
+    print("\n".join(_load_json(args.report, _report_lines)))
     return EXIT_OK
+
+
+def _report_lines(raw) -> list[str]:
+    """The summary of a report.json; a missing field is a KeyError and a
+    field of the wrong shape a ValueError."""
+    rec = _shaped(raw, dict, "a report")
+    lines = [f"model: {rec['model']}"]
+    for entry in _shaped(rec["criteria"], list, "criteria"):
+        entry = _shaped(entry, dict, "a criteria entry")
+        lines.append(f"  {entry['selection']}: {entry['classes']} classes")
+    lines.append(f"base classes: {rec['base_classes']}")
+    if "combined" in rec:
+        c = _shaped(rec["combined"], dict, "combined")
+        lines.append(f"combined: {c['attempted']} attempted, {c['kept']} kept, "
+                     f"{c['dropped']} dropped, {c['unknown']} unknown")
+    lines.append(f"catalog: {rec['catalog_size']} (reconciles: {rec['reconciles']})")
+    lines.append(f"configs: {rec['configs_selected']}, sequences: {rec['sequences']}, "
+                 f"trace events: {rec['trace_events']}")
+    findings = _shaped(rec["findings"], list, "findings")
+    if findings:
+        lines.append("findings:")
+        lines += [f"  {f}" for f in findings]
+    flags = _shaped(rec["probe_flags"], list, "probe_flags")
+    if flags:
+        lines.append("non-uniform classes:")
+        for p in flags:
+            p = _shaped(p, dict, "a probe flag")
+            lines.append(f"  class {p['scc']}: {p['note']}")
+    lines += [f"note: {note}" for note in _shaped(rec["notes"], list, "notes")]
+    return lines
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ guard authors order their conjuncts.
 
 Two forms share these semantics.  `eval_pred` and `eval_expr` walk the
 syntax tree on every call; they are the reference oracle, used where a
-predicate is decided once (model checks, partition tables, re-checking a
-selected witness) and by the tests.  `compile_pred` and `compile_expr`
+value is decided once (re-checking a selected witness, folding constant
+expressions) and by the tests.  `compile_pred` and `compile_expr`
 walk the tree once and return a closure (Feeley & Lapalme 1987, "Using
 closures for code generation") that gives the same result and raises
 EvalError in the same cases; the searches and the simulator call these.

@@ -14,7 +14,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluator import eval_pred
+from .bounds import Bounds
+from .sat import coverage
 from .syntax import And, Cmp, Const, Predicate, Ref, subst_pred
 from .values import Num
 
@@ -55,17 +56,13 @@ def builtin_tables() -> dict[str, StandardPartition]:
 
 
 def check_partition(table: StandardPartition) -> tuple[bool, bool]:
-    """(disjoint, exhaustive) over the integers -2..2, by enumeration."""
+    """(disjoint, exhaustive) over the integers -2..2 for each formal,
+    decided by the bounded search; a search that runs out of budget
+    fails its check."""
     grid = [Num(Fraction(k)) for k in range(-2, 3)]
-    disjoint = exhaustive = True
-    for combo in itertools.product(grid, repeat=table.arity):
-        env = dict(zip(table.formals, combo))
-        hits = sum(1 for cell in table.cells if eval_pred(cell, env))
-        if hits == 0:
-            exhaustive = False
-        if hits > 1:
-            disjoint = False
-    return disjoint, exhaustive
+    gap, overlaps = coverage(table.cells, False, [(f, grid) for f in table.formals], Bounds())
+    disjoint = all(found.status == "unsat" for _, found in overlaps)
+    return disjoint, gap.status == "unsat"
 
 
 def instantiate(table: StandardPartition, operands) -> list[Predicate]:

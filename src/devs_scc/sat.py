@@ -4,7 +4,8 @@ One depth-first search enumerates the witnesses of a predicate over the
 declared variable order with each variable's grid ascending, so the
 first witness found is the lexicographically least satisfying
 assignment — reproducible across runs and platforms.  `satisfiable` is
-its first result and `iter_witnesses` drains it.  The search is one loop
+its first result and `iter_witnesses` drains it.  `coverage` runs the
+coverage and disjointness checks of a case table on it.  The search is one loop
 over an explicit stack of grid positions, one per variable, rather than
 one generator frame per variable.
 
@@ -42,7 +43,8 @@ the budget.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .bounds import Bounds, const_env, var_grid
@@ -51,6 +53,7 @@ from .model import Model
 from .syntax import (
     BoolConst,
     Exists,
+    Not,
     Predicate,
     conj,
     conjuncts,
@@ -187,6 +190,25 @@ def iter_witnesses(
             yield witness
     except BudgetExhausted:
         return
+
+
+def coverage(
+    preds: Sequence[Predicate], total: bool, space: Space, bounds: Bounds, model: Model | None = None
+) -> tuple[SatResult | None, Iterator[tuple[tuple[int, int], SatResult]]]:
+    """The coverage and disjointness checks of a case table (Heitmeyer,
+    Jeffords & Labaw 1996): the search for the least point of `space`
+    where none of `preds` holds, None when `total` (a catch-all case
+    completes the table); and, searched as they are iterated, the pairs
+    of positions i < j in ascending order, each with the search for the
+    least point where both hold.  A point where a predicate fails to
+    evaluate witnesses neither."""
+    gap = None if total else satisfiable(conj([Not(p) for p in preds]), space, bounds, model)
+    forms = [prepare(p, model, bounds) for p in preds]
+    overlaps = (
+        ((i, j), satisfiable(forms[i] & forms[j], space, bounds, model))
+        for i, j in itertools.combinations(range(len(forms)), 2)
+    )
+    return gap, overlaps
 
 
 def _form(pred, model, bounds) -> Conjunction:

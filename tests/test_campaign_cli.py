@@ -523,3 +523,28 @@ def test_simulate_checks_the_bounds_as_select_does(tmp_path, capsys):
     for command in (["select", *model, "--criteria", "cases"], ["simulate", *model, "--config", str(config)]):
         assert main(command) == 2
         assert capsys.readouterr() == ("", "error: bounds set m holds C, outside its sort enum {A, B}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"model": 1', "invalid JSON: "),
+    ("[]", "a report must be an object, not an array"),
+    ("{}", "missing field 'model'"),
+    ('{"model": "m", "criteria": 5}', "criteria must be an array, not a number"),
+    ('{"model": "m", "criteria": [["cases", 3]]}', "a criteria entry must be an object, not an array"),
+])
+def test_a_malformed_report_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: {message}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", ["1", "-3"])
+def test_a_probe_k_that_cannot_probe_exits_2(k, tmp_path, capsys):
+    args = ["campaign", *TOGGLE_ARGS, "--criteria", "cases", "--probe-k", k, "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", "error: --probe-k must be 0 (off) or at least 2\n")
+    assert not (tmp_path / "out").exists()

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from devs_scc.bounds import Bounds, index_digits, var_grid
 from devs_scc.evaluator import eval_pred
-from devs_scc.sat import iter_witnesses, prepare, project_exists, satisfiable
+from devs_scc.sat import coverage, iter_witnesses, prepare, project_exists, satisfiable
 from devs_scc.syntax import (
     And, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, pred_vars,
     render_pred,
@@ -94,9 +94,10 @@ ABC = [Lit("A"), Lit("B"), Lit("C")]
 
 
 @st.composite
-def problems(draw):
+def problems(draw, table=False):
     """A conjunction of unary and binary comparisons over 1-3 small nat
-    and enum grids."""
+    and enum grids; with `table`, a list of 1-4 such conjunctions over
+    the same grids, the guards of a case table."""
     kinds = draw(st.lists(st.sampled_from(["nat", "enum"]), min_size=1, max_size=3))
     space = []
     for i, kind in enumerate(kinds):
@@ -118,7 +119,12 @@ def problems(draw):
         ops = ["<", "<=", "=", "!=", ">", ">="] if kinds[i] == "nat" else ["=", "!="]
         return Cmp(draw(st.sampled_from(ops)), Ref(f"v{i}"), right)
 
-    return space, conj([atom() for _ in range(draw(st.integers(1, 4)))])
+    def conjunction():
+        return conj([atom() for _ in range(draw(st.integers(1, 4)))])
+
+    if table:
+        return space, [conjunction() for _ in range(draw(st.integers(1, 4)))]
+    return space, conjunction()
 
 
 def product_members(pred, space):
@@ -199,6 +205,45 @@ def test_pruned_search_matches_plain_enumeration(problem):
     status, attempts = unpruned_search(pred, space, b.max_attempts)
     assert status == verdict.status
     assert verdict.attempts <= attempts
+
+
+def product_coverage(preds, space):
+    """The least gap (None without one) and, per overlapping pair of
+    positions, its least point, by plain enumeration; a point where a
+    predicate fails to evaluate witnesses neither."""
+    names = [n for n, _ in space]
+    gap, overlaps = None, {}
+    for values in itertools.product(*(g for _, g in space)):
+        env = dict(zip(names, values))
+        holds = []
+        for p in preds:
+            try:
+                holds.append(eval_pred(p, env))
+            except EvalError:
+                holds.append(None)
+        if gap is None and all(h is False for h in holds):
+            gap = env
+        for i, j in itertools.combinations(range(len(preds)), 2):
+            if holds[i] and holds[j]:
+                overlaps.setdefault((i, j), env)
+    return gap, overlaps
+
+
+@given(problems(table=True), st.booleans())
+def test_coverage_matches_plain_enumeration(problem, total):
+    space, preds = problem
+    least_gap, least_overlaps = product_coverage(preds, space)
+    gap, overlaps = coverage(preds, total, space, Bounds())
+    overlaps = dict(overlaps)
+    if total:
+        assert gap is None
+    elif least_gap is None:
+        assert gap.status == "unsat"
+    else:
+        assert gap.sat and gap.witness == least_gap
+    assert list(overlaps) == list(itertools.combinations(range(len(preds)), 2))
+    assert all(found.status != "unknown" for found in overlaps.values())
+    assert {pair: found.witness for pair, found in overlaps.items() if found.sat} == least_overlaps
 
 
 @given(problems(), st.integers(0, 6))
