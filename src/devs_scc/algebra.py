@@ -44,6 +44,8 @@ class CombinationPlan:
             raise ValueError(f"all_pairs must be true or false, not {self.all_pairs!r}")
         if self.max_arity < 2:
             raise ValueError("max_arity must be at least 2")
+        if self.budget < 0:
+            raise ValueError("budget must be at least 0")
 
 
 @dataclass

@@ -5,27 +5,30 @@ variables, operator parameters, the reserved x/e/t, and resolved model
 constants).  User-defined operators run their own guarded cases in an
 environment containing only their parameters and the model constants.
 Conjunction and disjunction short-circuit left to right, matching how
-guard authors order their conjuncts.
+guard authors order their conjuncts, and an existential enumerates its
+bound variables' grids in ascending product order.
 
-Two forms share these semantics.  `eval_pred` and `eval_expr` walk the
-syntax tree on every call; they are the reference oracle, used where a
-value is decided once (re-checking a selected witness, folding constant
-expressions) and by the tests.  `compile_pred` and `compile_expr`
-walk the tree once and return a closure (Feeley & Lapalme 1987, "Using
-closures for code generation") that gives the same result and raises
-EvalError in the same cases; the searches and the simulator call these.
-The closures dispatch on value classes directly and decide numeric
-comparisons by cross-multiplying the integer numerators and denominators
-rather than through Fraction's generic comparison.  A model keeps the
-compiled forms of its operators, see `Model.keep`.
+There is one evaluator.  `compile_pred` and `compile_expr` walk the
+syntax tree once and return a closure (Feeley & Lapalme 1987, "Using
+closures for code generation") for every shape the parser emits; a
+closure raises EvalError where evaluation fails, with the same message
+whichever stage calls it.  `eval_pred` and `eval_expr` are one-shot calls
+of these closures, for values decided once (re-checking a selected
+witness, folding constant expressions).  The closures dispatch on value
+classes directly and decide comparisons through `values.COMPARISONS`.
+A model keeps the compiled forms of its operators, see `Model.keep`.
+The tree-walking interpreter the closures are tested against lives with
+the tests, in `tests/oracle.py`.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, Mapping
 
-from .model import GuardedCase, Model, OperatorDef
+from .bounds import var_grid
+from .model import Model, OperatorDef
 from .syntax import (
     And,
     Apply,
@@ -50,8 +53,8 @@ from .syntax import (
     render_expr,
 )
 from .values import (
+    COMPARISONS,
     EvalError,
-    Inf,
     Lit,
     Num,
     Tup,
@@ -71,135 +74,23 @@ Env = Mapping[str, Value]
 _MAX_DEPTH = 64
 
 
-def eval_expr(expr: Expr, env: Env, model: Model | None = None, _depth: int = 0) -> Value:
-    if _depth > _MAX_DEPTH:
-        raise EvalError("operator expansion too deep (recursive definition?)")
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Ref):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {expr.name}") from None
-    if isinstance(expr, ConstRef):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise EvalError(f"unbound constant {expr.name}") from None
-    if isinstance(expr, BinOp):
-        left = eval_expr(expr.left, env, model, _depth)
-        right = eval_expr(expr.right, env, model, _depth)
-        if expr.op == "+":
-            return v_add(left, right)
-        if expr.op == "-":
-            return v_sub(left, right)
-        if expr.op == "*":
-            return v_mul(left, right)
-        if expr.op == "div":
-            return v_div(left, right)
-        raise EvalError(f"unknown operator {expr.op}")
-    if isinstance(expr, Neg):
-        return v_neg(eval_expr(expr.arg, env, model, _depth))
-    if isinstance(expr, MinOp):
-        return v_min([eval_expr(a, env, model, _depth) for a in expr.args])
-    if isinstance(expr, TupleExpr):
-        return Tup(tuple(eval_expr(a, env, model, _depth) for a in expr.items))
-    if isinstance(expr, Proj):
-        base = eval_expr(expr.base, env, model, _depth)
-        if not isinstance(base, Tup):
-            raise EvalError(f"projection from non-tuple {render_expr(expr.base)}")
-        if not 1 <= expr.index <= len(base.items):
-            raise EvalError(f"projection index {expr.index} out of range")
-        return base.items[expr.index - 1]
-    if isinstance(expr, Apply):
-        if model is None:
-            raise EvalError(f"no model supplies operator {expr.op}")
-        op = model.operator(expr.op)
-        args = [eval_expr(a, env, model, _depth) for a in expr.args]
-        return apply_operator(op, args, env, model, _depth + 1)
-    raise EvalError(f"cannot evaluate {expr!r}")
-
-
-def apply_operator(
-    op: OperatorDef, args: list[Value], outer_env: Env, model: Model, depth: int
-) -> Value:
-    if len(args) != len(op.params):
-        raise EvalError(f"{op.name} expects {len(op.params)} arguments")
-    env = _constants(outer_env, _const_names(model))
-    for (name, sort), arg in zip(op.params, args):
-        env[name] = coerce(arg, sort, f"{op.name} parameter {name}")
-    case = select_case(op.cases, env, model)
-    if case is None:
-        raise EvalError(f"no case of operator {op.name} matches its arguments")
-    result = eval_expr(case.result, env, model, depth)
-    return coerce(result, op.result, f"{op.name} result")
-
-
-def _const_names(model: Model) -> tuple[str, ...]:
-    return tuple(n for n, _ in model.constants)
-
-
-def _constants(outer_env: Env, const_names) -> dict[str, Value]:
-    """The model constants bound in `outer_env`: all that an operator
-    sees of its caller's environment."""
-    return {k: outer_env[k] for k in const_names if k in outer_env}
+def eval_expr(expr: Expr, env: Env, model: Model | None = None) -> Value:
+    """The value of `expr` in `env`, compiled for this one call."""
+    return compile_expr(expr, model)(env)
 
 
 def eval_pred(
     pred: Predicate, env: Env, model: Model | None = None, bounds=None
 ) -> bool:
-    if isinstance(pred, BoolConst):
-        return pred.value
-    if isinstance(pred, Cmp):
-        return compare(
-            pred.op, eval_expr(pred.left, env, model), eval_expr(pred.right, env, model)
-        )
-    if isinstance(pred, InSet):
-        v = eval_expr(pred.expr, env, model)
-        return isinstance(v, Lit) and v.name in pred.literals
-    if isinstance(pred, InBase):
-        return isinstance(eval_expr(pred.expr, env, model), Num)
-    if isinstance(pred, Not):
-        return not eval_pred(pred.arg, env, model, bounds)
-    if isinstance(pred, And):
-        return all(eval_pred(q, env, model, bounds) for q in pred.items)
-    if isinstance(pred, Or):
-        return any(eval_pred(q, env, model, bounds) for q in pred.items)
-    if isinstance(pred, Implies):
-        return (not eval_pred(pred.left, env, model, bounds)) or eval_pred(
-            pred.right, env, model, bounds
-        )
-    if isinstance(pred, Exists):
-        if bounds is None:
-            raise EvalError("existential membership test needs bounds")
-        from .bounds import var_grid  # local import to avoid a cycle
-
-        grids = [var_grid(bounds, name, sort) for name, sort in pred.bound]
-        names = [name for name, _ in pred.bound]
-        inner = dict(env)
-        for combo in itertools.product(*grids):
-            inner.update(zip(names, combo))
-            if eval_pred(pred.body, inner, model, bounds):
-                return True
-        return False
-    raise EvalError(f"cannot evaluate predicate {pred!r}")
-
-
-def select_case(
-    cases: tuple[GuardedCase, ...], env: Env, model: Model | None, bounds=None
-) -> GuardedCase | None:
-    """First case whose guard holds; otherwise-cases always hold."""
-    for case in cases:
-        if case.is_otherwise or eval_pred(case.guard, env, model, bounds):
-            return case
-    return None
+    """Whether `pred` holds in `env`, compiled for this one call."""
+    return compile_pred(pred, model, bounds)(env)
 
 
 # ---------------------------------------------------------------------------
 # compiled closures
 
 def compile_expr(expr: Expr, model: Model | None = None) -> Callable[[Env], Value]:
-    """A closure computing `eval_expr(expr, env, model)` for an environment."""
+    """A closure computing the value of `expr` in an environment."""
     code = _expr(expr, model)
     return lambda env: code(env, 0)
 
@@ -207,13 +98,13 @@ def compile_expr(expr: Expr, model: Model | None = None) -> Callable[[Env], Valu
 def compile_pred(
     pred: Predicate, model: Model | None = None, bounds=None
 ) -> Callable[[Env], bool]:
-    """A closure computing `eval_pred(pred, env, model, bounds)` for an
-    environment, raising EvalError where it raises.  Existentials, and
-    shapes the parser never produces, are left to `eval_pred` itself."""
+    """A closure deciding `pred` in an environment.  An existential
+    ranges over the grids of `bounds`; without bounds it raises when
+    called."""
     if isinstance(pred, BoolConst):
         value = pred.value
         return lambda env: value
-    if isinstance(pred, Cmp) and pred.op in _TESTS:
+    if isinstance(pred, Cmp):
         return _compile_cmp(pred, model)
     if isinstance(pred, InSet):
         arg, literals = _expr(pred.expr, model), frozenset(pred.literals)
@@ -242,11 +133,15 @@ def compile_pred(
         left = compile_pred(pred.left, model, bounds)
         right = compile_pred(pred.right, model, bounds)
         return lambda env: (not left(env)) or right(env)
-    return lambda env: eval_pred(pred, env, model, bounds)
+    if isinstance(pred, Exists):
+        return _compile_exists(pred, model, bounds)
+    return _fails(f"cannot evaluate predicate {pred!r}")
 
 
 def _compile_cmp(pred: Cmp, model):
-    test, left, right = _TESTS[pred.op], pred.left, pred.right
+    # an unknown operator fails, as `compare` does, once both sides are known
+    test = COMPARISONS.get(pred.op) or partial(compare, pred.op)
+    left, right = pred.left, pred.right
     if isinstance(left, (Ref, ConstRef)) and isinstance(right, Const):
         # the common shape `v op constant`, with the lookup inlined; guards
         # and classes repeat these atoms a lot, so a model keeps one each
@@ -265,64 +160,41 @@ def _compile_cmp(pred: Cmp, model):
     return lambda env: test(lhs(env, 0), rhs(env, 0))
 
 
+def _compile_exists(pred: Exists, model, bounds):
+    """The existential as a scan of its bound variables' grids, in
+    ascending product order, until the compiled body holds."""
+    body, bound = compile_pred(pred.body, model, bounds), pred.bound
+    names = [name for name, _ in bound]
+
+    def exists(env):
+        if bounds is None:
+            raise EvalError("existential membership test needs bounds")
+        inner = dict(env)
+        for combo in itertools.product(*[var_grid(bounds, n, sort) for n, sort in bound]):
+            inner.update(zip(names, combo))
+            if body(inner):
+                return True
+        return False
+    return exists
+
+
+def _fails(message: str):
+    """A closure, of any arity, that raises EvalError(message)."""
+    def fail(*_):
+        raise EvalError(message)
+    return fail
+
+
 def _kind(ref: Ref | ConstRef) -> str:
     return "variable" if isinstance(ref, Ref) else "constant"
 
-
-# Comparisons on values, as `compare` decides them.  Num values hold
-# Fractions, always normalized with a positive denominator, so an ordered
-# comparison cross-multiplies their integer parts, read from the
-# Fraction's slots (its public properties cost a call each); infinity
-# ranks above every number, and a literal or tuple on an ordered atom
-# compares false.
-
-def _eq(a: Value, b: Value) -> bool:
-    cls = a.__class__
-    if cls is not b.__class__:
-        return False
-    if cls is Num:
-        x, y = a.value, b.value
-        return x._numerator == y._numerator and x._denominator == y._denominator
-    if cls is Lit:
-        return a.name == b.name
-    if cls is Tup:
-        return len(a.items) == len(b.items) and all(map(_eq, a.items, b.items))
-    return a == b
-
-
-def _lt(a: Value, b: Value) -> bool:
-    if a.__class__ is Num:
-        if b.__class__ is Num:
-            x, y = a.value, b.value
-            return x._numerator * y._denominator < y._numerator * x._denominator
-        return b.__class__ is Inf
-    return False
-
-
-def _le(a: Value, b: Value) -> bool:
-    cls = a.__class__
-    if cls is Num and b.__class__ is Num:
-        x, y = a.value, b.value
-        return x._numerator * y._denominator <= y._numerator * x._denominator
-    return (cls is Num or cls is Inf) and b.__class__ is Inf
-
-
-_TESTS = {
-    "=": _eq,
-    "!=": lambda a, b: not _eq(a, b),
-    "<": _lt,
-    "<=": _le,
-    ">": lambda a, b: _lt(b, a),
-    ">=": lambda a, b: _le(b, a),
-}
 
 _ARITH = {"+": v_add, "-": v_sub, "*": v_mul, "div": v_div}
 
 
 def _expr(e: Expr, model):
-    """A closure `f(env, depth)` computing `eval_expr(e, env, model, depth)`.
-    Negations, projections and shapes the parser never produces are left
-    to `eval_expr` itself."""
+    """A closure `f(env, depth)` computing the value of `e`, where `depth`
+    counts the operator applications it runs inside."""
     if isinstance(e, Const):
         value = e.value
         return lambda env, depth: value
@@ -338,35 +210,56 @@ def _expr(e: Expr, model):
             return ref
         # one closure per name and model: results repeat their names a lot
         return lookup() if model is None else model.keep((kind, name), lookup)
-    if isinstance(e, BinOp) and e.op in _ARITH:
-        arith, left, right = _ARITH[e.op], _expr(e.left, model), _expr(e.right, model)
+    if isinstance(e, BinOp):
+        # an unknown operator fails once both operands are known
+        arith = _ARITH.get(e.op) or _fails(f"unknown operator {e.op}")
+        left, right = _expr(e.left, model), _expr(e.right, model)
         return lambda env, depth: arith(left(env, depth), right(env, depth))
+    if isinstance(e, Neg):
+        arg = _expr(e.arg, model)
+        return lambda env, depth: v_neg(arg(env, depth))
     if isinstance(e, MinOp):
         args = tuple(_expr(a, model) for a in e.args)
         return lambda env, depth: v_min([a(env, depth) for a in args])
     if isinstance(e, TupleExpr):
         items = tuple(_expr(a, model) for a in e.items)
         return lambda env, depth: Tup(tuple([a(env, depth) for a in items]))
-    if isinstance(e, Apply) and model is not None:
+    if isinstance(e, Proj):
+        return _compile_proj(e, model)
+    if isinstance(e, Apply):
+        if model is None:
+            return _fails(f"no model supplies operator {e.op}")
         name, args = e.op, tuple(_expr(a, model) for a in e.args)
 
         def apply(env, depth):
             call = _operator(model, name)
             return call([a(env, depth) for a in args], env, depth + 1)
         return apply
-    return lambda env, depth: eval_expr(e, env, model, depth)
+    return _fails(f"cannot evaluate {e!r}")
+
+
+def _compile_proj(e: Proj, model):
+    base, index = _expr(e.base, model), e.index
+
+    def proj(env, depth):
+        v = base(env, depth)
+        if v.__class__ is not Tup:
+            raise EvalError(f"projection from non-tuple {render_expr(e.base)}")
+        if not 1 <= index <= len(v.items):
+            raise EvalError(f"projection index {index} out of range")
+        return v.items[index - 1]
+    return proj
 
 
 def _operator(model: Model, name: str):
     """The model's operator `name` compiled to `call(args, outer_env,
-    depth)`, which applies it as `apply_operator` does; kept on the model.
-    A body's own operator calls resolve when they run, so recursive
-    definitions compile."""
+    depth)`; kept on the model.  A body's own operator calls resolve when
+    they run, so recursive definitions compile."""
     return model.keep(("operator", name), lambda: _compile_operator(model, model.operator(name)))
 
 
 def _compile_operator(model: Model, op: OperatorDef):
-    arity, consts = len(op.params), _const_names(model)
+    arity, consts = len(op.params), tuple(n for n, _ in model.constants)
     params = [(name, sort, f"{op.name} parameter {name}") for name, sort in op.params]
     cases = [
         (None if case.is_otherwise else compile_pred(case.guard, model), _expr(case.result, model))
@@ -377,7 +270,8 @@ def _compile_operator(model: Model, op: OperatorDef):
     def call(args, outer_env, depth):
         if len(args) != arity:
             raise EvalError(f"{op.name} expects {arity} arguments")
-        env = _constants(outer_env, consts)
+        # the model constants bound by the caller: all an operator sees of it
+        env = {k: outer_env[k] for k in consts if k in outer_env}
         for (name, param_sort, param_where), arg in zip(params, args):
             env[name] = coerce(arg, param_sort, param_where)
         for guard, result in cases:

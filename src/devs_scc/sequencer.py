@@ -104,8 +104,8 @@ def build_sequences(
                 break
             if found is None:
                 break
-            nxt, (event, rel_time) = found
-            remaining.remove(nxt)
+            at, (event, rel_time) = found
+            nxt = remaining.pop(at)
             seq.covered.append(nxt.id)
             sim, ok = _run_step(model, sim, consts, event, rel_time, seq, nxt.id)
             if not ok:
@@ -130,13 +130,14 @@ def _run_step(model, sim, consts, event, rel_time, seq, scc_id):
 
 
 def _next_reachable(remaining, sim, consts, model, bounds):
-    """First remaining class (ascending id) with a runnable member made of
-    the current state, and that member's pair.  The pair space, built
-    once, lacks the no-event marker when the state's time advance is
-    infinite; an EvalError from that time advance ends the chain."""
+    """Position of the first remaining class (ascending id) with a runnable
+    member made of the current state, and that member's pair.  The pair
+    space, built once, lacks the no-event marker when the state's time
+    advance is infinite; an EvalError from that time advance ends the
+    chain."""
     env = {**consts, **sim.state}
     space = None
-    for scc in remaining:
+    for at, scc in enumerate(remaining):
         in_state_set = scc.keep(
             "init_states", model, bounds, lambda: compile_pred(scc.init_states, model, bounds)
         )
@@ -150,5 +151,5 @@ def _next_reachable(remaining, sim, consts, model, bounds):
             space = [("x", input_grid(bounds, model, with_tau=tau)), ("t", time_points(bounds))]
         verdict = satisfiable(runnable_form(scc, model, bounds), space, bounds, model, base_env=env)
         if verdict.sat:
-            return scc, (verdict.witness["x"], verdict.witness["t"])
+            return at, (verdict.witness["x"], verdict.witness["t"])
     return None

@@ -283,46 +283,62 @@ def v_neg(a: Value) -> Value:
     raise EvalError(f"cannot negate {render_value(a)}")
 
 
-_ORDERED = {"<", "<=", ">", ">="}
+# Comparisons on values.  Num values hold Fractions, always normalized
+# with a positive denominator, so an ordered comparison cross-multiplies
+# their integer parts, read from the Fraction's slots (its public
+# properties cost a call each); infinity ranks above every number.
+
+def _eq(a: Value, b: Value) -> bool:
+    cls = a.__class__
+    if cls is not b.__class__:
+        return False
+    if cls is Num:
+        x, y = a.value, b.value
+        return x._numerator == y._numerator and x._denominator == y._denominator
+    if cls is Lit:
+        return a.name == b.name
+    if cls is Tup:
+        return len(a.items) == len(b.items) and all(map(_eq, a.items, b.items))
+    return a == b
+
+
+def _lt(a: Value, b: Value) -> bool:
+    if a.__class__ is Num:
+        if b.__class__ is Num:
+            x, y = a.value, b.value
+            return x._numerator * y._denominator < y._numerator * x._denominator
+        return b.__class__ is Inf
+    return False
+
+
+def _le(a: Value, b: Value) -> bool:
+    cls = a.__class__
+    if cls is Num and b.__class__ is Num:
+        x, y = a.value, b.value
+        return x._numerator * y._denominator <= y._numerator * x._denominator
+    return (cls is Num or cls is Inf) and b.__class__ is Inf
+
+
+# comparison operator -> test on two values
+COMPARISONS = {
+    "=": _eq,
+    "!=": lambda a, b: not _eq(a, b),
+    "<": _lt,
+    "<=": _le,
+    ">": lambda a, b: _lt(b, a),
+    ">=": lambda a, b: _le(b, a),
+}
 
 
 def compare(op: str, a: Value, b: Value) -> bool:
     """Decide a comparison atom.
 
-    Ordered comparisons where one side is a set literal and the other is a
-    number are false rather than errors: a guard like fc > f must simply not
-    hold when fc carries the distinguished literal.
+    Ordered comparisons where one side is a set literal or a tuple are
+    false rather than errors: a guard like fc > f must simply not hold
+    when fc carries the distinguished literal.
     """
-    if op == "=":
-        return _v_eq(a, b)
-    if op == "!=":
-        return not _v_eq(a, b)
-    if op in _ORDERED:
-        ra = _rank(a)
-        rb = _rank(b)
-        if ra is None or rb is None:
-            return False  # incomparable: literal or tuple on an ordered atom
-        if op == "<":
-            return ra < rb
-        if op == "<=":
-            return ra <= rb
-        if op == ">":
-            return ra > rb
-        return ra >= rb
-    raise EvalError(f"unknown comparison {op}")
-
-
-def _rank(v: Value):
-    if isinstance(v, Num):
-        return (0, v.value)
-    if isinstance(v, Inf):
-        return (1, 0)
-    return None
-
-
-def _v_eq(a: Value, b: Value) -> bool:
-    if isinstance(a, Tup) and isinstance(b, Tup):
-        return len(a.items) == len(b.items) and all(
-            _v_eq(x, y) for x, y in zip(a.items, b.items)
-        )
-    return a == b
+    try:
+        test = COMPARISONS[op]
+    except KeyError:
+        raise EvalError(f"unknown comparison {op}") from None
+    return test(a, b)

@@ -1,0 +1,228 @@
+"""The tree-walking interpreter: the reference semantics the product's
+compiled evaluator (`devs_scc.evaluator`) is tested against.
+
+`eval_expr` and `eval_pred` walk the syntax tree on every call;
+`compare` decides comparison atoms by ranking values.  This module is
+independent of the compiled closures, so a differential test that checks
+them against it checks two implementations.  An environment maps names
+to values; user-defined operators run their own guarded cases in an
+environment containing only their parameters and the model constants;
+conjunction and disjunction short-circuit left to right.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Mapping
+
+from devs_scc.bounds import var_grid
+from devs_scc.model import GuardedCase, Model, OperatorDef
+from devs_scc.syntax import (
+    And,
+    Apply,
+    BinOp,
+    BoolConst,
+    Cmp,
+    Const,
+    ConstRef,
+    Exists,
+    Expr,
+    Implies,
+    InBase,
+    InSet,
+    MinOp,
+    Neg,
+    Not,
+    Or,
+    Predicate,
+    Proj,
+    Ref,
+    TupleExpr,
+    render_expr,
+)
+from devs_scc.values import (
+    EvalError,
+    Inf,
+    Lit,
+    Num,
+    Tup,
+    Value,
+    coerce,
+    v_add,
+    v_div,
+    v_min,
+    v_mul,
+    v_neg,
+    v_sub,
+)
+
+Env = Mapping[str, Value]
+
+_MAX_DEPTH = 64
+
+
+def eval_expr(expr: Expr, env: Env, model: Model | None = None, _depth: int = 0) -> Value:
+    if _depth > _MAX_DEPTH:
+        raise EvalError("operator expansion too deep (recursive definition?)")
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Ref):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {expr.name}") from None
+    if isinstance(expr, ConstRef):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise EvalError(f"unbound constant {expr.name}") from None
+    if isinstance(expr, BinOp):
+        left = eval_expr(expr.left, env, model, _depth)
+        right = eval_expr(expr.right, env, model, _depth)
+        if expr.op == "+":
+            return v_add(left, right)
+        if expr.op == "-":
+            return v_sub(left, right)
+        if expr.op == "*":
+            return v_mul(left, right)
+        if expr.op == "div":
+            return v_div(left, right)
+        raise EvalError(f"unknown operator {expr.op}")
+    if isinstance(expr, Neg):
+        return v_neg(eval_expr(expr.arg, env, model, _depth))
+    if isinstance(expr, MinOp):
+        return v_min([eval_expr(a, env, model, _depth) for a in expr.args])
+    if isinstance(expr, TupleExpr):
+        return Tup(tuple(eval_expr(a, env, model, _depth) for a in expr.items))
+    if isinstance(expr, Proj):
+        base = eval_expr(expr.base, env, model, _depth)
+        if not isinstance(base, Tup):
+            raise EvalError(f"projection from non-tuple {render_expr(expr.base)}")
+        if not 1 <= expr.index <= len(base.items):
+            raise EvalError(f"projection index {expr.index} out of range")
+        return base.items[expr.index - 1]
+    if isinstance(expr, Apply):
+        if model is None:
+            raise EvalError(f"no model supplies operator {expr.op}")
+        op = model.operator(expr.op)
+        args = [eval_expr(a, env, model, _depth) for a in expr.args]
+        return apply_operator(op, args, env, model, _depth + 1)
+    raise EvalError(f"cannot evaluate {expr!r}")
+
+
+def apply_operator(
+    op: OperatorDef, args: list[Value], outer_env: Env, model: Model, depth: int
+) -> Value:
+    if len(args) != len(op.params):
+        raise EvalError(f"{op.name} expects {len(op.params)} arguments")
+    env = _constants(outer_env, _const_names(model))
+    for (name, sort), arg in zip(op.params, args):
+        env[name] = coerce(arg, sort, f"{op.name} parameter {name}")
+    case = select_case(op.cases, env, model)
+    if case is None:
+        raise EvalError(f"no case of operator {op.name} matches its arguments")
+    result = eval_expr(case.result, env, model, depth)
+    return coerce(result, op.result, f"{op.name} result")
+
+
+def _const_names(model: Model) -> tuple[str, ...]:
+    return tuple(n for n, _ in model.constants)
+
+
+def _constants(outer_env: Env, const_names) -> dict[str, Value]:
+    """The model constants bound in `outer_env`: all that an operator
+    sees of its caller's environment."""
+    return {k: outer_env[k] for k in const_names if k in outer_env}
+
+
+def eval_pred(
+    pred: Predicate, env: Env, model: Model | None = None, bounds=None
+) -> bool:
+    if isinstance(pred, BoolConst):
+        return pred.value
+    if isinstance(pred, Cmp):
+        return compare(
+            pred.op, eval_expr(pred.left, env, model), eval_expr(pred.right, env, model)
+        )
+    if isinstance(pred, InSet):
+        v = eval_expr(pred.expr, env, model)
+        return isinstance(v, Lit) and v.name in pred.literals
+    if isinstance(pred, InBase):
+        return isinstance(eval_expr(pred.expr, env, model), Num)
+    if isinstance(pred, Not):
+        return not eval_pred(pred.arg, env, model, bounds)
+    if isinstance(pred, And):
+        return all(eval_pred(q, env, model, bounds) for q in pred.items)
+    if isinstance(pred, Or):
+        return any(eval_pred(q, env, model, bounds) for q in pred.items)
+    if isinstance(pred, Implies):
+        return (not eval_pred(pred.left, env, model, bounds)) or eval_pred(
+            pred.right, env, model, bounds
+        )
+    if isinstance(pred, Exists):
+        if bounds is None:
+            raise EvalError("existential membership test needs bounds")
+        grids = [var_grid(bounds, name, sort) for name, sort in pred.bound]
+        names = [name for name, _ in pred.bound]
+        inner = dict(env)
+        for combo in itertools.product(*grids):
+            inner.update(zip(names, combo))
+            if eval_pred(pred.body, inner, model, bounds):
+                return True
+        return False
+    raise EvalError(f"cannot evaluate predicate {pred!r}")
+
+
+def select_case(
+    cases: tuple[GuardedCase, ...], env: Env, model: Model | None, bounds=None
+) -> GuardedCase | None:
+    """First case whose guard holds; otherwise-cases always hold."""
+    for case in cases:
+        if case.is_otherwise or eval_pred(case.guard, env, model, bounds):
+            return case
+    return None
+
+
+_ORDERED = {"<", "<=", ">", ">="}
+
+
+def compare(op: str, a: Value, b: Value) -> bool:
+    """Decide a comparison atom.
+
+    Ordered comparisons where one side is a set literal and the other is a
+    number are false rather than errors: a guard like fc > f must simply not
+    hold when fc carries the distinguished literal.
+    """
+    if op == "=":
+        return _v_eq(a, b)
+    if op == "!=":
+        return not _v_eq(a, b)
+    if op in _ORDERED:
+        ra = _rank(a)
+        rb = _rank(b)
+        if ra is None or rb is None:
+            return False  # incomparable: literal or tuple on an ordered atom
+        if op == "<":
+            return ra < rb
+        if op == "<=":
+            return ra <= rb
+        if op == ">":
+            return ra > rb
+        return ra >= rb
+    raise EvalError(f"unknown comparison {op}")
+
+
+def _rank(v: Value):
+    if isinstance(v, Num):
+        return (0, v.value)
+    if isinstance(v, Inf):
+        return (1, 0)
+    return None
+
+
+def _v_eq(a: Value, b: Value) -> bool:
+    if isinstance(a, Tup) and isinstance(b, Tup):
+        return len(a.items) == len(b.items) and all(
+            _v_eq(x, y) for x, y in zip(a.items, b.items)
+        )
+    return a == b

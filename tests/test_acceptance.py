@@ -22,7 +22,7 @@ from devs_scc.campaign import (
 )
 from devs_scc.criteria import TimeSpec, cases_criterion, time_partition_criterion
 from devs_scc.dnf import to_dnf
-from devs_scc.evaluator import eval_pred
+from oracle import eval_pred
 from devs_scc.parser import parse_bounds_file, parse_expr_text, parse_model_file
 from devs_scc.partitions import builtin_tables, check_partition
 from devs_scc.scc import assign_ids, make_scc

@@ -449,6 +449,9 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
     ("simulate", ["--config"], '{"state": {"m": "A"}, "input": "go"}',
      "an input must be an object, not a string"),
     ("simulate", ["--sequence"], '{"sequences": 3}', "sequences must be an array, not a number"),
+    ("combine", ["--all-pairs", "--budget", "-5"], None,
+     "bad combination flags: budget must be at least 0"),
+    ("combine", ["--plan"], '{"allPairs": true, "budget": -1}', "budget must be at least 0"),
 ])
 def test_malformed_combination_or_simulation_input_exits_2(
     command, flags, text, message, tmp_path, capsys

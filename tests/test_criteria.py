@@ -13,7 +13,7 @@ from devs_scc.criteria import (
     standard_partition_criterion,
     time_partition_criterion,
 )
-from devs_scc.evaluator import eval_pred
+from oracle import eval_pred
 from devs_scc.parser import parse_expr_text, parse_model_text
 from devs_scc.partitions import builtin_tables
 from devs_scc.sat import iter_witnesses

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from devs_scc.dnf import DnfCapError, to_dnf
-from devs_scc.evaluator import eval_pred
+from oracle import eval_pred
 from devs_scc.syntax import (
     And,
     BinOp,

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from devs_scc.evaluator import eval_expr, eval_pred, select_case
+from devs_scc.evaluator import eval_expr, eval_pred
 from devs_scc.parser import parse_model_text
 from devs_scc.syntax import Apply, Const, InSet, Ref
 from devs_scc.values import EvalError, INF, Lit, Num, Tup, num
+from oracle import select_case
 
 CHANGE_MODEL = """
 model changer {
@@ -193,13 +194,16 @@ def test_first_matching_guard_wins(soda, soda_bounds):
 # ---------------------------------------------------------------------------
 # compiled closures against the tree-walking oracle
 
+from oracle import eval_expr as oracle_expr, eval_pred as oracle_pred
 from hypothesis import given, strategies as st
 
 from devs_scc.evaluator import compile_expr, compile_pred
+from devs_scc.bounds import Bounds
 from devs_scc.syntax import (
-    FALSE, TRUE, And, BinOp, Cmp, ConstRef, Implies, InBase, MinOp, Neg, Not, Or, Proj,
-    TupleExpr,
+    FALSE, TRUE, And, BinOp, Cmp, ConstRef, Exists, Implies, InBase, MinOp, Neg, Not, Or, Proj,
+    TupleExpr, render_pred,
 )
+from devs_scc.values import NAT, EnumSort
 
 _scalars = st.one_of(
     st.builds(lambda n, d: Num(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 3)),
@@ -256,7 +260,7 @@ def _outcome(run):
 
 @given(_preds, _envs)
 def test_compiled_predicates_agree_with_the_oracle(pred, env):
-    oracle = _outcome(lambda: eval_pred(pred, env))
+    oracle = _outcome(lambda: oracle_pred(pred, env))
     compiled = _outcome(lambda: compile_pred(pred)(env))
     assert compiled == oracle
     assert type(compiled[1]) is type(oracle[1])
@@ -264,7 +268,7 @@ def test_compiled_predicates_agree_with_the_oracle(pred, env):
 
 @given(_exprs, _envs)
 def test_compiled_expressions_agree_with_the_oracle(expr, env):
-    assert _outcome(lambda: compile_expr(expr)(env)) == _outcome(lambda: eval_expr(expr, env))
+    assert _outcome(lambda: compile_expr(expr)(env)) == _outcome(lambda: oracle_expr(expr, env))
 
 
 def test_compiled_ntsel_agrees_with_the_oracle(elevator, elevator_bounds):
@@ -277,7 +281,7 @@ def test_compiled_ntsel_agrees_with_the_oracle(elevator, elevator_bounds):
     ]
     assert len(calls) == 5 ** 5
     for call in calls:
-        want = _outcome(lambda: eval_expr(call, {}, elevator))
+        want = _outcome(lambda: oracle_expr(call, {}, elevator))
         assert _outcome(lambda: compile_expr(call, elevator)({})) == want
 
 
@@ -300,9 +304,9 @@ def test_compiled_cases_agree_with_the_oracle(name, request):
         env = {**const_env(bounds, model), **{n: rng.choice(g) for n, g in space}}
         env["e"] = env["t"]
         for guard, compiled in guards:
-            assert _outcome(lambda: compiled(env)) == _outcome(lambda: eval_pred(guard, env, model))
+            assert _outcome(lambda: compiled(env)) == _outcome(lambda: oracle_pred(guard, env, model))
         for expr, compiled in exprs:
-            assert _outcome(lambda: compiled(env)) == _outcome(lambda: eval_expr(expr, env, model))
+            assert _outcome(lambda: compiled(env)) == _outcome(lambda: oracle_expr(expr, env, model))
 
 
 def test_runaway_operator_expansion_is_an_evaluation_error():
@@ -326,3 +330,114 @@ def test_runaway_operator_expansion_is_an_evaluation_error():
         compile_expr(call, model)({})
     with pytest.raises(EvalError, match=re.escape(message)):
         compile_pred(Cmp("=", call, Const(num(0))), model)({})
+
+
+# existentials: the bound variables' grids scanned in ascending product order
+_EXISTS_BOUNDS = [None, Bounds(nat_ranges={"": (0, 2)}), Bounds(nat_ranges={"y": (1, 2)})]
+_exists_names = st.sampled_from(["a", "y", "z", "c"])
+_exists_atoms = st.one_of(
+    st.builds(
+        Cmp, st.sampled_from(["=", "!=", "<", ">="]), st.builds(Ref, _exists_names),
+        st.builds(Const, _scalars),
+    ),
+    # raises where the divisor is 0
+    st.builds(
+        lambda v, k: Cmp("=", BinOp("div", Const(num(1)), Ref(v)), Const(num(k))),
+        st.sampled_from(["a", "y"]), st.integers(0, 1),
+    ),
+    st.builds(
+        lambda v, lits: InSet(Ref(v), tuple(lits)), _exists_names,
+        st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=2),
+    ),
+)
+_exists_bodies = st.recursive(
+    _exists_atoms,
+    lambda inner: st.one_of(
+        st.builds(lambda xs: And(tuple(xs)), st.lists(inner, min_size=2, max_size=3)),
+        st.builds(lambda xs: Or(tuple(xs)), st.lists(inner, min_size=2, max_size=3)),
+        st.builds(Not, inner),
+    ),
+    max_leaves=4,
+)
+_bound_vars = st.lists(
+    st.sampled_from([("y", NAT), ("z", NAT), ("c", EnumSort(("A", "B")))]),
+    min_size=1, max_size=2, unique_by=lambda v: v[0],
+)
+_existentials = st.recursive(
+    st.builds(lambda bound, body: Exists(tuple(bound), body), _bound_vars, _exists_bodies),
+    lambda inner: st.one_of(
+        st.builds(lambda bound, body: Exists(tuple(bound), body), _bound_vars, inner),
+        st.builds(lambda p, q: And((p, q)), inner, _exists_atoms),
+        st.builds(lambda p, q: Or((q, p)), inner, _exists_atoms),
+        st.builds(Not, inner),
+    ),
+    max_leaves=3,
+)
+
+
+@given(_existentials, st.dictionaries(st.sampled_from(["a", "y"]), _scalars),
+       st.sampled_from(_EXISTS_BOUNDS))
+def test_compiled_existentials_agree_with_the_oracle(pred, env, bounds):
+    before = dict(env)
+    compiled = _outcome(lambda: compile_pred(pred, None, bounds)(env))
+    assert compiled == _outcome(lambda: oracle_pred(pred, env, None, bounds))
+    assert env == before
+
+
+@pytest.mark.parametrize("shape, message", [
+    (Cmp("~", Const(num(1)), Const(num(1))), "unknown comparison ~"),
+    (Cmp("~", Ref("a"), Const(num(1))), "unbound variable a"),
+    (Cmp("=", BinOp("%", Const(num(1)), Const(num(1))), Const(num(1))), "unknown operator %"),
+    (Cmp("=", BinOp("%", Ref("a"), Const(num(1))), Const(num(1))), "unbound variable a"),
+    (Cmp("=", Apply("f", (Ref("a"),)), Const(num(1))), "no model supplies operator f"),
+    (Cmp("=", Const(num(1)), "junk"), "cannot evaluate 'junk'"),
+    ("junk", "cannot evaluate predicate 'junk'"),
+    (Exists((("y", NAT),), TRUE), "existential membership test needs bounds"),
+])
+def test_a_shape_that_cannot_be_evaluated_fails_when_called(shape, message):
+    """The compiled closure raises the oracle's error when it is called,
+    after evaluating what the oracle evaluates first."""
+    decide = compile_pred(shape)
+    for run in (lambda: decide({}), lambda: eval_pred(shape, {}), lambda: oracle_pred(shape, {})):
+        with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+            run()
+
+
+@pytest.mark.parametrize("name", ["elevator worked plan", "soda all-pairs"])
+def test_compiled_class_predicates_agree_with_the_oracle(name, request):
+    """Every state, pair and joint predicate of a shipped catalog,
+    existentials included, on random configurations within bounds."""
+    import random
+
+    from devs_scc.bounds import const_env, joint_space
+
+    from tests.test_sequencer import _sequenced
+
+    model, bounds, result = _sequenced(name, request)
+    preds = [
+        p for s in result.catalog for p in (s.init_states, s.input_pairs, s.joint) if p is not None
+    ]
+    if model.name == "elevator":
+        # the standard partition's dext classes project their input away
+        assert any("exists" in render_pred(p) for p in preds)
+    compiled = [(p, compile_pred(p, model, bounds)) for p in preds]
+    space = joint_space(model, bounds)
+    rng = random.Random(11)
+    for _ in range(25):
+        env = {**const_env(bounds, model), **{n: rng.choice(g) for n, g in space}}
+        for pred, decide in compiled:
+            assert _outcome(lambda: decide(env)) == _outcome(
+                lambda: oracle_pred(pred, env, model, bounds))
+
+
+@pytest.mark.parametrize("base, index, want", [
+    (TupleExpr((Const(num(1)), Ref("a"))), 1, ("value", num(1))),
+    (TupleExpr((Const(num(1)), Ref("a"))), 2, ("value", Lit("A"))),
+    (TupleExpr((Const(num(1)), Ref("a"))), 0, ("error", "projection index 0 out of range")),
+    (TupleExpr((Const(num(1)), Ref("a"))), 3, ("error", "projection index 3 out of range")),
+    (Ref("a"), 1, ("error", "projection from non-tuple a")),
+])
+def test_projection_reads_one_component(base, index, want):
+    env = {"a": Lit("A")}
+    for run in (compile_expr(Proj(base, index)), lambda env: oracle_expr(Proj(base, index), env)):
+        assert _outcome(lambda: run(env)) == want

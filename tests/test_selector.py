@@ -7,7 +7,7 @@ from devs_scc.algebra import CombinationPlan
 from devs_scc.bounds import Bounds, const_env, joint_space, pair_space, state_space
 from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.criteria import cases_criterion
-from devs_scc.evaluator import eval_expr, eval_pred
+from oracle import eval_expr, eval_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
 from devs_scc.partitions import builtin_tables
 from devs_scc.sat import satisfiable

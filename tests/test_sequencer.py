@@ -4,7 +4,7 @@ import pytest
 
 from devs_scc.bounds import const_env
 from devs_scc.criteria import cases_criterion
-from devs_scc.evaluator import eval_pred
+from oracle import eval_pred
 from devs_scc.scc import make_scc
 from devs_scc.sequencer import build_sequences
 from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, conj
@@ -73,6 +73,22 @@ def test_selected_representatives_are_reused(toggle, toggle_bounds, monkeypatch)
     sequences, notes = build_sequences(toggle, classes, toggle_bounds, configs)
     assert [s.to_json() for s in sequences] == [s.to_json() for s in expected]
     assert notes == expected_notes
+
+
+def test_chaining_removes_the_next_class_by_position(request, monkeypatch):
+    """Chaining takes the class it found out of the remaining list at its
+    position: no two classes are compared field by field."""
+    from devs_scc.scc import SCC
+
+    model, bounds, result = _sequenced("elevator worked plan", request)
+
+    def no_equality(self, other):
+        raise AssertionError("classes compared for equality while chaining")
+
+    monkeypatch.setattr(SCC, "__eq__", no_equality)
+    sequences, _ = build_sequences(model, result.catalog, bounds)
+    assert any(len(seq.covered) > 1 for seq in sequences)
+    assert [s.to_json() for s in sequences] == [s.to_json() for s in result.sequences]
 
 
 def test_disjoint_classes_get_one_sequence_each(toggle, toggle_bounds):

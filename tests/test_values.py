@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from devs_scc.values import (
     EnumSort,
@@ -27,6 +28,8 @@ from devs_scc.values import (
     v_sub,
     value_conforms,
 )
+
+import oracle
 
 
 def test_exact_number_parsing():
@@ -75,6 +78,28 @@ def test_time_order_with_infinity():
     assert compare("<", num(3), INF)
     assert compare("<=", INF, INF)
     assert not compare("<", INF, num(3))
+
+
+_scalars = st.one_of(
+    st.builds(lambda n, d: Num(Fraction(n, d)), st.integers(-2, 2), st.integers(1, 2)),
+    st.just(INF),
+    st.sampled_from([Lit("A"), Lit("B")]),
+)
+_values = st.recursive(
+    _scalars, lambda inner: st.builds(lambda xs: Tup(tuple(xs)), st.lists(inner, min_size=2, max_size=3)),
+    max_leaves=4,
+)
+
+
+@given(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), _values, _values)
+def test_compare_agrees_with_the_ranking_oracle(op, a, b):
+    assert compare(op, a, b) == oracle.compare(op, a, b)
+
+
+def test_an_unknown_comparison_is_an_evaluation_error():
+    for decide in (compare, oracle.compare):
+        with pytest.raises(EvalError, match="^unknown comparison ~$"):
+            decide("~", num(1), num(1))
 
 
 def test_nat_coercion_rejects_negative_and_fractional():
