@@ -9,7 +9,9 @@ model, so it also works as a standalone audit of programmatically built
 models.  Given enumeration bounds, it also decides by bounded search
 (`sat.coverage`, `sat.satisfiable`) whether each case table leaves a
 gap or hides a case behind an earlier overlapping one, and whether the
-time advance can be negative.
+time advance can be negative.  A model is bound once: the rebound model
+and its static report are kept on the model, so a parsed model checked
+against bounds is not bound again.
 """
 
 from __future__ import annotations
@@ -324,7 +326,31 @@ def validate_model(model: Model, bounds: Bounds | None = None) -> tuple[Model, V
     overlap, resolved by first-match order but worth knowing about) and
     where `ta` is negative; a search that runs out of budget warns that
     its check is undecided.
+
+    The rebound model and the report of binding it (the static report)
+    are kept, with `Model.keep`, on `model` and on the rebound model, so
+    validating either again, with other bounds or none, binds nothing:
+    it starts from a copy of the static report and runs only the checks
+    that need bounds.  A parsed model is the rebound model of its parse.
     """
+    bound, static = model.keep("validated", lambda: _bind_model(model))
+    if bound is None:
+        bound = model  # kept by an earlier call that returned `model`
+    else:
+        # kept without itself: a model in a reference cycle outlives its
+        # last user until the garbage collector runs
+        bound.keep("validated", lambda: (None, static))
+    report = replace(static, errors=list(static.errors), warnings=list(static.warnings),
+                     notes=list(static.notes))
+    if bounds is not None:
+        report.errors.extend(bounds_errors(bound, bounds))
+        if report.usable:
+            _dynamic_checks(bound, bounds, report)
+    return bound, report
+
+
+def _bind_model(model: Model) -> tuple[Model, ValidationReport]:
+    """The rebound model and the report of its static checks."""
     report = ValidationReport()
     report.ext_cases = len(model.delta_ext)
     report.int_cases = len(model.delta_int)
@@ -349,10 +375,6 @@ def validate_model(model: Model, bounds: Bounds | None = None) -> tuple[Model, V
 
     bound = replace(model, delta_ext=dext, delta_int=dint, output_fn=lam, ta=ta)
     _suggest_time_vars(bound, report)
-    if bounds is not None:
-        report.errors.extend(bounds_errors(bound, bounds))
-        if report.usable:
-            _dynamic_checks(bound, bounds, report)
     return bound, report
 
 
@@ -466,13 +488,19 @@ def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
         )
 
 
-def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> None:
-    space = state_space(model, bounds)
+def _case_tables(model: Model, bounds: Bounds, space):
+    """Each function's name, its cases and the space its checks search,
+    given the state space `space`."""
     # the input first: with it last, soda's dext gap was not found within 10^6 attempts
     ext_space = [("x", sort_grid(bounds, model.input_sort, "x")), ("e", time_points(bounds))] + space
-    for fn, cases, fn_space in (("dext", model.delta_ext, ext_space),
-                                ("dint", model.delta_int, space),
-                                ("lambda", model.output_fn, space)):
+    return (("dext", model.delta_ext, ext_space),
+            ("dint", model.delta_int, space),
+            ("lambda", model.output_fn, space))
+
+
+def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> None:
+    space = state_space(model, bounds)
+    for fn, cases, fn_space in _case_tables(model, bounds, space):
         if not cases:
             report.warnings.append(f"{fn} has no cases")
             continue

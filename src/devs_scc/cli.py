@@ -2,8 +2,10 @@
 
 Subcommands mirror the pipeline: parse, criteria, combine, select,
 sequence, simulate, campaign, report.  Exit codes: 0 clean, 2 parse or
-usage error, 3 a validation finding (an undefined transition) was
-produced, 4 an execution error stopped a simulation.
+usage error; `simulate` alone also returns 3 when a run meets an
+undefined transition and 4 when an execution error stops one.  The
+pipeline commands, `campaign` included, exit 0 whatever they find and
+count their findings in the report.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ declared variable order with each variable's grid ascending, so the
 first witness found is the lexicographically least satisfying
 assignment — reproducible across runs and platforms.  `satisfiable` is
 its first result and `iter_witnesses` drains it.  `coverage` runs the
-coverage and disjointness checks of a case table on it.  The search is one loop
+coverage and disjointness checks of a case table on it, deciding first,
+without a search, each pair of cases whose guards admit no common value
+of some variable.  The search is one loop
 over an explicit stack of grid positions, one per variable, rather than
 one generator frame per variable.
 
@@ -25,7 +27,10 @@ fail them is skipped without charge, and once every value of a grid has
 failed them the whole search is unsat at once (node consistency,
 Mackworth 1977, applied lazily).  Skipping only visits fewer nodes of
 the plain search, so the witness and every verdict the plain search
-reaches stay the same.
+reaches stay the same.  `coverage` applies the same consistency eagerly,
+once per case: a bit mask per variable of the grid positions the case's
+unary conjuncts admit.  The split of conjuncts by depth is one helper,
+`_by_depth`, for both.
 
 A search can be confined to an inclusive range of grid positions,
 given as the least and the greatest position tuple in lexicographic
@@ -198,15 +203,29 @@ def coverage(
     """The coverage and disjointness checks of a case table (Heitmeyer,
     Jeffords & Labaw 1996): the search for the least point of `space`
     where none of `preds` holds, None when `total` (a catch-all case
-    completes the table); and, searched as they are iterated, the pairs
+    completes the table); and, decided as they are iterated, the pairs
     of positions i < j in ascending order, each with the search for the
     least point where both hold.  A point where a predicate fails to
-    evaluate witnesses neither."""
+    evaluate witnesses neither.
+
+    Each predicate's unary conjuncts are evaluated once over the grid of
+    their variable (node consistency, Mackworth 1977), giving a mask of
+    the values it admits there.  A pair whose masks share no value of
+    some variable is disjoint, and is reported unsat with no search and
+    no attempt; the search would reach the same verdict, or run out of
+    budget first.  Every other pair is searched."""
     gap = None if total else satisfiable(conj([Not(p) for p in preds]), space, bounds, model)
     forms = [prepare(p, model, bounds) for p in preds]
+    env = _env(bounds, model, None)
+    masks = [_admitted(f, space, env) for f in forms]
+
+    def decide(i, j):
+        if any(not a & b for a, b in zip(masks[i], masks[j])):
+            return SatResult("unsat")
+        return satisfiable(forms[i] & forms[j], space, bounds, model)
+
     overlaps = (
-        ((i, j), satisfiable(forms[i] & forms[j], space, bounds, model))
-        for i, j in itertools.combinations(range(len(forms)), 2)
+        ((i, j), decide(i, j)) for i, j in itertools.combinations(range(len(forms)), 2)
     )
     return gap, overlaps
 
@@ -231,18 +250,7 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
         return
     names = [n for n, _ in space]
     grids = [g for _, g in space]
-    depth_of = {n: d for d, n in enumerate(names)}
-    pre = []
-    unary: dict[int, list] = {}
-    joint: dict[int, list] = {}
-    for c in form.items:
-        touched = [depth_of[v] for v in c.vars if v in depth_of]
-        if not touched:
-            pre.append(c.test)
-        elif len(touched) == 1:
-            unary.setdefault(touched[0], []).append(c.test)
-        else:
-            joint.setdefault(max(touched), []).append(c.test)
+    pre, unary, joint = _by_depth(form, names)
     used, limit = budget.used, budget.limit
     for test in pre:
         used += 1
@@ -312,6 +320,45 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
         pos[d] = lo[d] if down_lo else 0
         end[d] = hi[d] if down_hi else len(grids[d]) - 1
     budget.used = used
+
+
+def _by_depth(form: Conjunction, names: Sequence[str]):
+    """The tests of `form`'s conjuncts split by the search variables
+    `names` they mention: those that mention none; those that mention
+    one (unary), by its depth; and the others, by the deepest they
+    mention, where the search first has them all bound."""
+    depth_of = {n: d for d, n in enumerate(names)}
+    pre = []
+    unary: dict[int, list] = {}
+    joint: dict[int, list] = {}
+    for c in form.items:
+        touched = [depth_of[v] for v in c.vars if v in depth_of]
+        if not touched:
+            pre.append(c.test)
+        elif len(touched) == 1:
+            unary.setdefault(touched[0], []).append(c.test)
+        else:
+            joint.setdefault(max(touched), []).append(c.test)
+    return pre, unary, joint
+
+
+def _admitted(form: Conjunction, space: Space, env: dict) -> list[int]:
+    """Per variable of `space`, the bit mask of the grid positions whose
+    value satisfies all of `form`'s unary conjuncts on it under `env`
+    (every position when it has none)."""
+    _, unary, _ = _by_depth(form, [n for n, _ in space])
+    env = dict(env)
+    masks = []
+    for d, (name, grid) in enumerate(space):
+        mask = (1 << len(grid)) - 1
+        if d in unary:
+            admits = _all_of(unary[d])
+            for i, value in enumerate(grid):
+                env[name] = value
+                if not admits(env):
+                    mask &= ~(1 << i)
+        masks.append(mask)
+    return masks
 
 
 def _all_of(tests):

@@ -1,11 +1,21 @@
 """The bounded model checks of `validate_model`: case-table coverage and
 disjointness, and the sign of the time advance, decided by the search."""
 
-import pytest
+import itertools
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, strategies as st
+
+from devs_scc import check, sat
+from devs_scc.bounds import Bounds, state_space
 from devs_scc.check import validate_model
 from devs_scc.cli import main
-from devs_scc.parser import parse_bounds_text, parse_model_file, parse_model_text
+from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
+from devs_scc.partitions import builtin_tables, check_partition
+from devs_scc.sat import coverage, prepare, satisfiable
+from devs_scc.syntax import And, BinOp, Cmp, Const, Not, Or, Ref, conj
+from devs_scc.values import Lit, num
 from tests.conftest import FIXTURES
 
 
@@ -79,3 +89,160 @@ def test_a_negative_time_advance_is_found_at_its_least_state(ta, warnings):
     assert report.usable, report.errors
     _, checked = validate_model(model, parse_bounds_text("bounds { nat default = 0..5; }"))
     assert checked.warnings == warnings
+
+
+PINNED = """
+model pinned {
+  state {
+    m: enum {A, B, C};
+  }
+  input enum {go};
+  output enum {ping};
+  ta = infinity;
+  dext(s, e, x) {
+    otherwise -> m;
+  }
+  dint(s) {
+    case m = A -> B;
+    case m = B -> C;
+  }
+  lambda(s) {
+    otherwise -> ping;
+  }
+}
+"""
+
+
+def test_a_pair_the_masks_prove_disjoint_is_never_undecided(tmp_path, capsys):
+    model = tmp_path / "pinned.devs"
+    model.write_text(PINNED)
+    bounds = tmp_path / "pinned.bounds"
+    bounds.write_text("bounds {\n  max attempts = 0;\n}\n")
+    assert main(["parse", str(model), "--bounds", str(bounds)]) == 0
+    _, err = capsys.readouterr()
+    # both guards pin m, to different literals: disjoint without a search,
+    # so no budget is spent and no overlap line is printed; the gap
+    # search still runs out of budget
+    assert "overlap" not in err
+    assert "warning: dint: exhaustiveness undecided within 0 attempts" in err.splitlines()
+
+
+def _plain_coverage(preds, total, space, bounds, model=None):
+    """The checks of `sat.coverage` as one plain search per pair."""
+    gap = None if total else satisfiable(conj([Not(p) for p in preds]), space, bounds, model)
+    forms = [prepare(p, model, bounds) for p in preds]
+    return gap, [((i, j), satisfiable(forms[i] & forms[j], space, bounds, model))
+                 for i, j in itertools.combinations(range(len(forms)), 2)]
+
+
+def _assert_same_checks(preds, total, space, bounds, model=None):
+    """`sat.coverage` agrees with the plain searches; returns how many
+    pairs it searched."""
+    calls = []
+    real = sat.satisfiable
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    gap, overlaps = coverage(preds, total, space, bounds, model)
+    plain_gap, plain = _plain_coverage(preds, total, space, bounds, model)
+    assert gap == plain_gap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sat, "satisfiable", counted)
+        got = list(overlaps)
+    assert [pair for pair, _ in got] == [pair for pair, _ in plain]
+    for (pair, found), (_, expected) in zip(got, plain):
+        if found != expected:
+            # pruned by the masks: disjoint with no search, where the
+            # search proves it or runs out of budget
+            assert found == sat.SatResult("unsat"), pair
+            assert expected.status in ("unsat", "unknown"), pair
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", ["elevator", "soda", "toggle"])
+def test_coverage_matches_one_plain_search_per_pair_on_the_fixtures(name):
+    model, _ = parse_model_file(str(FIXTURES / f"{name}.devs"))
+    bounds = parse_bounds_file(str(FIXTURES / f"{name}.bounds"))
+    searched = 0
+    for _, cases, space in check._case_tables(model, bounds, state_space(model, bounds)):
+        guarded = [c for c in cases if not c.is_otherwise]
+        searched += _assert_same_checks([c.guard for c in guarded], len(guarded) < len(cases),
+                                        space, bounds, model)
+    if name == "elevator":
+        # of 589 pairs, 525 share no admitted value of some variable
+        assert searched == 64
+
+
+@pytest.mark.parametrize("name", sorted(builtin_tables()))
+def test_coverage_matches_one_plain_search_per_pair_on_the_builtin_tables(name):
+    table = builtin_tables()[name]
+    grid = [num(k) for k in range(-2, 3)]
+    space = [(f, grid) for f in table.formals]
+    _assert_same_checks(table.cells, False, space, Bounds())
+    gap, plain = _plain_coverage(table.cells, False, space, Bounds())
+    assert check_partition(table) == (all(r.status == "unsat" for _, r in plain),
+                                      gap.status == "unsat")
+
+
+ENUM = [Lit("A"), Lit("B"), Lit("C")]
+NATS = [num(k) for k in range(4)]
+
+
+@st.composite
+def _tables(draw):
+    """A case table of 2-5 guards over 2-3 enum or nat variables, each
+    guard a conjunction of pinned literals, `!=`, `<`, a division and
+    disjuncts over two variables."""
+    names = ["u", "v", "w"][:draw(st.integers(2, 3))]
+    grids = {n: draw(st.sampled_from([ENUM, NATS])) for n in names}
+
+    def atom(name):
+        op = draw(st.sampled_from(["=", "!=", "<", "div"] if grids[name] is NATS else ["=", "!="]))
+        value = Const(draw(st.sampled_from(grids[name])))
+        if op == "div":
+            # fails to evaluate at 0, so it admits nothing there
+            return Cmp("=", BinOp("div", Const(num(2)), Ref(name)), value)
+        return Cmp(op, Ref(name), value)
+
+    def guard():
+        parts = []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                parts.append(atom(draw(st.sampled_from(names))))
+            else:
+                a, b = draw(st.permutations(names))[:2]
+                parts.append(Or((atom(a), atom(b))))
+        return And(tuple(parts))
+
+    preds = [guard() for _ in range(draw(st.integers(2, 5)))]
+    return preds, [(n, grids[n]) for n in names], draw(st.sampled_from([2, 10, 200_000]))
+
+
+@given(_tables())
+def test_coverage_matches_one_plain_search_per_pair_on_generated_tables(table):
+    preds, space, limit = table
+    _assert_same_checks(preds, False, space, Bounds(max_attempts=limit))
+
+
+def test_validating_a_parsed_model_binds_nothing_again(monkeypatch):
+    model, _ = parse_model_file(str(FIXTURES / "elevator.devs"))
+    bounds = parse_bounds_file(str(FIXTURES / "elevator.bounds"))
+    # a copy keeps nothing, so it is bound again from scratch
+    fresh_model, fresh = validate_model(replace(model), bounds)
+    binds = []
+    real = check._bind_cases
+    monkeypatch.setattr(check, "_bind_cases", lambda *args: binds.append(args) or real(*args))
+    bound, report = validate_model(model, bounds)
+    assert binds == []
+    assert bound == fresh_model
+    assert (report.errors, report.warnings, report.notes) == (fresh.errors, fresh.warnings,
+                                                              fresh.notes)
+    assert report.warnings
+    report.warnings.clear()
+    report.notes.append("changed")
+    report.errors.append("changed")
+    _, again = validate_model(model, bounds)
+    assert again == fresh
+    assert binds == []
