@@ -54,7 +54,9 @@ class Bounds:
     writer, and it finishes before any grid is built.  Each grid is built
     on first use and kept, so every search over these bounds shares it;
     the grid functions below hand out fresh lists, so no caller can
-    change a shared grid.
+    change a shared grid.  The spaces of `state_space` and `joint_space`
+    are the exception: each is built once per model and bounds, kept on
+    the model and shared read-only.
     """
 
     nat_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -183,10 +185,12 @@ def input_grid(bounds: Bounds, model: Model, with_tau: bool) -> list[Value]:
 
 
 def state_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
-    """Ordered (name, domain) pairs for the state variables."""
-    return [
+    """Ordered (name, domain) pairs for the state variables.  Built once
+    per model and bounds and shared by every caller: callers must not
+    change it or its grids."""
+    return model.keep_for(bounds, "state_space", lambda: [
         (name, var_grid(bounds, name, sort)) for name, sort in model.schema.vars
-    ]
+    ])
 
 
 def pair_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
@@ -197,8 +201,11 @@ def pair_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
 def joint_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
     """Domains for a whole configuration.  The pair comes first so that
     executability constraints (t bounded by each timer) can prune the
-    state search at the depth of the timer variables."""
-    return pair_space(model, bounds) + state_space(model, bounds)
+    state search at the depth of the timer variables.  Built once per
+    model and bounds and shared by every caller, like `state_space`:
+    callers must not change it or its grids."""
+    return model.keep_for(bounds, "joint_space",
+                          lambda: pair_space(model, bounds) + state_space(model, bounds))
 
 
 def index_digits(idx: int, sizes: Sequence[int]) -> list[int]:

@@ -434,7 +434,52 @@ def replay_sequence(model: Model, seq: SimulationSequence, bounds: Bounds) -> Tr
 # artifact files
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2)` and a newline, byte for
+    byte, written by `_write_json` rather than the standard library's
+    pure-Python encoder, which it takes whenever `indent` is set."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append the text of `obj` to `out`, its nested lines starting with
+    `newline`.  Strings go through the encoder `json.dumps` uses and ints
+    through `int.__repr__`, as there; other scalars, and a dict with a
+    key that is not a string (which `json.dumps` converts or rejects), go
+    through `json.dumps` itself."""
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        items = [(_encode_str(key) + ": ", obj[key]) for key in sorted(obj)]
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        items = [("", item) for item in obj]
+        opening, closing = "[", "]"
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+        return
+    else:
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+        return
+    if not items:
+        out.append(opening + closing)
+        return
+    inner = newline + "  "
+    sep = opening + inner
+    for label, value in items:
+        cls = value.__class__
+        if cls is str:
+            out.append(sep + label + _encode_str(value))
+        elif cls is int:
+            out.append(sep + label + int.__repr__(value))
+        else:
+            out.append(sep + label)
+            _write_json(value, inner, out)
+        sep = "," + inner
+    out.append(newline + closing)
 
 
 def write_artifacts(result: CampaignResult, out_dir: str) -> None:

@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_PARSE
     except (BindError, BoundsError, CampaignError, CriterionError, DnfCapError,
-            SelectError, FileNotFoundError) as err:
+            SelectError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 

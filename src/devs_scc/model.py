@@ -71,7 +71,9 @@ class Model:
     constants: tuple[tuple[str, Sort], ...] = ()
     operators: tuple[OperatorDef, ...] = ()
     # compiled forms of the model's operators, cases and predicates, built
-    # on first use by `keep`; a model made by `replace` starts without them
+    # on first use by `keep`, and the prepared conjuncts and search spaces
+    # of one bounds object, by `keep_for`; a model made by `replace` starts
+    # without them
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def operator(self, name: str) -> OperatorDef:
@@ -86,6 +88,15 @@ class Model:
         if code is None:
             code = self.compiled[key] = build()
         return code
+
+    def keep_for(self, bounds, key, build):
+        """`build()` for these bounds, kept on the model under `key` until
+        it is asked for with another bounds object (checked by identity,
+        as `SCC.keep` does)."""
+        entry = self.compiled.get(("bounds", key))
+        if entry is None or entry[0] is not bounds:
+            entry = self.compiled[("bounds", key)] = (bounds, build())
+        return entry[1]
 
 
 @dataclass

@@ -13,11 +13,15 @@ one generator frame per variable.
 
 A predicate is searched in its prepared form, a `Conjunction`: its
 normal form's conjuncts in canonical order, each with its text, its free
-variables and a closure compiled by `evaluator.compile_pred`.  A search
-accepts a predicate and prepares it, or a form prepared before, so a
-caller that keeps its forms prepares each once per campaign; forms
-combine by `&` without re-normalizing.  The search knows predicates and
-spaces, not classes.
+variables and a closure compiled by `evaluator.compile_pred`.  The
+canonical text is a conjunct's identity.  Given a model, preparing
+interns conjuncts (hash-consing, Filliatre & Conchon 2006): the model
+keeps, for one bounds object, one `Conjunct` per text, so all forms over
+that model and those bounds share one variable tuple and one closure per
+distinct conjunct.  A search accepts a predicate and prepares it, or a
+form prepared before, so a caller that keeps its forms prepares each
+once per campaign; forms combine by `&` without re-normalizing.  The
+search knows predicates and spaces, not classes.
 
 Conjuncts are checked as soon as all their variables are bound.  Those
 that mention a single search variable (unary conjuncts) depend only on
@@ -30,7 +34,9 @@ the plain search, so the witness and every verdict the plain search
 reaches stay the same.  `coverage` applies the same consistency eagerly,
 once per case: a bit mask per variable of the grid positions the case's
 unary conjuncts admit.  The split of conjuncts by depth is one helper,
-`_by_depth`, for both.
+`_by_depth`, for both; a form keeps its split for the order of the
+search variables it was last searched over, so a form searched many
+times over one space, as chaining and the probe search, is split once.
 
 A search can be confined to an inclusive range of grid positions,
 given as the least and the greatest position tuple in lexicographic
@@ -99,9 +105,9 @@ class Conjunct:
 
     __slots__ = ("pred", "text", "vars", "test")
 
-    def __init__(self, pred: Predicate, model: Model | None, bounds: Bounds | None):
+    def __init__(self, pred: Predicate, text: str, model: Model | None, bounds: Bounds | None):
         self.pred = pred
-        self.text = render_pred(pred)
+        self.text = text
         self.vars = tuple(pred_vars(pred))
         self.test = compile_pred(pred, model, bounds)
 
@@ -109,13 +115,16 @@ class Conjunct:
 class Conjunction:
     """A normalized conjunction prepared for search: its conjuncts in
     canonical order (ascending text, no two alike), or false.  `a & b` is
-    the prepared form of the normalized conjunction of both."""
+    the prepared form of the normalized conjunction of both.  It keeps
+    the split of its conjuncts by search depth for the order of the
+    search variables it was last searched over, see `_by_depth`."""
 
-    __slots__ = ("items", "false")
+    __slots__ = ("items", "false", "split")
 
     def __init__(self, items: tuple[Conjunct, ...] = (), false: bool = False):
         self.items = items
         self.false = false
+        self.split: tuple | None = None  # (variable order, split)
 
     def __and__(self, other: Conjunction) -> Conjunction:
         if self.false or not (other.items or other.false):
@@ -141,10 +150,22 @@ def prepare_conjuncts(
     preds: Sequence[Predicate], model: Model | None = None, bounds: Bounds | None = None
 ) -> Conjunction:
     """The prepared form of the conjunction of `preds`, each already in
-    normal form."""
+    normal form.  With a model, each conjunct is interned: the first one
+    prepared with a canonical text is kept on the model for these bounds
+    (`Model.keep_for`) and stands for every later one with that text."""
     if any(isinstance(p, BoolConst) and not p.value for p in preds):
         return Conjunction(false=True)
-    return _ordered(Conjunct(p, model, bounds) for p in preds)
+    if model is None:
+        return _ordered(Conjunct(p, render_pred(p), None, bounds) for p in preds)
+    interned = model.keep_for(bounds, "conjuncts", dict)
+    items = []
+    for p in preds:
+        text = render_pred(p)
+        c = interned.get(text)
+        if c is None:
+            c = interned[text] = Conjunct(p, text, model, bounds)
+        items.append(c)
+    return _ordered(items)
 
 
 def satisfiable(
@@ -248,16 +269,18 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
     in `budget.used` whenever the search yields, returns or raises."""
     if form.false:
         return
-    names = [n for n, _ in space]
+    names = tuple(n for n, _ in space)
     grids = [g for _, g in space]
-    pre, unary, joint = _by_depth(form, names)
+    # per depth: the tests of its unary and of its other conjuncts, None
+    # without any
+    pre, unary_tests, joint_tests = _by_depth(form, names)
     used, limit = budget.used, budget.limit
     for test in pre:
         used += 1
         if used > limit:
             budget.used = used
             raise BudgetExhausted()
-        if not _all_of((test,))(env):
+        if not _all_hold((test,), env):
             budget.used = used
             return
     n = len(names)
@@ -265,15 +288,10 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
         budget.used = used
         yield (), {}
         return
-    # per depth: the test of its unary and of its other conjuncts, None
-    # without any; for unary conjuncts, each grid index's verdict once
+    # for unary conjuncts, per depth: each grid index's verdict once
     # evaluated, and how many indices have failed
-    unary_test, joint_test, known = [None] * n, [None] * n, [None] * n
-    for d, tests in unary.items():
-        unary_test[d] = _all_of(tests)
-        known[d] = [None] * len(grids[d])
-    for d, tests in joint.items():
-        joint_test[d] = _all_of(tests)
+    known = [None if tests is None else [None] * len(grid)
+             for tests, grid in zip(unary_tests, grids)]
     failed = [0] * n
     # the stack: per depth the next grid index to try, the last one in
     # range, and whether the positions above it equal the prefix of lo / hi
@@ -300,14 +318,14 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
             raise BudgetExhausted()
         env[names[d]] = grids[d][i]
         if memo is not None and memo[i] is None:
-            memo[i] = unary_test[d](env)
+            memo[i] = _all_hold(unary_tests[d], env)
             if not memo[i]:
                 failed[d] += 1
                 if failed[d] == len(grids[d]):
                     break  # no value of this variable satisfies its unary conjuncts
                 continue
-        test = joint_test[d]
-        if test is not None and not test(env):
+        tests = joint_tests[d]
+        if tests is not None and not _all_hold(tests, env):
             continue
         if d == last:
             budget.used = used
@@ -322,11 +340,21 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
     budget.used = used
 
 
-def _by_depth(form: Conjunction, names: Sequence[str]):
+def _by_depth(form: Conjunction, names: tuple[str, ...]):
     """The tests of `form`'s conjuncts split by the search variables
-    `names` they mention: those that mention none; those that mention
-    one (unary), by its depth; and the others, by the deepest they
-    mention, where the search first has them all bound."""
+    `names` they mention: those that mention none; and per depth, those
+    that mention that variable only (unary), and the others whose deepest
+    variable it is, where the search first has them all bound, each None
+    without any.  The split is kept on the form for the last order of
+    `names` it was made for: a search that repeats, such as chaining's
+    per state or the probe's per stratum, repeats over one order."""
+    kept = form.split
+    if kept is None or kept[0] != names:
+        kept = form.split = (names, _split(form, names))
+    return kept[1]
+
+
+def _split(form: Conjunction, names: tuple[str, ...]):
     depth_of = {n: d for d, n in enumerate(names)}
     pre = []
     unary: dict[int, list] = {}
@@ -339,40 +367,39 @@ def _by_depth(form: Conjunction, names: Sequence[str]):
             unary.setdefault(touched[0], []).append(c.test)
         else:
             joint.setdefault(max(touched), []).append(c.test)
-    return pre, unary, joint
+    return (tuple(pre),
+            tuple(tuple(unary[d]) if d in unary else None for d in range(len(names))),
+            tuple(tuple(joint[d]) if d in joint else None for d in range(len(names))))
 
 
 def _admitted(form: Conjunction, space: Space, env: dict) -> list[int]:
     """Per variable of `space`, the bit mask of the grid positions whose
     value satisfies all of `form`'s unary conjuncts on it under `env`
     (every position when it has none)."""
-    _, unary, _ = _by_depth(form, [n for n, _ in space])
+    _, unary, _ = _by_depth(form, tuple(n for n, _ in space))
     env = dict(env)
     masks = []
-    for d, (name, grid) in enumerate(space):
+    for (name, grid), tests in zip(space, unary):
         mask = (1 << len(grid)) - 1
-        if d in unary:
-            admits = _all_of(unary[d])
+        if tests is not None:
             for i, value in enumerate(grid):
                 env[name] = value
-                if not admits(env):
+                if not _all_hold(tests, env):
                     mask &= ~(1 << i)
         masks.append(mask)
     return masks
 
 
-def _all_of(tests):
-    """One test for all of `tests`; a conjunct whose evaluation fails does
-    not hold."""
-    def all_hold(env):
-        try:
-            for test in tests:
-                if not test(env):
-                    return False
-            return True
-        except EvalError:
-            return False
-    return all_hold
+def _all_hold(tests, env) -> bool:
+    """Whether all of `tests` hold in `env`; a conjunct whose evaluation
+    fails does not hold."""
+    try:
+        for test in tests:
+            if not test(env):
+                return False
+        return True
+    except EvalError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from math import prod
 
 from .bounds import Bounds, const_env, digits_index, index_digits, joint_space
-from .evaluator import eval_pred
+# `eval_pred` is not called here, but `bench/layers.py` rebinds
+# `selector.eval_pred` and stops on a missing name
+from .evaluator import compile_pred, eval_pred  # noqa: F401
 from .model import Model
 from .sat import Conjunction, SatResult, prepare_conjuncts, satisfiable
 from .scc import SCC
@@ -66,9 +68,24 @@ def member_form(scc: SCC, model: Model, bounds: Bounds) -> Conjunction:
 
 def runnable_form(scc: SCC, model: Model, bounds: Bounds) -> Conjunction:
     """The member and executability forms conjoined, kept on the class."""
-    executable = model.keep(
-        "executability", lambda: prepare_conjuncts(executability(model), model))
-    return scc.keep("runnable", model, bounds, lambda: member_form(scc, model, bounds) & executable)
+    def build():
+        executable = model.keep_for(
+            bounds, "executability", lambda: prepare_conjuncts(executability(model), model, bounds))
+        return member_form(scc, model, bounds) & executable
+    return scc.keep("runnable", model, bounds, build)
+
+
+def state_test(scc: SCC, model: Model, bounds: Bounds):
+    """`scc.init_states` compiled, made once for this model and bounds and
+    kept on the class; selection and chaining both decide on it."""
+    return scc.keep("init_states", model, bounds,
+                    lambda: compile_pred(scc.init_states, model, bounds))
+
+
+def _pair_test(scc: SCC, model: Model, bounds: Bounds):
+    """`scc.input_pairs` compiled, kept on the class like `state_test`."""
+    return scc.keep("input_pairs", model, bounds,
+                    lambda: compile_pred(scc.input_pairs, model, bounds))
 
 
 @dataclass(frozen=True)
@@ -88,7 +105,7 @@ class SimulationConfig:
 
 def select_config(scc: SCC, model: Model, bounds: Bounds) -> SimulationConfig:
     """Least executable member of a class, else its least member,
-    re-checked by evaluation."""
+    re-checked by the class's kept state and pair tests."""
     space = joint_space(model, bounds)
     verdict = satisfiable(runnable_form(scc, model, bounds), space, bounds, model)
     if verdict.status != "sat":
@@ -113,11 +130,9 @@ def _require_sat(verdict: SatResult, scc: SCC) -> None:
 
 def _check_membership(config: SimulationConfig, scc: SCC, model: Model, bounds: Bounds) -> None:
     consts = const_env(bounds, model)
-    env = {**consts, **config.state}
-    if not eval_pred(scc.init_states, env, model, bounds):
+    if not state_test(scc, model, bounds)({**consts, **config.state}):
         raise SelectError(scc.id, "selected state fails its own predicate")
-    penv = {**consts, "x": config.event, "t": config.time}
-    if not eval_pred(scc.input_pairs, penv, model, bounds):
+    if not _pair_test(scc, model, bounds)({**consts, "x": config.event, "t": config.time}):
         raise SelectError(scc.id, "selected input pair fails its own predicate")
 
 
@@ -155,7 +170,7 @@ def sample_configs(
     form = runnable_form(scc, model, bounds)
     strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
 
-    found: dict[str, SimulationConfig] = {}
+    found: dict[tuple[Value, ...], SimulationConfig] = {}
     scanned = 0
     for s in range(min(k, total)):
         if scanned >= scan_cap:
@@ -173,6 +188,7 @@ def sample_configs(
             scanned += end - start
             continue
         scanned += digits_index(verdict.index, sizes) - start + 1
-        cfg = _config(scc, verdict.witness, model)
-        found.setdefault(repr(cfg.to_json()), cfg)
+        key = tuple(verdict.witness.values())
+        if key not in found:
+            found[key] = _config(scc, verdict.witness, model)
     return list(found.values())

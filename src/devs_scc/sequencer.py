@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bounds import Bounds, const_env, input_grid, time_points
-from .evaluator import compile_pred
 from .model import Model
 from .sat import satisfiable
 from .scc import SCC
-from .selector import SelectError, SimulationConfig, runnable_form, select_config
+from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_test
 from .simulator import SimError, Trace, UndefinedTransition, advance, init, time_advance
 from .values import EvalError, Inf, Num, TAU, Value, render_value
 
@@ -138,11 +137,8 @@ def _next_reachable(remaining, sim, consts, model, bounds):
     env = {**consts, **sim.state}
     space = None
     for at, scc in enumerate(remaining):
-        in_state_set = scc.keep(
-            "init_states", model, bounds, lambda: compile_pred(scc.init_states, model, bounds)
-        )
         try:
-            if not in_state_set(env):
+            if not state_test(scc, model, bounds)(env):
                 continue
         except EvalError:
             continue

@@ -3,10 +3,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import devs_scc.campaign as campaign_mod
 from devs_scc.campaign import (
     Campaign,
+    dump_json,
     load_plan,
     load_tables,
     run_campaign,
@@ -551,3 +553,62 @@ def test_a_probe_k_that_cannot_probe_exits_2(k, tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr() == ("", "error: --probe-k must be 0 (off) or at least 2\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", [
+    "campaign --out an existing file",
+    "campaign --out under a file",
+    "parse a directory",
+    "report a directory",
+])
+def test_a_file_system_error_exits_2(case, tmp_path, capsys):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    campaign = ["campaign", *TOGGLE_ARGS, "--criteria", "cases", "--out"]
+    args, path = {
+        "campaign --out an existing file": (campaign + [str(a_file)], a_file),
+        "campaign --out under a file": (campaign + [str(a_file / "sub")], a_file / "sub"),
+        "parse a directory": (["parse", str(FIXTURES)], FIXTURES),
+        "report a directory": (["report", str(tmp_path)], tmp_path),
+    }[case]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: [Errno ") and f"'{path}'" in err
+    assert err.count("\n") == 1
+    if case.startswith("campaign"):
+        assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# the indented JSON writer against the standard library's
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.text(st.characters(max_codepoint=0x1F)) | st.sampled_from(["é", " ", "\x7f", "😀"])
+)
+_json_keys = st.text() | st.sampled_from(["", "é", "\x00", "\n", "a b"])
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_json_keys, inner, max_size=4)
+        | st.dictionaries(st.integers(), inner, max_size=3)
+    ),
+    max_leaves=24,
+)
+
+
+@given(_json_values)
+@example({"a": [], "b": {}, "c": ((), [{}]), "d": [1.5, float("inf"), True, False, None]})
+@example({"non-ascii é": "\x00\x1f\"\\   😀", "": {3: {"x": (1, 2)}, 1: []}})
+def test_dump_json_writes_what_the_standard_library_writes(obj):
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_refuses_what_the_standard_library_refuses():
+    for obj in ({"a": {1: 2, "b": 3}}, [{None: 1, 2: 3}], {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            dump_json(obj)

@@ -4,7 +4,15 @@ from math import prod
 import pytest
 
 from devs_scc.algebra import CombinationPlan
-from devs_scc.bounds import Bounds, const_env, joint_space, pair_space, state_space
+from devs_scc.bounds import (
+    Bounds,
+    const_env,
+    digits_index,
+    index_digits,
+    joint_space,
+    pair_space,
+    state_space,
+)
 from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.criteria import cases_criterion
 from oracle import eval_expr, eval_pred
@@ -17,10 +25,11 @@ from devs_scc.selector import (
     SelectError,
     SimulationConfig,
     executability,
+    runnable_form,
     sample_configs,
     select_config,
 )
-from devs_scc.syntax import And, Cmp, Const, FALSE, Ref, conj, conjuncts
+from devs_scc.syntax import TRUE, And, Cmp, Const, FALSE, Ref, conj, conjuncts
 from devs_scc.values import EvalError, Inf, Lit, Num, TAU, num
 
 from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS, soda_contradiction
@@ -363,3 +372,66 @@ def test_single_rule_matches_the_two_path_rule(name, elevator_tables):
         assert [new for new, _ in outcomes if isinstance(new, str)] == [
             f"class {len(catalog)}: no representative within bounds"
         ]
+
+
+# ---------------------------------------------------------------------------
+# probe samples deduplicated on witness values against the rendered form
+
+
+def repr_dedupe_samples(scc, k, model, bounds, scan_cap=20_000):
+    """`sample_configs` with the samples deduplicated on the repr of their
+    JSON form, as it was before it compared witness values."""
+    space = joint_space(model, bounds)[::-1]
+    sizes = [len(g) for _, g in space]
+    total = prod(sizes)
+    form = runnable_form(scc, model, bounds)
+    strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
+    found = {}
+    scanned = 0
+    for s in range(min(k, total)):
+        if scanned >= scan_cap:
+            break
+        lo = [(s * stride) % size for stride, size in zip(strides, sizes)]
+        start = digits_index(lo, sizes)
+        end = min(total, start + scan_cap - scanned)
+        verdict = satisfiable(form, space, bounds, model, lo=lo, hi=index_digits(end - 1, sizes),
+                              limit=len(space) * (end - start) + len(form.items))
+        if not verdict.sat:
+            scanned += end - start
+            continue
+        scanned += digits_index(verdict.index, sizes) - start + 1
+        w = verdict.witness
+        cfg = SimulationConfig(scc.id, {n: w[n] for n in model.schema.names()}, w["x"], w["t"])
+        found.setdefault(repr(cfg.to_json()), cfg)
+    return list(found.values())
+
+
+def test_probe_samples_match_the_repr_dedupe_on_every_elevator_base_class(elevator_tables):
+    model, bounds = _fixture("elevator")
+    base = _catalog(model, bounds, ELEVATOR_SELECTIONS, None, elevator_tables)
+    assert len(base) == 88
+    counts = []
+    for scc in base:
+        got = sample_configs(scc, 4, model, bounds)
+        assert got == repr_dedupe_samples(scc, 4, model, bounds), scc.id
+        counts.append(len(got))
+    assert sum(counts) > 0 and max(counts) == 4
+
+
+@pytest.mark.parametrize("bounds_text", [
+    "bounds { time samples = {0, 1, 2}; }",
+    # a repeated grid value: two positions, one witness
+    "bounds { set m = {B, A, B}; time samples = {0, 1}; }",
+])
+def test_strata_that_meet_one_member_sample_it_once(bounds_text):
+    model, bounds = _fixture("toggle", bounds_text)
+    b = Cmp("=", Ref("m"), Const(Lit("B")))
+    # the last point of the sampling order, so that every stratum meets it
+    last = conj([Cmp("=", Ref("x"), Const(TAU)), Cmp("=", Ref("t"), Const(num(2)))])
+    for scc in (make_scc(b, last, "manual", "one member"), make_scc(b, TRUE, "manual", "m = B")):
+        for k in (2, 4, 6):
+            got = sample_configs(scc, k, model, bounds)
+            assert got == repr_dedupe_samples(scc, k, model, bounds), (scc.target, k)
+            assert len({repr(c.to_json()) for c in got}) == len(got)
+    one = make_scc(b, last, "manual", "one member")
+    assert len(sample_configs(one, 4, model, bounds)) == (1 if "samples = {0, 1, 2}" in bounds_text else 0)
