@@ -27,19 +27,21 @@ from .values import (
     Lit,
     NatSort,
     Num,
+    Rational,
     RatSort,
     Sort,
     TimeSort,
     Tup,
     TupleSort,
     Value,
+    exact,
     ext_base,
     ext_literals,
 )
 
 DEFAULT_NAT = (0, 5)
 DEFAULT_INT = (-5, 5)
-DEFAULT_RAT = (Fraction(0), Fraction(5), Fraction(1))  # lo, hi, step
+DEFAULT_RAT = (0, 5, 1)  # lo, hi, step
 
 
 class BoundsError(Exception):
@@ -61,9 +63,9 @@ class Bounds:
 
     nat_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
     int_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
-    rat_grids: dict[str, tuple[Fraction, Fraction, Fraction]] = field(default_factory=dict)
+    rat_grids: dict[str, tuple[Rational, Rational, Rational]] = field(default_factory=dict)
     value_sets: dict[str, list[Value]] = field(default_factory=dict)
-    time_samples: list[Fraction] | None = None
+    time_samples: list[Rational] | None = None
     const_values: dict[str, Value] = field(default_factory=dict)
     max_attempts: int = 200_000
     # (sort, variable name) -> grid, filled by `_grid`
@@ -84,7 +86,7 @@ class Bounds:
             if lo > hi:
                 raise BoundsError(f"empty range for {name or 'default'}: {lo}..{hi}")
         if self.time_samples is not None:
-            if Fraction(0) not in self.time_samples:
+            if 0 not in self.time_samples:
                 raise BoundsError("time sample set must contain 0")
             least = min(self.time_samples)
             if least < 0:
@@ -92,11 +94,11 @@ class Bounds:
         if self.max_attempts < 0:
             raise BoundsError(f"max attempts must not be negative: {self.max_attempts}")
 
-    def times(self) -> list[Fraction]:
+    def times(self) -> list[Rational]:
         """Finite time samples, ascending."""
         return [v.value for v in _grid(self, TIME)[:-1]]
 
-    def _sample_times(self) -> list[Fraction]:
+    def _sample_times(self) -> list[Rational]:
         if self.time_samples is not None:
             return sorted(set(self.time_samples))
         consts = sorted(
@@ -104,13 +106,13 @@ class Bounds:
             for v in self.const_values.values()
             if isinstance(v, Num) and v.value >= 0
         )
-        samples = {Fraction(0), *consts}
+        samples = {0, *consts}
         for a, b in itertools.pairwise(consts):
-            samples.add((a + b) / 2)
+            samples.add(exact(Fraction(a + b, 2)))
         if consts:
             samples.add(consts[-1] + 1)
         else:
-            samples.update(Fraction(k) for k in range(1, 4))
+            samples.update(range(1, 4))
         return sorted(samples)
 
 
@@ -148,10 +150,10 @@ def _grid(bounds: Bounds, sort: Sort, name: str = "") -> list[Value]:
 def _build_grid(bounds: Bounds, sort: Sort, name: str) -> list[Value]:
     if isinstance(sort, NatSort):
         lo, hi = bounds.nat_ranges.get(name) or bounds.nat_ranges.get("") or DEFAULT_NAT
-        return [Num(Fraction(k)) for k in range(max(lo, 0), hi + 1)]
+        return [Num(k) for k in range(max(lo, 0), hi + 1)]
     if isinstance(sort, IntSort):
         lo, hi = bounds.int_ranges.get(name) or bounds.int_ranges.get("") or DEFAULT_INT
-        return [Num(Fraction(k)) for k in range(lo, hi + 1)]
+        return [Num(k) for k in range(lo, hi + 1)]
     if isinstance(sort, RatSort):
         lo, hi, step = (
             bounds.rat_grids.get(name) or bounds.rat_grids.get("") or DEFAULT_RAT
@@ -159,11 +161,11 @@ def _build_grid(bounds: Bounds, sort: Sort, name: str) -> list[Value]:
         out = []
         v = lo
         while v <= hi:
-            out.append(Num(v))
+            out.append(Num(exact(v)))
             v += step
         return out
     if isinstance(sort, TimeSort):
-        return [Num(v) for v in bounds._sample_times()] + [INF]
+        return [Num(exact(v)) for v in bounds._sample_times()] + [INF]
     if isinstance(sort, EnumSort):
         return [Lit(n) for n in sort.literals]
     if isinstance(sort, ExtSort):
@@ -193,19 +195,18 @@ def state_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
     ])
 
 
-def pair_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
-    """Domains for an input pair (x, t) including the no-event marker."""
-    return [("x", input_grid(bounds, model, with_tau=True)), ("t", time_points(bounds))]
-
-
 def joint_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
-    """Domains for a whole configuration.  The pair comes first so that
+    """Domains for a whole configuration: the input pair (x, t), with the
+    no-event marker, then the state.  The pair comes first so that
     executability constraints (t bounded by each timer) can prune the
     state search at the depth of the timer variables.  Built once per
     model and bounds and shared by every caller, like `state_space`:
     callers must not change it or its grids."""
-    return model.keep_for(bounds, "joint_space",
-                          lambda: pair_space(model, bounds) + state_space(model, bounds))
+    return model.keep_for(bounds, "joint_space", lambda: [
+        ("x", input_grid(bounds, model, with_tau=True)),
+        ("t", time_points(bounds)),
+        *state_space(model, bounds),
+    ])
 
 
 def index_digits(idx: int, sizes: Sequence[int]) -> list[int]:

@@ -17,7 +17,6 @@ against bounds is not bound again.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .bounds import Bounds, sort_grid, state_space, time_points
 from .model import GuardedCase, Model, OperatorDef, ValidationReport
@@ -516,7 +515,7 @@ def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> N
     # itself stays unknown on the elevator; warn at the least negative
     # point over all of them, else at any undecided search
     ta = model.ta
-    verdicts = [satisfiable(Cmp("<", a, Const(Num(Fraction(0)))), space, bounds, model)
+    verdicts = [satisfiable(Cmp("<", a, Const(Num(0))), space, bounds, model)
                 for a in (ta.args if isinstance(ta, MinOp) else (ta,))]
     first = min(verdicts, key=lambda r: (not r.sat, r.status == "unsat", r.index))
     _warn(report, bounds, first, "ta is negative within bounds", "ta: non-negativity")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .bounds import Bounds, const_env, state_space, time_points
 from .evaluator import eval_expr
@@ -44,6 +43,7 @@ from .values import (
     Inf,
     Lit,
     Num,
+    Rational,
     TAU,
     TIME,
     ext_base,
@@ -56,7 +56,7 @@ class CriterionError(Exception):
     pass
 
 
-TAU_PAIR = And((Cmp("=", Ref("x"), Const(TAU)), Cmp("=", Ref("t"), Const(Num(Fraction(0))))))
+TAU_PAIR = And((Cmp("=", Ref("x"), Const(TAU)), Cmp("=", Ref("t"), Const(Num(0)))))
 
 
 def _e_to_t(pred: Predicate) -> Predicate:
@@ -321,7 +321,7 @@ def time_partition_criterion(
     notes: list[str] = []
     consts = const_env(bounds, model)
 
-    def value_of(e: Expr) -> Fraction:
+    def value_of(e: Expr) -> Rational:
         v = eval_expr(e, consts, model)
         if isinstance(v, Inf) or not isinstance(v, Num):
             raise CriterionError(f"time endpoint {render_expr(e)} is not finite")
@@ -332,7 +332,7 @@ def time_partition_criterion(
     t = Ref("t")
     preds: list[tuple[Predicate, str]] = []
     if spec.refine:
-        chain: dict[Fraction, Expr] = {}
+        chain: dict[Rational, Expr] = {}
         for e in spec.points:
             chain.setdefault(value_of(e), e)
         for a, b in spec.intervals:

@@ -15,7 +15,9 @@ closure raises EvalError where evaluation fails, with the same message
 whichever stage calls it.  `eval_pred` and `eval_expr` are one-shot calls
 of these closures, for values decided once (re-checking a selected
 witness, folding constant expressions).  The closures dispatch on value
-classes directly and decide comparisons through `values.COMPARISONS`.
+classes directly and decide comparisons through `values.COMPARISONS`,
+or, for an atom comparing a variable with a number, through
+`values.compare_lookup`.
 A model keeps the compiled forms of its operators, see `Model.keep`.
 The tree-walking interpreter the closures are tested against lives with
 the tests, in `tests/oracle.py`.
@@ -61,6 +63,7 @@ from .values import (
     Value,
     coerce,
     compare,
+    compare_lookup,
     v_add,
     v_div,
     v_min,
@@ -148,6 +151,9 @@ def _compile_cmp(pred: Cmp, model):
         name, kind, b = left.name, _kind(left), right.value
 
         def atom():
+            if b.__class__ is Num and pred.op in COMPARISONS:
+                return compare_lookup(pred.op, name, b, f"unbound {kind} {name}")
+
             def ref_const(env):
                 try:
                     a = env[name]
@@ -156,6 +162,18 @@ def _compile_cmp(pred: Cmp, model):
                 return test(a, b)
             return ref_const
         return atom() if model is None else model.keep((pred.op, kind, name, b), atom)
+    if isinstance(left, (Ref, ConstRef)) and isinstance(right, (Ref, ConstRef)):
+        # `v op w`, both lookups inlined
+        lname, rname = left.name, right.name
+
+        def ref_ref(env):
+            try:
+                a, b = env[lname], env[rname]
+            except KeyError:
+                missing = left if lname not in env else right
+                raise EvalError(f"unbound {_kind(missing)} {missing.name}") from None
+            return test(a, b)
+        return ref_ref
     lhs, rhs = _expr(left, model), _expr(right, model)
     return lambda env: test(lhs(env, 0), rhs(env, 0))
 

@@ -10,7 +10,6 @@ carries at least one line:column diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import Bounds
 from .check import validate_model
@@ -49,12 +48,15 @@ from .values import (
     NAT,
     Num,
     RAT,
+    Rational,
     Sort,
     TAU,
     TIME,
     Tup,
     TupleSort,
     Value,
+    parse_number,
+    v_neg,
 )
 
 
@@ -230,11 +232,11 @@ class Parser:
         self.pos += 1
         return t.text
 
-    def number(self) -> Fraction:
+    def number(self) -> Rational:
         if self.tok.kind != "number":
             raise self.fail("expected number")
         try:
-            value = Fraction(self.tok.text)
+            value = parse_number(self.tok.text)
         except ZeroDivisionError:
             raise self.fail("division by zero") from None
         self.pos += 1
@@ -298,7 +300,7 @@ class Parser:
         if self.accept("-"):
             arg = self._unary()
             if isinstance(arg, Const) and isinstance(arg.value, Num):
-                return Const(Num(-arg.value.value))
+                return Const(v_neg(arg.value))
             return Neg(arg)
         return self._postfix()
 
@@ -644,12 +646,12 @@ def parse_bounds_text(text: str) -> Bounds:
         elif p.accept("rational"):
             key = _range_key(p)
             p.expect("=")
-            lo = _signed_frac(p)
+            lo = _signed_number(p)
             p.expect("..")
-            hi = _signed_frac(p)
-            step = Fraction(1)
+            hi = _signed_number(p)
+            step = 1
             if p.accept("step"):
-                step = _signed_frac(p)
+                step = _signed_number(p)
             p.expect(";")
             b.rat_grids[key] = (lo, hi, step)
         elif p.accept("set"):
@@ -696,13 +698,13 @@ def _range_key(p: Parser) -> str:
 
 
 def _signed_int(p: Parser) -> int:
-    f = _signed_frac(p)
+    f = _signed_number(p)
     if f.denominator != 1:
         raise p.fail("expected an integer")
     return int(f)
 
 
-def _signed_frac(p: Parser) -> Fraction:
+def _signed_number(p: Parser) -> Rational:
     neg = p.accept("-")
     v = p.number()
     return -v if neg else v
@@ -730,7 +732,7 @@ def _const_value(p: Parser, b: Bounds) -> Value:
     return Num(_const_number(p, b))
 
 
-def _const_number(p: Parser, b: Bounds) -> Fraction:
+def _const_number(p: Parser, b: Bounds) -> Rational:
     """A constant arithmetic expression over previously defined constants."""
     from .evaluator import eval_expr
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import Bounds
 from .sat import coverage
@@ -32,7 +31,7 @@ class StandardPartition:
 
 
 def _sign_cells() -> tuple[Predicate, ...]:
-    zero = Const(Num(Fraction(0)))
+    zero = Const(Num(0))
     cells = []
     for la in ("<", "=", ">"):
         for lb in ("<", "=", ">"):
@@ -59,7 +58,7 @@ def check_partition(table: StandardPartition) -> tuple[bool, bool]:
     """(disjoint, exhaustive) over the integers -2..2 for each formal,
     decided by the bounded search; a search that runs out of budget
     fails its check."""
-    grid = [Num(Fraction(k)) for k in range(-2, 3)]
+    grid = [Num(k) for k in range(-2, 3)]
     gap, overlaps = coverage(table.cells, False, [(f, grid) for f in table.formals], Bounds())
     disjoint = all(found.status == "unsat" for _, found in overlaps)
     return disjoint, gap.status == "unsat"

@@ -17,7 +17,6 @@ reported as an "undefined transition" finding in the trace, not a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bounds import Bounds, const_env
 from .evaluator import compile_expr, compile_pred
@@ -29,10 +28,12 @@ from .values import (
     Inf,
     Lit,
     Num,
+    Rational,
     TAU,
     Tup,
     Value,
     coerce,
+    exact,
     render_value,
 )
 
@@ -52,11 +53,11 @@ class UndefinedTransition(Exception):
 @dataclass
 class SimState:
     state: dict[str, Value]
-    clock: Fraction
-    last: Fraction  # instant of the most recent transition
+    clock: Rational
+    last: Rational  # instant of the most recent transition
 
-    def elapsed(self) -> Fraction:
-        return self.clock - self.last
+    def elapsed(self) -> Rational:
+        return exact(self.clock - self.last)
 
 
 @dataclass
@@ -105,7 +106,7 @@ def init(model: Model, s0: dict[str, Value]) -> SimState:
         if name not in s0:
             raise SimError(f"initial state misses variable {name}")
         state[name] = coerce(s0[name], sort, f"initial {name}")
-    return SimState(state=state, clock=Fraction(0), last=Fraction(0))
+    return SimState(state=state, clock=0, last=0)
 
 
 def time_advance(model: Model, st: SimState, consts: dict[str, Value]) -> Value:
@@ -122,7 +123,7 @@ def step(
     model: Model,
     st: SimState,
     consts: dict[str, Value],
-    injected: tuple[Value, Fraction] | None = None,
+    injected: tuple[Value, Rational] | None = None,
 ) -> tuple[SimState, Value | None, TraceEvent]:
     """One transition.  `injected` carries (event, absolute time); absent,
     the pending internal transition fires at its deadline."""
@@ -130,7 +131,7 @@ def step(
     if injected is None:
         if isinstance(ta, Inf):
             raise SimError("passive state, no internal transition")
-        deadline = st.last + ta.value
+        deadline = exact(st.last + ta.value)
         env = {**consts, **st.state}
         fired = _first_case(model, "lambda", env)
         if fired is None:
@@ -150,10 +151,10 @@ def step(
         )
         return nxt, output, event
 
-    x, at_time = injected
+    x, at_time = injected[0], exact(injected[1])
     if at_time < st.clock:
         raise SimError("injected event lies in the past")
-    e = at_time - st.last
+    e = exact(at_time - st.last)
     tie = False
     if not isinstance(ta, Inf):
         if e > ta.value:

@@ -1,13 +1,18 @@
 """Sorts and exact values.
 
-Every scalar is exact: naturals, integers and rationals are Fractions,
-time points are nonnegative Fractions extended with infinity, and finite
-sets are carried as named literals.  No floats anywhere, so the equality
-and ordering used by guards and time arithmetic are decidable.
+Every scalar is exact: a number is held as an int when it is integral
+and as a Fraction only when it is a proper fraction (`exact` is the one
+place that decides which), time points are nonnegative numbers extended
+with infinity, and finite sets are carried as named literals.  No floats
+anywhere, so the equality and ordering used by guards and time
+arithmetic are decidable.  Most numbers of a model are integral, and
+int's operators are many times cheaper than Fraction's, which are
+written in Python.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -139,9 +144,16 @@ def numeric_join(a: Sort, b: Sort) -> Sort:
 # ---------------------------------------------------------------------------
 # values
 
+Rational = Union[int, Fraction]
+
+
 @dataclass(frozen=True)
 class Num:
-    value: Fraction
+    """An exact number: an int when integral, else a proper Fraction (see
+    `exact`).  Equal ints and Fractions compare and hash equal, so a Num
+    built around an integral Fraction is slower, never wrong."""
+
+    value: Rational
 
 
 @dataclass(frozen=True)
@@ -165,14 +177,20 @@ INF = Inf()
 TAU = Lit("tau")
 
 
+def exact(x: Rational) -> Rational:
+    """The form a Num holds: an integral Fraction becomes its int."""
+    if x.__class__ is int or x._denominator != 1:
+        return x
+    return x._numerator
+
+
 def num(x) -> Num:
-    return Num(Fraction(x))
+    return Num(exact(Fraction(x)))
 
 
 def render_value(v: Value) -> str:
     if isinstance(v, Num):
-        f = v.value
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        return str(v.value)
     if isinstance(v, Inf):
         return "infinity"
     if isinstance(v, Lit):
@@ -180,32 +198,39 @@ def render_value(v: Value) -> str:
     return "(%s)" % ", ".join(render_value(x) for x in v.items)
 
 
-def parse_number(text: str) -> Fraction:
+def parse_number(text: str) -> Rational:
     """Exact reading of '7', '-3', '0.50' or '1/3'."""
-    return Fraction(text)
+    return exact(Fraction(text))
 
 
 def value_conforms(v: Value, sort: Sort) -> bool:
     """Whether a value inhabits a sort, checking range constraints too."""
-    if isinstance(sort, NatSort):
-        return isinstance(v, Num) and v.value.denominator == 1 and v.value >= 0
-    if isinstance(sort, IntSort):
-        return isinstance(v, Num) and v.value.denominator == 1
-    if isinstance(sort, RatSort):
-        return isinstance(v, Num)
-    if isinstance(sort, TimeSort):
-        return isinstance(v, Inf) or (isinstance(v, Num) and v.value >= 0)
-    if isinstance(sort, EnumSort):
-        return isinstance(v, Lit) and v.name in sort.literals
-    if isinstance(sort, ExtSort):
-        if isinstance(v, Lit):
+    cls, vcls = sort.__class__, v.__class__
+    if cls is NatSort or cls is IntSort:
+        if vcls is not Num:
+            return False
+        x = v.value
+        if x.__class__ is not int and x._denominator != 1:
+            return False
+        return cls is IntSort or x >= 0
+    if cls is EnumSort:
+        return vcls is Lit and v.name in sort.literals
+    if cls is ExtSort:
+        if vcls is Lit:
             return v.name in ext_literals(sort)
         return value_conforms(v, ext_base(sort))
-    if isinstance(sort, TupleSort):
+    if cls is TimeSort:
+        if vcls is Num:
+            x = v.value
+            return (x if x.__class__ is int else x._numerator) >= 0
+        return vcls is Inf
+    if cls is RatSort:
+        return vcls is Num
+    if cls is TupleSort:
         return (
-            isinstance(v, Tup)
+            vcls is Tup
             and len(v.items) == len(sort.items)
-            and all(value_conforms(x, s) for x, s in zip(v.items, sort.items))
+            and all(map(value_conforms, v.items, sort.items))
         )
     raise SortError(f"unknown sort {sort!r}")
 
@@ -224,69 +249,98 @@ def coerce(v: Value, sort: Sort, where: str = "") -> Value:
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic with infinity as the top time value
+# exact arithmetic with infinity as the top time value.  Two ints give an
+# int.  Where a Fraction takes part, the result is worked out on integer
+# parts read from its slots and normalised by `exact`: Fraction's own
+# operators cost several calls more (numeric-tower dispatch, properties).
+
+def _parts(x: Rational) -> tuple[int, int]:
+    """Numerator and (positive) denominator of an exact number."""
+    return (x, 1) if x.__class__ is int else (x._numerator, x._denominator)
+
+
+def _ratio(n: int, d: int) -> Rational:
+    """n/d for a positive d, held as a Num holds it."""
+    return exact(Fraction(n, d))
+
 
 def v_add(a: Value, b: Value) -> Value:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
+    if a.__class__ is Num and b.__class__ is Num:
+        x, y = a.value, b.value
+        if x.__class__ is int is y.__class__:
+            return Num(x + y)
+        (xn, xd), (yn, yd) = _parts(x), _parts(y)
+        return Num(_ratio(xn * yd + yn * xd, xd * yd))
     if isinstance(a, (Num, Inf)) and isinstance(b, (Num, Inf)):
         return INF
     raise EvalError(f"cannot add {render_value(a)} and {render_value(b)}")
 
 
 def v_sub(a: Value, b: Value) -> Value:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
+    if a.__class__ is Num and b.__class__ is Num:
+        x, y = a.value, b.value
+        if x.__class__ is int is y.__class__:
+            return Num(x - y)
+        (xn, xd), (yn, yd) = _parts(x), _parts(y)
+        return Num(_ratio(xn * yd - yn * xd, xd * yd))
     if isinstance(a, Inf) and isinstance(b, Num):
         return INF
     raise EvalError(f"cannot subtract {render_value(b)} from {render_value(a)}")
 
 
 def v_mul(a: Value, b: Value) -> Value:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
+    if a.__class__ is Num and b.__class__ is Num:
+        x, y = a.value, b.value
+        if x.__class__ is int is y.__class__:
+            return Num(x * y)
+        (xn, xd), (yn, yd) = _parts(x), _parts(y)
+        return Num(_ratio(xn * yn, xd * yd))
     raise EvalError(f"cannot multiply {render_value(a)} and {render_value(b)}")
 
 
 def v_div(a: Value, b: Value) -> Value:
     """Floor division: how many times b fits into a.  Exact on rationals."""
-    if isinstance(a, Num) and isinstance(b, Num):
-        if b.value == 0:
+    if a.__class__ is Num and b.__class__ is Num:
+        x, y = a.value, b.value
+        if x.__class__ is int is y.__class__ and y:
+            return Num(x // y)
+        (xn, xd), (yn, yd) = _parts(x), _parts(y)
+        if yn == 0:
             raise EvalError("division by zero")
-        return Num(Fraction(a.value // b.value))
+        return Num(xn * yd // (xd * yn))
     raise EvalError(f"cannot divide {render_value(a)} by {render_value(b)}")
 
 
 def v_min(args: list[Value]) -> Value:
+    """The least argument, the first of equal ones; infinity is the top."""
     best: Value | None = None
     for a in args:
-        if isinstance(a, Inf):
-            candidate = a
-        elif isinstance(a, Num):
-            candidate = a
+        cls = a.__class__
+        if cls is Num:
+            if best is None or _lt(a, best):
+                best = a
+        elif cls is Inf:
+            if best is None:
+                best = a
         else:
             raise EvalError(f"min over non-numeric value {render_value(a)}")
-        if best is None:
-            best = candidate
-        elif isinstance(best, Inf):
-            best = candidate
-        elif isinstance(candidate, Num) and candidate.value < best.value:
-            best = candidate
     if best is None:
         raise EvalError("min of no arguments")
     return best
 
 
 def v_neg(a: Value) -> Value:
-    if isinstance(a, Num):
-        return Num(-a.value)
+    if a.__class__ is Num:
+        return Num(exact(-a.value))
     raise EvalError(f"cannot negate {render_value(a)}")
 
 
-# Comparisons on values.  Num values hold Fractions, always normalized
-# with a positive denominator, so an ordered comparison cross-multiplies
-# their integer parts, read from the Fraction's slots (its public
-# properties cost a call each); infinity ranks above every number.
+# Comparisons on values.  Two ints compare directly.  Where a Fraction
+# takes part, its integer parts are read from its slots (its public
+# properties cost a call each, its own operators several): equality
+# compares them and an order cross-multiplies them, a Fraction's
+# denominator being positive and an int's 1.  Infinity ranks above every
+# number.
 
 def _eq(a: Value, b: Value) -> bool:
     cls = a.__class__
@@ -294,6 +348,12 @@ def _eq(a: Value, b: Value) -> bool:
         return False
     if cls is Num:
         x, y = a.value, b.value
+        if x.__class__ is int:
+            if y.__class__ is int:
+                return x == y
+            return y._denominator == 1 and y._numerator == x
+        if y.__class__ is int:
+            return x._denominator == 1 and x._numerator == y
         return x._numerator == y._numerator and x._denominator == y._denominator
     if cls is Lit:
         return a.name == b.name
@@ -306,6 +366,12 @@ def _lt(a: Value, b: Value) -> bool:
     if a.__class__ is Num:
         if b.__class__ is Num:
             x, y = a.value, b.value
+            if x.__class__ is int:
+                if y.__class__ is int:
+                    return x < y
+                return x * y._denominator < y._numerator
+            if y.__class__ is int:
+                return x._numerator < y * x._denominator
             return x._numerator * y._denominator < y._numerator * x._denominator
         return b.__class__ is Inf
     return False
@@ -315,6 +381,12 @@ def _le(a: Value, b: Value) -> bool:
     cls = a.__class__
     if cls is Num and b.__class__ is Num:
         x, y = a.value, b.value
+        if x.__class__ is int:
+            if y.__class__ is int:
+                return x <= y
+            return x * y._denominator <= y._numerator
+        if y.__class__ is int:
+            return x._numerator <= y * x._denominator
         return x._numerator * y._denominator <= y._numerator * x._denominator
     return (cls is Num or cls is Inf) and b.__class__ is Inf
 
@@ -342,3 +414,31 @@ def compare(op: str, a: Value, b: Value) -> bool:
     except KeyError:
         raise EvalError(f"unknown comparison {op}") from None
     return test(a, b)
+
+
+# comparison operator -> the same test on two integers
+_ORDERS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+           ">": operator.gt, ">=": operator.ge}
+
+
+def compare_lookup(op: str, name: str, b: Num, unbound: str):
+    """A test of `env[name] op b` on an environment, for a number b and
+    one of the COMPARISONS, raising EvalError(unbound) when `name` is not
+    bound.  The lookup and the comparison share one call, and b's integer
+    parts are worked out here once: a number in `env[name]` is decided
+    on integer cross products, any other value by COMPARISONS[op]."""
+    order, test = _ORDERS[op], COMPARISONS[op]
+    bn, bd = _parts(b.value)
+
+    def lookup_test(env):
+        try:
+            a = env[name]
+        except KeyError:
+            raise EvalError(unbound) from None
+        if a.__class__ is Num:
+            x = a.value
+            if x.__class__ is int:
+                return order(x * bd, bn)
+            return order(x._numerator * bd, bn * x._denominator)
+        return test(a, b)
+    return lookup_test

@@ -13,6 +13,7 @@ conjunction and disjunction short-circuit left to right.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Mapping
 
 from devs_scc.bounds import var_grid
@@ -47,13 +48,20 @@ from devs_scc.values import (
     Num,
     Tup,
     Value,
+    EnumSort,
+    ExtSort,
+    INF,
+    IntSort,
+    NatSort,
+    RatSort,
+    Sort,
+    SortError,
+    TimeSort,
+    TupleSort,
     coerce,
-    v_add,
-    v_div,
-    v_min,
-    v_mul,
-    v_neg,
-    v_sub,
+    ext_base,
+    ext_literals,
+    render_value,
 )
 
 Env = Mapping[str, Value]
@@ -226,3 +234,134 @@ def _v_eq(a: Value, b: Value) -> bool:
             _v_eq(x, y) for x, y in zip(a.items, b.items)
         )
     return a == b
+
+
+# ---------------------------------------------------------------------------
+# The values layer with every number held as a Fraction: the reference for
+# the product's arithmetic, comparisons, `v_min` and sort conformance,
+# which hold an integral number as an int.  The interpreter above computes
+# with this arithmetic.  `_eq`, `_lt` and `_le` read Fraction slots, so
+# they take Fraction-held numbers only (see `as_fractions`).
+
+def as_fractions(v: Value) -> Value:
+    """`v` with every number held as a Fraction."""
+    if isinstance(v, Num):
+        return Num(Fraction(v.value))
+    if isinstance(v, Tup):
+        return Tup(tuple(as_fractions(x) for x in v.items))
+    return v
+
+
+def value_conforms(v: Value, sort: Sort) -> bool:
+    """Whether a value inhabits a sort, checking range constraints too."""
+    if isinstance(sort, NatSort):
+        return isinstance(v, Num) and v.value.denominator == 1 and v.value >= 0
+    if isinstance(sort, IntSort):
+        return isinstance(v, Num) and v.value.denominator == 1
+    if isinstance(sort, RatSort):
+        return isinstance(v, Num)
+    if isinstance(sort, TimeSort):
+        return isinstance(v, Inf) or (isinstance(v, Num) and v.value >= 0)
+    if isinstance(sort, EnumSort):
+        return isinstance(v, Lit) and v.name in sort.literals
+    if isinstance(sort, ExtSort):
+        if isinstance(v, Lit):
+            return v.name in ext_literals(sort)
+        return value_conforms(v, ext_base(sort))
+    if isinstance(sort, TupleSort):
+        return (
+            isinstance(v, Tup)
+            and len(v.items) == len(sort.items)
+            and all(value_conforms(x, s) for x, s in zip(v.items, sort.items))
+        )
+    raise SortError(f"unknown sort {sort!r}")
+
+
+def v_add(a: Value, b: Value) -> Value:
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value + b.value)
+    if isinstance(a, (Num, Inf)) and isinstance(b, (Num, Inf)):
+        return INF
+    raise EvalError(f"cannot add {render_value(a)} and {render_value(b)}")
+
+
+def v_sub(a: Value, b: Value) -> Value:
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value - b.value)
+    if isinstance(a, Inf) and isinstance(b, Num):
+        return INF
+    raise EvalError(f"cannot subtract {render_value(b)} from {render_value(a)}")
+
+
+def v_mul(a: Value, b: Value) -> Value:
+    if isinstance(a, Num) and isinstance(b, Num):
+        return Num(a.value * b.value)
+    raise EvalError(f"cannot multiply {render_value(a)} and {render_value(b)}")
+
+
+def v_div(a: Value, b: Value) -> Value:
+    """Floor division: how many times b fits into a.  Exact on rationals."""
+    if isinstance(a, Num) and isinstance(b, Num):
+        if b.value == 0:
+            raise EvalError("division by zero")
+        return Num(Fraction(a.value // b.value))
+    raise EvalError(f"cannot divide {render_value(a)} by {render_value(b)}")
+
+
+def v_min(args: list[Value]) -> Value:
+    best: Value | None = None
+    for a in args:
+        if isinstance(a, Inf):
+            candidate = a
+        elif isinstance(a, Num):
+            candidate = a
+        else:
+            raise EvalError(f"min over non-numeric value {render_value(a)}")
+        if best is None:
+            best = candidate
+        elif isinstance(best, Inf):
+            best = candidate
+        elif isinstance(candidate, Num) and candidate.value < best.value:
+            best = candidate
+    if best is None:
+        raise EvalError("min of no arguments")
+    return best
+
+
+def v_neg(a: Value) -> Value:
+    if isinstance(a, Num):
+        return Num(-a.value)
+    raise EvalError(f"cannot negate {render_value(a)}")
+
+
+
+def _eq(a: Value, b: Value) -> bool:
+    cls = a.__class__
+    if cls is not b.__class__:
+        return False
+    if cls is Num:
+        x, y = a.value, b.value
+        return x._numerator == y._numerator and x._denominator == y._denominator
+    if cls is Lit:
+        return a.name == b.name
+    if cls is Tup:
+        return len(a.items) == len(b.items) and all(map(_eq, a.items, b.items))
+    return a == b
+
+
+def _lt(a: Value, b: Value) -> bool:
+    if a.__class__ is Num:
+        if b.__class__ is Num:
+            x, y = a.value, b.value
+            return x._numerator * y._denominator < y._numerator * x._denominator
+        return b.__class__ is Inf
+    return False
+
+
+def _le(a: Value, b: Value) -> bool:
+    cls = a.__class__
+    if cls is Num and b.__class__ is Num:
+        x, y = a.value, b.value
+        return x._numerator * y._denominator <= y._numerator * x._denominator
+    return (cls is Num or cls is Inf) and b.__class__ is Inf
+

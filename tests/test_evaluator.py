@@ -206,7 +206,9 @@ from devs_scc.syntax import (
 from devs_scc.values import NAT, EnumSort
 
 _scalars = st.one_of(
-    st.builds(lambda n, d: Num(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 3)),
+    # a number as `num` holds it (an int when integral) or as a Fraction
+    st.builds(lambda n, d, raw: Num(Fraction(n, d)) if raw else num(Fraction(n, d)),
+              st.integers(-4, 4), st.integers(1, 3), st.booleans()),
     st.just(INF),
     st.sampled_from([Lit("A"), Lit("B")]),
 )

@@ -10,7 +10,6 @@ from devs_scc.bounds import (
     digits_index,
     index_digits,
     joint_space,
-    pair_space,
     state_space,
 )
 from devs_scc.campaign import Campaign, load_plan, run_campaign
@@ -312,7 +311,8 @@ def two_path_select(scc, model, bounds):
         cfg = config(w, w)
     else:
         state = require(satisfiable(scc.init_states, state_space(model, bounds), bounds, model))
-        pair = require(satisfiable(scc.input_pairs, pair_space(model, bounds), bounds, model))
+        pair_space = joint_space(model, bounds)[:2]
+        pair = require(satisfiable(scc.input_pairs, pair_space, bounds, model))
         cfg = config(state, pair)
         ta = eval_expr(model.ta, {**const_env(bounds, model), **cfg.state}, model)
         if cfg.event == TAU:

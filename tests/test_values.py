@@ -81,7 +81,9 @@ def test_time_order_with_infinity():
 
 
 _scalars = st.one_of(
-    st.builds(lambda n, d: Num(Fraction(n, d)), st.integers(-2, 2), st.integers(1, 2)),
+    # a number as `num` holds it (an int when integral) or as a Fraction
+    st.builds(lambda n, d, raw: Num(Fraction(n, d)) if raw else num(Fraction(n, d)),
+              st.integers(-2, 2), st.integers(1, 2), st.booleans()),
     st.just(INF),
     st.sampled_from([Lit("A"), Lit("B")]),
 )
