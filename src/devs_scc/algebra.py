@@ -26,26 +26,27 @@ from .sat import satisfiable
 from .scc import SCC, make_scc
 from .selector import member_form
 from .syntax import conj
+from .values import Record
 
 
-@dataclass(frozen=True)
-class CombinationPlan:
-    groups: tuple[tuple[int, ...], ...] = ()
-    all_pairs: bool = False
-    max_arity: int = 2
-    budget: int = 1000
+class CombinationPlan(Record):
+    __slots__ = ("groups", "all_pairs", "max_arity", "budget")
 
-    def __post_init__(self) -> None:
-        for name in ("max_arity", "budget"):
-            value = getattr(self, name)
+    def __init__(self, groups: tuple[tuple[int, ...], ...] = (), all_pairs: bool = False,
+                 max_arity: int = 2, budget: int = 1000) -> None:
+        for name, value in (("max_arity", max_arity), ("budget", budget)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
-        if not isinstance(self.all_pairs, bool):
-            raise ValueError(f"all_pairs must be true or false, not {self.all_pairs!r}")
-        if self.max_arity < 2:
+        if not isinstance(all_pairs, bool):
+            raise ValueError(f"all_pairs must be true or false, not {all_pairs!r}")
+        if max_arity < 2:
             raise ValueError("max_arity must be at least 2")
-        if self.budget < 0:
+        if budget < 0:
             raise ValueError("budget must be at least 0")
+        self.groups = groups
+        self.all_pairs = all_pairs
+        self.max_arity = max_arity
+        self.budget = budget
 
 
 @dataclass

@@ -403,11 +403,11 @@ def _bind_operators(model: Model, report: ValidationReport) -> tuple[OperatorDef
             try:
                 guard = bind_pred(case.guard, ctx)
                 result = check_expr(case.result, ctx, op.result)
-                cases.append(replace(case, guard=guard, result=result))
+                cases.append(GuardedCase(case.id, guard, result, case.is_otherwise))
             except BindError as err:
                 report.errors.append(str(err))
                 cases.append(case)
-        out.append(replace(op, cases=tuple(cases)))
+        out.append(OperatorDef(op.name, op.params, op.result, tuple(cases)))
     _check_operator_cycles(out, report)
     return tuple(out)
 
@@ -460,7 +460,7 @@ def _bind_cases(model, cases, ctx, result_sort, fn, report) -> tuple[GuardedCase
             cctx = Ctx(ctx.vars, ctx.consts, ctx.operators, where)
             guard = case.guard if case.is_otherwise else bind_pred(case.guard, cctx)
             result = check_expr(case.result, cctx, result_sort)
-            out.append(replace(case, guard=guard, result=result))
+            out.append(GuardedCase(case.id, guard, result, case.is_otherwise))
         except BindError as err:
             report.errors.append(str(err))
             out.append(case)

@@ -58,24 +58,39 @@ def main(argv: list[str] | None = None) -> int:
     p_parse.add_argument("model")
     p_parse.add_argument("--bounds", help="enables bounded guard-coverage checks")
 
-    for name in ("criteria", "combine", "select", "sequence", "campaign"):
-        p = sub.add_parser(name)
+    pipeline = {
+        "criteria": "print the class catalog of the criteria, with the classes "
+                    "each criterion made",
+        "combine": "print the class catalog after combination, with its counts",
+        "select": "print one simulation configuration per class",
+        "sequence": "print the simulation sequences that chain the configurations",
+        "campaign": "run criteria -> combine -> select -> sequence -> simulate "
+                    "and write the artifacts to --out",
+    }
+    for name, summary in pipeline.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--model", required=True)
         p.add_argument("--bounds", required=True)
         p.add_argument("--criteria", action="append", default=[], metavar="SPEC",
                        help="criterion selection, repeatable")
         p.add_argument("--parts", action="append", default=[],
                        help="standard-partition table file, repeatable")
-        p.add_argument("--include-otherwise", action="store_true")
+        p.add_argument("--include-otherwise", action="store_true",
+                       help="the cases criterion adds the catch-all cases")
         p.add_argument("--plan", help="combination plan JSON")
         p.add_argument("--all-pairs", action="store_true",
                        help="combine every pair of base classes")
         p.add_argument("--group", action="append", default=[], metavar="IDS",
                        help="combine these comma-separated class ids, repeatable")
-        p.add_argument("--max-arity", type=int, default=2)
-        p.add_argument("--budget", type=int, default=1000)
+        p.add_argument("--max-arity", type=int, default=2,
+                       help="largest group a plan combines (default 2)")
+        p.add_argument("--budget", type=int, default=1000,
+                       help="most combinations attempted; the rest are skipped "
+                            "with a note (default 1000)")
         p.add_argument("--out", help="output directory (campaign) or file")
-        p.add_argument("--probe-k", type=int, default=0)
+        p.add_argument("--probe-k", type=int, default=0, metavar="K",
+                       help="uniformity probe: sample up to K distinct executable "
+                            "members of each base class; 0 (off) or at least 2")
 
     p_sim = sub.add_parser("simulate", help="run a config or sequence file")
     p_sim.add_argument("--model", required=True)

@@ -11,7 +11,7 @@ structural duplicates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .bounds import Bounds, const_env, state_space, time_points
 from .evaluator import eval_expr
@@ -44,6 +44,7 @@ from .values import (
     Lit,
     Num,
     Rational,
+    Record,
     TAU,
     TIME,
     ext_base,
@@ -173,11 +174,14 @@ def intentional_criterion(
 _DEFAULT_OPS = ("<", ">", "<=", ">=")
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    function: str  # dext | dint | lambda
-    case_id: int
-    ops: tuple[str, ...] = _DEFAULT_OPS
+class Occurrence(Record):
+    __slots__ = ("function", "case_id", "ops")
+
+    def __init__(self, function: str, case_id: int,
+                 ops: tuple[str, ...] = _DEFAULT_OPS) -> None:
+        self.function = function  # dext | dint | lambda
+        self.case_id = case_id
+        self.ops = ops
 
 
 def standard_partition_criterion(
@@ -300,8 +304,7 @@ def _occurrence_context(model, fn, context, bounds):
 # ---------------------------------------------------------------------------
 # time partitions
 
-@dataclass(frozen=True)
-class TimeSpec:
+class TimeSpec(Record):
     """Key time intervals and points for the time criterion.
 
     With refine=True all endpoints are merged into one ascending chain
@@ -310,9 +313,13 @@ class TimeSpec:
     interval between neighbours, one beyond the last).
     """
 
-    intervals: tuple[tuple[Expr, Expr], ...] = ()
-    points: tuple[Expr, ...] = ()
-    refine: bool = False
+    __slots__ = ("intervals", "points", "refine")
+
+    def __init__(self, intervals: tuple[tuple[Expr, Expr], ...] = (),
+                 points: tuple[Expr, ...] = (), refine: bool = False) -> None:
+        self.intervals = intervals
+        self.points = points
+        self.refine = refine
 
 
 def time_partition_criterion(

@@ -10,8 +10,6 @@ the offending subformula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     And,
     BoolConst,
@@ -28,6 +26,7 @@ from .syntax import (
     conj,
     render_pred,
 )
+from .values import Record
 
 DEFAULT_CLAUSE_CAP = 4096
 
@@ -40,11 +39,13 @@ class DnfCapError(Exception):
         self.subformula = subformula
 
 
-@dataclass(frozen=True)
-class DNFClause:
+class DNFClause(Record):
     """A conjunction of literals; the empty clause is the trivial true."""
 
-    literals: tuple[Predicate, ...]
+    __slots__ = ("literals",)
+
+    def __init__(self, literals: tuple[Predicate, ...]) -> None:
+        self.literals = literals
 
     def predicate(self) -> Predicate:
         return conj(list(self.literals))

@@ -13,24 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import Expr, Predicate
-from .values import Sort, TimeSort
+from .values import Record, Sort, TimeSort
 
 
-@dataclass(frozen=True)
-class StateSchema:
-    vars: tuple[tuple[str, Sort], ...]
-    time_vars: tuple[str, ...] = ()
+class StateSchema(Record):
+    __slots__ = ("vars", "time_vars")
 
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.vars]
+    def __init__(self, vars: tuple[tuple[str, Sort], ...],
+                 time_vars: tuple[str, ...] = ()) -> None:
+        names = [n for n, _ in vars]
         if len(set(names)) != len(names):
             raise ValueError("duplicate state variable names")
-        sorts = dict(self.vars)
-        for tv in self.time_vars:
+        sorts = dict(vars)
+        for tv in time_vars:
             if tv not in sorts:
                 raise ValueError(f"@time variable {tv} is not declared")
             if not isinstance(sorts[tv], TimeSort):
                 raise ValueError(f"@time variable {tv} must have sort time")
+        self.vars = vars
+        self.time_vars = time_vars
 
     def names(self) -> list[str]:
         return [n for n, _ in self.vars]
@@ -42,20 +43,26 @@ class StateSchema:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class GuardedCase:
-    id: int  # 1-based position in the function definition
-    guard: Predicate
-    result: Expr
-    is_otherwise: bool = False
+class GuardedCase(Record):
+    __slots__ = ("id", "guard", "result", "is_otherwise")
+
+    def __init__(self, id: int, guard: Predicate, result: Expr,
+                 is_otherwise: bool = False) -> None:
+        self.id = id  # 1-based position in the function definition
+        self.guard = guard
+        self.result = result
+        self.is_otherwise = is_otherwise
 
 
-@dataclass(frozen=True)
-class OperatorDef:
-    name: str
-    params: tuple[tuple[str, Sort], ...]
-    result: Sort
-    cases: tuple[GuardedCase, ...]  # single unconditional case for plain bodies
+class OperatorDef(Record):
+    __slots__ = ("name", "params", "result", "cases")
+
+    def __init__(self, name: str, params: tuple[tuple[str, Sort], ...], result: Sort,
+                 cases: tuple[GuardedCase, ...]) -> None:
+        self.name = name
+        self.params = params
+        self.result = result
+        self.cases = cases  # single unconditional case for plain bodies
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,10 @@ def lex(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # parser core
 
+# the token kinds that `at`, `accept` and `expect` match by their text
+_WORD_KINDS = ("sym", "ident")
+
+
 class Parser:
     def __init__(self, text: str):
         self.tokens = lex(text)
@@ -209,34 +213,40 @@ class Parser:
         shown = t.text if t.kind != "eof" else "end of input"
         return ParseFailure([Diagnostic(t.line, t.col, f"{message}, found {shown!r}")])
 
+    # `at`, `accept`, `expect`, `ident` and `number` run for nearly every
+    # token, so each reads the current token once, not through `tok`
+
     def at(self, text: str) -> bool:
-        return self.tok.kind in ("sym", "ident") and self.tok.text == text
+        t = self.tokens[self.pos]
+        return t.text == text and t.kind in _WORD_KINDS
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        t = self.tokens[self.pos]
+        if t.text == text and t.kind in _WORD_KINDS:
             self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
+        t = self.tokens[self.pos]
+        if t.text != text or t.kind not in _WORD_KINDS:
             raise self.fail(f"expected {text!r}")
-        t = self.tok
         self.pos += 1
         return t
 
     def ident(self, what: str = "identifier") -> str:
-        if self.tok.kind != "ident":
+        t = self.tokens[self.pos]
+        if t.kind != "ident":
             raise self.fail(f"expected {what}")
-        t = self.tok
         self.pos += 1
         return t.text
 
     def number(self) -> Rational:
-        if self.tok.kind != "number":
+        t = self.tokens[self.pos]
+        if t.kind != "number":
             raise self.fail("expected number")
         try:
-            value = parse_number(self.tok.text)
+            value = parse_number(t.text)
         except ZeroDivisionError:
             raise self.fail("division by zero") from None
         self.pos += 1

@@ -11,19 +11,19 @@ complex operator is the product of the partitions of its parts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
 from .bounds import Bounds
 from .sat import coverage
 from .syntax import And, Cmp, Const, Predicate, Ref, subst_pred
-from .values import Num
+from .values import Num, Record
 
 
-@dataclass(frozen=True)
-class StandardPartition:
-    name: str
-    formals: tuple[str, ...]
-    cells: tuple[Predicate, ...]
+class StandardPartition(Record):
+    __slots__ = ("name", "formals", "cells")
+
+    def __init__(self, name: str, formals: tuple[str, ...], cells: tuple[Predicate, ...]) -> None:
+        self.name = name
+        self.formals = formals
+        self.cells = cells
 
     @property
     def arity(self) -> int:

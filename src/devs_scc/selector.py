@@ -25,7 +25,6 @@ index space rather than random draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .bounds import Bounds, const_env, digits_index, index_digits, joint_space
@@ -36,7 +35,7 @@ from .model import Model
 from .sat import Conjunction, SatResult, prepare_conjuncts, satisfiable
 from .scc import SCC
 from .syntax import Cmp, MinOp, Predicate, Ref
-from .values import Value, render_value
+from .values import Record, Value, render_value
 
 
 class SelectError(Exception):
@@ -88,12 +87,15 @@ def _pair_test(scc: SCC, model: Model, bounds: Bounds):
                     lambda: compile_pred(scc.input_pairs, model, bounds))
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    scc_id: int
-    state: dict[str, Value]
-    event: Value  # an input value or the tau marker
-    time: Value
+class SimulationConfig(Record):
+    __slots__ = ("scc_id", "state", "event", "time")
+
+    def __init__(self, scc_id: int, state: dict[str, Value], event: Value,
+                 time: Value) -> None:
+        self.scc_id = scc_id
+        self.state = state
+        self.event = event  # an input value or the tau marker
+        self.time = time
 
     def to_json(self) -> dict:
         return {

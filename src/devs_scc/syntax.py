@@ -1,5 +1,10 @@
 """Expression and predicate ASTs plus their canonical text rendering.
 
+Every node is a `values.Record`: immutable by convention, equal to a
+node of the same class with equal fields, hashed as the tuple of its
+fields.  Nodes of different classes never compare equal, so `Ref("x")`
+is not `ConstRef("x")`.
+
 The renderer is the canonical form: two predicates are treated as
 structurally equal exactly when their rendered strings agree, and the
 normalizer below sorts conjuncts and disjuncts by that string so that
@@ -8,70 +13,87 @@ intersection order never changes the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from .values import Sort, Value, render_value
+from .values import Record, Sort, Value, render_value
 
 
 # ---------------------------------------------------------------------------
 # expressions
 
-@dataclass(frozen=True)
-class Const:
-    value: Value
+class Const(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Record):
     """A variable: state variable, operator parameter, or one of the
     reserved names x (input), e (elapsed time), t (pair time).  The
     parser emits every bare identifier as a Ref; binding resolves it to
     a Ref, a ConstRef or a literal Const."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class ConstRef:
+class ConstRef(Record):
     """A named model constant (e.g. a timer bound) left symbolic until a
     bounds file supplies its value."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * div
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr") -> None:
+        self.op = op  # + - * div
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Neg(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: "Expr") -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True)
-class MinOp:
-    args: tuple["Expr", ...]
+class MinOp(Record):
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple["Expr", ...]) -> None:
+        self.args = args
 
 
-@dataclass(frozen=True)
-class TupleExpr:
-    items: tuple["Expr", ...]
+class TupleExpr(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple["Expr", ...]) -> None:
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Proj:
-    base: "Expr"
-    index: int  # 1-based
+class Proj(Record):
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: "Expr", index: int) -> None:
+        self.base = base
+        self.index = index  # 1-based
 
 
-@dataclass(frozen=True)
-class Apply:
-    op: str
-    args: tuple["Expr", ...]
+class Apply(Record):
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple["Expr", ...]) -> None:
+        self.op = op
+        self.args = args
 
 
 Expr = Union[Const, Ref, ConstRef, BinOp, Neg, MinOp, TupleExpr, Proj, Apply]
@@ -80,67 +102,85 @@ Expr = Union[Const, Ref, ConstRef, BinOp, Neg, MinOp, TupleExpr, Proj, Apply]
 # ---------------------------------------------------------------------------
 # predicates
 
-@dataclass(frozen=True)
-class BoolConst:
-    value: bool
+class BoolConst(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
 
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # = != < <= > >=
-    left: Expr
-    right: Expr
+class Cmp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        self.op = op  # = != < <= > >=
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class InSet:
+class InSet(Record):
     """Membership of an enum- or extension-sorted expression in a finite
     literal set."""
 
-    expr: Expr
-    literals: tuple[str, ...]
+    __slots__ = ("expr", "literals")
+
+    def __init__(self, expr: Expr, literals: tuple[str, ...]) -> None:
+        self.expr = expr
+        self.literals = literals
 
 
-@dataclass(frozen=True)
-class InBase:
+class InBase(Record):
     """True when an extension-sorted value is drawn from the numeric base
     rather than being one of the added literals (e.g. `x in nat`)."""
 
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr) -> None:
+        self.expr = expr
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple["Predicate", ...]
+class And(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple["Predicate", ...]) -> None:
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple["Predicate", ...]
+class Or(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple["Predicate", ...]) -> None:
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Predicate"
+class Not(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: "Predicate") -> None:
+        self.arg = arg
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Predicate"
-    right: "Predicate"
+class Implies(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Predicate", right: "Predicate") -> None:
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     """Bounded existential introduced by the cases-criterion projection.
     Bound variables carry their sorts so membership tests can enumerate."""
 
-    bound: tuple[tuple[str, Sort], ...]
-    body: "Predicate"
+    __slots__ = ("bound", "body")
+
+    def __init__(self, bound: tuple[tuple[str, Sort], ...], body: "Predicate") -> None:
+        self.bound = bound
+        self.body = body
 
 
 Predicate = Union[BoolConst, Cmp, InSet, InBase, And, Or, Not, Implies, Exists]

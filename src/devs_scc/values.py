@@ -8,12 +8,20 @@ anywhere, so the equality and ordering used by guards and time
 arithmetic are decidable.  Most numbers of a model are integral, and
 int's operators are many times cheaper than Fraction's, which are
 written in Python.
+
+Sorts and values are records (`Record`): slotted classes with a
+hand-written `__init__` that compare on class and fields and hash as the
+tuple of their fields, like frozen dataclasses.  The syntax nodes and
+the package's other small immutable records share the base.  Creating
+such a class costs about 0.02 ms where a frozen dataclass costs about
+0.7 ms, and building an instance about half as much, which matters
+because every process creates the classes when it imports the package
+and every number it computes is a new `Num`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -28,70 +36,147 @@ class EvalError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+_FIELD_METHODS = """\
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {mine} == {theirs}
+    return NotImplemented
+
+def __ne__(self, other):
+    if other.__class__ is self.__class__:
+        return {mine} != {theirs}
+    return NotImplemented
+
+def __hash__(self):
+    return hash(({fields}))
+"""
+
+
+def _write_field_methods(cls: type) -> type:
+    """Give a record class `__eq__`, `__ne__` and `__hash__` written out
+    for its fields, as a dataclass's are, so that they read the fields
+    without a call per field.  A single field is compared on its own,
+    without the two 1-tuples a dataclass builds."""
+    names = cls.__slots__
+    fields = "".join(f"self.{f}, " for f in names)
+    if len(names) == 1:
+        mine, theirs = f"self.{names[0]}", f"other.{names[0]}"
+    else:
+        mine, theirs = f"({fields})", "(%s)" % "".join(f"other.{f}, " for f in names)
+    namespace: dict = {}
+    exec(_FIELD_METHODS.format(mine=mine, theirs=theirs, fields=fields), namespace)
+    for name in ("__eq__", "__ne__", "__hash__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    return cls
+
+
+class Record:
+    """An immutable value: the fields a subclass names in `__slots__`, in
+    order, set once by its own `__init__` and never assigned again.
+
+    Two records are equal when they are of one class with equal fields,
+    a record hashes as the tuple of its fields, and it shows itself as a
+    dataclass would, e.g. `Num(value=1)`.  Its instances carry no
+    `__dict__`.  A record class is not subclassed further.
+
+    A class's field-wise `__eq__`, `__ne__` and `__hash__` are written
+    the first time one of them runs on one of its instances, by the
+    methods below, which then hand over to them: compiling them costs
+    about 0.2 ms a class, and most record classes a process imports are
+    never compared or hashed.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return _write_field_methods(self.__class__).__eq__(self, other)
+
+    def __ne__(self, other):
+        return _write_field_methods(self.__class__).__ne__(self, other)
+
+    def __hash__(self):
+        return _write_field_methods(self.__class__).__hash__(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # sorts
 
-@dataclass(frozen=True)
-class NatSort:
+class NatSort(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "nat"
 
 
-@dataclass(frozen=True)
-class IntSort:
+class IntSort(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
-class RatSort:
+class RatSort(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "rational"
 
 
-@dataclass(frozen=True)
-class TimeSort:
+class TimeSort(Record):
     """Nonnegative rationals extended with infinity."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "time"
 
 
-@dataclass(frozen=True)
-class EnumSort:
-    literals: tuple[str, ...]
+class EnumSort(Record):
+    __slots__ = ("literals",)
 
-    def __post_init__(self) -> None:
-        if not self.literals:
+    def __init__(self, literals: tuple[str, ...]) -> None:
+        if not literals:
             raise SortError("enum sort needs at least one literal")
-        if len(set(self.literals)) != len(self.literals):
+        if len(set(literals)) != len(literals):
             raise SortError("enum literals must be distinct")
+        self.literals = literals
 
     def __str__(self) -> str:
         return "enum {%s}" % ", ".join(self.literals)
 
 
-@dataclass(frozen=True)
-class TupleSort:
-    items: tuple["Sort", ...]
+class TupleSort(Record):
+    __slots__ = ("items",)
 
-    def __post_init__(self) -> None:
-        if len(self.items) < 2:
+    def __init__(self, items: tuple["Sort", ...]) -> None:
+        if len(items) < 2:
             raise SortError("tuple sort needs at least two components")
+        self.items = items
 
     def __str__(self) -> str:
         return "(%s)" % ", ".join(str(s) for s in self.items)
 
 
-@dataclass(frozen=True)
-class ExtSort:
+class ExtSort(Record):
     """A base sort extended with one distinguished literal, e.g. nat | none.
 
     Chains of extensions model sets like the naturals plus several signal
     names: each level contributes exactly one extra literal.
     """
 
-    base: "Sort"
-    literal: str
+    __slots__ = ("base", "literal")
+
+    def __init__(self, base: "Sort", literal: str) -> None:
+        self.base = base
+        self.literal = literal
 
     def __str__(self) -> str:
         return f"{self.base} | {self.literal}"
@@ -147,28 +232,33 @@ def numeric_join(a: Sort, b: Sort) -> Sort:
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     """An exact number: an int when integral, else a proper Fraction (see
     `exact`).  Equal ints and Fractions compare and hash equal, so a Num
     built around an integral Fraction is slower, never wrong."""
 
-    value: Rational
+    __slots__ = ("value",)
+
+    def __init__(self, value: Rational) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Inf:
-    pass
+class Inf(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lit:
-    name: str
+class Lit(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Tup:
-    items: tuple["Value", ...]
+class Tup(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple["Value", ...]) -> None:
+        self.items = items
 
 
 Value = Union[Num, Inf, Lit, Tup]

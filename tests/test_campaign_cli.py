@@ -555,6 +555,27 @@ def test_a_probe_k_that_cannot_probe_exits_2(k, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_help_describes_every_command_and_pipeline_option(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("parse", "criteria", "combine", "select", "sequence", "campaign",
+                 "simulate", "report"):
+        described = [line.split() for line in lines if line.split()[:1] == [name]]
+        assert described and len(described[0]) > 1, name
+    for name in ("criteria", "combine", "select", "sequence", "campaign"):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for phrase in ("--include-otherwise the cases criterion adds the catch-all cases",
+                       "largest group a plan combines (default 2)",
+                       "--budget BUDGET most combinations attempted",
+                       "--probe-k K uniformity probe: sample up to K distinct executable "
+                       "members of each base class; 0 (off) or at least 2"):
+            assert phrase in text, (name, phrase)
+
+
 @pytest.mark.parametrize("case", [
     "campaign --out an existing file",
     "campaign --out under a file",

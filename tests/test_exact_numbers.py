@@ -14,7 +14,7 @@ from devs_scc.bounds import const_env, input_grid, joint_space, sort_grid, time_
 from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.evaluator import compile_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file
-from devs_scc.syntax import Cmp, Const, Ref
+from devs_scc.syntax import Cmp, Const, InBase, InSet, Ref, expr_nodes, iter_subpreds
 from devs_scc.values import (
     COMPARISONS,
     INF,
@@ -27,6 +27,7 @@ from devs_scc.values import (
     ExtSort,
     Lit,
     Num,
+    Record,
     Tup,
     TupleSort,
     exact,
@@ -44,8 +45,8 @@ def held_exactly(n: Num) -> bool:
 
 
 def nums(*roots) -> list[Num]:
-    """Every Num reachable from `roots` through dataclass fields and
-    containers."""
+    """Every Num reachable from `roots` through record and dataclass
+    fields and containers."""
     seen, stack, out = set(), list(roots), []
     while stack:
         obj = stack.pop()
@@ -54,6 +55,8 @@ def nums(*roots) -> list[Num]:
         seen.add(id(obj))
         if isinstance(obj, Num):
             out.append(obj)
+        elif isinstance(obj, Record):
+            stack.extend(getattr(obj, name) for name in obj.__slots__)
         elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
             stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
         elif isinstance(obj, dict):
@@ -62,6 +65,23 @@ def nums(*roots) -> list[Num]:
         elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
     return out
+
+
+def const_nums(model) -> list[Num]:
+    """The Nums in the model's `Const` nodes, found by the syntax
+    traversals rather than by `nums`."""
+    cases = model.delta_ext + model.delta_int + model.output_fn
+    cases += tuple(case for op in model.operators for case in op.cases)
+    exprs = [model.ta]
+    for case in cases:
+        exprs.append(case.result)
+        for p in iter_subpreds(case.guard):
+            if isinstance(p, Cmp):
+                exprs += [p.left, p.right]
+            elif isinstance(p, (InSet, InBase)):
+                exprs.append(p.expr)
+    return [n.value for e in exprs for n in expr_nodes(e)
+            if isinstance(n, Const) and isinstance(n.value, Num)]
 
 
 def assert_held_exactly(found: list[Num]) -> None:
@@ -97,6 +117,15 @@ def test_parsing_grids_and_constants_hold_numbers_exactly():
     assert bounds.const_values["T"] == Num(2) and type(bounds.const_values["T"].value) is int
     found += nums(bounds, grids)
     assert_held_exactly(found)
+
+
+def test_the_walker_reaches_the_numbers_inside_model_nodes():
+    model, report = parse_model_file(str(FIXTURES / "elevator.devs"))
+    assert report.usable
+    expected = const_nums(model)
+    assert expected
+    reached = {id(n) for n in nums(model)}
+    assert all(id(n) in reached for n in expected)
 
 
 def test_arithmetic_holds_its_results_exactly():
