@@ -51,6 +51,7 @@ class CombinationPlan(Record):
 
 @dataclass
 class CombineReport:
+    """What one `combine_and_prune` run attempted, kept, dropped and noted."""
     attempted: int = 0
     kept: int = 0
     dropped: int = 0

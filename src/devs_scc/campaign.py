@@ -53,7 +53,7 @@ from .simulator import (
     init,
     uniformity_probe,
 )
-from .syntax import Apply, Cmp, InBase, InSet, expr_nodes, iter_subpreds
+from .syntax import Apply, Cmp, InBase, InSet, expr_nodes, holding, iter_subpreds
 from .values import EvalError, Num, Value
 
 SCHEMA = "devs-scc/1"
@@ -253,6 +253,7 @@ def _load_json(path: str, build):
 
 @dataclass
 class Report:
+    """The campaign report: class counts per stage, findings and notes."""
     model: str = ""
     criteria_counts: list[tuple[str, int]] = field(default_factory=list)
     duplicates_removed: int = 0
@@ -304,6 +305,7 @@ class Report:
 
 @dataclass
 class Campaign:
+    """The inputs of one campaign: model, bounds, tables, selections, plan."""
     model: Model
     bounds: Bounds
     tables: dict[str, StandardPartition]
@@ -315,6 +317,7 @@ class Campaign:
 
 @dataclass
 class CampaignResult:
+    """The report and artifacts of one `run_campaign`."""
     report: Report
     catalog: list[SCC]
     configs: dict[int, SimulationConfig]
@@ -338,9 +341,11 @@ class CampaignResult:
 STAGES = ("combine", "select", "sequence", "simulate")
 
 
+@holding()
 def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
     """Run the pipeline up to and including the stage `stop_after`; the
-    artifacts of the stages after it stay empty."""
+    artifacts of the stages after it stay empty.  The syntax nodes it
+    makes live until it returns (`syntax.holding`)."""
     if stop_after not in STAGES:
         raise ValueError(f"unknown stage {stop_after!r}, want one of {STAGES}")
     report = Report(model=c.model.name)

@@ -82,6 +82,7 @@ class Unresolved(BindError):
 
 @dataclass
 class Ctx:
+    """The sorts of the names in scope, the operators, and where a check is."""
     vars: dict[str, Sort]
     consts: dict[str, Sort]
     operators: dict[str, OperatorDef]
@@ -104,7 +105,7 @@ def infer_expr(expr: Expr, ctx: Ctx) -> tuple[Expr, Sort]:
         raise Unresolved(render_value(v))
     if isinstance(expr, Ref):
         if expr.name in ctx.vars:
-            return Ref(expr.name), ctx.vars[expr.name]
+            return expr, ctx.vars[expr.name]
         if expr.name in ctx.consts:
             return ConstRef(expr.name), ctx.consts[expr.name]
         raise Unresolved(expr.name)

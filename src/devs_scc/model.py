@@ -67,6 +67,7 @@ class OperatorDef(Record):
 
 @dataclass(frozen=True)
 class Model:
+    """An atomic DEVS model: state schema, sorts, guarded cases and `ta`."""
     name: str
     schema: StateSchema
     input_sort: Sort

@@ -62,6 +62,7 @@ from .values import (
 
 @dataclass
 class Diagnostic:
+    """A message about the source text at a line and column."""
     line: int
     col: int
     message: str
@@ -99,6 +100,7 @@ _ONE = set("{}(),;:=<>!+-*.|@")
 
 @dataclass
 class Token:
+    """One lexical token and where it starts."""
     kind: str  # ident, number, string, sym, eof
     text: str
     line: int

@@ -4,12 +4,11 @@ One depth-first search enumerates the witnesses of a predicate over the
 declared variable order with each variable's grid ascending, so the
 first witness found is the lexicographically least satisfying
 assignment — reproducible across runs and platforms.  `satisfiable` is
-its first result and `iter_witnesses` drains it.  `coverage` runs the
-coverage and disjointness checks of a case table on it, deciding first,
-without a search, each pair of cases whose guards admit no common value
-of some variable.  The search is one loop
-over an explicit stack of grid positions, one per variable, rather than
-one generator frame per variable.
+its first result.  `coverage` runs the coverage and disjointness checks
+of a case table on it, deciding first, without a search, each pair of
+cases whose guards admit no common value of some variable.  The search
+is one loop over an explicit stack of grid positions, one per variable,
+rather than one generator frame per variable.
 
 A predicate is searched in its prepared form, a `Conjunction`: its
 normal form's conjuncts in canonical order, each with its text, its free
@@ -83,6 +82,7 @@ class BudgetExhausted(Exception):
 
 @dataclass
 class SatResult:
+    """A search verdict, with the least witness when sat."""
     status: str  # "sat" | "unsat" | "unknown"
     witness: dict[str, Value] | None = None
     attempts: int = 0
@@ -95,6 +95,7 @@ class SatResult:
 
 @dataclass
 class _Budget:
+    """The attempts one search may spend and has spent."""
     limit: int
     used: int = 0
 
@@ -197,25 +198,6 @@ def satisfiable(
         return SatResult("unsat", attempts=budget.used)
     index, witness = found
     return SatResult("sat", witness=witness, attempts=budget.used, index=index)
-
-
-def iter_witnesses(
-    pred: Predicate | Conjunction,
-    space: Space,
-    bounds: Bounds,
-    model: Model | None = None,
-    base_env: dict[str, Value] | None = None,
-    limit: int = 1_000_000,
-):
-    """All witnesses in lexicographic order, stopping quietly once `limit`
-    attempts are spent."""
-    search = _witnesses(_form(pred, model, bounds), space,
-                        _env(bounds, model, base_env), _Budget(limit))
-    try:
-        for _, witness in search:
-            yield witness
-    except BudgetExhausted:
-        return
 
 
 def coverage(

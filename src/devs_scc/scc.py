@@ -21,6 +21,7 @@ from .syntax import Predicate, conjuncts, normalize, render_pred
 
 @dataclass(frozen=True)
 class SCC:
+    """A simulation configuration class (see the module docstring)."""
     id: int
     init_states: Predicate
     input_pairs: Predicate

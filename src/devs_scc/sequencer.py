@@ -30,6 +30,7 @@ from .values import EvalError, Inf, Num, TAU, Value, render_value
 
 @dataclass
 class SeqStep:
+    """One chained step: a class, the state used and the input applied."""
     scc_id: int
     state_used: dict[str, Value]
     event: Value
@@ -52,6 +53,7 @@ class SeqStep:
 
 @dataclass
 class SimulationSequence:
+    """Steps chained from one initial state and the classes they cover."""
     steps: list[SeqStep] = field(default_factory=list)
     covered: list[int] = field(default_factory=list)
     # what running the steps produced while chaining; not part of the file

@@ -52,6 +52,7 @@ class UndefinedTransition(Exception):
 
 @dataclass
 class SimState:
+    """A running model: its state, the clock and the last transition time."""
     state: dict[str, Value]
     clock: Rational
     last: Rational  # instant of the most recent transition
@@ -62,6 +63,7 @@ class SimState:
 
 @dataclass
 class TraceEvent:
+    """One transition or error recorded while simulating."""
     at: Value
     kind: str  # "internal" | "external" | "error"
     fired: tuple[str, int] | None
@@ -92,6 +94,7 @@ class TraceEvent:
 
 @dataclass
 class Trace:
+    """The events and findings of one simulation run."""
     events: list[TraceEvent] = field(default_factory=list)
     findings: list[str] = field(default_factory=list)
 
@@ -259,6 +262,7 @@ def run_config(model: Model, config: SimulationConfig, bounds: Bounds) -> Trace:
 
 @dataclass
 class ProbeReport:
+    """One class's uniformity probe: the verdict and output signatures."""
     scc_id: int
     uniform: bool
     signatures: list[str]

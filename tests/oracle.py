@@ -1,6 +1,7 @@
-"""The tree-walking interpreter: the reference semantics the product's
-compiled evaluator (`devs_scc.evaluator`) is tested against.
+"""The reference implementations the product is tested against.
 
+The tree-walking interpreter: the reference semantics the product's
+compiled evaluator (`devs_scc.evaluator`) is tested against.
 `eval_expr` and `eval_pred` walk the syntax tree on every call;
 `compare` decides comparison atoms by ranking values.  This module is
 independent of the compiled closures, so a differential test that checks
@@ -8,6 +9,12 @@ them against it checks two implementations.  An environment maps names
 to values; user-defined operators run their own guarded cases in an
 environment containing only their parameters and the model constants;
 conjunction and disjunction short-circuit left to right.
+
+`iter_witnesses` drains the product's witness search, which `src/`
+only ever asks for its first witness.  `ref_render_pred` and
+`ref_render_expr` are the renderer that walks the whole tree on every
+call, with the precedence of the enclosing place passed down; the
+product's renderer keeps each node's text and must agree with it.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import Mapping
 
 from devs_scc.bounds import var_grid
 from devs_scc.model import GuardedCase, Model, OperatorDef
+from devs_scc.sat import BudgetExhausted, _Budget, _env, _form, _witnesses
 from devs_scc.syntax import (
     And,
     Apply,
@@ -365,3 +373,81 @@ def _le(a: Value, b: Value) -> bool:
         return x._numerator * y._denominator <= y._numerator * x._denominator
     return (cls is Num or cls is Inf) and b.__class__ is Inf
 
+
+# ---------------------------------------------------------------------------
+# witness enumeration
+
+
+def iter_witnesses(pred, space, bounds, model=None, base_env=None, limit: int = 1_000_000):
+    """All witnesses in lexicographic order, stopping quietly once `limit`
+    attempts are spent."""
+    search = _witnesses(_form(pred, model, bounds), space,
+                        _env(bounds, model, base_env), _Budget(limit))
+    try:
+        for _, witness in search:
+            yield witness
+    except BudgetExhausted:
+        return
+
+
+# ---------------------------------------------------------------------------
+# rendering (canonical text), with the enclosing precedence passed down
+
+_PREC = {"+": 1, "-": 1, "*": 2, "div": 2}
+
+
+def ref_render_expr(e: Expr) -> str:
+    return _rx(e, 0)
+
+
+def _rx(e: Expr, prec: int) -> str:
+    if isinstance(e, Const):
+        return render_value(e.value)
+    if isinstance(e, (Ref, ConstRef)):
+        return e.name
+    if isinstance(e, BinOp):
+        p = _PREC[e.op]
+        s = f"{_rx(e.left, p)} {e.op} {_rx(e.right, p + 1)}"
+        return f"({s})" if p < prec else s
+    if isinstance(e, Neg):
+        return f"-{_rx(e.arg, 3)}"
+    if isinstance(e, MinOp):
+        return "min(%s)" % ", ".join(_rx(a, 0) for a in e.args)
+    if isinstance(e, TupleExpr):
+        return "(%s)" % ", ".join(_rx(a, 0) for a in e.items)
+    if isinstance(e, Proj):
+        return f"{_rx(e.base, 4)}.{e.index}"
+    if isinstance(e, Apply):
+        return "%s(%s)" % (e.op, ", ".join(_rx(a, 0) for a in e.args))
+    raise TypeError(f"cannot render {e!r}")
+
+
+def ref_render_pred(p: Predicate) -> str:
+    return _rp(p, 0)
+
+
+# precedence: => 1, \/ 2, /\ 3, atoms 4
+def _rp(p: Predicate, prec: int) -> str:
+    if isinstance(p, BoolConst):
+        return "true" if p.value else "false"
+    if isinstance(p, Cmp):
+        return f"{_rx(p.left, 1)} {p.op} {_rx(p.right, 1)}"
+    if isinstance(p, InSet):
+        return "%s in {%s}" % (_rx(p.expr, 1), ", ".join(p.literals))
+    if isinstance(p, InBase):
+        return f"{_rx(p.expr, 1)} in nat"
+    if isinstance(p, Not):
+        return f"!({_rp(p.arg, 0)})"
+    if isinstance(p, And):
+        s = " /\\ ".join(_rp(q, 3) for q in p.items)
+        return f"({s})" if prec > 3 else s
+    if isinstance(p, Or):
+        s = " \\/ ".join(_rp(q, 2) for q in p.items)
+        return f"({s})" if prec > 2 else s
+    if isinstance(p, Implies):
+        s = f"{_rp(p.left, 2)} => {_rp(p.right, 1)}"
+        return f"({s})" if prec > 1 else s
+    if isinstance(p, Exists):
+        bound = ", ".join(f"{n}: {s}" for n, s in p.bound)
+        return f"(exists {bound} . {_rp(p.body, 0)})"
+    raise TypeError(f"cannot render {p!r}")

@@ -227,8 +227,7 @@ def test_commutativity_and_associativity_on_generated_classes():
 
 
 def test_combination_members_satisfy_all_ancestors(toy, toy_bounds):
-    from oracle import eval_pred
-    from devs_scc.sat import iter_witnesses
+    from oracle import eval_pred, iter_witnesses
 
     a, b, c = toy_classes()
     combo = intersect(a, b)

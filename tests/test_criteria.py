@@ -13,10 +13,9 @@ from devs_scc.criteria import (
     standard_partition_criterion,
     time_partition_criterion,
 )
-from oracle import eval_pred
+from oracle import eval_pred, iter_witnesses
 from devs_scc.parser import parse_expr_text, parse_model_text
 from devs_scc.partitions import builtin_tables
-from devs_scc.sat import iter_witnesses
 from devs_scc.bounds import Bounds
 from devs_scc.syntax import Cmp, ConstRef, Ref, render_pred, TRUE
 from devs_scc.values import num

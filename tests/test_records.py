@@ -35,6 +35,7 @@ from devs_scc.syntax import (
     InSet,
     MinOp,
     Neg,
+    Node,
     Not,
     Or,
     Proj,
@@ -118,8 +119,14 @@ def record_classes() -> set[type]:
 
 
 def test_every_record_class_has_samples():
-    assert record_classes() == {type(s) for s in SAMPLES}
-    assert len(record_classes()) == 38
+    # `syntax.Node` is the interning base of the 18 syntax classes, never
+    # instantiated itself
+    classes = record_classes() - {Node}
+    assert classes == {type(s) for s in SAMPLES}
+    assert len(classes) == 38
+    assert Node in record_classes()
+    assert set(Node.__subclasses__()) == {c for c in classes if c.__module__ == "devs_scc.syntax"}
+    assert len(Node.__subclasses__()) == 18
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=IDS)
@@ -145,7 +152,8 @@ def test_equal_on_class_and_fields(a):
         assert (a == b) is same, b
         assert (a != b) is not same, b
     twin = copy.copy(a)
-    assert twin is not a
+    # a syntax node is interned, so its copy is the node itself
+    assert (twin is a) is isinstance(a, Node)
     assert twin == a and not twin != a
 
 

@@ -4,8 +4,8 @@ from math import prod
 from hypothesis import given, strategies as st
 
 from devs_scc.bounds import Bounds, index_digits, var_grid
-from oracle import eval_pred
-from devs_scc.sat import coverage, iter_witnesses, prepare, project_exists, satisfiable
+from oracle import eval_pred, iter_witnesses
+from devs_scc.sat import coverage, prepare, project_exists, satisfiable
 from devs_scc.syntax import (
     And, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, pred_vars,
     render_pred,
