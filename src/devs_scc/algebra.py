@@ -16,7 +16,7 @@ flagged rather than silently losing coverage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
 
@@ -73,14 +73,14 @@ def intersect(a: SCC, b: SCC) -> SCC:
     joint = None
     if a.joint is not None or b.joint is not None:
         joint = conj(a.member + b.member)
-    out = make_scc(
+    return make_scc(
         conj([a.init_states, b.init_states]),
         conj([a.input_pairs, b.input_pairs]),
         "combined",
         target,
         joint=joint,
+        combined_from=ancestry,
     )
-    return replace(out, combined_from=ancestry)
 
 
 def combine_and_prune(
@@ -140,7 +140,7 @@ def combine_and_prune(
     catalog = list(base)
     first = max((s.id for s in base), default=0) + 1
     for next_id, (_, operands, form) in enumerate(sorted(kept, key=lambda k: k[0]), first):
-        combo = replace(reduce(intersect, operands), id=next_id)
+        combo = reduce(intersect, operands).renumbered(next_id)
         combo.keep("member", model, bounds, lambda: form)
         catalog.append(combo)
     return catalog, report

@@ -11,7 +11,6 @@ structural duplicates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 from .bounds import Bounds, const_env, state_space, time_points
 from .evaluator import eval_expr
@@ -403,4 +402,4 @@ def time_partition_criterion(
 
 
 def _number(sccs: list[SCC]) -> list[SCC]:
-    return [replace(s, id=i) for i, s in enumerate(sccs, start=1)]
+    return [s.renumbered(i) for i, s in enumerate(sccs, start=1)]

@@ -17,7 +17,8 @@ of these closures, for values decided once (re-checking a selected
 witness, folding constant expressions).  The closures dispatch on value
 classes directly and decide comparisons through `values.COMPARISONS`,
 or, for an atom comparing a variable with a number, through
-`values.compare_lookup`.
+`values.compare_lookup`, and with a literal by `=` or `!=`, through
+`values.literal_lookup`.
 A model keeps the compiled forms of its operators, see `Model.keep`.
 The tree-walking interpreter the closures are tested against lives with
 the tests, in `tests/oracle.py`.
@@ -64,6 +65,7 @@ from .values import (
     coerce,
     compare,
     compare_lookup,
+    literal_lookup,
     v_add,
     v_div,
     v_min,
@@ -153,6 +155,8 @@ def _compile_cmp(pred: Cmp, model):
         def atom():
             if b.__class__ is Num and pred.op in COMPARISONS:
                 return compare_lookup(pred.op, name, b, f"unbound {kind} {name}")
+            if b.__class__ is Lit and pred.op in ("=", "!="):
+                return literal_lookup(pred.op, name, b, f"unbound {kind} {name}")
 
             def ref_const(env):
                 try:

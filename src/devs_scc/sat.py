@@ -33,9 +33,13 @@ the plain search, so the witness and every verdict the plain search
 reaches stay the same.  `coverage` applies the same consistency eagerly,
 once per case: a bit mask per variable of the grid positions the case's
 unary conjuncts admit.  The split of conjuncts by depth is one helper,
-`_by_depth`, for both; a form keeps its split for the order of the
-search variables it was last searched over, so a form searched many
-times over one space, as chaining and the probe search, is split once.
+`_by_depth`, for both.  Each conjunct keeps its placement for every
+order of search variables it has been searched over: no search variable,
+unary at depth d, or joint and checked at its deepest depth d, where the
+search first has all its variables bound (Haralick & Elliott 1980).  A
+split is then one look-up per conjunct, and a form keeps its split for
+the order it was last searched over, so a form searched many times over
+one space, as chaining and the probe search, is split once.
 
 A search can be confined to an inclusive range of grid positions,
 given as the least and the greatest position tuple in lexicographic
@@ -102,15 +106,29 @@ class _Budget:
 
 class Conjunct:
     """One conjunct of a normalized predicate, prepared for search: its
-    canonical text, its free variables and its compiled test."""
+    canonical text, its free variables, its compiled test and, by order
+    of search variables (their names joined by spaces), its placement in
+    a search over that order: None when it mentions none of them, d when
+    it mentions only the one at depth d (unary), else ~d for the deepest
+    depth d it mentions (joint).  An interned conjunct is shared by every
+    form over its model and bounds, so each placement is worked out once
+    per conjunct and order."""
 
-    __slots__ = ("pred", "text", "vars", "test")
+    __slots__ = ("pred", "text", "vars", "test", "placed")
 
     def __init__(self, pred: Predicate, text: str, model: Model | None, bounds: Bounds | None):
         self.pred = pred
         self.text = text
         self.vars = tuple(pred_vars(pred))
         self.test = compile_pred(pred, model, bounds)
+        self.placed: dict[str, int | None] = {}
+
+    def place(self, order: str, names: tuple[str, ...]) -> int | None:
+        """The placement for `names`, whose key is `order`; kept."""
+        touched = [d for d, name in enumerate(names) if name in self.vars]
+        at = None if not touched else touched[0] if len(touched) == 1 else ~touched[-1]
+        self.placed[order] = at
+        return at
 
 
 class Conjunction:
@@ -118,7 +136,8 @@ class Conjunction:
     canonical order (ascending text, no two alike), or false.  `a & b` is
     the prepared form of the normalized conjunction of both.  It keeps
     the split of its conjuncts by search depth for the order of the
-    search variables it was last searched over, see `_by_depth`."""
+    search variables it was last searched over, assembled from the
+    conjuncts' placements, see `_by_depth`."""
 
     __slots__ = ("items", "false", "split")
 
@@ -156,17 +175,26 @@ def prepare_conjuncts(
     (`Model.keep_for`) and stands for every later one with that text."""
     if any(isinstance(p, BoolConst) and not p.value for p in preds):
         return Conjunction(false=True)
+    return _ordered(interned(preds, model, bounds))
+
+
+def interned(
+    preds: Sequence[Predicate], model: Model | None = None, bounds: Bounds | None = None
+) -> list[Conjunct]:
+    """The conjuncts of `preds`, in their order: with a model, the one
+    kept on it for these bounds per canonical text, made on first use;
+    without, each made afresh."""
     if model is None:
-        return _ordered(Conjunct(p, render_pred(p), None, bounds) for p in preds)
-    interned = model.keep_for(bounds, "conjuncts", dict)
+        return [Conjunct(p, render_pred(p), None, bounds) for p in preds]
+    kept = model.keep_for(bounds, "conjuncts", dict)
     items = []
     for p in preds:
         text = render_pred(p)
-        c = interned.get(text)
+        c = kept.get(text)
         if c is None:
-            c = interned[text] = Conjunct(p, text, model, bounds)
+            c = kept[text] = Conjunct(p, text, model, bounds)
         items.append(c)
-    return _ordered(items)
+    return items
 
 
 def satisfiable(
@@ -337,21 +365,32 @@ def _by_depth(form: Conjunction, names: tuple[str, ...]):
 
 
 def _split(form: Conjunction, names: tuple[str, ...]):
-    depth_of = {n: d for d, n in enumerate(names)}
+    order = " ".join(names)
+    n = len(names)
     pre = []
     unary: dict[int, list] = {}
     joint: dict[int, list] = {}
     for c in form.items:
-        touched = [depth_of[v] for v in c.vars if v in depth_of]
-        if not touched:
+        at = c.placed.get(order, _UNPLACED)
+        if at is _UNPLACED:
+            at = c.place(order, names)
+        if at is None:
             pre.append(c.test)
-        elif len(touched) == 1:
-            unary.setdefault(touched[0], []).append(c.test)
+        elif at >= 0:
+            unary.setdefault(at, []).append(c.test)
         else:
-            joint.setdefault(max(touched), []).append(c.test)
-    return (tuple(pre),
-            tuple(tuple(unary[d]) if d in unary else None for d in range(len(names))),
-            tuple(tuple(joint[d]) if d in joint else None for d in range(len(names))))
+            joint.setdefault(~at, []).append(c.test)
+    # only the depths in use are assembled
+    unary_at: list = [None] * n
+    for d, tests in unary.items():
+        unary_at[d] = tuple(tests)
+    joint_at: list = [None] * n
+    for d, tests in joint.items():
+        joint_at[d] = tuple(tests)
+    return tuple(pre), tuple(unary_at), tuple(joint_at)
+
+
+_UNPLACED = object()  # a placement not yet worked out
 
 
 def _admitted(form: Conjunction, space: Space, env: dict) -> list[int]:

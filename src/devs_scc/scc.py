@@ -14,7 +14,7 @@ decide on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .syntax import Predicate, conjuncts, normalize, render_pred
 
@@ -29,8 +29,9 @@ class SCC:
     target: str
     combined_from: tuple[int, ...] = ()
     joint: Predicate | None = None
-    # forms derived from the predicates for one model and bounds (compiled
-    # tests, prepared search forms), made by `keep`
+    # forms derived from the predicates for one model and bounds (state
+    # and pair tests, prepared search forms), made by `keep`; a class made
+    # by `renumbered` starts without them
     prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def key(self) -> tuple[str, str]:
@@ -42,6 +43,11 @@ class SCC:
         if self.joint is not None:
             return conjuncts(self.joint)
         return conjuncts(self.init_states) + conjuncts(self.input_pairs)
+
+    def renumbered(self, id: int) -> SCC:
+        """This class under `id`, with nothing prepared yet."""
+        return SCC(id, self.init_states, self.input_pairs, self.criterion, self.target,
+                   self.combined_from, self.joint)
 
     def ancestry(self) -> tuple[int, ...]:
         return self.combined_from if self.combined_from else (self.id,)
@@ -62,6 +68,7 @@ def make_scc(
     target: str,
     joint: Predicate | None = None,
     id: int = 0,
+    combined_from: tuple[int, ...] = (),
 ) -> SCC:
     return SCC(
         id=id,
@@ -69,6 +76,7 @@ def make_scc(
         input_pairs=normalize(input_pairs),
         criterion=criterion,
         target=target,
+        combined_from=combined_from,
         joint=normalize(joint) if joint is not None else None,
     )
 
@@ -91,7 +99,7 @@ def assign_ids(sccs: list[SCC], start: int = 1) -> tuple[list[SCC], int]:
             dropped += 1
             continue
         seen.add(k)
-        out.append(replace(scc, id=start + len(out)))
+        out.append(scc.renumbered(start + len(out)))
     return out, dropped
 
 

@@ -8,7 +8,11 @@ representatives.  A class's members are the assignments satisfying
 joint predicate, linking state and input through the original guard, so
 the chosen state and event actually exercise the targeted case).  Every
 class is solved by one search over the joint space of its `member_form`,
-prepared once per model and bounds and kept on the class.
+prepared once per model and bounds and kept on the class.  The selected
+witness is re-checked on the class's state and pair tests, kept on the
+class as well: each is the all-of the interned conjunct tests of its
+normalized predicate (`sat.interned`), in their canonical order, so a
+class compiles nothing that its model has compiled before.
 
 A configuration is only executable when its pair time fits inside the
 chosen state's time advance (the total-state constraint 0 <= e <= ta),
@@ -30,11 +34,11 @@ from math import prod
 from .bounds import Bounds, const_env, digits_index, index_digits, joint_space
 # `eval_pred` is not called here, but `bench/layers.py` rebinds
 # `selector.eval_pred` and stops on a missing name
-from .evaluator import compile_pred, eval_pred  # noqa: F401
+from .evaluator import eval_pred  # noqa: F401
 from .model import Model
-from .sat import Conjunction, SatResult, prepare_conjuncts, satisfiable
+from .sat import Conjunction, SatResult, interned, prepare_conjuncts, satisfiable
 from .scc import SCC
-from .syntax import Cmp, MinOp, Predicate, Ref
+from .syntax import Cmp, MinOp, Predicate, Ref, conjuncts
 from .values import Record, Value, render_value
 
 
@@ -75,16 +79,32 @@ def runnable_form(scc: SCC, model: Model, bounds: Bounds) -> Conjunction:
 
 
 def state_test(scc: SCC, model: Model, bounds: Bounds):
-    """`scc.init_states` compiled, made once for this model and bounds and
-    kept on the class; selection and chaining both decide on it."""
+    """The test of `scc.init_states`, made once for this model and bounds
+    and kept on the class; selection and chaining both decide on it."""
     return scc.keep("init_states", model, bounds,
-                    lambda: compile_pred(scc.init_states, model, bounds))
+                    lambda: _all_of(scc.init_states, model, bounds))
 
 
 def _pair_test(scc: SCC, model: Model, bounds: Bounds):
-    """`scc.input_pairs` compiled, kept on the class like `state_test`."""
+    """The test of `scc.input_pairs`, kept on the class like `state_test`."""
     return scc.keep("input_pairs", model, bounds,
-                    lambda: compile_pred(scc.input_pairs, model, bounds))
+                    lambda: _all_of(scc.input_pairs, model, bounds))
+
+
+def _all_of(pred: Predicate, model: Model, bounds: Bounds):
+    """A test that `pred`'s conjuncts all hold, tried in their order, as
+    the compiled conjunction would: the first that fails decides, and an
+    EvalError propagates."""
+    tests = tuple(c.test for c in interned(conjuncts(pred), model, bounds))
+    if len(tests) == 1:
+        return tests[0]
+
+    def all_of(env):
+        for test in tests:
+            if not test(env):
+                return False
+        return True
+    return all_of
 
 
 class SimulationConfig(Record):

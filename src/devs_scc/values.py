@@ -534,3 +534,26 @@ def compare_lookup(op: str, name: str, b: Num, unbound: str):
             return order(x._numerator * bd, bn * x._denominator)
         return test(a, b)
     return lookup_test
+
+
+def literal_lookup(op: str, name: str, b: Lit, unbound: str):
+    """A test of `env[name] op b` on an environment, for a literal b and
+    `=` or `!=`, raising EvalError(unbound) when `name` is not bound.  A
+    value equals b only when it is a literal of b's name."""
+    literal = b.name
+    if op == "=":
+        def equals(env):
+            try:
+                a = env[name]
+            except KeyError:
+                raise EvalError(unbound) from None
+            return a.__class__ is Lit and a.name == literal
+        return equals
+
+    def differs(env):
+        try:
+            a = env[name]
+        except KeyError:
+            raise EvalError(unbound) from None
+        return a.__class__ is not Lit or a.name != literal
+    return differs

@@ -11,7 +11,9 @@ environment containing only their parameters and the model constants;
 conjunction and disjunction short-circuit left to right.
 
 `iter_witnesses` drains the product's witness search, which `src/`
-only ever asks for its first witness.  `ref_render_pred` and
+only ever asks for its first witness.  `split` divides a prepared form's
+conjuncts by search depth from their variables on every call, the
+reference for the search's split from the placements its conjuncts keep.  `ref_render_pred` and
 `ref_render_expr` are the renderer that walks the whole tree on every
 call, with the precedence of the enclosing place passed down; the
 product's renderer keeps each node's text and must agree with it.
@@ -388,6 +390,28 @@ def iter_witnesses(pred, space, bounds, model=None, base_env=None, limit: int = 
             yield witness
     except BudgetExhausted:
         return
+
+
+def split(form, names: tuple[str, ...]):
+    """The tests of `form`'s conjuncts split by the search variables
+    `names`, worked out from each conjunct's variables on every call:
+    those that mention none; per depth, those that mention that variable
+    only; and per depth, the others whose deepest variable it is."""
+    depth_of = {n: d for d, n in enumerate(names)}
+    pre = []
+    unary: dict[int, list] = {}
+    joint: dict[int, list] = {}
+    for c in form.items:
+        touched = [depth_of[v] for v in c.vars if v in depth_of]
+        if not touched:
+            pre.append(c.test)
+        elif len(touched) == 1:
+            unary.setdefault(touched[0], []).append(c.test)
+        else:
+            joint.setdefault(max(touched), []).append(c.test)
+    return (tuple(pre),
+            tuple(tuple(unary[d]) if d in unary else None for d in range(len(names))),
+            tuple(tuple(joint[d]) if d in joint else None for d in range(len(names))))
 
 
 # ---------------------------------------------------------------------------

@@ -443,3 +443,40 @@ def test_projection_reads_one_component(base, index, want):
     env = {"a": Lit("A")}
     for run in (compile_expr(Proj(base, index)), lambda env: oracle_expr(Proj(base, index), env)):
         assert _outcome(lambda: run(env)) == want
+
+
+@pytest.mark.parametrize("name", ["elevator worked plan", "soda all-pairs", "toggle all-pairs"])
+def test_compiled_literal_atoms_agree_with_the_oracle(name, request):
+    """Every `v = literal` and `v != literal` atom of a fixture's guards
+    and of its catalog, and the atom with the other of the two operators,
+    compiled with and without the model, decides as
+    the oracle does on every literal it names, on a number, infinity and
+    a tuple, and raises the oracle's error when `v` is unbound."""
+    from devs_scc.syntax import iter_subpreds
+
+    from tests.test_sequencer import _sequenced
+
+    model, _, result = _sequenced(name, request)
+    preds = [c.guard for c in (*model.delta_ext, *model.delta_int, *model.output_fn)
+             if not c.is_otherwise]
+    preds += [c.guard for op in model.operators for c in op.cases if not c.is_otherwise]
+    preds += [p for s in result.catalog for p in (s.init_states, s.input_pairs, s.joint)
+              if p is not None]
+    atoms = {
+        render_pred(p): p for pred in preds for p in iter_subpreds(pred)
+        if isinstance(p, Cmp) and p.op in ("=", "!=") and isinstance(p.left, (Ref, ConstRef))
+        and isinstance(p.right, Const) and isinstance(p.right.value, Lit)
+    }
+    assert atoms
+    # and the other operator on the same operands
+    for atom in list(atoms.values()):
+        other = Cmp("!=" if atom.op == "=" else "=", atom.left, atom.right)
+        atoms.setdefault(render_pred(other), other)
+    literals = {a.right.value for a in atoms.values()} | {Lit("tau")}
+    values = [*sorted(literals, key=lambda v: v.name), num(0), num(Fraction(1, 2)), INF,
+              Tup((Lit("A"), num(1)))]
+    for atom in atoms.values():
+        for decide in (compile_pred(atom, model), compile_pred(atom)):
+            assert decide.__qualname__.startswith("literal_lookup")
+            for env in [{}, *({atom.left.name: v} for v in values)]:
+                assert _outcome(lambda: decide(env)) == _outcome(lambda: oracle_pred(atom, env, model))
