@@ -12,6 +12,7 @@ situations no transition case covers).
 
 from .algebra import CombinationPlan, combine_and_prune, intersect
 from .bounds import Bounds
+from .context import Context
 from .criteria import (
     Occurrence,
     TimeSpec,
@@ -44,6 +45,7 @@ from .check import validate_model
 __all__ = [
     "Bounds",
     "CombinationPlan",
+    "Context",
     "DNFClause",
     "Model",
     "Occurrence",

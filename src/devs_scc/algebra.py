@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
 
-from .bounds import Bounds, joint_space
-from .model import Model
+from .context import Context
 from .sat import satisfiable
 from .scc import SCC, make_scc
 from .selector import member_form
@@ -84,13 +83,14 @@ def intersect(a: SCC, b: SCC) -> SCC:
 
 
 def combine_and_prune(
-    base: list[SCC], plan: CombinationPlan, model: Model, bounds: Bounds
+    base: list[SCC], plan: CombinationPlan, ctx: Context
 ) -> tuple[list[SCC], CombineReport]:
     """Run a combination plan over a base catalog.
 
     Returns the full catalog (all base classes followed by the kept
     combinations in ascending ancestry, numbered after the last base id,
-    each keeping the form it was decided on) and the counts.
+    each given, in `ctx`, the member form it was decided on) and the
+    counts.
     """
     report = CombineReport()
     by_id = {s.id: s for s in base}
@@ -98,7 +98,7 @@ def combine_and_prune(
     if plan.all_pairs:
         groups.extend(itertools.combinations(sorted(by_id), 2))
 
-    space = joint_space(model, bounds)
+    space = ctx.joint_space
     kept = []
     seen: set[tuple[int, ...]] = set()
     for group in groups:
@@ -125,8 +125,8 @@ def combine_and_prune(
         report.attempted += 1
         seen.add(key)
         operands = [by_id[i] for i in key]
-        form = reduce(and_, (member_form(s, model, bounds) for s in operands))
-        verdict = satisfiable(form, space, bounds, model)
+        form = reduce(and_, (member_form(s, ctx) for s in operands))
+        verdict = satisfiable(form, space, ctx)
         if verdict.status == "unsat":
             report.dropped += 1
             continue
@@ -141,6 +141,6 @@ def combine_and_prune(
     first = max((s.id for s in base), default=0) + 1
     for next_id, (_, operands, form) in enumerate(sorted(kept, key=lambda k: k[0]), first):
         combo = reduce(intersect, operands).renumbered(next_id)
-        combo.keep("member", model, bounds, lambda: form)
+        ctx.forms(combo).member = form
         catalog.append(combo)
     return catalog, report

@@ -28,7 +28,8 @@ import os
 from dataclasses import dataclass, field
 
 from .algebra import CombinationPlan, CombineReport, combine_and_prune
-from .bounds import Bounds, const_env
+from .bounds import Bounds
+from .context import Context
 from .criteria import (
     Occurrence,
     TimeSpec,
@@ -47,14 +48,14 @@ from .sequencer import SeqStep, SimulationSequence, build_sequences
 from .simulator import (
     SimError,
     Trace,
-    TraceEvent,
     UndefinedTransition,
     advance,
+    error_event,
     init,
     uniformity_probe,
 )
 from .syntax import Apply, Cmp, InBase, InSet, expr_nodes, holding, iter_subpreds
-from .values import EvalError, Num, Value
+from .values import EvalError, Value
 
 SCHEMA = "devs-scc/1"
 
@@ -72,18 +73,18 @@ _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
 def apply_selection(
     text: str,
-    model: Model,
-    bounds: Bounds,
+    ctx: Context,
     tables: dict[str, StandardPartition],
     include_otherwise: bool,
 ) -> tuple[str, list[SCC], list[str]]:
     """Run one selection string; returns (label, classes, notes)."""
+    model = ctx.model
     words = text.strip().split()
     if not words:
         raise CampaignError("empty criteria selection")
     kind = words[0]
     if kind == "cases":
-        sccs, notes = cases_criterion(model, bounds, include_otherwise)
+        sccs, notes = cases_criterion(ctx, include_otherwise)
         return "cases", sccs, notes
     if kind == "extensional":
         if len(words) != 2:
@@ -107,8 +108,8 @@ def apply_selection(
         pred = parse_pred_text(" ".join(words[2:]))
         from .check import bind_pred, ext_ctx, state_ctx
 
-        ctx = state_ctx(model) if words[1] == "state" else ext_ctx(model)
-        pred = bind_pred(pred, ctx)
+        scope = state_ctx(model) if words[1] == "state" else ext_ctx(model)
+        pred = bind_pred(pred, scope)
         sccs, notes = intentional_criterion(model, words[1], pred)
         return f"intentional {words[1]}", sccs, notes
     if kind == "standard":
@@ -136,9 +137,7 @@ def apply_selection(
                 occurrences.append(Occurrence(fn, int(cid)))
         if ops is not None:
             occurrences = [Occurrence(o.function, o.case_id, ops) for o in occurrences]
-        sccs, notes = standard_partition_criterion(
-            model, tables[table_name], occurrences, bounds
-        )
+        sccs, notes = standard_partition_criterion(tables[table_name], occurrences, ctx)
         return f"standard {table_name}", sccs, notes
     if kind == "time":
         intervals: list[tuple] = []
@@ -162,7 +161,7 @@ def apply_selection(
             else TimeSpec(intervals=tuple(intervals), points=tuple(points))
         )
         spec = _bind_timespec(spec, model)
-        sccs, notes = time_partition_criterion(model, spec, bounds)
+        sccs, notes = time_partition_criterion(spec, ctx)
         return "time", sccs, notes
     raise CampaignError(f"unknown criterion {kind!r}")
 
@@ -305,7 +304,8 @@ class Report:
 
 @dataclass
 class Campaign:
-    """The inputs of one campaign: model, bounds, tables, selections, plan."""
+    """The inputs of one campaign: model, bounds, tables, selections, plan.
+    Its runs share one `Context`, built by the first."""
     model: Model
     bounds: Bounds
     tables: dict[str, StandardPartition]
@@ -313,6 +313,12 @@ class Campaign:
     plan: CombinationPlan | None = None
     include_otherwise: bool = False
     probe_k: int = 0
+    _context: Context | None = field(default=None, init=False, repr=False, compare=False)
+
+    def context(self) -> Context:
+        if self._context is None:
+            self._context = Context(self.model, self.bounds)
+        return self._context
 
 
 @dataclass
@@ -345,15 +351,22 @@ STAGES = ("combine", "select", "sequence", "simulate")
 def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
     """Run the pipeline up to and including the stage `stop_after`; the
     artifacts of the stages after it stay empty.  The syntax nodes it
-    makes live until it returns (`syntax.holding`)."""
+    makes live until it returns (`syntax.holding`), as do the forms its
+    context prepares for the classes."""
     if stop_after not in STAGES:
         raise ValueError(f"unknown stage {stop_after!r}, want one of {STAGES}")
+    ctx = c.context()
+    try:
+        return _run(c, ctx, stop_after)
+    finally:
+        ctx.classes.clear()
+
+
+def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
     report = Report(model=c.model.name)
     raw: list[SCC] = []
     for text in c.selections:
-        label, sccs, notes = apply_selection(
-            text, c.model, c.bounds, c.tables, c.include_otherwise
-        )
+        label, sccs, notes = apply_selection(text, ctx, c.tables, c.include_otherwise)
         report.criteria_counts.append((label, len(sccs)))
         report.notes.extend(notes)
         raw.extend(sccs)
@@ -365,7 +378,7 @@ def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
     report.notes.extend(shape_overlaps(base))
 
     if c.plan is not None:
-        catalog, combine_report = combine_and_prune(base, c.plan, c.model, c.bounds)
+        catalog, combine_report = combine_and_prune(base, c.plan, ctx)
         report.combine = combine_report
         report.notes.extend(combine_report.notes)
     else:
@@ -379,17 +392,16 @@ def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
     selected: dict[int, SimulationConfig | SelectError] = {}
     for scc in catalog:
         try:
-            selected[scc.id] = result.configs[scc.id] = select_config(
-                scc, c.model, c.bounds
-            )
+            selected[scc.id] = result.configs[scc.id] = select_config(scc, ctx)
         except SelectError as err:
-            selected[scc.id] = err
+            # kept without its traceback, whose frames would hold it
+            selected[scc.id] = err.with_traceback(None)
             report.config_errors.append(str(err))
     report.configs_selected = len(result.configs)
     if stop_after == "select":
         return result
 
-    result.sequences, seq_notes = build_sequences(c.model, catalog, c.bounds, selected)
+    result.sequences, seq_notes = build_sequences(catalog, ctx, selected)
     report.notes.extend(seq_notes)
     report.sequence_count = len(result.sequences)
     if stop_after == "sequence":
@@ -401,16 +413,15 @@ def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
 
     if c.probe_k >= 2:
         for scc in base:
-            probe = uniformity_probe(c.model, scc, c.probe_k, c.bounds)
+            probe = uniformity_probe(scc, c.probe_k, ctx)
             if not probe.uniform:
                 report.probe_flags.append(probe.to_json())
 
     return result
 
 
-def replay_sequence(model: Model, seq: SimulationSequence, bounds: Bounds) -> Trace:
+def replay_sequence(seq: SimulationSequence, ctx: Context) -> Trace:
     """Re-execute a recorded sequence step by step, collecting the trace."""
-    consts = const_env(bounds, model)
     trace = Trace()
     sim = None
     for s in seq.steps:
@@ -419,15 +430,12 @@ def replay_sequence(model: Model, seq: SimulationSequence, bounds: Bounds) -> Tr
             continue
         try:
             if sim is None:
-                sim = init(model, s.state_used)
-            sim, ev = advance(model, sim, consts, s.event, s.time)
+                sim = init(ctx.model, s.state_used)
+            sim, ev = advance(sim, s.event, s.time, ctx)
             trace.events.append(ev)
         except UndefinedTransition as err:
             trace.findings.append(str(err))
-            trace.events.append(
-                TraceEvent(at=Num(sim.clock if sim else 0), kind="error", fired=None,
-                           state_after=dict(sim.state) if sim else {}, error=str(err))
-            )
+            trace.events.append(error_event(sim, err))
             break
         except (SimError, EvalError) as err:
             trace.findings.append(f"step failed: {err}")

@@ -9,16 +9,17 @@ model, so it also works as a standalone audit of programmatically built
 models.  Given enumeration bounds, it also decides by bounded search
 (`sat.coverage`, `sat.satisfiable`) whether each case table leaves a
 gap or hides a case behind an earlier overlapping one, and whether the
-time advance can be negative.  A model is bound once: the rebound model
-and its static report are kept on the model, so a parsed model checked
-against bounds is not bound again.
+time advance can be negative, in a `context.Context` of its own.  A
+model is bound once: the rebound model and its static report are kept on
+the model, so a parsed model checked against bounds is not bound again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bounds import Bounds, sort_grid, state_space, time_points
+from .bounds import Bounds, sort_grid, time_points
+from .context import Context
 from .model import GuardedCase, Model, OperatorDef, ValidationReport
 from .sat import SatResult, coverage, satisfiable
 from .syntax import (
@@ -328,18 +329,20 @@ def validate_model(model: Model, bounds: Bounds | None = None) -> tuple[Model, V
     its check is undecided.
 
     The rebound model and the report of binding it (the static report)
-    are kept, with `Model.keep`, on `model` and on the rebound model, so
+    are kept in `Model.validated` of `model` and of the rebound model, so
     validating either again, with other bounds or none, binds nothing:
     it starts from a copy of the static report and runs only the checks
     that need bounds.  A parsed model is the rebound model of its parse.
     """
-    bound, static = model.keep("validated", lambda: _bind_model(model))
+    if model.validated is None:
+        bound, static = _bind_model(model)
+        # set once, as a frozen dataclass sets its fields; the rebound
+        # model keeps its report without itself, not to refer to itself
+        object.__setattr__(model, "validated", (bound, static))
+        object.__setattr__(bound, "validated", (None, static))
+    bound, static = model.validated
     if bound is None:
         bound = model  # kept by an earlier call that returned `model`
-    else:
-        # kept without itself: a model in a reference cycle outlives its
-        # last user until the garbage collector runs
-        bound.keep("validated", lambda: (None, static))
     report = replace(static, errors=list(static.errors), warnings=list(static.warnings),
                      notes=list(static.notes))
     if bounds is not None:
@@ -399,16 +402,8 @@ def _bind_operators(model: Model, report: ValidationReport) -> tuple[OperatorDef
         seen.add(op.name)
         ctx = Ctx(dict(op.params), dict(model.constants),
                   {o.name: o for o in model.operators}, f"operator {op.name}")
-        cases: list[GuardedCase] = []
-        for case in op.cases:
-            try:
-                guard = bind_pred(case.guard, ctx)
-                result = check_expr(case.result, ctx, op.result)
-                cases.append(GuardedCase(case.id, guard, result, case.is_otherwise))
-            except BindError as err:
-                report.errors.append(str(err))
-                cases.append(case)
-        out.append(OperatorDef(op.name, op.params, op.result, tuple(cases)))
+        cases = tuple(_bound(case, ctx, op.result, report) for case in op.cases)
+        out.append(OperatorDef(op.name, op.params, op.result, cases))
     _check_operator_cycles(out, report)
     return tuple(out)
 
@@ -457,15 +452,22 @@ def _bind_cases(model, cases, ctx, result_sort, fn, report) -> tuple[GuardedCase
             otherwise_seen = True
             if i != len(cases) - 1:
                 report.errors.append(f"otherwise case of {fn} must come last")
-        try:
-            cctx = Ctx(ctx.vars, ctx.consts, ctx.operators, where)
-            guard = case.guard if case.is_otherwise else bind_pred(case.guard, cctx)
-            result = check_expr(case.result, cctx, result_sort)
-            out.append(GuardedCase(case.id, guard, result, case.is_otherwise))
-        except BindError as err:
-            report.errors.append(str(err))
-            out.append(case)
+        out.append(_bound(case, Ctx(ctx.vars, ctx.consts, ctx.operators, where), result_sort,
+                          report))
     return tuple(out)
+
+
+def _bound(case: GuardedCase, ctx: Ctx, result_sort: Sort,
+           report: ValidationReport) -> GuardedCase:
+    """`case` with its guard and result bound in `ctx`, or, when binding
+    fails, `case` itself with the error reported."""
+    try:
+        guard = case.guard if case.is_otherwise else bind_pred(case.guard, ctx)
+        result = check_expr(case.result, ctx, result_sort)
+        return GuardedCase(case.id, guard, result, case.is_otherwise)
+    except BindError as err:
+        report.errors.append(str(err))
+        return case
 
 
 def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
@@ -499,14 +501,15 @@ def _case_tables(model: Model, bounds: Bounds, space):
 
 
 def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> None:
-    space = state_space(model, bounds)
+    ctx = Context(model, bounds)
+    space = ctx.state_space
     for fn, cases, fn_space in _case_tables(model, bounds, space):
         if not cases:
             report.warnings.append(f"{fn} has no cases")
             continue
         guarded = [c for c in cases if not c.is_otherwise]
         gap, overlaps = coverage([c.guard for c in guarded], len(guarded) < len(cases),
-                                 fn_space, bounds, model)
+                                 fn_space, ctx)
         if gap is not None:
             _warn(report, bounds, gap, f"{fn} is not exhaustive within bounds", f"{fn}: exhaustiveness")
         for (i, j), found in overlaps:
@@ -516,7 +519,7 @@ def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> N
     # itself stays unknown on the elevator; warn at the least negative
     # point over all of them, else at any undecided search
     ta = model.ta
-    verdicts = [satisfiable(Cmp("<", a, Const(Num(0))), space, bounds, model)
+    verdicts = [satisfiable(Cmp("<", a, Const(Num(0))), space, ctx)
                 for a in (ta.args if isinstance(ta, MinOp) else (ta,))]
     first = min(verdicts, key=lambda r: (not r.sat, r.status == "unsat", r.index))
     _warn(report, bounds, first, "ta is negative within bounds", "ta: non-negativity")

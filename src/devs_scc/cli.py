@@ -30,6 +30,7 @@ from .campaign import (
     write_artifacts,
 )
 from .check import BindError, bounds_errors, validate_model
+from .context import Context
 from .criteria import CriterionError
 from .dnf import DnfCapError
 from .model import Model
@@ -241,13 +242,13 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    model, bounds = _load_model_and_bounds(args)
+    ctx = Context(*_load_model_and_bounds(args))
     traces = []
     if args.config:
-        traces.append(run_config(model, load_config(args.config), bounds))
+        traces.append(run_config(load_config(args.config), ctx))
     else:
         for seq in load_sequences(args.sequence):
-            traces.append(replay_sequence(model, seq, bounds))
+            traces.append(replay_sequence(seq, ctx))
     lines = []
     findings: list[str] = []
     exec_errors: list[str] = []

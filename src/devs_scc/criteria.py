@@ -2,17 +2,19 @@
 list of simulation configuration classes with provenance.
 
 Criteria are pure functions of (model, selection, bounds) with no shared
-state, so applying them in any order or in parallel yields the same
-catalog.  Each function returns its classes with local 1-based ids plus
-notes for the report; campaign assembly renumbers globally and removes
-structural duplicates.
+state but the forms their `context.Context` keeps, so applying them in
+any order yields the same catalog; those that search take the context,
+the others the model.  Each function returns its classes with local
+1-based ids plus notes for the report; campaign assembly renumbers
+globally and removes structural duplicates.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .bounds import Bounds, const_env, state_space, time_points
+from .bounds import time_points
+from .context import Context
 from .evaluator import eval_expr
 from .model import GuardedCase, Model
 from .partitions import StandardPartition, instantiate
@@ -66,9 +68,7 @@ def _e_to_t(pred: Predicate) -> Predicate:
 # ---------------------------------------------------------------------------
 # transition functions defined by cases
 
-def cases_criterion(
-    model: Model, bounds: Bounds, include_otherwise: bool = False
-) -> tuple[list[SCC], list[str]]:
+def cases_criterion(ctx: Context, include_otherwise: bool = False) -> tuple[list[SCC], list[str]]:
     """One class per case of the external and internal transition
     functions.
 
@@ -79,6 +79,7 @@ def cases_criterion(
     internal case the states are exactly the guard and the pair is
     (tau, 0): configure the state and let the pending transition fire.
     """
+    model = ctx.model
     notes: list[str] = []
     sccs: list[SCC] = []
     state_names = [(n, s) for n, s in model.schema.vars]
@@ -91,10 +92,8 @@ def cases_criterion(
         if "e" in pred_vars(guard):
             notes.append(f"{target}: guard constrains the elapsed time; "
                          "its input pairs inherit the constraint via t = e")
-        init = project_exists(
-            guard, [("e", TIME), ("x", model.input_sort)], bounds, model
-        )
-        pairs = project_exists(_e_to_t(guard), state_names, bounds, model)
+        init = project_exists(guard, [("e", TIME), ("x", model.input_sort)], ctx)
+        pairs = project_exists(_e_to_t(guard), state_names, ctx)
         sccs.append(make_scc(init, pairs, "cases", target, joint=_e_to_t(guard)))
     for case in model.delta_int:
         if case.is_otherwise and not include_otherwise:
@@ -184,10 +183,7 @@ class Occurrence(Record):
 
 
 def standard_partition_criterion(
-    model: Model,
-    table: StandardPartition,
-    occurrences: list[Occurrence],
-    bounds: Bounds,
+    table: StandardPartition, occurrences: list[Occurrence], ctx: Context
 ) -> tuple[list[SCC], list[str]]:
     """Apply a partition table at comparison occurrences inside case
     guards.
@@ -198,11 +194,12 @@ def standard_partition_criterion(
     how the missing-case cells show up).  Cells unsatisfiable within
     bounds are dropped and counted.
     """
+    model = ctx.model
     notes: list[str] = []
     sccs: list[SCC] = []
     dropped = 0
     unknown = 0
-    space = state_space(model, bounds)
+    space = ctx.state_space
     for occ in occurrences:
         cases = _function_cases(model, occ.function)
         case = next((c for c in cases if c.id == occ.case_id), None)
@@ -219,7 +216,7 @@ def standard_partition_criterion(
                 f"partition {table.name} has arity {table.arity}, "
                 "comparison occurrences are binary"
             )
-        states, joint, pairs = _occurrence_context(model, occ.function, context, bounds)
+        states, joint, pairs = _occurrence_context(ctx, occ.function, context)
         for atom in atoms:
             cells = instantiate(table, [atom.left, atom.right])
             for cell_no, cell in enumerate(cells, start=1):
@@ -230,8 +227,8 @@ def standard_partition_criterion(
                 )
                 scc = make_scc(conj(states + conjuncts(cell)), pairs, "standard", target,
                                joint=conj(joint + conjuncts(cell)))
-                init = prepare_conjuncts(conjuncts(scc.init_states), model, bounds)
-                verdict = satisfiable(init, space, bounds, model)
+                init = prepare_conjuncts(conjuncts(scc.init_states), ctx)
+                verdict = satisfiable(init, space, ctx)
                 if verdict.status == "unsat":
                     dropped += 1
                     continue
@@ -288,14 +285,14 @@ def _numeric_operands(model: Model, atom: Cmp) -> bool:
     return True
 
 
-def _occurrence_context(model, fn, context, bounds):
+def _occurrence_context(ctx, fn, context):
     """(state conjuncts, joint conjuncts, input pairs) that every cell at
     an occurrence in a case of `fn` with guard context `context` adds to
     the cell; a dext context constrains the states through its projection
     onto the state variables."""
     if fn == "dext":
-        drop = [("e", TIME), ("x", model.input_sort)]
-        states = conjuncts(project_exists(context, drop, bounds, model))
+        drop = [("e", TIME), ("x", ctx.model.input_sort)]
+        states = conjuncts(project_exists(context, drop, ctx))
         return states, conjuncts(_e_to_t(context)), TRUE
     return conjuncts(context), conjuncts(context) + conjuncts(TAU_PAIR), TAU_PAIR
 
@@ -321,19 +318,21 @@ class TimeSpec(Record):
         self.refine = refine
 
 
-def time_partition_criterion(
-    model: Model, spec: TimeSpec, bounds: Bounds
-) -> tuple[list[SCC], list[str]]:
+def time_partition_criterion(spec: TimeSpec, ctx: Context) -> tuple[list[SCC], list[str]]:
     notes: list[str] = []
-    consts = const_env(bounds, model)
 
     def value_of(e: Expr) -> Rational:
-        v = eval_expr(e, consts, model)
+        v = eval_expr(e, ctx.consts, ctx)
         if isinstance(v, Inf) or not isinstance(v, Num):
             raise CriterionError(f"time endpoint {render_expr(e)} is not finite")
         if v.value < 0:
             raise CriterionError(f"time endpoint {render_expr(e)} is negative")
         return v.value
+
+    def check_interval(a: Expr, b: Expr) -> None:
+        if not value_of(a) < value_of(b):
+            raise CriterionError(f"interval needs {render_expr(a)} < {render_expr(b)} "
+                                 "under the constant bindings")
 
     t = Ref("t")
     preds: list[tuple[Predicate, str]] = []
@@ -342,11 +341,7 @@ def time_partition_criterion(
         for e in spec.points:
             chain.setdefault(value_of(e), e)
         for a, b in spec.intervals:
-            if not value_of(a) < value_of(b):
-                raise CriterionError(
-                    f"interval needs {render_expr(a)} < {render_expr(b)} "
-                    "under the constant bindings"
-                )
+            check_interval(a, b)
             chain.setdefault(value_of(a), a)
             chain.setdefault(value_of(b), b)
         points = [chain[v] for v in sorted(chain)]
@@ -368,11 +363,7 @@ def time_partition_criterion(
         preds.append((Cmp(">", t, points[-1]), f"t > {render_expr(points[-1])}"))
     else:
         for a, b in spec.intervals:
-            if not value_of(a) < value_of(b):
-                raise CriterionError(
-                    f"interval needs {render_expr(a)} < {render_expr(b)} "
-                    "under the constant bindings"
-                )
+            check_interval(a, b)
             ivl = f"interval [{render_expr(a)}, {render_expr(b)}]"
             preds.extend([
                 (Cmp("<", t, a), f"{ivl}: t < a"),
@@ -391,9 +382,9 @@ def time_partition_criterion(
             ])
 
     sccs: list[SCC] = []
-    tspace = [("t", time_points(bounds))]
+    tspace = [("t", time_points(ctx.bounds))]
     for pred, label in preds:
-        verdict = satisfiable(pred, tspace, bounds, model)
+        verdict = satisfiable(pred, tspace, ctx)
         if verdict.status == "unsat":
             notes.append(f"time class {label} empty within bounds, dropped")
             continue

@@ -18,10 +18,12 @@ witness, folding constant expressions).  The closures dispatch on value
 classes directly and decide comparisons through `values.COMPARISONS`,
 or, for an atom comparing a variable with a number, through
 `values.compare_lookup`, and with a literal by `=` or `!=`, through
-`values.literal_lookup`.
-A model keeps the compiled forms of its operators, see `Model.keep`.
-The tree-walking interpreter the closures are tested against lives with
-the tests, in `tests/oracle.py`.
+`values.literal_lookup`.  A `context.Context` keeps one closure per atom
+`v op constant`, per reference and per operator compiled in it; a call
+met while its operator compiles (recursion), or to an operator the model
+lacks, compiles it in a context of its own when it runs, so no closure
+refers back to a context.  The tree-walking interpreter the closures are
+tested against lives with the tests, in `tests/oracle.py`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .bounds import var_grid
-from .model import Model, OperatorDef
+from .context import Context
+from .model import OperatorDef
 from .syntax import (
     And,
     Apply,
@@ -79,53 +82,50 @@ Env = Mapping[str, Value]
 _MAX_DEPTH = 64
 
 
-def eval_expr(expr: Expr, env: Env, model: Model | None = None) -> Value:
+def eval_expr(expr: Expr, env: Env, ctx: Context | None = None) -> Value:
     """The value of `expr` in `env`, compiled for this one call."""
-    return compile_expr(expr, model)(env)
+    return compile_expr(expr, ctx)(env)
 
 
-def eval_pred(
-    pred: Predicate, env: Env, model: Model | None = None, bounds=None
-) -> bool:
+def eval_pred(pred: Predicate, env: Env, ctx: Context | None = None) -> bool:
     """Whether `pred` holds in `env`, compiled for this one call."""
-    return compile_pred(pred, model, bounds)(env)
+    return compile_pred(pred, ctx)(env)
 
 
 # ---------------------------------------------------------------------------
 # compiled closures
 
-def compile_expr(expr: Expr, model: Model | None = None) -> Callable[[Env], Value]:
-    """A closure computing the value of `expr` in an environment."""
-    code = _expr(expr, model)
+def compile_expr(expr: Expr, ctx: Context | None = None) -> Callable[[Env], Value]:
+    """A closure computing the value of `expr` in an environment, with
+    the operators of the context's model."""
+    code = _expr(expr, ctx)
     return lambda env: code(env, 0)
 
 
-def compile_pred(
-    pred: Predicate, model: Model | None = None, bounds=None
-) -> Callable[[Env], bool]:
+def compile_pred(pred: Predicate, ctx: Context | None = None) -> Callable[[Env], bool]:
     """A closure deciding `pred` in an environment.  An existential
-    ranges over the grids of `bounds`; without bounds it raises when
-    called."""
+    ranges over the grids of the context's bounds; without bounds it
+    raises when called."""
     if isinstance(pred, BoolConst):
         value = pred.value
         return lambda env: value
     if isinstance(pred, Cmp):
-        return _compile_cmp(pred, model)
+        return _compile_cmp(pred, ctx)
     if isinstance(pred, InSet):
-        arg, literals = _expr(pred.expr, model), frozenset(pred.literals)
+        arg, literals = _expr(pred.expr, ctx), frozenset(pred.literals)
 
         def in_set(env):
             v = arg(env, 0)
             return v.__class__ is Lit and v.name in literals
         return in_set
     if isinstance(pred, InBase):
-        arg = _expr(pred.expr, model)
+        arg = _expr(pred.expr, ctx)
         return lambda env: arg(env, 0).__class__ is Num
     if isinstance(pred, Not):
-        inner = compile_pred(pred.arg, model, bounds)
+        inner = compile_pred(pred.arg, ctx)
         return lambda env: not inner(env)
     if isinstance(pred, (And, Or)):
-        items = tuple(compile_pred(q, model, bounds) for q in pred.items)
+        items = tuple(compile_pred(q, ctx) for q in pred.items)
         decides = isinstance(pred, Or)  # the item value that ends the scan
 
         def junction(env):
@@ -135,21 +135,21 @@ def compile_pred(
             return not decides
         return junction
     if isinstance(pred, Implies):
-        left = compile_pred(pred.left, model, bounds)
-        right = compile_pred(pred.right, model, bounds)
+        left = compile_pred(pred.left, ctx)
+        right = compile_pred(pred.right, ctx)
         return lambda env: (not left(env)) or right(env)
     if isinstance(pred, Exists):
-        return _compile_exists(pred, model, bounds)
+        return _compile_exists(pred, ctx)
     return _fails(f"cannot evaluate predicate {pred!r}")
 
 
-def _compile_cmp(pred: Cmp, model):
+def _compile_cmp(pred: Cmp, ctx):
     # an unknown operator fails, as `compare` does, once both sides are known
     test = COMPARISONS.get(pred.op) or partial(compare, pred.op)
     left, right = pred.left, pred.right
     if isinstance(left, (Ref, ConstRef)) and isinstance(right, Const):
         # the common shape `v op constant`, with the lookup inlined; guards
-        # and classes repeat these atoms a lot, so a model keeps one each
+        # and classes repeat these atoms a lot, so a context keeps one each
         name, kind, b = left.name, _kind(left), right.value
 
         def atom():
@@ -165,7 +165,7 @@ def _compile_cmp(pred: Cmp, model):
                     raise EvalError(f"unbound {kind} {name}") from None
                 return test(a, b)
             return ref_const
-        return atom() if model is None else model.keep((pred.op, kind, name, b), atom)
+        return atom() if ctx is None else _kept(ctx.atoms, (pred.op, kind, name, b), atom)
     if isinstance(left, (Ref, ConstRef)) and isinstance(right, (Ref, ConstRef)):
         # `v op w`, both lookups inlined
         lname, rname = left.name, right.name
@@ -178,26 +178,40 @@ def _compile_cmp(pred: Cmp, model):
                 raise EvalError(f"unbound {_kind(missing)} {missing.name}") from None
             return test(a, b)
         return ref_ref
-    lhs, rhs = _expr(left, model), _expr(right, model)
+    lhs, rhs = _expr(left, ctx), _expr(right, ctx)
     return lambda env: test(lhs(env, 0), rhs(env, 0))
 
 
-def _compile_exists(pred: Exists, model, bounds):
+def _compile_exists(pred: Exists, ctx):
     """The existential as a scan of its bound variables' grids, in
-    ascending product order, until the compiled body holds."""
-    body, bound = compile_pred(pred.body, model, bounds), pred.bound
+    ascending product order, until the compiled body holds.  The grids
+    are taken from the bounds on the first call, and kept."""
+    body, bound = compile_pred(pred.body, ctx), pred.bound
     names = [name for name, _ in bound]
+    bounds = None if ctx is None else ctx.bounds
+    grids = None
 
     def exists(env):
-        if bounds is None:
-            raise EvalError("existential membership test needs bounds")
+        nonlocal grids
+        if grids is None:
+            if bounds is None:
+                raise EvalError("existential membership test needs bounds")
+            grids = [var_grid(bounds, n, sort) for n, sort in bound]
         inner = dict(env)
-        for combo in itertools.product(*[var_grid(bounds, n, sort) for n, sort in bound]):
+        for combo in itertools.product(*grids):
             inner.update(zip(names, combo))
             if body(inner):
                 return True
         return False
     return exists
+
+
+def _kept(table: dict, key, build):
+    """`build()`, made on first use and kept in `table` under `key`."""
+    made = table.get(key)
+    if made is None:
+        made = table[key] = build()
+    return made
 
 
 def _fails(message: str):
@@ -214,7 +228,7 @@ def _kind(ref: Ref | ConstRef) -> str:
 _ARITH = {"+": v_add, "-": v_sub, "*": v_mul, "div": v_div}
 
 
-def _expr(e: Expr, model):
+def _expr(e: Expr, ctx):
     """A closure `f(env, depth)` computing the value of `e`, where `depth`
     counts the operator applications it runs inside."""
     if isinstance(e, Const):
@@ -230,38 +244,49 @@ def _expr(e: Expr, model):
                 except KeyError:
                     raise EvalError(f"unbound {kind} {name}") from None
             return ref
-        # one closure per name and model: results repeat their names a lot
-        return lookup() if model is None else model.keep((kind, name), lookup)
+        # one closure per name and context: results repeat their names a lot
+        return lookup() if ctx is None else _kept(ctx.refs, (kind, name), lookup)
     if isinstance(e, BinOp):
         # an unknown operator fails once both operands are known
         arith = _ARITH.get(e.op) or _fails(f"unknown operator {e.op}")
-        left, right = _expr(e.left, model), _expr(e.right, model)
+        left, right = _expr(e.left, ctx), _expr(e.right, ctx)
         return lambda env, depth: arith(left(env, depth), right(env, depth))
     if isinstance(e, Neg):
-        arg = _expr(e.arg, model)
+        arg = _expr(e.arg, ctx)
         return lambda env, depth: v_neg(arg(env, depth))
     if isinstance(e, MinOp):
-        args = tuple(_expr(a, model) for a in e.args)
+        args = tuple(_expr(a, ctx) for a in e.args)
         return lambda env, depth: v_min([a(env, depth) for a in args])
     if isinstance(e, TupleExpr):
-        items = tuple(_expr(a, model) for a in e.items)
+        items = tuple(_expr(a, ctx) for a in e.items)
         return lambda env, depth: Tup(tuple([a(env, depth) for a in items]))
     if isinstance(e, Proj):
-        return _compile_proj(e, model)
+        return _compile_proj(e, ctx)
     if isinstance(e, Apply):
-        if model is None:
-            return _fails(f"no model supplies operator {e.op}")
-        name, args = e.op, tuple(_expr(a, model) for a in e.args)
-
-        def apply(env, depth):
-            call = _operator(model, name)
-            return call([a(env, depth) for a in args], env, depth + 1)
-        return apply
+        return _compile_apply(e, ctx)
     return _fails(f"cannot evaluate {e!r}")
 
 
-def _compile_proj(e: Proj, model):
-    base, index = _expr(e.base, model), e.index
+def _compile_apply(e: Apply, ctx):
+    model = None if ctx is None else ctx.model
+    if model is None:
+        return _fails(f"no model supplies operator {e.op}")
+    name, args = e.op, tuple(_expr(a, ctx) for a in e.args)
+    call = _operator(ctx, name) if any(op.name == name for op in model.operators) else None
+    if call is not None:
+        return lambda env, depth: call([a(env, depth) for a in args], env, depth + 1)
+    bounds = ctx.bounds
+
+    def apply(env, depth):
+        # recursive or undefined: compiled when it runs, in a context of
+        # its own; an undefined operator raises KeyError here
+        call = _operator(Context(model, bounds), name)
+        return call([a(env, depth) for a in args], env, depth + 1)
+    return apply
+
+
+def _compile_proj(e: Proj, ctx):
+    base, index = _expr(e.base, ctx), e.index
 
     def proj(env, depth):
         v = base(env, depth)
@@ -273,18 +298,22 @@ def _compile_proj(e: Proj, model):
     return proj
 
 
-def _operator(model: Model, name: str):
+def _operator(ctx: Context, name: str):
     """The model's operator `name` compiled to `call(args, outer_env,
-    depth)`; kept on the model.  A body's own operator calls resolve when
-    they run, so recursive definitions compile."""
-    return model.keep(("operator", name), lambda: _compile_operator(model, model.operator(name)))
+    depth)` and kept in the context; None while its body compiles."""
+    operators = ctx.operators
+    if name not in operators:
+        op = ctx.model.operator(name)
+        operators[name] = None
+        operators[name] = _compile_operator(ctx, op)
+    return operators[name]
 
 
-def _compile_operator(model: Model, op: OperatorDef):
-    arity, consts = len(op.params), tuple(n for n, _ in model.constants)
+def _compile_operator(ctx: Context, op: OperatorDef):
+    arity, consts = len(op.params), tuple(n for n, _ in ctx.model.constants)
     params = [(name, sort, f"{op.name} parameter {name}") for name, sort in op.params]
     cases = [
-        (None if case.is_otherwise else compile_pred(case.guard, model), _expr(case.result, model))
+        (None if case.is_otherwise else compile_pred(case.guard, ctx), _expr(case.result, ctx))
         for case in op.cases
     ]
     sort, where = op.result, f"{op.name} result"

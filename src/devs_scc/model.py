@@ -3,9 +3,10 @@
 A model owns its value universe (state schema, input and output sorts),
 the guarded case lists for the two transition functions and the output
 function, the time-advance expression, named symbolic constants and
-user-defined operators.  Instances are immutable after construction and
-safe to share across threads; the compiled forms a model keeps are derived
-from it and never change what it means.
+user-defined operators.  Instances are immutable after construction, but
+for the memo `check.validate_model` sets once, and safe to share across
+threads; the forms derived from a model under some bounds live in a
+`context.Context`, not on the model.
 """
 
 from __future__ import annotations
@@ -78,33 +79,15 @@ class Model:
     ta: Expr
     constants: tuple[tuple[str, Sort], ...] = ()
     operators: tuple[OperatorDef, ...] = ()
-    # compiled forms of the model's operators, cases and predicates, built
-    # on first use by `keep`, and the prepared conjuncts and search spaces
-    # of one bounds object, by `keep_for`; a model made by `replace` starts
-    # without them
-    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # what `check.validate_model` made of the model, set once: the rebound
+    # model (None when it is this one) and its static report
+    validated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def operator(self, name: str) -> OperatorDef:
         for op in self.operators:
             if op.name == name:
                 return op
         raise KeyError(name)
-
-    def keep(self, key, build):
-        """`build()`, made on first use and kept on the model under `key`."""
-        code = self.compiled.get(key)
-        if code is None:
-            code = self.compiled[key] = build()
-        return code
-
-    def keep_for(self, bounds, key, build):
-        """`build()` for these bounds, kept on the model under `key` until
-        it is asked for with another bounds object (checked by identity,
-        as `SCC.keep` does)."""
-        entry = self.compiled.get(("bounds", key))
-        if entry is None or entry[0] is not bounds:
-            entry = self.compiled[("bounds", key)] = (bounds, build())
-        return entry[1]
 
 
 @dataclass

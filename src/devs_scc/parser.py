@@ -254,6 +254,14 @@ class Parser:
         self.pos += 1
         return value
 
+    def listed(self, item, close: str) -> list:
+        """`item()`, again after each comma, then the token `close`."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.expect(close)
+        return items
+
     # ---- sorts ------------------------------------------------------------
 
     def sort(self, aliases: dict[str, Sort]) -> Sort:
@@ -273,16 +281,9 @@ class Parser:
             return TIME
         if self.accept("enum"):
             self.expect("{")
-            lits = [self.ident("enum literal")]
-            while self.accept(","):
-                lits.append(self.ident("enum literal"))
-            self.expect("}")
-            return EnumSort(tuple(lits))
+            return EnumSort(tuple(self.listed(lambda: self.ident("enum literal"), "}")))
         if self.accept("("):
-            items = [self.sort(aliases)]
-            while self.accept(","):
-                items.append(self.sort(aliases))
-            self.expect(")")
+            items = self.listed(lambda: self.sort(aliases), ")")
             if len(items) < 2:
                 raise self.fail("tuple sort needs at least two components")
             return TupleSort(tuple(items))
@@ -335,27 +336,17 @@ class Parser:
             return Const(TAU)
         if self.accept("min"):
             self.expect("(")
-            args = [self.expr()]
-            while self.accept(","):
-                args.append(self.expr())
-            self.expect(")")
+            args = self.listed(self.expr, ")")
             if len(args) < 2:
                 raise self.fail("min needs at least two arguments")
             return MinOp(tuple(args))
         if self.tok.kind == "ident":
             name = self.ident()
             if self.accept("("):
-                args = [self.expr()]
-                while self.accept(","):
-                    args.append(self.expr())
-                self.expect(")")
-                return Apply(name, tuple(args))
+                return Apply(name, tuple(self.listed(self.expr, ")")))
             return Ref(name)
         if self.accept("("):
-            items = [self.expr()]
-            while self.accept(","):
-                items.append(self.expr())
-            self.expect(")")
+            items = self.listed(self.expr, ")")
             return items[0] if len(items) == 1 else TupleExpr(tuple(items))
         raise self.fail("expected an expression")
 
@@ -407,11 +398,7 @@ class Parser:
             if self.accept("nat"):
                 return InBase(left)
             self.expect("{")
-            lits = [self.ident("literal")]
-            while self.accept(","):
-                lits.append(self.ident("literal"))
-            self.expect("}")
-            return InSet(left, tuple(lits))
+            return InSet(left, tuple(self.listed(lambda: self.ident("literal"), "}")))
         for op in ("!=", "<=", ">=", "=", "<", ">"):
             if self.accept(op):
                 return Cmp(op, left, self.expr())
@@ -436,9 +423,7 @@ def parse_model_text(text: str) -> tuple[Model, ValidationReport]:
     output_sort: Sort | None = None
     operators: list[OperatorDef] = []
     ta: Expr | None = None
-    dext: tuple[GuardedCase, ...] | None = None
-    dint: tuple[GuardedCase, ...] | None = None
-    lam: tuple[GuardedCase, ...] | None = None
+    bodies: dict[str, tuple[GuardedCase, ...]] = {}  # dext, dint and lambda
 
     while not p.at("}"):
         if p.accept("const"):
@@ -465,22 +450,12 @@ def parse_model_text(text: str) -> tuple[Model, ValidationReport]:
             p.expect("=")
             ta = p.expr()
             p.expect(";")
-        elif p.accept("dext"):
-            p.expect("(")
-            for expected in ("s", ",", "e", ",", "x"):
+        elif p.at("dext") or p.at("dint") or p.at("lambda"):
+            fn = p.ident()
+            params = ("s", ",", "e", ",", "x") if fn == "dext" else ("s",)
+            for expected in ("(", *params, ")"):
                 p.expect(expected)
-            p.expect(")")
-            dext = _parse_fnbody(p, "dext")
-        elif p.accept("dint"):
-            p.expect("(")
-            p.expect("s")
-            p.expect(")")
-            dint = _parse_fnbody(p, "dint")
-        elif p.accept("lambda"):
-            p.expect("(")
-            p.expect("s")
-            p.expect(")")
-            lam = _parse_fnbody(p, "lambda")
+            bodies[fn] = _parse_fnbody(p)
         else:
             raise p.fail("expected a model section")
     p.expect("}")
@@ -492,9 +467,7 @@ def parse_model_text(text: str) -> tuple[Model, ValidationReport]:
             ("input", input_sort),
             ("output", output_sort),
             ("ta", ta),
-            ("dext", dext),
-            ("dint", dint),
-            ("lambda", lam),
+            *((fn, bodies.get(fn)) for fn in ("dext", "dint", "lambda")),
         )
         if val is None
     ]
@@ -508,9 +481,9 @@ def parse_model_text(text: str) -> tuple[Model, ValidationReport]:
         schema=schema,
         input_sort=input_sort,
         output_sort=output_sort,
-        delta_ext=dext,
-        delta_int=dint,
-        output_fn=lam,
+        delta_ext=bodies["dext"],
+        delta_int=bodies["dint"],
+        output_fn=bodies["lambda"],
         ta=ta,
         constants=tuple(constants),
         operators=tuple(operators),
@@ -538,17 +511,14 @@ def _parse_state(p: Parser, aliases: dict[str, Sort]) -> StateSchema:
 
 
 def _parse_opdef(p: Parser, aliases: dict[str, Sort]) -> OperatorDef:
+    def param() -> tuple[str, Sort]:
+        pname = p.ident("parameter name")
+        p.expect(":")
+        return pname, p.sort(aliases)
+
     name = p.ident("operator name")
     p.expect("(")
-    params: list[tuple[str, Sort]] = []
-    if not p.at(")"):
-        while True:
-            pname = p.ident("parameter name")
-            p.expect(":")
-            params.append((pname, p.sort(aliases)))
-            if not p.accept(","):
-                break
-    p.expect(")")
+    params = [] if p.accept(")") else p.listed(param, ")")
     p.expect(":")
     result = p.sort(aliases)
     p.expect("{")
@@ -563,7 +533,7 @@ def _parse_opdef(p: Parser, aliases: dict[str, Sort]) -> OperatorDef:
     return OperatorDef(name, tuple(params), result, tuple(cases))
 
 
-def _parse_fnbody(p: Parser, fn: str) -> tuple[GuardedCase, ...]:
+def _parse_fnbody(p: Parser) -> tuple[GuardedCase, ...]:
     p.expect("{")
     cases = _parse_cases(p, _parse_lets(p))
     p.expect("}")
@@ -585,20 +555,14 @@ def _parse_lets(p: Parser) -> dict[str, Expr]:
 def _parse_cases(p: Parser, lets: dict[str, Expr]) -> list[GuardedCase]:
     """Guarded cases, numbered from 1, with the `let` names substituted."""
     cases: list[GuardedCase] = []
-    while True:
-        if p.accept("case"):
-            guard = subst_pred(p.pred(), lets)
-            p.expect("->")
-            result = subst_expr(p.expr(), lets)
-            p.expect(";")
-            cases.append(GuardedCase(len(cases) + 1, guard, result))
-        elif p.accept("otherwise"):
-            p.expect("->")
-            result = subst_expr(p.expr(), lets)
-            p.expect(";")
-            cases.append(GuardedCase(len(cases) + 1, TRUE, result, is_otherwise=True))
-        else:
-            return cases
+    while p.at("case") or p.at("otherwise"):
+        otherwise = p.ident() == "otherwise"
+        guard = TRUE if otherwise else subst_pred(p.pred(), lets)
+        p.expect("->")
+        result = subst_expr(p.expr(), lets)
+        p.expect(";")
+        cases.append(GuardedCase(len(cases) + 1, guard, result, otherwise))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +578,7 @@ def parse_parts_text(text: str) -> list[StandardPartition]:
         name = p.tok.text
         p.pos += 1
         p.expect("(")
-        formals = [p.ident("operand name")]
-        while p.accept(","):
-            formals.append(p.ident("operand name"))
-        p.expect(")")
+        formals = p.listed(lambda: p.ident("operand name"), ")")
         p.expect("{")
         cells: list[Predicate] = []
         while not p.at("}"):
@@ -639,43 +600,25 @@ def parse_bounds_text(text: str) -> Bounds:
     p.expect("bounds")
     p.expect("{")
     while not p.at("}"):
-        if p.accept("nat"):
+        if p.at("nat") or p.at("int") or p.at("rational"):
+            kind = p.ident()
+            read = _signed_number if kind == "rational" else _signed_int
             key = _range_key(p)
             p.expect("=")
-            lo = _signed_int(p)
+            lo = read(p)
             p.expect("..")
-            hi = _signed_int(p)
+            hi = read(p)
+            if kind == "rational":
+                b.rat_grids[key] = (lo, hi, _signed_number(p) if p.accept("step") else 1)
+            else:
+                (b.nat_ranges if kind == "nat" else b.int_ranges)[key] = (lo, hi)
             p.expect(";")
-            b.nat_ranges[key] = (lo, hi)
-        elif p.accept("int"):
-            key = _range_key(p)
-            p.expect("=")
-            lo = _signed_int(p)
-            p.expect("..")
-            hi = _signed_int(p)
-            p.expect(";")
-            b.int_ranges[key] = (lo, hi)
-        elif p.accept("rational"):
-            key = _range_key(p)
-            p.expect("=")
-            lo = _signed_number(p)
-            p.expect("..")
-            hi = _signed_number(p)
-            step = 1
-            if p.accept("step"):
-                step = _signed_number(p)
-            p.expect(";")
-            b.rat_grids[key] = (lo, hi, step)
         elif p.accept("set"):
             vname = p.ident("variable name")
             p.expect("=")
             p.expect("{")
-            vals = [_parse_value(p)]
-            while p.accept(","):
-                vals.append(_parse_value(p))
-            p.expect("}")
+            b.value_sets[vname] = p.listed(lambda: _parse_value(p), "}")
             p.expect(";")
-            b.value_sets[vname] = vals
         elif p.accept("const"):
             cname = p.ident("constant name")
             p.expect("=")
@@ -685,10 +628,7 @@ def parse_bounds_text(text: str) -> Bounds:
             p.expect("samples")
             p.expect("=")
             p.expect("{")
-            samples = [_const_number(p, b)]
-            while p.accept(","):
-                samples.append(_const_number(p, b))
-            p.expect("}")
+            samples = p.listed(lambda: _const_number(p, b), "}")
             p.expect(";")
             b.time_samples = sorted(set(samples))
         elif p.accept("max"):
@@ -726,11 +666,7 @@ def _parse_value(p: Parser) -> Value:
     if p.accept("infinity"):
         return INF
     if p.accept("("):
-        items = [_parse_value(p)]
-        while p.accept(","):
-            items.append(_parse_value(p))
-        p.expect(")")
-        return Tup(tuple(items))
+        return Tup(tuple(p.listed(lambda: _parse_value(p), ")")))
     if p.tok.kind == "ident":
         return Lit(p.ident())
     if p.accept("-"):
@@ -779,16 +715,17 @@ def parse_bounds_file(path: str) -> Bounds:
 
 def parse_pred_text(text: str) -> Predicate:
     """A bare predicate, used by CLI criterion selections."""
-    p = Parser(text)
-    out = p.pred()
-    if p.tok.kind != "eof":
-        raise p.fail("unexpected trailing input")
-    return out
+    return _whole(text, Parser.pred)
 
 
 def parse_expr_text(text: str) -> Expr:
+    return _whole(text, Parser.expr)
+
+
+def _whole(text: str, parse):
+    """`parse` of a parser over `text`, which it must read to the end."""
     p = Parser(text)
-    out = p.expr()
+    out = parse(p)
     if p.tok.kind != "eof":
         raise p.fail("unexpected trailing input")
     return out

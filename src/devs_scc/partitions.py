@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from .bounds import Bounds
+from .context import Context
 from .sat import coverage
 from .syntax import And, Cmp, Const, Predicate, Ref, subst_pred
 from .values import Num, Record
@@ -59,7 +60,8 @@ def check_partition(table: StandardPartition) -> tuple[bool, bool]:
     decided by the bounded search; a search that runs out of budget
     fails its check."""
     grid = [Num(k) for k in range(-2, 3)]
-    gap, overlaps = coverage(table.cells, False, [(f, grid) for f in table.formals], Bounds())
+    gap, overlaps = coverage(table.cells, False, [(f, grid) for f in table.formals],
+                             Context(None, Bounds()))
     disjoint = all(found.status == "unsat" for _, found in overlaps)
     return disjoint, gap.status == "unsat"
 

@@ -13,11 +13,11 @@ rather than one generator frame per variable.
 A predicate is searched in its prepared form, a `Conjunction`: its
 normal form's conjuncts in canonical order, each with its text, its free
 variables and a closure compiled by `evaluator.compile_pred`.  The
-canonical text is a conjunct's identity.  Given a model, preparing
-interns conjuncts (hash-consing, Filliatre & Conchon 2006): the model
-keeps, for one bounds object, one `Conjunct` per text, so all forms over
-that model and those bounds share one variable tuple and one closure per
-distinct conjunct.  A search accepts a predicate and prepares it, or a
+canonical text is a conjunct's identity.  Given a `context.Context`,
+preparing interns conjuncts (hash-consing, Filliatre & Conchon 2006):
+the context keeps one `Conjunct` per text, so all forms over its model
+and bounds share one variable tuple and one closure per distinct
+conjunct.  A search accepts a predicate and prepares it, or a
 form prepared before, so a caller that keeps its forms prepares each
 once per campaign; forms combine by `&` without re-normalizing.  The
 search knows predicates and spaces, not classes.
@@ -61,9 +61,9 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .bounds import Bounds, const_env, var_grid
+from .bounds import var_grid
+from .context import Context
 from .evaluator import compile_pred
-from .model import Model
 from .syntax import (
     BoolConst,
     Exists,
@@ -111,16 +111,16 @@ class Conjunct:
     a search over that order: None when it mentions none of them, d when
     it mentions only the one at depth d (unary), else ~d for the deepest
     depth d it mentions (joint).  An interned conjunct is shared by every
-    form over its model and bounds, so each placement is worked out once
-    per conjunct and order."""
+    form over its context, so each placement is worked out once per
+    conjunct and order."""
 
     __slots__ = ("pred", "text", "vars", "test", "placed")
 
-    def __init__(self, pred: Predicate, text: str, model: Model | None, bounds: Bounds | None):
+    def __init__(self, pred: Predicate, text: str, ctx: Context | None):
         self.pred = pred
         self.text = text
         self.vars = tuple(pred_vars(pred))
-        self.test = compile_pred(pred, model, bounds)
+        self.test = compile_pred(pred, ctx)
         self.placed: dict[str, int | None] = {}
 
     def place(self, order: str, names: tuple[str, ...]) -> int | None:
@@ -161,38 +161,29 @@ def _ordered(items) -> Conjunction:
     return Conjunction(tuple(by_text[t] for t in sorted(by_text)))
 
 
-def prepare(pred: Predicate, model: Model | None = None, bounds: Bounds | None = None) -> Conjunction:
+def prepare(pred: Predicate, ctx: Context | None = None) -> Conjunction:
     """The prepared form of `pred`."""
-    return prepare_conjuncts(conjuncts(normalize(pred)), model, bounds)
+    return prepare_conjuncts(conjuncts(normalize(pred)), ctx)
 
 
-def prepare_conjuncts(
-    preds: Sequence[Predicate], model: Model | None = None, bounds: Bounds | None = None
-) -> Conjunction:
+def prepare_conjuncts(preds: Sequence[Predicate], ctx: Context | None = None) -> Conjunction:
     """The prepared form of the conjunction of `preds`, each already in
-    normal form.  With a model, each conjunct is interned: the first one
-    prepared with a canonical text is kept on the model for these bounds
-    (`Model.keep_for`) and stands for every later one with that text."""
+    normal form, its conjuncts interned in `ctx` (see `interned`)."""
     if any(isinstance(p, BoolConst) and not p.value for p in preds):
         return Conjunction(false=True)
-    return _ordered(interned(preds, model, bounds))
+    return _ordered(interned(preds, ctx))
 
 
-def interned(
-    preds: Sequence[Predicate], model: Model | None = None, bounds: Bounds | None = None
-) -> list[Conjunct]:
-    """The conjuncts of `preds`, in their order: with a model, the one
-    kept on it for these bounds per canonical text, made on first use;
-    without, each made afresh."""
-    if model is None:
-        return [Conjunct(p, render_pred(p), None, bounds) for p in preds]
-    kept = model.keep_for(bounds, "conjuncts", dict)
+def interned(preds: Sequence[Predicate], ctx: Context | None = None) -> list[Conjunct]:
+    """The conjuncts of `preds`, in their order, one per canonical text:
+    with a context, the one it keeps, made on first use."""
+    kept = {} if ctx is None else ctx.conjuncts
     items = []
     for p in preds:
         text = render_pred(p)
         c = kept.get(text)
         if c is None:
-            c = kept[text] = Conjunct(p, text, model, bounds)
+            c = kept[text] = Conjunct(p, text, ctx)
         items.append(c)
     return items
 
@@ -200,8 +191,7 @@ def interned(
 def satisfiable(
     pred: Predicate | Conjunction,
     space: Space,
-    bounds: Bounds,
-    model: Model | None = None,
+    ctx: Context,
     base_env: dict[str, Value] | None = None,
     *,
     lo: Sequence[int] | None = None,
@@ -214,10 +204,10 @@ def satisfiable(
     `pred` is a predicate or its prepared form; `lo` and `hi` bound the
     search to grid positions from `lo` to `hi` (inclusive, one position
     per variable, lexicographic order); `limit` replaces the budget of
-    `bounds.max_attempts`."""
-    budget = _Budget(bounds.max_attempts if limit is None else limit)
-    search = _witnesses(_form(pred, model, bounds), space,
-                        _env(bounds, model, base_env), budget, lo, hi)
+    the context's `bounds.max_attempts`.  The context's constants are
+    bound, under `base_env`."""
+    budget = _Budget(ctx.bounds.max_attempts if limit is None else limit)
+    search = _witnesses(_form(pred, ctx), space, _env(ctx, base_env), budget, lo, hi)
     try:
         found = next(search, None)
     except BudgetExhausted:
@@ -229,7 +219,7 @@ def satisfiable(
 
 
 def coverage(
-    preds: Sequence[Predicate], total: bool, space: Space, bounds: Bounds, model: Model | None = None
+    preds: Sequence[Predicate], total: bool, space: Space, ctx: Context
 ) -> tuple[SatResult | None, Iterator[tuple[tuple[int, int], SatResult]]]:
     """The coverage and disjointness checks of a case table (Heitmeyer,
     Jeffords & Labaw 1996): the search for the least point of `space`
@@ -245,15 +235,15 @@ def coverage(
     some variable is disjoint, and is reported unsat with no search and
     no attempt; the search would reach the same verdict, or run out of
     budget first.  Every other pair is searched."""
-    gap = None if total else satisfiable(conj([Not(p) for p in preds]), space, bounds, model)
-    forms = [prepare(p, model, bounds) for p in preds]
-    env = _env(bounds, model, None)
+    gap = None if total else satisfiable(conj([Not(p) for p in preds]), space, ctx)
+    forms = [prepare(p, ctx) for p in preds]
+    env = _env(ctx, None)
     masks = [_admitted(f, space, env) for f in forms]
 
     def decide(i, j):
         if any(not a & b for a, b in zip(masks[i], masks[j])):
             return SatResult("unsat")
-        return satisfiable(forms[i] & forms[j], space, bounds, model)
+        return satisfiable(forms[i] & forms[j], space, ctx)
 
     overlaps = (
         ((i, j), decide(i, j)) for i, j in itertools.combinations(range(len(forms)), 2)
@@ -261,15 +251,12 @@ def coverage(
     return gap, overlaps
 
 
-def _form(pred, model, bounds) -> Conjunction:
-    return pred if isinstance(pred, Conjunction) else prepare(pred, model, bounds)
+def _form(pred, ctx) -> Conjunction:
+    return pred if isinstance(pred, Conjunction) else prepare(pred, ctx)
 
 
-def _env(bounds, model, base_env) -> dict[str, Value]:
-    env = dict(base_env) if base_env else {}
-    if model is not None:
-        env = {**const_env(bounds, model), **env}
-    return env
+def _env(ctx, base_env) -> dict[str, Value]:
+    return {**ctx.consts, **base_env} if base_env else dict(ctx.consts)
 
 
 def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=None, hi=None):
@@ -429,8 +416,7 @@ def _all_hold(tests, env) -> bool:
 def project_exists(
     pred: Predicate,
     drop: list[tuple[str, Sort]],
-    bounds: Bounds,
-    model: Model | None = None,
+    ctx: Context,
 ) -> Predicate:
     """Project a predicate onto the variables outside `drop`.
 
@@ -462,16 +448,14 @@ def project_exists(
         rest.append((merged_vars, merged_preds))
         clusters = rest
 
-    const_names = set()
-    if model is not None:
-        const_names = {n for n, _ in model.constants}
+    const_names = set() if ctx.model is None else {n for n, _ in ctx.model.constants}
     for vars_, preds in clusters:
         body = conj(preds)
         bound = [(n, drop_sorts[n]) for n in drop_order if n in vars_]
         free_outside = pred_vars(body) - vars_ - const_names
         if not free_outside:
-            space = [(n, var_grid(bounds, n, s)) for n, s in bound]
-            verdict = satisfiable(body, space, bounds, model)
+            space = [(n, var_grid(ctx.bounds, n, s)) for n, s in bound]
+            verdict = satisfiable(body, space, ctx)
             if verdict.sat:
                 continue  # inhabited: contributes nothing to the projection
         keep.append(Exists(tuple(bound), body))

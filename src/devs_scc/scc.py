@@ -9,12 +9,13 @@ linking state and input through the original guard.
 A class is a set of configurations, and `SCC.member` is its one
 definition: the joint predicate when there is one, else the state and
 pair predicates together.  Combination, selection and chaining all
-decide on it.
+decide on it.  A class is plain data: the forms prepared from it for a
+model and bounds live in that pair's `context.Context`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import Predicate, conjuncts, normalize, render_pred
 
@@ -29,10 +30,6 @@ class SCC:
     target: str
     combined_from: tuple[int, ...] = ()
     joint: Predicate | None = None
-    # forms derived from the predicates for one model and bounds (state
-    # and pair tests, prepared search forms), made by `keep`; a class made
-    # by `renumbered` starts without them
-    prepared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def key(self) -> tuple[str, str]:
         return (render_pred(self.init_states), render_pred(self.input_pairs))
@@ -45,20 +42,12 @@ class SCC:
         return conjuncts(self.init_states) + conjuncts(self.input_pairs)
 
     def renumbered(self, id: int) -> SCC:
-        """This class under `id`, with nothing prepared yet."""
+        """This class under `id`."""
         return SCC(id, self.init_states, self.input_pairs, self.criterion, self.target,
                    self.combined_from, self.joint)
 
     def ancestry(self) -> tuple[int, ...]:
         return self.combined_from if self.combined_from else (self.id,)
-
-    def keep(self, key: str, model, bounds, build):
-        """`build()` for this model and bounds, made once and kept on the
-        class under `key`."""
-        entry = self.prepared.get(key)
-        if entry is None or entry[0] is not model or entry[1] is not bounds:
-            entry = self.prepared[key] = (model, bounds, build())
-        return entry[2]
 
 
 def make_scc(

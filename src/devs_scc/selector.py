@@ -8,11 +8,11 @@ representatives.  A class's members are the assignments satisfying
 joint predicate, linking state and input through the original guard, so
 the chosen state and event actually exercise the targeted case).  Every
 class is solved by one search over the joint space of its `member_form`,
-prepared once per model and bounds and kept on the class.  The selected
-witness is re-checked on the class's state and pair tests, kept on the
-class as well: each is the all-of the interned conjunct tests of its
-normalized predicate (`sat.interned`), in their canonical order, so a
-class compiles nothing that its model has compiled before.
+prepared once per context and kept in its `ClassForms`.  The selected
+witness is re-checked on the class's state and pair tests, kept there as
+well: each is the all-of the interned conjunct tests of its normalized
+predicate (`sat.interned`), in their canonical order, so a class
+compiles nothing that its context has compiled before.
 
 A configuration is only executable when its pair time fits inside the
 chosen state's time advance (the total-state constraint 0 <= e <= ta),
@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from math import prod
 
-from .bounds import Bounds, const_env, digits_index, index_digits, joint_space
+from .bounds import digits_index, index_digits
+from .context import Context
 # `eval_pred` is not called here, but `bench/layers.py` rebinds
 # `selector.eval_pred` and stops on a missing name
 from .evaluator import eval_pred  # noqa: F401
@@ -63,39 +64,46 @@ def executability(model: Model) -> list[Predicate]:
     return [Cmp("<=", Ref("t"), ta)]
 
 
-def member_form(scc: SCC, model: Model, bounds: Bounds) -> Conjunction:
-    """`scc.member` prepared for search, made once for this model and
-    bounds and kept on the class."""
-    return scc.keep("member", model, bounds, lambda: prepare_conjuncts(scc.member, model, bounds))
+def member_form(scc: SCC, ctx: Context) -> Conjunction:
+    """`scc.member` prepared for search, made once per context."""
+    forms = ctx.forms(scc)
+    if forms.member is None:
+        forms.member = prepare_conjuncts(scc.member, ctx)
+    return forms.member
 
 
-def runnable_form(scc: SCC, model: Model, bounds: Bounds) -> Conjunction:
-    """The member and executability forms conjoined, kept on the class."""
-    def build():
-        executable = model.keep_for(
-            bounds, "executability", lambda: prepare_conjuncts(executability(model), model, bounds))
-        return member_form(scc, model, bounds) & executable
-    return scc.keep("runnable", model, bounds, build)
+def runnable_form(scc: SCC, ctx: Context) -> Conjunction:
+    """The member form and the context's executability form conjoined."""
+    forms = ctx.forms(scc)
+    if forms.runnable is None:
+        if ctx.executable is None:
+            ctx.executable = prepare_conjuncts(executability(ctx.model), ctx)
+        forms.runnable = member_form(scc, ctx) & ctx.executable
+    return forms.runnable
 
 
-def state_test(scc: SCC, model: Model, bounds: Bounds):
-    """The test of `scc.init_states`, made once for this model and bounds
-    and kept on the class; selection and chaining both decide on it."""
-    return scc.keep("init_states", model, bounds,
-                    lambda: _all_of(scc.init_states, model, bounds))
+def state_test(scc: SCC, ctx: Context):
+    """The test of `scc.init_states`, made once per context; selection
+    and chaining both decide on it."""
+    forms = ctx.forms(scc)
+    if forms.state is None:
+        forms.state = _all_of(scc.init_states, ctx)
+    return forms.state
 
 
-def _pair_test(scc: SCC, model: Model, bounds: Bounds):
-    """The test of `scc.input_pairs`, kept on the class like `state_test`."""
-    return scc.keep("input_pairs", model, bounds,
-                    lambda: _all_of(scc.input_pairs, model, bounds))
+def _pair_test(scc: SCC, ctx: Context):
+    """The test of `scc.input_pairs`, made once per context."""
+    forms = ctx.forms(scc)
+    if forms.pair is None:
+        forms.pair = _all_of(scc.input_pairs, ctx)
+    return forms.pair
 
 
-def _all_of(pred: Predicate, model: Model, bounds: Bounds):
+def _all_of(pred: Predicate, ctx: Context):
     """A test that `pred`'s conjuncts all hold, tried in their order, as
     the compiled conjunction would: the first that fails decides, and an
     EvalError propagates."""
-    tests = tuple(c.test for c in interned(conjuncts(pred), model, bounds))
+    tests = tuple(c.test for c in interned(conjuncts(pred), ctx))
     if len(tests) == 1:
         return tests[0]
 
@@ -125,21 +133,21 @@ class SimulationConfig(Record):
         }
 
 
-def select_config(scc: SCC, model: Model, bounds: Bounds) -> SimulationConfig:
+def select_config(scc: SCC, ctx: Context) -> SimulationConfig:
     """Least executable member of a class, else its least member,
     re-checked by the class's kept state and pair tests."""
-    space = joint_space(model, bounds)
-    verdict = satisfiable(runnable_form(scc, model, bounds), space, bounds, model)
+    space = ctx.joint_space
+    verdict = satisfiable(runnable_form(scc, ctx), space, ctx)
     if verdict.status != "sat":
-        verdict = satisfiable(member_form(scc, model, bounds), space, bounds, model)
+        verdict = satisfiable(member_form(scc, ctx), space, ctx)
     _require_sat(verdict, scc)
-    config = _config(scc, verdict.witness, model)
-    _check_membership(config, scc, model, bounds)
+    config = _config(scc, verdict.witness, ctx)
+    _check_membership(config, scc, ctx)
     return config
 
 
-def _config(scc: SCC, witness: dict[str, Value], model: Model) -> SimulationConfig:
-    state = {n: witness[n] for n in model.schema.names()}
+def _config(scc: SCC, witness: dict[str, Value], ctx: Context) -> SimulationConfig:
+    state = {n: witness[n] for n in ctx.model.schema.names()}
     return SimulationConfig(scc.id, state, witness["x"], witness["t"])
 
 
@@ -150,20 +158,21 @@ def _require_sat(verdict: SatResult, scc: SCC) -> None:
         raise SelectError(scc.id, "witness search exhausted its attempt budget")
 
 
-def _check_membership(config: SimulationConfig, scc: SCC, model: Model, bounds: Bounds) -> None:
-    consts = const_env(bounds, model)
-    if not state_test(scc, model, bounds)({**consts, **config.state}):
+def _check_membership(config: SimulationConfig, scc: SCC, ctx: Context) -> None:
+    consts = ctx.consts
+    if not state_test(scc, ctx)({**consts, **config.state}):
         raise SelectError(scc.id, "selected state fails its own predicate")
-    if not _pair_test(scc, model, bounds)({**consts, "x": config.event, "t": config.time}):
+    if not _pair_test(scc, ctx)({**consts, "x": config.event, "t": config.time}):
         raise SelectError(scc.id, "selected input pair fails its own predicate")
 
 
 _STRIDES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
+# the grid points all strata of one `sample_configs` call may scan
+_SCAN_CAP = 20_000
 
-def sample_configs(
-    scc: SCC, k: int, model: Model, bounds: Bounds, scan_cap: int = 20_000
-) -> list[SimulationConfig]:
+
+def sample_configs(scc: SCC, k: int, ctx: Context) -> list[SimulationConfig]:
     """Up to k distinct executable members, spread over the joint grid.
 
     The grid is numbered in mixed radix with the event varying fastest,
@@ -171,12 +180,12 @@ def sample_configs(
     Stratum s starts at the point whose position in every dimension is
     s steps of a fixed prime stride (a low-discrepancy spread, no
     randomness) and takes the first member at or after it in that
-    numbering.  The strata share a budget of `scan_cap` grid points,
+    numbering.  The strata share a budget of `_SCAN_CAP` grid points,
     charged as a scan from each start would charge them: up to and
     including the member found, or to the end of the grid or the budget.
     A member already sampled ends its stratum without a new sample.
 
-    Each window is at most `scan_cap` points long, so it moves only the
+    Each window is at most `_SCAN_CAP` points long, so it moves only the
     fastest-varying dimensions away from its start: the samples need not
     include the selected representative, and a class with no member in
     any window yields none.  Each window is searched by the pruned
@@ -184,24 +193,24 @@ def sample_configs(
     order is the numbering above, with a budget that covers every node
     of the window, so `bounds.max_attempts` never cuts it short.
     """
-    space = joint_space(model, bounds)[::-1]
+    space = ctx.joint_space[::-1]
     sizes = [len(g) for _, g in space]
     total = prod(sizes)
     if total == 0 or k <= 0:
         return []
-    form = runnable_form(scc, model, bounds)
+    form = runnable_form(scc, ctx)
     strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
 
     found: dict[tuple[Value, ...], SimulationConfig] = {}
     scanned = 0
     for s in range(min(k, total)):
-        if scanned >= scan_cap:
+        if scanned >= _SCAN_CAP:
             break
         lo = [(s * stride) % size for stride, size in zip(strides, sizes)]
         start = digits_index(lo, sizes)
-        end = min(total, start + scan_cap - scanned)
+        end = min(total, start + _SCAN_CAP - scanned)
         verdict = satisfiable(
-            form, space, bounds, model,
+            form, space, ctx,
             lo=lo,
             hi=index_digits(end - 1, sizes),
             limit=len(space) * (end - start) + len(form.items),
@@ -212,5 +221,5 @@ def sample_configs(
         scanned += digits_index(verdict.index, sizes) - start + 1
         key = tuple(verdict.witness.values())
         if key not in found:
-            found[key] = _config(scc, verdict.witness, model)
+            found[key] = _config(scc, verdict.witness, ctx)
     return list(found.values())

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import Bounds, const_env, input_grid, time_points
-from .model import Model
+from .bounds import input_grid, time_points
+from .context import Context
 from .sat import satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_test
@@ -64,16 +64,14 @@ class SimulationSequence:
 
 
 def build_sequences(
-    model: Model,
     sccs: list[SCC],
-    bounds: Bounds,
+    ctx: Context,
     configs: dict[int, SimulationConfig | SelectError] | None = None,
 ) -> tuple[list[SimulationSequence], list[str]]:
     """Chain the classes into sequences.  `configs` holds, by class id,
     what selection already gave a class: its representative or its
     `SelectError`; a head not in it is selected here."""
     configs = configs or {}
-    consts = const_env(bounds, model)
     remaining = sorted(sccs, key=lambda s: s.id)
     sequences: list[SimulationSequence] = []
     notes: list[str] = []
@@ -85,21 +83,21 @@ def build_sequences(
         cfg = configs.get(scc.id)
         if cfg is None:
             try:
-                cfg = select_config(scc, model, bounds)
+                cfg = select_config(scc, ctx)
             except SelectError as err:
-                cfg = err
+                cfg = err.with_traceback(None)  # its frames would hold it
         if isinstance(cfg, SelectError):
             notes.append(str(cfg))
             seq.steps.append(SeqStep(scc.id, {}, TAU, Num(0), error=cfg.reason))
             seq.trace.findings.append(str(cfg))
             continue
-        sim = init(model, cfg.state)
-        sim, ok = _run_step(model, sim, consts, cfg.event, cfg.time, seq, scc.id)
+        sim = init(ctx.model, cfg.state)
+        sim, ok = _run_step(ctx, sim, cfg.event, cfg.time, seq, scc.id)
         if not ok:
             continue
         while True:
             try:
-                found = _next_reachable(remaining, sim, consts, model, bounds)
+                found = _next_reachable(remaining, sim, ctx)
             except EvalError as err:
                 notes.append(f"class {seq.covered[-1]}: cannot chain from its post-state: {err}")
                 break
@@ -108,19 +106,19 @@ def build_sequences(
             at, (event, rel_time) = found
             nxt = remaining.pop(at)
             seq.covered.append(nxt.id)
-            sim, ok = _run_step(model, sim, consts, event, rel_time, seq, nxt.id)
+            sim, ok = _run_step(ctx, sim, event, rel_time, seq, nxt.id)
             if not ok:
                 break
     return sequences, notes
 
 
-def _run_step(model, sim, consts, event, rel_time, seq, scc_id):
+def _run_step(ctx, sim, event, rel_time, seq, scc_id):
     """Execute one sequence step, recording it and its trace event or
     finding; the pair's time is elapsed time relative to the state the
     class matched on."""
     state_used = dict(sim.state)
     try:
-        nxt, ev = advance(model, sim, consts, event, rel_time)
+        nxt, ev = advance(sim, event, rel_time, ctx)
         seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, fired=ev.fired))
         seq.trace.events.append(ev)
         return nxt, True
@@ -130,24 +128,25 @@ def _run_step(model, sim, consts, event, rel_time, seq, scc_id):
         return sim, False
 
 
-def _next_reachable(remaining, sim, consts, model, bounds):
+def _next_reachable(remaining, sim, ctx):
     """Position of the first remaining class (ascending id) with a runnable
     member made of the current state, and that member's pair.  The pair
     space, built once, lacks the no-event marker when the state's time
     advance is infinite; an EvalError from that time advance ends the
     chain."""
-    env = {**consts, **sim.state}
+    env = {**ctx.consts, **sim.state}
     space = None
     for at, scc in enumerate(remaining):
         try:
-            if not state_test(scc, model, bounds)(env):
+            if not state_test(scc, ctx)(env):
                 continue
         except EvalError:
             continue
         if space is None:
-            tau = not isinstance(time_advance(model, sim, consts), Inf)
-            space = [("x", input_grid(bounds, model, with_tau=tau)), ("t", time_points(bounds))]
-        verdict = satisfiable(runnable_form(scc, model, bounds), space, bounds, model, base_env=env)
+            tau = not isinstance(time_advance(sim, ctx), Inf)
+            space = [("x", input_grid(ctx.bounds, ctx.model, with_tau=tau)),
+                     ("t", time_points(ctx.bounds))]
+        verdict = satisfiable(runnable_form(scc, ctx), space, ctx, base_env=env)
         if verdict.sat:
             return at, (verdict.witness["x"], verdict.witness["t"])
     return None

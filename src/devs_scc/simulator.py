@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import Bounds, const_env
+from .context import Context
 from .evaluator import compile_expr, compile_pred
 from .model import Model
 from .scc import SCC
@@ -112,9 +112,11 @@ def init(model: Model, s0: dict[str, Value]) -> SimState:
     return SimState(state=state, clock=0, last=0)
 
 
-def time_advance(model: Model, st: SimState, consts: dict[str, Value]) -> Value:
-    ta = model.keep("ta", lambda: compile_expr(model.ta, model))
-    v = ta({**consts, **st.state})
+def time_advance(st: SimState, ctx: Context) -> Value:
+    ta = ctx.ta
+    if ta is None:
+        ta = ctx.ta = compile_expr(ctx.model.ta, ctx)
+    v = ta({**ctx.consts, **st.state})
     if isinstance(v, Inf):
         return v
     if isinstance(v, Num) and v.value >= 0:
@@ -123,27 +125,26 @@ def time_advance(model: Model, st: SimState, consts: dict[str, Value]) -> Value:
 
 
 def step(
-    model: Model,
     st: SimState,
-    consts: dict[str, Value],
+    ctx: Context,
     injected: tuple[Value, Rational] | None = None,
 ) -> tuple[SimState, Value | None, TraceEvent]:
     """One transition.  `injected` carries (event, absolute time); absent,
     the pending internal transition fires at its deadline."""
-    ta = time_advance(model, st, consts)
+    ta = time_advance(st, ctx)
     if injected is None:
         if isinstance(ta, Inf):
             raise SimError("passive state, no internal transition")
         deadline = exact(st.last + ta.value)
-        env = {**consts, **st.state}
-        fired = _first_case(model, "lambda", env)
+        env = {**ctx.consts, **st.state}
+        fired = _first_case(ctx, "lambda", env)
         if fired is None:
             raise UndefinedTransition("lambda", _state_str(st.state))
         output = fired[1](env)
-        fired = _first_case(model, "dint", env)
+        fired = _first_case(ctx, "dint", env)
         if fired is None:
             raise UndefinedTransition("dint", _state_str(st.state))
-        new_state = _apply_result(model, fired[1], env)
+        new_state = _apply_result(ctx.model, fired[1], env)
         nxt = SimState(new_state, deadline, deadline)
         event = TraceEvent(
             at=Num(deadline),
@@ -163,13 +164,13 @@ def step(
         if e > ta.value:
             raise SimError("event after internal deadline")
         tie = e == ta.value
-    env = {**consts, **st.state, "e": Num(e), "x": x}
-    fired = _first_case(model, "dext", env)
+    env = {**ctx.consts, **st.state, "e": Num(e), "x": x}
+    fired = _first_case(ctx, "dext", env)
     if fired is None:
         raise UndefinedTransition(
             "dext", f"{_state_str(st.state)}, x={render_value(x)}, e={e}"
         )
-    new_state = _apply_result(model, fired[1], env)
+    new_state = _apply_result(ctx.model, fired[1], env)
     nxt = SimState(new_state, at_time, at_time)
     event = TraceEvent(
         at=Num(at_time),
@@ -182,33 +183,33 @@ def step(
     return nxt, None, event
 
 
-def advance(
-    model: Model, st: SimState, consts: dict[str, Value], event: Value, rel_time: Value
-) -> tuple[SimState, TraceEvent]:
+def advance(st: SimState, event: Value, rel_time: Value, ctx: Context) -> tuple[SimState, TraceEvent]:
     """One configured step: the no-event marker fires the pending internal
     transition, any other event is injected `rel_time` after the most
     recent transition."""
     if event == TAU:
-        nxt, _, ev = step(model, st, consts)
+        nxt, _, ev = step(st, ctx)
     else:
         if not isinstance(rel_time, Num):
             raise SimError("external event needs a finite time")
-        nxt, _, ev = step(model, st, consts, (event, st.last + rel_time.value))
+        nxt, _, ev = step(st, ctx, (event, st.last + rel_time.value))
     return nxt, ev
 
 
-def _first_case(model: Model, function: str, env):
+def _first_case(ctx: Context, function: str, env):
     """The first case of a transition or output function whose guard
     holds, with its compiled result; None when none holds.  The compiled
-    guards and results are kept on the model."""
-    def build():
+    guards and results are kept in the context."""
+    compiled = ctx.cases.get(function)
+    if compiled is None:
+        model = ctx.model
         cases = {"dext": model.delta_ext, "dint": model.delta_int, "lambda": model.output_fn}
-        return [
-            (case, None if case.is_otherwise else compile_pred(case.guard, model),
-             compile_expr(case.result, model))
+        compiled = ctx.cases[function] = [
+            (case, None if case.is_otherwise else compile_pred(case.guard, ctx),
+             compile_expr(case.result, ctx))
             for case in cases[function]
         ]
-    for case, guard, result in model.keep(("cases", function), build):
+    for case, guard, result in compiled:
         if guard is None or guard(env):
             return case, result
     return None
@@ -233,28 +234,28 @@ def _state_str(state: dict[str, Value]) -> str:
     return ", ".join(f"{k}={render_value(v)}" for k, v in state.items())
 
 
-def run_config(model: Model, config: SimulationConfig, bounds: Bounds) -> Trace:
+def run_config(config: SimulationConfig, ctx: Context) -> Trace:
     """Drive one configuration from its state, by `advance`."""
-    consts = const_env(bounds, model)
     trace = Trace()
     try:
-        st = init(model, config.state)
+        st = init(ctx.model, config.state)
     except (SimError, EvalError) as err:
         trace.findings.append(f"setup failed: {err}")
         return trace
     try:
-        st, event = advance(model, st, consts, config.event, config.time)
+        st, event = advance(st, config.event, config.time, ctx)
         trace.events.append(event)
     except (UndefinedTransition, SimError, EvalError) as err:
         undefined = isinstance(err, UndefinedTransition)
         trace.findings.append(str(err) if undefined else f"step failed: {err}")
-        trace.events.append(
-            TraceEvent(
-                at=Num(st.clock), kind="error", fired=None,
-                state_after=dict(st.state), error=str(err),
-            )
-        )
+        trace.events.append(error_event(st, err))
     return trace
+
+
+def error_event(st: SimState | None, err: Exception) -> TraceEvent:
+    """The event of a step from `st`, None before the first, failing with `err`."""
+    return TraceEvent(at=Num(st.clock if st else 0), kind="error", fired=None,
+                      state_after=dict(st.state) if st else {}, error=str(err))
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +278,11 @@ class ProbeReport:
         }
 
 
-def uniformity_probe(
-    model: Model, scc: SCC, k: int, bounds: Bounds
-) -> ProbeReport:
+def uniformity_probe(scc: SCC, k: int, ctx: Context) -> ProbeReport:
     """Run several members of one class and compare their behavior
     signatures (case fired plus output shape).  Differing signatures mean
     the class is not uniform and should be re-partitioned."""
-    samples = sample_configs(scc, k, model, bounds)
+    samples = sample_configs(scc, k, ctx)
     if len(samples) < 2:
         return ProbeReport(
             scc.id, True, [],
@@ -291,7 +290,7 @@ def uniformity_probe(
         )
     signatures = []
     for cfg in samples:
-        trace = run_config(model, cfg, bounds)
+        trace = run_config(cfg, ctx)
         sig = []
         for ev in trace.events:
             step_sig = ev.fired[0] + ":" + str(ev.fired[1]) if ev.fired else "undefined"

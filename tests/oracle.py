@@ -380,11 +380,10 @@ def _le(a: Value, b: Value) -> bool:
 # witness enumeration
 
 
-def iter_witnesses(pred, space, bounds, model=None, base_env=None, limit: int = 1_000_000):
+def iter_witnesses(pred, space, ctx, base_env=None, limit: int = 1_000_000):
     """All witnesses in lexicographic order, stopping quietly once `limit`
     attempts are spent."""
-    search = _witnesses(_form(pred, model, bounds), space,
-                        _env(bounds, model, base_env), _Budget(limit))
+    search = _witnesses(_form(pred, ctx), space, _env(ctx, base_env), _Budget(limit))
     try:
         for _, witness in search:
             yield witness

@@ -20,6 +20,7 @@ from devs_scc.campaign import (
     load_tables,
     run_campaign,
 )
+from devs_scc.context import Context
 from devs_scc.criteria import TimeSpec, cases_criterion, time_partition_criterion
 from devs_scc.dnf import to_dnf
 from oracle import eval_pred
@@ -67,14 +68,14 @@ def report(n: int, timer: Timer, text: str) -> None:
 def _base_catalog(model, bounds, tables, selections):
     raw = []
     for sel in selections:
-        _, sccs, _ = apply_selection(sel, model, bounds, tables, False)
+        _, sccs, _ = apply_selection(sel, Context(model, bounds), tables, False)
         raw.extend(sccs)
     return assign_ids(raw)[0]
 
 
 def test_criterion_01_soda_cases_catalog(soda, soda_bounds):
     with Timer(1.0) as t:
-        sccs, _ = cases_criterion(soda, soda_bounds)
+        sccs, _ = cases_criterion(Context(soda, soda_bounds))
         assert len(sccs) == 11
         assert sum(1 for s in sccs if s.target.startswith("dext")) == 5
         assert sum(1 for s in sccs if s.target.startswith("dint")) == 6
@@ -91,22 +92,22 @@ def test_criterion_01_soda_cases_catalog(soda, soda_bounds):
 
 
 def test_criterion_02_elevator_case_counts(elevator, elevator_bounds):
+    ctx = Context(elevator, elevator_bounds)
     with Timer(1.0) as t:
-        without, _ = cases_criterion(elevator, elevator_bounds)
+        without, _ = cases_criterion(ctx)
         assert len(without) == 35
-        with_o, _ = cases_criterion(elevator, elevator_bounds, include_otherwise=True)
+        with_o, _ = cases_criterion(ctx, True)
         assert len(with_o) == 36
     report(2, t, "elevator cases criterion: 35 classes, 36 with otherwise")
 
 
 def test_criterion_03_elevator_base_campaign(elevator, elevator_bounds, elevator_tables):
+    ctx = Context(elevator, elevator_bounds)
     with Timer(5.0) as t:
         raw = []
         per_criterion = []
         for sel in ELEVATOR_SELECTIONS:
-            label, sccs, _ = apply_selection(
-                sel, elevator, elevator_bounds, elevator_tables, False
-            )
+            label, sccs, _ = apply_selection(sel, ctx, elevator_tables, False)
             per_criterion.append((label, len(sccs)))
             raw.extend(sccs)
         base, _ = assign_ids(raw)
@@ -122,7 +123,7 @@ def test_criterion_03_elevator_base_campaign(elevator, elevator_bounds, elevator
         assert [min(by_criterion["time"]), max(by_criterion["time"])] == [79, 88]
         # combined classes start counting at 89
         plan = CombinationPlan(groups=((1, 49),))
-        catalog, _ = combine_and_prune(base, plan, elevator, elevator_bounds)
+        catalog, _ = combine_and_prune(base, plan, ctx)
         assert catalog[88].id == 89 and catalog[88].combined_from == (1, 49)
     report(3, t, "elevator base campaign: 88 classes (35+31+12+10), combinations from 89")
 
@@ -137,6 +138,7 @@ def test_criterion_04_builtin_less_than_table():
 
 
 def test_criterion_05_time_partitions(elevator, elevator_bounds):
+    ctx = Context(elevator, elevator_bounds)
     with Timer(1.0) as t:
         from devs_scc.campaign import _bind_timespec
 
@@ -144,10 +146,10 @@ def test_criterion_05_time_partitions(elevator, elevator_bounds):
             TimeSpec(intervals=((parse_expr_text("TD1"), parse_expr_text("TD2")),)),
             elevator,
         )
-        sccs, _ = time_partition_criterion(elevator, interval, elevator_bounds)
+        sccs, _ = time_partition_criterion(interval, ctx)
         assert len(sccs) == 5
         point = _bind_timespec(TimeSpec(points=(parse_expr_text("TA"),)), elevator)
-        sccs, _ = time_partition_criterion(elevator, point, elevator_bounds)
+        sccs, _ = time_partition_criterion(point, ctx)
         assert len(sccs) == 3
         chain = _bind_timespec(
             TimeSpec(
@@ -156,7 +158,7 @@ def test_criterion_05_time_partitions(elevator, elevator_bounds):
             ),
             elevator,
         )
-        sccs, _ = time_partition_criterion(elevator, chain, elevator_bounds)
+        sccs, _ = time_partition_criterion(chain, ctx)
         expected = json.loads(
             (FIXTURES / "expected" / "elevator-time-conditions.json").read_text()
         )
@@ -188,7 +190,7 @@ def test_criterion_06_toy_combination():
         b = make_scc(Cmp("=", Ref("m"), Const(Lit("ON"))), one, "t", "b", id=2)
         c = make_scc(Cmp("=", Ref("m"), Const(Lit("OFF"))), one, "t", "c", id=3)
         plan = CombinationPlan(groups=((1, 2), (1, 3), (2, 3)))
-        catalog, rep2 = combine_and_prune([a, b, c], plan, model, bounds)
+        catalog, rep2 = combine_and_prune([a, b, c], plan, Context(model, bounds))
         assert rep2.kept == 2 and rep2.dropped == 1
         assert len(catalog) == 5  # all base classes retained
     report(6, t, "toy combination: 2 kept, 1 dropped (the ON-and-OFF intersection)")
@@ -282,7 +284,7 @@ def _witness_soundness_suite(soda, soda_bounds, elevator, elevator_bounds, table
         base = _base_catalog(model, bounds, tbls, selections)
         consts = const_env(bounds, model)
         for scc in base:
-            cfg = select_config(scc, model, bounds)
+            cfg = select_config(scc, Context(model, bounds))
             assert eval_pred(
                 scc.init_states, {**consts, **cfg.state}, model, bounds
             ), scc.id
@@ -298,7 +300,7 @@ def _witness_soundness_suite(soda, soda_bounds, elevator, elevator_bounds, table
 
 
 def _q_invariant_suite(soda, soda_bounds, target: int) -> int:
-    consts = const_env(soda_bounds, soda)
+    ctx = Context(soda, soda_bounds)
     rng = random.Random(60901)
     start = {
         "m": Lit("idle"), "d": num(0), "ot": INF, "np": num(50), "dp": num(25),
@@ -308,7 +310,7 @@ def _q_invariant_suite(soda, soda_bounds, target: int) -> int:
     while steps_taken < target:
         st = init(soda, dict(start))
         for _ in range(16):
-            ta = time_advance(soda, st, consts)
+            ta = time_advance(st, ctx)
             if isinstance(ta, Num) and rng.random() < 0.35:
                 injected = None
             else:
@@ -325,7 +327,7 @@ def _q_invariant_suite(soda, soda_bounds, target: int) -> int:
                     assert e <= ta.value
             before = st.clock
             try:
-                st, _, _ = step(soda, st, consts, injected)
+                st, _, _ = step(st, ctx, injected)
             except (UndefinedTransition, SimError):
                 break
             assert st.clock >= before
@@ -346,7 +348,7 @@ def _coverage_partition_suite(toggle, toggle_bounds, rounds: int) -> int:
     rng = random.Random(777)
     for _ in range(rounds):
         classes = random_class_set(rng, rng.randint(1, 10))
-        sequences, _ = build_sequences(toggle, classes, toggle_bounds)
+        sequences, _ = build_sequences(classes, Context(toggle, toggle_bounds))
         covered = [i for seq in sequences for i in seq.covered]
         assert sorted(covered) == [s.id for s in classes]
     return rounds

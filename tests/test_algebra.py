@@ -7,6 +7,7 @@ import pytest
 from devs_scc.algebra import CombinationPlan, combine_and_prune, intersect
 from devs_scc.bounds import Bounds, state_space
 from devs_scc.campaign import apply_selection
+from devs_scc.context import Context
 from devs_scc.parser import parse_model_text
 from devs_scc.sat import satisfiable
 from devs_scc.scc import SCC, assign_ids, make_scc
@@ -80,7 +81,7 @@ def test_intersection_associates_as_canonical_form():
 def test_pairwise_combination_keeps_two_and_drops_the_contradiction(toy, toy_bounds):
     a, b, c = toy_classes()
     plan = CombinationPlan(groups=((1, 2), (1, 3), (2, 3)))
-    catalog, report = combine_and_prune([a, b, c], plan, toy, toy_bounds)
+    catalog, report = combine_and_prune([a, b, c], plan, Context(toy, toy_bounds))
     assert report.attempted == 3
     assert report.kept == 2
     assert report.dropped == 1
@@ -101,7 +102,8 @@ def test_combination_is_decided_on_the_joint_predicate(toggle, toggle_bounds):
         return make_scc(TRUE, go, "t", lit, joint=joint, id=ident)
 
     plan = CombinationPlan(groups=((1, 2),))
-    catalog, report = combine_and_prune([pinned(1, "A"), pinned(2, "B")], plan, toggle, toggle_bounds)
+    catalog, report = combine_and_prune([pinned(1, "A"), pinned(2, "B")], plan,
+                                        Context(toggle, toggle_bounds))
     assert (report.kept, report.dropped, report.unknown) == (0, 1, 0)
     assert [s.id for s in catalog] == [1, 2]
 
@@ -109,7 +111,7 @@ def test_combination_is_decided_on_the_joint_predicate(toggle, toggle_bounds):
 def test_a_repeated_group_is_skipped_before_the_budget(toy, toy_bounds):
     a, b, c = toy_classes()
     plan = CombinationPlan(groups=((1, 3), (3, 1), (1, 3), (2, 3)), budget=2)
-    catalog, report = combine_and_prune([a, b, c], plan, toy, toy_bounds)
+    catalog, report = combine_and_prune([a, b, c], plan, Context(toy, toy_bounds))
     assert report.attempted == report.kept + report.dropped == 2
     assert not report.budget_exhausted
     assert report.notes == ["group (3, 1): repeated, skipped", "group (1, 3): repeated, skipped"]
@@ -117,7 +119,7 @@ def test_a_repeated_group_is_skipped_before_the_budget(toy, toy_bounds):
 
 def test_empty_plan_returns_the_base_catalog(toy, toy_bounds):
     base = list(toy_classes())
-    catalog, report = combine_and_prune(base, CombinationPlan(), toy, toy_bounds)
+    catalog, report = combine_and_prune(base, CombinationPlan(), Context(toy, toy_bounds))
     assert catalog == base
     assert report.attempted == 0
 
@@ -125,7 +127,7 @@ def test_empty_plan_returns_the_base_catalog(toy, toy_bounds):
 def test_budget_exhaustion_is_flagged(toy, toy_bounds):
     a, b, c = toy_classes()
     plan = CombinationPlan(groups=((1, 2), (1, 3), (2, 3)), budget=1)
-    catalog, report = combine_and_prune([a, b, c], plan, toy, toy_bounds)
+    catalog, report = combine_and_prune([a, b, c], plan, Context(toy, toy_bounds))
     assert report.budget_exhausted
     assert report.attempted == 1
 
@@ -138,7 +140,7 @@ def test_unknown_emptiness_keeps_the_combination(toy):
     below = make_scc(a.init_states, Cmp("<", Ref("x"), Ref("t")), "t", "below", id=4)
     above = make_scc(a.init_states, Cmp("<", Ref("t"), Ref("x")), "t", "above", id=5)
     plan = CombinationPlan(groups=((4, 5),))
-    catalog, report = combine_and_prune([a, b, c, below, above], plan, toy, tiny)
+    catalog, report = combine_and_prune([a, b, c, below, above], plan, Context(toy, tiny))
     assert report.unknown == 1
     assert report.kept == 1  # kept but flagged rather than silently lost
 
@@ -146,7 +148,7 @@ def test_unknown_emptiness_keeps_the_combination(toy):
 def test_all_pairs_default_plan(toy, toy_bounds):
     a, b, c = toy_classes()
     plan = CombinationPlan(all_pairs=True)
-    catalog, report = combine_and_prune([a, b, c], plan, toy, toy_bounds)
+    catalog, report = combine_and_prune([a, b, c], plan, Context(toy, toy_bounds))
     assert report.attempted == 3
     assert len(catalog) == 3 + report.kept
 
@@ -157,7 +159,7 @@ def elevator_base(elevator, elevator_bounds, elevator_tables):
 
     raw = []
     for sel in ELEVATOR_SELECTIONS:
-        _, sccs, _ = apply_selection(sel, elevator, elevator_bounds, elevator_tables, False)
+        _, sccs, _ = apply_selection(sel, Context(elevator, elevator_bounds), elevator_tables, False)
         raw.extend(sccs)
     base, _ = assign_ids(raw)
     return base
@@ -166,7 +168,7 @@ def elevator_base(elevator, elevator_bounds, elevator_tables):
 def test_elevator_worked_combinations(elevator, elevator_bounds, elevator_base):
     base = elevator_base
     plan = CombinationPlan(groups=((1, 49), (1, 57), (36, 87), (13, 59, 85)), max_arity=3)
-    catalog, report = combine_and_prune(base, plan, elevator, elevator_bounds)
+    catalog, report = combine_and_prune(base, plan, Context(elevator, elevator_bounds))
     assert report.kept == 4 and report.dropped == 0
     by_target = {s.target: s for s in catalog[88:]}
     first = by_target["1+49"]
@@ -192,12 +194,12 @@ def test_contradiction_on_the_last_state_variable_is_dropped(
     combo = intersect(by_id[18], by_id[28])
     rendered = render_pred(combo.init_states)
     assert "nt = D1" in rendered and "nt = O" in rendered
-    verdict = satisfiable(combo.init_states, state_space(elevator, elevator_bounds),
-                          elevator_bounds, elevator)
+    ctx = Context(elevator, elevator_bounds)
+    verdict = satisfiable(combo.init_states, state_space(elevator, elevator_bounds), ctx)
     assert verdict.status == "unsat"
     assert verdict.attempts <= 100
     plan = CombinationPlan(groups=((18, 28),))
-    catalog, report = combine_and_prune(elevator_base, plan, elevator, elevator_bounds)
+    catalog, report = combine_and_prune(elevator_base, plan, ctx)
     assert (report.kept, report.dropped, report.unknown) == (0, 1, 0)
     assert catalog == elevator_base
 
@@ -232,7 +234,8 @@ def test_combination_members_satisfy_all_ancestors(toy, toy_bounds):
     a, b, c = toy_classes()
     combo = intersect(a, b)
     count = 0
-    for w in iter_witnesses(combo.init_states, state_space(toy, toy_bounds), toy_bounds, toy):
+    space = state_space(toy, toy_bounds)
+    for w in iter_witnesses(combo.init_states, space, Context(toy, toy_bounds)):
         assert eval_pred(a.init_states, w, toy)
         assert eval_pred(b.init_states, w, toy)
         count += 1
@@ -244,18 +247,18 @@ def test_combination_members_satisfy_all_ancestors(toy, toy_bounds):
 def test_a_group_naming_one_class_twice_is_skipped_before_the_budget(toy, toy_bounds):
     a, b, c = toy_classes()
     plan = CombinationPlan(groups=((1, 1), (2, 1, 2), (1, 2)), max_arity=3, budget=1)
-    catalog, report = combine_and_prune([a, b, c], plan, toy, toy_bounds)
+    catalog, report = combine_and_prune([a, b, c], plan, Context(toy, toy_bounds))
     assert report.notes == ["group (1, 1): repeated id, skipped",
                             "group (2, 1, 2): repeated id, skipped"]
     assert (report.attempted, report.kept, report.budget_exhausted) == (1, 1, False)
     assert [s.combined_from for s in catalog[3:]] == [(1, 2)]
 
 
-def _build_then_decide(base, plan, model, bounds):
+def _build_then_decide(base, plan, ctx):
     """The combination loop as it was before groups were decided ahead of
     building: every group is built with `intersect`, then its operands'
     member forms conjoined are searched, and the kept ones are numbered
-    at the end, each keeping that form."""
+    at the end, each given that form in `ctx`."""
     from devs_scc.algebra import CombineReport
     from devs_scc.bounds import joint_space
     from devs_scc.selector import member_form
@@ -265,7 +268,7 @@ def _build_then_decide(base, plan, model, bounds):
     groups = [tuple(g) for g in plan.groups]
     if plan.all_pairs:
         groups.extend(itertools.combinations(sorted(by_id), 2))
-    space = joint_space(model, bounds)
+    space = joint_space(ctx.model, ctx.bounds)
     kept, seen = [], set()
     for group in groups:
         if len(group) < 2 or len(group) > plan.max_arity:
@@ -289,10 +292,10 @@ def _build_then_decide(base, plan, model, bounds):
         combo = by_id[members[0]]
         for i in members[1:]:
             combo = intersect(combo, by_id[i])
-        form = member_form(by_id[members[0]], model, bounds)
+        form = member_form(by_id[members[0]], ctx)
         for i in members[1:]:
-            form = form & member_form(by_id[i], model, bounds)
-        verdict = satisfiable(form, space, bounds, model)
+            form = form & member_form(by_id[i], ctx)
+        verdict = satisfiable(form, space, ctx)
         if verdict.status == "unsat":
             report.dropped += 1
             continue
@@ -306,7 +309,7 @@ def _build_then_decide(base, plan, model, bounds):
     for combo, form in sorted(kept, key=lambda k: k[0].combined_from):
         next_id += 1
         combo = replace(combo, id=next_id)
-        combo.keep("member", model, bounds, lambda: form)
+        ctx.forms(combo).member = form
         catalog.append(combo)
     return catalog, report
 
@@ -316,7 +319,7 @@ def _base(model, bounds, selections, tables=None):
 
     raw = []
     for sel in selections:
-        _, sccs, _ = apply_selection(sel, model, bounds, tables or builtin_tables(), False)
+        _, sccs, _ = apply_selection(sel, Context(model, bounds), tables or builtin_tables(), False)
         raw.extend(sccs)
     return assign_ids(raw)[0]
 
@@ -351,7 +354,7 @@ def _combination_case(name, request):
     if name == "combined base":
         # all pairs over a catalog that already holds combinations: groups
         # such as (1, 5) and (1, 1+5) share one ancestry
-        base, _ = combine_and_prune(base, pairs, model, bounds)
+        base, _ = combine_and_prune(base, pairs, Context(model, bounds))
         assert any(s.combined_from for s in base)
     return model, bounds, base, pairs
 
@@ -366,8 +369,9 @@ def test_deciding_before_building_matches_building_first(name, request):
     from devs_scc.selector import member_form
 
     model, bounds, base, plan = _combination_case(name, request)
-    got, got_report = combine_and_prune(base, plan, model, bounds)
-    want, want_report = _build_then_decide(base, plan, model, bounds)
+    ctx = Context(model, bounds)
+    got, got_report = combine_and_prune(base, plan, ctx)
+    want, want_report = _build_then_decide(base, plan, ctx)
     assert [scc_to_json(s) for s in got] == [scc_to_json(s) for s in want]
     assert got_report == want_report
     if name == "unknown emptiness":
@@ -376,7 +380,7 @@ def test_deciding_before_building_matches_building_first(name, request):
         assert [s.target for s in got[5:]] == ["1+3", "2+4", "4+5"]
 
     def forms(catalog):
-        return [[c.text for c in member_form(s, model, bounds).items] for s in catalog]
+        return [[c.text for c in member_form(s, ctx).items] for s in catalog]
 
     assert forms(got) == forms(want)
 
@@ -393,6 +397,6 @@ def test_only_kept_combinations_are_built(name, request, monkeypatch):
 
     model, bounds, base, plan = _combination_case(name, request)
     monkeypatch.setattr(algebra, "intersect", counting)
-    _, report = combine_and_prune(base, plan, model, bounds)
+    _, report = combine_and_prune(base, plan, Context(model, bounds))
     assert report.dropped > 0
     assert len(calls) == report.kept

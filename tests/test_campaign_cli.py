@@ -15,7 +15,8 @@ from devs_scc.campaign import (
     write_artifacts,
 )
 from devs_scc.cli import main
-from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES
+from devs_scc.context import Context
+from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS
 
 
 def run_cli(*args):
@@ -195,20 +196,40 @@ def test_campaign_cli_end_to_end(tmp_path):
     assert "catalog: 92" in summary
 
 
+def _soda_campaign() -> Campaign:
+    """The shipped soda campaign (scripts/run_soda_campaign.py)."""
+    from devs_scc.parser import parse_bounds_file, parse_model_file
+
+    model, report = parse_model_file(str(FIXTURES / "soda.devs"))
+    assert report.usable
+    tables, _ = load_tables([])
+    return Campaign(model, parse_bounds_file(str(FIXTURES / "soda.bounds")), tables,
+                    list(SODA_SELECTIONS), probe_k=4)
+
+
 def test_simulate_sequence_file_replays(tmp_path):
-    campaign = _elevator_campaign()
-    result = run_campaign(campaign)
-    write_artifacts(result, str(tmp_path / "out"))
-    code, stdout, stderr = run_cli(
-        "simulate",
-        "--model", str(FIXTURES / "elevator.devs"),
-        "--bounds", str(FIXTURES / "elevator.bounds"),
-        "--sequence", str(tmp_path / "out" / "sequences.json"),
-        "--out", str(tmp_path / "trace.jsonl"),
-    )
-    # the elevator catalog includes classes that reveal model gaps
-    assert code == 3
-    assert "undefined transition" in stderr
+    """`simulate --sequence` on a campaign's own sequences.json replays
+    its traces.jsonl event for event, naming the sequence `trace`."""
+    for name, campaign, events in (("elevator", _elevator_campaign(plan=True), 90),
+                                   ("soda", _soda_campaign(), 31)):
+        out = tmp_path / name
+        write_artifacts(run_campaign(campaign), str(out))
+        code, _, stderr = run_cli(
+            "simulate",
+            "--model", str(FIXTURES / f"{name}.devs"),
+            "--bounds", str(FIXTURES / f"{name}.bounds"),
+            "--sequence", str(out / "sequences.json"),
+            "--out", str(out / "replay.jsonl"),
+        )
+        # both catalogs include classes that reveal model gaps
+        assert code == 3, name
+        assert "undefined transition" in stderr
+        replayed = [json.loads(line) for line in (out / "replay.jsonl").read_text().splitlines()]
+        for event in replayed:
+            event["sequence"] = event.pop("trace")
+        recorded = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
+        assert len(recorded) == events
+        assert replayed == recorded, name
 
 
 def test_select_and_sequence_commands(tmp_path):
@@ -268,8 +289,9 @@ def test_elevator_first_class_config_simulates_cleanly(tmp_path):
 
     model, _ = parse_model_file(str(FIXTURES / "elevator.devs"))
     bounds = parse_bounds_file(str(FIXTURES / "elevator.bounds"))
-    sccs, _ = cases_criterion(model, bounds)
-    cfg = select_config(sccs[0], model, bounds)
+    ctx = Context(model, bounds)
+    sccs, _ = cases_criterion(ctx)
+    cfg = select_config(sccs[0], ctx)
     path = tmp_path / "scc1.config.json"
     path.write_text(json.dumps({"schema": "devs-scc/1", **cfg.to_json()}))
     code, out, err = run_cli(

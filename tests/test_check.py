@@ -11,6 +11,7 @@ from devs_scc import check, sat
 from devs_scc.bounds import Bounds, state_space
 from devs_scc.check import validate_model
 from devs_scc.cli import main
+from devs_scc.context import Context
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
 from devs_scc.partitions import builtin_tables, check_partition
 from devs_scc.sat import coverage, prepare, satisfiable
@@ -129,9 +130,10 @@ def test_a_pair_the_masks_prove_disjoint_is_never_undecided(tmp_path, capsys):
 
 def _plain_coverage(preds, total, space, bounds, model=None):
     """The checks of `sat.coverage` as one plain search per pair."""
-    gap = None if total else satisfiable(conj([Not(p) for p in preds]), space, bounds, model)
-    forms = [prepare(p, model, bounds) for p in preds]
-    return gap, [((i, j), satisfiable(forms[i] & forms[j], space, bounds, model))
+    ctx = Context(model, bounds)
+    gap = None if total else satisfiable(conj([Not(p) for p in preds]), space, ctx)
+    forms = [prepare(p, ctx) for p in preds]
+    return gap, [((i, j), satisfiable(forms[i] & forms[j], space, ctx))
                  for i, j in itertools.combinations(range(len(forms)), 2)]
 
 
@@ -145,7 +147,7 @@ def _assert_same_checks(preds, total, space, bounds, model=None):
         calls.append(1)
         return real(*args, **kwargs)
 
-    gap, overlaps = coverage(preds, total, space, bounds, model)
+    gap, overlaps = coverage(preds, total, space, Context(model, bounds))
     plain_gap, plain = _plain_coverage(preds, total, space, bounds, model)
     assert gap == plain_gap
     with pytest.MonkeyPatch.context() as mp:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from devs_scc.bounds import time_points, var_grid
+from devs_scc.context import Context
 from devs_scc.criteria import (
     CriterionError,
     Occurrence,
@@ -26,7 +27,7 @@ from tests.conftest import FIXTURES
 # transition functions defined by cases
 
 def test_soda_cases_match_the_worked_catalog(soda, soda_bounds):
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    sccs, _ = cases_criterion(Context(soda, soda_bounds))
     expected = json.loads((FIXTURES / "expected" / "soda-cases.json").read_text())
     assert len(sccs) == len(expected["classes"]) == 11
     for scc, want in zip(sccs, expected["classes"]):
@@ -38,13 +39,13 @@ def test_soda_cases_match_the_worked_catalog(soda, soda_bounds):
 
 
 def test_elevator_cases_without_otherwise(elevator, elevator_bounds):
-    sccs, notes = cases_criterion(elevator, elevator_bounds)
+    sccs, notes = cases_criterion(Context(elevator, elevator_bounds))
     assert len(sccs) == 35
     assert any("otherwise" in n for n in notes)
 
 
 def test_elevator_cases_with_otherwise(elevator, elevator_bounds):
-    sccs, _ = cases_criterion(elevator, elevator_bounds, include_otherwise=True)
+    sccs, _ = cases_criterion(Context(elevator, elevator_bounds), True)
     assert len(sccs) == 36
 
 
@@ -63,7 +64,7 @@ def test_single_unconditional_internal_case(soda_bounds):
         """
     )
     assert report.usable
-    sccs, _ = cases_criterion(model, Bounds())
+    sccs, _ = cases_criterion(Context(model, Bounds()))
     internal = [s for s in sccs if s.target.startswith("dint")]
     assert len(internal) == 1
     assert render_pred(internal[0].input_pairs) == "t = 0 /\\ x = tau"
@@ -72,7 +73,8 @@ def test_single_unconditional_internal_case(soda_bounds):
 def test_cases_witnesses_admit_an_elapsed_time(soda, soda_bounds):
     """For external classes, every (state, (x,t)) member found within
     bounds admits some elapsed time satisfying the original guard."""
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     from devs_scc.bounds import joint_space, const_env
 
     consts = const_env(soda_bounds, soda)
@@ -82,8 +84,7 @@ def test_cases_witnesses_admit_an_elapsed_time(soda, soda_bounds):
         case_no = int(scc.target.split()[-1])
         guard = soda.delta_ext[case_no - 1].guard
         taken = 0
-        for w in iter_witnesses(scc.joint, joint_space(soda, soda_bounds),
-                                soda_bounds, soda):
+        for w in iter_witnesses(scc.joint, joint_space(soda, soda_bounds), ctx):
             # t plays the elapsed-time role in the joint predicate
             env = {**consts, **w, "e": w["t"]}
             assert eval_pred(guard, env, soda, soda_bounds)
@@ -214,8 +215,7 @@ def test_elevator_comparison_occurrences_give_twelve_classes(
 ):
     occurrences = [Occurrence("dint", i) for i in (6, 7, 13, 14)]
     sccs, notes = standard_partition_criterion(
-        elevator, elevator_tables["ordcmp"], occurrences, elevator_bounds
-    )
+        elevator_tables["ordcmp"], occurrences, Context(elevator, elevator_bounds))
     from devs_scc.scc import assign_ids
 
     unique, dropped = assign_ids(sccs)
@@ -229,16 +229,14 @@ def test_missing_case_cells_survive(elevator, elevator_bounds, elevator_tables):
     """Cells contradicting the partitioned atom stay: the fc = f cells are
     exactly the situations the internal function fails to cover."""
     sccs, _ = standard_partition_criterion(
-        elevator, elevator_tables["ordcmp"], [Occurrence("dint", 13)], elevator_bounds
-    )
+        elevator_tables["ordcmp"], [Occurrence("dint", 13)], Context(elevator, elevator_bounds))
     assert any("fc = f" in render_pred(s.init_states) for s in sccs)
 
 
 def test_soda_price_comparisons_give_four_feasible_cells_each(soda, soda_bounds):
     table = builtin_tables()[">="]
     sccs, notes = standard_partition_criterion(
-        soda, table, [Occurrence("dext", 2, (">=",))], soda_bounds
-    )
+        table, [Occurrence("dext", 2, (">=",))], Context(soda, soda_bounds))
     assert len(sccs) == 4  # negative-operand cells dropped: d, np never below 0
     assert all(s.input_pairs == TRUE for s in sccs)
     assert any("5 infeasible cells dropped" in n for n in notes)
@@ -260,8 +258,7 @@ def test_occurrence_under_false_guard_yields_nothing(soda_bounds):
     )
     assert report.usable
     sccs, _ = standard_partition_criterion(
-        model, builtin_tables()["<"], [Occurrence("dext", 1)], Bounds()
-    )
+        builtin_tables()["<"], [Occurrence("dext", 1)], Context(model, Bounds()))
     assert sccs == []
 
 
@@ -278,9 +275,7 @@ def _spec(points=(), intervals=(), refine=False):
 
 def test_single_interval_yields_five_classes(elevator, elevator_bounds):
     spec = _spec(intervals=[("TD1", "TD2")])
-    sccs, _ = time_partition_criterion(
-        elevator, _bind(spec, elevator), elevator_bounds
-    )
+    sccs, _ = time_partition_criterion(_bind(spec, elevator), Context(elevator, elevator_bounds))
     assert [render_pred(s.input_pairs) for s in sccs] == [
         "t < TD1", "t = TD1", "t < TD2 /\\ t > TD1", "t = TD2", "t > TD2",
     ]
@@ -289,7 +284,7 @@ def test_single_interval_yields_five_classes(elevator, elevator_bounds):
 
 def test_single_point_yields_three_classes(elevator, elevator_bounds):
     spec = _spec(points=["TA"])
-    sccs, _ = time_partition_criterion(elevator, _bind(spec, elevator), elevator_bounds)
+    sccs, _ = time_partition_criterion(_bind(spec, elevator), Context(elevator, elevator_bounds))
     assert [render_pred(s.input_pairs) for s in sccs] == [
         "t < TA", "t = TA", "t > TA",
     ]
@@ -297,7 +292,7 @@ def test_single_point_yields_three_classes(elevator, elevator_bounds):
 
 def test_elevator_chain_reproduces_the_ten_conditions(elevator, elevator_bounds):
     spec = _spec(points=["0", "TD1", "TD2", "TA", "TGF"], refine=True)
-    sccs, _ = time_partition_criterion(elevator, _bind(spec, elevator), elevator_bounds)
+    sccs, _ = time_partition_criterion(_bind(spec, elevator), Context(elevator, elevator_bounds))
     expected = json.loads(
         (FIXTURES / "expected" / "elevator-time-conditions.json").read_text()
     )
@@ -307,12 +302,12 @@ def test_elevator_chain_reproduces_the_ten_conditions(elevator, elevator_bounds)
 def test_interval_requires_ordered_endpoints(elevator, elevator_bounds):
     spec = _spec(intervals=[("TA", "TD1")])
     with pytest.raises(CriterionError, match="interval needs"):
-        time_partition_criterion(elevator, _bind(spec, elevator), elevator_bounds)
+        time_partition_criterion(_bind(spec, elevator), Context(elevator, elevator_bounds))
 
 
 def test_time_classes_partition_the_nonnegative_axis(elevator, elevator_bounds):
     spec = _spec(points=["0", "TD1", "TD2", "TA", "TGF"], refine=True)
-    sccs, _ = time_partition_criterion(elevator, _bind(spec, elevator), elevator_bounds)
+    sccs, _ = time_partition_criterion(_bind(spec, elevator), Context(elevator, elevator_bounds))
     from devs_scc.bounds import const_env
     from fractions import Fraction
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from devs_scc.context import Context
 from devs_scc.evaluator import eval_expr, eval_pred
 from devs_scc.parser import parse_model_text
 from devs_scc.syntax import Apply, Const, InSet, Ref
@@ -61,7 +62,7 @@ def test_greedy_change_matches_hand_execution(changer):
     out = eval_expr(
         Apply("mkchange", (Const(num(Fraction(7, 4))), Const(coins(1, 1, 1)))),
         {},
-        changer,
+        Context(changer),
     )
     assert out == coins(1, 1, 1)
     assert _change_oracle(Fraction(7, 4), (1, 1, 1)) == (1, 1, 1)
@@ -77,17 +78,13 @@ def test_greedy_change_matches_hand_execution(changer):
     ],
 )
 def test_greedy_change_against_oracle(changer, amt, bag):
-    out = eval_expr(
-        Apply("mkchange", (Const(Num(amt)), Const(coins(*bag)))), {}, changer
-    )
+    out = eval_expr(Apply("mkchange", (Const(Num(amt)), Const(coins(*bag)))), {}, Context(changer))
     assert out == coins(*_change_oracle(amt, bag))
 
 
 def test_coin_add_has_increment_semantics(soda):
     # inserting a quarter adds one coin to the third counter
-    out = eval_expr(
-        Apply("addcoin", (Const(coins(0, 0, 0)), Const(Lit("c25")))), {}, soda
-    )
+    out = eval_expr(Apply("addcoin", (Const(coins(0, 0, 0)), Const(Lit("c25")))), {}, Context(soda))
     assert out == coins(0, 0, 1)
 
 
@@ -106,23 +103,23 @@ def test_division_by_zero_is_an_error():
 
 def test_nat_underflow_surfaces_at_the_sorted_slot(changer):
     with pytest.raises(EvalError, match="does not fit sort"):
-        eval_expr(Apply("shrink", (Const(coins(0, 1, 1)),)), {}, changer)
+        eval_expr(Apply("shrink", (Const(coins(0, 1, 1)),)), {}, Context(changer))
 
 
 def test_operator_case_selection_is_first_match(soda):
     op = soda.operator("coinval")
-    assert eval_expr(
-        Apply("coinval", (Const(Lit("c50")),)), {}, soda
-    ) == num(50)
+    ctx = Context(soda)
+    assert eval_expr(Apply("coinval", (Const(Lit("c50")),)), {}, ctx) == num(50)
     with pytest.raises(EvalError, match="no case"):
-        eval_expr(Apply("coinval", (Const(Lit("cancel")),)), {}, soda)
+        eval_expr(Apply("coinval", (Const(Lit("cancel")),)), {}, ctx)
     assert len(op.cases) == 3
 
 
 def test_membership_and_short_circuit(soda):
     env = {"m": Lit("idle")}
-    assert eval_pred(InSet(Ref("m"), ("idle", "operating")), env, soda)
-    assert not eval_pred(InSet(Ref("m"), ("finishOp",)), env, soda)
+    ctx = Context(soda)
+    assert eval_pred(InSet(Ref("m"), ("idle", "operating")), env, ctx)
+    assert not eval_pred(InSet(Ref("m"), ("finishOp",)), env, ctx)
 
 
 def test_guard_selection_on_soda_dint(soda, soda_bounds):
@@ -160,16 +157,15 @@ def test_sort_soundness_on_randomized_environments(soda, soda_bounds):
     rng = random.Random(555)
     consts = const_env(soda_bounds, soda)
     space = state_space(soda, soda_bounds)
+    ctx = Context(soda)
     for _ in range(150):
         env = {**consts, **{name: rng.choice(grid) for name, grid in space}}
         for case in soda.delta_int:
-            assert eval_pred(case.guard, env, soda) in (True, False)
-        ta = eval_expr(soda.ta, env, soda)
+            assert eval_pred(case.guard, env, ctx) in (True, False)
+        ta = eval_expr(soda.ta, env, ctx)
         assert value_conforms(ta, TIME)
         bag = env["ms"]
-        out = eval_expr(
-            Apply("addcoin", (Const(bag), Const(Lit("c50")))), {**consts}, soda
-        )
+        out = eval_expr(Apply("addcoin", (Const(bag), Const(Lit("c50")))), {**consts}, ctx)
         assert value_conforms(out, soda.operator("addcoin").result)
 
 
@@ -184,7 +180,7 @@ def test_first_matching_guard_wins(soda, soda_bounds):
     for _ in range(120):
         env = {**consts, **{name: rng.choice(grid) for name, grid in space}}
         chosen = select_case(soda.delta_int, env, soda)
-        scan = [c for c in soda.delta_int if eval_pred(c.guard, env, soda)]
+        scan = [c for c in soda.delta_int if eval_pred(c.guard, env, Context(soda))]
         if scan:
             assert chosen is not None and chosen.id == scan[0].id
         else:
@@ -284,7 +280,7 @@ def test_compiled_ntsel_agrees_with_the_oracle(elevator, elevator_bounds):
     assert len(calls) == 5 ** 5
     for call in calls:
         want = _outcome(lambda: oracle_expr(call, {}, elevator))
-        assert _outcome(lambda: compile_expr(call, elevator)({})) == want
+        assert _outcome(lambda: compile_expr(call, Context(elevator))({})) == want
 
 
 @pytest.mark.parametrize("name", ["elevator", "soda", "toggle"])
@@ -298,8 +294,9 @@ def test_compiled_cases_agree_with_the_oracle(name, request):
     model = request.getfixturevalue(name)
     bounds = request.getfixturevalue(f"{name}_bounds")
     cases = model.delta_ext + model.delta_int + model.output_fn
-    guards = [(c.guard, compile_pred(c.guard, model)) for c in cases]
-    exprs = [(e, compile_expr(e, model)) for e in [c.result for c in cases] + [model.ta]]
+    ctx = Context(model)
+    guards = [(c.guard, compile_pred(c.guard, ctx)) for c in cases]
+    exprs = [(e, compile_expr(e, ctx)) for e in [c.result for c in cases] + [model.ta]]
     space = joint_space(model, bounds)
     rng = random.Random(7)
     for _ in range(40):
@@ -326,12 +323,13 @@ def test_runaway_operator_expansion_is_an_evaluation_error():
     )
     call = Apply("loop", (Const(num(0)),))
     message = "operator expansion too deep (recursive definition?)"
+    ctx = Context(model)
     with pytest.raises(EvalError, match=re.escape(message)):
-        eval_expr(call, {}, model)
+        eval_expr(call, {}, ctx)
     with pytest.raises(EvalError, match=re.escape(message)):
-        compile_expr(call, model)({})
+        compile_expr(call, ctx)({})
     with pytest.raises(EvalError, match=re.escape(message)):
-        compile_pred(Cmp("=", call, Const(num(0))), model)({})
+        compile_pred(Cmp("=", call, Const(num(0))), ctx)({})
 
 
 # existentials: the bound variables' grids scanned in ascending product order
@@ -381,9 +379,41 @@ _existentials = st.recursive(
        st.sampled_from(_EXISTS_BOUNDS))
 def test_compiled_existentials_agree_with_the_oracle(pred, env, bounds):
     before = dict(env)
-    compiled = _outcome(lambda: compile_pred(pred, None, bounds)(env))
+    compiled = _outcome(lambda: compile_pred(pred, Context(None, bounds))(env))
     assert compiled == _outcome(lambda: oracle_pred(pred, env, None, bounds))
     assert env == before
+
+
+def test_an_existential_takes_its_grids_once(monkeypatch):
+    """An existential's closure takes each bound variable's grid on its
+    first call and keeps it; a missing-bounds error or a BoundsError
+    still surfaces on every call."""
+    import devs_scc.evaluator as evaluator
+    from devs_scc.bounds import BoundsError
+
+    taken = []
+    real = evaluator.var_grid
+    monkeypatch.setattr(evaluator, "var_grid", lambda b, n, s: taken.append(n) or real(b, n, s))
+    body = And((Cmp(">", Ref("y"), Ref("a")), InSet(Ref("c"), ("B",))))
+    pred = Exists((("y", NAT), ("c", EnumSort(("A", "B")))), body)
+    decide = compile_pred(pred, Context(None, Bounds(nat_ranges={"": (0, 3)})))
+    assert taken == []
+    for a in range(6):
+        assert decide({"a": num(a)}) == (a < 3)
+        assert decide({"a": num(a)}) == oracle_pred(pred, {"a": num(a)}, None, Bounds(
+            nat_ranges={"": (0, 3)}))
+    assert taken == ["y", "c"]
+    for ctx in (None, Context(None)):
+        unbounded = compile_pred(pred, ctx)
+        for _ in range(2):
+            with pytest.raises(EvalError, match="^existential membership test needs bounds$"):
+                unbounded({"a": num(0)})
+    taken.clear()
+    gridless = compile_pred(Exists((("y", object()),), TRUE), Context(None, Bounds()))
+    for _ in range(2):
+        with pytest.raises(BoundsError, match="no grid for sort"):
+            gridless({})
+    assert taken == ["y", "y"]
 
 
 @pytest.mark.parametrize("shape, message", [
@@ -422,7 +452,7 @@ def test_compiled_class_predicates_agree_with_the_oracle(name, request):
     if model.name == "elevator":
         # the standard partition's dext classes project their input away
         assert any("exists" in render_pred(p) for p in preds)
-    compiled = [(p, compile_pred(p, model, bounds)) for p in preds]
+    compiled = [(p, compile_pred(p, Context(model, bounds))) for p in preds]
     space = joint_space(model, bounds)
     rng = random.Random(11)
     for _ in range(25):
@@ -476,7 +506,7 @@ def test_compiled_literal_atoms_agree_with_the_oracle(name, request):
     values = [*sorted(literals, key=lambda v: v.name), num(0), num(Fraction(1, 2)), INF,
               Tup((Lit("A"), num(1)))]
     for atom in atoms.values():
-        for decide in (compile_pred(atom, model), compile_pred(atom)):
+        for decide in (compile_pred(atom, Context(model)), compile_pred(atom)):
             assert decide.__qualname__.startswith("literal_lookup")
             for env in [{}, *({atom.left.name: v} for v in values)]:
                 assert _outcome(lambda: decide(env)) == _outcome(lambda: oracle_pred(atom, env, model))

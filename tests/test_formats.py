@@ -7,6 +7,7 @@ import pytest
 
 from devs_scc.bounds import BoundsError, sort_grid, var_grid
 from devs_scc.campaign import CampaignError, apply_selection, load_tables
+from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
 from devs_scc.parser import ParseFailure, parse_bounds_text, parse_model_text, parse_parts_text
 from devs_scc.syntax import render_pred
@@ -129,10 +130,11 @@ def test_unhealthy_user_table_is_noted(tmp_path):
 
 
 def test_unknown_selection_is_rejected(soda, soda_bounds):
+    ctx = Context(soda, soda_bounds)
     with pytest.raises(CampaignError, match="unknown criterion"):
-        apply_selection("mystery", soda, soda_bounds, {}, False)
+        apply_selection("mystery", ctx, {}, False)
     with pytest.raises(CampaignError, match="unknown partition table"):
-        apply_selection("standard nope dint:1", soda, soda_bounds, {}, False)
+        apply_selection("standard nope dint:1", ctx, {}, False)
 
 
 def test_elapsed_time_constrained_guard_is_flagged():
@@ -152,7 +154,7 @@ def test_elapsed_time_constrained_guard_is_flagged():
     )
     assert report.usable, report.errors
     bounds = parse_bounds_text("bounds { const K = 3; }")
-    sccs, notes = cases_criterion(model, bounds)
+    sccs, notes = cases_criterion(Context(model, bounds))
     assert any("constrains the elapsed time" in n for n in notes)
     ext = sccs[0]
     # with t standing in for the elapsed time, the pair inherits the bound

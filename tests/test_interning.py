@@ -1,30 +1,35 @@
-"""Forms prepared once per model and bounds: interned conjuncts, shared
-search spaces, kept placements and depth splits, and class tests made
-once from interned conjuncts."""
+"""Forms prepared once per context of a model and bounds: interned
+conjuncts, shared search spaces, kept placements and depth splits, class
+tests made once from interned conjuncts, and a context freed with its
+model by reference counting."""
 
 import dataclasses
+import gc
 import importlib.util
 import sys
+import weakref
 from collections import Counter
 
 import pytest
 
+import devs_scc.check as check
 import devs_scc.sat as sat
 import devs_scc.selector as selector
-from devs_scc.algebra import CombinationPlan
+from devs_scc.algebra import CombinationPlan, combine_and_prune
 from devs_scc.bounds import joint_space, state_space, var_grid
 from devs_scc.campaign import Campaign, load_plan, load_tables, run_campaign
 from devs_scc.check import validate_model
-from devs_scc.evaluator import compile_pred
+from devs_scc.context import Context
+from devs_scc.evaluator import compile_expr, compile_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file
 from devs_scc.sat import prepare, prepare_conjuncts, satisfiable
 from devs_scc.scc import assign_ids, make_scc
 from devs_scc.sequencer import build_sequences
 from devs_scc.selector import SimulationConfig, member_form, runnable_form, select_config
 from devs_scc.syntax import (
-    And, Cmp, Const, Exists, Ref, conjuncts, iter_subpreds, normalize, render_pred,
+    And, Apply, Cmp, Const, Exists, Ref, conjuncts, iter_subpreds, normalize, render_pred,
 )
-from devs_scc.values import NAT, EvalError, Lit, num
+from devs_scc.values import INF, NAT, EvalError, Lit, num
 
 from tests.conftest import (
     ELEVATOR_SELECTIONS,
@@ -42,15 +47,20 @@ def _fresh(name):
     return model, parse_bounds_file(str(FIXTURES / f"{name}.bounds"))
 
 
-def _worked_campaign(model, bounds, stop_after="simulate"):
+def _worked(model, bounds, plan=True):
+    """The worked elevator campaign, or its base catalog without `plan`."""
     tables, _ = load_tables([str(FIXTURES / "elevator.parts")])
-    return run_campaign(Campaign(
+    return Campaign(
         model=model,
         bounds=bounds,
         tables=tables,
         selections=list(ELEVATOR_SELECTIONS),
-        plan=load_plan(str(FIXTURES / "elevator.plan.json")),
-    ), stop_after=stop_after)
+        plan=load_plan(str(FIXTURES / "elevator.plan.json")) if plan else None,
+    )
+
+
+def _worked_campaign(model, bounds, stop_after="simulate"):
+    return run_campaign(_worked(model, bounds), stop_after=stop_after)
 
 
 # ---------------------------------------------------------------------------
@@ -63,29 +73,41 @@ def test_a_worked_campaign_builds_one_conjunct_per_text(monkeypatch):
     class Counting(sat.Conjunct):
         __slots__ = ()
 
-        def __init__(self, pred, text, model, bounds):
-            super().__init__(pred, text, model, bounds)
-            if model is not None:
-                built[(text, id(model), id(bounds))] += 1
+        def __init__(self, pred, text, ctx):
+            super().__init__(pred, text, ctx)
+            if ctx is not None:
+                built[(text, ctx)] += 1
 
     monkeypatch.setattr(sat, "Conjunct", Counting)
     model, bounds = _fresh("elevator")
     _, report = validate_model(model, bounds)
     assert report.usable
-    result = _worked_campaign(model, bounds)
+    campaign = _worked(model, bounds)
+    result = run_campaign(campaign)
     assert result.report.catalog_size == 92
-    assert {key[1:] for key in built} == {(id(model), id(bounds))}
-    assert len(built) > 50
+    # the checks' context and the campaign's, each building a text once
+    ctx = campaign.context()
+    owners = {owner for _, owner in built if owner.model is not None}
+    assert len(owners) == 2 and ctx in owners
+    assert {text for text, owner in built if owner is ctx} == set(ctx.conjuncts)
+    assert len(ctx.conjuncts) > 50
     assert max(built.values()) == 1
+    # a second run of the campaign shares its context and builds none
+    total = sum(built.values())
+    run_campaign(campaign)
+    assert sum(built.values()) == total
 
 
 def test_prepared_forms_share_their_conjuncts(elevator, elevator_bounds):
-    result = _worked_campaign(elevator, elevator_bounds, stop_after="select")
+    campaign = _worked(elevator, elevator_bounds)
+    result = run_campaign(campaign, stop_after="select")
+    ctx = campaign.context()
     by_text: dict[str, sat.Conjunct] = {}
     for scc in result.catalog:
-        for c in runnable_form(scc, elevator, elevator_bounds).items:
+        for c in runnable_form(scc, ctx).items:
             assert by_text.setdefault(c.text, c) is c
-    again = prepare_conjuncts(result.catalog[0].member, elevator, elevator_bounds)
+            assert ctx.conjuncts[c.text] is c
+    again = prepare_conjuncts(result.catalog[0].member, ctx)
     assert all(c is by_text[c.text] for c in again.items)
 
 
@@ -95,16 +117,23 @@ def test_other_bounds_get_their_own_existential_closure_and_verdict():
     narrow = parse_bounds_text("bounds { nat k = 0..2; }")
     wide = parse_bounds_text("bounds { nat k = 0..5; }")
     assert var_grid(narrow, "k", NAT)[-1] == num(2) and var_grid(wide, "k", NAT)[-1] == num(5)
+    contexts = {id(narrow): Context(model, narrow), id(wide): Context(model, wide)}
     forms = {}
+    # alternating between the two contexts over one model
     for bounds, want in ((narrow, "unsat"), (wide, "sat"), (narrow, "unsat"), (wide, "sat")):
-        form = prepare(k_above_3, model, bounds)
-        assert satisfiable(form, [], bounds, model).status == want
+        ctx = contexts[id(bounds)]
+        form = prepare(k_above_3, ctx)
+        assert satisfiable(form, [], ctx).status == want
         forms.setdefault(id(bounds), []).append(form.items[0])
-    (a, _), (b, _) = forms.values()
+    (a, a_again), (b, b_again) = forms.values()
+    # each context gives back its own conjunct when revisited
+    assert a is a_again and b is b_again
     assert a.text == b.text
     assert a is not b and a.test is not b.test
-    # back-to-back asks under one bounds object share the conjunct
-    assert prepare(k_above_3, model, wide).items[0] is prepare(k_above_3, model, wide).items[0]
+    assert a.test({}) is False and b.test({}) is True
+    # back-to-back asks in one context share the conjunct
+    ctx = contexts[id(wide)]
+    assert prepare(k_above_3, ctx).items[0] is prepare(k_above_3, ctx).items[0]
 
 
 def _catalog(fixture, selections, plan):
@@ -153,14 +182,18 @@ def test_equal_text_means_equal_predicates(name):
 
 def test_spaces_are_built_once_per_model_and_bounds(elevator):
     b = parse_bounds_file(str(FIXTURES / "elevator.bounds"))
-    assert joint_space(elevator, b) is joint_space(elevator, b)
-    assert state_space(elevator, b) is state_space(elevator, b)
-    other = parse_bounds_text((FIXTURES / "elevator.bounds").read_text())
-    assert joint_space(elevator, other) is not joint_space(elevator, b)
-    assert joint_space(elevator, other) == joint_space(elevator, b)
+    ctx = Context(elevator, b)
+    assert ctx.joint_space is ctx.joint_space
+    assert ctx.state_space is ctx.state_space
+    assert ctx.joint_space == joint_space(elevator, b)
+    assert ctx.state_space == state_space(elevator, b)
+    other = Context(elevator, parse_bounds_text((FIXTURES / "elevator.bounds").read_text()))
+    assert other.joint_space is not ctx.joint_space
+    assert other.joint_space == ctx.joint_space
 
 
-def test_a_form_keeps_its_split_while_searched_over_one_order(elevator, elevator_bounds, monkeypatch):
+def test_a_form_keeps_its_split_while_searched_over_one_order(elevator, elevator_bounds,
+                                                              monkeypatch):
     split = sat._split
     made = []
 
@@ -169,24 +202,34 @@ def test_a_form_keeps_its_split_while_searched_over_one_order(elevator, elevator
         return split(form, names)
 
     monkeypatch.setattr(sat, "_split", counting)
-    result = _worked_campaign(elevator, elevator_bounds, stop_after="select")
-    form = runnable_form(result.catalog[0], elevator, elevator_bounds)
-    space = joint_space(elevator, elevator_bounds)
+    result = _worked_campaign(elevator, elevator_bounds, stop_after="combine")
+    ctx = Context(elevator, elevator_bounds)
+    space = ctx.joint_space
+    # selection splits the class's runnable form over the joint order
+    made.clear()
+    select_config(result.catalog[0], ctx)
+    assert made == [tuple(n for n, _ in space)]
+    form = runnable_form(result.catalog[0], ctx)
     made.clear()
     for _ in range(3):
-        assert satisfiable(form, space, elevator_bounds, elevator).sat
+        assert satisfiable(form, space, ctx).sat
     assert made == []
     for _ in range(3):
-        assert satisfiable(form, space[::-1], elevator_bounds, elevator).sat
+        assert satisfiable(form, space[::-1], ctx).sat
     assert made == [tuple(n for n, _ in space[::-1])]
+
+
+def _bench_workloads():
+    """The benchmark's workloads module, `bench/workloads.py`."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def _bench_pairs(seed):
     """The plan groups of the benchmark's `pairs` workload for `seed`."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return tuple(workloads.draw_pairs(seed))
+    return tuple(_bench_workloads().draw_pairs(seed))
 
 
 @pytest.mark.parametrize(
@@ -212,7 +255,8 @@ def test_every_class_form_splits_as_the_reference(name, request):
         catalog = result.catalog
     joint = tuple(n for n, _ in joint_space(model, bounds))
     orders = [joint, joint[::-1], ("x", "t"), tuple(n for n, _ in state_space(model, bounds))]
-    forms = [f(scc, model, bounds) for scc in catalog for f in (member_form, runnable_form)]
+    ctx = Context(model, bounds)
+    forms = [f(scc, ctx) for scc in catalog for f in (member_form, runnable_form)]
     for _ in range(2):
         for form in forms:
             for names in orders:
@@ -232,10 +276,12 @@ def test_every_class_form_splits_as_the_reference(name, request):
 
 def test_selection_and_chaining_compile_each_class_state_test_once(monkeypatch):
     model, bounds = _fresh("elevator")
-    # a first campaign compiles the simulator's cases and interns every
-    # conjunct the catalog's forms and tests need
-    _worked_campaign(model, bounds)
-    catalog = _worked_campaign(model, bounds, stop_after="combine").catalog
+    # a first run compiles the simulator's cases and interns every
+    # conjunct the catalog's forms and tests need in the campaign's context
+    campaign = _worked(model, bounds)
+    run_campaign(campaign)
+    catalog = run_campaign(campaign, stop_after="combine").catalog
+    ctx = campaign.context()
     # every caller of the compiler, which itself recurses through its name
     compiled = []
     for name, module in list(sys.modules.items()):
@@ -252,22 +298,22 @@ def test_selection_and_chaining_compile_each_class_state_test_once(monkeypatch):
         return _make(pred, *args)
 
     monkeypatch.setattr(selector, "_all_of", counting_tests)
-    configs = {scc.id: select_config(scc, model, bounds) for scc in catalog}
+    configs = {scc.id: select_config(scc, ctx) for scc in catalog}
     # selection re-checks each representative on its class's state and
-    # pair tests, made once each from the conjuncts the model interned,
+    # pair tests, made once each from the conjuncts the context interned,
     # so no class predicate is compiled ...
     assert compiled == []
     assert made == [pred for scc in catalog for pred in (scc.init_states, scc.input_pairs)]
-    interned = model.keep_for(bounds, "conjuncts", dict)
+    interned = ctx.conjuncts
     for scc in catalog:
-        for pred, test in ((scc.init_states, selector.state_test(scc, model, bounds)),
-                           (scc.input_pairs, selector._pair_test(scc, model, bounds))):
+        for pred, test in ((scc.init_states, selector.state_test(scc, ctx)),
+                           (scc.input_pairs, selector._pair_test(scc, ctx))):
             if len(conjuncts(pred)) == 1:
                 assert test is interned[render_pred(pred)].test
-    assert [select_config(scc, model, bounds) for scc in catalog] == list(configs.values())
+    assert [select_config(scc, ctx) for scc in catalog] == list(configs.values())
     assert len(made) == 2 * len(catalog)
     # ... and chaining tests states on the same kept state tests
-    sequences, _ = build_sequences(model, catalog, bounds, configs)
+    sequences, _ = build_sequences(catalog, ctx, configs)
     assert sum(len(s.covered) for s in sequences) == len(catalog)
     assert len(made) == 2 * len(catalog)
     assert compiled == []
@@ -293,40 +339,115 @@ def test_a_class_test_raises_where_its_compiled_predicate_raises():
     model, bounds = _fresh("toggle")
     # the second conjunct fails in B, but the first decides: it raises
     _, two = _raising_first("A")
+    ctx = Context(model, bounds)
     with pytest.raises(EvalError) as compiled:
-        compile_pred(two.init_states, model, bounds)({"m": Lit("B")})
+        compile_pred(two.init_states, ctx)({"m": Lit("B")})
     with pytest.raises(EvalError) as kept:
-        selector.state_test(two, model, bounds)({"m": Lit("B")})
+        selector.state_test(two, ctx)({"m": Lit("B")})
     assert str(kept.value) == str(compiled.value) == "unbound variable a"
     # selection finds m = B from the joint predicate, then its re-check
     # raises as the compiled predicate does
     with pytest.raises(EvalError, match="^unbound variable a$"):
-        select_config(two, model, bounds)
+        select_config(two, ctx)
 
 
 def test_chaining_skips_a_class_whose_state_test_raises():
     model, bounds = _fresh("toggle")
     one, two = _raising_first("B")
-    configs = {1: select_config(one, model, bounds),
+    ctx = Context(model, bounds)
+    configs = {1: select_config(one, ctx),
                2: SimulationConfig(2, {"m": Lit("B")}, Lit("go"), num(0))}
-    sequences, notes = build_sequences(model, [one, two], bounds, configs)
+    sequences, notes = build_sequences([one, two], ctx, configs)
     assert notes == []
     assert [s.covered for s in sequences] == [[1], [2]]
     # without the raising conjunct the class chains after the first
     plain = make_scc(Cmp("=", Ref("m"), Const(Lit("B"))), two.input_pairs, "manual", "two",
                      joint=two.joint, id=2)
-    sequences, _ = build_sequences(model, [one, plain], bounds, configs)
+    sequences, _ = build_sequences([one, plain], ctx, configs)
     assert [s.covered for s in sequences] == [[1, 2]]
 
 
 def test_a_renumbered_class_starts_with_nothing_prepared(elevator, elevator_bounds):
-    result = _worked_campaign(elevator, elevator_bounds, stop_after="select")
-    last = result.catalog[-1]
-    assert last.combined_from and {"member", "runnable", "init_states"} <= last.prepared.keys()
+    campaign = _worked(elevator, elevator_bounds)
+    catalog = run_campaign(campaign, stop_after="combine").catalog
+    # a run's class forms go when it ends, with its catalog
+    assert campaign.context().classes == {} and campaign.context().conjuncts
+    ctx = Context(elevator, elevator_bounds)
+    last = catalog[-1]
+    select_config(last, ctx)
+    forms = ctx.classes[id(last)]
+    assert last.combined_from and forms.scc is last
+    assert None not in (forms.member, forms.runnable, forms.state, forms.pair)
     again = last.renumbered(last.id + 1000)
-    assert again.prepared == {} and again == dataclasses.replace(last, id=last.id + 1000)
+    assert id(again) not in ctx.classes and again == dataclasses.replace(last, id=last.id + 1000)
     (copy,), _ = assign_ids([last], start=7)
-    assert copy.id == 7 and copy.prepared == {}
-    # a combination keeps only the form it was decided on
-    combined = _worked_campaign(elevator, elevator_bounds, stop_after="combine").catalog
-    assert [set(s.prepared) for s in combined if s.combined_from] == [{"member"}] * 4
+    assert copy.id == 7 and id(copy) not in ctx.classes
+    # a combination is given only the form it was decided on
+    base = run_campaign(_worked(elevator, elevator_bounds, plan=False), stop_after="combine").catalog
+    ctx = Context(elevator, elevator_bounds)
+    combined, _ = combine_and_prune(base, campaign.plan, ctx)
+    kept = [ctx.classes[id(s)] for s in combined if s.combined_from]
+    assert len(kept) == 4
+    assert [(f.member is not None, f.runnable, f.state, f.pair) for f in kept] == [
+        (True, None, None, None)] * 4
+
+
+def test_a_campaign_and_a_validation_free_their_model_and_context_without_the_collector(
+        monkeypatch):
+    """Nothing a context holds refers back to it or to its model, so
+    dropping a campaign of the benchmark's worked set-up, or ending a
+    validation, frees the model, the context and its compiled closures
+    by reference counting."""
+    import devs_scc
+
+    campaign = _bench_workloads().set_up(devs_scc, "worked", 1)
+    made = []
+
+    def recording(model, bounds=None):
+        made.append(Context(model, bounds))
+        return made[-1]
+
+    monkeypatch.setattr(check, "Context", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_campaign(campaign)
+        assert result.report.catalog_size == 92
+        ctx = campaign.context()
+        refs = [weakref.ref(campaign.model), weakref.ref(ctx),
+                weakref.ref(ctx.operators["ntsel"])]
+        del campaign, result, ctx
+        assert [ref() for ref in refs] == [None, None, None]
+
+        model, bounds = _fresh("elevator")
+        bound, report = validate_model(model, bounds)
+        assert bound is model and report.usable and len(made) == 1
+        ctx = made.pop()
+        # the checks compile guards, not results: ntsel is compiled here
+        compile_expr(Apply("ntsel", tuple(Const(INF) for _ in range(5))), ctx)
+        test = next(iter(ctx.conjuncts.values())).test
+        refs = [weakref.ref(model), weakref.ref(ctx), weakref.ref(ctx.operators["ntsel"]),
+                weakref.ref(test)]
+        del ctx, model, bound, report, test
+        assert [ref() for ref in refs] == [None, None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_campaign_with_unselectable_classes_frees_its_context_without_the_collector():
+    """A class's `SelectError` is kept without its traceback, whose frames
+    would otherwise hold the campaign and its context in a cycle."""
+    model, _ = _fresh("toggle")
+    frugal = parse_bounds_text((FIXTURES / "toggle.bounds").read_text().replace("10000", "3"))
+    tables, _ = load_tables([])
+    campaign = Campaign(model, frugal, tables, ["cases", "extensional input", "extensional state:m"])
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_campaign(campaign)
+        assert [e.split(":")[0] for e in result.report.config_errors] == ["class 2", "class 5"]
+        refs = [weakref.ref(model), weakref.ref(campaign.context())]
+        del campaign, result, model
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

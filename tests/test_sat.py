@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from devs_scc.bounds import Bounds, index_digits, var_grid
 from oracle import eval_pred, iter_witnesses
+from devs_scc.context import Context
 from devs_scc.sat import coverage, prepare, project_exists, satisfiable
 from devs_scc.syntax import (
     And, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, pred_vars,
@@ -23,7 +24,7 @@ def toy_space(hi=20):
 def test_contradictory_enum_equalities_are_unsat():
     b, space = toy_space()
     p = And((Cmp("=", Ref("m"), Const(Lit("ON"))), Cmp("=", Ref("m"), Const(Lit("OFF")))))
-    verdict = satisfiable(p, space, b)
+    verdict = satisfiable(p, space, Context(None, b))
     assert verdict.status == "unsat"
     # n = 0, then both values of m fail: no other value of n is visited
     assert verdict.attempts == 3
@@ -31,7 +32,7 @@ def test_contradictory_enum_equalities_are_unsat():
 
 def test_true_selects_the_minimal_assignment():
     b, space = toy_space()
-    verdict = satisfiable(TRUE, space, b)
+    verdict = satisfiable(TRUE, space, Context(None, b))
     assert verdict.sat
     assert verdict.witness == {"n": num(0), "m": Lit("ON")}
 
@@ -39,7 +40,7 @@ def test_true_selects_the_minimal_assignment():
 def test_witness_is_lexicographically_least():
     b, space = toy_space()
     p = And((Cmp("<=", Ref("n"), Const(num(10))), Cmp("=", Ref("m"), Const(Lit("ON")))))
-    verdict = satisfiable(p, space, b)
+    verdict = satisfiable(p, space, Context(None, b))
     assert verdict.sat
 
     # independent oracle: exhaustive scan in grid order
@@ -55,7 +56,7 @@ def test_witness_is_lexicographically_least():
 def test_witness_reevaluates_true_through_the_evaluator():
     b, space = toy_space()
     p = Cmp(">", Ref("n"), Const(num(17)))
-    verdict = satisfiable(p, space, b)
+    verdict = satisfiable(p, space, Context(None, b))
     assert verdict.sat and eval_pred(p, verdict.witness)
 
 
@@ -63,7 +64,7 @@ def test_budget_exhaustion_reports_unknown():
     b = Bounds(nat_ranges={"": (0, 50)}, max_attempts=10)
     space = [("n", var_grid(b, "n", NAT)), ("k", var_grid(b, "k", NAT))]
     p = And((Cmp(">", Ref("n"), Const(num(49))), Cmp(">", Ref("k"), Const(num(49)))))
-    assert satisfiable(p, space, b).status == "unknown"
+    assert satisfiable(p, space, Context(None, b)).status == "unknown"
 
 
 def test_enlarging_bounds_never_flips_sat_to_unsat():
@@ -71,7 +72,7 @@ def test_enlarging_bounds_never_flips_sat_to_unsat():
     for hi in range(1, 12):
         b = Bounds(nat_ranges={"": (0, hi)})
         space = [("n", var_grid(b, "n", NAT))]
-        verdict = satisfiable(p, space, b)
+        verdict = satisfiable(p, space, Context(None, b))
         if hi <= 3:
             assert verdict.status == "unsat"
         else:
@@ -81,7 +82,7 @@ def test_enlarging_bounds_never_flips_sat_to_unsat():
 def test_iter_witnesses_in_grid_order():
     b, space = toy_space(3)
     p = Cmp(">=", Ref("n"), Const(num(2)))
-    ws = list(iter_witnesses(p, space, b))
+    ws = list(iter_witnesses(p, space, Context(None, b)))
     assert [(w["n"], w["m"].name) for w in ws] == [
         (num(2), "ON"), (num(2), "OFF"), (num(3), "ON"), (num(3), "OFF"),
     ]
@@ -196,12 +197,13 @@ def test_pruned_search_matches_plain_enumeration(problem):
     space, pred = problem
     b = Bounds(max_attempts=10_000)
     members = product_members(pred, space)
-    verdict = satisfiable(pred, space, b)
+    ctx = Context(None, b)
+    verdict = satisfiable(pred, space, ctx)
     if members:
         assert verdict.sat and verdict.witness == members[0]
     else:
         assert verdict.status == "unsat"
-    assert list(iter_witnesses(pred, space, b)) == members
+    assert list(iter_witnesses(pred, space, ctx)) == members
     status, attempts = unpruned_search(pred, space, b.max_attempts)
     assert status == verdict.status
     assert verdict.attempts <= attempts
@@ -233,7 +235,7 @@ def product_coverage(preds, space):
 def test_coverage_matches_plain_enumeration(problem, total):
     space, preds = problem
     least_gap, least_overlaps = product_coverage(preds, space)
-    gap, overlaps = coverage(preds, total, space, Bounds())
+    gap, overlaps = coverage(preds, total, space, Context(None, Bounds()))
     overlaps = dict(overlaps)
     if total:
         assert gap is None
@@ -249,7 +251,7 @@ def test_coverage_matches_plain_enumeration(problem, total):
 @given(problems(), st.integers(0, 6))
 def test_pruned_search_decides_whatever_plain_search_decides(problem, budget):
     space, pred = problem
-    verdict = satisfiable(pred, space, Bounds(max_attempts=budget))
+    verdict = satisfiable(pred, space, Context(None, Bounds(max_attempts=budget)))
     status, attempts = unpruned_search(pred, space, budget)
     assert verdict.attempts <= attempts
     if status != "unknown":
@@ -262,15 +264,15 @@ def test_binary_contradiction_still_exhausts_a_tiny_budget():
     # per-variable filtering cannot see a contradiction spanning two variables
     space = [("n", [num(k) for k in range(5)]), ("k", [num(k) for k in range(5)])]
     p = And((Cmp("<", Ref("n"), Ref("k")), Cmp("<", Ref("k"), Ref("n"))))
-    verdict = satisfiable(p, space, Bounds(max_attempts=3))
+    verdict = satisfiable(p, space, Context(None, Bounds(max_attempts=3)))
     assert verdict.status == "unknown"
-    assert satisfiable(p, space, Bounds()).status == "unsat"
+    assert satisfiable(p, space, Context(None, Bounds())).status == "unsat"
 
 
 def test_iter_witnesses_stops_quietly_at_its_limit():
     b, space = toy_space(3)
     # n = 0, m = ON, m = OFF, n = 1, m = ON: five attempts, three witnesses
-    ws = list(iter_witnesses(TRUE, space, b, limit=5))
+    ws = list(iter_witnesses(TRUE, space, Context(None, b), limit=5))
     assert [(w["n"], w["m"].name) for w in ws] == [
         (num(0), "ON"), (num(0), "OFF"), (num(1), "ON"),
     ]
@@ -285,7 +287,7 @@ def test_projection_drops_discharged_event_constraint(soda, soda_bounds):
         Cmp("=", Ref("x"), Const(Lit("getDiet"))),
         Cmp(">=", Ref("d"), Ref("dp")),
     ))
-    out = project_exists(p, [("e", TIME), ("x", soda.input_sort)], soda_bounds, soda)
+    out = project_exists(p, [("e", TIME), ("x", soda.input_sort)], Context(soda, soda_bounds))
     assert render_pred(out) == "d >= dp"
 
 
@@ -294,7 +296,7 @@ def test_projection_agrees_with_enumeration_on_sampled_states(soda, soda_bounds)
         Cmp("=", Ref("x"), Const(Lit("getDiet"))),
         Cmp(">=", Ref("d"), Ref("dp")),
     ))
-    projected = project_exists(p, [("e", TIME), ("x", soda.input_sort)], soda_bounds, soda)
+    projected = project_exists(p, [("e", TIME), ("x", soda.input_sort)], Context(soda, soda_bounds))
     d_grid = soda_bounds.value_sets["d"]
     dp_grid = soda_bounds.value_sets["dp"]
     x_grid = var_grid(soda_bounds, "x", soda.input_sort)
@@ -312,7 +314,7 @@ def test_projection_agrees_with_enumeration_on_sampled_states(soda, soda_bounds)
 
 def test_projection_of_vacuous_quantifier():
     b = Bounds()
-    out = project_exists(TRUE, [("e", TIME)], b)
+    out = project_exists(TRUE, [("e", TIME)], Context(None, b))
     assert out == TRUE
 
 
@@ -320,9 +322,8 @@ def test_projection_keeps_linked_clusters(elevator, elevator_bounds):
     # dext case 1: the event is a floor number different from the current
     # floor; the projection onto the state keeps that link quantified
     guard = elevator.delta_ext[0].guard
-    out = project_exists(
-        guard, [("e", TIME), ("x", elevator.input_sort)], elevator_bounds, elevator
-    )
+    out = project_exists(guard, [("e", TIME), ("x", elevator.input_sort)],
+                         Context(elevator, elevator_bounds))
     rendered = render_pred(out)
     assert "eng = stopped" in rendered and "fc = none" in rendered
     assert "exists" in rendered and "x != f" in rendered
@@ -331,9 +332,8 @@ def test_projection_keeps_linked_clusters(elevator, elevator_bounds):
 def test_projection_of_elevator_call_button_case(elevator, elevator_bounds):
     # dext case 13 keeps exactly the state conjuncts
     guard = elevator.delta_ext[12].guard
-    out = project_exists(
-        guard, [("e", TIME), ("x", elevator.input_sort)], elevator_bounds, elevator
-    )
+    out = project_exists(guard, [("e", TIME), ("x", elevator.input_sort)],
+                         Context(elevator, elevator_bounds))
     assert render_pred(out) == "d = open /\\ fc != f /\\ fc != none"
 
 
@@ -365,7 +365,7 @@ def test_windowed_search_matches_filtered_enumeration(problem, data):
         if lo <= list(index) <= hi and env in members
     ]
     b = Bounds(max_attempts=10_000)
-    verdict = satisfiable(pred, space, b, lo=lo, hi=hi)
+    verdict = satisfiable(pred, space, Context(None, b), lo=lo, hi=hi)
     if in_window:
         assert verdict.sat
         assert (verdict.index, verdict.witness) == in_window[0]
@@ -373,30 +373,31 @@ def test_windowed_search_matches_filtered_enumeration(problem, data):
         assert verdict.status == "unsat"
     # a budget of one attempt per node of the window always suffices
     limit = len(space) * (last - first + 1) + len(conjuncts(normalize(pred)))
-    assert satisfiable(pred, space, Bounds(max_attempts=0), lo=lo, hi=hi, limit=limit) == verdict
+    ctx = Context(None, Bounds(max_attempts=0))
+    assert satisfiable(pred, space, ctx, lo=lo, hi=hi, limit=limit) == verdict
 
 
 @given(problems())
 def test_the_whole_grid_as_a_window_is_the_plain_search(problem):
     space, pred = problem
     b = Bounds(max_attempts=10_000)
-    whole = satisfiable(
-        pred, space, b, lo=[0] * len(space), hi=[len(g) - 1 for _, g in space]
-    )
-    assert whole == satisfiable(pred, space, b)
+    ctx = Context(None, b)
+    whole = satisfiable(pred, space, ctx, lo=[0] * len(space), hi=[len(g) - 1 for _, g in space])
+    assert whole == satisfiable(pred, space, ctx)
 
 
 def test_window_bounds_are_inclusive():
     b, space = toy_space(9)
     p = And((Cmp("=", Ref("n"), Const(num(3))), Cmp("=", Ref("m"), Const(Lit("OFF")))))
     # the only member sits at positions (3, 1), index 7
-    assert satisfiable(p, space, b).index == (3, 1)
-    last = satisfiable(p, space, b, lo=[0, 0], hi=[3, 1])
+    ctx = Context(None, b)
+    assert satisfiable(p, space, ctx).index == (3, 1)
+    last = satisfiable(p, space, ctx, lo=[0, 0], hi=[3, 1])
     assert last.sat and last.index == (3, 1) and last.witness["n"] == num(3)
-    assert satisfiable(p, space, b, lo=[0, 0], hi=[3, 0]).status == "unsat"
-    first = satisfiable(p, space, b, lo=[3, 1], hi=[9, 1])
+    assert satisfiable(p, space, ctx, lo=[0, 0], hi=[3, 0]).status == "unsat"
+    first = satisfiable(p, space, ctx, lo=[3, 1], hi=[9, 1])
     assert first.sat and first.index == (3, 1)
-    assert satisfiable(p, space, b, lo=[4, 0], hi=[9, 1]).status == "unsat"
+    assert satisfiable(p, space, ctx, lo=[4, 0], hi=[9, 1]).status == "unsat"
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +517,11 @@ def test_kernel_matches_the_recursive_kernel(problem, data, budget):
             data.draw(st.integers(0, prod(sizes) - 1), label=f"index {i}") for i in range(2)
         )
         lo, hi = index_digits(first, sizes), index_digits(last, sizes)
-    verdict = satisfiable(pred, space, Bounds(max_attempts=budget), lo=lo, hi=hi)
+    verdict = satisfiable(pred, space, Context(None, Bounds(max_attempts=budget)), lo=lo, hi=hi)
     assert (verdict.status, verdict.attempts, verdict.index, verdict.witness) == (
         recursive_search(pred, space, budget, lo, hi)
     )
-    assert list(iter_witnesses(pred, space, Bounds(), limit=budget)) == (
+    assert list(iter_witnesses(pred, space, Context(None, Bounds()), limit=budget)) == (
         recursive_drain(pred, space, budget)
     )
 

@@ -1,5 +1,6 @@
 import itertools
 from math import prod
+from unittest import mock
 
 import pytest
 
@@ -13,12 +14,14 @@ from devs_scc.bounds import (
     state_space,
 )
 from devs_scc.campaign import Campaign, load_plan, run_campaign
+from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
 from oracle import eval_expr, eval_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
 from devs_scc.partitions import builtin_tables
 from devs_scc.sat import satisfiable
 from devs_scc.scc import make_scc
+import devs_scc.selector as selector
 from devs_scc.selector import (
     _STRIDES,
     SelectError,
@@ -64,7 +67,7 @@ def test_toy_class_selects_the_least_member(toy, toy_bounds):
         Cmp("=", Ref("x"), Const(num(1))),
         "t", "d", id=4,
     )
-    cfg = select_config(scc, toy, toy_bounds)
+    cfg = select_config(scc, Context(toy, toy_bounds))
 
     # oracle: exhaustive scan of the grid in declaration order
     expected_state = None
@@ -79,7 +82,7 @@ def test_toy_class_selects_the_least_member(toy, toy_bounds):
 def test_unsatisfiable_class_is_an_error(toy, toy_bounds):
     scc = make_scc(FALSE, Cmp("=", Ref("x"), Const(num(0))), "t", "empty", id=9)
     with pytest.raises(SelectError, match="no representative within bounds"):
-        select_config(scc, toy, toy_bounds)
+        select_config(scc, Context(toy, toy_bounds))
 
 
 def test_budget_exhaustion_is_an_error(toy):
@@ -89,13 +92,14 @@ def test_budget_exhaustion_is_an_error(toy):
         "t", "deep", id=5,
     )
     with pytest.raises(SelectError, match="budget"):
-        select_config(scc, toy, tiny)
+        select_config(scc, Context(toy, tiny))
 
 
 def test_soda_diet_class_picks_zero_money_and_zero_price(soda, soda_bounds):
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     diet = next(s for s in sccs if s.target == "dext case 3")
-    cfg = select_config(diet, soda, soda_bounds)
+    cfg = select_config(diet, ctx)
     assert cfg.state["d"] == num(0)
     assert cfg.state["dp"] == num(0)
     assert cfg.event == Lit("getDiet")
@@ -105,17 +109,19 @@ def test_soda_diet_class_picks_zero_money_and_zero_price(soda, soda_bounds):
 
 
 def test_selection_is_deterministic(elevator, elevator_bounds):
-    sccs, _ = cases_criterion(elevator, elevator_bounds)
-    first = [select_config(s, elevator, elevator_bounds).to_json() for s in sccs[:8]]
-    second = [select_config(s, elevator, elevator_bounds).to_json() for s in sccs[:8]]
+    ctx = Context(elevator, elevator_bounds)
+    sccs, _ = cases_criterion(ctx)
+    first = [select_config(s, ctx).to_json() for s in sccs[:8]]
+    second = [select_config(s, ctx).to_json() for s in sccs[:8]]
     assert first == second
 
 
 def test_every_config_reevaluates_its_class_predicates(soda, soda_bounds):
     consts = const_env(soda_bounds, soda)
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     for scc in sccs:
-        cfg = select_config(scc, soda, soda_bounds)
+        cfg = select_config(scc, ctx)
         assert eval_pred(scc.init_states, {**consts, **cfg.state}, soda, soda_bounds)
         assert eval_pred(
             scc.input_pairs, {**consts, "x": cfg.event, "t": cfg.time}, soda, soda_bounds
@@ -123,18 +129,20 @@ def test_every_config_reevaluates_its_class_predicates(soda, soda_bounds):
 
 
 def test_tau_class_configs_carry_time_zero(soda, soda_bounds):
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     for scc in sccs:
         if scc.target.startswith("dint"):
-            cfg = select_config(scc, soda, soda_bounds)
+            cfg = select_config(scc, ctx)
             assert cfg.event == TAU
             assert cfg.time == num(0)
 
 
 def test_sampling_returns_distinct_members(soda, soda_bounds):
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     coin = sccs[0]
-    samples = sample_configs(coin, 6, soda, soda_bounds)
+    samples = sample_configs(coin, 6, ctx)
     assert len(samples) >= 3
     keys = {repr(c.to_json()) for c in samples}
     assert len(keys) == len(samples)
@@ -144,9 +152,10 @@ def test_sampling_returns_distinct_members(soda, soda_bounds):
 
 
 def test_sampling_is_deterministic(soda, soda_bounds):
-    sccs, _ = cases_criterion(soda, soda_bounds)
-    a = [c.to_json() for c in sample_configs(sccs[3], 5, soda, soda_bounds)]
-    b = [c.to_json() for c in sample_configs(sccs[3], 5, soda, soda_bounds)]
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
+    a = [c.to_json() for c in sample_configs(sccs[3], 5, ctx)]
+    b = [c.to_json() for c in sample_configs(sccs[3], 5, ctx)]
     assert a == b
 
 
@@ -220,7 +229,8 @@ def _fixture(name, bounds_text=None):
 
 
 def _same_samples(scc, k, model, bounds, scan_cap):
-    got = [c.to_json() for c in sample_configs(scc, k, model, bounds, scan_cap)]
+    with mock.patch.object(selector, "_SCAN_CAP", scan_cap):
+        got = [c.to_json() for c in sample_configs(scc, k, Context(model, bounds))]
     want = [c.to_json() for c in scan_samples(scc, k, model, bounds, scan_cap)]
     assert got == want, (scc.id, k, scan_cap)
     return len(got)
@@ -229,7 +239,7 @@ def _same_samples(scc, k, model, bounds, scan_cap):
 @pytest.mark.parametrize("name, scan_cap", [("soda", 1500), ("toggle", 20), ("elevator", 400)])
 def test_sampling_matches_the_plain_scan(name, scan_cap):
     model, bounds = _fixture(name)
-    sccs, _ = cases_criterion(model, bounds)
+    sccs, _ = cases_criterion(Context(model, bounds))
     sampled = 0
     for k in (2, 4, 6):
         for scc in sccs:
@@ -248,7 +258,7 @@ def _least_cap(scc, k, model, bounds):
 def test_window_ends_exactly_at_the_scan_cap(soda, soda_bounds, k):
     # with k = 2 the second window's length depends on where the first
     # stratum found its member
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    sccs, _ = cases_criterion(Context(soda, soda_bounds))
     scc = sccs[1]
     cap = _least_cap(scc, k, soda, soda_bounds)
     assert cap > k
@@ -262,10 +272,11 @@ def test_low_max_attempts_does_not_change_the_samples(soda, soda_bounds):
     text = (FIXTURES / "soda.bounds").read_text()
     _, frugal = _fixture("soda", text.replace("max attempts = 200000", "max attempts = 1"))
     assert frugal.max_attempts == 1
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     for scc in sccs:
-        want = [c.to_json() for c in sample_configs(scc, 4, soda, soda_bounds)]
-        assert [c.to_json() for c in sample_configs(scc, 4, soda, frugal)] == want
+        want = [c.to_json() for c in sample_configs(scc, 4, ctx)]
+        assert [c.to_json() for c in sample_configs(scc, 4, Context(soda, frugal))] == want
         assert _same_samples(scc, 4, soda, frugal, 1500) <= 4
 
 
@@ -274,7 +285,7 @@ def test_repeated_grid_values_keep_the_scan_accounting():
     # the consumed budget must follow the index found, not the value
     text = (FIXTURES / "soda.bounds").read_text()
     model, bounds = _fixture("soda", text.replace("{0, 25, 75, 125}", "{0, 25, 25, 75, 75, 125}"))
-    sccs, _ = cases_criterion(model, bounds)
+    sccs, _ = cases_criterion(Context(model, bounds))
     for scc in sccs:
         for k in (2, 5):
             _same_samples(scc, k, model, bounds, 1500)
@@ -284,11 +295,12 @@ def test_repeated_grid_values_keep_the_scan_accounting():
 # the single selection rule against the former two-path rule
 
 
-def two_path_select(scc, model, bounds):
+def two_path_select(scc, ctx):
     """Reference: the rule `select_config` replaced.  A class with a joint
     predicate gets one joint search; any other class gets independent
     state and pair searches, kept when the pair fits the state's time
     advance by evaluation, else retried jointly."""
+    model, bounds = ctx.model, ctx.bounds
     names = model.schema.names()
     exec_conjs = executability(model)
 
@@ -304,15 +316,15 @@ def two_path_select(scc, model, bounds):
 
     if scc.joint is not None:
         space = joint_space(model, bounds)
-        verdict = satisfiable(conj(conjuncts(scc.joint) + exec_conjs), space, bounds, model)
+        verdict = satisfiable(conj(conjuncts(scc.joint) + exec_conjs), space, ctx)
         if verdict.status != "sat":
-            verdict = satisfiable(scc.joint, space, bounds, model)
+            verdict = satisfiable(scc.joint, space, ctx)
         w = require(verdict)
         cfg = config(w, w)
     else:
-        state = require(satisfiable(scc.init_states, state_space(model, bounds), bounds, model))
+        state = require(satisfiable(scc.init_states, state_space(model, bounds), ctx))
         pair_space = joint_space(model, bounds)[:2]
-        pair = require(satisfiable(scc.input_pairs, pair_space, bounds, model))
+        pair = require(satisfiable(scc.input_pairs, pair_space, ctx))
         cfg = config(state, pair)
         ta = eval_expr(model.ta, {**const_env(bounds, model), **cfg.state}, model)
         if cfg.event == TAU:
@@ -321,7 +333,7 @@ def two_path_select(scc, model, bounds):
             runs = isinstance(ta, Inf) or (isinstance(cfg.time, Num) and cfg.time.value <= ta.value)
         if not runs:
             joint = conj(conjuncts(scc.init_states) + conjuncts(scc.input_pairs) + exec_conjs)
-            retry = satisfiable(joint, joint_space(model, bounds), bounds, model)
+            retry = satisfiable(joint, joint_space(model, bounds), ctx)
             if retry.sat:
                 cfg = config(retry.witness, retry.witness)
     consts = const_env(bounds, model)
@@ -332,9 +344,9 @@ def two_path_select(scc, model, bounds):
     return cfg
 
 
-def _outcome(select, scc, model, bounds):
+def _outcome(select, scc, ctx):
     try:
-        return select(scc, model, bounds).to_json()
+        return select(scc, ctx).to_json()
     except SelectError as err:
         return str(err)
 
@@ -360,8 +372,9 @@ def test_single_rule_matches_the_two_path_rule(name, elevator_tables):
         model, bounds = _fixture("elevator")
         plan = load_plan(str(FIXTURES / "elevator.plan.json"))
         catalog = _catalog(model, bounds, ELEVATOR_SELECTIONS, plan, elevator_tables)
+    ctx = Context(model, bounds)
     outcomes = [
-        (_outcome(select_config, scc, model, bounds), _outcome(two_path_select, scc, model, bounds))
+        (_outcome(select_config, scc, ctx), _outcome(two_path_select, scc, ctx))
         for scc in catalog
     ]
     assert [new for new, _ in outcomes] == [old for _, old in outcomes]
@@ -384,7 +397,8 @@ def repr_dedupe_samples(scc, k, model, bounds, scan_cap=20_000):
     space = joint_space(model, bounds)[::-1]
     sizes = [len(g) for _, g in space]
     total = prod(sizes)
-    form = runnable_form(scc, model, bounds)
+    ctx = Context(model, bounds)
+    form = runnable_form(scc, ctx)
     strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
     found = {}
     scanned = 0
@@ -394,8 +408,12 @@ def repr_dedupe_samples(scc, k, model, bounds, scan_cap=20_000):
         lo = [(s * stride) % size for stride, size in zip(strides, sizes)]
         start = digits_index(lo, sizes)
         end = min(total, start + scan_cap - scanned)
-        verdict = satisfiable(form, space, bounds, model, lo=lo, hi=index_digits(end - 1, sizes),
-                              limit=len(space) * (end - start) + len(form.items))
+        verdict = satisfiable(
+            form, space, ctx,
+            lo=lo,
+            hi=index_digits(end - 1, sizes),
+            limit=len(space) * (end - start) + len(form.items),
+        )
         if not verdict.sat:
             scanned += end - start
             continue
@@ -412,7 +430,7 @@ def test_probe_samples_match_the_repr_dedupe_on_every_elevator_base_class(elevat
     assert len(base) == 88
     counts = []
     for scc in base:
-        got = sample_configs(scc, 4, model, bounds)
+        got = sample_configs(scc, 4, Context(model, bounds))
         assert got == repr_dedupe_samples(scc, 4, model, bounds), scc.id
         counts.append(len(got))
     assert sum(counts) > 0 and max(counts) == 4
@@ -428,10 +446,11 @@ def test_strata_that_meet_one_member_sample_it_once(bounds_text):
     b = Cmp("=", Ref("m"), Const(Lit("B")))
     # the last point of the sampling order, so that every stratum meets it
     last = conj([Cmp("=", Ref("x"), Const(TAU)), Cmp("=", Ref("t"), Const(num(2)))])
+    ctx = Context(model, bounds)
     for scc in (make_scc(b, last, "manual", "one member"), make_scc(b, TRUE, "manual", "m = B")):
         for k in (2, 4, 6):
-            got = sample_configs(scc, k, model, bounds)
+            got = sample_configs(scc, k, ctx)
             assert got == repr_dedupe_samples(scc, k, model, bounds), (scc.target, k)
             assert len({repr(c.to_json()) for c in got}) == len(got)
     one = make_scc(b, last, "manual", "one member")
-    assert len(sample_configs(one, 4, model, bounds)) == (1 if "samples = {0, 1, 2}" in bounds_text else 0)
+    assert len(sample_configs(one, 4, ctx)) == (1 if "samples = {0, 1, 2}" in bounds_text else 0)

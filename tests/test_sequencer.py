@@ -3,6 +3,7 @@ import random
 import pytest
 
 from devs_scc.bounds import const_env
+from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
 from oracle import eval_pred
 from devs_scc.scc import make_scc
@@ -35,7 +36,7 @@ def toggle_classes():
 
 
 def test_toggle_chain_gives_two_sequences(toggle, toggle_bounds):
-    sequences, notes = build_sequences(toggle, toggle_classes(), toggle_bounds)
+    sequences, notes = build_sequences(toggle_classes(), Context(toggle, toggle_bounds))
     assert notes == []
     assert [seq.covered for seq in sequences] == [[1, 2], [3]]
     assert [len(seq.steps) for seq in sequences] == [2, 1]
@@ -52,7 +53,7 @@ def test_a_class_is_covered_only_by_a_step_inside_it(toggle, toggle_bounds):
     # sequence from m = A
     one = make_scc(_at("m", "A"), _go(), "manual", "one", id=1)
     two = make_scc(TRUE, _go(), "manual", "two", joint=And((_at("m", "A"), _go())), id=2)
-    sequences, notes = build_sequences(toggle, [one, two], toggle_bounds)
+    sequences, notes = build_sequences([one, two], Context(toggle, toggle_bounds))
     assert notes == []
     assert [seq.covered for seq in sequences] == [[1], [2]]
     assert sequences[1].steps[0].state_used["m"] == Lit("A")
@@ -63,14 +64,15 @@ def test_selected_representatives_are_reused(toggle, toggle_bounds, monkeypatch)
     from devs_scc.selector import select_config
 
     classes = toggle_classes()
-    expected, expected_notes = build_sequences(toggle, classes, toggle_bounds)
-    configs = {s.id: select_config(s, toggle, toggle_bounds) for s in classes}
+    ctx = Context(toggle, toggle_bounds)
+    expected, expected_notes = build_sequences(classes, ctx)
+    configs = {s.id: select_config(s, ctx) for s in classes}
 
     def refuse(*args):
         raise AssertionError("representative selected twice")
 
     monkeypatch.setattr(sequencer, "select_config", refuse)
-    sequences, notes = build_sequences(toggle, classes, toggle_bounds, configs)
+    sequences, notes = build_sequences(classes, ctx, configs)
     assert [s.to_json() for s in sequences] == [s.to_json() for s in expected]
     assert notes == expected_notes
 
@@ -86,7 +88,7 @@ def test_chaining_removes_the_next_class_by_position(request, monkeypatch):
         raise AssertionError("classes compared for equality while chaining")
 
     monkeypatch.setattr(SCC, "__eq__", no_equality)
-    sequences, _ = build_sequences(model, result.catalog, bounds)
+    sequences, _ = build_sequences(result.catalog, Context(model, bounds))
     assert any(len(seq.covered) > 1 for seq in sequences)
     assert [s.to_json() for s in sequences] == [s.to_json() for s in result.sequences]
 
@@ -98,18 +100,19 @@ def test_disjoint_classes_get_one_sequence_each(toggle, toggle_bounds):
     # (the toggle's post-state of class 1 is B, so a second m=A class
     # cannot chain)
     two = make_scc(_at("m", "A"), _go(), "manual", "two", id=2)
-    sequences, _ = build_sequences(toggle, [one, two], toggle_bounds)
+    sequences, _ = build_sequences([one, two], Context(toggle, toggle_bounds))
     assert [seq.covered for seq in sequences] == [[1], [2]]
 
 
 def test_empty_class_list_gives_no_sequences(toggle, toggle_bounds):
-    sequences, notes = build_sequences(toggle, [], toggle_bounds)
+    sequences, notes = build_sequences([], Context(toggle, toggle_bounds))
     assert sequences == [] and notes == []
 
 
 def test_coverage_partitions_the_id_set(soda, soda_bounds):
-    sccs, _ = cases_criterion(soda, soda_bounds)
-    sequences, _ = build_sequences(soda, sccs, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
+    sequences, _ = build_sequences(sccs, ctx)
     covered = [i for seq in sequences for i in seq.covered]
     assert sorted(covered) == [s.id for s in sccs]
     assert len(covered) == len(set(covered))
@@ -117,9 +120,10 @@ def test_coverage_partitions_the_id_set(soda, soda_bounds):
 
 def test_chained_states_satisfy_their_class(soda, soda_bounds):
     consts = const_env(soda_bounds, soda)
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     by_id = {s.id: s for s in sccs}
-    sequences, _ = build_sequences(soda, sccs, soda_bounds)
+    sequences, _ = build_sequences(sccs, ctx)
     chained = 0
     for seq in sequences:
         for step in seq.steps[1:]:
@@ -131,9 +135,10 @@ def test_chained_states_satisfy_their_class(soda, soda_bounds):
 
 
 def test_sequences_are_deterministic(elevator, elevator_bounds):
-    sccs, _ = cases_criterion(elevator, elevator_bounds)
-    a, _ = build_sequences(elevator, sccs, elevator_bounds)
-    b, _ = build_sequences(elevator, sccs, elevator_bounds)
+    ctx = Context(elevator, elevator_bounds)
+    sccs, _ = cases_criterion(ctx)
+    a, _ = build_sequences(sccs, ctx)
+    b, _ = build_sequences(sccs, ctx)
     assert [s.to_json() for s in a] == [s.to_json() for s in b]
 
 
@@ -154,7 +159,7 @@ def test_failing_step_ends_the_sequence_and_continues(toggle, toggle_bounds):
     from devs_scc.syntax import FALSE
 
     impossible = dataclasses.replace(dead, id=3, init_states=FALSE)
-    sequences, notes = build_sequences(toggle, [one, dead, impossible], toggle_bounds)
+    sequences, notes = build_sequences([one, dead, impossible], Context(toggle, toggle_bounds))
     covered = [i for seq in sequences for i in seq.covered]
     assert sorted(covered) == [1, 2, 3]
     assert any("no representative" in n for n in notes)
@@ -172,7 +177,7 @@ def test_coverage_partition_on_generated_class_sets(toggle, toggle_bounds):
     rng = random.Random(1312)
     for _ in range(40):
         classes = random_class_set(rng, rng.randint(1, 9))
-        sequences, _ = build_sequences(toggle, classes, toggle_bounds)
+        sequences, _ = build_sequences(classes, Context(toggle, toggle_bounds))
         covered = [i for seq in sequences for i in seq.covered]
         assert sorted(covered) == [s.id for s in classes]
         assert len(set(covered)) == len(covered)
@@ -183,9 +188,10 @@ def test_a_head_without_configs_is_selected_and_named_once(toggle, toggle_bounds
     from devs_scc.syntax import FALSE
 
     impossible = make_scc(FALSE, _go(), "manual", "impossible", id=3)
-    sequences, notes = build_sequences(toggle, [impossible], toggle_bounds)
+    ctx = Context(toggle, toggle_bounds)
+    sequences, notes = build_sequences([impossible], ctx)
     assert notes == ["class 3: no representative within bounds"]
-    trace = replay_sequence(toggle, sequences[0], toggle_bounds)
+    trace = replay_sequence(sequences[0], ctx)
     assert trace.findings == ["class 3: no representative within bounds"]
     assert sequences[0].trace.findings == trace.findings
 
@@ -226,13 +232,14 @@ def test_recorded_traces_equal_a_replay(name, request):
     sequences = result.sequences
     # combination decides on the joint predicate: every class is selectable
     assert sum(1 for seq in sequences if not seq.steps[0].state_used) == 0
+    ctx = Context(model, bounds)
     if model.name == "soda":
         # keep an unselectable head's recorded finding under test
-        bad, _ = build_sequences(model, [soda_contradiction(1000)], bounds)
+        bad, _ = build_sequences([soda_contradiction(1000)], ctx)
         assert not bad[0].steps[0].state_used
         sequences += bad
     for seq in sequences:
-        replayed = replay_sequence(model, seq, bounds)
+        replayed = replay_sequence(seq, ctx)
         assert [e.to_json() for e in seq.trace.events] == [e.to_json() for e in replayed.events]
         assert seq.trace.findings == replayed.findings
     assert sum(len(seq.trace.events) for seq in sequences) > 0
@@ -249,7 +256,7 @@ def reference_pair(scc, state, model, bounds):
     from devs_scc.values import EvalError, Inf
 
     consts = const_env(bounds, model)
-    ta = time_advance(model, init(model, state), consts)
+    ta = time_advance(init(model, state), Context(model, bounds))
     passive = isinstance(ta, Inf)
     for x in input_grid(bounds, model, with_tau=not passive):
         for t in time_points(bounds):
@@ -315,7 +322,7 @@ def test_a_post_state_without_a_valid_time_advance_ends_its_sequence():
     assert sorted(i for seq in result.sequences for i in seq.covered) == [1, 2, 3, 4]
     assert not any("ta produced" in f for f in result.report.findings)
     for seq in result.sequences:
-        assert seq.trace.findings == replay_sequence(model, seq, bounds).findings
+        assert seq.trace.findings == replay_sequence(seq, Context(model, bounds)).findings
 
 
 @pytest.mark.parametrize("fixture", ["soda", "elevator"])
@@ -346,7 +353,7 @@ def test_all_pairs_classes_are_inhabited_and_covered_from_inside(fixture, reques
     combos = [s for s in result.catalog if s.combined_from]
     assert combos
     for scc in combos:
-        verdict = satisfiable(conj(scc.member), space, bounds, model)
+        verdict = satisfiable(conj(scc.member), space, Context(model, bounds))
         assert verdict.sat and is_member(scc, verdict.witness), scc.target
     by_id = {s.id: s for s in result.catalog}
     steps = [step for seq in result.sequences for step in seq.steps]

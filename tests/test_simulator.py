@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from devs_scc.bounds import const_env, state_space
+from devs_scc.bounds import state_space
+from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
 from devs_scc.scc import make_scc
 from devs_scc.selector import SimulationConfig, select_config
@@ -47,30 +48,30 @@ def test_init_starts_the_clock_at_zero(soda, soda_bounds):
 
 
 def test_time_advance_is_min_of_the_two_timers(soda, soda_bounds):
-    consts = const_env(soda_bounds, soda)
+    ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state(ot=num(7), it=num(300)))
-    assert time_advance(soda, st, consts) == num(7)
+    assert time_advance(st, ctx) == num(7)
     st = init(soda, soda_idle_state(ot=INF, it=INF))
-    assert time_advance(soda, st, consts) == INF
+    assert time_advance(st, ctx) == INF
 
 
 def test_elevator_all_infinite_timers_is_passive(elevator, elevator_bounds):
-    consts = const_env(elevator_bounds, elevator)
+    ctx = Context(elevator, elevator_bounds)
     state = {
         "f": num(0), "fc": Lit("none"), "eng": Lit("stopped"), "d": Lit("open"),
         "ws": Lit("off"), "ds": Lit("off"), "sw": Lit("off"), "a": Lit("off"),
         "at": INF, "dt1": INF, "dt2": INF, "gft": INF, "ot": INF, "nt": Lit("O"),
     }
     st = init(elevator, state)
-    assert time_advance(elevator, st, consts) == INF
+    assert time_advance(st, ctx) == INF
     with pytest.raises(SimError, match="passive state"):
-        step(elevator, st, consts)
+        step(st, ctx)
 
 
 def test_coin_insertion_fires_the_first_case(soda, soda_bounds):
-    consts = const_env(soda_bounds, soda)
+    ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state())
-    nxt, output, event = step(soda, st, consts, (Lit("c25"), Fraction(3)))
+    nxt, output, event = step(st, ctx, (Lit("c25"), Fraction(3)))
     assert event.fired == ("dext", 1)
     assert output is None  # external transitions emit nothing
     assert nxt.state["m"] == Lit("operating")
@@ -82,24 +83,24 @@ def test_coin_insertion_fires_the_first_case(soda, soda_bounds):
 
 
 def test_elapsed_time_beyond_deadline_is_rejected(soda, soda_bounds):
-    consts = const_env(soda_bounds, soda)
+    ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state(ot=num(2)))
     with pytest.raises(SimError, match="after internal deadline"):
-        step(soda, st, consts, (Lit("c25"), Fraction(3)))
+        step(st, ctx, (Lit("c25"), Fraction(3)))
 
 
 def test_tie_injection_is_applied_and_annotated(soda, soda_bounds):
-    consts = const_env(soda_bounds, soda)
+    ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state(ot=num(3)))
-    nxt, _, event = step(soda, st, consts, (Lit("c25"), Fraction(3)))
+    nxt, _, event = step(st, ctx, (Lit("c25"), Fraction(3)))
     assert event.tie
     assert event.fired == ("dext", 1)
 
 
 def test_internal_step_emits_output_of_the_pre_state(soda, soda_bounds):
-    consts = const_env(soda_bounds, soda)
+    ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state(m=Lit("operating"), d=num(75), ot=num(5)))
-    nxt, output, event = step(soda, st, consts)
+    nxt, output, event = step(st, ctx)
     assert event.fired == ("dint", 1)
     assert output == Tup((num(75), coins(2, 2, 2)))  # display of the old state
     assert nxt.state["ot"] == num(30)  # re-armed to the return deadline
@@ -107,7 +108,7 @@ def test_internal_step_emits_output_of_the_pre_state(soda, soda_bounds):
 
 
 def test_elevator_alarm_transition_and_output(elevator, elevator_bounds):
-    consts = const_env(elevator_bounds, elevator)
+    ctx = Context(elevator, elevator_bounds)
     state = {
         "f": num(1), "fc": num(2), "eng": Lit("stopped"), "d": Lit("open"),
         "ws": Lit("off"), "ds": Lit("off"), "sw": Lit("off"), "a": Lit("off"),
@@ -115,24 +116,25 @@ def test_elevator_alarm_transition_and_output(elevator, elevator_bounds):
         "nt": Lit("A"),
     }
     st = init(elevator, state)
-    nxt, output, event = step(elevator, st, consts)
+    nxt, output, event = step(st, ctx)
     assert event.fired == ("dint", 16)
     assert nxt.state["a"] == Lit("on")
     assert output == Tup((num(1), Lit("skip"), Lit("skip"), Lit("firealarm")))
 
 
 def test_run_config_internal_class_fires_idle_case(soda, soda_bounds):
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     idle_class = next(s for s in sccs if s.target == "dint case 5")
-    cfg = select_config(idle_class, soda, soda_bounds)
-    trace = run_config(soda, cfg, soda_bounds)
+    cfg = select_config(idle_class, ctx)
+    trace = run_config(cfg, ctx)
     assert trace.ok
     assert trace.events[0].fired == ("dint", 5)
 
 
 def test_run_config_external_step_has_no_output(soda, soda_bounds):
     cfg = SimulationConfig(0, soda_idle_state(), Lit("cancel"), num(1))
-    trace = run_config(soda, cfg, soda_bounds)
+    trace = run_config(cfg, Context(soda, soda_bounds))
     assert trace.ok
     assert len(trace.events) == 1
     assert trace.events[0].output is None
@@ -141,16 +143,17 @@ def test_run_config_external_step_has_no_output(soda, soda_bounds):
 
 def test_run_config_surfaces_the_missed_case(soda, soda_bounds):
     cfg = SimulationConfig(0, soda_idle_state(np=num(150)), Lit("getNormal"), num(1))
-    trace = run_config(soda, cfg, soda_bounds)
+    trace = run_config(cfg, Context(soda, soda_bounds))
     assert not trace.ok
     assert any("undefined transition" in f for f in trace.findings)
     assert trace.events[-1].error is not None
 
 
 def test_elevator_first_class_witness_fires_case_one(elevator, elevator_bounds):
-    sccs, _ = cases_criterion(elevator, elevator_bounds)
-    cfg = select_config(sccs[0], elevator, elevator_bounds)
-    trace = run_config(elevator, cfg, elevator_bounds)
+    ctx = Context(elevator, elevator_bounds)
+    sccs, _ = cases_criterion(ctx)
+    cfg = select_config(sccs[0], ctx)
+    trace = run_config(cfg, ctx)
     assert trace.ok, trace.findings
     assert trace.events[0].fired == ("dext", 1)
 
@@ -158,14 +161,14 @@ def test_elevator_first_class_witness_fires_case_one(elevator, elevator_bounds):
 def test_clock_is_monotone_and_elapsed_bounded(soda, soda_bounds):
     """Randomized walk: injected elapsed times stay within the pending
     time advance, and the clock never goes backwards."""
-    consts = const_env(soda_bounds, soda)
+    ctx = Context(soda, soda_bounds)
     rng = random.Random(4242)
     grid = [v for _, g in state_space(soda, soda_bounds) for v in g]
     steps_taken = 0
     while steps_taken < 250:
         st = init(soda, soda_idle_state())
         for _ in range(12):
-            ta = time_advance(soda, st, consts)
+            ta = time_advance(st, ctx)
             horizon = ta.value if isinstance(ta, Num) else Fraction(10)
             if isinstance(ta, Num) and rng.random() < 0.4:
                 injected = None  # let the internal transition fire
@@ -178,7 +181,7 @@ def test_clock_is_monotone_and_elapsed_bounded(soda, soda_bounds):
                 assert 0 <= e <= (ta.value if isinstance(ta, Num) else e)
             before = st.clock
             try:
-                st, _, _ = step(soda, st, consts, injected)
+                st, _, _ = step(st, ctx, injected)
             except (UndefinedTransition, SimError):
                 break
             assert st.clock >= before
@@ -191,9 +194,10 @@ def test_clock_is_monotone_and_elapsed_bounded(soda, soda_bounds):
 # uniformity probe
 
 def test_probe_on_a_pinned_class_is_uniform(soda, soda_bounds):
-    sccs, _ = cases_criterion(soda, soda_bounds)
+    ctx = Context(soda, soda_bounds)
+    sccs, _ = cases_criterion(ctx)
     cancel = next(s for s in sccs if s.target == "dext case 4")
-    report = uniformity_probe(soda, cancel, 5, soda_bounds)
+    report = uniformity_probe(cancel, 5, ctx)
     assert report.uniform, report.signatures
 
 
@@ -201,7 +205,7 @@ def test_probe_flags_a_deliberately_coarse_class(soda, soda_bounds):
     coarse = make_scc(
         TRUE, Cmp("=", Ref("x"), Const(Lit("getNormal"))), "manual", "coarse", id=99
     )
-    report = uniformity_probe(soda, coarse, 8, soda_bounds)
+    report = uniformity_probe(coarse, 8, Context(soda, soda_bounds))
     assert not report.uniform
     assert "re-partition" in report.note
     assert any("undefined" in sig for sig in report.signatures)
@@ -212,17 +216,17 @@ def test_probe_with_too_few_witnesses_is_skipped(soda, soda_bounds):
     pinned = make_scc(
         TRUE, Cmp("=", Ref("x"), Const(Lit("cancel"))), "manual", "k1", id=98
     )
-    report = uniformity_probe(soda, pinned, 1, soda_bounds)
+    report = uniformity_probe(pinned, 1, Context(soda, soda_bounds))
     assert report.uniform
     assert "skipped" in report.note
 
 
 def test_advance_fires_tau_and_injects_relative_to_the_last_transition(soda, soda_bounds):
-    consts = const_env(soda_bounds, soda)
+    ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state(ot=num(10)))
-    st, ev = advance(soda, st, consts, TAU, num(0))
+    st, ev = advance(st, TAU, num(0), ctx)
     assert (ev.kind, ev.fired, st.last) == ("internal", ("dint", 5), 10)
-    st, ev = advance(soda, st, consts, Lit("c25"), num(3))
+    st, ev = advance(st, Lit("c25"), num(3), ctx)
     assert (ev.kind, ev.at, ev.fired) == ("external", num(13), ("dext", 1))
     with pytest.raises(SimError, match="finite time"):
-        advance(soda, st, consts, Lit("c25"), INF)
+        advance(st, Lit("c25"), INF, ctx)
