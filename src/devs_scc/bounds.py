@@ -19,8 +19,6 @@ from fractions import Fraction
 from .model import Model
 from .values import (
     INF,
-    TAU,
-    TIME,
     EnumSort,
     ExtSort,
     IntSort,
@@ -50,13 +48,12 @@ class BoundsError(Exception):
 
 @dataclass
 class Bounds:
-    """The enumeration bounds of one bounds file.
+    """The enumeration bounds of one bounds file, as parsed: plain data.
 
     Read-only once built, like `Model`: `parse_bounds_text` is its only
-    writer, and it finishes before any grid is built.  Each grid is built
-    on first use and kept, so every search over these bounds shares it;
-    the grid functions below hand out fresh lists, so no caller can
-    change a shared grid.
+    writer.  A `set` names a state variable (`check.bounds_errors`
+    rejects any other name); `grid` builds the grids, and a
+    `context.Context` keeps each one it uses.
     """
 
     nat_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -66,10 +63,6 @@ class Bounds:
     time_samples: list[Rational] | None = None
     const_values: dict[str, Value] = field(default_factory=dict)
     max_attempts: int = 200_000
-    # (sort, variable name) -> grid, filled by `_grid`
-    _grids: dict[tuple[Sort, str], list[Value]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def validate(self) -> None:
         for name, (lo, hi) in self.nat_ranges.items():
@@ -92,27 +85,6 @@ class Bounds:
         if self.max_attempts < 0:
             raise BoundsError(f"max attempts must not be negative: {self.max_attempts}")
 
-    def times(self) -> list[Rational]:
-        """Finite time samples, ascending."""
-        return [v.value for v in _grid(self, TIME)[:-1]]
-
-    def _sample_times(self) -> list[Rational]:
-        if self.time_samples is not None:
-            return sorted(set(self.time_samples))
-        consts = sorted(
-            v.value
-            for v in self.const_values.values()
-            if isinstance(v, Num) and v.value >= 0
-        )
-        samples = {0, *consts}
-        for a, b in itertools.pairwise(consts):
-            samples.add(exact(Fraction(a + b, 2)))
-        if consts:
-            samples.add(consts[-1] + 1)
-        else:
-            samples.update(range(1, 4))
-        return sorted(samples)
-
 
 def const_env(bounds: Bounds, model: Model) -> dict[str, Value]:
     """Concrete bindings for the model's symbolic constants."""
@@ -124,28 +96,11 @@ def const_env(bounds: Bounds, model: Model) -> dict[str, Value]:
     return env
 
 
-def var_grid(bounds: Bounds, name: str, sort: Sort) -> list[Value]:
-    """Deterministic ascending domain for one variable."""
+def grid(bounds: Bounds, name: str, sort: Sort) -> list[Value]:
+    """The ascending grid of variable `name` of sort `sort`, built afresh:
+    the state variable's `set`, else the sort's range for that name."""
     if name in bounds.value_sets:
         return list(bounds.value_sets[name])
-    return list(_grid(bounds, sort, name))
-
-
-def sort_grid(bounds: Bounds, sort: Sort, name: str = "") -> list[Value]:
-    return list(_grid(bounds, sort, name))
-
-
-def _grid(bounds: Bounds, sort: Sort, name: str = "") -> list[Value]:
-    """The shared grid of `sort` for variable `name`, built on first use.
-    Callers must not change it."""
-    key = (sort, name)
-    grid = bounds._grids.get(key)
-    if grid is None:
-        grid = bounds._grids[key] = _build_grid(bounds, sort, name)
-    return grid
-
-
-def _build_grid(bounds: Bounds, sort: Sort, name: str) -> list[Value]:
     if isinstance(sort, NatSort):
         lo, hi = bounds.nat_ranges.get(name) or bounds.nat_ranges.get("") or DEFAULT_NAT
         return [Num(k) for k in range(max(lo, 0), hi + 1)]
@@ -163,44 +118,33 @@ def _build_grid(bounds: Bounds, sort: Sort, name: str) -> list[Value]:
             v += step
         return out
     if isinstance(sort, TimeSort):
-        return [Num(exact(v)) for v in bounds._sample_times()] + [INF]
+        return [Num(exact(v)) for v in _time_samples(bounds)] + [INF]
     if isinstance(sort, EnumSort):
         return [Lit(n) for n in sort.literals]
     if isinstance(sort, ExtSort):
-        return _grid(bounds, ext_base(sort), name) + [Lit(n) for n in ext_literals(sort)]
+        return grid(bounds, name, ext_base(sort)) + [Lit(n) for n in ext_literals(sort)]
     if isinstance(sort, TupleSort):
-        parts = [_grid(bounds, s, name) for s in sort.items]
+        parts = [grid(bounds, name, s) for s in sort.items]
         return [Tup(tuple(combo)) for combo in itertools.product(*parts)]
     raise BoundsError(f"no grid for sort {sort}")
 
 
-def time_points(bounds: Bounds) -> list[Value]:
-    """Grid for the input-pair time t and the elapsed time e (finite only)."""
-    return _grid(bounds, TIME)[:-1]
-
-
-def input_grid(bounds: Bounds, model: Model, with_tau: bool) -> list[Value]:
-    grid = _grid(bounds, model.input_sort, "x")
-    return grid + [TAU] if with_tau else list(grid)
-
-
-def state_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
-    """Ordered (name, domain) pairs for the state variables, built afresh;
-    a `context.Context` builds it once and shares it."""
-    return [(name, var_grid(bounds, name, sort)) for name, sort in model.schema.vars]
-
-
-def joint_space(model: Model, bounds: Bounds) -> list[tuple[str, list[Value]]]:
-    """Domains for a whole configuration: the input pair (x, t), with the
-    no-event marker, then the state.  The pair comes first so that
-    executability constraints (t bounded by each timer) can prune the
-    state search at the depth of the timer variables.  Built afresh, like
-    `state_space`; a `context.Context` builds it once and shares it."""
-    return [
-        ("x", input_grid(bounds, model, with_tau=True)),
-        ("t", time_points(bounds)),
-        *state_space(model, bounds),
-    ]
+def _time_samples(bounds: Bounds) -> list[Rational]:
+    if bounds.time_samples is not None:
+        return sorted(set(bounds.time_samples))
+    consts = sorted(
+        v.value
+        for v in bounds.const_values.values()
+        if isinstance(v, Num) and v.value >= 0
+    )
+    samples = {0, *consts}
+    for a, b in itertools.pairwise(consts):
+        samples.add(exact(Fraction(a + b, 2)))
+    if consts:
+        samples.add(consts[-1] + 1)
+    else:
+        samples.update(range(1, 4))
+    return sorted(samples)
 
 
 def index_digits(idx: int, sizes: Sequence[int]) -> list[int]:

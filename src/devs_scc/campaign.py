@@ -54,7 +54,7 @@ from .simulator import (
     init,
     uniformity_probe,
 )
-from .syntax import Apply, Cmp, InBase, InSet, expr_nodes, holding, iter_subpreds
+from .syntax import Apply, holding, pred_exprs
 from .values import EvalError, Value
 
 SCHEMA = "devs-scc/1"
@@ -198,10 +198,7 @@ def load_tables(parts_paths: list[str]) -> tuple[dict[str, StandardPartition], l
 
 
 def _plain_cells(table: StandardPartition) -> bool:
-    atoms = [p for cell in table.cells for p in iter_subpreds(cell)]
-    exprs = [e for p in atoms if isinstance(p, Cmp) for e in (p.left, p.right)]
-    exprs += [p.expr for p in atoms if isinstance(p, (InSet, InBase))]
-    return not any(isinstance(n, Apply) for e in exprs for n in expr_nodes(e))
+    return not any(isinstance(n, Apply) for cell in table.cells for n in pred_exprs(cell))
 
 
 # ---------------------------------------------------------------------------

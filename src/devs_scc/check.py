@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bounds import Bounds, sort_grid, time_points
+from .bounds import Bounds
 from .context import Context
 from .model import GuardedCase, Model, OperatorDef, ValidationReport
 from .sat import SatResult, coverage, satisfiable
@@ -46,6 +46,7 @@ from .syntax import (
     expr_nodes,
     expr_vars,
     iter_subpreds,
+    pred_exprs,
     pred_vars,
     render_expr,
     render_pred,
@@ -382,9 +383,14 @@ def _bind_model(model: Model) -> tuple[Model, ValidationReport]:
 
 
 def bounds_errors(model: Model, bounds: Bounds) -> list[str]:
-    """Values of a bounds `set` outside the sort of its state variable:
-    every search would range over states no run can reach."""
+    """A bounds `set` that names no state variable, and values of a `set`
+    outside the sort of its state variable: every search would range over
+    states no run can reach."""
+    state = dict(model.schema.vars)
     return [
+        f"bounds set {name} names no state variable"
+        for name in bounds.value_sets if name not in state
+    ] + [
         f"bounds set {name} holds {render_value(v)}, outside its sort {sort}"
         for name, sort in model.schema.vars
         for v in bounds.value_sets.get(name, ())
@@ -413,9 +419,8 @@ def _check_operator_cycles(ops: list[OperatorDef], report: ValidationReport) -> 
     for op in ops:
         used: set[str] = set()
         for case in op.cases:
-            for node in expr_nodes(case.result):
-                if isinstance(node, Apply):
-                    used.add(node.op)
+            nodes = (*expr_nodes(case.result), *pred_exprs(case.guard))
+            used.update(n.op for n in nodes if isinstance(n, Apply))
         calls[op.name] = used
     seen: dict[str, int] = {}  # 0 visiting, 1 done
 
@@ -490,11 +495,11 @@ def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
         )
 
 
-def _case_tables(model: Model, bounds: Bounds, space):
-    """Each function's name, its cases and the space its checks search,
-    given the state space `space`."""
+def _case_tables(ctx: Context):
+    """Each function's name, its cases and the space its checks search."""
+    model, space = ctx.model, ctx.state_space
     # the input first: with it last, soda's dext gap was not found within 10^6 attempts
-    ext_space = [("x", sort_grid(bounds, model.input_sort, "x")), ("e", time_points(bounds))] + space
+    ext_space = [("x", ctx.grid("x", model.input_sort)), ("e", ctx.times), *space]
     return (("dext", model.delta_ext, ext_space),
             ("dint", model.delta_int, space),
             ("lambda", model.output_fn, space))
@@ -502,8 +507,7 @@ def _case_tables(model: Model, bounds: Bounds, space):
 
 def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> None:
     ctx = Context(model, bounds)
-    space = ctx.state_space
-    for fn, cases, fn_space in _case_tables(model, bounds, space):
+    for fn, cases, fn_space in _case_tables(ctx):
         if not cases:
             report.warnings.append(f"{fn} has no cases")
             continue
@@ -519,7 +523,7 @@ def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> N
     # itself stays unknown on the elevator; warn at the least negative
     # point over all of them, else at any undecided search
     ta = model.ta
-    verdicts = [satisfiable(Cmp("<", a, Const(Num(0))), space, ctx)
+    verdicts = [satisfiable(Cmp("<", a, Const(Num(0))), ctx.state_space, ctx)
                 for a in (ta.args if isinstance(ta, MinOp) else (ta,))]
     first = min(verdicts, key=lambda r: (not r.sat, r.status == "unsat", r.index))
     _warn(report, bounds, first, "ta is negative within bounds", "ta: non-negativity")

@@ -2,8 +2,9 @@
 
 Every form the pipeline derives is a function of the model and of the
 bounds it is searched within, so a `Context` built from that pair holds
-them all: the state and joint spaces, and, each made on first use by
-the module that uses it, the constants, the interned conjuncts (`sat`),
+them all: each variable's grid, the finite time grid and the search
+spaces, made here on first use, and, each made on first use by the
+module that uses it, the constants, the interned conjuncts (`sat`),
 the executability form and each class's `ClassForms` (`selector`), and
 the compiled atom, reference, operator, case and `ta` closures
 (`evaluator`, `simulator`).  It is passed to every stage explicitly, so
@@ -17,8 +18,9 @@ raises when called).  Callers must not change what it hands out.
 
 from __future__ import annotations
 
-from .bounds import Bounds, const_env, joint_space, state_space
+from .bounds import Bounds, const_env, grid as build_grid
 from .model import Model
+from .values import TAU, TIME, Sort, Value
 
 
 class ClassForms:
@@ -36,16 +38,17 @@ class ClassForms:
 class Context:
     """The forms prepared from one model under one bounds object."""
 
-    __slots__ = ("model", "bounds", "_consts", "state_space", "joint_space", "conjuncts",
-                 "executable", "atoms", "refs", "operators", "cases", "ta", "classes",
-                 "__weakref__")
+    __slots__ = ("model", "bounds", "grids", "_times", "_state", "_pairs", "_joint", "_consts",
+                 "conjuncts", "executable", "atoms", "refs", "operators", "cases", "ta",
+                 "classes", "__weakref__")
 
     def __init__(self, model: Model | None, bounds: Bounds | None = None) -> None:
         self.model, self.bounds = model, bounds
-        spaces = model is not None and bounds is not None
-        self.state_space = state_space(model, bounds) if spaces else None
-        self.joint_space = joint_space(model, bounds) if spaces else None
+        # the spaces are made on first use: `evaluator._compile_apply`
+        # makes a context per call of a recursive operator
+        self._times = self._state = self._pairs = self._joint = None
         self._consts = self.executable = self.ta = None
+        self.grids: dict = {}  # (name, sort) -> grid
         self.conjuncts: dict = {}  # canonical text -> sat.Conjunct
         self.atoms: dict = {}  # (operator, kind, name, constant) -> test
         self.refs: dict = {}  # (kind, name) -> lookup
@@ -59,6 +62,48 @@ class Context:
         if self._consts is None:
             self._consts = {} if self.model is None else const_env(self.bounds, self.model)
         return self._consts
+
+    def grid(self, name: str, sort: Sort) -> list[Value]:
+        """The grid of variable `name` of sort `sort`, built once."""
+        made = self.grids.get((name, sort))
+        if made is None:
+            made = self.grids[name, sort] = build_grid(self.bounds, name, sort)
+        return made
+
+    @property
+    def times(self) -> list[Value]:
+        """The finite time grid: the grid of the pair time t and of the
+        elapsed time e."""
+        if self._times is None:
+            self._times = self.grid("", TIME)[:-1]
+        return self._times
+
+    @property
+    def state_space(self) -> list[tuple[str, list[Value]]]:
+        """(name, grid) of each state variable, in schema order."""
+        if self._state is None:
+            self._state = [(n, self.grid(n, sort)) for n, sort in self.model.schema.vars]
+        return self._state
+
+    @property
+    def pair_spaces(self) -> tuple[list, list]:
+        """The (x, t) spaces of a chaining step, indexed by whether x
+        ranges over the no-event marker too."""
+        if self._pairs is None:
+            xs = self.grid("x", self.model.input_sort)
+            self._pairs = ([("x", xs), ("t", self.times)],
+                           [("x", [*xs, TAU]), ("t", self.times)])
+        return self._pairs
+
+    @property
+    def joint_space(self) -> list[tuple[str, list[Value]]]:
+        """A whole configuration: the input pair (x, t), with the no-event
+        marker, then the state.  The pair comes first so that executability
+        constraints (t bounded by each timer) can prune the state search at
+        the depth of the timer variables."""
+        if self._joint is None:
+            self._joint = [*self.pair_spaces[True], *self.state_space]
+        return self._joint
 
     def forms(self, scc) -> ClassForms:
         forms = self.classes.get(id(scc))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 
-from .bounds import time_points
 from .context import Context
 from .evaluator import eval_expr
 from .model import GuardedCase, Model
@@ -382,7 +381,7 @@ def time_partition_criterion(spec: TimeSpec, ctx: Context) -> tuple[list[SCC], l
             ])
 
     sccs: list[SCC] = []
-    tspace = [("t", time_points(ctx.bounds))]
+    tspace = [("t", ctx.times)]
     for pred, label in preds:
         verdict = satisfiable(pred, tspace, ctx)
         if verdict.status == "unsat":

@@ -32,7 +32,6 @@ import itertools
 from functools import partial
 from typing import Callable, Mapping
 
-from .bounds import var_grid
 from .context import Context
 from .model import OperatorDef
 from .syntax import (
@@ -185,18 +184,14 @@ def _compile_cmp(pred: Cmp, ctx):
 def _compile_exists(pred: Exists, ctx):
     """The existential as a scan of its bound variables' grids, in
     ascending product order, until the compiled body holds.  The grids
-    are taken from the bounds on the first call, and kept."""
-    body, bound = compile_pred(pred.body, ctx), pred.bound
-    names = [name for name, _ in bound]
-    bounds = None if ctx is None else ctx.bounds
-    grids = None
+    are the context's, taken when it is compiled."""
+    body = compile_pred(pred.body, ctx)
+    if ctx is None or ctx.bounds is None:
+        return _fails("existential membership test needs bounds")
+    names = [name for name, _ in pred.bound]
+    grids = [ctx.grid(name, sort) for name, sort in pred.bound]
 
     def exists(env):
-        nonlocal grids
-        if grids is None:
-            if bounds is None:
-                raise EvalError("existential membership test needs bounds")
-            grids = [var_grid(bounds, n, sort) for n, sort in bound]
         inner = dict(env)
         for combo in itertools.product(*grids):
             inner.update(zip(names, combo))

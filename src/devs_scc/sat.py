@@ -61,7 +61,6 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .bounds import var_grid
 from .context import Context
 from .evaluator import compile_pred
 from .syntax import (
@@ -454,7 +453,7 @@ def project_exists(
         bound = [(n, drop_sorts[n]) for n in drop_order if n in vars_]
         free_outside = pred_vars(body) - vars_ - const_names
         if not free_outside:
-            space = [(n, var_grid(ctx.bounds, n, s)) for n, s in bound]
+            space = [(n, ctx.grid(n, s)) for n, s in bound]
             verdict = satisfiable(body, space, ctx)
             if verdict.sat:
                 continue  # inhabited: contributes nothing to the projection

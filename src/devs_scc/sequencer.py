@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import input_grid, time_points
 from .context import Context
 from .sat import satisfiable
 from .scc import SCC
@@ -131,9 +130,9 @@ def _run_step(ctx, sim, event, rel_time, seq, scc_id):
 def _next_reachable(remaining, sim, ctx):
     """Position of the first remaining class (ascending id) with a runnable
     member made of the current state, and that member's pair.  The pair
-    space, built once, lacks the no-event marker when the state's time
-    advance is infinite; an EvalError from that time advance ends the
-    chain."""
+    space is the context's, without the no-event marker when the state's
+    time advance is infinite; an EvalError from that time advance ends
+    the chain."""
     env = {**ctx.consts, **sim.state}
     space = None
     for at, scc in enumerate(remaining):
@@ -143,9 +142,7 @@ def _next_reachable(remaining, sim, ctx):
         except EvalError:
             continue
         if space is None:
-            tau = not isinstance(time_advance(sim, ctx), Inf)
-            space = [("x", input_grid(ctx.bounds, ctx.model, with_tau=tau)),
-                     ("t", time_points(ctx.bounds))]
+            space = ctx.pair_spaces[not isinstance(time_advance(sim, ctx), Inf)]
         verdict = satisfiable(runnable_form(scc, ctx), space, ctx, base_env=env)
         if verdict.sat:
             return at, (verdict.witness["x"], verdict.witness["t"])

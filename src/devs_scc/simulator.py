@@ -52,13 +52,10 @@ class UndefinedTransition(Exception):
 
 @dataclass
 class SimState:
-    """A running model: its state, the clock and the last transition time."""
+    """A running model: its state and the clock, the instant of its most
+    recent transition."""
     state: dict[str, Value]
     clock: Rational
-    last: Rational  # instant of the most recent transition
-
-    def elapsed(self) -> Rational:
-        return exact(self.clock - self.last)
 
 
 @dataclass
@@ -109,7 +106,7 @@ def init(model: Model, s0: dict[str, Value]) -> SimState:
         if name not in s0:
             raise SimError(f"initial state misses variable {name}")
         state[name] = coerce(s0[name], sort, f"initial {name}")
-    return SimState(state=state, clock=0, last=0)
+    return SimState(state=state, clock=0)
 
 
 def time_advance(st: SimState, ctx: Context) -> Value:
@@ -135,7 +132,7 @@ def step(
     if injected is None:
         if isinstance(ta, Inf):
             raise SimError("passive state, no internal transition")
-        deadline = exact(st.last + ta.value)
+        deadline = exact(st.clock + ta.value)
         env = {**ctx.consts, **st.state}
         fired = _first_case(ctx, "lambda", env)
         if fired is None:
@@ -145,7 +142,7 @@ def step(
         if fired is None:
             raise UndefinedTransition("dint", _state_str(st.state))
         new_state = _apply_result(ctx.model, fired[1], env)
-        nxt = SimState(new_state, deadline, deadline)
+        nxt = SimState(new_state, deadline)
         event = TraceEvent(
             at=Num(deadline),
             kind="internal",
@@ -158,7 +155,7 @@ def step(
     x, at_time = injected[0], exact(injected[1])
     if at_time < st.clock:
         raise SimError("injected event lies in the past")
-    e = exact(at_time - st.last)
+    e = exact(at_time - st.clock)
     tie = False
     if not isinstance(ta, Inf):
         if e > ta.value:
@@ -171,7 +168,7 @@ def step(
             "dext", f"{_state_str(st.state)}, x={render_value(x)}, e={e}"
         )
     new_state = _apply_result(ctx.model, fired[1], env)
-    nxt = SimState(new_state, at_time, at_time)
+    nxt = SimState(new_state, at_time)
     event = TraceEvent(
         at=Num(at_time),
         kind="external",
@@ -192,7 +189,7 @@ def advance(st: SimState, event: Value, rel_time: Value, ctx: Context) -> tuple[
     else:
         if not isinstance(rel_time, Num):
             raise SimError("external event needs a finite time")
-        nxt, _, ev = step(st, ctx, (event, st.last + rel_time.value))
+        nxt, _, ev = step(st, ctx, (event, st.clock + rel_time.value))
     return nxt, ev
 
 

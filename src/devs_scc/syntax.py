@@ -336,6 +336,16 @@ def expr_nodes(e: Expr) -> Iterator[Expr]:
         yield from expr_nodes(e.base)
 
 
+def pred_exprs(p: Predicate) -> Iterator[Expr]:
+    """Every expression in the atoms of `p`, each with those below it."""
+    for q in iter_subpreds(p):
+        if isinstance(q, Cmp):
+            yield from expr_nodes(q.left)
+            yield from expr_nodes(q.right)
+        elif isinstance(q, (InSet, InBase)):
+            yield from expr_nodes(q.expr)
+
+
 def expr_vars(e: Expr) -> set[str]:
     if isinstance(e, Ref):
         return {e.name}

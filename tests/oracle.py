@@ -10,7 +10,10 @@ to values; user-defined operators run their own guarded cases in an
 environment containing only their parameters and the model constants;
 conjunction and disjunction short-circuit left to right.
 
-`iter_witnesses` drains the product's witness search, which `src/`
+`time_points`, `state_space` and `joint_space` build the search spaces
+afresh from the bounds on every call, the reference for the spaces a
+`devs_scc.context.Context` keeps.  `iter_witnesses` drains the product's
+witness search, which `src/`
 only ever asks for its first witness.  `split` divides a prepared form's
 conjuncts by search depth from their variables on every call, the
 reference for the search's split from the placements its conjuncts keep.  `ref_render_pred` and
@@ -25,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from devs_scc.bounds import var_grid
+from devs_scc.bounds import grid
 from devs_scc.model import GuardedCase, Model, OperatorDef
 from devs_scc.sat import BudgetExhausted, _Budget, _env, _form, _witnesses
 from devs_scc.syntax import (
@@ -66,6 +69,8 @@ from devs_scc.values import (
     RatSort,
     Sort,
     SortError,
+    TAU,
+    TIME,
     TimeSort,
     TupleSort,
     coerce,
@@ -180,7 +185,7 @@ def eval_pred(
     if isinstance(pred, Exists):
         if bounds is None:
             raise EvalError("existential membership test needs bounds")
-        grids = [var_grid(bounds, name, sort) for name, sort in pred.bound]
+        grids = [grid(bounds, name, sort) for name, sort in pred.bound]
         names = [name for name, _ in pred.bound]
         inner = dict(env)
         for combo in itertools.product(*grids):
@@ -377,7 +382,24 @@ def _le(a: Value, b: Value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# witness enumeration
+# search spaces and witness enumeration
+
+
+def time_points(bounds) -> list[Value]:
+    """The finite time grid, built afresh."""
+    return grid(bounds, "", TIME)[:-1]
+
+
+def state_space(model: Model, bounds) -> list[tuple[str, list[Value]]]:
+    """(name, grid) of each state variable, built afresh."""
+    return [(name, grid(bounds, name, sort)) for name, sort in model.schema.vars]
+
+
+def joint_space(model: Model, bounds) -> list[tuple[str, list[Value]]]:
+    """The input pair (x, with the no-event marker, and t), then the
+    state, built afresh."""
+    return [("x", [*grid(bounds, "x", model.input_sort), TAU]), ("t", time_points(bounds)),
+            *state_space(model, bounds)]
 
 
 def iter_witnesses(pred, space, ctx, base_env=None, limit: int = 1_000_000):

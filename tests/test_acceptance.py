@@ -320,7 +320,7 @@ def _q_invariant_suite(soda, soda_bounds, target: int) -> int:
                     ["c25", "c50", "c100", "getNormal", "getDiet", "cancel",
                      "moneyRetreated"]
                 ))
-                injected = (x, st.last + e)
+                injected = (x, st.clock + e)
                 # the chosen elapsed time lies in the total state set
                 assert 0 <= e
                 if isinstance(ta, Num):
@@ -331,7 +331,7 @@ def _q_invariant_suite(soda, soda_bounds, target: int) -> int:
             except (UndefinedTransition, SimError):
                 break
             assert st.clock >= before
-            assert st.elapsed() == 0
+            assert st.clock == (before + ta.value if injected is None else injected[1])
             steps_taken += 1
     return steps_taken
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from devs_scc.algebra import CombinationPlan, combine_and_prune, intersect
-from devs_scc.bounds import Bounds, state_space
+from devs_scc.bounds import Bounds
 from devs_scc.campaign import apply_selection
 from devs_scc.context import Context
 from devs_scc.parser import parse_model_text
@@ -13,6 +13,7 @@ from devs_scc.sat import satisfiable
 from devs_scc.scc import SCC, assign_ids, make_scc
 from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, render_pred
 from devs_scc.values import Lit, num
+from oracle import state_space
 
 TOY_MODEL = """
 model toy {
@@ -260,8 +261,8 @@ def _build_then_decide(base, plan, ctx):
     member forms conjoined are searched, and the kept ones are numbered
     at the end, each given that form in `ctx`."""
     from devs_scc.algebra import CombineReport
-    from devs_scc.bounds import joint_space
     from devs_scc.selector import member_form
+    from oracle import joint_space
 
     report = CombineReport()
     by_id = {s.id: s for s in base}

@@ -1,30 +1,26 @@
-"""Enumeration grids are built once per Bounds object and shared by every
-search, without changing any grid a caller sees."""
+"""Enumeration grids: `bounds.grid` builds each one afresh from plain
+bounds data, and a `Context` keeps each one it uses, with the time grid
+and the search spaces, shared read-only by every search over it."""
 
 import copy
 import itertools
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-import devs_scc.bounds as bounds_mod
-from devs_scc.bounds import (
-    DEFAULT_INT,
-    DEFAULT_NAT,
-    DEFAULT_RAT,
-    input_grid,
-    joint_space,
-    sort_grid,
-    time_points,
-    var_grid,
-)
+import devs_scc.context as context_mod
+import devs_scc.sequencer as sequencer
+from devs_scc.bounds import DEFAULT_INT, DEFAULT_NAT, DEFAULT_RAT, Bounds, grid
 from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.check import validate_model
+from devs_scc.context import Context
 from devs_scc.parser import parse_bounds_file, parse_bounds_text
 from devs_scc.values import (
     INF,
     INT,
     TAU,
+    TIME,
     EnumSort,
     ExtSort,
     IntSort,
@@ -91,26 +87,38 @@ def ref_var_grid(b, name, sort):
     return ref_sort_grid(b, sort, name)
 
 
-def ref_joint_space(model, b):
-    return [
-        ("x", ref_sort_grid(b, model.input_sort, "x") + [TAU]),
-        ("t", [Num(v) for v in ref_times(b)]),
-    ] + [(n, ref_var_grid(b, n, s)) for n, s in model.schema.vars]
+def ref_pair_space(model, b, with_tau):
+    xs = ref_sort_grid(b, model.input_sort, "x")
+    return [("x", xs + [TAU] if with_tau else xs), ("t", [Num(v) for v in ref_times(b)])]
+
+
+def ref_state_space(model, b):
+    return [(n, ref_var_grid(b, n, s)) for n, s in model.schema.vars]
 
 
 @pytest.mark.parametrize("fixture", ["soda", "toggle", "elevator"])
 def test_memoised_grids_equal_fresh_ones(fixture, request):
     model = request.getfixturevalue(fixture)
     b = parse_bounds_file(str(FIXTURES / f"{fixture}.bounds"))
+    ctx = Context(model, b)
     variables = [*model.schema.vars, ("x", model.input_sort)]
+    first = {}
     # the first round builds each grid, the second reads it back
     for _ in range(2):
         for name, sort in variables:
-            assert var_grid(b, name, sort) == ref_var_grid(b, name, sort), name
-            assert sort_grid(b, sort, name) == ref_sort_grid(b, sort, name), name
-        assert b.times() == ref_times(b)
-        assert time_points(b) == [Num(v) for v in ref_times(b)]
-        assert joint_space(model, b) == ref_joint_space(model, b)
+            assert grid(b, name, sort) == ref_var_grid(b, name, sort), name
+            assert ctx.grid(name, sort) == ref_var_grid(b, name, sort), name
+            assert first.setdefault(name, ctx.grid(name, sort)) is ctx.grid(name, sort)
+        assert [v.value for v in ctx.times] == ref_times(b)
+        assert ctx.state_space == ref_state_space(model, b)
+        assert ctx.pair_spaces == (ref_pair_space(model, b, False), ref_pair_space(model, b, True))
+        assert ctx.joint_space == ref_pair_space(model, b, True) + ref_state_space(model, b)
+    # the spaces share the context's grids
+    assert all(g is ctx.grid(n, s) for (n, g), (_, s) in zip(ctx.state_space, model.schema.vars))
+    assert ctx.joint_space[2:] == ctx.state_space
+    assert all(j[1] is s[1] for j, s in zip(ctx.joint_space[2:], ctx.state_space))
+    assert ctx.pair_spaces[False][0][1] is ctx.grid("x", model.input_sort)
+    assert all(space[1][1] is ctx.times for space in (*ctx.pair_spaces, ctx.joint_space))
 
 
 def test_memoised_grids_follow_every_kind_of_range():
@@ -132,66 +140,86 @@ def test_memoised_grids_follow_every_kind_of_range():
         ("p", TupleSort((NatSort(), IntSort()))),
         ("f", ExtSort(ExtSort(NatSort(), "none"), "all")),
     ]
+    ctx = Context(None, b)
     for _ in range(2):
         for name, sort in cases:
-            assert var_grid(b, name, sort) == ref_var_grid(b, name, sort), name
-            assert sort_grid(b, sort, name) == ref_sort_grid(b, sort, name), name
+            assert grid(b, name, sort) == ref_var_grid(b, name, sort), name
+            assert ctx.grid(name, sort) == ref_var_grid(b, name, sort), name
+    assert len(ctx.grids) == len(cases)
+    assert [v.value for v in ctx.times] == ref_times(b)
 
 
-def test_changing_a_returned_grid_leaves_the_shared_one(elevator):
+def _worked(model, bounds, tables):
+    return Campaign(
+        model=model,
+        bounds=bounds,
+        tables=tables,
+        selections=list(ELEVATOR_SELECTIONS),
+        plan=load_plan(str(FIXTURES / "elevator.plan.json")),
+    )
+
+
+def _spaces(ctx):
+    """The time grid and the spaces a context hands out."""
+    return [ctx.times, ctx.state_space, *ctx.pair_spaces, ctx.joint_space]
+
+
+def test_changing_a_returned_grid_leaves_the_shared_one(elevator, elevator_tables):
+    """The builder hands out a fresh list on every call, and a campaign
+    leaves the grids and spaces of its context as it found them."""
     b = parse_bounds_file(str(FIXTURES / "elevator.bounds"))
     fc = dict(elevator.schema.vars)["fc"]
-    before = {
-        "var": var_grid(b, "fc", fc),
-        "sort": sort_grid(b, fc, "fc"),
-        "times": b.times(),
-        "points": time_points(b),
-        "input": input_grid(b, elevator, with_tau=False),
-        # the shared space itself, so a snapshot
-        "joint": copy.deepcopy(joint_space(elevator, b)),
-    }
-    spoiled = [
-        var_grid(b, "fc", fc),
-        sort_grid(b, fc, "fc"),
-        b.times(),
-        time_points(b),
-        input_grid(b, elevator, with_tau=False),
-        input_grid(b, elevator, with_tau=True),
-    ]
-    for grid in spoiled:
-        grid.reverse()
-        grid.append(Lit("spoiled"))
-    assert var_grid(b, "fc", fc) == before["var"]
-    assert sort_grid(b, fc, "fc") == before["sort"]
-    assert b.times() == before["times"]
-    assert time_points(b) == before["points"]
-    assert input_grid(b, elevator, with_tau=False) == before["input"]
-    assert joint_space(elevator, b) == before["joint"]
+    campaign = _worked(elevator, b, elevator_tables)
+    ctx = campaign.context()
+    spaces, grids = _spaces(ctx), dict(ctx.grids)
+    before = copy.deepcopy([spaces, grids])
+    spoiled = [grid(b, "fc", fc), grid(b, "", TIME), grid(b, "x", elevator.input_sort)]
+    for made in spoiled:
+        made.reverse()
+        made.append(Lit("spoiled"))
+    assert grid(b, "fc", fc) == ctx.grid("fc", fc) == ref_var_grid(b, "fc", fc)
+    assert [_spaces(ctx), ctx.grids] == before
+    assert run_campaign(campaign).report.catalog_size == 92
+    # the same objects, unchanged, beside the grids the campaign added
+    assert all(a is c for a, c in zip(_spaces(ctx), spaces))
+    assert all(ctx.grids[key] is made for key, made in grids.items())
+    assert [spaces, grids] == before
 
 
 def test_worked_campaign_builds_each_grid_once(elevator, elevator_tables, monkeypatch):
-    builds: dict[tuple, int] = {}
-    build = bounds_mod._build_grid
-
-    def counting(b, sort, name):
-        key = (id(b), sort, name)
-        builds[key] = builds.get(key, 0) + 1
-        return build(b, sort, name)
-
-    monkeypatch.setattr(bounds_mod, "_build_grid", counting)
+    """Over a worked set-up (bounded checks, then a campaign), each
+    context builds each (name, sort) grid once, and chaining searches the
+    campaign context's own pair spaces rather than building one a step."""
+    made, builds, spaces = [], [], []
+    init, build, search = Context.__init__, context_mod.build_grid, sequencer.satisfiable
+    monkeypatch.setattr(Context, "__init__", lambda self, *a: made.append(self) or init(self, *a))
+    monkeypatch.setattr(context_mod, "build_grid",
+                        lambda b, n, s: builds.append((id(b), n, s)) or build(b, n, s))
+    monkeypatch.setattr(sequencer, "satisfiable",
+                        lambda form, space, *a, **k: spaces.append(space) or search(form, space, *a, **k))
     b = parse_bounds_file(str(FIXTURES / "elevator.bounds"))
     _, checked = validate_model(elevator, b)
     assert checked.usable
-    result = run_campaign(Campaign(
-        model=elevator,
-        bounds=b,
-        tables=elevator_tables,
-        selections=list(ELEVATOR_SELECTIONS),
-        plan=load_plan(str(FIXTURES / "elevator.plan.json")),
-    ))
+    campaign = _worked(elevator, b, elevator_tables)
+    result = run_campaign(campaign)
     assert result.report.catalog_size == 92
-    assert builds and {key[0] for key in builds} == {id(b)}
-    assert max(builds.values()) == 1
+    assert len(made) >= 2 and {key[0] for key in builds} == {id(b)}
+    # every build lands in one context's table, so none is built twice there
+    assert len(builds) == sum(len(ctx.grids) for ctx in made)
+    assert len(builds) > len(set(builds))  # the checks' context and the campaign's
+    ctx = campaign.context()
+    assert len(spaces) > 3
+    assert all(s is ctx.pair_spaces[0] or s is ctx.pair_spaces[1] for s in spaces)
+
+
+def test_bounds_hold_no_derived_state_after_a_campaign(elevator, elevator_tables):
+    path = str(FIXTURES / "elevator.bounds")
+    b = parse_bounds_file(path)
+    _, checked = validate_model(elevator, b)
+    assert checked.usable
+    run_campaign(_worked(elevator, b, elevator_tables))
+    assert vars(b).keys() == {f.name for f in fields(Bounds)}
+    assert vars(b) == vars(parse_bounds_file(path))
 
 
 def test_a_set_value_outside_its_sort_is_a_validation_error(toggle):
@@ -203,3 +231,19 @@ def test_a_set_value_outside_its_sort_is_a_validation_error(toggle):
     assert report.warnings == []
     _, clean = validate_model(toggle, parse_bounds_text("bounds { set m = {B}; }"))
     assert clean.usable
+
+
+@pytest.mark.parametrize("fixture, sets, names", [
+    ("toggle", "set zz = {1};", ["zz"]),
+    ("elevator", "set x = {fsig};", ["x"]),
+    ("soda", "set t = {0}; set np = {0}; set e = {1};", ["t", "e"]),
+])
+def test_a_set_that_names_no_state_variable_is_a_validation_error(fixture, sets, names, request):
+    model = request.getfixturevalue(fixture)
+    text = (FIXTURES / f"{fixture}.bounds").read_text()
+    at = text.rindex("}")
+    b = parse_bounds_text(text[:at] + sets + text[at:])
+    _, report = validate_model(model, b)
+    assert not report.usable
+    assert report.errors == [f"bounds set {n} names no state variable" for n in names]
+    assert report.warnings == []

@@ -541,6 +541,20 @@ def test_a_number_that_cannot_be_evaluated_exits_2(kind, text, message, tmp_path
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["parse", str(FIXTURES / "toggle.devs")],
+    ["select", "--model", str(FIXTURES / "toggle.devs"), "--criteria", "cases"],
+])
+def test_a_set_that_names_no_state_variable_exits_2(command, tmp_path, capsys):
+    bad = tmp_path / "bad.bounds"
+    bad.write_text("bounds { set zz = {1}; time samples = {0, 1, 2}; }")
+    assert main([*command, "--bounds", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: bounds set zz names no state variable\n"
+    assert out == ("toggle: rejected: 2/0/1 cases (dext/dint/lambda), 1 errors, 0 warnings\n"
+                   if command[0] == "parse" else "")
+
+
 def test_simulate_checks_the_bounds_as_select_does(tmp_path, capsys):
     bad = tmp_path / "bad.bounds"
     bad.write_text("bounds { set m = {C}; time samples = {0, 1, 2}; }")

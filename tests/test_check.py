@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from devs_scc import check, sat
-from devs_scc.bounds import Bounds, state_space
+from devs_scc.bounds import Bounds
 from devs_scc.check import validate_model
 from devs_scc.cli import main
 from devs_scc.context import Context
@@ -168,7 +168,7 @@ def test_coverage_matches_one_plain_search_per_pair_on_the_fixtures(name):
     model, _ = parse_model_file(str(FIXTURES / f"{name}.devs"))
     bounds = parse_bounds_file(str(FIXTURES / f"{name}.bounds"))
     searched = 0
-    for _, cases, space in check._case_tables(model, bounds, state_space(model, bounds)):
+    for _, cases, space in check._case_tables(Context(model, bounds)):
         guarded = [c for c in cases if not c.is_otherwise]
         searched += _assert_same_checks([c.guard for c in guarded], len(guarded) < len(cases),
                                         space, bounds, model)
@@ -248,3 +248,41 @@ def test_validating_a_parsed_model_binds_nothing_again(monkeypatch):
     _, again = validate_model(model, bounds)
     assert again == fresh
     assert binds == []
+
+
+_SELF_CALLING_GUARD = """  op f(n: nat): nat {
+    case f(n) = 0 -> 1;
+    otherwise -> 0;
+  }
+"""
+_GUARD_CALLS_A_RECURSIVE_RESULT = """  op f(n: nat): nat {
+    case g(n) = 0 -> 1;
+    otherwise -> 0;
+  }
+  op g(n: nat): nat {
+    case n = 0 -> 0;
+    otherwise -> f(n);
+  }
+"""
+
+
+@pytest.mark.parametrize("ops, cycle", [
+    (_SELF_CALLING_GUARD, "f -> f"),
+    (_GUARD_CALLS_A_RECURSIVE_RESULT, "f -> g -> f"),
+])
+def test_an_operator_that_recurs_through_a_guard_is_rejected(ops, cycle, tmp_path, capsys):
+    text = (FIXTURES / "toggle.devs").read_text()
+    text = text.replace("  ta = infinity;", ops + "  ta = infinity;")
+    text = text.replace("case x = go /\\ m = A -> B;", "case x = go /\\ m = A /\\ f(1) = 0 -> B;")
+    _, report = parse_model_text(text)
+    assert report.errors == [f"recursive operator definitions: {cycle}"]
+    model = tmp_path / "recursive.devs"
+    model.write_text(text)
+    config = tmp_path / "config.json"
+    config.write_text('{"state": {"m": "A"}, "input": {"event": "go", "time": "0"}}')
+    assert main(["parse", str(model), "--bounds", str(FIXTURES / "toggle.bounds")]) == 2
+    assert capsys.readouterr().err == f"error: recursive operator definitions: {cycle}\n"
+    assert main(["simulate", "--model", str(model), "--bounds", str(FIXTURES / "toggle.bounds"),
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: model rejected: recursive operator definitions: {cycle}\n")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from devs_scc.bounds import time_points, var_grid
+from devs_scc.bounds import grid
 from devs_scc.context import Context
 from devs_scc.criteria import (
     CriterionError,
@@ -14,7 +14,7 @@ from devs_scc.criteria import (
     standard_partition_criterion,
     time_partition_criterion,
 )
-from oracle import eval_pred, iter_witnesses
+from oracle import eval_pred, iter_witnesses, joint_space, time_points
 from devs_scc.parser import parse_expr_text, parse_model_text
 from devs_scc.partitions import builtin_tables
 from devs_scc.bounds import Bounds
@@ -75,7 +75,7 @@ def test_cases_witnesses_admit_an_elapsed_time(soda, soda_bounds):
     bounds admits some elapsed time satisfying the original guard."""
     ctx = Context(soda, soda_bounds)
     sccs, _ = cases_criterion(ctx)
-    from devs_scc.bounds import joint_space, const_env
+    from devs_scc.bounds import const_env
 
     consts = const_env(soda_bounds, soda)
     for scc in sccs:
@@ -122,8 +122,7 @@ def test_elevator_full_extensional_application(elevator):
 
 def test_extensional_union_covers_the_variable_grid(elevator, elevator_bounds):
     sccs, _ = extensional_criterion(elevator, "fc")
-    grid = var_grid(elevator_bounds, "fc", elevator.schema.sort_of("fc"))
-    for value in grid:
+    for value in grid(elevator_bounds, "fc", elevator.schema.sort_of("fc")):
         hits = sum(
             1 for s in sccs if eval_pred(s.init_states, {"fc": value}, elevator)
         )

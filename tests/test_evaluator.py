@@ -151,7 +151,8 @@ def test_sort_soundness_on_randomized_environments(soda, soda_bounds):
     result sort."""
     import random
 
-    from devs_scc.bounds import const_env, state_space, var_grid
+    from devs_scc.bounds import const_env
+    from oracle import state_space
     from devs_scc.values import TIME, value_conforms
 
     rng = random.Random(555)
@@ -172,7 +173,8 @@ def test_sort_soundness_on_randomized_environments(soda, soda_bounds):
 def test_first_matching_guard_wins(soda, soda_bounds):
     import random
 
-    from devs_scc.bounds import const_env, state_space
+    from devs_scc.bounds import const_env
+    from oracle import state_space
 
     rng = random.Random(808)
     consts = const_env(soda_bounds, soda)
@@ -270,7 +272,7 @@ def test_compiled_expressions_agree_with_the_oracle(expr, env):
 
 
 def test_compiled_ntsel_agrees_with_the_oracle(elevator, elevator_bounds):
-    from devs_scc.bounds import time_points
+    from oracle import time_points
 
     times = [*time_points(elevator_bounds), INF]
     calls = [
@@ -289,7 +291,8 @@ def test_compiled_cases_agree_with_the_oracle(name, request):
     configurations within bounds."""
     import random
 
-    from devs_scc.bounds import const_env, joint_space
+    from devs_scc.bounds import const_env
+    from oracle import joint_space
 
     model = request.getfixturevalue(name)
     bounds = request.getfixturevalue(f"{name}_bounds")
@@ -385,35 +388,42 @@ def test_compiled_existentials_agree_with_the_oracle(pred, env, bounds):
 
 
 def test_an_existential_takes_its_grids_once(monkeypatch):
-    """An existential's closure takes each bound variable's grid on its
-    first call and keeps it; a missing-bounds error or a BoundsError
-    still surfaces on every call."""
-    import devs_scc.evaluator as evaluator
+    """An existential takes each bound variable's grid from its context
+    when it is compiled, and no call takes another; the context builds
+    each grid once for every existential compiled in it.  Without bounds
+    the missing-bounds error surfaces on every call, and a sort with no
+    grid fails the compilation."""
+    import devs_scc.context as context_mod
     from devs_scc.bounds import BoundsError
 
-    taken = []
-    real = evaluator.var_grid
-    monkeypatch.setattr(evaluator, "var_grid", lambda b, n, s: taken.append(n) or real(b, n, s))
+    built = []
+    real = context_mod.build_grid
+    monkeypatch.setattr(context_mod, "build_grid", lambda b, n, s: built.append(n) or real(b, n, s))
     body = And((Cmp(">", Ref("y"), Ref("a")), InSet(Ref("c"), ("B",))))
     pred = Exists((("y", NAT), ("c", EnumSort(("A", "B")))), body)
-    decide = compile_pred(pred, Context(None, Bounds(nat_ranges={"": (0, 3)})))
-    assert taken == []
+    bounds = Bounds(nat_ranges={"": (0, 3)})
+    ctx = Context(None, bounds)
+    decide = compile_pred(pred, ctx)
+    assert built == ["y", "c"]
     for a in range(6):
         assert decide({"a": num(a)}) == (a < 3)
-        assert decide({"a": num(a)}) == oracle_pred(pred, {"a": num(a)}, None, Bounds(
-            nat_ranges={"": (0, 3)}))
-    assert taken == ["y", "c"]
-    for ctx in (None, Context(None)):
-        unbounded = compile_pred(pred, ctx)
+        assert decide({"a": num(a)}) == oracle_pred(pred, {"a": num(a)}, None, bounds)
+    # the same grid lists, in a second existential of the context too
+    again = compile_pred(Exists((("c", EnumSort(("A", "B"))), ("y", NAT)), body), ctx)
+    assert again({"a": num(2)}) and not again({"a": num(3)})
+    assert built == ["y", "c"]
+    assert ctx.grids == {("y", NAT): [num(k) for k in range(4)],
+                         ("c", EnumSort(("A", "B"))): [Lit("A"), Lit("B")]}
+    compile_pred(pred, Context(None, bounds))
+    assert built == ["y", "c", "y", "c"]
+    for unbounded_ctx in (None, Context(None)):
+        unbounded = compile_pred(pred, unbounded_ctx)
         for _ in range(2):
             with pytest.raises(EvalError, match="^existential membership test needs bounds$"):
                 unbounded({"a": num(0)})
-    taken.clear()
-    gridless = compile_pred(Exists((("y", object()),), TRUE), Context(None, Bounds()))
-    for _ in range(2):
-        with pytest.raises(BoundsError, match="no grid for sort"):
-            gridless({})
-    assert taken == ["y", "y"]
+    assert built == ["y", "c", "y", "c"]
+    with pytest.raises(BoundsError, match="no grid for sort"):
+        compile_pred(Exists((("y", object()),), TRUE), Context(None, Bounds()))
 
 
 @pytest.mark.parametrize("shape, message", [
@@ -441,7 +451,8 @@ def test_compiled_class_predicates_agree_with_the_oracle(name, request):
     existentials included, on random configurations within bounds."""
     import random
 
-    from devs_scc.bounds import const_env, joint_space
+    from devs_scc.bounds import const_env
+    from oracle import joint_space
 
     from tests.test_sequencer import _sequenced
 

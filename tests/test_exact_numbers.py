@@ -10,8 +10,9 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from devs_scc import values
-from devs_scc.bounds import const_env, input_grid, joint_space, sort_grid, time_points, var_grid
+from devs_scc.bounds import const_env, grid
 from devs_scc.campaign import Campaign, load_plan, run_campaign
+from devs_scc.context import Context
 from devs_scc.evaluator import compile_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file
 from devs_scc.syntax import Cmp, Const, InBase, InSet, Ref, expr_nodes, iter_subpreds
@@ -106,13 +107,14 @@ def test_parsing_grids_and_constants_hold_numbers_exactly():
         model, report = parse_model_file(str(FIXTURES / f"{name}.devs"))
         assert report.usable
         bounds = parse_bounds_file(str(FIXTURES / f"{name}.bounds"))
-        grids = [var_grid(bounds, v, sort) for v, sort in model.schema.vars]
-        grids += [sort_grid(bounds, sort) for sort in (NAT, INT, RAT, TIME)]
-        found += nums(model, bounds, grids, time_points(bounds), const_env(bounds, model),
-                      input_grid(bounds, model, with_tau=True), joint_space(model, bounds))
-        assert all(type(t) is int or t.denominator != 1 for t in bounds.times())
+        ctx = Context(model, bounds)
+        grids = [grid(bounds, v, sort) for v, sort in model.schema.vars]
+        grids += [grid(bounds, "", sort) for sort in (NAT, INT, RAT, TIME)]
+        found += nums(model, bounds, grids, const_env(bounds, model), ctx.times, ctx.state_space,
+                      ctx.pair_spaces, ctx.joint_space, list(ctx.grids.values()))
+        assert all(type(t.value) is int or t.value.denominator != 1 for t in ctx.times)
     bounds = parse_bounds_text(_RATIONAL_BOUNDS)
-    grids = [sort_grid(bounds, sort) for sort in (NAT, INT, RAT, TIME)]
+    grids = [grid(bounds, "", sort) for sort in (NAT, INT, RAT, TIME)]
     assert {type(n.value) for g in grids for n in nums(g)} == {int, Fraction}
     assert bounds.const_values["T"] == Num(2) and type(bounds.const_values["T"].value) is int
     found += nums(bounds, grids)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from devs_scc.bounds import BoundsError, sort_grid, var_grid
+from devs_scc.bounds import BoundsError, grid
 from devs_scc.campaign import CampaignError, apply_selection, load_tables
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
@@ -33,13 +33,13 @@ def test_bounds_ranges_sets_and_constant_expressions():
     )
     assert b.const_values["B"] == num(6)
     assert b.const_values["HALF"] == num(3)
-    assert var_grid(b, "f", NAT) == [num(1), num(2)]
-    assert var_grid(b, "other", NAT) == [num(0), num(1), num(2), num(3)]
-    assert sort_grid(b, RAT, "d") == [num(0), num(Fraction(1, 2)), num(1)]
+    assert grid(b, "f", NAT) == [num(1), num(2)]
+    assert grid(b, "other", NAT) == [num(0), num(1), num(2), num(3)]
+    assert grid(b, "d", RAT) == [num(0), num(Fraction(1, 2)), num(1)]
     assert b.value_sets["bag"] == [
         Tup((num(0), num(0))), Tup((num(1), num(2))), INF, Lit("idle"),
     ]
-    assert b.times() == [Fraction(0), Fraction(4), Fraction(6)]
+    assert Context(None, b).times == [num(0), num(4), num(6)]
     assert b.max_attempts == 777
 
 
@@ -52,7 +52,7 @@ def test_default_time_samples_cover_the_constant_gaps():
         }
         """
     )
-    times = b.times()
+    times = [t.value for t in Context(None, b).times]
     assert Fraction(0) in times and Fraction(2) in times and Fraction(5) in times
     assert Fraction(7, 2) in times  # midpoint between the constants
     assert Fraction(6) in times  # one beyond the largest

@@ -16,7 +16,7 @@ import devs_scc.check as check
 import devs_scc.sat as sat
 import devs_scc.selector as selector
 from devs_scc.algebra import CombinationPlan, combine_and_prune
-from devs_scc.bounds import joint_space, state_space, var_grid
+from devs_scc.bounds import grid
 from devs_scc.campaign import Campaign, load_plan, load_tables, run_campaign
 from devs_scc.check import validate_model
 from devs_scc.context import Context
@@ -30,6 +30,7 @@ from devs_scc.syntax import (
     And, Apply, Cmp, Const, Exists, Ref, conjuncts, iter_subpreds, normalize, render_pred,
 )
 from devs_scc.values import INF, NAT, EvalError, Lit, num
+from oracle import joint_space, state_space
 
 from tests.conftest import (
     ELEVATOR_SELECTIONS,
@@ -116,7 +117,7 @@ def test_other_bounds_get_their_own_existential_closure_and_verdict():
     k_above_3 = Exists((("k", NAT),), Cmp(">", Ref("k"), Const(num(3))))
     narrow = parse_bounds_text("bounds { nat k = 0..2; }")
     wide = parse_bounds_text("bounds { nat k = 0..5; }")
-    assert var_grid(narrow, "k", NAT)[-1] == num(2) and var_grid(wide, "k", NAT)[-1] == num(5)
+    assert grid(narrow, "k", NAT)[-1] == num(2) and grid(wide, "k", NAT)[-1] == num(5)
     contexts = {id(narrow): Context(model, narrow), id(wide): Context(model, wide)}
     forms = {}
     # alternating between the two contexts over one model
@@ -185,11 +186,14 @@ def test_spaces_are_built_once_per_model_and_bounds(elevator):
     ctx = Context(elevator, b)
     assert ctx.joint_space is ctx.joint_space
     assert ctx.state_space is ctx.state_space
+    assert ctx.pair_spaces is ctx.pair_spaces and ctx.times is ctx.times
     assert ctx.joint_space == joint_space(elevator, b)
     assert ctx.state_space == state_space(elevator, b)
     other = Context(elevator, parse_bounds_text((FIXTURES / "elevator.bounds").read_text()))
     assert other.joint_space is not ctx.joint_space
     assert other.joint_space == ctx.joint_space
+    assert other.pair_spaces is not ctx.pair_spaces
+    assert other.pair_spaces == ctx.pair_spaces
 
 
 def test_a_form_keeps_its_split_while_searched_over_one_order(elevator, elevator_bounds,
@@ -253,9 +257,9 @@ def test_every_class_form_splits_as_the_reference(name, request):
     else:
         model, bounds, result = _sequenced(name, request)
         catalog = result.catalog
-    joint = tuple(n for n, _ in joint_space(model, bounds))
-    orders = [joint, joint[::-1], ("x", "t"), tuple(n for n, _ in state_space(model, bounds))]
     ctx = Context(model, bounds)
+    joint = tuple(n for n, _ in ctx.joint_space)
+    orders = [joint, joint[::-1], ("x", "t"), tuple(n for n, _ in ctx.state_space)]
     forms = [f(scc, ctx) for scc in catalog for f in (member_form, runnable_form)]
     for _ in range(2):
         for form in forms:

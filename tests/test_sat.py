@@ -3,7 +3,7 @@ from math import prod
 
 from hypothesis import given, strategies as st
 
-from devs_scc.bounds import Bounds, index_digits, var_grid
+from devs_scc.bounds import Bounds, grid, index_digits
 from oracle import eval_pred, iter_witnesses
 from devs_scc.context import Context
 from devs_scc.sat import coverage, prepare, project_exists, satisfiable
@@ -18,7 +18,7 @@ ONOFF = EnumSort(("ON", "OFF"))
 
 def toy_space(hi=20):
     b = Bounds(nat_ranges={"": (0, hi)})
-    return b, [("n", var_grid(b, "n", NAT)), ("m", var_grid(b, "m", ONOFF))]
+    return b, [("n", grid(b, "n", NAT)), ("m", grid(b, "m", ONOFF))]
 
 
 def test_contradictory_enum_equalities_are_unsat():
@@ -62,7 +62,7 @@ def test_witness_reevaluates_true_through_the_evaluator():
 
 def test_budget_exhaustion_reports_unknown():
     b = Bounds(nat_ranges={"": (0, 50)}, max_attempts=10)
-    space = [("n", var_grid(b, "n", NAT)), ("k", var_grid(b, "k", NAT))]
+    space = [("n", grid(b, "n", NAT)), ("k", grid(b, "k", NAT))]
     p = And((Cmp(">", Ref("n"), Const(num(49))), Cmp(">", Ref("k"), Const(num(49)))))
     assert satisfiable(p, space, Context(None, b)).status == "unknown"
 
@@ -71,7 +71,7 @@ def test_enlarging_bounds_never_flips_sat_to_unsat():
     p = Cmp(">", Ref("n"), Const(num(3)))
     for hi in range(1, 12):
         b = Bounds(nat_ranges={"": (0, hi)})
-        space = [("n", var_grid(b, "n", NAT))]
+        space = [("n", grid(b, "n", NAT))]
         verdict = satisfiable(p, space, Context(None, b))
         if hi <= 3:
             assert verdict.status == "unsat"
@@ -299,7 +299,7 @@ def test_projection_agrees_with_enumeration_on_sampled_states(soda, soda_bounds)
     projected = project_exists(p, [("e", TIME), ("x", soda.input_sort)], Context(soda, soda_bounds))
     d_grid = soda_bounds.value_sets["d"]
     dp_grid = soda_bounds.value_sets["dp"]
-    x_grid = var_grid(soda_bounds, "x", soda.input_sort)
+    x_grid = grid(soda_bounds, "x", soda.input_sort)
     checked = 0
     for d in d_grid:
         for dp in dp_grid:

@@ -10,13 +10,11 @@ from devs_scc.bounds import (
     const_env,
     digits_index,
     index_digits,
-    joint_space,
-    state_space,
 )
 from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
-from oracle import eval_expr, eval_pred
+from oracle import eval_expr, eval_pred, joint_space, state_space
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
 from devs_scc.partitions import builtin_tables
 from devs_scc.sat import satisfiable

@@ -5,7 +5,7 @@ import pytest
 from devs_scc.bounds import const_env
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
-from oracle import eval_pred
+from oracle import eval_pred, joint_space
 from devs_scc.scc import make_scc
 from devs_scc.sequencer import build_sequences
 from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, conj
@@ -251,14 +251,15 @@ def reference_pair(scc, state, model, bounds):
     """The chaining rule by plain enumeration: the least (x, t) that with
     `state` satisfies the class's member predicate and has t <= ta(state),
     without the no-event marker when ta is infinite."""
-    from devs_scc.bounds import input_grid, time_points
+    from devs_scc.bounds import grid
     from devs_scc.simulator import init, time_advance
-    from devs_scc.values import EvalError, Inf
+    from devs_scc.values import TAU, EvalError, Inf
+    from oracle import time_points
 
     consts = const_env(bounds, model)
     ta = time_advance(init(model, state), Context(model, bounds))
     passive = isinstance(ta, Inf)
-    for x in input_grid(bounds, model, with_tau=not passive):
+    for x in grid(bounds, "x", model.input_sort) + ([] if passive else [TAU]):
         for t in time_points(bounds):
             if not passive and t.value > ta.value:
                 continue
@@ -330,7 +331,6 @@ def test_all_pairs_classes_are_inhabited_and_covered_from_inside(fixture, reques
     """Every kept combination of an all-pairs catalog has a member within
     bounds, and every step that covers a class is a member of it."""
     from devs_scc.algebra import CombinationPlan
-    from devs_scc.bounds import joint_space
     from devs_scc.campaign import Campaign, run_campaign
     from devs_scc.partitions import builtin_tables
     from devs_scc.sat import satisfiable

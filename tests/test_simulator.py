@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from devs_scc.bounds import state_space
+from oracle import state_space
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
 from devs_scc.scc import make_scc
@@ -44,7 +44,7 @@ def soda_idle_state(**over):
 
 def test_init_starts_the_clock_at_zero(soda, soda_bounds):
     st = init(soda, soda_idle_state())
-    assert st.clock == 0 and st.last == 0 and st.elapsed() == 0
+    assert st.clock == 0
 
 
 def test_time_advance_is_min_of_the_two_timers(soda, soda_bounds):
@@ -79,7 +79,7 @@ def test_coin_insertion_fires_the_first_case(soda, soda_bounds):
     assert nxt.state["ot"] == num(0)
     assert nxt.state["om"] == coins(0, 0, 1)
     assert nxt.state["it"] == num(297)  # 300 - elapsed 3
-    assert nxt.clock == 3 and nxt.last == 3
+    assert nxt.clock == 3
 
 
 def test_elapsed_time_beyond_deadline_is_rejected(soda, soda_bounds):
@@ -177,7 +177,7 @@ def test_clock_is_monotone_and_elapsed_bounded(soda, soda_bounds):
                 x = rng.choice(
                     [Lit(l) for l in ("c25", "c50", "getNormal", "cancel", "moneyRetreated")]
                 )
-                injected = (x, st.last + e)
+                injected = (x, st.clock + e)
                 assert 0 <= e <= (ta.value if isinstance(ta, Num) else e)
             before = st.clock
             try:
@@ -185,7 +185,8 @@ def test_clock_is_monotone_and_elapsed_bounded(soda, soda_bounds):
             except (UndefinedTransition, SimError):
                 break
             assert st.clock >= before
-            assert st.elapsed() == 0
+            # the clock stands at the instant of the transition just taken
+            assert st.clock == (before + ta.value if injected is None else injected[1])
             steps_taken += 1
     assert steps_taken >= 250
 
@@ -225,8 +226,16 @@ def test_advance_fires_tau_and_injects_relative_to_the_last_transition(soda, sod
     ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state(ot=num(10)))
     st, ev = advance(st, TAU, num(0), ctx)
-    assert (ev.kind, ev.fired, st.last) == ("internal", ("dint", 5), 10)
+    assert (ev.kind, ev.fired, st.clock) == ("internal", ("dint", 5), 10)
     st, ev = advance(st, Lit("c25"), num(3), ctx)
     assert (ev.kind, ev.at, ev.fired) == ("external", num(13), ("dext", 1))
     with pytest.raises(SimError, match="finite time"):
         advance(st, Lit("c25"), INF, ctx)
+
+
+def test_an_event_before_the_clock_is_rejected(soda, soda_bounds):
+    ctx = Context(soda, soda_bounds)
+    st, _ = advance(init(soda, soda_idle_state(ot=num(10))), TAU, num(0), ctx)
+    with pytest.raises(SimError, match="^injected event lies in the past$"):
+        step(st, ctx, (Lit("c25"), Fraction(9)))
+    assert step(st, ctx, (Lit("c25"), Fraction(10)))[2].at == num(10)
