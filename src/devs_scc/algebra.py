@@ -16,7 +16,6 @@ flagged rather than silently losing coverage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
 
@@ -25,7 +24,7 @@ from .sat import satisfiable
 from .scc import SCC, make_scc
 from .selector import member_form
 from .syntax import conj
-from .values import Record
+from .values import Record, Struct
 
 
 class CombinationPlan(Record):
@@ -48,15 +47,19 @@ class CombinationPlan(Record):
         self.budget = budget
 
 
-@dataclass
-class CombineReport:
+class CombineReport(Struct):
     """What one `combine_and_prune` run attempted, kept, dropped and noted."""
-    attempted: int = 0
-    kept: int = 0
-    dropped: int = 0
-    unknown: int = 0
-    budget_exhausted: bool = False
-    notes: list[str] = field(default_factory=list)
+
+    __slots__ = ("attempted", "kept", "dropped", "unknown", "budget_exhausted", "notes")
+
+    def __init__(self, attempted: int = 0, kept: int = 0, dropped: int = 0, unknown: int = 0,
+                 budget_exhausted: bool = False, notes: list[str] | None = None) -> None:
+        self.attempted = attempted
+        self.kept = kept
+        self.dropped = dropped
+        self.unknown = unknown
+        self.budget_exhausted = budget_exhausted
+        self.notes = [] if notes is None else notes
 
 
 def _lineage(*classes: SCC) -> tuple[tuple[int, ...], str]:

@@ -4,16 +4,16 @@ Unbounded emptiness is undecidable for the predicates the criteria build,
 so every check runs over per-sort grids declared in a bounds file.  An
 "unsat" verdict is therefore always qualified: no witness within these
 grids.  The time grid is a sample set that by default contains zero, the
-declared constants, midpoints between consecutive constants and one point
-beyond the largest, which is exactly the shape the time criterion needs
-(t<a, t=a, a<t<b, t=b, t>b all have inhabitants).
+declared constants, the midpoints between consecutive ones of these (from
+zero to the smallest constant too) and one point beyond the largest,
+which is exactly the shape the time criterion needs (t<a, t=a, a<t<b,
+t=b, t>b all have inhabitants).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import Model
@@ -28,6 +28,7 @@ from .values import (
     Rational,
     RatSort,
     Sort,
+    Struct,
     TimeSort,
     Tup,
     TupleSort,
@@ -46,8 +47,7 @@ class BoundsError(Exception):
     pass
 
 
-@dataclass
-class Bounds:
+class Bounds(Struct):
     """The enumeration bounds of one bounds file, as parsed: plain data.
 
     Read-only once built, like `Model`: `parse_bounds_text` is its only
@@ -56,13 +56,23 @@ class Bounds:
     `context.Context` keeps each one it uses.
     """
 
-    nat_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
-    int_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
-    rat_grids: dict[str, tuple[Rational, Rational, Rational]] = field(default_factory=dict)
-    value_sets: dict[str, list[Value]] = field(default_factory=dict)
-    time_samples: list[Rational] | None = None
-    const_values: dict[str, Value] = field(default_factory=dict)
-    max_attempts: int = 200_000
+    __slots__ = ("nat_ranges", "int_ranges", "rat_grids", "value_sets", "time_samples",
+                 "const_values", "max_attempts")
+
+    def __init__(self, nat_ranges: dict[str, tuple[int, int]] | None = None,
+                 int_ranges: dict[str, tuple[int, int]] | None = None,
+                 rat_grids: dict[str, tuple[Rational, Rational, Rational]] | None = None,
+                 value_sets: dict[str, list[Value]] | None = None,
+                 time_samples: list[Rational] | None = None,
+                 const_values: dict[str, Value] | None = None,
+                 max_attempts: int = 200_000) -> None:
+        self.nat_ranges = {} if nat_ranges is None else nat_ranges
+        self.int_ranges = {} if int_ranges is None else int_ranges
+        self.rat_grids = {} if rat_grids is None else rat_grids
+        self.value_sets = {} if value_sets is None else value_sets
+        self.time_samples = time_samples
+        self.const_values = {} if const_values is None else const_values
+        self.max_attempts = max_attempts
 
     def validate(self) -> None:
         for name, (lo, hi) in self.nat_ranges.items():
@@ -138,7 +148,7 @@ def _time_samples(bounds: Bounds) -> list[Rational]:
         if isinstance(v, Num) and v.value >= 0
     )
     samples = {0, *consts}
-    for a, b in itertools.pairwise(consts):
+    for a, b in itertools.pairwise(sorted(samples)):
         samples.add(exact(Fraction(a + b, 2)))
     if consts:
         samples.add(consts[-1] + 1)

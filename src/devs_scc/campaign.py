@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
 
 from .algebra import CombinationPlan, CombineReport, combine_and_prune
 from .bounds import Bounds
@@ -55,7 +54,7 @@ from .simulator import (
     uniformity_probe,
 )
 from .syntax import Apply, holding, pred_exprs
-from .values import EvalError, Value
+from .values import EvalError, Struct, Value
 
 SCHEMA = "devs-scc/1"
 
@@ -247,22 +246,33 @@ def _load_json(path: str, build):
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass
-class Report:
+class Report(Struct):
     """The campaign report: class counts per stage, findings and notes."""
-    model: str = ""
-    criteria_counts: list[tuple[str, int]] = field(default_factory=list)
-    duplicates_removed: int = 0
-    base_count: int = 0
-    combine: CombineReport | None = None
-    catalog_size: int = 0
-    configs_selected: int = 0
-    config_errors: list[str] = field(default_factory=list)
-    sequence_count: int = 0
-    trace_events: int = 0
-    findings: list[str] = field(default_factory=list)
-    probe_flags: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+
+    __slots__ = ("model", "criteria_counts", "duplicates_removed", "base_count", "combine",
+                 "catalog_size", "configs_selected", "config_errors", "sequence_count",
+                 "trace_events", "findings", "probe_flags", "notes")
+
+    def __init__(self, model: str = "", criteria_counts: list[tuple[str, int]] | None = None,
+                 duplicates_removed: int = 0, base_count: int = 0,
+                 combine: CombineReport | None = None, catalog_size: int = 0,
+                 configs_selected: int = 0, config_errors: list[str] | None = None,
+                 sequence_count: int = 0, trace_events: int = 0,
+                 findings: list[str] | None = None, probe_flags: list[dict] | None = None,
+                 notes: list[str] | None = None) -> None:
+        self.model = model
+        self.criteria_counts = [] if criteria_counts is None else criteria_counts
+        self.duplicates_removed = duplicates_removed
+        self.base_count = base_count
+        self.combine = combine
+        self.catalog_size = catalog_size
+        self.configs_selected = configs_selected
+        self.config_errors = [] if config_errors is None else config_errors
+        self.sequence_count = sequence_count
+        self.trace_events = trace_events
+        self.findings = [] if findings is None else findings
+        self.probe_flags = [] if probe_flags is None else probe_flags
+        self.notes = [] if notes is None else notes
 
     def reconciles(self) -> bool:
         combined_kept = self.combine.kept if self.combine else 0
@@ -299,18 +309,26 @@ class Report:
 # ---------------------------------------------------------------------------
 # campaign
 
-@dataclass
-class Campaign:
+class Campaign(Struct):
     """The inputs of one campaign: model, bounds, tables, selections, plan.
-    Its runs share one `Context`, built by the first."""
-    model: Model
-    bounds: Bounds
-    tables: dict[str, StandardPartition]
-    selections: list[str]
-    plan: CombinationPlan | None = None
-    include_otherwise: bool = False
-    probe_k: int = 0
-    _context: Context | None = field(default=None, init=False, repr=False, compare=False)
+    Its runs share one `Context`, built by the first; that is neither
+    compared nor shown."""
+
+    __slots__ = ("model", "bounds", "tables", "selections", "plan", "include_otherwise",
+                 "probe_k", "_context")
+    _fields = __slots__[:-1]
+
+    def __init__(self, model: Model, bounds: Bounds, tables: dict[str, StandardPartition],
+                 selections: list[str], plan: CombinationPlan | None = None,
+                 include_otherwise: bool = False, probe_k: int = 0) -> None:
+        self.model = model
+        self.bounds = bounds
+        self.tables = tables
+        self.selections = selections
+        self.plan = plan
+        self.include_otherwise = include_otherwise
+        self.probe_k = probe_k
+        self._context: Context | None = None
 
     def context(self) -> Context:
         if self._context is None:
@@ -318,13 +336,17 @@ class Campaign:
         return self._context
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(Struct):
     """The report and artifacts of one `run_campaign`."""
-    report: Report
-    catalog: list[SCC]
-    configs: dict[int, SimulationConfig]
-    sequences: list[SimulationSequence]
+
+    __slots__ = ("report", "catalog", "configs", "sequences")
+
+    def __init__(self, report: Report, catalog: list[SCC], configs: dict[int, SimulationConfig],
+                 sequences: list[SimulationSequence]) -> None:
+        self.report = report
+        self.catalog = catalog
+        self.configs = configs
+        self.sequences = sequences
 
     def catalog_json(self) -> dict:
         return {"schema": SCHEMA, "classes": [scc_to_json(s) for s in self.catalog]}
@@ -581,6 +603,6 @@ def _value(text) -> Value:
 def parse_value_text(text: str) -> Value:
     p = Parser(text)
     v = _parse_value(p)
-    if p.tok.kind != "eof":
+    if p.tok[0] != "eof":
         raise CampaignError(f"bad value literal {text!r}")
     return v

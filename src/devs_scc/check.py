@@ -16,8 +16,6 @@ the model, so a parsed model checked against bounds is not bound again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .bounds import Bounds
 from .context import Context
 from .model import GuardedCase, Model, OperatorDef, ValidationReport
@@ -57,6 +55,7 @@ from .values import (
     NatSort,
     Num,
     Sort,
+    Struct,
     TimeSort,
     TupleSort,
     ExtSort,
@@ -82,13 +81,17 @@ class Unresolved(BindError):
     still resolve as a literal once an expected sort is known."""
 
 
-@dataclass
-class Ctx:
+class Ctx(Struct):
     """The sorts of the names in scope, the operators, and where a check is."""
-    vars: dict[str, Sort]
-    consts: dict[str, Sort]
-    operators: dict[str, OperatorDef]
-    where: str = ""
+
+    __slots__ = ("vars", "consts", "operators", "where")
+
+    def __init__(self, vars: dict[str, Sort], consts: dict[str, Sort],
+                 operators: dict[str, OperatorDef], where: str = "") -> None:
+        self.vars = vars
+        self.consts = consts
+        self.operators = operators
+        self.where = where
 
     def child(self, extra: dict[str, Sort], where: str | None = None) -> "Ctx":
         return Ctx({**self.vars, **extra}, self.consts, self.operators,
@@ -337,15 +340,15 @@ def validate_model(model: Model, bounds: Bounds | None = None) -> tuple[Model, V
     """
     if model.validated is None:
         bound, static = _bind_model(model)
-        # set once, as a frozen dataclass sets its fields; the rebound
-        # model keeps its report without itself, not to refer to itself
-        object.__setattr__(model, "validated", (bound, static))
-        object.__setattr__(bound, "validated", (None, static))
+        # set once, here only; the rebound model keeps its report without
+        # itself, not to refer to itself
+        model.validated = (bound, static)
+        bound.validated = (None, static)
     bound, static = model.validated
     if bound is None:
         bound = model  # kept by an earlier call that returned `model`
-    report = replace(static, errors=list(static.errors), warnings=list(static.warnings),
-                     notes=list(static.notes))
+    report = ValidationReport(list(static.errors), list(static.warnings), list(static.notes),
+                              static.ext_cases, static.int_cases, static.out_cases)
     if bounds is not None:
         report.errors.extend(bounds_errors(bound, bounds))
         if report.usable:
@@ -361,7 +364,9 @@ def _bind_model(model: Model) -> tuple[Model, ValidationReport]:
     report.out_cases = len(model.output_fn)
 
     operators = _bind_operators(model, report)
-    model = replace(model, operators=operators)
+    model = Model(model.name, model.schema, model.input_sort, model.output_sort,
+                  model.delta_ext, model.delta_int, model.output_fn, model.ta,
+                  model.constants, operators)
 
     result_sort = state_result_sort(model)
     dext = _bind_cases(model, model.delta_ext, ext_ctx(model), result_sort, "dext", report)
@@ -377,7 +382,8 @@ def _bind_model(model: Model) -> tuple[Model, ValidationReport]:
         except BindError as err:
             report.errors.append(str(err))
 
-    bound = replace(model, delta_ext=dext, delta_int=dint, output_fn=lam, ta=ta)
+    bound = Model(model.name, model.schema, model.input_sort, model.output_sort,
+                  dext, dint, lam, ta, model.constants, model.operators)
     _suggest_time_vars(bound, report)
     return bound, report
 

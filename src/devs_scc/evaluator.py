@@ -3,7 +3,9 @@
 The evaluator is pure: an environment maps names to values (state
 variables, operator parameters, the reserved x/e/t, and resolved model
 constants).  User-defined operators run their own guarded cases in an
-environment containing only their parameters and the model constants.
+environment containing only their parameters, the model constants and,
+under a key no name can be, how many applications deep it is, so that a
+runaway expansion, through results or guards alike, ends in EvalError.
 Conjunction and disjunction short-circuit left to right, matching how
 guard authors order their conjuncts, and an existential enumerates its
 bound variables' grids in ascending product order.
@@ -79,6 +81,9 @@ from .values import (
 Env = Mapping[str, Value]
 
 _MAX_DEPTH = 64
+# where an operator's environment keeps how many applications it runs
+# inside; no name is this
+_DEPTH = "#depth"
 
 
 def eval_expr(expr: Expr, env: Env, ctx: Context | None = None) -> Value:
@@ -97,8 +102,7 @@ def eval_pred(pred: Predicate, env: Env, ctx: Context | None = None) -> bool:
 def compile_expr(expr: Expr, ctx: Context | None = None) -> Callable[[Env], Value]:
     """A closure computing the value of `expr` in an environment, with
     the operators of the context's model."""
-    code = _expr(expr, ctx)
-    return lambda env: code(env, 0)
+    return _expr(expr, ctx)
 
 
 def compile_pred(pred: Predicate, ctx: Context | None = None) -> Callable[[Env], bool]:
@@ -114,12 +118,12 @@ def compile_pred(pred: Predicate, ctx: Context | None = None) -> Callable[[Env],
         arg, literals = _expr(pred.expr, ctx), frozenset(pred.literals)
 
         def in_set(env):
-            v = arg(env, 0)
+            v = arg(env)
             return v.__class__ is Lit and v.name in literals
         return in_set
     if isinstance(pred, InBase):
         arg = _expr(pred.expr, ctx)
-        return lambda env: arg(env, 0).__class__ is Num
+        return lambda env: arg(env).__class__ is Num
     if isinstance(pred, Not):
         inner = compile_pred(pred.arg, ctx)
         return lambda env: not inner(env)
@@ -178,7 +182,7 @@ def _compile_cmp(pred: Cmp, ctx):
             return test(a, b)
         return ref_ref
     lhs, rhs = _expr(left, ctx), _expr(right, ctx)
-    return lambda env: test(lhs(env, 0), rhs(env, 0))
+    return lambda env: test(lhs(env), rhs(env))
 
 
 def _compile_exists(pred: Exists, ctx):
@@ -224,16 +228,15 @@ _ARITH = {"+": v_add, "-": v_sub, "*": v_mul, "div": v_div}
 
 
 def _expr(e: Expr, ctx):
-    """A closure `f(env, depth)` computing the value of `e`, where `depth`
-    counts the operator applications it runs inside."""
+    """A closure computing the value of `e` in an environment."""
     if isinstance(e, Const):
         value = e.value
-        return lambda env, depth: value
+        return lambda env: value
     if isinstance(e, (Ref, ConstRef)):
         name, kind = e.name, _kind(e)
 
         def lookup():
-            def ref(env, depth):
+            def ref(env):
                 try:
                     return env[name]
                 except KeyError:
@@ -245,16 +248,16 @@ def _expr(e: Expr, ctx):
         # an unknown operator fails once both operands are known
         arith = _ARITH.get(e.op) or _fails(f"unknown operator {e.op}")
         left, right = _expr(e.left, ctx), _expr(e.right, ctx)
-        return lambda env, depth: arith(left(env, depth), right(env, depth))
+        return lambda env: arith(left(env), right(env))
     if isinstance(e, Neg):
         arg = _expr(e.arg, ctx)
-        return lambda env, depth: v_neg(arg(env, depth))
+        return lambda env: v_neg(arg(env))
     if isinstance(e, MinOp):
         args = tuple(_expr(a, ctx) for a in e.args)
-        return lambda env, depth: v_min([a(env, depth) for a in args])
+        return lambda env: v_min([a(env) for a in args])
     if isinstance(e, TupleExpr):
         items = tuple(_expr(a, ctx) for a in e.items)
-        return lambda env, depth: Tup(tuple([a(env, depth) for a in items]))
+        return lambda env: Tup(tuple([a(env) for a in items]))
     if isinstance(e, Proj):
         return _compile_proj(e, ctx)
     if isinstance(e, Apply):
@@ -269,22 +272,22 @@ def _compile_apply(e: Apply, ctx):
     name, args = e.op, tuple(_expr(a, ctx) for a in e.args)
     call = _operator(ctx, name) if any(op.name == name for op in model.operators) else None
     if call is not None:
-        return lambda env, depth: call([a(env, depth) for a in args], env, depth + 1)
+        return lambda env: call([a(env) for a in args], env)
     bounds = ctx.bounds
 
-    def apply(env, depth):
+    def apply(env):
         # recursive or undefined: compiled when it runs, in a context of
         # its own; an undefined operator raises KeyError here
         call = _operator(Context(model, bounds), name)
-        return call([a(env, depth) for a in args], env, depth + 1)
+        return call([a(env) for a in args], env)
     return apply
 
 
 def _compile_proj(e: Proj, ctx):
     base, index = _expr(e.base, ctx), e.index
 
-    def proj(env, depth):
-        v = base(env, depth)
+    def proj(env):
+        v = base(env)
         if v.__class__ is not Tup:
             raise EvalError(f"projection from non-tuple {render_expr(e.base)}")
         if not 1 <= index <= len(v.items):
@@ -294,8 +297,8 @@ def _compile_proj(e: Proj, ctx):
 
 
 def _operator(ctx: Context, name: str):
-    """The model's operator `name` compiled to `call(args, outer_env,
-    depth)` and kept in the context; None while its body compiles."""
+    """The model's operator `name` compiled to `call(args, outer_env)` and
+    kept in the context; None while its body compiles."""
     operators = ctx.operators
     if name not in operators:
         op = ctx.model.operator(name)
@@ -313,17 +316,19 @@ def _compile_operator(ctx: Context, op: OperatorDef):
     ]
     sort, where = op.result, f"{op.name} result"
 
-    def call(args, outer_env, depth):
+    def call(args, outer_env):
         if len(args) != arity:
             raise EvalError(f"{op.name} expects {arity} arguments")
-        # the model constants bound by the caller: all an operator sees of it
+        # the model constants bound by the caller: all an operator sees of
+        # it, and one application deeper than the caller runs
         env = {k: outer_env[k] for k in consts if k in outer_env}
+        env[_DEPTH] = depth = outer_env.get(_DEPTH, 0) + 1
         for (name, param_sort, param_where), arg in zip(params, args):
             env[name] = coerce(arg, param_sort, param_where)
+        if depth > _MAX_DEPTH:
+            raise EvalError("operator expansion too deep (recursive definition?)")
         for guard, result in cases:
             if guard is None or guard(env):
-                if depth > _MAX_DEPTH:
-                    raise EvalError("operator expansion too deep (recursive definition?)")
-                return coerce(result(env, depth), sort, where)
+                return coerce(result(env), sort, where)
         raise EvalError(f"no case of operator {op.name} matches its arguments")
     return call

@@ -3,18 +3,16 @@
 A model owns its value universe (state schema, input and output sorts),
 the guarded case lists for the two transition functions and the output
 function, the time-advance expression, named symbolic constants and
-user-defined operators.  Instances are immutable after construction, but
-for the memo `check.validate_model` sets once, and safe to share across
-threads; the forms derived from a model under some bounds live in a
+user-defined operators.  Instances are not changed after construction,
+but for the memo `check.validate_model` sets once, and are safe to share
+across threads; the forms derived from a model under some bounds live in a
 `context.Context`, not on the model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .syntax import Expr, Predicate
-from .values import Record, Sort, TimeSort
+from .values import Record, Sort, Struct, TimeSort
 
 
 class StateSchema(Record):
@@ -66,22 +64,32 @@ class OperatorDef(Record):
         self.cases = cases  # single unconditional case for plain bodies
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """An atomic DEVS model: state schema, sorts, guarded cases and `ta`."""
-    name: str
-    schema: StateSchema
-    input_sort: Sort
-    output_sort: Sort
-    delta_ext: tuple[GuardedCase, ...]
-    delta_int: tuple[GuardedCase, ...]
-    output_fn: tuple[GuardedCase, ...]
-    ta: Expr
-    constants: tuple[tuple[str, Sort], ...] = ()
-    operators: tuple[OperatorDef, ...] = ()
-    # what `check.validate_model` made of the model, set once: the rebound
-    # model (None when it is this one) and its static report
-    validated: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    __slots__ = ("name", "schema", "input_sort", "output_sort", "delta_ext", "delta_int",
+                 "output_fn", "ta", "constants", "operators", "validated", "__weakref__")
+    _fields = __slots__[:-2]
+
+    def __init__(self, name: str, schema: StateSchema, input_sort: Sort, output_sort: Sort,
+                 delta_ext: tuple[GuardedCase, ...], delta_int: tuple[GuardedCase, ...],
+                 output_fn: tuple[GuardedCase, ...], ta: Expr,
+                 constants: tuple[tuple[str, Sort], ...] = (),
+                 operators: tuple[OperatorDef, ...] = ()) -> None:
+        self.name = name
+        self.schema = schema
+        self.input_sort = input_sort
+        self.output_sort = output_sort
+        self.delta_ext = delta_ext
+        self.delta_int = delta_int
+        self.output_fn = output_fn
+        self.ta = ta
+        self.constants = constants
+        self.operators = operators
+        # what `check.validate_model` made of the model, set once: the
+        # rebound model (None when it is this one) and its static report;
+        # neither compared nor shown
+        self.validated: tuple | None = None
 
     def operator(self, name: str) -> OperatorDef:
         for op in self.operators:
@@ -90,16 +98,20 @@ class Model:
         raise KeyError(name)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Struct):
     """Outcome of static validation plus optional bounded dynamic checks."""
 
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    ext_cases: int = 0
-    int_cases: int = 0
-    out_cases: int = 0
+    __slots__ = ("errors", "warnings", "notes", "ext_cases", "int_cases", "out_cases")
+
+    def __init__(self, errors: list[str] | None = None, warnings: list[str] | None = None,
+                 notes: list[str] | None = None, ext_cases: int = 0, int_cases: int = 0,
+                 out_cases: int = 0) -> None:
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
+        self.notes = [] if notes is None else notes
+        self.ext_cases = ext_cases
+        self.int_cases = int_cases
+        self.out_cases = out_cases
 
     @property
     def usable(self) -> bool:

@@ -1,4 +1,5 @@
-"""Lexer and recursive-descent parser for the model DSL.
+"""Lexer and recursive-descent parser for the model DSL; expressions and
+predicates are parsed by precedence climbing.
 
 Three file kinds share one token language: `.devs` models, `.parts`
 standard-partition tables and `.bounds` enumeration bounds.  Unicode
@@ -9,7 +10,7 @@ carries at least one line:column diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .bounds import Bounds
 from .check import validate_model
@@ -50,6 +51,7 @@ from .values import (
     RAT,
     Rational,
     Sort,
+    Struct,
     TAU,
     TIME,
     Tup,
@@ -60,12 +62,15 @@ from .values import (
 )
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Struct):
     """A message about the source text at a line and column."""
-    line: int
-    col: int
-    message: str
+
+    __slots__ = ("line", "col", "message")
+
+    def __init__(self, line: int, col: int, message: str) -> None:
+        self.line = line
+        self.col = col
+        self.message = message
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
@@ -80,111 +85,69 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 # lexer
 
+# the token each Unicode symbol reads as: its kind and its ASCII text
 _UNICODE = {
-    "∧": "/\\",
-    "∨": "\\/",
-    "¬": "!",
-    "⇒": "=>",
-    "≠": "!=",
-    "≤": "<=",
-    "≥": ">=",
-    "∞": "infinity",
-    "τ": "tau",
-    "÷": "div",
-    "−": "-",
+    "∧": ("sym", "/\\"),
+    "∨": ("sym", "\\/"),
+    "¬": ("sym", "!"),
+    "⇒": ("sym", "=>"),
+    "≠": ("sym", "!="),
+    "≤": ("sym", "<="),
+    "≥": ("sym", ">="),
+    "∞": ("ident", "infinity"),
+    "τ": ("ident", "tau"),
+    "÷": ("ident", "div"),
+    "−": ("sym", "-"),
 }
 
-_TWO = {"/\\", "\\/", "=>", "!=", "<=", ">=", "->", ".."}
-_ONE = set("{}(),;:=<>!+-*.|@")
+# One pattern for every token, tried where the previous one ends: the
+# tokenizer recipe of the `re` documentation.  Blanks before a token are
+# skipped; a comment takes its newline with it; `end` takes a comment
+# that ends the input, so the end of input sits where that comment
+# starts.  A `word` (one starting outside ASCII) is a name only when its
+# first character is a letter; `bad` is any other character, or a quote
+# that opens no string.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+     (?P<ident>[A-Za-z_][\w']*)
+    |(?P<sym>/\\|\\/|=>|!=|<=|>=|->|\.\.|-(?!-)|[{}(),;:=<>!+*.|@])
+    |(?P<newline>\n)
+    |(?P<number>\d+(?:[./]\d+)?)
+    |(?P<comment>--[^\n]*\n)
+    |(?P<end>(?:--[^\n]*)?\Z)
+    |(?P<unicode>[%s])
+    |(?P<string>"[^"]*")
+    |(?P<word>[^\W\d][\w']*)
+    |(?P<bad>.))""" % "".join(_UNICODE), re.VERBOSE)
 
 
-@dataclass
-class Token:
-    """One lexical token and where it starts."""
-    kind: str  # ident, number, string, sym, eof
-    text: str
-    line: int
-    col: int
-
-
-def lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def push(kind: str, s: str, ln: int, cl: int) -> None:
-        tokens.append(Token(kind, s, ln, cl))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
+def lex(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of `text`, each `(kind, text, line, col)` with kind
+    ident, number, string, sym or eof; a string's text is what its quotes
+    enclose.  Lines are counted at each newline outside a string."""
+    tokens: list[tuple[str, str, int, int]] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start, stop = m.span(kind)
+        if kind == "ident" or kind == "sym" or kind == "number":
+            append((kind, text[start:stop], line, start - line_start + 1))
+        elif kind == "newline" or kind == "comment":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        ln, cl = line, col
-        if c in _UNICODE:
-            push("sym" if _UNICODE[c] not in ("infinity", "tau", "div") else "ident",
-                 _UNICODE[c], ln, cl)
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ParseFailure([Diagnostic(ln, cl, "unterminated string")])
-            push("string", text[i + 1:j], ln, cl)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            elif j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            push("number", text[i:j], ln, cl)
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            push("ident", text[i:j], ln, cl)
-            col += j - i
-            i = j
-            continue
-        if text[i:i + 2] in _TWO:
-            push("sym", text[i:i + 2], ln, cl)
-            i += 2
-            col += 2
-            continue
-        if c in _ONE:
-            push("sym", c, ln, cl)
-            i += 1
-            col += 1
-            continue
-        raise ParseFailure([Diagnostic(ln, cl, f"unexpected character {c!r}")])
-    tokens.append(Token("eof", "", line, col if tokens else 1))
-    if not tokens[:-1]:
-        tokens[-1] = Token("eof", "", 1, 1)
+            line_start = stop
+        elif kind == "end":
+            break
+        elif kind == "unicode":
+            append((*_UNICODE[text[start]], line, start - line_start + 1))
+        elif kind == "string":
+            append(("string", text[start + 1:stop - 1], line, start - line_start + 1))
+        elif kind == "word" and text[start].isalpha():
+            append(("ident", text[start:stop], line, start - line_start + 1))
+        else:
+            c = text[start]
+            message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
+            raise ParseFailure([Diagnostic(line, start - line_start + 1, message)])
+    append(("eof", "", line, start - line_start + 1) if tokens else ("eof", "", 1, 1))
     return tokens
 
 
@@ -194,6 +157,14 @@ def lex(text: str) -> list[Token]:
 # the token kinds that `at`, `accept` and `expect` match by their text
 _WORD_KINDS = ("sym", "ident")
 
+# how tightly each binary operator binds, for precedence climbing: `=>`
+# loosest and to the right, the others to the left
+_ARITH = {"+": 1, "-": 1, "*": 2, "div": 2}
+_CONNECTIVES = {"=>": 1, "\\/": 2, "/\\": 3}
+_COMPARISONS = ("!=", "<=", ">=", "=", "<", ">")
+# what makes a parenthesized predicate part of an expression instead
+_EXPR_FOLLOWS = (*_COMPARISONS, ".")
+
 
 class Parser:
     def __init__(self, text: str):
@@ -201,54 +172,47 @@ class Parser:
         self.pos = 0
 
     @property
-    def tok(self) -> Token:
+    def tok(self) -> tuple[str, str, int, int]:
         return self.tokens[self.pos]
 
-    def save(self) -> int:
-        return self.pos
-
-    def restore(self, mark: int) -> None:
-        self.pos = mark
-
     def fail(self, message: str) -> ParseFailure:
-        t = self.tok
-        shown = t.text if t.kind != "eof" else "end of input"
-        return ParseFailure([Diagnostic(t.line, t.col, f"{message}, found {shown!r}")])
+        kind, text, line, col = self.tokens[self.pos]
+        shown = text if kind != "eof" else "end of input"
+        return ParseFailure([Diagnostic(line, col, f"{message}, found {shown!r}")])
 
     # `at`, `accept`, `expect`, `ident` and `number` run for nearly every
     # token, so each reads the current token once, not through `tok`
 
     def at(self, text: str) -> bool:
         t = self.tokens[self.pos]
-        return t.text == text and t.kind in _WORD_KINDS
+        return t[1] == text and t[0] in _WORD_KINDS
 
     def accept(self, text: str) -> bool:
         t = self.tokens[self.pos]
-        if t.text == text and t.kind in _WORD_KINDS:
+        if t[1] == text and t[0] in _WORD_KINDS:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         t = self.tokens[self.pos]
-        if t.text != text or t.kind not in _WORD_KINDS:
+        if t[1] != text or t[0] not in _WORD_KINDS:
             raise self.fail(f"expected {text!r}")
         self.pos += 1
-        return t
 
     def ident(self, what: str = "identifier") -> str:
         t = self.tokens[self.pos]
-        if t.kind != "ident":
+        if t[0] != "ident":
             raise self.fail(f"expected {what}")
         self.pos += 1
-        return t.text
+        return t[1]
 
     def number(self) -> Rational:
         t = self.tokens[self.pos]
-        if t.kind != "number":
+        if t[0] != "number":
             raise self.fail("expected number")
         try:
-            value = parse_number(t.text)
+            value = parse_number(t[1])
         except ZeroDivisionError:
             raise self.fail("division by zero") from None
         self.pos += 1
@@ -287,121 +251,119 @@ class Parser:
             if len(items) < 2:
                 raise self.fail("tuple sort needs at least two components")
             return TupleSort(tuple(items))
-        if self.tok.kind == "ident" and self.tok.text in aliases:
-            return aliases[self.ident()]
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "ident" and text in aliases:
+            self.pos += 1
+            return aliases[text]
         raise self.fail("expected a sort")
 
     # ---- expressions -------------------------------------------------------
 
-    def expr(self) -> Expr:
-        e = self._mul()
-        while self.at("+") or self.at("-"):
-            op = self.tok.text
+    def expr(self, floor: int = 1) -> Expr:
+        """An expression of operands joined by operators that bind at least
+        as tightly as `floor`."""
+        e = self._operand()
+        while True:
+            t = self.tokens[self.pos]
+            power = _ARITH.get(t[1], 0)
+            if power < floor or t[0] not in _WORD_KINDS:
+                return e
             self.pos += 1
-            e = BinOp(op, e, self._mul())
-        return e
+            e = BinOp(t[1], e, self.expr(power + 1))
 
-    def _mul(self) -> Expr:
-        e = self._unary()
-        while self.at("*") or self.at("div"):
-            op = self.tok.text
-            self.pos += 1
-            e = BinOp(op, e, self._unary())
-        return e
-
-    def _unary(self) -> Expr:
+    def _operand(self) -> Expr:
+        """A negated operand, or a primary expression and its projections."""
         if self.accept("-"):
-            arg = self._unary()
+            arg = self._operand()
             if isinstance(arg, Const) and isinstance(arg.value, Num):
                 return Const(v_neg(arg.value))
             return Neg(arg)
-        return self._postfix()
-
-    def _postfix(self) -> Expr:
-        e = self._primary()
-        while self.at("."):
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "number":
+            e = Const(Num(self.number()))
+        elif kind == "ident":
             self.pos += 1
+            if text == "infinity":
+                e = Const(INF)
+            elif text == "tau":
+                e = Const(TAU)
+            elif text == "min":
+                self.expect("(")
+                args = self.listed(self.expr, ")")
+                if len(args) < 2:
+                    raise self.fail("min needs at least two arguments")
+                e = MinOp(tuple(args))
+            elif self.accept("("):
+                e = Apply(text, tuple(self.listed(self.expr, ")")))
+            else:
+                e = Ref(text)
+        elif self.accept("("):
+            items = self.listed(self.expr, ")")
+            e = items[0] if len(items) == 1 else TupleExpr(tuple(items))
+        else:
+            raise self.fail("expected an expression")
+        while self.accept("."):
             idx = self.number()
             if idx.denominator != 1 or idx < 1:
                 raise self.fail("projection index must be a positive integer")
             e = Proj(e, int(idx))
         return e
 
-    def _primary(self) -> Expr:
-        if self.tok.kind == "number":
-            return Const(Num(self.number()))
-        if self.accept("infinity"):
-            return Const(INF)
-        if self.accept("tau"):
-            return Const(TAU)
-        if self.accept("min"):
-            self.expect("(")
-            args = self.listed(self.expr, ")")
-            if len(args) < 2:
-                raise self.fail("min needs at least two arguments")
-            return MinOp(tuple(args))
-        if self.tok.kind == "ident":
-            name = self.ident()
-            if self.accept("("):
-                return Apply(name, tuple(self.listed(self.expr, ")")))
-            return Ref(name)
-        if self.accept("("):
-            items = self.listed(self.expr, ")")
-            return items[0] if len(items) == 1 else TupleExpr(tuple(items))
-        raise self.fail("expected an expression")
-
     # ---- predicates --------------------------------------------------------
 
-    def pred(self) -> Predicate:
-        left = self._or()
-        if self.accept("=>"):
-            return Implies(left, self.pred())
-        return left
+    def pred(self, floor: int = 1) -> Predicate:
+        """A predicate of literals joined by connectives that bind at least
+        as tightly as `floor`; a run of one connective `/\\` or `\\/` is
+        one And or Or."""
+        left = self._literal()
+        while True:
+            t = self.tokens[self.pos]
+            power = _CONNECTIVES.get(t[1], 0)
+            if power < floor or t[0] not in _WORD_KINDS:
+                return left
+            self.pos += 1
+            if power == 1:
+                left = Implies(left, self.pred(1))
+                continue
+            items = [left, self.pred(power + 1)]
+            while self.accept(t[1]):
+                items.append(self.pred(power + 1))
+            left = (And if power == 3 else Or)(tuple(items))
 
-    def _or(self) -> Predicate:
-        items = [self._and()]
-        while self.accept("\\/"):
-            items.append(self._and())
-        return items[0] if len(items) == 1 else Or(tuple(items))
-
-    def _and(self) -> Predicate:
-        items = [self._punary()]
-        while self.accept("/\\"):
-            items.append(self._punary())
-        return items[0] if len(items) == 1 else And(tuple(items))
-
-    def _punary(self) -> Predicate:
+    def _literal(self) -> Predicate:
+        """A negation, a truth constant, a parenthesized predicate, or a
+        comparison or membership test of expressions."""
         if self.accept("!"):
-            return Not(self._punary())
+            return Not(self._literal())
         if self.accept("true"):
             return TRUE
         if self.accept("false"):
             return FALSE
         if self.at("("):
-            mark = self.save()
+            # read on as an expression when the parentheses turn out to
+            # hold none, or one that is compared, projected or tested
+            mark = self.pos
             self.pos += 1
             try:
                 inner = self.pred()
                 self.expect(")")
             except ParseFailure:
-                self.restore(mark)
+                pass
             else:
-                if not (self.tok.kind == "sym" and self.tok.text in ("=", "!=", "<", "<=", ">", ">=", ".")) \
-                        and not self.at("in"):
+                kind, text = self.tokens[self.pos][:2]
+                if not (kind == "sym" and text in _EXPR_FOLLOWS) and not self.at("in"):
                     return inner
-                self.restore(mark)
-        return self._atom()
-
-    def _atom(self) -> Predicate:
+            self.pos = mark
         left = self.expr()
         if self.accept("in"):
             if self.accept("nat"):
                 return InBase(left)
             self.expect("{")
             return InSet(left, tuple(self.listed(lambda: self.ident("literal"), "}")))
-        for op in ("!=", "<=", ">=", "=", "<", ">"):
-            if self.accept(op):
-                return Cmp(op, left, self.expr())
+        kind, text = self.tokens[self.pos][:2]
+        if text in _COMPARISONS and kind in _WORD_KINDS:
+            self.pos += 1
+            return Cmp(text, left, self.expr())
         raise self.fail("expected a comparison or membership")
 
 
@@ -472,9 +434,8 @@ def parse_model_text(text: str) -> tuple[Model, ValidationReport]:
         if val is None
     ]
     if missing:
-        raise ParseFailure(
-            [Diagnostic(p.tok.line, p.tok.col, "missing sections: " + ", ".join(missing))]
-        )
+        _, _, line, col = p.tok
+        raise ParseFailure([Diagnostic(line, col, "missing sections: " + ", ".join(missing))])
 
     model = Model(
         name=name,
@@ -571,11 +532,11 @@ def _parse_cases(p: Parser, lets: dict[str, Expr]) -> list[GuardedCase]:
 def parse_parts_text(text: str) -> list[StandardPartition]:
     p = Parser(text)
     tables: list[StandardPartition] = []
-    while not p.tok.kind == "eof":
+    while p.tok[0] != "eof":
         p.expect("partition")
-        if p.tok.kind != "string":
+        kind, name = p.tok[:2]
+        if kind != "string":
             raise p.fail("expected a quoted partition name")
-        name = p.tok.text
         p.pos += 1
         p.expect("(")
         formals = p.listed(lambda: p.ident("operand name"), ")")
@@ -667,7 +628,7 @@ def _parse_value(p: Parser) -> Value:
         return INF
     if p.accept("("):
         return Tup(tuple(p.listed(lambda: _parse_value(p), ")")))
-    if p.tok.kind == "ident":
+    if p.tok[0] == "ident":
         return Lit(p.ident())
     if p.accept("-"):
         return Num(-p.number())
@@ -684,12 +645,12 @@ def _const_number(p: Parser, b: Bounds) -> Rational:
     """A constant arithmetic expression over previously defined constants."""
     from .evaluator import eval_expr
 
-    start = p.tok
+    _, _, line, col = p.tok
     expr = p.expr()
     try:
         v = eval_expr(expr, dict(b.const_values))
     except EvalError as err:
-        raise ParseFailure([Diagnostic(start.line, start.col, str(err))]) from None
+        raise ParseFailure([Diagnostic(line, col, str(err))]) from None
     if not isinstance(v, Num):
         raise p.fail("expected a finite number")
     return v.value
@@ -726,6 +687,6 @@ def _whole(text: str, parse):
     """`parse` of a parser over `text`, which it must read to the end."""
     p = Parser(text)
     out = parse(p)
-    if p.tok.kind != "eof":
+    if p.tok[0] != "eof":
         raise p.fail("unexpected trailing input")
     return out

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .context import Context
 from .evaluator import compile_pred
@@ -74,7 +73,7 @@ from .syntax import (
     pred_vars,
     render_pred,
 )
-from .values import EvalError, Sort, Value
+from .values import EvalError, Sort, Struct, Value
 
 Space = list[tuple[str, list[Value]]]
 
@@ -83,24 +82,31 @@ class BudgetExhausted(Exception):
     pass
 
 
-@dataclass
-class SatResult:
+class SatResult(Struct):
     """A search verdict, with the least witness when sat."""
-    status: str  # "sat" | "unsat" | "unknown"
-    witness: dict[str, Value] | None = None
-    attempts: int = 0
-    index: tuple[int, ...] | None = None  # the witness's grid positions
+
+    __slots__ = ("status", "witness", "attempts", "index")
+
+    def __init__(self, status: str, witness: dict[str, Value] | None = None,
+                 attempts: int = 0, index: tuple[int, ...] | None = None) -> None:
+        self.status = status  # "sat" | "unsat" | "unknown"
+        self.witness = witness
+        self.attempts = attempts
+        self.index = index  # the witness's grid positions
 
     @property
     def sat(self) -> bool:
         return self.status == "sat"
 
 
-@dataclass
-class _Budget:
+class _Budget(Struct):
     """The attempts one search may spend and has spent."""
-    limit: int
-    used: int = 0
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int, used: int = 0) -> None:
+        self.limit = limit
+        self.used = used
 
 
 class Conjunct:

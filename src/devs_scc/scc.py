@@ -15,21 +15,26 @@ model and bounds live in that pair's `context.Context`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import Predicate, conjuncts, normalize, render_pred
+from .values import Record
 
 
-@dataclass(frozen=True)
-class SCC:
+class SCC(Record):
     """A simulation configuration class (see the module docstring)."""
-    id: int
-    init_states: Predicate
-    input_pairs: Predicate
-    criterion: str
-    target: str
-    combined_from: tuple[int, ...] = ()
-    joint: Predicate | None = None
+
+    __slots__ = ("id", "init_states", "input_pairs", "criterion", "target", "combined_from",
+                 "joint")
+
+    def __init__(self, id: int, init_states: Predicate, input_pairs: Predicate,
+                 criterion: str, target: str, combined_from: tuple[int, ...] = (),
+                 joint: Predicate | None = None) -> None:
+        self.id = id
+        self.init_states = init_states
+        self.input_pairs = input_pairs
+        self.criterion = criterion
+        self.target = target
+        self.combined_from = combined_from
+        self.joint = joint
 
     def key(self) -> tuple[str, str]:
         return (render_pred(self.init_states), render_pred(self.input_pairs))

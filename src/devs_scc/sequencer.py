@@ -17,25 +17,27 @@ failure recorded and the remaining classes continue in fresh sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .context import Context
 from .sat import satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_test
 from .simulator import SimError, Trace, UndefinedTransition, advance, init, time_advance
-from .values import EvalError, Inf, Num, TAU, Value, render_value
+from .values import EvalError, Inf, Num, Struct, TAU, Value, render_value
 
 
-@dataclass
-class SeqStep:
+class SeqStep(Struct):
     """One chained step: a class, the state used and the input applied."""
-    scc_id: int
-    state_used: dict[str, Value]
-    event: Value
-    time: Value
-    fired: tuple[str, int] | None = None
-    error: str | None = None
+
+    __slots__ = ("scc_id", "state_used", "event", "time", "fired", "error")
+
+    def __init__(self, scc_id: int, state_used: dict[str, Value], event: Value, time: Value,
+                 fired: tuple[str, int] | None = None, error: str | None = None) -> None:
+        self.scc_id = scc_id
+        self.state_used = state_used
+        self.event = event
+        self.time = time
+        self.fired = fired
+        self.error = error
 
     def to_json(self) -> dict:
         rec = {
@@ -50,13 +52,19 @@ class SeqStep:
         return rec
 
 
-@dataclass
-class SimulationSequence:
+class SimulationSequence(Struct):
     """Steps chained from one initial state and the classes they cover."""
-    steps: list[SeqStep] = field(default_factory=list)
-    covered: list[int] = field(default_factory=list)
-    # what running the steps produced while chaining; not part of the file
-    trace: Trace = field(default_factory=Trace, compare=False)
+
+    __slots__ = ("steps", "covered", "trace")
+    _compared = ("steps", "covered")
+
+    def __init__(self, steps: list[SeqStep] | None = None, covered: list[int] | None = None,
+                 trace: Trace | None = None) -> None:
+        self.steps = [] if steps is None else steps
+        self.covered = [] if covered is None else covered
+        # what running the steps produced while chaining; not part of the
+        # file, and not compared
+        self.trace = Trace() if trace is None else trace
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps], "covered": self.covered}

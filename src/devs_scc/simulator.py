@@ -16,8 +16,6 @@ reported as an "undefined transition" finding in the trace, not a crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .context import Context
 from .evaluator import compile_expr, compile_pred
 from .model import Model
@@ -29,6 +27,7 @@ from .values import (
     Lit,
     Num,
     Rational,
+    Struct,
     TAU,
     Tup,
     Value,
@@ -50,25 +49,34 @@ class UndefinedTransition(Exception):
         self.detail = detail
 
 
-@dataclass
-class SimState:
+class SimState(Struct):
     """A running model: its state and the clock, the instant of its most
     recent transition."""
-    state: dict[str, Value]
-    clock: Rational
+
+    __slots__ = ("state", "clock")
+
+    def __init__(self, state: dict[str, Value], clock: Rational) -> None:
+        self.state = state
+        self.clock = clock
 
 
-@dataclass
-class TraceEvent:
+class TraceEvent(Struct):
     """One transition or error recorded while simulating."""
-    at: Value
-    kind: str  # "internal" | "external" | "error"
-    fired: tuple[str, int] | None
-    state_after: dict[str, Value]
-    input: Value | None = None
-    output: Value | None = None
-    tie: bool = False
-    error: str | None = None
+
+    __slots__ = ("at", "kind", "fired", "state_after", "input", "output", "tie", "error")
+
+    def __init__(self, at: Value, kind: str, fired: tuple[str, int] | None,
+                 state_after: dict[str, Value], input: Value | None = None,
+                 output: Value | None = None, tie: bool = False,
+                 error: str | None = None) -> None:
+        self.at = at
+        self.kind = kind  # "internal" | "external" | "error"
+        self.fired = fired
+        self.state_after = state_after
+        self.input = input
+        self.output = output
+        self.tie = tie
+        self.error = error
 
     def to_json(self) -> dict:
         rec = {
@@ -89,11 +97,15 @@ class TraceEvent:
         return rec
 
 
-@dataclass
-class Trace:
+class Trace(Struct):
     """The events and findings of one simulation run."""
-    events: list[TraceEvent] = field(default_factory=list)
-    findings: list[str] = field(default_factory=list)
+
+    __slots__ = ("events", "findings")
+
+    def __init__(self, events: list[TraceEvent] | None = None,
+                 findings: list[str] | None = None) -> None:
+        self.events = [] if events is None else events
+        self.findings = [] if findings is None else findings
 
     @property
     def ok(self) -> bool:
@@ -258,13 +270,16 @@ def error_event(st: SimState | None, err: Exception) -> TraceEvent:
 # ---------------------------------------------------------------------------
 # uniformity probe
 
-@dataclass
-class ProbeReport:
+class ProbeReport(Struct):
     """One class's uniformity probe: the verdict and output signatures."""
-    scc_id: int
-    uniform: bool
-    signatures: list[str]
-    note: str = ""
+
+    __slots__ = ("scc_id", "uniform", "signatures", "note")
+
+    def __init__(self, scc_id: int, uniform: bool, signatures: list[str], note: str = "") -> None:
+        self.scc_id = scc_id
+        self.uniform = uniform
+        self.signatures = signatures
+        self.note = note
 
     def to_json(self) -> dict:
         return {

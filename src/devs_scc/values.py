@@ -11,13 +11,14 @@ written in Python.
 
 Sorts and values are records (`Record`): slotted classes with a
 hand-written `__init__` that compare on class and fields and hash as the
-tuple of their fields, like frozen dataclasses.  The syntax nodes and
-the package's other small immutable records share the base; syntax
-nodes are hash-consed on top of it (see `syntax`).  Creating
-such a class costs about 0.02 ms where a frozen dataclass costs about
-0.7 ms, and building an instance about half as much, which matters
-because every process creates the classes when it imports the package
-and every number it computes is a new `Num`.
+tuple of their fields, like frozen dataclasses.  So are the syntax
+nodes, hash-consed on top of it (see `syntax`), the model, the
+configuration classes, and, as `Struct`s, the reports, traces and other
+results whose fields are assigned after they are built.  Creating such a
+class costs about 0.02 ms where a dataclass costs about 0.7 ms, and
+building an instance about half as much, which matters because every
+process creates the classes when it imports the package, and every
+number it computes is a new `Num`.
 """
 
 from __future__ import annotations
@@ -56,11 +57,11 @@ def __hash__(self):
 
 
 def _write_field_methods(cls: type) -> type:
-    """Give a record class `__eq__`, `__ne__` and `__hash__` written out
-    for its fields, as a dataclass's are, so that they read the fields
-    without a call per field.  A single field is compared on its own,
-    without the two 1-tuples a dataclass builds."""
-    names = cls.__slots__
+    """Give a record class `__eq__`, `__ne__` and, unless it is unhashable,
+    `__hash__` written out for its compared fields, as a dataclass's are,
+    so that they read the fields without a call per field.  A single field
+    is compared on its own, without the two 1-tuples a dataclass builds."""
+    names = getattr(cls, "_compared", None) or getattr(cls, "_fields", cls.__slots__)
     fields = "".join(f"self.{f}, " for f in names)
     if len(names) == 1:
         mine, theirs = f"self.{names[0]}", f"other.{names[0]}"
@@ -68,7 +69,7 @@ def _write_field_methods(cls: type) -> type:
         mine, theirs = f"({fields})", "(%s)" % "".join(f"other.{f}, " for f in names)
     namespace: dict = {}
     exec(_FIELD_METHODS.format(mine=mine, theirs=theirs, fields=fields), namespace)
-    for name in ("__eq__", "__ne__", "__hash__"):
+    for name in ("__eq__", "__ne__") if cls.__hash__ is None else ("__eq__", "__ne__", "__hash__"):
         method = namespace[name]
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
@@ -83,7 +84,10 @@ class Record:
     a record hashes as the tuple of its fields, and it shows itself as a
     dataclass would, e.g. `Num(value=1)`.  Its instances carry no
     `__dict__`.  A record class is not subclassed further, but for
-    `syntax.Node`, whose equal instances are one object (hash-consing).
+    `syntax.Node`, whose equal instances are one object (hash-consing),
+    and `Struct`.  A class whose slots hold more than its fields (a memo,
+    or `__weakref__`) names its fields in `_fields`, and the ones that
+    equality and the hash read in `_compared` when these are fewer.
 
     A class's field-wise `__eq__`, `__ne__` and `__hash__` are written
     the first time one of them runs on one of its instances, by the
@@ -104,8 +108,18 @@ class Record:
         return _write_field_methods(self.__class__).__hash__(self)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        names = getattr(self, "_fields", self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in names)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+class Struct(Record):
+    """A record whose fields are assigned after it is built, such as a
+    report that a run fills in: equal and shown as a record, but
+    unhashable, as a dataclass that is not frozen is."""
+
+    __slots__ = ()
+    __hash__ = None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ reference for the search's split from the placements its conjuncts keep.  `ref_r
 `ref_render_expr` are the renderer that walks the whole tree on every
 call, with the precedence of the enclosing place passed down; the
 product's renderer keeps each node's text and must agree with it.
+`lex` is the character-by-character scanner the product's one-pattern
+lexer replaced; both give `(kind, text, line, col)` tuples.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Mapping
 
 from devs_scc.bounds import grid
 from devs_scc.model import GuardedCase, Model, OperatorDef
+from devs_scc.parser import Diagnostic, ParseFailure
 from devs_scc.sat import BudgetExhausted, _Budget, _env, _form, _witnesses
 from devs_scc.syntax import (
     And,
@@ -141,7 +144,7 @@ def apply_operator(
     env = _constants(outer_env, _const_names(model))
     for (name, sort), arg in zip(op.params, args):
         env[name] = coerce(arg, sort, f"{op.name} parameter {name}")
-    case = select_case(op.cases, env, model)
+    case = select_case(op.cases, env, model, depth=depth)
     if case is None:
         raise EvalError(f"no case of operator {op.name} matches its arguments")
     result = eval_expr(case.result, env, model, depth)
@@ -159,28 +162,31 @@ def _constants(outer_env: Env, const_names) -> dict[str, Value]:
 
 
 def eval_pred(
-    pred: Predicate, env: Env, model: Model | None = None, bounds=None
+    pred: Predicate, env: Env, model: Model | None = None, bounds=None, _depth: int = 0
 ) -> bool:
+    """Whether `pred` holds; `_depth` is that of the operator whose guard
+    it is, if any."""
     if isinstance(pred, BoolConst):
         return pred.value
     if isinstance(pred, Cmp):
         return compare(
-            pred.op, eval_expr(pred.left, env, model), eval_expr(pred.right, env, model)
+            pred.op, eval_expr(pred.left, env, model, _depth),
+            eval_expr(pred.right, env, model, _depth),
         )
     if isinstance(pred, InSet):
-        v = eval_expr(pred.expr, env, model)
+        v = eval_expr(pred.expr, env, model, _depth)
         return isinstance(v, Lit) and v.name in pred.literals
     if isinstance(pred, InBase):
-        return isinstance(eval_expr(pred.expr, env, model), Num)
+        return isinstance(eval_expr(pred.expr, env, model, _depth), Num)
     if isinstance(pred, Not):
-        return not eval_pred(pred.arg, env, model, bounds)
+        return not eval_pred(pred.arg, env, model, bounds, _depth)
     if isinstance(pred, And):
-        return all(eval_pred(q, env, model, bounds) for q in pred.items)
+        return all(eval_pred(q, env, model, bounds, _depth) for q in pred.items)
     if isinstance(pred, Or):
-        return any(eval_pred(q, env, model, bounds) for q in pred.items)
+        return any(eval_pred(q, env, model, bounds, _depth) for q in pred.items)
     if isinstance(pred, Implies):
-        return (not eval_pred(pred.left, env, model, bounds)) or eval_pred(
-            pred.right, env, model, bounds
+        return (not eval_pred(pred.left, env, model, bounds, _depth)) or eval_pred(
+            pred.right, env, model, bounds, _depth
         )
     if isinstance(pred, Exists):
         if bounds is None:
@@ -190,18 +196,18 @@ def eval_pred(
         inner = dict(env)
         for combo in itertools.product(*grids):
             inner.update(zip(names, combo))
-            if eval_pred(pred.body, inner, model, bounds):
+            if eval_pred(pred.body, inner, model, bounds, _depth):
                 return True
         return False
     raise EvalError(f"cannot evaluate predicate {pred!r}")
 
 
 def select_case(
-    cases: tuple[GuardedCase, ...], env: Env, model: Model | None, bounds=None
+    cases: tuple[GuardedCase, ...], env: Env, model: Model | None, bounds=None, depth: int = 0
 ) -> GuardedCase | None:
     """First case whose guard holds; otherwise-cases always hold."""
     for case in cases:
-        if case.is_otherwise or eval_pred(case.guard, env, model, bounds):
+        if case.is_otherwise or eval_pred(case.guard, env, model, bounds, depth):
             return case
     return None
 
@@ -496,3 +502,105 @@ def _rp(p: Predicate, prec: int) -> str:
         bound = ", ".join(f"{n}: {s}" for n, s in p.bound)
         return f"(exists {bound} . {_rp(p.body, 0)})"
     raise TypeError(f"cannot render {p!r}")
+
+
+# ---------------------------------------------------------------------------
+# the reference lexer
+
+_UNICODE = {
+    "∧": "/\\",
+    "∨": "\\/",
+    "¬": "!",
+    "⇒": "=>",
+    "≠": "!=",
+    "≤": "<=",
+    "≥": ">=",
+    "∞": "infinity",
+    "τ": "tau",
+    "÷": "div",
+    "−": "-",
+}
+
+_TWO = {"/\\", "\\/", "=>", "!=", "<=", ">=", "->", ".."}
+_ONE = set("{}(),;:=<>!+-*.|@")
+
+
+def lex(text: str) -> list[tuple[str, str, int, int]]:
+    tokens: list[tuple[str, str, int, int]] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+
+    def push(kind: str, s: str, ln: int, cl: int) -> None:
+        tokens.append((kind, s, ln, cl))
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        ln, cl = line, col
+        if c in _UNICODE:
+            push("sym" if _UNICODE[c] not in ("infinity", "tau", "div") else "ident",
+                 _UNICODE[c], ln, cl)
+            i += 1
+            col += 1
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 1
+            if j >= n:
+                raise ParseFailure([Diagnostic(ln, cl, "unterminated string")])
+            push("string", text[i + 1:j], ln, cl)
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            elif j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            push("number", text[i:j], ln, cl)
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            push("ident", text[i:j], ln, cl)
+            col += j - i
+            i = j
+            continue
+        if text[i:i + 2] in _TWO:
+            push("sym", text[i:i + 2], ln, cl)
+            i += 2
+            col += 2
+            continue
+        if c in _ONE:
+            push("sym", c, ln, cl)
+            i += 1
+            col += 1
+            continue
+        raise ParseFailure([Diagnostic(ln, cl, f"unexpected character {c!r}")])
+    tokens.append(("eof", "", line, col if tokens else 1))
+    if not tokens[:-1]:
+        tokens[-1] = ("eof", "", 1, 1)
+    return tokens

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -309,7 +308,7 @@ def _build_then_decide(base, plan, ctx):
     catalog = list(base)
     for combo, form in sorted(kept, key=lambda k: k[0].combined_from):
         next_id += 1
-        combo = replace(combo, id=next_id)
+        combo = combo.renumbered(next_id)
         ctx.forms(combo).member = form
         catalog.append(combo)
     return catalog, report

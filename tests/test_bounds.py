@@ -4,7 +4,6 @@ and the search spaces, shared read-only by every search over it."""
 
 import copy
 import itertools
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -45,7 +44,7 @@ def ref_times(b):
         v.value for v in b.const_values.values() if isinstance(v, Num) and v.value >= 0
     )
     samples = {Fraction(0), *consts}
-    for a, c in itertools.pairwise(consts):
+    for a, c in itertools.pairwise(sorted(samples)):
         samples.add((a + c) / 2)
     if consts:
         samples.add(consts[-1] + 1)
@@ -119,6 +118,21 @@ def test_memoised_grids_equal_fresh_ones(fixture, request):
     assert all(j[1] is s[1] for j, s in zip(ctx.joint_space[2:], ctx.state_space))
     assert ctx.pair_spaces[False][0][1] is ctx.grid("x", model.input_sort)
     assert all(space[1][1] is ctx.times for space in (*ctx.pair_spaces, ctx.joint_space))
+
+
+def test_the_derived_time_grid_has_a_point_between_zero_and_the_smallest_constant():
+    """Without its `time samples` line, elevator's bounds derive exactly
+    the samples the line lists: the midpoints run from 0, so the gap
+    below TD1 has its point 1."""
+    text = (FIXTURES / "elevator.bounds").read_text(encoding="utf-8")
+    line = "  time samples = {0, 1, TD1, 5/2, TD2, 4, TA, 13/2, TGF, 9};\n"
+    assert line in text
+    derived = parse_bounds_text(text.replace(line, ""))
+    assert derived.time_samples is None
+    want = [0, 1, 2, Fraction(5, 2), 3, 4, 5, Fraction(13, 2), 8, 9]
+    assert grid(derived, "t", TIME) == [Num(v) for v in want] + [INF]
+    assert grid(derived, "t", TIME) == grid(parse_bounds_text(text), "t", TIME)
+    assert ref_times(derived) == want
 
 
 def test_memoised_grids_follow_every_kind_of_range():
@@ -218,8 +232,11 @@ def test_bounds_hold_no_derived_state_after_a_campaign(elevator, elevator_tables
     _, checked = validate_model(elevator, b)
     assert checked.usable
     run_campaign(_worked(elevator, b, elevator_tables))
-    assert vars(b).keys() == {f.name for f in fields(Bounds)}
-    assert vars(b) == vars(parse_bounds_file(path))
+    # slotted, so nothing but the fields can be set on it
+    assert not hasattr(b, "__dict__")
+    assert Bounds.__slots__ == ("nat_ranges", "int_ranges", "rat_grids", "value_sets",
+                                "time_samples", "const_values", "max_attempts")
+    assert b == parse_bounds_file(path)
 
 
 def test_a_set_value_outside_its_sort_is_a_validation_error(toggle):

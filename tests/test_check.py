@@ -2,7 +2,6 @@
 disjointness, and the sign of the time advance, decided by the search."""
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +11,7 @@ from devs_scc.bounds import Bounds
 from devs_scc.check import validate_model
 from devs_scc.cli import main
 from devs_scc.context import Context
+from devs_scc.model import Model
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
 from devs_scc.partitions import builtin_tables, check_partition
 from devs_scc.sat import coverage, prepare, satisfiable
@@ -232,7 +232,7 @@ def test_validating_a_parsed_model_binds_nothing_again(monkeypatch):
     model, _ = parse_model_file(str(FIXTURES / "elevator.devs"))
     bounds = parse_bounds_file(str(FIXTURES / "elevator.bounds"))
     # a copy keeps nothing, so it is bound again from scratch
-    fresh_model, fresh = validate_model(replace(model), bounds)
+    fresh_model, fresh = validate_model(Model(*(getattr(model, f) for f in Model._fields)), bounds)
     binds = []
     real = check._bind_cases
     monkeypatch.setattr(check, "_bind_cases", lambda *args: binds.append(args) or real(*args))

@@ -11,6 +11,8 @@ from devs_scc.syntax import Apply, Const, InSet, Ref
 from devs_scc.values import EvalError, INF, Lit, Num, Tup, num
 from oracle import select_case
 
+from tests.conftest import FIXTURES
+
 CHANGE_MODEL = """
 model changer {
   sort Coins = (nat, nat, nat);
@@ -333,6 +335,29 @@ def test_runaway_operator_expansion_is_an_evaluation_error():
         compile_expr(call, ctx)({})
     with pytest.raises(EvalError, match=re.escape(message)):
         compile_pred(Cmp("=", call, Const(num(0))), ctx)({})
+
+
+@pytest.mark.parametrize("ops", [
+    # f's guard applies f
+    "op f(n: nat): nat { case f(n) = 0 -> 1; otherwise -> 0; }",
+    # f's guard applies g, whose result applies f
+    "op f(n: nat): nat { case g(n) = 0 -> 1; otherwise -> 0; }\n"
+    "op g(n: nat): nat { case n = 0 -> 0; otherwise -> f(n); }",
+])
+def test_an_operator_recurring_through_its_guard_is_expanded_too_deep(ops):
+    """A model the checks reject, evaluated anyway: the applications in a
+    guard count on from their operator's depth, so the expansion ends in
+    an evaluation error, not in Python's recursion limit."""
+    text = (FIXTURES / "toggle.devs").read_text().replace("  ta = infinity;",
+                                                         ops + "\n  ta = infinity;")
+    model, report = parse_model_text(text)
+    assert report.errors and report.errors[0].startswith("recursive operator definitions")
+    call = Cmp("=", Apply("f", (Const(num(1)),)), Const(num(0)))
+    message = re.escape("operator expansion too deep (recursive definition?)")
+    with pytest.raises(EvalError, match=message):
+        eval_pred(call, {}, Context(model))
+    with pytest.raises(EvalError, match=message):
+        oracle_pred(call, {}, model)
 
 
 # existentials: the bound variables' grids scanned in ascending product order

@@ -4,7 +4,6 @@ this, and the arithmetic, comparisons, `v_min` and sort conformance agree
 with the Fraction-only reference in `oracle` whichever way a number is
 held."""
 
-import dataclasses
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -46,8 +45,8 @@ def held_exactly(n: Num) -> bool:
 
 
 def nums(*roots) -> list[Num]:
-    """Every Num reachable from `roots` through record and dataclass
-    fields and containers."""
+    """Every Num reachable from `roots` through record fields, memos
+    included, and containers."""
     seen, stack, out = set(), list(roots), []
     while stack:
         obj = stack.pop()
@@ -57,9 +56,7 @@ def nums(*roots) -> list[Num]:
         if isinstance(obj, Num):
             out.append(obj)
         elif isinstance(obj, Record):
-            stack.extend(getattr(obj, name) for name in obj.__slots__)
-        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+            stack.extend(getattr(obj, name) for name in obj.__slots__ if name != "__weakref__")
         elif isinstance(obj, dict):
             stack.extend(obj)
             stack.extend(obj.values())

@@ -3,7 +3,6 @@ conjuncts, shared search spaces, kept placements and depth splits, class
 tests made once from interned conjuncts, and a context freed with its
 model by reference counting."""
 
-import dataclasses
 import gc
 import importlib.util
 import sys
@@ -23,7 +22,7 @@ from devs_scc.context import Context
 from devs_scc.evaluator import compile_expr, compile_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file
 from devs_scc.sat import prepare, prepare_conjuncts, satisfiable
-from devs_scc.scc import assign_ids, make_scc
+from devs_scc.scc import SCC, assign_ids, make_scc
 from devs_scc.sequencer import build_sequences
 from devs_scc.selector import SimulationConfig, member_form, runnable_form, select_config
 from devs_scc.syntax import (
@@ -383,7 +382,9 @@ def test_a_renumbered_class_starts_with_nothing_prepared(elevator, elevator_boun
     assert last.combined_from and forms.scc is last
     assert None not in (forms.member, forms.runnable, forms.state, forms.pair)
     again = last.renumbered(last.id + 1000)
-    assert id(again) not in ctx.classes and again == dataclasses.replace(last, id=last.id + 1000)
+    assert id(again) not in ctx.classes and again == SCC(
+        last.id + 1000, last.init_states, last.input_pairs, last.criterion, last.target,
+        last.combined_from, last.joint)
     (copy,), _ = assign_ids([last], start=7)
     assert copy.id == 7 and id(copy) not in ctx.classes
     # a combination is given only the form it was decided on

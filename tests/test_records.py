@@ -59,6 +59,7 @@ from devs_scc.values import (
     RatSort,
     Record,
     SortError,
+    Struct,
     TimeSort,
     Tup,
     TupleSort,
@@ -119,11 +120,16 @@ def record_classes() -> set[type]:
 
 
 def test_every_record_class_has_samples():
-    # `syntax.Node` is the interning base of the 18 syntax classes, never
-    # instantiated itself
-    classes = record_classes() - {Node}
-    assert classes == {type(s) for s in SAMPLES}
-    assert len(classes) == 38
+    # `syntax.Node` is the interning base of the 18 syntax classes and
+    # `values.Struct` that of the mutable records, neither instantiated
+    # itself; the model, its classes and the mutable records are checked
+    # in `test_slotted_classes.py`
+    from tests.test_slotted_classes import CLASSES
+
+    classes = record_classes() - {Node, Struct}
+    assert classes == {type(s) for s in SAMPLES} | set(CLASSES)
+    assert len(SAMPLES_CLASSES := {type(s) for s in SAMPLES}) == 38 and len(classes) == 38 + 18
+    assert not SAMPLES_CLASSES & set(CLASSES)
     assert Node in record_classes()
     assert set(Node.__subclasses__()) == {c for c in classes if c.__module__ == "devs_scc.syntax"}
     assert len(Node.__subclasses__()) == 18

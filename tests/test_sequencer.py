@@ -6,7 +6,7 @@ from devs_scc.bounds import const_env
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
 from oracle import eval_pred, joint_space
-from devs_scc.scc import make_scc
+from devs_scc.scc import SCC, make_scc
 from devs_scc.sequencer import build_sequences
 from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, conj
 from devs_scc.values import Lit
@@ -154,11 +154,10 @@ def test_failing_step_ends_the_sequence_and_continues(toggle, toggle_bounds):
         "dead",
         id=2,
     )
-    import dataclasses
-
     from devs_scc.syntax import FALSE
 
-    impossible = dataclasses.replace(dead, id=3, init_states=FALSE)
+    impossible = SCC(3, FALSE, dead.input_pairs, dead.criterion, dead.target,
+                     dead.combined_from, dead.joint)
     sequences, notes = build_sequences([one, dead, impossible], Context(toggle, toggle_bounds))
     covered = [i for seq in sequences for i in seq.covered]
     assert sorted(covered) == [1, 2, 3]
