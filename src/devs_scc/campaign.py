@@ -53,7 +53,7 @@ from .simulator import (
     init,
     uniformity_probe,
 )
-from .syntax import Apply, holding, pred_exprs
+from .syntax import Apply, holding, walk
 from .values import EvalError, Struct, Value
 
 SCHEMA = "devs-scc/1"
@@ -197,7 +197,7 @@ def load_tables(parts_paths: list[str]) -> tuple[dict[str, StandardPartition], l
 
 
 def _plain_cells(table: StandardPartition) -> bool:
-    return not any(isinstance(n, Apply) for cell in table.cells for n in pred_exprs(cell))
+    return not any(isinstance(n, Apply) for cell in table.cells for n in walk(cell))
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,11 @@ from .syntax import (
     Proj,
     Ref,
     TupleExpr,
-    expr_nodes,
-    expr_vars,
-    iter_subpreds,
-    pred_exprs,
-    pred_vars,
+    free_vars,
+    map_children,
     render_expr,
     render_pred,
+    walk,
 )
 from .values import (
     Inf,
@@ -93,9 +91,8 @@ class Ctx(Struct):
         self.operators = operators
         self.where = where
 
-    def child(self, extra: dict[str, Sort], where: str | None = None) -> "Ctx":
-        return Ctx({**self.vars, **extra}, self.consts, self.operators,
-                   where if where is not None else self.where)
+    def child(self, extra: dict[str, Sort]) -> "Ctx":
+        return Ctx({**self.vars, **extra}, self.consts, self.operators, self.where)
 
 
 def infer_expr(expr: Expr, ctx: Ctx) -> tuple[Expr, Sort]:
@@ -200,16 +197,6 @@ def check_expr(expr: Expr, ctx: Ctx, expected: Sort) -> Expr:
         return TupleExpr(
             tuple(check_expr(a, ctx, s) for a, s in zip(expr.items, expected.items))
         )
-    if isinstance(expected, ExtSort):
-        # a name may be one of the added literals; otherwise fall through to
-        # the numeric base
-        if isinstance(expr, Ref) and expr.name in ctx.vars:
-            typed, actual = infer_expr(expr, ctx)
-            if _compat(actual, expected):
-                return typed
-            raise BindError(
-                f"{render_expr(expr)} has sort {actual}, expected {expected}{_at(ctx)}"
-            )
     typed, actual = infer_expr(expr, ctx)
     if not _compat(actual, expected):
         raise BindError(
@@ -281,17 +268,10 @@ def bind_pred(pred: Predicate, ctx: Ctx) -> Predicate:
                 f"`in nat` needs an extended sort, got {sort}{_at(ctx)}"
             )
         return InBase(expr)
-    if isinstance(pred, Not):
-        return Not(bind_pred(pred.arg, ctx))
-    if isinstance(pred, And):
-        return And(tuple(bind_pred(q, ctx) for q in pred.items))
-    if isinstance(pred, Or):
-        return Or(tuple(bind_pred(q, ctx) for q in pred.items))
-    if isinstance(pred, Implies):
-        return Implies(bind_pred(pred.left, ctx), bind_pred(pred.right, ctx))
     if isinstance(pred, Exists):
-        inner = ctx.child(dict(pred.bound))
-        return Exists(pred.bound, bind_pred(pred.body, inner))
+        return map_children(pred, bind_pred, ctx.child(dict(pred.bound)))
+    if isinstance(pred, (Not, And, Or, Implies)):
+        return map_children(pred, bind_pred, ctx)
     raise BindError(f"cannot bind predicate {pred!r}{_at(ctx)}")
 
 
@@ -425,7 +405,7 @@ def _check_operator_cycles(ops: list[OperatorDef], report: ValidationReport) -> 
     for op in ops:
         used: set[str] = set()
         for case in op.cases:
-            nodes = (*expr_nodes(case.result), *pred_exprs(case.guard))
+            nodes = (*walk(case.result), *walk(case.guard))
             used.update(n.op for n in nodes if isinstance(n, Apply))
         calls[op.name] = used
     seen: dict[str, int] = {}  # 0 visiting, 1 done
@@ -485,11 +465,11 @@ def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
     """Non-binding hint: variables that look time-interacting but carry no
     @time annotation.  Looks for atoms mixing a state variable with the
     elapsed time and for variables feeding the time advance."""
-    suspects: set[str] = set(expr_vars(model.ta)) if model.ta is not None else set()
+    suspects: set[str] = free_vars(model.ta) if model.ta is not None else set()
     state_names = set(model.schema.names())
     for case in model.delta_ext:
-        groups = [pred_vars(p) for p in iter_subpreds(case.guard) if isinstance(p, Cmp)]
-        groups += [expr_vars(n) for n in expr_nodes(case.result) if isinstance(n, BinOp)]
+        groups = [free_vars(n) for n in walk(case.guard) if isinstance(n, Cmp)]
+        groups += [free_vars(n) for n in walk(case.result) if isinstance(n, BinOp)]
         for vs in groups:
             if "e" in vs:
                 suspects |= vs & state_names

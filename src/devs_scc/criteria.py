@@ -30,11 +30,11 @@ from .syntax import (
     TRUE,
     conj,
     conjuncts,
+    free_vars,
     normalize,
-    pred_vars,
     render_expr,
     render_pred,
-    subst_pred,
+    subst,
 )
 from .dnf import to_dnf
 from .values import (
@@ -61,7 +61,7 @@ TAU_PAIR = And((Cmp("=", Ref("x"), Const(TAU)), Cmp("=", Ref("t"), Const(Num(0))
 
 
 def _e_to_t(pred: Predicate) -> Predicate:
-    return subst_pred(pred, {"e": Ref("t")})
+    return subst(pred, {"e": Ref("t")})
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def cases_criterion(ctx: Context, include_otherwise: bool = False) -> tuple[list
             continue
         guard = case.guard
         target = f"dext case {case.id}"
-        if "e" in pred_vars(guard):
+        if "e" in free_vars(guard):
             notes.append(f"{target}: guard constrains the elapsed time; "
                          "its input pairs inherit the constraint via t = e")
         init = project_exists(guard, [("e", TIME), ("x", model.input_sort)], ctx)
@@ -153,7 +153,7 @@ def intentional_criterion(
         if kind == "state":
             sccs.append(make_scc(body, TRUE, "intentional", target))
         elif kind == "input":
-            bad = pred_vars(body) - {"x"}
+            bad = free_vars(body) - {"x"}
             if bad:
                 raise CriterionError(
                     "input comprehension may only mention x, found "
@@ -260,7 +260,7 @@ def _split_guard(model: Model, case: GuardedCase, ops: tuple[str, ...]):
     matched: list[Cmp] = []
     context: list[Predicate] = []
     for c in conjuncts(normalize(case.guard)):
-        vs = pred_vars(c)
+        vs = free_vars(c)
         if (
             isinstance(c, Cmp)
             and c.op in ops
@@ -275,7 +275,7 @@ def _split_guard(model: Model, case: GuardedCase, ops: tuple[str, ...]):
 
 
 def _numeric_operands(model: Model, atom: Cmp) -> bool:
-    for name in pred_vars(atom):
+    for name in free_vars(atom):
         sort = model.schema.sort_of(name)
         if isinstance(sort, ExtSort):
             sort = ext_base(sort)

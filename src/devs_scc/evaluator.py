@@ -8,7 +8,8 @@ under a key no name can be, how many applications deep it is, so that a
 runaway expansion, through results or guards alike, ends in EvalError.
 Conjunction and disjunction short-circuit left to right, matching how
 guard authors order their conjuncts, and an existential enumerates its
-bound variables' grids in ascending product order.
+bound variables' grids in ascending product order, where a point at
+which its body fails to evaluate witnesses nothing.
 
 There is one evaluator.  `compile_pred` and `compile_expr` walk the
 syntax tree once and return a closure (Feeley & Lapalme 1987, "Using
@@ -187,22 +188,36 @@ def _compile_cmp(pred: Cmp, ctx):
 
 def _compile_exists(pred: Exists, ctx):
     """The existential as a scan of its bound variables' grids, in
-    ascending product order, until the compiled body holds.  The grids
-    are the context's, taken when it is compiled."""
+    ascending product order, until the compiled body holds; a point
+    where the body fails to evaluate witnesses nothing.  The grids are
+    the context's, taken when it is compiled."""
     body = compile_pred(pred.body, ctx)
     if ctx is None or ctx.bounds is None:
         return _fails("existential membership test needs bounds")
     names = [name for name, _ in pred.bound]
     grids = [ctx.grid(name, sort) for name, sort in pred.bound]
+    tests = (body,)
 
     def exists(env):
         inner = dict(env)
         for combo in itertools.product(*grids):
             inner.update(zip(names, combo))
-            if body(inner):
+            if all_hold(tests, inner):
                 return True
         return False
     return exists
+
+
+def all_hold(tests, env) -> bool:
+    """Whether all of `tests` hold in `env`; a test whose evaluation
+    fails does not hold."""
+    try:
+        for test in tests:
+            if not test(env):
+                return False
+        return True
+    except EvalError:
+        return False
 
 
 def _kept(table: dict, key, build):

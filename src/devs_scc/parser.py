@@ -36,8 +36,7 @@ from .syntax import (
     Ref,
     TRUE,
     TupleExpr,
-    subst_expr,
-    subst_pred,
+    subst,
 )
 from .values import (
     EnumSort,
@@ -487,7 +486,7 @@ def _parse_opdef(p: Parser, aliases: dict[str, Sort]) -> OperatorDef:
     if p.at("case") or p.at("otherwise"):
         cases = _parse_cases(p, lets)
     else:
-        body = subst_expr(p.expr(), lets)
+        body = subst(p.expr(), lets)
         p.expect(";")
         cases = [GuardedCase(1, TRUE, body)]
     p.expect("}")
@@ -508,7 +507,7 @@ def _parse_lets(p: Parser) -> dict[str, Expr]:
     while p.accept("let"):
         lname = p.ident("let name")
         p.expect("=")
-        lets[lname] = subst_expr(p.expr(), lets)
+        lets[lname] = subst(p.expr(), lets)
         p.expect(";")
     return lets
 
@@ -518,9 +517,9 @@ def _parse_cases(p: Parser, lets: dict[str, Expr]) -> list[GuardedCase]:
     cases: list[GuardedCase] = []
     while p.at("case") or p.at("otherwise"):
         otherwise = p.ident() == "otherwise"
-        guard = TRUE if otherwise else subst_pred(p.pred(), lets)
+        guard = TRUE if otherwise else subst(p.pred(), lets)
         p.expect("->")
-        result = subst_expr(p.expr(), lets)
+        result = subst(p.expr(), lets)
         p.expect(";")
         cases.append(GuardedCase(len(cases) + 1, guard, result, otherwise))
     return cases

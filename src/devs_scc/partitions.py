@@ -14,7 +14,7 @@ import itertools
 from .bounds import Bounds
 from .context import Context
 from .sat import coverage
-from .syntax import And, Cmp, Const, Predicate, Ref, subst_pred
+from .syntax import And, Cmp, Const, Predicate, Ref, subst
 from .values import Num, Record
 
 
@@ -74,7 +74,7 @@ def instantiate(table: StandardPartition, operands) -> list[Predicate]:
             f"got {len(operands)} operands"
         )
     env = dict(zip(table.formals, operands))
-    return [subst_pred(cell, env) for cell in table.cells]
+    return [subst(cell, env) for cell in table.cells]
 
 
 def domain_propagation(

@@ -61,7 +61,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 
 from .context import Context
-from .evaluator import compile_pred
+from .evaluator import all_hold, compile_pred
 from .syntax import (
     BoolConst,
     Exists,
@@ -69,11 +69,11 @@ from .syntax import (
     Predicate,
     conj,
     conjuncts,
+    free_vars,
     normalize,
-    pred_vars,
     render_pred,
 )
-from .values import EvalError, Sort, Struct, Value
+from .values import Sort, Struct, Value
 
 Space = list[tuple[str, list[Value]]]
 
@@ -124,7 +124,7 @@ class Conjunct:
     def __init__(self, pred: Predicate, text: str, ctx: Context | None):
         self.pred = pred
         self.text = text
-        self.vars = tuple(pred_vars(pred))
+        self.vars = tuple(free_vars(pred))
         self.test = compile_pred(pred, ctx)
         self.placed: dict[str, int | None] = {}
 
@@ -282,7 +282,7 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
         if used > limit:
             budget.used = used
             raise BudgetExhausted()
-        if not _all_hold((test,), env):
+        if not all_hold((test,), env):
             budget.used = used
             return
     n = len(names)
@@ -320,14 +320,14 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
             raise BudgetExhausted()
         env[names[d]] = grids[d][i]
         if memo is not None and memo[i] is None:
-            memo[i] = _all_hold(unary_tests[d], env)
+            memo[i] = all_hold(unary_tests[d], env)
             if not memo[i]:
                 failed[d] += 1
                 if failed[d] == len(grids[d]):
                     break  # no value of this variable satisfies its unary conjuncts
                 continue
         tests = joint_tests[d]
-        if tests is not None and not _all_hold(tests, env):
+        if tests is not None and not all_hold(tests, env):
             continue
         if d == last:
             budget.used = used
@@ -397,22 +397,10 @@ def _admitted(form: Conjunction, space: Space, env: dict) -> list[int]:
         if tests is not None:
             for i, value in enumerate(grid):
                 env[name] = value
-                if not _all_hold(tests, env):
+                if not all_hold(tests, env):
                     mask &= ~(1 << i)
         masks.append(mask)
     return masks
-
-
-def _all_hold(tests, env) -> bool:
-    """Whether all of `tests` hold in `env`; a conjunct whose evaluation
-    fails does not hold."""
-    try:
-        for test in tests:
-            if not test(env):
-                return False
-        return True
-    except EvalError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +425,7 @@ def project_exists(
     keep: list[Predicate] = []
     clusters: list[tuple[set[str], list[Predicate]]] = []
     for c in conjuncts(normalize(pred)):
-        mine = pred_vars(c) & drop_sorts.keys()
+        mine = free_vars(c) & drop_sorts.keys()
         if not mine:
             keep.append(c)
             continue
@@ -457,7 +445,7 @@ def project_exists(
     for vars_, preds in clusters:
         body = conj(preds)
         bound = [(n, drop_sorts[n]) for n in drop_order if n in vars_]
-        free_outside = pred_vars(body) - vars_ - const_names
+        free_outside = free_vars(body) - vars_ - const_names
         if not free_outside:
             space = [(n, ctx.grid(n, s)) for n, s in bound]
             verdict = satisfiable(body, space, ctx)

@@ -12,6 +12,14 @@ The renderer is the canonical form: two predicates are treated as
 structurally equal exactly when their rendered strings agree, and the
 normalizer below sorts conjuncts and disjuncts by that string so that
 intersection order never changes the result.
+
+Traversals read a node's children from its own fields, each holding a
+node or a tuple of nodes (Laemmel & Peyton Jones 2003, "Scrap your
+boilerplate"), so a new node class needs no walker edits.  `walk` yields
+a node and all below it, parents first; `free_vars` collects the names
+of `Ref`s no existential binds; `subst` replaces those an environment
+names.  `map_children` rebuilds a node from its mapped children, or gives
+it back when none changed, for substitution, binding, `=>` and `exists`.
 """
 
 from __future__ import annotations
@@ -321,100 +329,71 @@ def _render(n: Node) -> str:
 # ---------------------------------------------------------------------------
 # traversal
 
-def expr_nodes(e: Expr) -> Iterator[Expr]:
-    """`e` and every expression below it, parents first."""
-    yield e
-    if isinstance(e, BinOp):
-        yield from expr_nodes(e.left)
-        yield from expr_nodes(e.right)
-    elif isinstance(e, Neg):
-        yield from expr_nodes(e.arg)
-    elif isinstance(e, (MinOp, TupleExpr, Apply)):
-        for a in (e.items if isinstance(e, TupleExpr) else e.args):
-            yield from expr_nodes(a)
-    elif isinstance(e, Proj):
-        yield from expr_nodes(e.base)
+def _holds_nodes(value) -> bool:
+    """Whether a field that holds no node holds a tuple of them."""
+    return value.__class__ is tuple and value != () and isinstance(value[0], Node)
 
 
-def pred_exprs(p: Predicate) -> Iterator[Expr]:
-    """Every expression in the atoms of `p`, each with those below it."""
-    for q in iter_subpreds(p):
-        if isinstance(q, Cmp):
-            yield from expr_nodes(q.left)
-            yield from expr_nodes(q.right)
-        elif isinstance(q, (InSet, InBase)):
-            yield from expr_nodes(q.expr)
+def children(node: Node) -> list[Node]:
+    """The nodes held in `node`'s fields, in field order."""
+    out = []
+    for name in node.__slots__:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            out.append(value)
+        elif _holds_nodes(value):
+            out.extend(value)
+    return out
 
 
-def expr_vars(e: Expr) -> set[str]:
-    if isinstance(e, Ref):
-        return {e.name}
-    if isinstance(e, (Const, ConstRef)):
-        return set()
-    return {n.name for n in expr_nodes(e) if isinstance(n, Ref)}
+def map_children(node: Node, fn, *args) -> Node:
+    """`node` with each child `c` replaced by `fn(c, *args)`; `node`
+    itself when every child maps to itself."""
+    new, changed = [], False
+    for name in node.__slots__:
+        old = value = getattr(node, name)
+        if isinstance(value, Node):
+            value = fn(value, *args)
+        elif _holds_nodes(value):
+            value = tuple([fn(c, *args) for c in value])
+        changed = changed or value is not old and value != old
+        new.append(value)
+    return _intern(node.__class__, tuple(new)) if changed else node
 
 
-def pred_vars(p: Predicate) -> set[str]:
-    """Free variables of a predicate (existentially bound names excluded)."""
-    if isinstance(p, BoolConst):
-        return set()
-    if isinstance(p, Cmp):
-        return expr_vars(p.left) | expr_vars(p.right)
-    if isinstance(p, (InSet, InBase)):
-        return expr_vars(p.expr)
-    if isinstance(p, Not):
-        return pred_vars(p.arg)
-    if isinstance(p, (And, Or)):
-        out: set[str] = set()
-        for q in p.items:
-            out |= pred_vars(q)
-        return out
-    if isinstance(p, Implies):
-        return pred_vars(p.left) | pred_vars(p.right)
-    if isinstance(p, Exists):
-        return pred_vars(p.body) - {n for n, _ in p.bound}
-    raise TypeError(f"unknown predicate {p!r}")
+def walk(node: Node) -> Iterator[Node]:
+    """`node` and every node below it, parents first."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
-def subst_expr(e: Expr, env: Mapping[str, Expr]) -> Expr:
-    if isinstance(e, Ref):
-        return env.get(e.name, e)
-    if isinstance(e, BinOp):
-        return BinOp(e.op, subst_expr(e.left, env), subst_expr(e.right, env))
-    if isinstance(e, Neg):
-        return Neg(subst_expr(e.arg, env))
-    if isinstance(e, MinOp):
-        return MinOp(tuple(subst_expr(a, env) for a in e.args))
-    if isinstance(e, TupleExpr):
-        return TupleExpr(tuple(subst_expr(a, env) for a in e.items))
-    if isinstance(e, Proj):
-        return Proj(subst_expr(e.base, env), e.index)
-    if isinstance(e, Apply):
-        return Apply(e.op, tuple(subst_expr(a, env) for a in e.args))
-    return e
+def free_vars(node: Node) -> set[str]:
+    """The names of the `Ref`s in `node`, existentially bound ones excluded."""
+    out: set[str] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Ref:
+            out.add(node.name)
+        elif node.__class__ is Exists:
+            out |= free_vars(node.body).difference(name for name, _ in node.bound)
+        else:
+            stack += children(node)
+    return out
 
 
-def subst_pred(p: Predicate, env: Mapping[str, Expr]) -> Predicate:
-    if isinstance(p, BoolConst):
-        return p
-    if isinstance(p, Cmp):
-        return Cmp(p.op, subst_expr(p.left, env), subst_expr(p.right, env))
-    if isinstance(p, InSet):
-        return InSet(subst_expr(p.expr, env), p.literals)
-    if isinstance(p, InBase):
-        return InBase(subst_expr(p.expr, env))
-    if isinstance(p, Not):
-        return Not(subst_pred(p.arg, env))
-    if isinstance(p, And):
-        return And(tuple(subst_pred(q, env) for q in p.items))
-    if isinstance(p, Or):
-        return Or(tuple(subst_pred(q, env) for q in p.items))
-    if isinstance(p, Implies):
-        return Implies(subst_pred(p.left, env), subst_pred(p.right, env))
-    if isinstance(p, Exists):
-        inner = {k: v for k, v in env.items() if k not in {n for n, _ in p.bound}}
-        return Exists(p.bound, subst_pred(p.body, inner))
-    raise TypeError(f"unknown predicate {p!r}")
+def subst(node: Node, env: Mapping[str, Expr]) -> Node:
+    """`node` with each free `Ref` named in `env` replaced by its entry."""
+    cls = node.__class__
+    if cls is Ref:
+        return env.get(node.name, node)
+    if cls is Exists:
+        bound = {name for name, _ in node.bound}
+        env = {k: v for k, v in env.items() if k not in bound}
+    return map_children(node, subst, env) if env else node
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +434,7 @@ def _normalize(p: Predicate) -> Predicate:
         if arg.__class__ is Not:
             return arg.arg
         return Not(arg)
-    if cls is Implies:
-        return Implies(normalize(p.left), normalize(p.right))
-    if cls is Exists:
-        return Exists(p.bound, normalize(p.body))
+    if cls is Implies or cls is Exists:
+        return map_children(p, normalize)
     return p
 
-
-def iter_subpreds(p: Predicate) -> Iterator[Predicate]:
-    yield p
-    if isinstance(p, (And, Or)):
-        for q in p.items:
-            yield from iter_subpreds(q)
-    elif isinstance(p, Not):
-        yield from iter_subpreds(p.arg)
-    elif isinstance(p, Implies):
-        yield from iter_subpreds(p.left)
-        yield from iter_subpreds(p.right)
-    elif isinstance(p, Exists):
-        yield from iter_subpreds(p.body)

@@ -22,13 +22,17 @@ call, with the precedence of the enclosing place passed down; the
 product's renderer keeps each node's text and must agree with it.
 `lex` is the character-by-character scanner the product's one-pattern
 lexer replaced; both give `(kind, text, line, col)` tuples.
+`expr_nodes`, `pred_exprs`, `iter_subpreds`, `expr_vars`, `pred_vars`,
+`subst_expr` and `subst_pred` are the traversals that name each class's
+child fields, which the product's `walk`, `free_vars` and `subst`, reading
+children from a node's own fields, replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from devs_scc.bounds import grid
 from devs_scc.model import GuardedCase, Model, OperatorDef
@@ -196,8 +200,11 @@ def eval_pred(
         inner = dict(env)
         for combo in itertools.product(*grids):
             inner.update(zip(names, combo))
-            if eval_pred(pred.body, inner, model, bounds, _depth):
-                return True
+            try:
+                if eval_pred(pred.body, inner, model, bounds, _depth):
+                    return True
+            except EvalError:  # the point witnesses nothing
+                pass
         return False
     raise EvalError(f"cannot evaluate predicate {pred!r}")
 
@@ -502,6 +509,119 @@ def _rp(p: Predicate, prec: int) -> str:
         bound = ", ".join(f"{n}: {s}" for n, s in p.bound)
         return f"(exists {bound} . {_rp(p.body, 0)})"
     raise TypeError(f"cannot render {p!r}")
+
+
+# ---------------------------------------------------------------------------
+# traversal, with the child fields of each class spelled out
+
+def expr_nodes(e: Expr) -> Iterator[Expr]:
+    """`e` and every expression below it, parents first."""
+    yield e
+    if isinstance(e, BinOp):
+        yield from expr_nodes(e.left)
+        yield from expr_nodes(e.right)
+    elif isinstance(e, Neg):
+        yield from expr_nodes(e.arg)
+    elif isinstance(e, (MinOp, TupleExpr, Apply)):
+        for a in (e.items if isinstance(e, TupleExpr) else e.args):
+            yield from expr_nodes(a)
+    elif isinstance(e, Proj):
+        yield from expr_nodes(e.base)
+
+
+def pred_exprs(p: Predicate) -> Iterator[Expr]:
+    """Every expression in the atoms of `p`, each with those below it."""
+    for q in iter_subpreds(p):
+        if isinstance(q, Cmp):
+            yield from expr_nodes(q.left)
+            yield from expr_nodes(q.right)
+        elif isinstance(q, (InSet, InBase)):
+            yield from expr_nodes(q.expr)
+
+
+def expr_vars(e: Expr) -> set[str]:
+    if isinstance(e, Ref):
+        return {e.name}
+    if isinstance(e, (Const, ConstRef)):
+        return set()
+    return {n.name for n in expr_nodes(e) if isinstance(n, Ref)}
+
+
+def pred_vars(p: Predicate) -> set[str]:
+    """Free variables of a predicate (existentially bound names excluded)."""
+    if isinstance(p, BoolConst):
+        return set()
+    if isinstance(p, Cmp):
+        return expr_vars(p.left) | expr_vars(p.right)
+    if isinstance(p, (InSet, InBase)):
+        return expr_vars(p.expr)
+    if isinstance(p, Not):
+        return pred_vars(p.arg)
+    if isinstance(p, (And, Or)):
+        out: set[str] = set()
+        for q in p.items:
+            out |= pred_vars(q)
+        return out
+    if isinstance(p, Implies):
+        return pred_vars(p.left) | pred_vars(p.right)
+    if isinstance(p, Exists):
+        return pred_vars(p.body) - {n for n, _ in p.bound}
+    raise TypeError(f"unknown predicate {p!r}")
+
+
+def subst_expr(e: Expr, env: Mapping[str, Expr]) -> Expr:
+    if isinstance(e, Ref):
+        return env.get(e.name, e)
+    if isinstance(e, BinOp):
+        return BinOp(e.op, subst_expr(e.left, env), subst_expr(e.right, env))
+    if isinstance(e, Neg):
+        return Neg(subst_expr(e.arg, env))
+    if isinstance(e, MinOp):
+        return MinOp(tuple(subst_expr(a, env) for a in e.args))
+    if isinstance(e, TupleExpr):
+        return TupleExpr(tuple(subst_expr(a, env) for a in e.items))
+    if isinstance(e, Proj):
+        return Proj(subst_expr(e.base, env), e.index)
+    if isinstance(e, Apply):
+        return Apply(e.op, tuple(subst_expr(a, env) for a in e.args))
+    return e
+
+
+def subst_pred(p: Predicate, env: Mapping[str, Expr]) -> Predicate:
+    if isinstance(p, BoolConst):
+        return p
+    if isinstance(p, Cmp):
+        return Cmp(p.op, subst_expr(p.left, env), subst_expr(p.right, env))
+    if isinstance(p, InSet):
+        return InSet(subst_expr(p.expr, env), p.literals)
+    if isinstance(p, InBase):
+        return InBase(subst_expr(p.expr, env))
+    if isinstance(p, Not):
+        return Not(subst_pred(p.arg, env))
+    if isinstance(p, And):
+        return And(tuple(subst_pred(q, env) for q in p.items))
+    if isinstance(p, Or):
+        return Or(tuple(subst_pred(q, env) for q in p.items))
+    if isinstance(p, Implies):
+        return Implies(subst_pred(p.left, env), subst_pred(p.right, env))
+    if isinstance(p, Exists):
+        inner = {k: v for k, v in env.items() if k not in {n for n, _ in p.bound}}
+        return Exists(p.bound, subst_pred(p.body, inner))
+    raise TypeError(f"unknown predicate {p!r}")
+
+
+def iter_subpreds(p: Predicate) -> Iterator[Predicate]:
+    yield p
+    if isinstance(p, (And, Or)):
+        for q in p.items:
+            yield from iter_subpreds(q)
+    elif isinstance(p, Not):
+        yield from iter_subpreds(p.arg)
+    elif isinstance(p, Implies):
+        yield from iter_subpreds(p.left)
+        yield from iter_subpreds(p.right)
+    elif isinstance(p, Exists):
+        yield from iter_subpreds(p.body)
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,9 @@ def _fixture_args(name):
     ("elevator", "intentional state " + " /\\ ".join(["(f = 0 \\/ f = 1)"] * 13),
      "DNF clause cap 4096 exceeded"),
     ("toggle", "extensional state:zz", "no state variable named zz"),
+    ("elevator", "time chain:TD1,TA interval:TD1..TD2",
+     "time chain cannot mix with interval/point segments"),
+    ("elevator", "time interval:TA..TD1", "interval needs TA < TD1 under the constant bindings"),
 ])
 def test_a_selection_that_cannot_be_applied_exits_2(fixture, selection, message, capsys):
     assert main(["criteria", *_fixture_args(fixture), "--criteria", selection]) == 2
@@ -517,6 +520,71 @@ def test_a_selection_that_cannot_be_applied_exits_2(fixture, selection, message,
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("selection, classes", [
+    ("time interval:TD1..TD2 point:TA", [
+        ("interval [TD1, TD2]: t < a", "t < TD1"),
+        ("interval [TD1, TD2]: t = a", "t = TD1"),
+        ("interval [TD1, TD2]: a < t < b", "t < TD2 /\\ t > TD1"),
+        ("interval [TD1, TD2]: t = b", "t = TD2"),
+        ("interval [TD1, TD2]: t > b", "t > TD2"),
+        ("point TA: t < p", "t < TA"),
+        ("point TA: t = p", "t = TA"),
+        ("point TA: t > p", "t > TA"),
+    ]),
+    # a chain whose first point is not 0 starts below it
+    ("time chain:TD1,TA", [
+        ("t < TD1", "t < TD1"),
+        ("t = TD1", "t = TD1"),
+        ("TD1 < t < TA", "t < TA /\\ t > TD1"),
+        ("t = TA", "t = TA"),
+        ("t > TA", "t > TA"),
+    ]),
+])
+def test_time_selections_on_elevator(selection, classes, tmp_path, capsys):
+    out_file = tmp_path / "catalog.json"
+    assert main(["criteria", *_fixture_args("elevator"), "--criteria", selection,
+                 "--out", str(out_file)]) == 0
+    assert f"time: {len(classes)} classes" in capsys.readouterr().out
+    catalog = json.loads(out_file.read_text())["classes"]
+    assert [(c["target"], c["input_pairs"]) for c in catalog] == classes
+    assert all(c["criterion"] == "time" and c["init_states"] == "true" for c in catalog)
+
+
+DIVIDING_MODEL = """model divides {
+  state {
+    n: nat;
+  }
+  input enum {go};
+  output enum {ping};
+  ta = infinity;
+  dext(s, e, x) {
+    case x = go /\\ 2 div n <= e -> n + 1;
+  }
+  dint(s) {
+  }
+  lambda(s) {
+    otherwise -> ping;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["select", "campaign"])
+def test_a_point_where_an_existential_fails_to_evaluate_witnesses_nothing(command, tmp_path):
+    """The class's input pairs `(exists n: nat . 2 div n <= t) /\\ x = go`
+    fail to evaluate at n = 0, the first point scanned; the scan goes on
+    to the points that do evaluate, and the campaign selects n = 3."""
+    model, bounds = tmp_path / "divides.devs", tmp_path / "divides.bounds"
+    model.write_text(DIVIDING_MODEL)
+    bounds.write_text("bounds {\n  nat n = 0..3;\n  time samples = {0, 1, 2};\n}\n")
+    out = tmp_path / ("configs.json" if command == "select" else "out")
+    assert main([command, "--model", str(model), "--bounds", str(bounds),
+                 "--criteria", "cases", "--out", str(out)]) == 0
+    configs = json.loads((out if command == "select" else out / "configs.json").read_text())
+    assert configs["configs"] == [
+        {"input": {"event": "go", "time": "0"}, "scc": 1, "state": {"n": "3"}}]
 
 
 @pytest.mark.parametrize("kind, text, message", [

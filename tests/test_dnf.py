@@ -4,7 +4,7 @@ import random
 import pytest
 
 from devs_scc.dnf import DnfCapError, to_dnf
-from oracle import eval_pred
+from oracle import eval_pred, pred_vars
 from devs_scc.syntax import (
     And,
     BinOp,
@@ -15,7 +15,6 @@ from devs_scc.syntax import (
     Or,
     Predicate,
     Ref,
-    pred_vars,
     render_pred,
 )
 from devs_scc.values import num

@@ -518,7 +518,7 @@ def test_compiled_literal_atoms_agree_with_the_oracle(name, request):
     compiled with and without the model, decides as
     the oracle does on every literal it names, on a number, infinity and
     a tuple, and raises the oracle's error when `v` is unbound."""
-    from devs_scc.syntax import iter_subpreds
+    from oracle import iter_subpreds
 
     from tests.test_sequencer import _sequenced
 

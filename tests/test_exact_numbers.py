@@ -14,7 +14,7 @@ from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.context import Context
 from devs_scc.evaluator import compile_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file
-from devs_scc.syntax import Cmp, Const, InBase, InSet, Ref, expr_nodes, iter_subpreds
+from devs_scc.syntax import Cmp, Const, InBase, InSet, Ref
 from devs_scc.values import (
     COMPARISONS,
     INF,
@@ -73,12 +73,12 @@ def const_nums(model) -> list[Num]:
     exprs = [model.ta]
     for case in cases:
         exprs.append(case.result)
-        for p in iter_subpreds(case.guard):
+        for p in oracle.iter_subpreds(case.guard):
             if isinstance(p, Cmp):
                 exprs += [p.left, p.right]
             elif isinstance(p, (InSet, InBase)):
                 exprs.append(p.expr)
-    return [n.value for e in exprs for n in expr_nodes(e)
+    return [n.value for e in exprs for n in oracle.expr_nodes(e)
             if isinstance(n, Const) and isinstance(n.value, Num)]
 
 

@@ -41,18 +41,18 @@ from devs_scc.syntax import (
     Proj,
     Ref,
     TupleExpr,
-    expr_nodes,
-    iter_subpreds,
     normalize,
     render_expr,
     render_pred,
-    subst_pred,
+    subst,
+    walk,
 )
 from devs_scc.values import NAT, TIME, EnumSort, ExtSort, Lit, Num, Tup
 
 from oracle import ref_render_expr, ref_render_pred
 from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS
 
+EXPR_CLASSES = (Const, Ref, ConstRef, BinOp, Neg, MinOp, TupleExpr, Proj, Apply)
 X, Y = Ref("x"), Ref("y")
 ONE = Const(Num(1))
 
@@ -116,14 +116,14 @@ def test_equal_nodes_built_apart_are_one_object():
     assert first.ta is again.ta
     # substitution
     cell = Cmp("<", Ref("a"), BinOp("+", Ref("b"), ONE))
-    assert subst_pred(cell, {"a": X, "b": Y}) is Cmp("<", X, BinOp("+", Y, ONE))
-    assert subst_pred(cell, {}) is cell
+    assert subst(cell, {"a": X, "b": Y}) is Cmp("<", X, BinOp("+", Y, ONE))
+    assert subst(cell, {}) is cell
     # partition cells
     table = builtin_tables()["<"]
     cells = instantiate(table, [X, Neg(Y)])
     assert len(cells) > 1
     assert all(a is b for a, b in zip(cells, instantiate(table, [Ref("x"), Neg(Ref("y"))])))
-    assert cells == [subst_pred(c, {"a": X, "b": Neg(Y)}) for c in table.cells]
+    assert cells == [subst(c, {"a": X, "b": Neg(Y)}) for c in table.cells]
 
 
 @pytest.mark.parametrize("node", NODES, ids=[type(n).__name__ for n in NODES])
@@ -234,19 +234,13 @@ def test_cached_text_equals_the_reference_renderer(name):
     exprs = [model.ta] + [case.result for fn in (model.delta_ext, model.delta_int, model.output_fn)
                           for case in fn]
     checked = set()
-    for pred in preds:
-        for part in iter_subpreds(pred):
-            assert render_pred(part) == ref_render_pred(part)
-            checked.add(part)
-            if isinstance(part, Cmp):
-                exprs += [part.left, part.right]
-            elif isinstance(part, (InSet, InBase)):
-                exprs.append(part.expr)
-    for e in exprs:
-        for sub in expr_nodes(e):
-            assert render_expr(sub) == ref_render_expr(sub)
-            checked.add(sub)
+    for root in preds + exprs:
+        for node in walk(root):
+            reference = ref_render_expr if isinstance(node, EXPR_CLASSES) else ref_render_pred
+            assert render_expr(node) == reference(node)
+            checked.add(node)
     assert len(checked) >= 15
+    assert {isinstance(node, EXPR_CLASSES) for node in checked} == {True, False}
 
 
 A, B, C = (Cmp("<", X, Const(Num(k))) for k in range(3))

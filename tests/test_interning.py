@@ -26,10 +26,10 @@ from devs_scc.scc import SCC, assign_ids, make_scc
 from devs_scc.sequencer import build_sequences
 from devs_scc.selector import SimulationConfig, member_form, runnable_form, select_config
 from devs_scc.syntax import (
-    And, Apply, Cmp, Const, Exists, Ref, conjuncts, iter_subpreds, normalize, render_pred,
+    And, Apply, Cmp, Const, Exists, Ref, conjuncts, normalize, render_pred,
 )
 from devs_scc.values import INF, NAT, EvalError, Lit, num
-from oracle import joint_space, state_space
+from oracle import iter_subpreds, joint_space, state_space
 
 from tests.conftest import (
     ELEVATOR_SELECTIONS,

@@ -4,12 +4,11 @@ from math import prod
 from hypothesis import given, strategies as st
 
 from devs_scc.bounds import Bounds, grid, index_digits
-from oracle import eval_pred, iter_witnesses
+from oracle import eval_pred, iter_witnesses, pred_vars
 from devs_scc.context import Context
 from devs_scc.sat import coverage, prepare, project_exists, satisfiable
 from devs_scc.syntax import (
-    And, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, pred_vars,
-    render_pred,
+    And, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, render_pred,
 )
 from devs_scc.values import EnumSort, EvalError, Lit, NAT, TIME, num
 
