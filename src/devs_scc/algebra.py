@@ -35,6 +35,9 @@ class CombinationPlan(Record):
         for name, value in (("max_arity", max_arity), ("budget", budget)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        for scc_id in (i for group in groups for i in group):
+            if isinstance(scc_id, bool) or not isinstance(scc_id, int):
+                raise ValueError(f"a group's class ids must be integers, not {scc_id!r}")
         if not isinstance(all_pairs, bool):
             raise ValueError(f"all_pairs must be true or false, not {all_pairs!r}")
         if max_arity < 2:

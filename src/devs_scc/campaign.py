@@ -44,17 +44,9 @@ from .partitions import StandardPartition, builtin_tables, check_partition
 from .scc import SCC, assign_ids, scc_to_json, shape_overlaps
 from .selector import SelectError, SimulationConfig, select_config
 from .sequencer import SeqStep, SimulationSequence, build_sequences
-from .simulator import (
-    SimError,
-    Trace,
-    UndefinedTransition,
-    advance,
-    error_event,
-    init,
-    uniformity_probe,
-)
+from .simulator import Trace, run_steps, uniformity_probe
 from .syntax import Apply, holding, walk
-from .values import EvalError, Struct, Value
+from .values import Struct, Value
 
 SCHEMA = "devs-scc/1"
 
@@ -107,7 +99,8 @@ def apply_selection(
         pred = parse_pred_text(" ".join(words[2:]))
         from .check import bind_pred, ext_ctx, state_ctx
 
-        scope = state_ctx(model) if words[1] == "state" else ext_ctx(model)
+        where = f"intentional {words[1]}"
+        scope = state_ctx(model, where) if words[1] == "state" else ext_ctx(model, where)
         pred = bind_pred(pred, scope)
         sccs, notes = intentional_criterion(model, words[1], pred)
         return f"intentional {words[1]}", sccs, notes
@@ -427,8 +420,9 @@ def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
         return result
 
     for seq in result.sequences:
-        report.trace_events += len(seq.trace.events)
-        report.findings.extend(seq.trace.findings)
+        trace = seq.trace
+        report.trace_events += len(trace.events)
+        report.findings.extend(trace.findings)
 
     if c.probe_k >= 2:
         for scc in base:
@@ -441,25 +435,7 @@ def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
 
 def replay_sequence(seq: SimulationSequence, ctx: Context) -> Trace:
     """Re-execute a recorded sequence step by step, collecting the trace."""
-    trace = Trace()
-    sim = None
-    for s in seq.steps:
-        if s.error is not None:
-            trace.findings.append(f"class {s.scc_id}: {s.error}")
-            continue
-        try:
-            if sim is None:
-                sim = init(ctx.model, s.state_used)
-            sim, ev = advance(sim, s.event, s.time, ctx)
-            trace.events.append(ev)
-        except UndefinedTransition as err:
-            trace.findings.append(str(err))
-            trace.events.append(error_event(sim, err))
-            break
-        except (SimError, EvalError) as err:
-            trace.findings.append(f"step failed: {err}")
-            break
-    return trace
+    return run_steps(((s.scc_id, s.state_used, s.event, s.time, s.error) for s in seq.steps), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +500,17 @@ def write_artifacts(result: CampaignResult, out_dir: str) -> None:
     write("catalog.json", dump_json(result.catalog_json()))
     write("configs.json", dump_json(result.configs_json()))
     write("sequences.json", dump_json(result.sequences_json()))
-    lines = []
-    for i, seq in enumerate(result.sequences):
-        for ev in seq.trace.events:
-            lines.append(json.dumps({"sequence": i, **ev.to_json()}, sort_keys=True))
-    write("traces.jsonl", "\n".join(lines) + ("\n" if lines else ""))
+    write("traces.jsonl", trace_lines([seq.trace for seq in result.sequences]))
     write("report.json", dump_json(result.report.to_json()))
     write("report.csv", _report_csv(result))
+
+
+def trace_lines(traces: list[Trace]) -> str:
+    """The events of `traces` as JSON lines, each naming the index of its
+    trace `sequence`: a campaign's `traces.jsonl`, or what `simulate`
+    writes."""
+    return "".join(json.dumps({"sequence": i, **ev.to_json()}, sort_keys=True) + "\n"
+                   for i, trace in enumerate(traces) for ev in trace.events)
 
 
 def _report_csv(result: CampaignResult) -> str:

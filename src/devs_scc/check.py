@@ -74,11 +74,6 @@ class BindError(Exception):
     pass
 
 
-class Unresolved(BindError):
-    """An identifier that is neither a variable nor a constant; it may
-    still resolve as a literal once an expected sort is known."""
-
-
 class Ctx(Struct):
     """The sorts of the names in scope, the operators, and where a check is."""
 
@@ -104,13 +99,13 @@ def infer_expr(expr: Expr, ctx: Ctx) -> tuple[Expr, Sort]:
             return expr, RAT
         if isinstance(v, Inf):
             return expr, TIME
-        raise Unresolved(render_value(v))
+        raise BindError(f"literal {render_value(v)} has no sort here{_at(ctx)}")
     if isinstance(expr, Ref):
         if expr.name in ctx.vars:
             return expr, ctx.vars[expr.name]
         if expr.name in ctx.consts:
             return ConstRef(expr.name), ctx.consts[expr.name]
-        raise Unresolved(expr.name)
+        raise BindError(f"unbound variable {expr.name}{_at(ctx)}")
     if isinstance(expr, ConstRef):
         if expr.name in ctx.consts:
             return expr, ctx.consts[expr.name]
@@ -178,11 +173,11 @@ def infer_expr(expr: Expr, ctx: Ctx) -> tuple[Expr, Sort]:
 
 def check_expr(expr: Expr, ctx: Ctx, expected: Sort) -> Expr:
     # literal resolution happens only here, against the expected sort
-    if isinstance(expr, Ref) and expr.name not in ctx.vars and expr.name not in ctx.consts:
+    if isinstance(expr, Ref) and _unscoped(expr, ctx) is not None:
         if expr.name in sort_literals(expected):
             return Const(Lit(expr.name))
         raise BindError(f"unbound variable {expr.name}{_at(ctx)}")
-    if isinstance(expr, Const) and isinstance(expr.value, Lit):
+    if isinstance(expr, Const) and _unscoped(expr, ctx) is not None:
         if expr.value.name in sort_literals(expected):
             return expr
         raise BindError(
@@ -231,13 +226,17 @@ def bind_pred(pred: Predicate, ctx: Ctx) -> Predicate:
     if isinstance(pred, BoolConst):
         return pred
     if isinstance(pred, Cmp):
-        try:
+        # a side that names a literal binds against the other side's sort
+        lname, rname = _unscoped(pred.left, ctx), _unscoped(pred.right, ctx)
+        if lname is not None and rname is not None:
+            raise BindError(
+                f"unbound variables {lname} and {rname} in {render_pred(pred)}{_at(ctx)}"
+            )
+        if lname is None:
             left, ls = infer_expr(pred.left, ctx)
-            try:
-                right, rs = infer_expr(pred.right, ctx)
-            except Unresolved:
-                right, rs = check_expr(pred.right, ctx, ls), ls
-        except Unresolved:
+            right, rs = infer_expr(pred.right, ctx) if rname is None else (
+                check_expr(pred.right, ctx, ls), ls)
+        else:
             right, rs = infer_expr(pred.right, ctx)
             left, ls = check_expr(pred.left, ctx, rs), rs
         if pred.op in ("<", "<=", ">", ">="):
@@ -273,6 +272,19 @@ def bind_pred(pred: Predicate, ctx: Ctx) -> Predicate:
     if isinstance(pred, (Not, And, Or, Implies)):
         return map_children(pred, bind_pred, ctx)
     raise BindError(f"cannot bind predicate {pred!r}{_at(ctx)}")
+
+
+def _unscoped(expr: Expr, ctx: Ctx) -> str | None:
+    """The first name in `expr` that only an expected sort can resolve:
+    a literal, or an identifier that is neither a variable nor a
+    constant, on its own or in a tuple; None when there is none."""
+    if isinstance(expr, Ref):
+        return None if expr.name in ctx.vars or expr.name in ctx.consts else expr.name
+    if isinstance(expr, Const):
+        return expr.value.name if isinstance(expr.value, Lit) else None
+    if isinstance(expr, TupleExpr):
+        return next(filter(None, (_unscoped(a, ctx) for a in expr.items)), None)
+    return None
 
 
 def _at(ctx: Ctx) -> str:

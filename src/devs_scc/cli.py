@@ -11,7 +11,6 @@ count their findings in the report.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bounds import Bounds, BoundsError
@@ -27,6 +26,7 @@ from .campaign import (
     load_tables,
     replay_sequence,
     run_campaign,
+    trace_lines,
     write_artifacts,
 )
 from .check import BindError, bounds_errors, validate_model
@@ -243,21 +243,14 @@ def _emit(args, text: str) -> None:
 
 def _cmd_simulate(args) -> int:
     ctx = Context(*_load_model_and_bounds(args))
-    traces = []
     if args.config:
-        traces.append(run_config(load_config(args.config), ctx))
+        traces = [run_config(load_config(args.config), ctx)]
     else:
-        for seq in load_sequences(args.sequence):
-            traces.append(replay_sequence(seq, ctx))
-    lines = []
-    findings: list[str] = []
-    exec_errors: list[str] = []
-    for i, trace in enumerate(traces):
-        for ev in trace.events:
-            lines.append(json.dumps({"trace": i, **ev.to_json()}, sort_keys=True))
-        for f in trace.findings:
-            (findings if "undefined transition" in f else exec_errors).append(f)
-    _emit(args, "\n".join(lines) + ("\n" if lines else ""))
+        traces = [replay_sequence(seq, ctx) for seq in load_sequences(args.sequence)]
+    found = [f for trace in traces for f in trace.findings]
+    findings = [f for f in found if "undefined transition" in f]
+    exec_errors = [f for f in found if "undefined transition" not in f]
+    _emit(args, trace_lines(traces))
     for f in findings:
         print(f"finding: {f}", file=sys.stderr)
     for f in exec_errors:

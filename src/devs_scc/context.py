@@ -24,15 +24,15 @@ from .values import TAU, TIME, Sort, Value
 
 
 class ClassForms:
-    """A class's member and runnable search forms and its state and pair
-    tests, each made on first use.  It holds the class, so the class's
-    `id`, its key in `Context.classes`, stays its own."""
+    """A class's member and runnable search forms and its state test,
+    each made on first use.  It holds the class, so the class's `id`, its
+    key in `Context.classes`, stays its own."""
 
-    __slots__ = ("scc", "member", "runnable", "state", "pair")
+    __slots__ = ("scc", "member", "runnable", "state")
 
     def __init__(self, scc) -> None:
         self.scc = scc
-        self.member = self.runnable = self.state = self.pair = None
+        self.member = self.runnable = self.state = None
 
 
 class Context:

@@ -9,10 +9,11 @@ joint predicate, linking state and input through the original guard, so
 the chosen state and event actually exercise the targeted case).  Every
 class is solved by one search over the joint space of its `member_form`,
 prepared once per context and kept in its `ClassForms`.  The selected
-witness is re-checked on the class's state and pair tests, kept there as
-well: each is the all-of the interned conjunct tests of its normalized
-predicate (`sat.interned`), in their canonical order, so a class
-compiles nothing that its context has compiled before.
+witness is re-checked on the class's state test, kept there as well
+because chaining decides on it too, and on its pair predicate: each is
+the all-of the interned conjunct tests of its normalized predicate
+(`sat.interned`), in their canonical order, so a class compiles nothing
+that its context has compiled before.
 
 A configuration is only executable when its pair time fits inside the
 chosen state's time advance (the total-state constraint 0 <= e <= ta),
@@ -91,14 +92,6 @@ def state_test(scc: SCC, ctx: Context):
     return forms.state
 
 
-def _pair_test(scc: SCC, ctx: Context):
-    """The test of `scc.input_pairs`, made once per context."""
-    forms = ctx.forms(scc)
-    if forms.pair is None:
-        forms.pair = _all_of(scc.input_pairs, ctx)
-    return forms.pair
-
-
 def _all_of(pred: Predicate, ctx: Context):
     """A test that `pred`'s conjuncts all hold, tried in their order, as
     the compiled conjunction would: the first that fails decides, and an
@@ -135,7 +128,7 @@ class SimulationConfig(Record):
 
 def select_config(scc: SCC, ctx: Context) -> SimulationConfig:
     """Least executable member of a class, else its least member,
-    re-checked by the class's kept state and pair tests."""
+    re-checked by the class's kept state test and its pair predicate."""
     space = ctx.joint_space
     verdict = satisfiable(runnable_form(scc, ctx), space, ctx)
     if verdict.status != "sat":
@@ -162,7 +155,8 @@ def _check_membership(config: SimulationConfig, scc: SCC, ctx: Context) -> None:
     consts = ctx.consts
     if not state_test(scc, ctx)({**consts, **config.state}):
         raise SelectError(scc.id, "selected state fails its own predicate")
-    if not _pair_test(scc, ctx)({**consts, "x": config.event, "t": config.time}):
+    env = {**consts, "x": config.event, "t": config.time}
+    if not all(c.test(env) for c in interned(conjuncts(scc.input_pairs), ctx)):
         raise SelectError(scc.id, "selected input pair fails its own predicate")
 
 

@@ -10,9 +10,10 @@ that, with the current state, is in the class's `runnable_form` (the
 selector's search, with the state fixed), so a class is covered only by
 a runnable step inside it.  Every class is consumed exactly once, so the
 covered-id sets of the produced sequences partition the input catalog.
-Each step runs once: its trace event, or the finding of a failed step,
-is kept on the sequence.  A failing step ends its sequence with the
-failure recorded and the remaining classes continue in fresh sequences.
+Each step runs once and keeps the trace event its run returned, or the
+error it failed with; a sequence's trace is read from its steps.  A
+failing step ends its sequence with the failure recorded and the
+remaining classes continue in fresh sequences.
 """
 
 from __future__ import annotations
@@ -21,22 +22,23 @@ from .context import Context
 from .sat import satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_test
-from .simulator import SimError, Trace, UndefinedTransition, advance, init, time_advance
+from .simulator import SimError, Trace, TraceEvent, UndefinedTransition, advance, init, time_advance
 from .values import EvalError, Inf, Num, Struct, TAU, Value, render_value
 
 
 class SeqStep(Struct):
-    """One chained step: a class, the state used and the input applied."""
+    """One chained step: a class, the state used and the input applied,
+    with the trace event its run returned or the error it failed with."""
 
-    __slots__ = ("scc_id", "state_used", "event", "time", "fired", "error")
+    __slots__ = ("scc_id", "state_used", "event", "time", "outcome", "error")
 
     def __init__(self, scc_id: int, state_used: dict[str, Value], event: Value, time: Value,
-                 fired: tuple[str, int] | None = None, error: str | None = None) -> None:
+                 outcome: TraceEvent | None = None, error: str | None = None) -> None:
         self.scc_id = scc_id
         self.state_used = state_used
         self.event = event
         self.time = time
-        self.fired = fired
+        self.outcome = outcome
         self.error = error
 
     def to_json(self) -> dict:
@@ -45,8 +47,9 @@ class SeqStep(Struct):
             "state": {k: render_value(v) for k, v in self.state_used.items()},
             "input": {"event": render_value(self.event), "time": render_value(self.time)},
         }
-        if self.fired:
-            rec["fired"] = {"function": self.fired[0], "case": self.fired[1]}
+        if self.outcome is not None:
+            function, case = self.outcome.fired
+            rec["fired"] = {"function": function, "case": case}
         if self.error:
             rec["error"] = self.error
         return rec
@@ -55,16 +58,19 @@ class SeqStep(Struct):
 class SimulationSequence(Struct):
     """Steps chained from one initial state and the classes they cover."""
 
-    __slots__ = ("steps", "covered", "trace")
-    _compared = ("steps", "covered")
+    __slots__ = ("steps", "covered")
 
-    def __init__(self, steps: list[SeqStep] | None = None, covered: list[int] | None = None,
-                 trace: Trace | None = None) -> None:
+    def __init__(self, steps: list[SeqStep] | None = None,
+                 covered: list[int] | None = None) -> None:
         self.steps = [] if steps is None else steps
         self.covered = [] if covered is None else covered
-        # what running the steps produced while chaining; not part of the
-        # file, and not compared
-        self.trace = Trace() if trace is None else trace
+
+    @property
+    def trace(self) -> Trace:
+        """What running the steps gave: the events of the steps that ran
+        and the finding `class N: <error>` of each step that failed."""
+        return Trace([s.outcome for s in self.steps if s.outcome is not None],
+                     [f"class {s.scc_id}: {s.error}" for s in self.steps if s.error is not None])
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps], "covered": self.covered}
@@ -96,7 +102,6 @@ def build_sequences(
         if isinstance(cfg, SelectError):
             notes.append(str(cfg))
             seq.steps.append(SeqStep(scc.id, {}, TAU, Num(0), error=cfg.reason))
-            seq.trace.findings.append(str(cfg))
             continue
         sim = init(ctx.model, cfg.state)
         sim, ok = _run_step(ctx, sim, cfg.event, cfg.time, seq, scc.id)
@@ -120,18 +125,16 @@ def build_sequences(
 
 
 def _run_step(ctx, sim, event, rel_time, seq, scc_id):
-    """Execute one sequence step, recording it and its trace event or
-    finding; the pair's time is elapsed time relative to the state the
+    """Execute one sequence step and record it with its trace event or
+    error; the pair's time is elapsed time relative to the state the
     class matched on."""
     state_used = dict(sim.state)
     try:
         nxt, ev = advance(sim, event, rel_time, ctx)
-        seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, fired=ev.fired))
-        seq.trace.events.append(ev)
+        seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, outcome=ev))
         return nxt, True
     except (UndefinedTransition, SimError, EvalError) as err:
         seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, error=str(err)))
-        seq.trace.findings.append(f"class {scc_id}: {err}")
         return sim, False
 
 

@@ -16,6 +16,8 @@ reported as an "undefined transition" finding in the trace, not a crash.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .context import Context
 from .evaluator import compile_expr, compile_pred
 from .model import Model
@@ -244,27 +246,37 @@ def _state_str(state: dict[str, Value]) -> str:
 
 
 def run_config(config: SimulationConfig, ctx: Context) -> Trace:
-    """Drive one configuration from its state, by `advance`."""
+    """Drive one configuration from its state, as a one-step sequence."""
+    return run_steps(((config.scc_id, config.state, config.event, config.time, None),), ctx)
+
+
+def run_steps(steps: Iterable[tuple], ctx: Context) -> Trace:
+    """Run recorded (class id, state, event, time, error) steps by
+    `advance`, from the state of the first that runs.  A step recorded
+    with an error is the finding `class N: <error>`; a step that fails
+    ends the run with its finding and an `error` event."""
     trace = Trace()
-    try:
-        st = init(ctx.model, config.state)
-    except (SimError, EvalError) as err:
-        trace.findings.append(f"setup failed: {err}")
-        return trace
-    try:
-        st, event = advance(st, config.event, config.time, ctx)
-        trace.events.append(event)
-    except (UndefinedTransition, SimError, EvalError) as err:
-        undefined = isinstance(err, UndefinedTransition)
-        trace.findings.append(str(err) if undefined else f"step failed: {err}")
-        trace.events.append(error_event(st, err))
+    st = None
+    for scc_id, state, event, time, error in steps:
+        if error is not None:
+            trace.findings.append(f"class {scc_id}: {error}")
+            continue
+        if st is None:
+            try:
+                st = init(ctx.model, state)
+            except (SimError, EvalError) as err:
+                trace.findings.append(f"setup failed: {err}")
+                break
+        try:
+            st, ev = advance(st, event, time, ctx)
+            trace.events.append(ev)
+        except (UndefinedTransition, SimError, EvalError) as err:
+            undefined = isinstance(err, UndefinedTransition)
+            trace.findings.append(str(err) if undefined else f"step failed: {err}")
+            trace.events.append(TraceEvent(at=Num(st.clock), kind="error", fired=None,
+                                           state_after=dict(st.state), error=str(err)))
+            break
     return trace
-
-
-def error_event(st: SimState | None, err: Exception) -> TraceEvent:
-    """The event of a step from `st`, None before the first, failing with `err`."""
-    return TraceEvent(at=Num(st.clock if st else 0), kind="error", fired=None,
-                      state_after=dict(st.state) if st else {}, error=str(err))
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,10 @@ def __hash__(self):
 
 def _write_field_methods(cls: type) -> type:
     """Give a record class `__eq__`, `__ne__` and, unless it is unhashable,
-    `__hash__` written out for its compared fields, as a dataclass's are,
+    `__hash__` written out for its fields, as a dataclass's are,
     so that they read the fields without a call per field.  A single field
     is compared on its own, without the two 1-tuples a dataclass builds."""
-    names = getattr(cls, "_compared", None) or getattr(cls, "_fields", cls.__slots__)
+    names = getattr(cls, "_fields", cls.__slots__)
     fields = "".join(f"self.{f}, " for f in names)
     if len(names) == 1:
         mine, theirs = f"self.{names[0]}", f"other.{names[0]}"
@@ -86,8 +86,7 @@ class Record:
     `__dict__`.  A record class is not subclassed further, but for
     `syntax.Node`, whose equal instances are one object (hash-consing),
     and `Struct`.  A class whose slots hold more than its fields (a memo,
-    or `__weakref__`) names its fields in `_fields`, and the ones that
-    equality and the hash read in `_compared` when these are fewer.
+    or `__weakref__`) names its fields in `_fields`.
 
     A class's field-wise `__eq__`, `__ne__` and `__hash__` are written
     the first time one of them runs on one of its instances, by the

@@ -209,7 +209,7 @@ def _soda_campaign() -> Campaign:
 
 def test_simulate_sequence_file_replays(tmp_path):
     """`simulate --sequence` on a campaign's own sequences.json replays
-    its traces.jsonl event for event, naming the sequence `trace`."""
+    its traces.jsonl byte for byte."""
     for name, campaign, events in (("elevator", _elevator_campaign(plan=True), 90),
                                    ("soda", _soda_campaign(), 31)):
         out = tmp_path / name
@@ -224,12 +224,9 @@ def test_simulate_sequence_file_replays(tmp_path):
         # both catalogs include classes that reveal model gaps
         assert code == 3, name
         assert "undefined transition" in stderr
-        replayed = [json.loads(line) for line in (out / "replay.jsonl").read_text().splitlines()]
-        for event in replayed:
-            event["sequence"] = event.pop("trace")
-        recorded = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
-        assert len(recorded) == events
-        assert replayed == recorded, name
+        recorded = (out / "traces.jsonl").read_text()
+        assert len(recorded.splitlines()) == events
+        assert (out / "replay.jsonl").read_text() == recorded, name
 
 
 def test_select_and_sequence_commands(tmp_path):
@@ -390,9 +387,24 @@ def test_simulate_sequence_with_an_infinite_external_time_exits_4(tmp_path):
     config.write_text(json.dumps({"schema": "devs-scc/1", **step}))
     toggle = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURES / "toggle.bounds")]
     for source in (["--sequence", str(sequences)], ["--config", str(config)]):
-        code, _, err = run_cli("simulate", *toggle, *source)
+        code, out, err = run_cli("simulate", *toggle, *source)
         assert code == 4
         assert err == "error: step failed: external event needs a finite time\n"
+        # both modes write the failed step's error event
+        assert out == ('{"at": "0", "error": "external event needs a finite time", "kind": "error", '
+                       '"sequence": 0, "state": {"m": "A"}}\n')
+
+
+def test_simulate_an_unusable_first_state_fails_setup_in_both_modes(tmp_path):
+    step = {"scc": 1, "state": {"m": "C"}, "input": {"event": "go", "time": "0"}}
+    sequences = tmp_path / "sequences.json"
+    sequences.write_text(json.dumps({"sequences": [{"steps": [step], "covered": [1]}]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(step))
+    toggle = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURES / "toggle.bounds")]
+    for source in (["--sequence", str(sequences)], ["--config", str(config)]):
+        assert run_cli("simulate", *toggle, *source) == (
+            4, "", "error: setup failed: value C does not fit sort enum {A, B} in initial m\n")
 
 
 def test_unselectable_class_is_selected_once_and_named_once(toggle, toggle_bounds, monkeypatch):
@@ -435,7 +447,7 @@ def test_run_campaign_runs_each_sequence_step_once(monkeypatch):
         calls.append(args)
         return advance(*args)
 
-    for module in (simulator, sequencer, campaign_mod):
+    for module in (simulator, sequencer):
         monkeypatch.setattr(module, "advance", counting)
     result = run_campaign(_elevator_campaign(plan=True))
     steps = [step for seq in result.sequences for step in seq.steps]
@@ -476,6 +488,12 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
     ("combine", ["--all-pairs", "--budget", "-5"], None,
      "bad combination flags: budget must be at least 0"),
     ("combine", ["--plan"], '{"allPairs": true, "budget": -1}', "budget must be at least 0"),
+    ("combine", ["--plan"], '{"groups": [[[1], 2]]}',
+     "a group's class ids must be integers, not [1]"),
+    ("combine", ["--plan"], '{"groups": [[true, 2]]}',
+     "a group's class ids must be integers, not True"),
+    ("combine", ["--plan"], '{"groups": [[1.0, 2]]}',
+     "a group's class ids must be integers, not 1.0"),
 ])
 def test_malformed_combination_or_simulation_input_exits_2(
     command, flags, text, message, tmp_path, capsys
@@ -513,6 +531,12 @@ def _fixture_args(name):
     ("elevator", "time chain:TD1,TA interval:TD1..TD2",
      "time chain cannot mix with interval/point segments"),
     ("elevator", "time interval:TA..TD1", "interval needs TA < TD1 under the constant bindings"),
+    ("toggle", "intentional state q = A",
+     "unbound variables q and A in q = A (in intentional state)\n"),
+    ("toggle", "intentional state q in {A}", "unbound variable q (in intentional state)\n"),
+    ("toggle", "intentional state min(q, 1) = 0", "unbound variable q (in intentional state)\n"),
+    ("toggle", "intentional state q.1 = A", "unbound variable q (in intentional state)\n"),
+    ("toggle", "intentional input q + 1 = 2", "unbound variable q (in intentional input)\n"),
 ])
 def test_a_selection_that_cannot_be_applied_exits_2(fixture, selection, message, capsys):
     assert main(["criteria", *_fixture_args(fixture), "--criteria", selection]) == 2

@@ -286,3 +286,72 @@ def test_an_operator_that_recurs_through_a_guard_is_rejected(ops, cycle, tmp_pat
                  "--config", str(config)]) == 2
     assert capsys.readouterr() == (
         "", f"error: model rejected: recursive operator definitions: {cycle}\n")
+
+
+_GO_A = "case x = go /\\ m = A -> B;"
+_TA = "  ta = infinity;"
+_OP_F = "  op f(n: nat): nat {\n    otherwise -> n;\n  }\n"
+_ONE_ERROR = "rejected: 2/0/1 cases (dext/dint/lambda), 1 errors, 0 warnings"
+
+
+@pytest.mark.parametrize("old, new, errors, summary", [
+    ("otherwise -> ping;", "otherwise -> ping;\n    otherwise -> ping;",
+     ["otherwise case of lambda must come last", "more than one otherwise case in lambda"],
+     "rejected: 2/0/2 cases (dext/dint/lambda), 2 errors, 0 warnings"),
+    (_GO_A, "otherwise -> m;\n    " + _GO_A, ["otherwise case of dext must come last"],
+     "rejected: 3/0/1 cases (dext/dint/lambda), 1 errors, 0 warnings"),
+    (_TA, _OP_F + _OP_F + _TA, ["duplicate operator f"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ f(1) = 0 -> B;", ["unknown operator f (in dext case 1)"], _ONE_ERROR),
+    (_TA, _OP_F + "  ta = f(1, 2);", ["operator f expects 1 arguments, got 2 (in ta)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ -m = 0 -> B;", ["cannot negate non-numeric value (in dext case 1)"],
+     _ONE_ERROR),
+    (_GO_A, "case x = go /\\ m.1 = A -> B;", ["projection from non-tuple m (in dext case 1)"],
+     _ONE_ERROR),
+    (_GO_A, "case x = go /\\ m < A -> B;",
+     ["cannot order enum {A, B} against enum {A, B} in m < A (in dext case 1)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ m = 1 -> B;",
+     ["cannot compare enum {A, B} with nat in m = 1 (in dext case 1)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ m in nat -> B;",
+     ["`in nat` needs an extended sort, got enum {A, B} (in dext case 1)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ m + 1 = 0 -> B;",
+     ["left operand of + is not numeric (in dext case 1)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ min(m, 1) = 0 -> B;",
+     ["min over non-numeric argument (in dext case 1)"], _ONE_ERROR),
+    # -n binds, as an int; the operator's result sort rejects it
+    (_TA, "  op f(n: nat): enum {A, B} {\n    otherwise -> -n;\n  }\n" + _TA,
+     ["-n has sort int, expected enum {A, B} (in operator f)"], _ONE_ERROR),
+    # an unknown name is named, with where it is
+    (_TA, "  ta = q + 1;", ["unbound variable q (in ta)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ q = A -> B;",
+     ["unbound variables q and A in q = A (in dext case 1)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ q in {A} -> B;", ["unbound variable q (in dext case 1)"], _ONE_ERROR),
+    (_TA, "  ta = min(q, 1);", ["unbound variable q (in ta)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ q.1 = A -> B;", ["unbound variable q (in dext case 1)"], _ONE_ERROR),
+    (_GO_A, "case x = go /\\ tau + 1 = 0 -> B;", ["literal tau has no sort here (in dext case 1)"],
+     _ONE_ERROR),
+])
+def test_a_toggle_variant_is_rejected_with_its_diagnostics(old, new, errors, summary, tmp_path,
+                                                             capsys):
+    text = (FIXTURES / "toggle.devs").read_text()
+    assert old in text
+    path = tmp_path / "variant.devs"
+    path.write_text(text.replace(old, new, 1))
+    assert main(["parse", str(path)]) == 2
+    assert capsys.readouterr() == (f"toggle: {summary}\n",
+                                   "".join(f"error: {e}\n" for e in errors))
+
+
+@pytest.mark.parametrize("guard", ["p = (A, 1)", "(A, 1) = p"])
+def test_a_tuple_that_holds_a_literal_binds_against_the_other_side(guard, tmp_path, capsys):
+    text = (FIXTURES / "toggle.devs").read_text()
+    text = text.replace("    m: enum {A, B};", "    m: enum {A, B};\n    p: (enum {A, B}, nat);")
+    text = text.replace("-> B;", f"/\\ {guard} -> (B, p);").replace("-> A;", "-> (A, p);")
+    path = tmp_path / "variant.devs"
+    path.write_text(text)
+    assert main(["parse", str(path)]) == 0
+    assert capsys.readouterr() == (
+        "toggle: usable: 2/0/1 cases (dext/dint/lambda), 0 errors, 0 warnings\n", "")
+    # a copy of the bound model, whose tuple holds the literal itself, binds again
+    model, _ = parse_model_file(str(path))
+    bound, report = validate_model(Model(*(getattr(model, f) for f in Model._fields)))
+    assert (report.errors, bound) == ([], model)

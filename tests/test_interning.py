@@ -302,23 +302,23 @@ def test_selection_and_chaining_compile_each_class_state_test_once(monkeypatch):
 
     monkeypatch.setattr(selector, "_all_of", counting_tests)
     configs = {scc.id: select_config(scc, ctx) for scc in catalog}
-    # selection re-checks each representative on its class's state and
-    # pair tests, made once each from the conjuncts the context interned,
-    # so no class predicate is compiled ...
+    # selection re-checks each representative on its class's state test,
+    # made once from the conjuncts the context interned, and on the
+    # interned conjuncts of its pair predicate, so no class predicate is
+    # compiled ...
     assert compiled == []
-    assert made == [pred for scc in catalog for pred in (scc.init_states, scc.input_pairs)]
+    assert made == [scc.init_states for scc in catalog]
     interned = ctx.conjuncts
     for scc in catalog:
-        for pred, test in ((scc.init_states, selector.state_test(scc, ctx)),
-                           (scc.input_pairs, selector._pair_test(scc, ctx))):
-            if len(conjuncts(pred)) == 1:
-                assert test is interned[render_pred(pred)].test
+        if len(conjuncts(scc.init_states)) == 1:
+            assert selector.state_test(scc, ctx) is interned[render_pred(scc.init_states)].test
+        assert all(render_pred(c) in interned for c in conjuncts(scc.input_pairs))
     assert [select_config(scc, ctx) for scc in catalog] == list(configs.values())
-    assert len(made) == 2 * len(catalog)
+    assert len(made) == len(catalog)
     # ... and chaining tests states on the same kept state tests
     sequences, _ = build_sequences(catalog, ctx, configs)
     assert sum(len(s.covered) for s in sequences) == len(catalog)
-    assert len(made) == 2 * len(catalog)
+    assert len(made) == len(catalog)
     assert compiled == []
 
 
@@ -380,7 +380,7 @@ def test_a_renumbered_class_starts_with_nothing_prepared(elevator, elevator_boun
     select_config(last, ctx)
     forms = ctx.classes[id(last)]
     assert last.combined_from and forms.scc is last
-    assert None not in (forms.member, forms.runnable, forms.state, forms.pair)
+    assert None not in (forms.member, forms.runnable, forms.state)
     again = last.renumbered(last.id + 1000)
     assert id(again) not in ctx.classes and again == SCC(
         last.id + 1000, last.init_states, last.input_pairs, last.criterion, last.target,
@@ -393,8 +393,8 @@ def test_a_renumbered_class_starts_with_nothing_prepared(elevator, elevator_boun
     combined, _ = combine_and_prune(base, campaign.plan, ctx)
     kept = [ctx.classes[id(s)] for s in combined if s.combined_from]
     assert len(kept) == 4
-    assert [(f.member is not None, f.runnable, f.state, f.pair) for f in kept] == [
-        (True, None, None, None)] * 4
+    assert [(f.member is not None, f.runnable, f.state) for f in kept] == [
+        (True, None, None)] * 4
 
 
 def test_a_campaign_and_a_validation_free_their_model_and_context_without_the_collector(

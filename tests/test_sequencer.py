@@ -43,7 +43,7 @@ def test_toggle_chain_gives_two_sequences(toggle, toggle_bounds):
     first = sequences[0]
     assert first.steps[0].state_used["m"] == Lit("A")
     assert first.steps[1].state_used["m"] == Lit("B")
-    assert first.steps[1].fired == ("dext", 2)
+    assert first.steps[1].outcome.fired == ("dext", 2)
     assert sequences[1].steps[0].state_used["m"] == Lit("B")
 
 

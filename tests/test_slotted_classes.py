@@ -72,11 +72,9 @@ DATACLASSES = {
     ]),
     SeqStep: (False, [
         ("scc_id", REQUIRED), ("state_used", REQUIRED), ("event", REQUIRED), ("time", REQUIRED),
-        ("fired", None), ("error", None),
+        ("outcome", None), ("error", None),
     ]),
-    SimulationSequence: (False, [
-        ("steps", list), ("covered", list), ("trace", Trace, {"compare": False}),
-    ]),
+    SimulationSequence: (False, [("steps", list), ("covered", list)]),
     Report: (False, [
         ("model", ""), ("criteria_counts", list), ("duplicates_removed", 0), ("base_count", 0),
         ("combine", None), ("catalog_size", 0), ("configs_selected", 0), ("config_errors", list),
