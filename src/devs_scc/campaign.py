@@ -43,7 +43,7 @@ from .parser import Parser, _parse_value, parse_expr_text, parse_pred_text
 from .partitions import StandardPartition, builtin_tables, check_partition
 from .scc import SCC, assign_ids, scc_to_json, shape_overlaps
 from .selector import SelectError, SimulationConfig, select_config
-from .sequencer import SeqStep, SimulationSequence, build_sequences
+from .sequencer import SimulationSequence, build_sequences
 from .simulator import Trace, run_steps, uniformity_probe
 from .syntax import Apply, holding, walk
 from .values import Struct, Value
@@ -400,14 +400,13 @@ def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
     if stop_after == "combine":
         return result
 
-    # each class's representative or SelectError, handed to the sequencer
-    selected: dict[int, SimulationConfig | SelectError] = {}
+    # each class's representative or its SelectError's step, for the sequencer
+    selected: dict[int, SimulationConfig] = {}
     for scc in catalog:
         try:
             selected[scc.id] = result.configs[scc.id] = select_config(scc, ctx)
         except SelectError as err:
-            # kept without its traceback, whose frames would hold it
-            selected[scc.id] = err.with_traceback(None)
+            selected[scc.id] = err.step
             report.config_errors.append(str(err))
     report.configs_selected = len(result.configs)
     if stop_after == "select":
@@ -435,7 +434,7 @@ def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
 
 def replay_sequence(seq: SimulationSequence, ctx: Context) -> Trace:
     """Re-execute a recorded sequence step by step, collecting the trace."""
-    return run_steps(((s.scc_id, s.state_used, s.event, s.time, s.error) for s in seq.steps), ctx)
+    return run_steps(seq.steps, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +536,7 @@ def _report_csv(result: CampaignResult) -> str:
 # config / sequence files for the simulate command
 
 def load_config(path: str) -> SimulationConfig:
-    def build(raw) -> SimulationConfig:
-        raw = _shaped(raw, dict, "a config")
-        event, time = _pair(raw["input"])
-        return SimulationConfig(raw.get("scc", 0), _state(raw["state"]), event, time)
-    return _load_json(path, build)
+    return _load_json(path, lambda raw: _step(raw, "a config", scc_optional=True))
 
 
 def load_sequences(path: str) -> list[SimulationSequence]:
@@ -552,28 +547,24 @@ def _sequences(raw) -> list[SimulationSequence]:
     out = []
     for rec in _shaped(_shaped(raw, dict, "a sequence file")["sequences"], list, "sequences"):
         rec = _shaped(rec, dict, "a sequence")
-        seq = SimulationSequence(covered=list(_shaped(rec["covered"], list, "covered")))
-        for s in _shaped(rec["steps"], list, "steps"):
-            s = _shaped(s, dict, "a step")
-            event, time = _pair(s["input"])
-            seq.steps.append(SeqStep(
-                scc_id=s["scc"],
-                state_used=_state(s["state"]),
-                event=event,
-                time=time,
-                error=s.get("error"),
-            ))
-        out.append(seq)
+        out.append(SimulationSequence(
+            covered=list(_shaped(rec["covered"], list, "covered")),
+            steps=[_step(s, "a step") for s in _shaped(rec["steps"], list, "steps")],
+        ))
     return out
 
 
-def _state(raw) -> dict[str, Value]:
-    return {k: _value(v) for k, v in _shaped(raw, dict, "a state").items()}
-
-
-def _pair(raw) -> tuple[Value, Value]:
-    raw = _shaped(raw, dict, "an input")
-    return _value(raw["event"]), _value(raw["time"])
+def _step(raw, what: str, scc_optional: bool = False) -> SimulationConfig:
+    """A configuration or sequence step from the JSON `SimulationConfig`
+    writes: its class id `scc`, which only a config may omit (read as 0),
+    its `state`, its `input` and the `error` it was recorded with, if
+    any.  The trace event it fired is not read back."""
+    raw = _shaped(raw, dict, what)
+    pair = _shaped(raw["input"], dict, "an input")
+    event, time = _value(pair["event"]), _value(pair["time"])
+    scc_id = raw.get("scc", 0) if scc_optional else raw["scc"]
+    state = {k: _value(v) for k, v in _shaped(raw["state"], dict, "a state").items()}
+    return SimulationConfig(scc_id, state, event, time, error=raw.get("error"))
 
 
 def _value(text) -> Value:

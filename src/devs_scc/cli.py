@@ -3,9 +3,10 @@
 Subcommands mirror the pipeline: parse, criteria, combine, select,
 sequence, simulate, campaign, report.  Exit codes: 0 clean, 2 parse or
 usage error; `simulate` alone also returns 3 when a run meets an
-undefined transition and 4 when an execution error stops one.  The
-pipeline commands, `campaign` included, exit 0 whatever they find and
-count their findings in the report.
+undefined transition and 4 when an execution error stops one; a step
+recorded with a selection failure never ran and sets none.  The pipeline
+commands, `campaign` included, exit 0 whatever they find and count their
+findings in the report.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .campaign import (
     load_plan,
     load_sequences,
     load_tables,
-    replay_sequence,
     run_campaign,
     trace_lines,
     write_artifacts,
@@ -40,7 +40,7 @@ from .parser import (
     parse_model_file,
 )
 from .selector import SelectError
-from .simulator import run_config
+from .simulator import run_steps
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -158,10 +158,12 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
     if args.probe_k == 1 or args.probe_k < 0:
         # one sample cannot disagree with itself
         raise CampaignError("--probe-k must be 0 (off) or at least 2")
+    if args.plan and (args.all_pairs or args.group):
+        raise CampaignError("--plan cannot be combined with --all-pairs or --group")
     model, bounds = _load_model_and_bounds(args)
     tables, notes = load_tables(args.parts)
     plan = load_plan(args.plan) if args.plan else None
-    if plan is None and (args.all_pairs or args.group):
+    if args.all_pairs or args.group:
         from .algebra import CombinationPlan
 
         try:
@@ -243,10 +245,13 @@ def _emit(args, text: str) -> None:
 
 def _cmd_simulate(args) -> int:
     ctx = Context(*_load_model_and_bounds(args))
-    if args.config:
-        traces = [run_config(load_config(args.config), ctx)]
-    else:
-        traces = [replay_sequence(seq, ctx) for seq in load_sequences(args.sequence)]
+    runs = ([[load_config(args.config)]] if args.config
+            else [seq.steps for seq in load_sequences(args.sequence)])
+    # a step recorded with an error and no state (a state names at least
+    # one variable) is a class selection could not represent: it never ran
+    notes = [f"class {s.scc_id}: {s.error}" for steps in runs for s in steps
+             if s.error is not None and not s.state]
+    traces = [run_steps([s for s in steps if s.error is None or s.state], ctx) for steps in runs]
     found = [f for trace in traces for f in trace.findings]
     findings = [f for f in found if "undefined transition" in f]
     exec_errors = [f for f in found if "undefined transition" not in f]
@@ -255,6 +260,8 @@ def _cmd_simulate(args) -> int:
         print(f"finding: {f}", file=sys.stderr)
     for f in exec_errors:
         print(f"error: {f}", file=sys.stderr)
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
     if findings:
         return EXIT_FINDING
     if exec_errors:

@@ -9,7 +9,8 @@ runaway expansion, through results or guards alike, ends in EvalError.
 Conjunction and disjunction short-circuit left to right, matching how
 guard authors order their conjuncts, and an existential enumerates its
 bound variables' grids in ascending product order, where a point at
-which its body fails to evaluate witnesses nothing.
+which its body fails to evaluate witnesses nothing, but a name the
+environment does not bind (`values.UnboundName`) is raised.
 
 There is one evaluator.  `compile_pred` and `compile_expr` walk the
 syntax tree once and return a closure (Feeley & Lapalme 1987, "Using
@@ -66,6 +67,7 @@ from .values import (
     Lit,
     Num,
     Tup,
+    UnboundName,
     Value,
     coerce,
     compare,
@@ -166,7 +168,7 @@ def _compile_cmp(pred: Cmp, ctx):
                 try:
                     a = env[name]
                 except KeyError:
-                    raise EvalError(f"unbound {kind} {name}") from None
+                    raise UnboundName(f"unbound {kind} {name}") from None
                 return test(a, b)
             return ref_const
         return atom() if ctx is None else _kept(ctx.atoms, (pred.op, kind, name, b), atom)
@@ -179,7 +181,7 @@ def _compile_cmp(pred: Cmp, ctx):
                 a, b = env[lname], env[rname]
             except KeyError:
                 missing = left if lname not in env else right
-                raise EvalError(f"unbound {_kind(missing)} {missing.name}") from None
+                raise UnboundName(f"unbound {_kind(missing)} {missing.name}") from None
             return test(a, b)
         return ref_ref
     lhs, rhs = _expr(left, ctx), _expr(right, ctx)
@@ -189,8 +191,8 @@ def _compile_cmp(pred: Cmp, ctx):
 def _compile_exists(pred: Exists, ctx):
     """The existential as a scan of its bound variables' grids, in
     ascending product order, until the compiled body holds; a point
-    where the body fails to evaluate witnesses nothing.  The grids are
-    the context's, taken when it is compiled."""
+    where the body fails to evaluate witnesses nothing, as `all_hold`
+    reads it.  The grids are the context's, taken when it is compiled."""
     body = compile_pred(pred.body, ctx)
     if ctx is None or ctx.bounds is None:
         return _fails("existential membership test needs bounds")
@@ -210,12 +212,14 @@ def _compile_exists(pred: Exists, ctx):
 
 def all_hold(tests, env) -> bool:
     """Whether all of `tests` hold in `env`; a test whose evaluation
-    fails does not hold."""
+    fails does not hold, but a name `env` does not bind is raised."""
     try:
         for test in tests:
             if not test(env):
                 return False
         return True
+    except UnboundName:
+        raise
     except EvalError:
         return False
 
@@ -255,7 +259,7 @@ def _expr(e: Expr, ctx):
                 try:
                     return env[name]
                 except KeyError:
-                    raise EvalError(f"unbound {kind} {name}") from None
+                    raise UnboundName(f"unbound {kind} {name}") from None
             return ref
         # one closure per name and context: results repeat their names a lot
         return lookup() if ctx is None else _kept(ctx.refs, (kind, name), lookup)

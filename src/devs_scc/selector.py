@@ -31,6 +31,7 @@ index space rather than random draws.
 from __future__ import annotations
 
 from math import prod
+from typing import TYPE_CHECKING
 
 from .bounds import digits_index, index_digits
 from .context import Context
@@ -41,7 +42,10 @@ from .model import Model
 from .sat import Conjunction, SatResult, interned, prepare_conjuncts, satisfiable
 from .scc import SCC
 from .syntax import Cmp, MinOp, Predicate, Ref, conjuncts
-from .values import Record, Value, render_value
+from .values import TAU, Num, Record, Value, render_value
+
+if TYPE_CHECKING:  # the simulator imports this module
+    from .simulator import TraceEvent
 
 
 class SelectError(Exception):
@@ -49,7 +53,7 @@ class SelectError(Exception):
 
     def __init__(self, scc_id: int, reason: str):
         super().__init__(f"class {scc_id}: {reason}")
-        self.reason = reason
+        self.step = SimulationConfig(scc_id, {}, TAU, Num(0), error=reason)
 
 
 def executability(model: Model) -> list[Predicate]:
@@ -109,21 +113,35 @@ def _all_of(pred: Predicate, ctx: Context):
 
 
 class SimulationConfig(Record):
-    __slots__ = ("scc_id", "state", "event", "time")
+    """A class's initial state and timed input, one JSON layout in
+    `configs.json` and `sequences.json`.  Run as a sequence step, it keeps
+    the trace event its run returned (`outcome`) or the error it failed
+    with; a class with no representative is a step with its `SelectError`
+    text and an empty state, which never ran."""
 
-    def __init__(self, scc_id: int, state: dict[str, Value], event: Value,
-                 time: Value) -> None:
+    __slots__ = ("scc_id", "state", "event", "time", "outcome", "error")
+
+    def __init__(self, scc_id: int, state: dict[str, Value], event: Value, time: Value,
+                 outcome: TraceEvent | None = None, error: str | None = None) -> None:
         self.scc_id = scc_id
         self.state = state
         self.event = event  # an input value or the tau marker
         self.time = time
+        self.outcome = outcome
+        self.error = error
 
     def to_json(self) -> dict:
-        return {
+        rec = {
             "scc": self.scc_id,
             "state": {k: render_value(v) for k, v in self.state.items()},
             "input": {"event": render_value(self.event), "time": render_value(self.time)},
         }
+        if self.outcome is not None:
+            function, case = self.outcome.fired
+            rec["fired"] = {"function": function, "case": case}
+        if self.error:
+            rec["error"] = self.error
+        return rec
 
 
 def select_config(scc: SCC, ctx: Context) -> SimulationConfig:

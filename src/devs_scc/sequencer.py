@@ -10,9 +10,10 @@ that, with the current state, is in the class's `runnable_form` (the
 selector's search, with the state fixed), so a class is covered only by
 a runnable step inside it.  Every class is consumed exactly once, so the
 covered-id sets of the produced sequences partition the input catalog.
-Each step runs once and keeps the trace event its run returned, or the
-error it failed with; a sequence's trace is read from its steps.  A
-failing step ends its sequence with the failure recorded and the
+Each step, a `SimulationConfig` of the state it started from and the
+pair it applied, runs once and keeps the trace event its run returned,
+or the error it failed with; a sequence's trace is read from its steps.
+A failing step ends its sequence with the failure recorded and the
 remaining classes continue in fresh sequences.
 """
 
@@ -22,37 +23,8 @@ from .context import Context
 from .sat import satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_test
-from .simulator import SimError, Trace, TraceEvent, UndefinedTransition, advance, init, time_advance
-from .values import EvalError, Inf, Num, Struct, TAU, Value, render_value
-
-
-class SeqStep(Struct):
-    """One chained step: a class, the state used and the input applied,
-    with the trace event its run returned or the error it failed with."""
-
-    __slots__ = ("scc_id", "state_used", "event", "time", "outcome", "error")
-
-    def __init__(self, scc_id: int, state_used: dict[str, Value], event: Value, time: Value,
-                 outcome: TraceEvent | None = None, error: str | None = None) -> None:
-        self.scc_id = scc_id
-        self.state_used = state_used
-        self.event = event
-        self.time = time
-        self.outcome = outcome
-        self.error = error
-
-    def to_json(self) -> dict:
-        rec = {
-            "scc": self.scc_id,
-            "state": {k: render_value(v) for k, v in self.state_used.items()},
-            "input": {"event": render_value(self.event), "time": render_value(self.time)},
-        }
-        if self.outcome is not None:
-            function, case = self.outcome.fired
-            rec["fired"] = {"function": function, "case": case}
-        if self.error:
-            rec["error"] = self.error
-        return rec
+from .simulator import SimError, Trace, UndefinedTransition, advance, init, time_advance
+from .values import EvalError, Inf, Struct
 
 
 class SimulationSequence(Struct):
@@ -60,7 +32,7 @@ class SimulationSequence(Struct):
 
     __slots__ = ("steps", "covered")
 
-    def __init__(self, steps: list[SeqStep] | None = None,
+    def __init__(self, steps: list[SimulationConfig] | None = None,
                  covered: list[int] | None = None) -> None:
         self.steps = [] if steps is None else steps
         self.covered = [] if covered is None else covered
@@ -79,11 +51,11 @@ class SimulationSequence(Struct):
 def build_sequences(
     sccs: list[SCC],
     ctx: Context,
-    configs: dict[int, SimulationConfig | SelectError] | None = None,
+    configs: dict[int, SimulationConfig] | None = None,
 ) -> tuple[list[SimulationSequence], list[str]]:
     """Chain the classes into sequences.  `configs` holds, by class id,
-    what selection already gave a class: its representative or its
-    `SelectError`; a head not in it is selected here."""
+    what selection already gave a class: its representative, or the step
+    of its `SelectError`; a head not in it is selected here."""
     configs = configs or {}
     remaining = sorted(sccs, key=lambda s: s.id)
     sequences: list[SimulationSequence] = []
@@ -98,10 +70,10 @@ def build_sequences(
             try:
                 cfg = select_config(scc, ctx)
             except SelectError as err:
-                cfg = err.with_traceback(None)  # its frames would hold it
-        if isinstance(cfg, SelectError):
-            notes.append(str(cfg))
-            seq.steps.append(SeqStep(scc.id, {}, TAU, Num(0), error=cfg.reason))
+                cfg = err.step
+        if cfg.error is not None:
+            notes.append(f"class {scc.id}: {cfg.error}")
+            seq.steps.append(cfg)
             continue
         sim = init(ctx.model, cfg.state)
         sim, ok = _run_step(ctx, sim, cfg.event, cfg.time, seq, scc.id)
@@ -128,13 +100,13 @@ def _run_step(ctx, sim, event, rel_time, seq, scc_id):
     """Execute one sequence step and record it with its trace event or
     error; the pair's time is elapsed time relative to the state the
     class matched on."""
-    state_used = dict(sim.state)
+    state = dict(sim.state)
     try:
         nxt, ev = advance(sim, event, rel_time, ctx)
-        seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, outcome=ev))
+        seq.steps.append(SimulationConfig(scc_id, state, event, rel_time, outcome=ev))
         return nxt, True
     except (UndefinedTransition, SimError, EvalError) as err:
-        seq.steps.append(SeqStep(scc_id, state_used, event, rel_time, error=str(err)))
+        seq.steps.append(SimulationConfig(scc_id, state, event, rel_time, error=str(err)))
         return sim, False
 
 

@@ -247,28 +247,28 @@ def _state_str(state: dict[str, Value]) -> str:
 
 def run_config(config: SimulationConfig, ctx: Context) -> Trace:
     """Drive one configuration from its state, as a one-step sequence."""
-    return run_steps(((config.scc_id, config.state, config.event, config.time, None),), ctx)
+    return run_steps((config,), ctx)
 
 
-def run_steps(steps: Iterable[tuple], ctx: Context) -> Trace:
-    """Run recorded (class id, state, event, time, error) steps by
-    `advance`, from the state of the first that runs.  A step recorded
-    with an error is the finding `class N: <error>`; a step that fails
-    ends the run with its finding and an `error` event."""
+def run_steps(steps: Iterable[SimulationConfig], ctx: Context) -> Trace:
+    """Run recorded steps by `advance`, from the state of the first that
+    runs.  A step recorded with an error is the finding `class N:
+    <error>`, and is not run again; a step that fails ends the run with
+    its finding and an `error` event."""
     trace = Trace()
     st = None
-    for scc_id, state, event, time, error in steps:
-        if error is not None:
-            trace.findings.append(f"class {scc_id}: {error}")
+    for s in steps:
+        if s.error is not None:
+            trace.findings.append(f"class {s.scc_id}: {s.error}")
             continue
         if st is None:
             try:
-                st = init(ctx.model, state)
+                st = init(ctx.model, s.state)
             except (SimError, EvalError) as err:
                 trace.findings.append(f"setup failed: {err}")
                 break
         try:
-            st, ev = advance(st, event, time, ctx)
+            st, ev = advance(st, s.event, s.time, ctx)
             trace.events.append(ev)
         except (UndefinedTransition, SimError, EvalError) as err:
             undefined = isinstance(err, UndefinedTransition)

@@ -37,6 +37,11 @@ class EvalError(Exception):
     declared sort, arithmetic on infinity with no defined result."""
 
 
+class UnboundName(EvalError):
+    """A name the environment does not bind: no fault of the values at a
+    point, so an existential's scan raises it instead of seeing no witness."""
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -528,7 +533,7 @@ _ORDERS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator
 
 def compare_lookup(op: str, name: str, b: Num, unbound: str):
     """A test of `env[name] op b` on an environment, for a number b and
-    one of the COMPARISONS, raising EvalError(unbound) when `name` is not
+    one of the COMPARISONS, raising UnboundName(unbound) when `name` is not
     bound.  The lookup and the comparison share one call, and b's integer
     parts are worked out here once: a number in `env[name]` is decided
     on integer cross products, any other value by COMPARISONS[op]."""
@@ -539,7 +544,7 @@ def compare_lookup(op: str, name: str, b: Num, unbound: str):
         try:
             a = env[name]
         except KeyError:
-            raise EvalError(unbound) from None
+            raise UnboundName(unbound) from None
         if a.__class__ is Num:
             x = a.value
             if x.__class__ is int:
@@ -551,7 +556,7 @@ def compare_lookup(op: str, name: str, b: Num, unbound: str):
 
 def literal_lookup(op: str, name: str, b: Lit, unbound: str):
     """A test of `env[name] op b` on an environment, for a literal b and
-    `=` or `!=`, raising EvalError(unbound) when `name` is not bound.  A
+    `=` or `!=`, raising UnboundName(unbound) when `name` is not bound.  A
     value equals b only when it is a literal of b's name."""
     literal = b.name
     if op == "=":
@@ -559,7 +564,7 @@ def literal_lookup(op: str, name: str, b: Lit, unbound: str):
             try:
                 a = env[name]
             except KeyError:
-                raise EvalError(unbound) from None
+                raise UnboundName(unbound) from None
             return a.__class__ is Lit and a.name == literal
         return equals
 
@@ -567,6 +572,6 @@ def literal_lookup(op: str, name: str, b: Lit, unbound: str):
         try:
             a = env[name]
         except KeyError:
-            raise EvalError(unbound) from None
+            raise UnboundName(unbound) from None
         return a.__class__ is not Lit or a.name != literal
     return differs

@@ -8,7 +8,9 @@ independent of the compiled closures, so a differential test that checks
 them against it checks two implementations.  An environment maps names
 to values; user-defined operators run their own guarded cases in an
 environment containing only their parameters and the model constants;
-conjunction and disjunction short-circuit left to right.
+conjunction and disjunction short-circuit left to right.  An existential
+scans its grids in product order; a point where its body fails to
+evaluate witnesses nothing, but an unbound name is raised.
 
 `time_points`, `state_space` and `joint_space` build the search spaces
 afresh from the bounds on every call, the reference for the spaces a
@@ -67,6 +69,7 @@ from devs_scc.values import (
     Lit,
     Num,
     Tup,
+    UnboundName,
     Value,
     EnumSort,
     ExtSort,
@@ -100,12 +103,12 @@ def eval_expr(expr: Expr, env: Env, model: Model | None = None, _depth: int = 0)
         try:
             return env[expr.name]
         except KeyError:
-            raise EvalError(f"unbound variable {expr.name}") from None
+            raise UnboundName(f"unbound variable {expr.name}") from None
     if isinstance(expr, ConstRef):
         try:
             return env[expr.name]
         except KeyError:
-            raise EvalError(f"unbound constant {expr.name}") from None
+            raise UnboundName(f"unbound constant {expr.name}") from None
     if isinstance(expr, BinOp):
         left = eval_expr(expr.left, env, model, _depth)
         right = eval_expr(expr.right, env, model, _depth)
@@ -203,6 +206,8 @@ def eval_pred(
             try:
                 if eval_pred(pred.body, inner, model, bounds, _depth):
                     return True
+            except UnboundName:
+                raise
             except EvalError:  # the point witnesses nothing
                 pass
         return False

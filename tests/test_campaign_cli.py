@@ -9,13 +9,19 @@ import devs_scc.campaign as campaign_mod
 from devs_scc.campaign import (
     Campaign,
     dump_json,
+    load_config,
     load_plan,
+    load_sequences,
     load_tables,
     run_campaign,
     write_artifacts,
 )
 from devs_scc.cli import main
 from devs_scc.context import Context
+from devs_scc.selector import SimulationConfig
+from devs_scc.sequencer import SimulationSequence
+from devs_scc.simulator import TraceEvent
+from devs_scc.values import TAU, Lit, num
 from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS
 
 
@@ -407,6 +413,66 @@ def test_simulate_an_unusable_first_state_fails_setup_in_both_modes(tmp_path):
             4, "", "error: setup failed: value C does not fit sort enum {A, B} in initial m\n")
 
 
+UNSELECTED = {"scc": 3, "state": {}, "input": {"event": "tau", "time": "0"},
+              "error": "no representative within bounds"}
+UNDEFINED = {"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "1"},
+             "error": "undefined transition: no dext case matches (m=A, x=go, e=1)"}
+FAILED = {"scc": 2, "state": {"m": "B"}, "input": {"event": "go", "time": "infinity"},
+          "error": "external event needs a finite time"}
+
+
+@pytest.mark.parametrize("step, code, err", [
+    (UNSELECTED, 0, "note: class 3: no representative within bounds\n"),
+    (UNDEFINED, 3, "finding: class 1: undefined transition: no dext case matches (m=A, x=go, e=1)\n"),
+    (FAILED, 4, "error: class 2: external event needs a finite time\n"),
+])
+def test_simulate_reads_a_recorded_error_and_does_not_run_the_step(
+    step, code, err, tmp_path, capsys
+):
+    """A step recorded with an error is read from a config file as from a
+    sequences file, and not run again.  One with no state is a class that
+    selection could not represent, which never ran: a note, exit 0."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(step))
+    sequences = tmp_path / "sequences.json"
+    sequences.write_text(json.dumps({"sequences": [{"steps": [step], "covered": [step["scc"]]}]}))
+    for source in (["--config", str(config)], ["--sequence", str(sequences)]):
+        assert main(["simulate", *TOGGLE_ARGS, *source]) == code
+        assert capsys.readouterr() == ("", err)
+
+
+def test_only_the_steps_that_ran_set_the_simulate_exit_code(tmp_path, capsys):
+    sequences = tmp_path / "sequences.json"
+    sequences.write_text(json.dumps({"sequences": [
+        {"steps": [UNSELECTED], "covered": [3]},
+        {"steps": [{"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}],
+         "covered": [1]},
+    ]}))
+    assert main(["simulate", *TOGGLE_ARGS, "--sequence", str(sequences)]) == 0
+    assert capsys.readouterr() == (
+        '{"at": "0", "fired": {"case": 1, "function": "dext"}, "input": "go", "kind": "external", '
+        '"sequence": 1, "state": {"m": "B"}}\n',
+        "note: class 3: no representative within bounds\n")
+
+
+def test_a_config_and_a_step_share_one_layout_and_one_reader(tmp_path):
+    """`configs.json` and `sequences.json` write one layout, read back by
+    one reader: a configuration and a step recorded with an error come
+    back equal, an executed step without the trace event it fired."""
+    config = SimulationConfig(2, {"m": Lit("B")}, Lit("go"), num(1))
+    unselected = SimulationConfig(3, {}, TAU, num(0), error="no representative within bounds")
+    fired = TraceEvent(num(0), "external", ("dext", 1), {"m": Lit("B")}, input=Lit("go"))
+    ran = SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(0), outcome=fired)
+    path = tmp_path / "input.json"
+    for step in (config, unselected):
+        path.write_text(dump_json(step.to_json()))
+        assert load_config(str(path)) == step
+    sequence = SimulationSequence([ran, config, unselected], [1, 2, 3])
+    path.write_text(dump_json({"sequences": [sequence.to_json()]}))
+    assert load_sequences(str(path)) == [SimulationSequence(
+        [SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(0)), config, unselected], [1, 2, 3])]
+
+
 def test_unselectable_class_is_selected_once_and_named_once(toggle, toggle_bounds, monkeypatch):
     import devs_scc.sequencer as sequencer
 
@@ -452,7 +518,7 @@ def test_run_campaign_runs_each_sequence_step_once(monkeypatch):
     result = run_campaign(_elevator_campaign(plan=True))
     steps = [step for seq in result.sequences for step in seq.steps]
     # an unselectable head's step has no state and never runs
-    ran = [step for step in steps if step.state_used]
+    ran = [step for step in steps if step.state]
     assert len(calls) == len(ran) == 92
     assert sum(1 for step in ran if step.error) == 2
     assert len(result.report.findings) == 2
@@ -485,6 +551,13 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
     ("simulate", ["--config"], '{"state": {"m": "A"}, "input": "go"}',
      "an input must be an object, not a string"),
     ("simulate", ["--sequence"], '{"sequences": 3}', "sequences must be an array, not a number"),
+    ("simulate", ["--sequence"],
+     '{"sequences": [{"covered": [1], "steps": [{"state": {}, "input": {"event": "go", "time": "0"}}]}]}',
+     "missing field 'scc'"),
+    ("combine", ["--plan", str(FIXTURES / "elevator.plan.json"), "--all-pairs"], None,
+     "--plan cannot be combined with --all-pairs or --group"),
+    ("combine", ["--group", "1,2", "--plan", str(FIXTURES / "elevator.plan.json")], None,
+     "--plan cannot be combined with --all-pairs or --group"),
     ("combine", ["--all-pairs", "--budget", "-5"], None,
      "bad combination flags: budget must be at least 0"),
     ("combine", ["--plan"], '{"allPairs": true, "budget": -1}', "budget must be at least 0"),

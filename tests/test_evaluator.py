@@ -203,7 +203,7 @@ from devs_scc.syntax import (
     FALSE, TRUE, And, BinOp, Cmp, ConstRef, Exists, Implies, InBase, MinOp, Neg, Not, Or, Proj,
     TupleExpr, render_pred,
 )
-from devs_scc.values import NAT, EnumSort
+from devs_scc.values import NAT, EnumSort, UnboundName
 
 _scalars = st.one_of(
     # a number as `num` holds it (an int when integral) or as a Fraction
@@ -449,6 +449,25 @@ def test_an_existential_takes_its_grids_once(monkeypatch):
     assert built == ["y", "c", "y", "c"]
     with pytest.raises(BoundsError, match="no grid for sort"):
         compile_pred(Exists((("y", object()),), TRUE), Context(None, Bounds()))
+
+
+@pytest.mark.parametrize("body, message", [
+    (Cmp("<", Ref("y"), Ref("a")), "unbound variable a"),
+    (Cmp("<", Ref("a"), Const(num(1))), "unbound variable a"),
+    (Cmp("=", Ref("a"), Const(Lit("A"))), "unbound variable a"),
+    (InSet(Ref("a"), ("A",)), "unbound variable a"),
+    (Cmp("=", BinOp("div", Ref("y"), ConstRef("K")), Const(num(1))), "unbound constant K"),
+])
+def test_an_unbound_name_inside_an_existential_is_raised(body, message):
+    """A point where the body fails to evaluate witnesses nothing, but a
+    name the environment does not bind is no fault of the point: the
+    compiled existential and the oracle both raise it."""
+    pred = Exists((("y", NAT),), body)
+    bounds = Bounds(nat_ranges={"": (0, 3)})
+    for run in (lambda: compile_pred(pred, Context(None, bounds))({}),
+                lambda: oracle_pred(pred, {}, None, bounds)):
+        with pytest.raises(UnboundName, match=f"^{message}$"):
+            run()
 
 
 @pytest.mark.parametrize("shape, message", [

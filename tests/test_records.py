@@ -100,6 +100,7 @@ SAMPLES = [
     StandardPartition("sign", ("a",), (Cmp("<", Ref("a"), Const(Num(0))),)),
     CombinationPlan(groups=((1, 2),), max_arity=2), CombinationPlan(all_pairs=True, budget=10),
     SimulationConfig(1, {"x": Num(1)}, TAU, Num(0)),
+    SimulationConfig(3, {}, TAU, Num(0), None, "no representative within bounds"),
 ]
 
 IDS = [f"{type(s).__name__}-{i}" for i, s in enumerate(SAMPLES)]
@@ -128,7 +129,7 @@ def test_every_record_class_has_samples():
 
     classes = record_classes() - {Node, Struct}
     assert classes == {type(s) for s in SAMPLES} | set(CLASSES)
-    assert len(SAMPLES_CLASSES := {type(s) for s in SAMPLES}) == 38 and len(classes) == 38 + 18
+    assert len(SAMPLES_CLASSES := {type(s) for s in SAMPLES}) == 38 and len(classes) == 38 + 17
     assert not SAMPLES_CLASSES & set(CLASSES)
     assert Node in record_classes()
     assert set(Node.__subclasses__()) == {c for c in classes if c.__module__ == "devs_scc.syntax"}

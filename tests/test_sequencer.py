@@ -41,10 +41,10 @@ def test_toggle_chain_gives_two_sequences(toggle, toggle_bounds):
     assert [seq.covered for seq in sequences] == [[1, 2], [3]]
     assert [len(seq.steps) for seq in sequences] == [2, 1]
     first = sequences[0]
-    assert first.steps[0].state_used["m"] == Lit("A")
-    assert first.steps[1].state_used["m"] == Lit("B")
+    assert first.steps[0].state["m"] == Lit("A")
+    assert first.steps[1].state["m"] == Lit("B")
     assert first.steps[1].outcome.fired == ("dext", 2)
-    assert sequences[1].steps[0].state_used["m"] == Lit("B")
+    assert sequences[1].steps[0].state["m"] == Lit("B")
 
 
 def test_a_class_is_covered_only_by_a_step_inside_it(toggle, toggle_bounds):
@@ -56,7 +56,7 @@ def test_a_class_is_covered_only_by_a_step_inside_it(toggle, toggle_bounds):
     sequences, notes = build_sequences([one, two], Context(toggle, toggle_bounds))
     assert notes == []
     assert [seq.covered for seq in sequences] == [[1], [2]]
-    assert sequences[1].steps[0].state_used["m"] == Lit("A")
+    assert sequences[1].steps[0].state["m"] == Lit("A")
 
 
 def test_selected_representatives_are_reused(toggle, toggle_bounds, monkeypatch):
@@ -128,7 +128,7 @@ def test_chained_states_satisfy_their_class(soda, soda_bounds):
     for seq in sequences:
         for step in seq.steps[1:]:
             scc = by_id[step.scc_id]
-            env = {**consts, **step.state_used}
+            env = {**consts, **step.state}
             assert eval_pred(scc.init_states, env, soda, soda_bounds)
             chained += 1
     assert chained > 0  # the soda classes do chain
@@ -230,12 +230,12 @@ def test_recorded_traces_equal_a_replay(name, request):
     model, bounds, result = _sequenced(name, request)
     sequences = result.sequences
     # combination decides on the joint predicate: every class is selectable
-    assert sum(1 for seq in sequences if not seq.steps[0].state_used) == 0
+    assert sum(1 for seq in sequences if not seq.steps[0].state) == 0
     ctx = Context(model, bounds)
     if model.name == "soda":
         # keep an unselectable head's recorded finding under test
         bad, _ = build_sequences([soda_contradiction(1000)], ctx)
-        assert not bad[0].steps[0].state_used
+        assert not bad[0].steps[0].state
         sequences += bad
     for seq in sequences:
         replayed = replay_sequence(seq, ctx)
@@ -280,7 +280,7 @@ def test_chained_pairs_match_the_reference_rule(name, request):
     chained = [step for seq in result.sequences for step in seq.steps[1:]]
     assert chained
     for step in chained:
-        expected = reference_pair(by_id[step.scc_id], step.state_used, model, bounds)
+        expected = reference_pair(by_id[step.scc_id], step.state, model, bounds)
         assert (step.event, step.time) == expected, step.scc_id
 
 
@@ -358,5 +358,5 @@ def test_all_pairs_classes_are_inhabited_and_covered_from_inside(fixture, reques
     steps = [step for seq in result.sequences for step in seq.steps]
     assert sorted(step.scc_id for step in steps) == sorted(by_id)
     for step in steps:
-        env = {**step.state_used, "x": step.event, "t": step.time}
+        env = {**step.state, "x": step.event, "t": step.time}
         assert is_member(by_id[step.scc_id], env), step.scc_id

@@ -23,7 +23,7 @@ from devs_scc.model import Model, ValidationReport
 from devs_scc.parser import Diagnostic
 from devs_scc.sat import SatResult, _Budget
 from devs_scc.scc import SCC
-from devs_scc.sequencer import SeqStep, SimulationSequence
+from devs_scc.sequencer import SimulationSequence
 from devs_scc.simulator import ProbeReport, SimState, Trace, TraceEvent
 from devs_scc.values import Record, Struct
 
@@ -69,10 +69,6 @@ DATACLASSES = {
     Trace: (False, [("events", list), ("findings", list)]),
     ProbeReport: (False, [
         ("scc_id", REQUIRED), ("uniform", REQUIRED), ("signatures", REQUIRED), ("note", ""),
-    ]),
-    SeqStep: (False, [
-        ("scc_id", REQUIRED), ("state_used", REQUIRED), ("event", REQUIRED), ("time", REQUIRED),
-        ("outcome", None), ("error", None),
     ]),
     SimulationSequence: (False, [("steps", list), ("covered", list)]),
     Report: (False, [
