@@ -39,7 +39,7 @@ from .sat import SatResult, project_exists, satisfiable
 from .scc import SCC, assign_ids
 from .selector import SimulationConfig, sample_configs, select_config
 from .sequencer import SimulationSequence, build_sequences
-from .simulator import Trace, init, run_config, step, uniformity_probe
+from .simulator import init, run_config, step, uniformity_probe
 from .check import validate_model
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "StandardPartition",
     "StateSchema",
     "TimeSpec",
-    "Trace",
     "ValidationReport",
     "assign_ids",
     "build_sequences",

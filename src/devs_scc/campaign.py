@@ -44,7 +44,7 @@ from .partitions import StandardPartition, builtin_tables, check_partition
 from .scc import SCC, assign_ids, scc_to_json, shape_overlaps
 from .selector import SelectError, SimulationConfig, select_config
 from .sequencer import SimulationSequence, build_sequences
-from .simulator import Trace, run_steps, uniformity_probe
+from .simulator import events, failures, run_steps, uniformity_probe
 from .syntax import Apply, holding, walk
 from .values import Struct, Value
 
@@ -197,16 +197,21 @@ def _plain_cells(table: StandardPartition) -> bool:
 # plans
 
 def load_plan(path: str) -> CombinationPlan:
-    def build(raw) -> CombinationPlan:
-        raw = _shaped(raw, dict, "a plan")
-        return CombinationPlan(
-            groups=tuple(tuple(_shaped(g, list, "a group"))
-                         for g in _shaped(raw.get("groups", []), list, "groups")),
-            all_pairs=raw.get("allPairs", False),
-            max_arity=raw.get("maxArity", 2),
-            budget=raw.get("budget", 1000),
-        )
-    return _load_json(path, build)
+    return _load_json(path, build_plan)
+
+
+def build_plan(raw) -> CombinationPlan:
+    """The plan of a plan file's mapping, or of the one the combination
+    flags build; an omitted key takes `CombinationPlan`'s default."""
+    raw = _shaped(raw, dict, "a plan")
+    limits = {name: raw[key] for key, name in (("maxArity", "max_arity"), ("budget", "budget"))
+              if key in raw}
+    return CombinationPlan(
+        groups=tuple(tuple(_shaped(g, list, "a group"))
+                     for g in _shaped(raw.get("groups", []), list, "groups")),
+        all_pairs=raw.get("allPairs", False),
+        **limits,
+    )
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
@@ -419,9 +424,8 @@ def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
         return result
 
     for seq in result.sequences:
-        trace = seq.trace
-        report.trace_events += len(trace.events)
-        report.findings.extend(trace.findings)
+        report.trace_events += len(events(seq.steps))
+        report.findings.extend(failures(seq.steps)[0])
 
     if c.probe_k >= 2:
         for scc in base:
@@ -432,8 +436,8 @@ def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
     return result
 
 
-def replay_sequence(seq: SimulationSequence, ctx: Context) -> Trace:
-    """Re-execute a recorded sequence step by step, collecting the trace."""
+def replay_sequence(seq: SimulationSequence, ctx: Context) -> list[SimulationConfig]:
+    """Re-execute a recorded sequence step by step; its steps as they ran."""
     return run_steps(seq.steps, ctx)
 
 
@@ -499,17 +503,17 @@ def write_artifacts(result: CampaignResult, out_dir: str) -> None:
     write("catalog.json", dump_json(result.catalog_json()))
     write("configs.json", dump_json(result.configs_json()))
     write("sequences.json", dump_json(result.sequences_json()))
-    write("traces.jsonl", trace_lines([seq.trace for seq in result.sequences]))
+    write("traces.jsonl", trace_lines([seq.steps for seq in result.sequences]))
     write("report.json", dump_json(result.report.to_json()))
     write("report.csv", _report_csv(result))
 
 
-def trace_lines(traces: list[Trace]) -> str:
-    """The events of `traces` as JSON lines, each naming the index of its
-    trace `sequence`: a campaign's `traces.jsonl`, or what `simulate`
-    writes."""
+def trace_lines(runs: list[list[SimulationConfig]]) -> str:
+    """The events of the steps of `runs` as JSON lines, each naming the
+    index of its run as its `sequence`: a campaign's `traces.jsonl`, or
+    what `simulate` writes."""
     return "".join(json.dumps({"sequence": i, **ev.to_json()}, sort_keys=True) + "\n"
-                   for i, trace in enumerate(traces) for ev in trace.events)
+                   for i, steps in enumerate(runs) for ev in events(steps))
 
 
 def _report_csv(result: CampaignResult) -> str:
@@ -558,13 +562,17 @@ def _step(raw, what: str, scc_optional: bool = False) -> SimulationConfig:
     """A configuration or sequence step from the JSON `SimulationConfig`
     writes: its class id `scc`, which only a config may omit (read as 0),
     its `state`, its `input` and the `error` it was recorded with, if
-    any.  The trace event it fired is not read back."""
+    any.  The trace event it fired is not read back.  A state names a
+    variable: an empty one records a class that never ran, and its error."""
     raw = _shaped(raw, dict, what)
     pair = _shaped(raw["input"], dict, "an input")
     event, time = _value(pair["event"]), _value(pair["time"])
     scc_id = raw.get("scc", 0) if scc_optional else raw["scc"]
     state = {k: _value(v) for k, v in _shaped(raw["state"], dict, "a state").items()}
-    return SimulationConfig(scc_id, state, event, time, error=raw.get("error"))
+    error = raw.get("error")
+    if not state and error is None:
+        raise ValueError(f"{what} without an error must have a state")
+    return SimulationConfig(scc_id, state, event, time, error=error)
 
 
 def _value(text) -> Value:

@@ -3,10 +3,10 @@
 Subcommands mirror the pipeline: parse, criteria, combine, select,
 sequence, simulate, campaign, report.  Exit codes: 0 clean, 2 parse or
 usage error; `simulate` alone also returns 3 when a run meets an
-undefined transition and 4 when an execution error stops one; a step
-recorded with a selection failure never ran and sets none.  The pipeline
-commands, `campaign` included, exit 0 whatever they find and count their
-findings in the report.
+undefined transition and 4 when an execution error stops one, each
+printed as `class N: <error>`; a step recorded with a selection failure
+never ran and sets none.  The pipeline commands, `campaign` included,
+exit 0 whatever they find and count their findings in the report.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .campaign import (
     CampaignError,
     _load_json,
     _shaped,
+    build_plan,
     dump_json,
     load_config,
     load_plan,
@@ -40,7 +41,7 @@ from .parser import (
     parse_model_file,
 )
 from .selector import SelectError
-from .simulator import run_steps
+from .simulator import failures, run_steps
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -83,9 +84,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="combine every pair of base classes")
         p.add_argument("--group", action="append", default=[], metavar="IDS",
                        help="combine these comma-separated class ids, repeatable")
-        p.add_argument("--max-arity", type=int, default=2,
+        p.add_argument("--max-arity", type=int,
                        help="largest group a plan combines (default 2)")
-        p.add_argument("--budget", type=int, default=1000,
+        p.add_argument("--budget", type=int,
                        help="most combinations attempted; the rest are skipped "
                             "with a note (default 1000)")
         p.add_argument("--out", help="output directory (campaign) or file")
@@ -158,23 +159,22 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
     if args.probe_k == 1 or args.probe_k < 0:
         # one sample cannot disagree with itself
         raise CampaignError("--probe-k must be 0 (off) or at least 2")
-    if args.plan and (args.all_pairs or args.group):
-        raise CampaignError("--plan cannot be combined with --all-pairs or --group")
+    # the combination flags, in the layout of a plan file
+    limits = {key: value for key, value in (("maxArity", args.max_arity), ("budget", args.budget))
+              if value is not None}
+    if args.plan and (args.all_pairs or args.group or limits):
+        raise CampaignError(
+            "--plan cannot be combined with --all-pairs, --group, --max-arity or --budget")
     model, bounds = _load_model_and_bounds(args)
     tables, notes = load_tables(args.parts)
     plan = load_plan(args.plan) if args.plan else None
     if args.all_pairs or args.group:
-        from .algebra import CombinationPlan
-
         try:
-            plan = CombinationPlan(
-                groups=tuple(
-                    tuple(int(i) for i in group.split(",")) for group in args.group
-                ),
-                all_pairs=args.all_pairs,
-                max_arity=args.max_arity,
-                budget=args.budget,
-            )
+            plan = build_plan({
+                "groups": [[int(i) for i in group.split(",")] for group in args.group],
+                "allPairs": args.all_pairs,
+                **limits,
+            })
         except ValueError as err:
             raise CampaignError(f"bad combination flags: {err}") from None
     campaign = Campaign(
@@ -247,22 +247,20 @@ def _cmd_simulate(args) -> int:
     ctx = Context(*_load_model_and_bounds(args))
     runs = ([[load_config(args.config)]] if args.config
             else [seq.steps for seq in load_sequences(args.sequence)])
-    # a step recorded with an error and no state (a state names at least
-    # one variable) is a class selection could not represent: it never ran
-    notes = [f"class {s.scc_id}: {s.error}" for steps in runs for s in steps
-             if s.error is not None and not s.state]
-    traces = [run_steps([s for s in steps if s.error is None or s.state], ctx) for steps in runs]
-    found = [f for trace in traces for f in trace.findings]
-    findings = [f for f in found if "undefined transition" in f]
+    ran = [run_steps(steps, ctx) for steps in runs]
+    found = failures(s for steps in ran for s in steps)[0]
+    # named even when its run ended before it
+    notes = failures(s for steps in runs for s in steps)[1]
+    undefined = [f for f in found if "undefined transition" in f]
     exec_errors = [f for f in found if "undefined transition" not in f]
-    _emit(args, trace_lines(traces))
-    for f in findings:
+    _emit(args, trace_lines(ran))
+    for f in undefined:
         print(f"finding: {f}", file=sys.stderr)
     for f in exec_errors:
         print(f"error: {f}", file=sys.stderr)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    if findings:
+    if undefined:
         return EXIT_FINDING
     if exec_errors:
         return EXIT_EXEC

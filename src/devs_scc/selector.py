@@ -52,8 +52,8 @@ class SelectError(Exception):
     """A class with no usable representative; the message names the class."""
 
     def __init__(self, scc_id: int, reason: str):
-        super().__init__(f"class {scc_id}: {reason}")
         self.step = SimulationConfig(scc_id, {}, TAU, Num(0), error=reason)
+        super().__init__(self.step.failure())
 
 
 def executability(model: Model) -> list[Predicate]:
@@ -114,10 +114,10 @@ def _all_of(pred: Predicate, ctx: Context):
 
 class SimulationConfig(Record):
     """A class's initial state and timed input, one JSON layout in
-    `configs.json` and `sequences.json`.  Run as a sequence step, it keeps
-    the trace event its run returned (`outcome`) or the error it failed
-    with; a class with no representative is a step with its `SelectError`
-    text and an empty state, which never ran."""
+    `configs.json` and `sequences.json`.  Run as a step (`run_step`), it
+    keeps the trace event it fired (`outcome`) or the error it failed
+    with, and in a replay both; a class with no representative is a step
+    with its `SelectError` text and an empty state, which never ran."""
 
     __slots__ = ("scc_id", "state", "event", "time", "outcome", "error")
 
@@ -136,12 +136,17 @@ class SimulationConfig(Record):
             "state": {k: render_value(v) for k, v in self.state.items()},
             "input": {"event": render_value(self.event), "time": render_value(self.time)},
         }
-        if self.outcome is not None:
+        if self.error is None and self.outcome is not None:
             function, case = self.outcome.fired
             rec["fired"] = {"function": function, "case": case}
         if self.error:
             rec["error"] = self.error
         return rec
+
+    def failure(self) -> str:
+        """The step's error naming its class: a run's finding, or a class
+        that selection could not represent."""
+        return f"class {self.scc_id}: {self.error}"
 
 
 def select_config(scc: SCC, ctx: Context) -> SimulationConfig:

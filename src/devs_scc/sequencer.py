@@ -11,9 +11,10 @@ selector's search, with the state fixed), so a class is covered only by
 a runnable step inside it.  Every class is consumed exactly once, so the
 covered-id sets of the produced sequences partition the input catalog.
 Each step, a `SimulationConfig` of the state it started from and the
-pair it applied, runs once and keeps the trace event its run returned,
-or the error it failed with; a sequence's trace is read from its steps.
-A failing step ends its sequence with the failure recorded and the
+pair it applied, runs once by `simulator.run_step` and keeps the trace
+event it fired, or the error it failed with; a sequence's events and
+findings are read from its steps (`simulator.events`, `failures`).  A
+failing step ends its sequence with the failure recorded and the
 remaining classes continue in fresh sequences.
 """
 
@@ -23,7 +24,7 @@ from .context import Context
 from .sat import satisfiable
 from .scc import SCC
 from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_test
-from .simulator import SimError, Trace, UndefinedTransition, advance, init, time_advance
+from .simulator import init, run_step, time_advance
 from .values import EvalError, Inf, Struct
 
 
@@ -36,13 +37,6 @@ class SimulationSequence(Struct):
                  covered: list[int] | None = None) -> None:
         self.steps = [] if steps is None else steps
         self.covered = [] if covered is None else covered
-
-    @property
-    def trace(self) -> Trace:
-        """What running the steps gave: the events of the steps that ran
-        and the finding `class N: <error>` of each step that failed."""
-        return Trace([s.outcome for s in self.steps if s.outcome is not None],
-                     [f"class {s.scc_id}: {s.error}" for s in self.steps if s.error is not None])
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps], "covered": self.covered}
@@ -72,14 +66,14 @@ def build_sequences(
             except SelectError as err:
                 cfg = err.step
         if cfg.error is not None:
-            notes.append(f"class {scc.id}: {cfg.error}")
             seq.steps.append(cfg)
             continue
         sim = init(ctx.model, cfg.state)
-        sim, ok = _run_step(ctx, sim, cfg.event, cfg.time, seq, scc.id)
-        if not ok:
-            continue
         while True:
+            sim, ran = run_step(sim, cfg, ctx)
+            seq.steps.append(ran)
+            if sim is None:
+                break
             try:
                 found = _next_reachable(remaining, sim, ctx)
             except EvalError as err:
@@ -90,24 +84,9 @@ def build_sequences(
             at, (event, rel_time) = found
             nxt = remaining.pop(at)
             seq.covered.append(nxt.id)
-            sim, ok = _run_step(ctx, sim, event, rel_time, seq, nxt.id)
-            if not ok:
-                break
+            # the pair's time is elapsed time relative to the state the class matched on
+            cfg = SimulationConfig(nxt.id, sim.state, event, rel_time)
     return sequences, notes
-
-
-def _run_step(ctx, sim, event, rel_time, seq, scc_id):
-    """Execute one sequence step and record it with its trace event or
-    error; the pair's time is elapsed time relative to the state the
-    class matched on."""
-    state = dict(sim.state)
-    try:
-        nxt, ev = advance(sim, event, rel_time, ctx)
-        seq.steps.append(SimulationConfig(scc_id, state, event, rel_time, outcome=ev))
-        return nxt, True
-    except (UndefinedTransition, SimError, EvalError) as err:
-        seq.steps.append(SimulationConfig(scc_id, state, event, rel_time, error=str(err)))
-        return sim, False
 
 
 def _next_reachable(remaining, sim, ctx):

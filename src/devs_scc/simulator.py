@@ -10,8 +10,8 @@ exactly on the internal deadline is applied as the external transition
 and the step is annotated so the engineer sees the tie.
 
 A concrete (state, event, elapsed) with no matching guard is the
-principal validation finding this tool exists to surface.  It is
-reported as an "undefined transition" finding in the trace, not a crash.
+principal validation finding this tool exists to surface.  `run_step`
+records it on the step as an "undefined transition" error, not a crash.
 """
 
 from __future__ import annotations
@@ -97,21 +97,6 @@ class TraceEvent(Struct):
         if self.error:
             rec["error"] = self.error
         return rec
-
-
-class Trace(Struct):
-    """The events and findings of one simulation run."""
-
-    __slots__ = ("events", "findings")
-
-    def __init__(self, events: list[TraceEvent] | None = None,
-                 findings: list[str] | None = None) -> None:
-        self.events = [] if events is None else events
-        self.findings = [] if findings is None else findings
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
 
 def init(model: Model, s0: dict[str, Value]) -> SimState:
@@ -245,38 +230,64 @@ def _state_str(state: dict[str, Value]) -> str:
     return ", ".join(f"{k}={render_value(v)}" for k, v in state.items())
 
 
-def run_config(config: SimulationConfig, ctx: Context) -> Trace:
+def run_step(st: SimState, step: SimulationConfig,
+             ctx: Context) -> tuple[SimState | None, SimulationConfig]:
+    """Run a configured step's pair from `st`: the state it left (None if
+    it failed) and the step as it ran from `st`'s state, with the event it
+    fired as its `outcome` or with the error it failed with."""
+    state = dict(st.state)
+    try:
+        nxt, ev = advance(st, step.event, step.time, ctx)
+    except (UndefinedTransition, SimError, EvalError) as err:
+        return None, SimulationConfig(step.scc_id, state, step.event, step.time, error=str(err))
+    return nxt, SimulationConfig(step.scc_id, state, step.event, step.time, outcome=ev)
+
+
+def run_config(config: SimulationConfig, ctx: Context) -> list[SimulationConfig]:
     """Drive one configuration from its state, as a one-step sequence."""
     return run_steps((config,), ctx)
 
 
-def run_steps(steps: Iterable[SimulationConfig], ctx: Context) -> Trace:
-    """Run recorded steps by `advance`, from the state of the first that
-    runs.  A step recorded with an error is the finding `class N:
-    <error>`, and is not run again; a step that fails ends the run with
-    its finding and an `error` event."""
-    trace = Trace()
+def run_steps(steps: Iterable[SimulationConfig], ctx: Context) -> list[SimulationConfig]:
+    """The steps as `run_step` ran them from the first one's state; one
+    recorded with an error is kept, not run again.  A first state `init`
+    rejects fails its step with `setup failed: …`, and a step that fails
+    running keeps its `error` event as `outcome`; either ends the run."""
+    ran: list[SimulationConfig] = []
     st = None
     for s in steps:
         if s.error is not None:
-            trace.findings.append(f"class {s.scc_id}: {s.error}")
+            ran.append(s)
             continue
         if st is None:
             try:
                 st = init(ctx.model, s.state)
             except (SimError, EvalError) as err:
-                trace.findings.append(f"setup failed: {err}")
+                ran.append(SimulationConfig(s.scc_id, s.state, s.event, s.time,
+                                            error=f"setup failed: {err}"))
                 break
-        try:
-            st, ev = advance(st, s.event, s.time, ctx)
-            trace.events.append(ev)
-        except (UndefinedTransition, SimError, EvalError) as err:
-            undefined = isinstance(err, UndefinedTransition)
-            trace.findings.append(str(err) if undefined else f"step failed: {err}")
-            trace.events.append(TraceEvent(at=Num(st.clock), kind="error", fired=None,
-                                           state_after=dict(st.state), error=str(err)))
+        nxt, done = run_step(st, s, ctx)
+        ran.append(done)
+        if nxt is None:
+            done.outcome = TraceEvent(at=Num(st.clock), kind="error", fired=None,
+                                      state_after=done.state, error=done.error)
             break
-    return trace
+        st = nxt
+    return ran
+
+
+def events(steps: Iterable[SimulationConfig]) -> list[TraceEvent]:
+    """A run's trace: the `outcome` of each of its steps that has one."""
+    return [s.outcome for s in steps if s.outcome is not None]
+
+
+def failures(steps: Iterable[SimulationConfig]) -> tuple[list[str], list[str]]:
+    """A run's findings, the `failure` of each failed step with a state,
+    and the failures of the steps recorded with an error and no state (a
+    state names at least one variable): classes selection could not
+    represent, which never ran."""
+    failed = [s for s in steps if s.error is not None]
+    return [s.failure() for s in failed if s.state], [s.failure() for s in failed if not s.state]
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +325,8 @@ def uniformity_probe(scc: SCC, k: int, ctx: Context) -> ProbeReport:
         )
     signatures = []
     for cfg in samples:
-        trace = run_config(cfg, ctx)
         sig = []
-        for ev in trace.events:
+        for ev in events(run_config(cfg, ctx)):
             step_sig = ev.fired[0] + ":" + str(ev.fired[1]) if ev.fired else "undefined"
             if ev.output is not None:
                 step_sig += "/" + _shape(ev.output)

@@ -121,17 +121,18 @@ def test_memoised_grids_equal_fresh_ones(fixture, request):
 
 
 def test_the_derived_time_grid_has_a_point_between_zero_and_the_smallest_constant():
-    """Without its `time samples` line, elevator's bounds derive exactly
-    the samples the line lists: the midpoints run from 0, so the gap
-    below TD1 has its point 1."""
+    """Elevator's bounds, which have no `time samples` line, derive
+    exactly the samples such a line listed: the midpoints run from 0, so
+    the gap below TD1 has its point 1."""
     text = (FIXTURES / "elevator.bounds").read_text(encoding="utf-8")
-    line = "  time samples = {0, 1, TD1, 5/2, TD2, 4, TA, 13/2, TGF, 9};\n"
-    assert line in text
-    derived = parse_bounds_text(text.replace(line, ""))
+    derived = parse_bounds_text(text)
     assert derived.time_samples is None
     want = [0, 1, 2, Fraction(5, 2), 3, 4, 5, Fraction(13, 2), 8, 9]
     assert grid(derived, "t", TIME) == [Num(v) for v in want] + [INF]
-    assert grid(derived, "t", TIME) == grid(parse_bounds_text(text), "t", TIME)
+    line = "  time samples = {0, 1, TD1, 5/2, TD2, 4, TA, 13/2, TGF, 9};\n"
+    explicit = parse_bounds_text(text.replace("  max attempts", line + "  max attempts"))
+    assert explicit.time_samples is not None
+    assert grid(derived, "t", TIME) == grid(explicit, "t", TIME)
     assert ref_times(derived) == want
 
 

@@ -99,7 +99,9 @@ def test_simulate_config_reproduces_the_missed_case_finding(tmp_path):
         "--out", str(tmp_path / "trace.jsonl"),
     )
     assert code == 3
-    assert "undefined transition" in err
+    assert err.startswith("finding: class 0: undefined transition: no dext case matches (m=idle, ")
+    expected = FIXTURES / "expected" / "soda-missed-case.trace.jsonl"
+    assert (tmp_path / "trace.jsonl").read_text() == expected.read_text()
 
 
 def test_simulate_tau_on_passive_state_is_an_execution_error(tmp_path):
@@ -395,7 +397,7 @@ def test_simulate_sequence_with_an_infinite_external_time_exits_4(tmp_path):
     for source in (["--sequence", str(sequences)], ["--config", str(config)]):
         code, out, err = run_cli("simulate", *toggle, *source)
         assert code == 4
-        assert err == "error: step failed: external event needs a finite time\n"
+        assert err == "error: class 1: external event needs a finite time\n"
         # both modes write the failed step's error event
         assert out == ('{"at": "0", "error": "external event needs a finite time", "kind": "error", '
                        '"sequence": 0, "state": {"m": "A"}}\n')
@@ -410,7 +412,37 @@ def test_simulate_an_unusable_first_state_fails_setup_in_both_modes(tmp_path):
     toggle = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURES / "toggle.bounds")]
     for source in (["--sequence", str(sequences)], ["--config", str(config)]):
         assert run_cli("simulate", *toggle, *source) == (
-            4, "", "error: setup failed: value C does not fit sort enum {A, B} in initial m\n")
+            4, "", "error: class 1: setup failed: value C does not fit sort enum {A, B} in initial m\n")
+
+
+def test_a_step_that_fails_while_running_names_its_class_and_ends_its_run(tmp_path, capsys):
+    """A `--sequence` step that fails while running prints `error: class
+    N: …` for its own class, writes its `error` event from the state it
+    failed in, ends its run, and exits 4; a class after it that never ran
+    is still noted.  A config without `scc` is class 0."""
+    steps = [
+        {"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "1"}},
+        {"scc": 2, "state": {"m": "B"}, "input": {"event": "tau", "time": "0"}},
+        {"scc": 3, "state": {"m": "A"}, "input": {"event": "go", "time": "1"}},
+        {**UNSELECTED, "scc": 4},
+    ]
+    sequences = tmp_path / "sequences.json"
+    sequences.write_text(json.dumps({"sequences": [{"steps": steps, "covered": [1, 2, 3, 4]}]}))
+    assert main(["simulate", *TOGGLE_ARGS, "--sequence", str(sequences)]) == 4
+    assert capsys.readouterr() == (
+        '{"at": "1", "fired": {"case": 1, "function": "dext"}, "input": "go", "kind": "external", '
+        '"sequence": 0, "state": {"m": "B"}}\n'
+        '{"at": "1", "error": "passive state, no internal transition", "kind": "error", '
+        '"sequence": 0, "state": {"m": "B"}}\n',
+        "error: class 2: passive state, no internal transition\n"
+        "note: class 4: no representative within bounds\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"state": {"m": "A"}, "input": {"event": "tau", "time": "0"}}))
+    assert main(["simulate", *TOGGLE_ARGS, "--config", str(config)]) == 4
+    assert capsys.readouterr() == (
+        '{"at": "0", "error": "passive state, no internal transition", "kind": "error", '
+        '"sequence": 0, "state": {"m": "A"}}\n',
+        "error: class 0: passive state, no internal transition\n")
 
 
 UNSELECTED = {"scc": 3, "state": {}, "input": {"event": "tau", "time": "0"},
@@ -496,14 +528,15 @@ def test_unselectable_class_is_selected_once_and_named_once(toggle, toggle_bound
     ))
     message = "class 3: no representative within bounds"
     assert calls == [1, 2, 3]
+    # named in config_errors only: the step never ran, so it is no finding,
+    # and the sequencer adds no note
     assert result.report.config_errors == [message]
-    assert result.report.findings == [message]
-    assert result.report.notes.count(message) == 1
+    assert result.report.findings == []
+    assert not any("class 3" in note for note in result.report.notes)
     assert result.sequences[-1].to_json()["steps"][0]["error"] == "no representative within bounds"
 
 
 def test_run_campaign_runs_each_sequence_step_once(monkeypatch):
-    import devs_scc.sequencer as sequencer
     import devs_scc.simulator as simulator
 
     calls = []
@@ -513,8 +546,7 @@ def test_run_campaign_runs_each_sequence_step_once(monkeypatch):
         calls.append(args)
         return advance(*args)
 
-    for module in (simulator, sequencer):
-        monkeypatch.setattr(module, "advance", counting)
+    monkeypatch.setattr(simulator, "advance", counting)
     result = run_campaign(_elevator_campaign(plan=True))
     steps = [step for seq in result.sequences for step in seq.steps]
     # an unselectable head's step has no state and never runs
@@ -554,10 +586,19 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
     ("simulate", ["--sequence"],
      '{"sequences": [{"covered": [1], "steps": [{"state": {}, "input": {"event": "go", "time": "0"}}]}]}',
      "missing field 'scc'"),
+    ("simulate", ["--config"], '{"state": {}, "input": {"event": "go", "time": "0"}}',
+     "a config without an error must have a state"),
+    ("simulate", ["--sequence"],
+     '{"sequences": [{"covered": [1], "steps": [{"scc": 1, "state": {}, "input": {"event": "go", "time": "0"}}]}]}',
+     "a step without an error must have a state"),
     ("combine", ["--plan", str(FIXTURES / "elevator.plan.json"), "--all-pairs"], None,
-     "--plan cannot be combined with --all-pairs or --group"),
+     "--plan cannot be combined with --all-pairs, --group, --max-arity or --budget"),
     ("combine", ["--group", "1,2", "--plan", str(FIXTURES / "elevator.plan.json")], None,
-     "--plan cannot be combined with --all-pairs or --group"),
+     "--plan cannot be combined with --all-pairs, --group, --max-arity or --budget"),
+    ("combine", ["--plan", str(FIXTURES / "elevator.plan.json"), "--budget", "0"], None,
+     "--plan cannot be combined with --all-pairs, --group, --max-arity or --budget"),
+    ("combine", ["--max-arity", "3", "--plan", str(FIXTURES / "elevator.plan.json")], None,
+     "--plan cannot be combined with --all-pairs, --group, --max-arity or --budget"),
     ("combine", ["--all-pairs", "--budget", "-5"], None,
      "bad combination flags: budget must be at least 0"),
     ("combine", ["--plan"], '{"allPairs": true, "budget": -1}', "budget must be at least 0"),
@@ -584,6 +625,27 @@ def test_malformed_combination_or_simulation_input_exits_2(
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, plan, attempted", [
+    (["--all-pairs"], {"allPairs": True}, 3),
+    (["--all-pairs", "--budget", "0"], {"allPairs": True, "budget": 0}, 0),
+    (["--group", "1,3", "--max-arity", "3", "--budget", "1"],
+     {"groups": [[1, 3]], "maxArity": 3, "budget": 1}, 1),
+])
+def test_the_combination_flags_build_the_plan_a_plan_file_holds(
+    flags, plan, attempted, tmp_path, capsys
+):
+    """A plan built from the flags is the plan read from a file of the
+    same mapping; a limit that neither gives is `CombinationPlan`'s."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    args = ["combine", *TOGGLE_ARGS, "--criteria", "cases", "--criteria", "extensional input"]
+    assert main([*args, *flags]) == 0
+    from_flags = capsys.readouterr()
+    assert main([*args, "--plan", str(path)]) == 0
+    assert capsys.readouterr() == from_flags
+    assert f"combinations: {attempted} attempted" in from_flags.out
 
 
 def _fixture_args(name):

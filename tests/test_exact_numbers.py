@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from devs_scc import values
+from devs_scc import simulator, values
 from devs_scc.bounds import const_env, grid
 from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.context import Context
@@ -150,7 +150,7 @@ def test_a_campaign_holds_its_configs_and_trace_events_exactly(elevator, elevato
         selections=list(ELEVATOR_SELECTIONS),
         plan=load_plan(str(FIXTURES / "elevator.plan.json")),
     ))
-    events = [ev for seq in result.sequences for ev in seq.trace.events]
+    events = [ev for seq in result.sequences for ev in simulator.events(seq.steps)]
     assert events and result.configs
     assert_held_exactly(nums(result.catalog, result.configs, result.sequences, events))
 

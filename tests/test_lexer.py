@@ -142,6 +142,26 @@ def test_predicate_trees():
     assert p("(a) in nat") == p("a in nat")
 
 
+# the elevator bounds as they were when the digests below were taken,
+# with an explicit `time samples` line (the fixture now derives that grid)
+ELEVATOR_BOUNDS_WITH_SAMPLES = """\
+-- Enumeration bounds for the elevator fixture.
+-- Timer constants ordered TD1 < TD2 < TA < TGF; the sample set has an
+-- inhabitant strictly inside every gap and one point past the largest.
+
+bounds {
+  const TD1 = 2;
+  const TD2 = 3;
+  const TA = 5;
+  const TGF = 8;
+
+  nat default = 0..3;
+
+  time samples = {0, 1, TD1, 5/2, TD2, 4, TA, 13/2, TGF, 9};
+  max attempts = 200000;
+}
+"""
+
 # digests of the outcomes (the tree's repr, or the diagnostic) of parsing
 # every fifth drop point of three sources with 1, 2, 3 and 8 words
 # dropped, as the recursive-descent parser gave them; checks are stubbed
@@ -158,7 +178,7 @@ def test_mutated_source_outcomes_are_pinned(name, monkeypatch):
     source, parse = {
         "model": (_soda_source, parse_model_text),
         "parts": ((FIXTURES / "elevator.parts").read_text, parse_parts_text),
-        "bounds": ((FIXTURES / "elevator.bounds").read_text, parse_bounds_text),
+        "bounds": (lambda: ELEVATOR_BOUNDS_WITH_SAMPLES, parse_bounds_text),
     }[name]
     words = source().split(" ")
     monkeypatch.setattr(parser, "validate_model", lambda model: (model, None))

@@ -7,9 +7,11 @@ from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
 from oracle import eval_pred, joint_space
 from devs_scc.scc import SCC, make_scc
+from devs_scc.selector import SimulationConfig
 from devs_scc.sequencer import build_sequences
+from devs_scc.simulator import events, failures
 from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, conj
-from devs_scc.values import Lit
+from devs_scc.values import TAU, Lit, num
 from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_PAIRS_SELECTIONS, soda_contradiction
 
 
@@ -145,7 +147,8 @@ def test_sequences_are_deterministic(elevator, elevator_bounds):
 def test_failing_step_ends_the_sequence_and_continues(toggle, toggle_bounds):
     # a class whose pair cannot fire (the guard covers only go on A/B,
     # an injected event on a consumed state keeps the run going, while a
-    # class with an unsatisfiable state predicate is noted and skipped)
+    # class with an unsatisfiable state predicate is the step of its
+    # selection failure, which never runs, and no note)
     one = make_scc(_at("m", "A"), _go(), "manual", "one", id=1)
     dead = make_scc(
         Cmp("=", Ref("m"), Const(Lit("A"))),
@@ -161,7 +164,10 @@ def test_failing_step_ends_the_sequence_and_continues(toggle, toggle_bounds):
     sequences, notes = build_sequences([one, dead, impossible], Context(toggle, toggle_bounds))
     covered = [i for seq in sequences for i in seq.covered]
     assert sorted(covered) == [1, 2, 3]
-    assert any("no representative" in n for n in notes)
+    assert notes == []
+    assert sequences[-1].covered == [3]
+    assert sequences[-1].steps == [
+        SimulationConfig(3, {}, TAU, num(0), error="no representative within bounds")]
 
 
 def random_class_set(rng: random.Random, n: int):
@@ -189,10 +195,17 @@ def test_a_head_without_configs_is_selected_and_named_once(toggle, toggle_bounds
     impossible = make_scc(FALSE, _go(), "manual", "impossible", id=3)
     ctx = Context(toggle, toggle_bounds)
     sequences, notes = build_sequences([impossible], ctx)
-    assert notes == ["class 3: no representative within bounds"]
-    trace = replay_sequence(sequences[0], ctx)
-    assert trace.findings == ["class 3: no representative within bounds"]
-    assert sequences[0].trace.findings == trace.findings
+    # the class is named by its step alone: no note, and, as it never ran,
+    # no finding of the sequence or of its replay, which does not run it,
+    # but a failure of a step that never ran
+    assert notes == []
+    unselected = SimulationConfig(3, {}, TAU, num(0), error="no representative within bounds")
+    assert sequences[0].steps == [unselected]
+    assert unselected.failure() == "class 3: no representative within bounds"
+    replayed = replay_sequence(sequences[0], ctx)
+    assert replayed == [unselected]
+    assert failures(replayed) == failures(sequences[0].steps) == (
+        [], ["class 3: no representative within bounds"])
 
 
 CAMPAIGNS = ["elevator worked plan", "soda all-pairs", "toggle all-pairs"]
@@ -223,8 +236,8 @@ def _sequenced(name, request):
 
 @pytest.mark.parametrize("name", CAMPAIGNS)
 def test_recorded_traces_equal_a_replay(name, request):
-    """The trace each sequence keeps from chaining is what re-executing
-    its steps gives."""
+    """The steps each sequence keeps from chaining, with their events and
+    failures, are what re-executing them gives."""
     from devs_scc.campaign import replay_sequence
 
     model, bounds, result = _sequenced(name, request)
@@ -239,11 +252,12 @@ def test_recorded_traces_equal_a_replay(name, request):
         sequences += bad
     for seq in sequences:
         replayed = replay_sequence(seq, ctx)
-        assert [e.to_json() for e in seq.trace.events] == [e.to_json() for e in replayed.events]
-        assert seq.trace.findings == replayed.findings
-    assert sum(len(seq.trace.events) for seq in sequences) > 0
+        assert replayed == seq.steps
+        assert [e.to_json() for e in events(seq.steps)] == [e.to_json() for e in events(replayed)]
+        assert failures(seq.steps) == failures(replayed)
+    assert sum(len(events(seq.steps)) for seq in sequences) > 0
     if model.name != "toggle":
-        assert any(seq.trace.findings for seq in sequences)
+        assert any(failures(seq.steps)[0] for seq in sequences)
 
 
 def reference_pair(scc, state, model, bounds):
@@ -322,7 +336,9 @@ def test_a_post_state_without_a_valid_time_advance_ends_its_sequence():
     assert sorted(i for seq in result.sequences for i in seq.covered) == [1, 2, 3, 4]
     assert not any("ta produced" in f for f in result.report.findings)
     for seq in result.sequences:
-        assert seq.trace.findings == replay_sequence(seq, Context(model, bounds)).findings
+        replayed = replay_sequence(seq, Context(model, bounds))
+        assert replayed == seq.steps
+        assert failures(replayed) == failures(seq.steps)
 
 
 @pytest.mark.parametrize("fixture", ["soda", "elevator"])

@@ -12,8 +12,12 @@ from devs_scc.simulator import (
     SimError,
     UndefinedTransition,
     advance,
+    events,
+    failures,
     init,
     run_config,
+    run_step,
+    run_steps,
     step,
     time_advance,
     uniformity_probe,
@@ -127,35 +131,75 @@ def test_run_config_internal_class_fires_idle_case(soda, soda_bounds):
     sccs, _ = cases_criterion(ctx)
     idle_class = next(s for s in sccs if s.target == "dint case 5")
     cfg = select_config(idle_class, ctx)
-    trace = run_config(cfg, ctx)
-    assert trace.ok
-    assert trace.events[0].fired == ("dint", 5)
+    steps = run_config(cfg, ctx)
+    assert failures(steps) == ([], [])
+    assert events(steps)[0].fired == ("dint", 5)
 
 
 def test_run_config_external_step_has_no_output(soda, soda_bounds):
     cfg = SimulationConfig(0, soda_idle_state(), Lit("cancel"), num(1))
-    trace = run_config(cfg, Context(soda, soda_bounds))
-    assert trace.ok
-    assert len(trace.events) == 1
-    assert trace.events[0].output is None
-    assert trace.events[0].fired == ("dext", 4)
+    steps = run_config(cfg, Context(soda, soda_bounds))
+    assert failures(steps) == ([], [])
+    assert len(events(steps)) == 1
+    assert events(steps)[0].output is None
+    assert events(steps)[0].fired == ("dext", 4)
+    # the step as it ran is the configuration with the event it fired
+    assert steps == [SimulationConfig(0, cfg.state, cfg.event, cfg.time, outcome=events(steps)[0])]
 
 
 def test_run_config_surfaces_the_missed_case(soda, soda_bounds):
-    cfg = SimulationConfig(0, soda_idle_state(np=num(150)), Lit("getNormal"), num(1))
-    trace = run_config(cfg, Context(soda, soda_bounds))
-    assert not trace.ok
-    assert any("undefined transition" in f for f in trace.findings)
-    assert trace.events[-1].error is not None
+    cfg = SimulationConfig(7, soda_idle_state(np=num(150)), Lit("getNormal"), num(1))
+    [ran] = run_config(cfg, Context(soda, soda_bounds))
+    assert ran.error.startswith("undefined transition: no dext case matches (m=idle, ")
+    assert failures([ran]) == ([f"class 7: {ran.error}"], [])
+    # the failed step keeps its error event, in the state it failed in
+    assert events([ran]) == [ran.outcome]
+    assert (ran.outcome.kind, ran.outcome.error, ran.outcome.fired) == ("error", ran.error, None)
+    assert ran.outcome.state_after == ran.state == cfg.state
+    # and is written as the campaign writes a failed step, without `fired`
+    assert ran.to_json() == {**cfg.to_json(), "error": ran.error}
 
 
 def test_elevator_first_class_witness_fires_case_one(elevator, elevator_bounds):
     ctx = Context(elevator, elevator_bounds)
     sccs, _ = cases_criterion(ctx)
     cfg = select_config(sccs[0], ctx)
-    trace = run_config(cfg, ctx)
-    assert trace.ok, trace.findings
-    assert trace.events[0].fired == ("dext", 1)
+    steps = run_config(cfg, ctx)
+    assert failures(steps) == ([], []), failures(steps)
+    assert events(steps)[0].fired == ("dext", 1)
+
+
+def test_run_step_records_the_step_from_the_state_it_ran_in(toggle, toggle_bounds):
+    """`run_step` returns the state a step left, or None when it failed,
+    and the step recorded from the state it started in, whatever state
+    the step itself names."""
+    ctx = Context(toggle, toggle_bounds)
+    st = init(toggle, {"m": Lit("A")})
+    nxt, ran = run_step(st, SimulationConfig(1, {}, Lit("go"), num(1)), ctx)
+    assert nxt.state == {"m": Lit("B")} and nxt.clock == 1
+    assert (ran.state, ran.outcome.fired, ran.error) == ({"m": Lit("A")}, ("dext", 1), None)
+    nxt, failed = run_step(nxt, SimulationConfig(2, {}, TAU, num(0)), ctx)
+    assert nxt is None
+    assert failed == SimulationConfig(2, {"m": Lit("B")}, TAU, num(0),
+                                      error="passive state, no internal transition")
+
+
+def test_run_steps_keeps_recorded_failures_and_stops_at_a_new_one(toggle, toggle_bounds):
+    ctx = Context(toggle, toggle_bounds)
+    recorded = SimulationConfig(3, {"m": Lit("A")}, Lit("go"), num(0), error="recorded")
+    steps = [
+        recorded,
+        SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(1)),
+        SimulationConfig(2, {"m": Lit("B")}, Lit("go"), INF),
+        SimulationConfig(4, {"m": Lit("A")}, Lit("go"), num(1)),
+    ]
+    ran = run_steps(steps, ctx)
+    assert len(ran) == 3 and ran[0] is recorded
+    assert [e.kind for e in events(ran)] == ["external", "error"]
+    assert failures(ran) == (["class 3: recorded", "class 2: external event needs a finite time"], [])
+    assert run_steps([SimulationConfig(5, {"m": Lit("C")}, Lit("go"), num(0))], ctx) == [
+        SimulationConfig(5, {"m": Lit("C")}, Lit("go"), num(0),
+                         error="setup failed: value C does not fit sort enum {A, B} in initial m")]
 
 
 def test_clock_is_monotone_and_elapsed_bounded(soda, soda_bounds):

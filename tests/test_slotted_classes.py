@@ -24,7 +24,7 @@ from devs_scc.parser import Diagnostic
 from devs_scc.sat import SatResult, _Budget
 from devs_scc.scc import SCC
 from devs_scc.sequencer import SimulationSequence
-from devs_scc.simulator import ProbeReport, SimState, Trace, TraceEvent
+from devs_scc.simulator import ProbeReport, SimState, TraceEvent
 from devs_scc.values import Record, Struct
 
 from tests.conftest import ROOT
@@ -66,7 +66,6 @@ DATACLASSES = {
         ("at", REQUIRED), ("kind", REQUIRED), ("fired", REQUIRED), ("state_after", REQUIRED),
         ("input", None), ("output", None), ("tie", False), ("error", None),
     ]),
-    Trace: (False, [("events", list), ("findings", list)]),
     ProbeReport: (False, [
         ("scc_id", REQUIRED), ("uniform", REQUIRED), ("signatures", REQUIRED), ("note", ""),
     ]),
