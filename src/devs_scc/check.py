@@ -6,7 +6,9 @@ against the sort expected where they appear.  Sort checking is
 bidirectional — inference where possible, checking against an expected
 sort where a literal needs context.  `validate_model` re-binds an entire
 model, so it also works as a standalone audit of programmatically built
-models.  Given enumeration bounds, it also decides by bounded search
+models.  A function's case table and an operator's are bound by the same
+rules: distinct case ids, and at most one `otherwise` case, which comes
+last.  Given enumeration bounds, it also decides by bounded search
 (`sat.coverage`, `sat.satisfiable`) whether each case table leaves a
 gap or hides a case behind an earlier overlapping one, and whether the
 time advance can be negative, in a `context.Context` of its own.  A
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from .bounds import Bounds
 from .context import Context
-from .model import GuardedCase, Model, OperatorDef, ValidationReport
+from .model import FUNCTIONS, GuardedCase, Model, OperatorDef, ValidationReport
 from .sat import SatResult, coverage, satisfiable
 from .syntax import (
     And,
@@ -351,9 +353,8 @@ def validate_model(model: Model, bounds: Bounds | None = None) -> tuple[Model, V
 def _bind_model(model: Model) -> tuple[Model, ValidationReport]:
     """The rebound model and the report of its static checks."""
     report = ValidationReport()
-    report.ext_cases = len(model.delta_ext)
-    report.int_cases = len(model.delta_int)
-    report.out_cases = len(model.output_fn)
+    report.ext_cases, report.int_cases, report.out_cases = (len(model.cases(fn))
+                                                             for fn in FUNCTIONS)
 
     operators = _bind_operators(model, report)
     model = Model(model.name, model.schema, model.input_sort, model.output_sort,
@@ -361,9 +362,9 @@ def _bind_model(model: Model) -> tuple[Model, ValidationReport]:
                   model.constants, operators)
 
     result_sort = state_result_sort(model)
-    dext = _bind_cases(model, model.delta_ext, ext_ctx(model), result_sort, "dext", report)
-    dint = _bind_cases(model, model.delta_int, state_ctx(model), result_sort, "dint", report)
-    lam = _bind_cases(model, model.output_fn, state_ctx(model), model.output_sort, "lambda", report)
+    tables = [_bind_cases(model.cases(fn), ext_ctx(model) if fn == "dext" else state_ctx(model),
+                          model.output_sort if fn == "lambda" else result_sort, fn, report)
+              for fn in FUNCTIONS]
 
     ta = model.ta
     if ta is None:
@@ -375,7 +376,7 @@ def _bind_model(model: Model) -> tuple[Model, ValidationReport]:
             report.errors.append(str(err))
 
     bound = Model(model.name, model.schema, model.input_sort, model.output_sort,
-                  dext, dint, lam, ta, model.constants, model.operators)
+                  *tables, ta, model.constants, model.operators)
     _suggest_time_vars(bound, report)
     return bound, report
 
@@ -406,8 +407,8 @@ def _bind_operators(model: Model, report: ValidationReport) -> tuple[OperatorDef
         seen.add(op.name)
         ctx = Ctx(dict(op.params), dict(model.constants),
                   {o.name: o for o in model.operators}, f"operator {op.name}")
-        cases = tuple(_bound(case, ctx, op.result, report) for case in op.cases)
-        out.append(OperatorDef(op.name, op.params, op.result, cases))
+        out.append(OperatorDef(op.name, op.params, op.result,
+                               _bind_cases(op.cases, ctx, op.result, ctx.where, report)))
     _check_operator_cycles(out, report)
     return tuple(out)
 
@@ -440,12 +441,16 @@ def _check_operator_cycles(ops: list[OperatorDef], report: ValidationReport) -> 
         visit(name, [])
 
 
-def _bind_cases(model, cases, ctx, result_sort, fn, report) -> tuple[GuardedCase, ...]:
+def _bind_cases(cases, ctx, result_sort, fn, report) -> tuple[GuardedCase, ...]:
+    """The cases of `fn`, a function or `operator f`, with guards and
+    results bound in `ctx`; a case that fails to bind is kept as it is.
+    Ids must be distinct and an `otherwise` case, at most one, must come
+    last.  Binding errors name the case, or the place `ctx` names (an
+    operator's)."""
     seen_ids: set[int] = set()
     otherwise_seen = False
     out: list[GuardedCase] = []
     for i, case in enumerate(cases):
-        where = f"{fn} case {case.id}"
         if case.id in seen_ids:
             report.errors.append(f"duplicate case id {case.id} in {fn}")
         seen_ids.add(case.id)
@@ -455,22 +460,15 @@ def _bind_cases(model, cases, ctx, result_sort, fn, report) -> tuple[GuardedCase
             otherwise_seen = True
             if i != len(cases) - 1:
                 report.errors.append(f"otherwise case of {fn} must come last")
-        out.append(_bound(case, Ctx(ctx.vars, ctx.consts, ctx.operators, where), result_sort,
-                          report))
+        at = Ctx(ctx.vars, ctx.consts, ctx.operators, ctx.where or f"{fn} case {case.id}")
+        try:
+            guard = case.guard if case.is_otherwise else bind_pred(case.guard, at)
+            case = GuardedCase(case.id, guard, check_expr(case.result, at, result_sort),
+                               case.is_otherwise)
+        except BindError as err:
+            report.errors.append(str(err))
+        out.append(case)
     return tuple(out)
-
-
-def _bound(case: GuardedCase, ctx: Ctx, result_sort: Sort,
-           report: ValidationReport) -> GuardedCase:
-    """`case` with its guard and result bound in `ctx`, or, when binding
-    fails, `case` itself with the error reported."""
-    try:
-        guard = case.guard if case.is_otherwise else bind_pred(case.guard, ctx)
-        result = check_expr(case.result, ctx, result_sort)
-        return GuardedCase(case.id, guard, result, case.is_otherwise)
-    except BindError as err:
-        report.errors.append(str(err))
-        return case
 
 
 def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
@@ -493,25 +491,24 @@ def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
         )
 
 
-def _case_tables(ctx: Context):
-    """Each function's name, its cases and the space its checks search."""
-    model, space = ctx.model, ctx.state_space
+def _search_space(ctx: Context, fn: str):
+    """The space the checks of function `fn`'s cases search."""
+    if fn != "dext":
+        return ctx.state_space
     # the input first: with it last, soda's dext gap was not found within 10^6 attempts
-    ext_space = [("x", ctx.grid("x", model.input_sort)), ("e", ctx.times), *space]
-    return (("dext", model.delta_ext, ext_space),
-            ("dint", model.delta_int, space),
-            ("lambda", model.output_fn, space))
+    return [("x", ctx.grid("x", ctx.model.input_sort)), ("e", ctx.times), *ctx.state_space]
 
 
 def _dynamic_checks(model: Model, bounds: Bounds, report: ValidationReport) -> None:
     ctx = Context(model, bounds)
-    for fn, cases, fn_space in _case_tables(ctx):
+    for fn in FUNCTIONS:
+        cases = model.cases(fn)
         if not cases:
             report.warnings.append(f"{fn} has no cases")
             continue
         guarded = [c for c in cases if not c.is_otherwise]
         gap, overlaps = coverage([c.guard for c in guarded], len(guarded) < len(cases),
-                                 fn_space, ctx)
+                                 _search_space(ctx, fn), ctx)
         if gap is not None:
             _warn(report, bounds, gap, f"{fn} is not exhaustive within bounds", f"{fn}: exhaustiveness")
         for (i, j), found in overlaps:

@@ -165,6 +165,8 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
     if args.plan and (args.all_pairs or args.group or limits):
         raise CampaignError(
             "--plan cannot be combined with --all-pairs, --group, --max-arity or --budget")
+    if limits and not (args.all_pairs or args.group):
+        raise CampaignError("--max-arity and --budget need --all-pairs or --group")
     model, bounds = _load_model_and_bounds(args)
     tables, notes = load_tables(args.parts)
     plan = load_plan(args.plan) if args.plan else None

@@ -53,7 +53,7 @@ class Context:
         self.atoms: dict = {}  # (operator, kind, name, constant) -> test
         self.refs: dict = {}  # (kind, name) -> lookup
         self.operators: dict = {}  # name -> call, None while it compiles
-        self.cases: dict = {}  # function -> [(case, guard, result)]
+        self.cases: dict = {}  # function -> its first match, `evaluator.compile_cases`
         # by id(class); `campaign.run_campaign` empties it when it ends
         self.classes: dict[int, ClassForms] = {}
 

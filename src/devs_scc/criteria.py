@@ -200,7 +200,10 @@ def standard_partition_criterion(
     unknown = 0
     space = ctx.state_space
     for occ in occurrences:
-        cases = _function_cases(model, occ.function)
+        try:
+            cases = model.cases(occ.function)
+        except KeyError:
+            raise CriterionError(f"unknown function {occ.function}") from None
         case = next((c for c in cases if c.id == occ.case_id), None)
         if case is None:
             raise CriterionError(f"{occ.function} has no case {occ.case_id}")
@@ -239,17 +242,6 @@ def standard_partition_criterion(
     if unknown:
         notes.append(f"standard partition: {unknown} cells kept with unknown feasibility")
     return _number(sccs), notes
-
-
-def _function_cases(model: Model, fn: str) -> tuple[GuardedCase, ...]:
-    try:
-        return {
-            "dext": model.delta_ext,
-            "dint": model.delta_int,
-            "lambda": model.output_fn,
-        }[fn]
-    except KeyError:
-        raise CriterionError(f"unknown function {fn}") from None
 
 
 def _split_guard(model: Model, case: GuardedCase, ops: tuple[str, ...]):

@@ -22,8 +22,10 @@ witness, folding constant expressions).  The closures dispatch on value
 classes directly and decide comparisons through `values.COMPARISONS`,
 or, for an atom comparing a variable with a number, through
 `values.compare_lookup`, and with a literal by `=` or `!=`, through
-`values.literal_lookup`.  A `context.Context` keeps one closure per atom
-`v op constant`, per reference and per operator compiled in it; a call
+`values.literal_lookup`.  `compile_cases` turns a case table into its
+first match, the one loop that picks a case: an operator's, and a model
+function's for the simulator.  A `context.Context` keeps one closure per
+atom `v op constant`, per reference and per operator compiled in it; a call
 met while its operator compiles (recursion), or to an operator the model
 lacks, compiles it in a context of its own when it runs, so no closure
 refers back to a context.  The tree-walking interpreter the closures are
@@ -37,7 +39,7 @@ from functools import partial
 from typing import Callable, Mapping
 
 from .context import Context
-from .model import OperatorDef
+from .model import GuardedCase, OperatorDef
 from .syntax import (
     And,
     Apply,
@@ -329,10 +331,7 @@ def _operator(ctx: Context, name: str):
 def _compile_operator(ctx: Context, op: OperatorDef):
     arity, consts = len(op.params), tuple(n for n, _ in ctx.model.constants)
     params = [(name, sort, f"{op.name} parameter {name}") for name, sort in op.params]
-    cases = [
-        (None if case.is_otherwise else compile_pred(case.guard, ctx), _expr(case.result, ctx))
-        for case in op.cases
-    ]
+    first = compile_cases(op.cases, ctx)
     sort, where = op.result, f"{op.name} result"
 
     def call(args, outer_env):
@@ -346,8 +345,25 @@ def _compile_operator(ctx: Context, op: OperatorDef):
             env[name] = coerce(arg, param_sort, param_where)
         if depth > _MAX_DEPTH:
             raise EvalError("operator expansion too deep (recursive definition?)")
-        for guard, result in cases:
-            if guard is None or guard(env):
-                return coerce(result(env), sort, where)
-        raise EvalError(f"no case of operator {op.name} matches its arguments")
+        fired = first(env)
+        if fired is None:
+            raise EvalError(f"no case of operator {op.name} matches its arguments")
+        return coerce(fired[1](env), sort, where)
     return call
+
+
+def compile_cases(cases: tuple[GuardedCase, ...], ctx: Context | None = None):
+    """A closure returning the first of `cases`, in order, whose guard
+    holds in an environment, with its compiled result; None when no
+    guard holds.  An `otherwise` case holds in every environment."""
+    compiled = [
+        (case, None if case.is_otherwise else compile_pred(case.guard, ctx), _expr(case.result, ctx))
+        for case in cases
+    ]
+
+    def first(env):
+        for case, guard, result in compiled:
+            if guard is None or guard(env):
+                return case, result
+        return None
+    return first

@@ -14,6 +14,11 @@ from __future__ import annotations
 from .syntax import Expr, Predicate
 from .values import Record, Sort, Struct, TimeSort
 
+# the functions a model defines by guarded cases, in the order the
+# `Model` fields holding their tables take
+FUNCTIONS = ("dext", "dint", "lambda")
+_TABLES = dict(zip(FUNCTIONS, ("delta_ext", "delta_int", "output_fn")))
+
 
 class StateSchema(Record):
     __slots__ = ("vars", "time_vars")
@@ -90,6 +95,10 @@ class Model(Record):
         # rebound model (None when it is this one) and its static report;
         # neither compared nor shown
         self.validated: tuple | None = None
+
+    def cases(self, fn: str) -> tuple[GuardedCase, ...]:
+        """The case table of `fn`, one of FUNCTIONS; KeyError for any other name."""
+        return getattr(self, _TABLES[fn])
 
     def operator(self, name: str) -> OperatorDef:
         for op in self.operators:

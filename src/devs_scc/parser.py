@@ -14,7 +14,7 @@ import re
 
 from .bounds import Bounds
 from .check import validate_model
-from .model import GuardedCase, Model, OperatorDef, StateSchema, ValidationReport
+from .model import FUNCTIONS, GuardedCase, Model, OperatorDef, StateSchema, ValidationReport
 from .partitions import StandardPartition
 from .syntax import (
     And,
@@ -411,7 +411,7 @@ def parse_model_text(text: str) -> tuple[Model, ValidationReport]:
             p.expect("=")
             ta = p.expr()
             p.expect(";")
-        elif p.at("dext") or p.at("dint") or p.at("lambda"):
+        elif any(map(p.at, FUNCTIONS)):
             fn = p.ident()
             params = ("s", ",", "e", ",", "x") if fn == "dext" else ("s",)
             for expected in ("(", *params, ")"):
@@ -428,7 +428,7 @@ def parse_model_text(text: str) -> tuple[Model, ValidationReport]:
             ("input", input_sort),
             ("output", output_sort),
             ("ta", ta),
-            *((fn, bodies.get(fn)) for fn in ("dext", "dint", "lambda")),
+            *((fn, bodies.get(fn)) for fn in FUNCTIONS),
         )
         if val is None
     ]
@@ -436,19 +436,9 @@ def parse_model_text(text: str) -> tuple[Model, ValidationReport]:
         _, _, line, col = p.tok
         raise ParseFailure([Diagnostic(line, col, "missing sections: " + ", ".join(missing))])
 
-    model = Model(
-        name=name,
-        schema=schema,
-        input_sort=input_sort,
-        output_sort=output_sort,
-        delta_ext=bodies["dext"],
-        delta_int=bodies["dint"],
-        output_fn=bodies["lambda"],
-        ta=ta,
-        constants=tuple(constants),
-        operators=tuple(operators),
-    )
-    return validate_model(model)
+    return validate_model(Model(name, schema, input_sort, output_sort,
+                                *(bodies[fn] for fn in FUNCTIONS), ta, tuple(constants),
+                                tuple(operators)))
 
 
 def _parse_state(p: Parser, aliases: dict[str, Sort]) -> StateSchema:

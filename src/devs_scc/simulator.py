@@ -10,8 +10,11 @@ exactly on the internal deadline is applied as the external transition
 and the step is annotated so the engineer sees the tie.
 
 A concrete (state, event, elapsed) with no matching guard is the
-principal validation finding this tool exists to surface.  `run_step`
-records it on the step as an "undefined transition" error, not a crash.
+principal validation finding this tool exists to surface.  `_fire` picks
+the case that fires, for both halves of `step`, by the first match of
+`evaluator.compile_cases` kept in the context, and is the one place that
+raises `UndefinedTransition`.  `run_step` records the finding on the
+step as an "undefined transition" error, not a crash.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .context import Context
-from .evaluator import compile_expr, compile_pred
+from .evaluator import compile_cases, compile_expr
 from .model import Model
 from .scc import SCC
 from .selector import SimulationConfig, sample_configs
@@ -126,57 +129,38 @@ def step(
     injected: tuple[Value, Rational] | None = None,
 ) -> tuple[SimState, Value | None, TraceEvent]:
     """One transition.  `injected` carries (event, absolute time); absent,
-    the pending internal transition fires at its deadline."""
+    the pending internal transition fires at its deadline, after the
+    output of the state it leaves."""
     ta = time_advance(st, ctx)
     if injected is None:
         if isinstance(ta, Inf):
             raise SimError("passive state, no internal transition")
-        deadline = exact(st.clock + ta.value)
+        fn, x, at, tie = "dint", None, exact(st.clock + ta.value), False
         env = {**ctx.consts, **st.state}
-        fired = _first_case(ctx, "lambda", env)
-        if fired is None:
-            raise UndefinedTransition("lambda", _state_str(st.state))
-        output = fired[1](env)
-        fired = _first_case(ctx, "dint", env)
-        if fired is None:
-            raise UndefinedTransition("dint", _state_str(st.state))
-        new_state = _apply_result(ctx.model, fired[1], env)
-        nxt = SimState(new_state, deadline)
-        event = TraceEvent(
-            at=Num(deadline),
-            kind="internal",
-            fired=("dint", fired[0].id),
-            state_after=dict(new_state),
-            output=output,
-        )
-        return nxt, output, event
-
-    x, at_time = injected[0], exact(injected[1])
-    if at_time < st.clock:
-        raise SimError("injected event lies in the past")
-    e = exact(at_time - st.clock)
-    tie = False
-    if not isinstance(ta, Inf):
-        if e > ta.value:
-            raise SimError("event after internal deadline")
-        tie = e == ta.value
-    env = {**ctx.consts, **st.state, "e": Num(e), "x": x}
-    fired = _first_case(ctx, "dext", env)
-    if fired is None:
-        raise UndefinedTransition(
-            "dext", f"{_state_str(st.state)}, x={render_value(x)}, e={e}"
-        )
-    new_state = _apply_result(ctx.model, fired[1], env)
-    nxt = SimState(new_state, at_time)
+        output = _fire(ctx, "lambda", env, st.state)[1](env)
+    else:
+        fn, x, at, output = "dext", injected[0], exact(injected[1]), None
+        if at < st.clock:
+            raise SimError("injected event lies in the past")
+        e = exact(at - st.clock)
+        tie = False
+        if not isinstance(ta, Inf):
+            if e > ta.value:
+                raise SimError("event after internal deadline")
+            tie = e == ta.value
+        env = {**ctx.consts, **st.state, "e": Num(e), "x": x}
+    case, result = _fire(ctx, fn, env, st.state)
+    new_state = _apply_result(ctx.model, result, env)
     event = TraceEvent(
-        at=Num(at_time),
-        kind="external",
-        fired=("dext", fired[0].id),
+        at=Num(at),
+        kind="internal" if fn == "dint" else "external",
+        fired=(fn, case.id),
         state_after=dict(new_state),
         input=x,
+        output=output,
         tie=tie,
     )
-    return nxt, None, event
+    return SimState(new_state, at), output, event
 
 
 def advance(st: SimState, event: Value, rel_time: Value, ctx: Context) -> tuple[SimState, TraceEvent]:
@@ -192,23 +176,20 @@ def advance(st: SimState, event: Value, rel_time: Value, ctx: Context) -> tuple[
     return nxt, ev
 
 
-def _first_case(ctx: Context, function: str, env):
-    """The first case of a transition or output function whose guard
-    holds, with its compiled result; None when none holds.  The compiled
-    guards and results are kept in the context."""
-    compiled = ctx.cases.get(function)
-    if compiled is None:
-        model = ctx.model
-        cases = {"dext": model.delta_ext, "dint": model.delta_int, "lambda": model.output_fn}
-        compiled = ctx.cases[function] = [
-            (case, None if case.is_otherwise else compile_pred(case.guard, ctx),
-             compile_expr(case.result, ctx))
-            for case in cases[function]
-        ]
-    for case, guard, result in compiled:
-        if guard is None or guard(env):
-            return case, result
-    return None
+def _fire(ctx: Context, fn: str, env, state: dict[str, Value]):
+    """The first case of function `fn` whose guard holds in `env`, with
+    its compiled result, kept in the context; UndefinedTransition, naming
+    `state` and for `dext` the input and elapsed time, when none holds."""
+    first = ctx.cases.get(fn)
+    if first is None:
+        first = ctx.cases[fn] = compile_cases(ctx.model.cases(fn), ctx)
+    fired = first(env)
+    if fired is None:
+        detail = ", ".join(f"{k}={render_value(v)}" for k, v in state.items())
+        if fn == "dext":
+            detail += f", x={render_value(env['x'])}, e={env['e'].value}"
+        raise UndefinedTransition(fn, detail)
+    return fired
 
 
 def _apply_result(model: Model, result, env) -> dict[str, Value]:
@@ -224,10 +205,6 @@ def _apply_result(model: Model, result, env) -> dict[str, Value]:
         name: coerce(part, sort, name)
         for (name, sort), part in zip(model.schema.vars, value.items)
     }
-
-
-def _state_str(state: dict[str, Value]) -> str:
-    return ", ".join(f"{k}={render_value(v)}" for k, v in state.items())
 
 
 def run_step(st: SimState, step: SimulationConfig,

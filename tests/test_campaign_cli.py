@@ -601,6 +601,8 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
      "--plan cannot be combined with --all-pairs, --group, --max-arity or --budget"),
     ("combine", ["--all-pairs", "--budget", "-5"], None,
      "bad combination flags: budget must be at least 0"),
+    ("combine", ["--budget", "10"], None, "--max-arity and --budget need --all-pairs or --group"),
+    ("campaign", ["--max-arity", "3"], None, "--max-arity and --budget need --all-pairs or --group"),
     ("combine", ["--plan"], '{"allPairs": true, "budget": -1}', "budget must be at least 0"),
     ("combine", ["--plan"], '{"groups": [[[1], 2]]}',
      "a group's class ids must be integers, not [1]"),

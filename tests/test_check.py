@@ -11,7 +11,7 @@ from devs_scc.bounds import Bounds
 from devs_scc.check import validate_model
 from devs_scc.cli import main
 from devs_scc.context import Context
-from devs_scc.model import Model
+from devs_scc.model import FUNCTIONS, Model
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
 from devs_scc.partitions import builtin_tables, check_partition
 from devs_scc.sat import coverage, prepare, satisfiable
@@ -167,11 +167,12 @@ def _assert_same_checks(preds, total, space, bounds, model=None):
 def test_coverage_matches_one_plain_search_per_pair_on_the_fixtures(name):
     model, _ = parse_model_file(str(FIXTURES / f"{name}.devs"))
     bounds = parse_bounds_file(str(FIXTURES / f"{name}.bounds"))
-    searched = 0
-    for _, cases, space in check._case_tables(Context(model, bounds)):
+    searched, ctx = 0, Context(model, bounds)
+    for fn in FUNCTIONS:
+        cases = model.cases(fn)
         guarded = [c for c in cases if not c.is_otherwise]
         searched += _assert_same_checks([c.guard for c in guarded], len(guarded) < len(cases),
-                                        space, bounds, model)
+                                        check._search_space(ctx, fn), bounds, model)
     if name == "elevator":
         # of 589 pairs, 525 share no admitted value of some variable
         assert searched == 64
@@ -301,6 +302,12 @@ _ONE_ERROR = "rejected: 2/0/1 cases (dext/dint/lambda), 1 errors, 0 warnings"
     (_GO_A, "otherwise -> m;\n    " + _GO_A, ["otherwise case of dext must come last"],
      "rejected: 3/0/1 cases (dext/dint/lambda), 1 errors, 0 warnings"),
     (_TA, _OP_F + _OP_F + _TA, ["duplicate operator f"], _ONE_ERROR),
+    # an operator's cases follow the rules of a function's
+    (_TA, "  op f(n: nat): nat {\n    otherwise -> 1;\n    case n = 0 -> 2;\n  }\n" + _TA,
+     ["otherwise case of operator f must come last"], _ONE_ERROR),
+    (_TA, _OP_F.replace("otherwise -> n;", "otherwise -> n;\n    otherwise -> 0;") + _TA,
+     ["otherwise case of operator f must come last", "more than one otherwise case in operator f"],
+     "rejected: 2/0/1 cases (dext/dint/lambda), 2 errors, 0 warnings"),
     (_GO_A, "case x = go /\\ f(1) = 0 -> B;", ["unknown operator f (in dext case 1)"], _ONE_ERROR),
     (_TA, _OP_F + "  ta = f(1, 2);", ["operator f expects 1 arguments, got 2 (in ta)"], _ONE_ERROR),
     (_GO_A, "case x = go /\\ -m = 0 -> B;", ["cannot negate non-numeric value (in dext case 1)"],

@@ -6,6 +6,7 @@ import pytest
 from oracle import state_space
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
+from devs_scc.parser import parse_model_text
 from devs_scc.scc import make_scc
 from devs_scc.selector import SimulationConfig, select_config
 from devs_scc.simulator import (
@@ -283,3 +284,40 @@ def test_an_event_before_the_clock_is_rejected(soda, soda_bounds):
     with pytest.raises(SimError, match="^injected event lies in the past$"):
         step(st, ctx, (Lit("c25"), Fraction(9)))
     assert step(st, ctx, (Lit("c25"), Fraction(10)))[2].at == num(10)
+
+
+_PARTIAL = """model partial {
+  state {
+    m: enum {A, B};
+    n: nat;
+  }
+  input enum {go};
+  output enum {ping};
+  ta = 5;
+  dext(s, e, x) {
+    case m = A -> (B, n);
+  }
+  dint(s) {
+    case m = A -> (B, n);
+  }
+  lambda(s) {
+    case n = 0 -> ping;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("state, injected, message", [
+    ({"m": Lit("B"), "n": num(0)}, (Lit("go"), Fraction(5, 2)),
+     "undefined transition: no dext case matches (m=B, n=0, x=go, e=5/2)"),
+    ({"m": Lit("B"), "n": num(0)}, None,
+     "undefined transition: no dint case matches (m=B, n=0)"),
+    ({"m": Lit("A"), "n": num(1)}, None,
+     "undefined transition: no lambda case matches (m=A, n=1)"),
+])
+def test_an_undefined_transition_names_its_function_and_configuration(state, injected, message):
+    model, report = parse_model_text(_PARTIAL)
+    assert report.usable
+    with pytest.raises(UndefinedTransition) as caught:
+        step(init(model, state), Context(model), injected)
+    assert str(caught.value) == message
