@@ -3,8 +3,11 @@ simulate -> report.
 
 A campaign is fully deterministic: identical inputs produce byte-identical
 artifacts (no timestamps, sorted JSON keys, canonical predicate text).
-Stage failures are recorded in the report and the remaining artifacts are
-still written.
+Its result is one record, `CampaignResult`: the catalog, each class's
+step and the sequences, beside the few facts only the run knows.  The
+report reads every other count and list from those three, so it cannot
+disagree with the artifacts.  Stage failures are recorded in the report
+and the remaining artifacts are still written.
 
 Criterion selections use a small text form, one per --criteria flag:
 
@@ -39,7 +42,7 @@ from .criteria import (
     time_partition_criterion,
 )
 from .model import Model
-from .parser import Parser, _parse_value, parse_expr_text, parse_pred_text
+from .parser import ParseFailure, _parse_value, _whole, parse_expr_text, parse_pred_text
 from .partitions import StandardPartition, builtin_tables, check_partition
 from .scc import SCC, assign_ids, scc_to_json, shape_overlaps
 from .selector import SelectError, SimulationConfig, select_config
@@ -242,69 +245,6 @@ def _load_json(path: str, build):
 
 
 # ---------------------------------------------------------------------------
-# report
-
-class Report(Struct):
-    """The campaign report: class counts per stage, findings and notes."""
-
-    __slots__ = ("model", "criteria_counts", "duplicates_removed", "base_count", "combine",
-                 "catalog_size", "configs_selected", "config_errors", "sequence_count",
-                 "trace_events", "findings", "probe_flags", "notes")
-
-    def __init__(self, model: str = "", criteria_counts: list[tuple[str, int]] | None = None,
-                 duplicates_removed: int = 0, base_count: int = 0,
-                 combine: CombineReport | None = None, catalog_size: int = 0,
-                 configs_selected: int = 0, config_errors: list[str] | None = None,
-                 sequence_count: int = 0, trace_events: int = 0,
-                 findings: list[str] | None = None, probe_flags: list[dict] | None = None,
-                 notes: list[str] | None = None) -> None:
-        self.model = model
-        self.criteria_counts = [] if criteria_counts is None else criteria_counts
-        self.duplicates_removed = duplicates_removed
-        self.base_count = base_count
-        self.combine = combine
-        self.catalog_size = catalog_size
-        self.configs_selected = configs_selected
-        self.config_errors = [] if config_errors is None else config_errors
-        self.sequence_count = sequence_count
-        self.trace_events = trace_events
-        self.findings = [] if findings is None else findings
-        self.probe_flags = [] if probe_flags is None else probe_flags
-        self.notes = [] if notes is None else notes
-
-    def reconciles(self) -> bool:
-        combined_kept = self.combine.kept if self.combine else 0
-        return self.base_count + combined_kept == self.catalog_size
-
-    def to_json(self) -> dict:
-        rec = {
-            "schema": SCHEMA,
-            "model": self.model,
-            "criteria": [{"selection": k, "classes": n} for k, n in self.criteria_counts],
-            "duplicates_removed": self.duplicates_removed,
-            "base_classes": self.base_count,
-            "catalog_size": self.catalog_size,
-            "reconciles": self.reconciles(),
-            "configs_selected": self.configs_selected,
-            "config_errors": self.config_errors,
-            "sequences": self.sequence_count,
-            "trace_events": self.trace_events,
-            "findings": self.findings,
-            "probe_flags": self.probe_flags,
-            "notes": self.notes,
-        }
-        if self.combine:
-            rec["combined"] = {
-                "attempted": self.combine.attempted,
-                "kept": self.combine.kept,
-                "dropped": self.combine.dropped,
-                "unknown": self.combine.unknown,
-                "budget_exhausted": self.combine.budget_exhausted,
-            }
-        return rec
-
-
-# ---------------------------------------------------------------------------
 # campaign
 
 class Campaign(Struct):
@@ -335,16 +275,68 @@ class Campaign(Struct):
 
 
 class CampaignResult(Struct):
-    """The report and artifacts of one `run_campaign`."""
+    """One campaign's record.  It holds what only the run knows: the
+    model's name, the classes each selection made, the duplicates merged,
+    the combination counts, the non-uniform probes and the notes.  Beside
+    them are the catalog, each class's step (its representative, or its
+    `SelectError`'s step) and the sequences, from which the report reads
+    every other count and list."""
 
-    __slots__ = ("report", "catalog", "configs", "sequences")
+    __slots__ = ("model", "criteria_counts", "duplicates_removed", "combine", "probe_flags",
+                 "notes", "catalog", "configs", "sequences")
 
-    def __init__(self, report: Report, catalog: list[SCC], configs: dict[int, SimulationConfig],
-                 sequences: list[SimulationSequence]) -> None:
-        self.report = report
-        self.catalog = catalog
-        self.configs = configs
-        self.sequences = sequences
+    def __init__(self, model: str, criteria_counts: list[tuple[str, int]] | None = None,
+                 duplicates_removed: int = 0, combine: CombineReport | None = None,
+                 probe_flags: list[dict] | None = None, notes: list[str] | None = None,
+                 catalog: list[SCC] | None = None,
+                 configs: dict[int, SimulationConfig] | None = None,
+                 sequences: list[SimulationSequence] | None = None) -> None:
+        self.model = model
+        self.criteria_counts = [] if criteria_counts is None else criteria_counts
+        self.duplicates_removed = duplicates_removed
+        self.combine = combine
+        self.probe_flags = [] if probe_flags is None else probe_flags
+        self.notes = [] if notes is None else notes
+        self.catalog = [] if catalog is None else catalog
+        self.configs = {} if configs is None else configs
+        self.sequences = [] if sequences is None else sequences
+
+    def base(self) -> list[SCC]:
+        """The catalog's classes that no combination made."""
+        return [s for s in self.catalog if not s.combined_from]
+
+    def reconciles(self) -> bool:
+        combined_kept = self.combine.kept if self.combine else 0
+        return len(self.base()) + combined_kept == len(self.catalog)
+
+    def report_json(self) -> dict:
+        errors = failures(self.configs.values())[1]
+        ran = [step for seq in self.sequences for step in seq.steps]
+        rec = {
+            "schema": SCHEMA,
+            "model": self.model,
+            "criteria": [{"selection": k, "classes": n} for k, n in self.criteria_counts],
+            "duplicates_removed": self.duplicates_removed,
+            "base_classes": len(self.base()),
+            "catalog_size": len(self.catalog),
+            "reconciles": self.reconciles(),
+            "configs_selected": len(self.configs) - len(errors),
+            "config_errors": errors,
+            "sequences": len(self.sequences),
+            "trace_events": len(events(ran)),
+            "findings": failures(ran)[0],
+            "probe_flags": self.probe_flags,
+            "notes": self.notes,
+        }
+        if self.combine:
+            rec["combined"] = {
+                "attempted": self.combine.attempted,
+                "kept": self.combine.kept,
+                "dropped": self.combine.dropped,
+                "unknown": self.combine.unknown,
+                "budget_exhausted": self.combine.budget_exhausted,
+            }
+        return rec
 
     def catalog_json(self) -> dict:
         return {"schema": SCHEMA, "classes": [scc_to_json(s) for s in self.catalog]}
@@ -352,15 +344,16 @@ class CampaignResult(Struct):
     def configs_json(self) -> dict:
         return {
             "schema": SCHEMA,
-            "configs": [self.configs[i].to_json() for i in sorted(self.configs)],
+            "configs": [self.configs[i].to_json() for i in sorted(self.configs)
+                        if self.configs[i].error is None],
         }
 
     def sequences_json(self) -> dict:
         return {"schema": SCHEMA, "sequences": [s.to_json() for s in self.sequences]}
 
 
-# Pipeline stages a campaign can stop after, in order; "simulate" tallies
-# the traces the sequencer recorded and runs the uniformity probe.
+# Pipeline stages a campaign can stop after, in order; the sequencer has
+# run every step, so "simulate" only runs the uniformity probe.
 STAGES = ("combine", "select", "sequence", "simulate")
 
 
@@ -380,58 +373,45 @@ def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
 
 
 def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
-    report = Report(model=c.model.name)
+    result = CampaignResult(c.model.name)
     raw: list[SCC] = []
     for text in c.selections:
         label, sccs, notes = apply_selection(text, ctx, c.tables, c.include_otherwise)
-        report.criteria_counts.append((label, len(sccs)))
-        report.notes.extend(notes)
+        result.criteria_counts.append((label, len(sccs)))
+        result.notes.extend(notes)
         raw.extend(sccs)
     base, dup = assign_ids(raw)
-    report.duplicates_removed = dup
-    report.base_count = len(base)
+    result.duplicates_removed = dup
     if dup:
-        report.notes.append(f"{dup} duplicate classes merged within criteria")
-    report.notes.extend(shape_overlaps(base))
+        result.notes.append(f"{dup} duplicate classes merged within criteria")
+    result.notes.extend(shape_overlaps(base))
 
+    result.catalog = base
     if c.plan is not None:
-        catalog, combine_report = combine_and_prune(base, c.plan, ctx)
-        report.combine = combine_report
-        report.notes.extend(combine_report.notes)
-    else:
-        catalog = base
-    report.catalog_size = len(catalog)
-    result = CampaignResult(report, catalog, configs={}, sequences=[])
+        result.catalog, result.combine = combine_and_prune(base, c.plan, ctx)
+        result.notes.extend(result.combine.notes)
     if stop_after == "combine":
         return result
 
-    # each class's representative or its SelectError's step, for the sequencer
-    selected: dict[int, SimulationConfig] = {}
-    for scc in catalog:
+    # each class's representative, or its SelectError's step
+    for scc in result.catalog:
         try:
-            selected[scc.id] = result.configs[scc.id] = select_config(scc, ctx)
+            result.configs[scc.id] = select_config(scc, ctx)
         except SelectError as err:
-            selected[scc.id] = err.step
-            report.config_errors.append(str(err))
-    report.configs_selected = len(result.configs)
+            result.configs[scc.id] = err.step
     if stop_after == "select":
         return result
 
-    result.sequences, seq_notes = build_sequences(catalog, ctx, selected)
-    report.notes.extend(seq_notes)
-    report.sequence_count = len(result.sequences)
+    result.sequences, seq_notes = build_sequences(result.catalog, ctx, result.configs)
+    result.notes.extend(seq_notes)
     if stop_after == "sequence":
         return result
-
-    for seq in result.sequences:
-        report.trace_events += len(events(seq.steps))
-        report.findings.extend(failures(seq.steps)[0])
 
     if c.probe_k >= 2:
         for scc in base:
             probe = uniformity_probe(scc, c.probe_k, ctx)
             if not probe.uniform:
-                report.probe_flags.append(probe.to_json())
+                result.probe_flags.append(probe.to_json())
 
     return result
 
@@ -504,7 +484,7 @@ def write_artifacts(result: CampaignResult, out_dir: str) -> None:
     write("configs.json", dump_json(result.configs_json()))
     write("sequences.json", dump_json(result.sequences_json()))
     write("traces.jsonl", trace_lines([seq.steps for seq in result.sequences]))
-    write("report.json", dump_json(result.report.to_json()))
+    write("report.json", dump_json(result.report_json()))
     write("report.csv", _report_csv(result))
 
 
@@ -530,7 +510,7 @@ def _report_csv(result: CampaignResult) -> str:
             scc.id,
             scc.criterion,
             scc.target,
-            "yes" if cfg else "none",
+            "none" if cfg is None or cfg.error is not None else "yes",
             seq_of.get(scc.id, ""),
         ])
     return buf.getvalue()
@@ -548,13 +528,16 @@ def load_sequences(path: str) -> list[SimulationSequence]:
 
 
 def _sequences(raw) -> list[SimulationSequence]:
+    """The sequences of a sequences file; each one's `covered` must list
+    its steps' class ids, in order."""
     out = []
     for rec in _shaped(_shaped(raw, dict, "a sequence file")["sequences"], list, "sequences"):
         rec = _shaped(rec, dict, "a sequence")
-        out.append(SimulationSequence(
-            covered=list(_shaped(rec["covered"], list, "covered")),
-            steps=[_step(s, "a step") for s in _shaped(rec["steps"], list, "steps")],
-        ))
+        covered = _shaped(rec["covered"], list, "covered")
+        seq = SimulationSequence([_step(s, "a step") for s in _shaped(rec["steps"], list, "steps")])
+        if covered != seq.covered:
+            raise ValueError(f"covered {covered} is not its steps' classes {seq.covered}")
+        out.append(seq)
     return out
 
 
@@ -576,12 +559,8 @@ def _step(raw, what: str, scc_optional: bool = False) -> SimulationConfig:
 
 
 def _value(text) -> Value:
-    return parse_value_text(_shaped(text, str, "a value"))
-
-
-def parse_value_text(text: str) -> Value:
-    p = Parser(text)
-    v = _parse_value(p)
-    if p.tok[0] != "eof":
-        raise CampaignError(f"bad value literal {text!r}")
-    return v
+    text = _shaped(text, str, "a value")
+    try:
+        return _whole(text, _parse_value)
+    except ParseFailure:
+        raise ValueError(f"bad value literal {text!r}") from None

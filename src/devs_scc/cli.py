@@ -200,40 +200,40 @@ _STOP_AFTER = {"criteria": "combine", "combine": "combine", "select": "select",
 def _cmd_pipeline(args) -> int:
     campaign, table_notes = _build_campaign(args)
     result = run_campaign(campaign, stop_after=_STOP_AFTER[args.command])
-    result.report.notes = table_notes + result.report.notes
+    result.notes = table_notes + result.notes
+    report = result.report_json()
 
     if args.command == "criteria":
         _emit(args, dump_json(result.catalog_json()))
-        for label, n in result.report.criteria_counts:
+        for label, n in result.criteria_counts:
             print(f"{label}: {n} classes")
-        print(f"base catalog: {result.report.base_count} classes")
+        print(f"base catalog: {report['base_classes']} classes")
         return EXIT_OK
     if args.command == "combine":
         _emit(args, dump_json(result.catalog_json()))
-        if result.report.combine:
-            c = result.report.combine
+        if result.combine:
+            c = result.combine
             print(f"combinations: {c.attempted} attempted, {c.kept} kept, "
                   f"{c.dropped} dropped, {c.unknown} unknown")
-        print(f"catalog: {result.report.catalog_size} classes")
+        print(f"catalog: {report['catalog_size']} classes")
         return EXIT_OK
     if args.command == "select":
         _emit(args, dump_json(result.configs_json()))
-        print(f"configs: {len(result.configs)} selected, "
-              f"{len(result.report.config_errors)} failed")
+        print(f"configs: {report['configs_selected']} selected, "
+              f"{len(report['config_errors'])} failed")
         return EXIT_OK
     if args.command == "sequence":
         _emit(args, dump_json(result.sequences_json()))
-        print(f"sequences: {len(result.sequences)}")
+        print(f"sequences: {report['sequences']}")
         return EXIT_OK
     # campaign
     out_dir = args.out or "campaign-out"
     write_artifacts(result, out_dir)
     print(f"campaign artifacts written to {out_dir}")
-    for label, n in result.report.criteria_counts:
+    for label, n in result.criteria_counts:
         print(f"  {label}: {n} classes")
-    print(f"  catalog: {result.report.catalog_size}, "
-          f"sequences: {result.report.sequence_count}, "
-          f"findings: {len(result.report.findings)}")
+    print(f"  catalog: {report['catalog_size']}, sequences: {report['sequences']}, "
+          f"findings: {len(report['findings'])}")
     return EXIT_OK
 
 

@@ -8,14 +8,15 @@ lowest remaining id, the first state and input pair come from the
 selector's least witness, and a chained input pair is the least pair
 that, with the current state, is in the class's `runnable_form` (the
 selector's search, with the state fixed), so a class is covered only by
-a runnable step inside it.  Every class is consumed exactly once, so the
-covered-id sets of the produced sequences partition the input catalog.
-Each step, a `SimulationConfig` of the state it started from and the
-pair it applied, runs once by `simulator.run_step` and keeps the trace
-event it fired, or the error it failed with; a sequence's events and
-findings are read from its steps (`simulator.events`, `failures`).  A
-failing step ends its sequence with the failure recorded and the
-remaining classes continue in fresh sequences.
+a runnable step inside it.  Each step, a `SimulationConfig` of its
+class, the state it started from and the pair it applied, covers its
+class, and every class is consumed exactly once, so the class ids of the
+produced sequences' steps (`SimulationSequence.covered`) partition the
+input catalog.  Each step runs once by `simulator.run_step` and keeps
+the trace event it fired, or the error it failed with; a sequence's
+events and findings are read from its steps (`simulator.events`,
+`failures`).  A failing step ends its sequence with the failure
+recorded and the remaining classes continue in fresh sequences.
 """
 
 from __future__ import annotations
@@ -29,14 +30,17 @@ from .values import EvalError, Inf, Struct
 
 
 class SimulationSequence(Struct):
-    """Steps chained from one initial state and the classes they cover."""
+    """Steps chained from one initial state; each covers its own class."""
 
-    __slots__ = ("steps", "covered")
+    __slots__ = ("steps",)
 
-    def __init__(self, steps: list[SimulationConfig] | None = None,
-                 covered: list[int] | None = None) -> None:
+    def __init__(self, steps: list[SimulationConfig] | None = None) -> None:
         self.steps = [] if steps is None else steps
-        self.covered = [] if covered is None else covered
+
+    @property
+    def covered(self) -> list[int]:
+        """The ids of the classes the steps cover, in step order."""
+        return [s.scc_id for s in self.steps]
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps], "covered": self.covered}
@@ -57,7 +61,7 @@ def build_sequences(
 
     while remaining:
         scc = remaining.pop(0)
-        seq = SimulationSequence(covered=[scc.id])
+        seq = SimulationSequence()
         sequences.append(seq)
         cfg = configs.get(scc.id)
         if cfg is None:
@@ -77,15 +81,13 @@ def build_sequences(
             try:
                 found = _next_reachable(remaining, sim, ctx)
             except EvalError as err:
-                notes.append(f"class {seq.covered[-1]}: cannot chain from its post-state: {err}")
+                notes.append(f"class {ran.scc_id}: cannot chain from its post-state: {err}")
                 break
             if found is None:
                 break
             at, (event, rel_time) = found
-            nxt = remaining.pop(at)
-            seq.covered.append(nxt.id)
             # the pair's time is elapsed time relative to the state the class matched on
-            cfg = SimulationConfig(nxt.id, sim.state, event, rel_time)
+            cfg = SimulationConfig(remaining.pop(at).id, sim.state, event, rel_time)
     return sequences, notes
 
 

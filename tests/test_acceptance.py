@@ -368,7 +368,7 @@ def test_criterion_10_campaign_determinism():
                 selections=list(ELEVATOR_SELECTIONS), plan=plan,
             )
             result = run_campaign(campaign)
-            return dump_json(result.report.to_json())
+            return dump_json(result.report_json())
 
         assert run_once() == run_once()
     report(10, t, "two consecutive elevator campaigns produce byte-identical reports")

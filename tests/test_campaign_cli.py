@@ -170,11 +170,10 @@ def _elevator_campaign(plan=None) -> Campaign:
 def test_elevator_campaign_counts_reconcile(tmp_path):
     campaign = _elevator_campaign(plan=True)
     result = run_campaign(campaign)
-    report = result.report
-    assert report.base_count == 88
-    assert report.combine.kept == 4
-    assert report.catalog_size == 92
-    assert report.reconciles()
+    assert len(result.base()) == 88
+    assert result.combine.kept == 4
+    assert len(result.catalog) == 92
+    assert result.reconciles()
     write_artifacts(result, str(tmp_path / "out"))
     for name in ("catalog.json", "configs.json", "sequences.json",
                  "traces.jsonl", "report.json", "report.csv"):
@@ -499,10 +498,10 @@ def test_a_config_and_a_step_share_one_layout_and_one_reader(tmp_path):
     for step in (config, unselected):
         path.write_text(dump_json(step.to_json()))
         assert load_config(str(path)) == step
-    sequence = SimulationSequence([ran, config, unselected], [1, 2, 3])
+    sequence = SimulationSequence([ran, config, unselected])
     path.write_text(dump_json({"sequences": [sequence.to_json()]}))
     assert load_sequences(str(path)) == [SimulationSequence(
-        [SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(0)), config, unselected], [1, 2, 3])]
+        [SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(0)), config, unselected])]
 
 
 def test_unselectable_class_is_selected_once_and_named_once(toggle, toggle_bounds, monkeypatch):
@@ -530,9 +529,10 @@ def test_unselectable_class_is_selected_once_and_named_once(toggle, toggle_bound
     assert calls == [1, 2, 3]
     # named in config_errors only: the step never ran, so it is no finding,
     # and the sequencer adds no note
-    assert result.report.config_errors == [message]
-    assert result.report.findings == []
-    assert not any("class 3" in note for note in result.report.notes)
+    report = result.report_json()
+    assert report["config_errors"] == [message]
+    assert report["findings"] == []
+    assert not any("class 3" in note for note in result.notes)
     assert result.sequences[-1].to_json()["steps"][0]["error"] == "no representative within bounds"
 
 
@@ -553,7 +553,7 @@ def test_run_campaign_runs_each_sequence_step_once(monkeypatch):
     ran = [step for step in steps if step.state]
     assert len(calls) == len(ran) == 92
     assert sum(1 for step in ran if step.error) == 2
-    assert len(result.report.findings) == 2
+    assert len(result.report_json()["findings"]) == 2
 
 
 TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURES / "toggle.bounds")]
@@ -591,6 +591,14 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
     ("simulate", ["--sequence"],
      '{"sequences": [{"covered": [1], "steps": [{"scc": 1, "state": {}, "input": {"event": "go", "time": "0"}}]}]}',
      "a step without an error must have a state"),
+    ("simulate", ["--sequence"],
+     '{"sequences": [{"covered": [2], "steps": [{"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}]}]}',
+     "covered [2] is not its steps' classes [1]"),
+    ("simulate", ["--sequence"],
+     '{"sequences": [{"covered": [2, 1], "steps": ['
+     '{"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}, '
+     '{"scc": 2, "state": {"m": "B"}, "input": {"event": "go", "time": "0"}}]}]}',
+     "covered [2, 1] is not its steps' classes [1, 2]"),
     ("combine", ["--plan", str(FIXTURES / "elevator.plan.json"), "--all-pairs"], None,
      "--plan cannot be combined with --all-pairs, --group, --max-arity or --budget"),
     ("combine", ["--group", "1,2", "--plan", str(FIXTURES / "elevator.plan.json")], None,
@@ -749,8 +757,6 @@ def test_a_point_where_an_existential_fails_to_evaluate_witnesses_nothing(comman
 
 
 @pytest.mark.parametrize("kind, text, message", [
-    ("config", '{"state": {"m": "A"}, "input": {"event": "go", "time": "1/0"}}',
-     "1:1: division by zero, found '1/0'"),
     ("model", (FIXTURES / "toggle.devs").read_text().replace("ta = infinity;", "ta = 1/0;"),
      "10:8: division by zero, found '1/0'"),
     ("bounds", "bounds {\n  const Tchg = 1/0;\n}\n", "2:16: division by zero, found '1/0'"),
@@ -760,14 +766,23 @@ def test_a_point_where_an_existential_fails_to_evaluate_witnesses_nothing(comman
 def test_a_number_that_cannot_be_evaluated_exits_2(kind, text, message, tmp_path, capsys):
     path = tmp_path / f"input.{kind}"
     path.write_text(text)
-    if kind == "config":
-        args = ["simulate", *TOGGLE_ARGS, "--config", str(path)]
-    elif kind == "model":
+    if kind == "model":
         args = ["parse", str(path)]
     else:
         args = ["parse", str(FIXTURES / "toggle.devs"), "--bounds", str(path)]
     assert main(args) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("source", ["--config", "--sequence"])
+@pytest.mark.parametrize("text", ["go x", "1/0", "(1,", "-"])
+def test_a_bad_value_literal_names_its_file_and_exits_2(text, source, tmp_path, capsys):
+    step = {"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": text}}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(
+        step if source == "--config" else {"sequences": [{"steps": [step], "covered": [1]}]}))
+    assert main(["simulate", *TOGGLE_ARGS, source, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: bad value literal {text!r}\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -898,3 +913,67 @@ def test_dump_json_refuses_what_the_standard_library_refuses():
             json.dumps(obj, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             dump_json(obj)
+
+
+WORKED_CAMPAIGNS = {
+    "toggle": [*TOGGLE_ARGS, "--criteria", "cases", "--criteria", "extensional input",
+               "--criteria", "extensional state:m"],
+    "soda": ["--model", str(FIXTURES / "soda.devs"), "--bounds", str(FIXTURES / "soda.bounds"),
+             *[arg for sel in SODA_SELECTIONS for arg in ("--criteria", sel)], "--probe-k", "4"],
+    "elevator": ["--model", str(FIXTURES / "elevator.devs"),
+                 "--bounds", str(FIXTURES / "elevator.bounds"),
+                 "--parts", str(FIXTURES / "elevator.parts"),
+                 "--plan", str(FIXTURES / "elevator.plan.json"),
+                 *[arg for sel in ELEVATOR_SELECTIONS for arg in ("--criteria", sel)]],
+}
+
+
+def campaign_artifacts(args: list[str], out) -> dict:
+    assert main(["campaign", *args, "--out", str(out)]) == 0
+    art = {name: json.loads((out / f"{name}.json").read_text())
+           for name in ("report", "catalog", "configs", "sequences")}
+    art["traces"] = (out / "traces.jsonl").read_text().splitlines()
+    return art
+
+
+@pytest.mark.parametrize("name", list(WORKED_CAMPAIGNS))
+def test_every_report_count_is_what_the_other_artifacts_hold(name, tmp_path, capsys):
+    art = campaign_artifacts(WORKED_CAMPAIGNS[name], tmp_path / name)
+    report, classes, sequences = art["report"], art["catalog"]["classes"], art["sequences"]["sequences"]
+    failed = [step for seq in sequences for step in seq["steps"] if "error" in step]
+    assert report["catalog_size"] == len(classes)
+    assert report["base_classes"] == sum("combined_from" not in c for c in classes)
+    assert report["reconciles"]
+    assert report["configs_selected"] == len(art["configs"]["configs"])
+    assert report["sequences"] == len(sequences)
+    assert report["trace_events"] == len(art["traces"])
+    # a failed step with a state is a finding; one with none never ran
+    for key, ran in (("findings", True), ("config_errors", False)):
+        assert report[key] == [f"class {s['scc']}: {s['error']}" for s in failed
+                               if bool(s["state"]) is ran]
+    for seq in sequences:
+        assert seq["covered"] == [step["scc"] for step in seq["steps"]]
+
+
+def test_a_class_selection_could_not_represent_may_still_be_chained(tmp_path, capsys):
+    """With a 3-attempt search budget selection finds no representative of
+    classes 2 and 5; both are named in `config_errors` and left out of
+    `configs.json`, yet chaining covers each with a step that runs."""
+    bounds = tmp_path / "frugal.bounds"
+    bounds.write_text((FIXTURES / "toggle.bounds").read_text().replace("10000", "3"))
+    art = campaign_artifacts([*WORKED_CAMPAIGNS["toggle"], "--bounds", str(bounds)], tmp_path / "out")
+    report = art["report"]
+    assert [e.split(":")[0] for e in report["config_errors"]] == ["class 2", "class 5"]
+    assert [c["scc"] for c in art["configs"]["configs"]] == [1, 3, 4]
+    assert report["configs_selected"] + len(report["config_errors"]) == report["catalog_size"]
+    steps = {s["scc"]: s for seq in art["sequences"]["sequences"] for s in seq["steps"]}
+    assert sorted(steps) == [1, 2, 3, 4, 5]
+    assert all(steps[i]["state"] and "error" not in steps[i] for i in (2, 5))
+
+
+def test_a_campaign_stopped_after_sequencing_reports_the_findings_of_its_steps():
+    result = run_campaign(_elevator_campaign(plan=True), stop_after="sequence")
+    ran = [step for seq in result.sequences for step in seq.steps if step.state]
+    findings = result.report_json()["findings"]
+    assert findings == [step.failure() for step in ran if step.error is not None]
+    assert len(findings) == 2 and result.probe_flags == []

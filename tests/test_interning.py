@@ -84,7 +84,7 @@ def test_a_worked_campaign_builds_one_conjunct_per_text(monkeypatch):
     assert report.usable
     campaign = _worked(model, bounds)
     result = run_campaign(campaign)
-    assert result.report.catalog_size == 92
+    assert len(result.catalog) == 92
     # the checks' context and the campaign's, each building a text once
     ctx = campaign.context()
     owners = {owner for _, owner in built if owner.model is not None}
@@ -417,7 +417,7 @@ def test_a_campaign_and_a_validation_free_their_model_and_context_without_the_co
     gc.disable()
     try:
         result = run_campaign(campaign)
-        assert result.report.catalog_size == 92
+        assert len(result.catalog) == 92
         ctx = campaign.context()
         refs = [weakref.ref(campaign.model), weakref.ref(ctx),
                 weakref.ref(ctx.operators["ntsel"])]
@@ -450,7 +450,8 @@ def test_a_campaign_with_unselectable_classes_frees_its_context_without_the_coll
     gc.disable()
     try:
         result = run_campaign(campaign)
-        assert [e.split(":")[0] for e in result.report.config_errors] == ["class 2", "class 5"]
+        errors = result.report_json()["config_errors"]
+        assert [e.split(":")[0] for e in errors] == ["class 2", "class 5"]
         refs = [weakref.ref(model), weakref.ref(campaign.context())]
         del campaign, result, model
         assert [ref() for ref in refs] == [None, None]

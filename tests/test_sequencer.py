@@ -331,10 +331,10 @@ def test_a_post_state_without_a_valid_time_advance_ends_its_sequence():
     bounds = parse_bounds_text("bounds {\n  time samples = {0, 1, 5, 6};\n}\n")
     result = run_campaign(Campaign(model, bounds, builtin_tables(),
                                    ["extensional input", "time chain:0,1"]))
-    notes = [n for n in result.report.notes if "cannot chain" in n]
+    notes = [n for n in result.notes if "cannot chain" in n]
     assert notes == ["class 3: cannot chain from its post-state: ta produced -1"]
     assert sorted(i for seq in result.sequences for i in seq.covered) == [1, 2, 3, 4]
-    assert not any("ta produced" in f for f in result.report.findings)
+    assert not any("ta produced" in f for f in result.report_json()["findings"])
     for seq in result.sequences:
         replayed = replay_sequence(seq, Context(model, bounds))
         assert replayed == seq.steps

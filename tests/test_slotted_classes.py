@@ -17,7 +17,7 @@ import pytest
 
 from devs_scc.algebra import CombineReport
 from devs_scc.bounds import Bounds
-from devs_scc.campaign import Campaign, CampaignResult, Report
+from devs_scc.campaign import Campaign, CampaignResult
 from devs_scc.check import Ctx
 from devs_scc.model import Model, ValidationReport
 from devs_scc.parser import Diagnostic
@@ -69,21 +69,16 @@ DATACLASSES = {
     ProbeReport: (False, [
         ("scc_id", REQUIRED), ("uniform", REQUIRED), ("signatures", REQUIRED), ("note", ""),
     ]),
-    SimulationSequence: (False, [("steps", list), ("covered", list)]),
-    Report: (False, [
-        ("model", ""), ("criteria_counts", list), ("duplicates_removed", 0), ("base_count", 0),
-        ("combine", None), ("catalog_size", 0), ("configs_selected", 0), ("config_errors", list),
-        ("sequence_count", 0), ("trace_events", 0), ("findings", list), ("probe_flags", list),
-        ("notes", list),
-    ]),
+    SimulationSequence: (False, [("steps", list)]),
     Campaign: (False, [
         ("model", REQUIRED), ("bounds", REQUIRED), ("tables", REQUIRED), ("selections", REQUIRED),
         ("plan", None), ("include_otherwise", False), ("probe_k", 0),
         ("_context", None, HIDDEN),
     ]),
     CampaignResult: (False, [
-        ("report", REQUIRED), ("catalog", REQUIRED), ("configs", REQUIRED),
-        ("sequences", REQUIRED),
+        ("model", REQUIRED), ("criteria_counts", list), ("duplicates_removed", 0),
+        ("combine", None), ("probe_flags", list), ("notes", list), ("catalog", list),
+        ("configs", dict), ("sequences", list),
     ]),
 }
 CLASSES = list(DATACLASSES)
