@@ -49,7 +49,7 @@ from .selector import SelectError, SimulationConfig, select_config
 from .sequencer import SimulationSequence, build_sequences
 from .simulator import events, failures, run_steps, uniformity_probe
 from .syntax import Apply, holding, walk
-from .values import Struct, Value
+from .values import Struct, Value, render_value
 
 SCHEMA = "devs-scc/1"
 
@@ -326,7 +326,7 @@ class CampaignResult(Struct):
             "trace_events": len(events(ran)),
             "findings": failures(ran)[0],
             "probe_flags": self.probe_flags,
-            "notes": self.notes,
+            "notes": self.notes + self._chained_notes(),
         }
         if self.combine:
             rec["combined"] = {
@@ -338,18 +338,18 @@ class CampaignResult(Struct):
             }
         return rec
 
+    def _chained_notes(self) -> list[str]:
+        """A note for each class in `config_errors` that a chained step
+        covers, naming that step's sequence."""
+        ran_in = {step.scc_id: n for n, seq in enumerate(self.sequences)
+                  for step in seq.steps if step.state}
+        return [f"class {i}: selection found no representative, "
+                f"but sequence {ran_in[i]} covers it with a chained step"
+                for i, step in sorted(self.configs.items())
+                if step.error is not None and not step.state and i in ran_in]
+
     def catalog_json(self) -> dict:
         return {"schema": SCHEMA, "classes": [scc_to_json(s) for s in self.catalog]}
-
-    def configs_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "configs": [self.configs[i].to_json() for i in sorted(self.configs)
-                        if self.configs[i].error is None],
-        }
-
-    def sequences_json(self) -> dict:
-        return {"schema": SCHEMA, "sequences": [s.to_json() for s in self.sequences]}
 
 
 # Pipeline stages a campaign can stop after, in order; the sequencer has
@@ -408,8 +408,9 @@ def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
         return result
 
     if c.probe_k >= 2:
+        seen: dict[tuple, str] = {}
         for scc in base:
-            probe = uniformity_probe(scc, c.probe_k, ctx)
+            probe = uniformity_probe(scc, c.probe_k, ctx, seen)
             if not probe.uniform:
                 result.probe_flags.append(probe.to_json())
 
@@ -480,20 +481,130 @@ def write_artifacts(result: CampaignResult, out_dir: str) -> None:
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 
+    steps = StepWriter()
     write("catalog.json", dump_json(result.catalog_json()))
-    write("configs.json", dump_json(result.configs_json()))
-    write("sequences.json", dump_json(result.sequences_json()))
-    write("traces.jsonl", trace_lines([seq.steps for seq in result.sequences]))
+    write("configs.json", steps.configs(result.configs))
+    write("sequences.json", steps.sequences(result.sequences))
+    write("traces.jsonl", steps.traces([seq.steps for seq in result.sequences]))
     write("report.json", dump_json(result.report_json()))
     write("report.csv", _report_csv(result))
 
 
-def trace_lines(runs: list[list[SimulationConfig]]) -> str:
-    """The events of the steps of `runs` as JSON lines, each naming the
-    index of its run as its `sequence`: a campaign's `traces.jsonl`, or
-    what `simulate` writes."""
-    return "".join(json.dumps({"sequence": i, **ev.to_json()}, sort_keys=True) + "\n"
-                   for i, steps in enumerate(runs) for ev in events(steps))
+_SCHEMA_TEXT = _encode_str(SCHEMA)
+
+
+class StepWriter:
+    """The text of `configs.json`, `sequences.json` and `traces.jsonl`:
+    what `dump_json` of their layouts writes for the two files, and
+    `json.dumps(event, sort_keys=True)` for each trace line, byte for
+    byte, filled into fixed templates of those layouts.
+
+    A step holds its class id, its `state`, its `input` (event and time)
+    and either the function and case its trace event `fired` or its
+    `error`; a trace event holds `at`, `kind` and `state`, and when it has
+    them `error`, `fired`, `input`, `output` and `tie`, beside the index
+    of its run as `sequence`.  The writer renders each distinct value and
+    each distinct state once, so one writer serves the three files of a
+    campaign, where a chained step starts from the state the trace event
+    before it left."""
+
+    __slots__ = ("_values", "_states")
+
+    def __init__(self) -> None:
+        self._values: dict[Value, str] = {}
+        # tuple(state.items()) -> (indented text, compact text)
+        self._states: dict[tuple, tuple[str, str]] = {}
+
+    def configs(self, configs: dict[int, SimulationConfig]) -> str:
+        """`configs.json`: each class's representative in id order; a
+        class selection could not represent has none."""
+        steps = [self._step(configs[i], "\n    ") for i in sorted(configs)
+                 if configs[i].error is None]
+        return ('{\n  "configs": ' + _items(steps, "\n  ")
+                + ',\n  "schema": ' + _SCHEMA_TEXT + "\n}\n")
+
+    def sequences(self, sequences: list[SimulationSequence]) -> str:
+        """`sequences.json`: each sequence's steps and the ids they cover."""
+        texts = [
+            '{\n      "covered": %s,\n      "steps": %s\n    }' % (
+                _items([int.__repr__(i) for i in seq.covered], "\n      "),
+                _items([self._step(s, "\n        ") for s in seq.steps], "\n      "))
+            for seq in sequences
+        ]
+        return ('{\n  "schema": ' + _SCHEMA_TEXT
+                + ',\n  "sequences": ' + _items(texts, "\n  ") + "\n}\n")
+
+    def traces(self, runs: list[list[SimulationConfig]]) -> str:
+        """The events of the steps of `runs` as JSON lines, each naming the
+        index of its run as its `sequence`: a campaign's `traces.jsonl`, or
+        what `simulate` writes."""
+        value = self._value
+        lines = []
+        for i, steps in enumerate(runs):
+            sequence = int.__repr__(i)
+            for ev in events(steps):
+                line = '{"at": ' + value(ev.at)
+                if ev.error:
+                    line += ', "error": ' + _encode_str(ev.error)
+                if ev.fired:
+                    line += ', "fired": {"case": %s, "function": %s}' % (
+                        int.__repr__(ev.fired[1]), _encode_str(ev.fired[0]))
+                if ev.input is not None:
+                    line += ', "input": ' + value(ev.input)
+                line += ', "kind": ' + _encode_str(ev.kind)
+                if ev.output is not None:
+                    line += ', "output": ' + value(ev.output)
+                line += ', "sequence": ' + sequence + ', "state": ' + self._state(ev.state_after)[1]
+                lines.append(line + (', "tie": true}\n' if ev.tie else "}\n"))
+        return "".join(lines)
+
+    def _step(self, step: SimulationConfig, newline: str) -> str:
+        """A step's object, its lines starting with `newline`."""
+        inner = newline + "  "
+        deeper = inner + "  "
+        head = ""
+        if step.error is None:
+            if step.outcome is not None:
+                function, case = step.outcome.fired
+                head = (f'{inner}"fired": {{{deeper}"case": {int.__repr__(case)},'
+                        f'{deeper}"function": {_encode_str(function)}{inner}}},')
+        elif step.error:
+            head = f'{inner}"error": {_encode_str(step.error)},'
+        # encoded names and values escape their newlines, so the raw ones
+        # are the state's line breaks
+        state = self._state(step.state)[0].replace("\n", inner)
+        value = self._value
+        return (f'{{{head}{inner}"input": {{{deeper}"event": {value(step.event)},'
+                f'{deeper}"time": {value(step.time)}{inner}}},'
+                f'{inner}"scc": {int.__repr__(step.scc_id)},'
+                f'{inner}"state": {state}{newline}}}')
+
+    def _state(self, state: dict[str, Value]) -> tuple[str, str]:
+        """A state's object, its variables in name order: indented, as
+        `dump_json` writes it at the top level, and on one line."""
+        key = tuple(state.items())
+        texts = self._states.get(key)
+        if texts is None:
+            value = self._value
+            entries = [f"{_encode_str(name)}: {value(state[name])}" for name in sorted(state)]
+            texts = self._states[key] = (_items(entries, "\n", "{}"),
+                                         "{" + ", ".join(entries) + "}")
+        return texts
+
+    def _value(self, v: Value) -> str:
+        text = self._values.get(v)
+        if text is None:
+            text = self._values[v] = _encode_str(render_value(v))
+        return text
+
+
+def _items(texts: list[str], newline: str, brackets: str = "[]") -> str:
+    """The items' texts in `brackets`, one a line, indented one level
+    deeper than `newline`; the bare brackets when there are none."""
+    if not texts:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(texts) + newline + brackets[1]
 
 
 def _report_csv(result: CampaignResult) -> str:
@@ -542,7 +653,7 @@ def _sequences(raw) -> list[SimulationSequence]:
 
 
 def _step(raw, what: str, scc_optional: bool = False) -> SimulationConfig:
-    """A configuration or sequence step from the JSON `SimulationConfig`
+    """A configuration or sequence step from the JSON `StepWriter`
     writes: its class id `scc`, which only a config may omit (read as 0),
     its `state`, its `input` and the `error` it was recorded with, if
     any.  The trace event it fired is not read back.  A state names a

@@ -18,6 +18,7 @@ from .bounds import Bounds, BoundsError
 from .campaign import (
     Campaign,
     CampaignError,
+    StepWriter,
     _load_json,
     _shaped,
     build_plan,
@@ -27,7 +28,6 @@ from .campaign import (
     load_sequences,
     load_tables,
     run_campaign,
-    trace_lines,
     write_artifacts,
 )
 from .check import BindError, bounds_errors, validate_model
@@ -218,12 +218,12 @@ def _cmd_pipeline(args) -> int:
         print(f"catalog: {report['catalog_size']} classes")
         return EXIT_OK
     if args.command == "select":
-        _emit(args, dump_json(result.configs_json()))
+        _emit(args, StepWriter().configs(result.configs))
         print(f"configs: {report['configs_selected']} selected, "
               f"{len(report['config_errors'])} failed")
         return EXIT_OK
     if args.command == "sequence":
-        _emit(args, dump_json(result.sequences_json()))
+        _emit(args, StepWriter().sequences(result.sequences))
         print(f"sequences: {report['sequences']}")
         return EXIT_OK
     # campaign
@@ -255,7 +255,7 @@ def _cmd_simulate(args) -> int:
     notes = failures(s for steps in runs for s in steps)[1]
     undefined = [f for f in found if "undefined transition" in f]
     exec_errors = [f for f in found if "undefined transition" not in f]
-    _emit(args, trace_lines(ran))
+    _emit(args, StepWriter().traces(ran))
     for f in undefined:
         print(f"finding: {f}", file=sys.stderr)
     for f in exec_errors:

@@ -42,7 +42,7 @@ from .model import Model
 from .sat import Conjunction, SatResult, interned, prepare_conjuncts, satisfiable
 from .scc import SCC
 from .syntax import Cmp, MinOp, Predicate, Ref, conjuncts
-from .values import TAU, Num, Record, Value, render_value
+from .values import TAU, Num, Record, Value
 
 if TYPE_CHECKING:  # the simulator imports this module
     from .simulator import TraceEvent
@@ -113,11 +113,12 @@ def _all_of(pred: Predicate, ctx: Context):
 
 
 class SimulationConfig(Record):
-    """A class's initial state and timed input, one JSON layout in
-    `configs.json` and `sequences.json`.  Run as a step (`run_step`), it
-    keeps the trace event it fired (`outcome`) or the error it failed
-    with, and in a replay both; a class with no representative is a step
-    with its `SelectError` text and an empty state, which never ran."""
+    """A class's initial state and timed input, written in one layout to
+    `configs.json` and `sequences.json` (`campaign.StepWriter`).  Run as
+    a step (`run_step`), it keeps the trace event it fired (`outcome`) or
+    the error it failed with, and in a replay both; a class with no
+    representative is a step with its `SelectError` text and an empty
+    state, which never ran."""
 
     __slots__ = ("scc_id", "state", "event", "time", "outcome", "error")
 
@@ -129,19 +130,6 @@ class SimulationConfig(Record):
         self.time = time
         self.outcome = outcome
         self.error = error
-
-    def to_json(self) -> dict:
-        rec = {
-            "scc": self.scc_id,
-            "state": {k: render_value(v) for k, v in self.state.items()},
-            "input": {"event": render_value(self.event), "time": render_value(self.time)},
-        }
-        if self.error is None and self.outcome is not None:
-            function, case = self.outcome.fired
-            rec["fired"] = {"function": function, "case": case}
-        if self.error:
-            rec["error"] = self.error
-        return rec
 
     def failure(self) -> str:
         """The step's error naming its class: a run's finding, or a class

@@ -42,9 +42,6 @@ class SimulationSequence(Struct):
         """The ids of the classes the steps cover, in step order."""
         return [s.scc_id for s in self.steps]
 
-    def to_json(self) -> dict:
-        return {"steps": [s.to_json() for s in self.steps], "covered": self.covered}
-
 
 def build_sequences(
     sccs: list[SCC],

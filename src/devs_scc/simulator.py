@@ -66,7 +66,8 @@ class SimState(Struct):
 
 
 class TraceEvent(Struct):
-    """One transition or error recorded while simulating."""
+    """One transition or error recorded while simulating, a line of
+    `traces.jsonl` (`campaign.StepWriter`)."""
 
     __slots__ = ("at", "kind", "fired", "state_after", "input", "output", "tie", "error")
 
@@ -82,24 +83,6 @@ class TraceEvent(Struct):
         self.output = output
         self.tie = tie
         self.error = error
-
-    def to_json(self) -> dict:
-        rec = {
-            "at": render_value(self.at),
-            "kind": self.kind,
-            "state": {k: render_value(v) for k, v in self.state_after.items()},
-        }
-        if self.fired:
-            rec["fired"] = {"function": self.fired[0], "case": self.fired[1]}
-        if self.input is not None:
-            rec["input"] = render_value(self.input)
-        if self.output is not None:
-            rec["output"] = render_value(self.output)
-        if self.tie:
-            rec["tie"] = True
-        if self.error:
-            rec["error"] = self.error
-        return rec
 
 
 def init(model: Model, s0: dict[str, Value]) -> SimState:
@@ -290,28 +273,45 @@ class ProbeReport(Struct):
         }
 
 
-def uniformity_probe(scc: SCC, k: int, ctx: Context) -> ProbeReport:
+def uniformity_probe(scc: SCC, k: int, ctx: Context,
+                     seen: dict[tuple, str] | None = None) -> ProbeReport:
     """Run several members of one class and compare their behavior
     signatures (case fired plus output shape).  Differing signatures mean
-    the class is not uniform and should be re-partitioned."""
+    the class is not uniform and should be re-partitioned.  `seen` holds
+    the signature of each configuration run so far, by its state, event
+    and time, which alone decide the run: one in it is not run again, so
+    a campaign that passes one to all its probes runs each distinct
+    sampled configuration once."""
     samples = sample_configs(scc, k, ctx)
     if len(samples) < 2:
         return ProbeReport(
             scc.id, True, [],
             note="fewer than 2 witnesses available, probe skipped",
         )
+    if seen is None:
+        seen = {}
     signatures = []
     for cfg in samples:
-        sig = []
-        for ev in events(run_config(cfg, ctx)):
-            step_sig = ev.fired[0] + ":" + str(ev.fired[1]) if ev.fired else "undefined"
-            if ev.output is not None:
-                step_sig += "/" + _shape(ev.output)
-            sig.append(step_sig)
-        signatures.append(";".join(sig) if sig else "no-step")
+        key = (tuple(cfg.state.items()), cfg.event, cfg.time)
+        signature = seen.get(key)
+        if signature is None:
+            signature = seen[key] = _signature(run_config(cfg, ctx))
+        signatures.append(signature)
     uniform = len(set(signatures)) == 1
     note = "" if uniform else "members behave differently; re-partition this class"
     return ProbeReport(scc.id, uniform, signatures, note)
+
+
+def _signature(ran: list[SimulationConfig]) -> str:
+    """A run's behavior: each event's function and case, or `undefined`,
+    and the shape of its output."""
+    sig = []
+    for ev in events(ran):
+        step_sig = ev.fired[0] + ":" + str(ev.fired[1]) if ev.fired else "undefined"
+        if ev.output is not None:
+            step_sig += "/" + _shape(ev.output)
+        sig.append(step_sig)
+    return ";".join(sig) if sig else "no-step"
 
 
 def _shape(v: Value) -> str:

@@ -28,15 +28,22 @@ lexer replaced; both give `(kind, text, line, col)` tuples.
 `subst_expr` and `subst_pred` are the traversals that name each class's
 child fields, which the product's `walk`, `free_vars` and `subst`, reading
 children from a node's own fields, replaced.
+`step_layout`, `sequence_layout` and `event_layout` build the JSON
+object of a configuration or sequence step, a sequence and a trace
+event, and `configs_json`, `sequences_json` and `trace_lines` write them
+with `json.dumps`: the reference for `devs_scc.campaign.StepWriter`,
+which fills fixed templates of these layouts.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from devs_scc.bounds import grid
+from devs_scc.campaign import SCHEMA
 from devs_scc.model import GuardedCase, Model, OperatorDef
 from devs_scc.parser import Diagnostic, ParseFailure
 from devs_scc.sat import BudgetExhausted, _Budget, _env, _form, _witnesses
@@ -729,3 +736,69 @@ def lex(text: str) -> list[tuple[str, str, int, int]]:
     if not tokens[:-1]:
         tokens[-1] = ("eof", "", 1, 1)
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# the layouts of configs.json, sequences.json and traces.jsonl
+
+def step_layout(step) -> dict:
+    """A configuration or sequence step: its class id, state and input,
+    and either the function and case its trace event fired or its error;
+    an empty error is left out, as is `fired` then."""
+    rec = {
+        "scc": step.scc_id,
+        "state": {k: render_value(v) for k, v in step.state.items()},
+        "input": {"event": render_value(step.event), "time": render_value(step.time)},
+    }
+    if step.error is None and step.outcome is not None:
+        function, case = step.outcome.fired
+        rec["fired"] = {"function": function, "case": case}
+    if step.error:
+        rec["error"] = step.error
+    return rec
+
+
+def sequence_layout(seq) -> dict:
+    return {"steps": [step_layout(s) for s in seq.steps], "covered": seq.covered}
+
+
+def event_layout(ev) -> dict:
+    """A trace event, without the index of its run."""
+    rec = {
+        "at": render_value(ev.at),
+        "kind": ev.kind,
+        "state": {k: render_value(v) for k, v in ev.state_after.items()},
+    }
+    if ev.fired:
+        rec["fired"] = {"function": ev.fired[0], "case": ev.fired[1]}
+    if ev.input is not None:
+        rec["input"] = render_value(ev.input)
+    if ev.output is not None:
+        rec["output"] = render_value(ev.output)
+    if ev.tie:
+        rec["tie"] = True
+    if ev.error:
+        rec["error"] = ev.error
+    return rec
+
+
+def configs_json(configs: dict) -> str:
+    """`configs.json` of a campaign's steps by class id: the ones without
+    an error, in id order."""
+    return _dumps({"schema": SCHEMA, "configs": [
+        step_layout(configs[i]) for i in sorted(configs) if configs[i].error is None]})
+
+
+def sequences_json(sequences) -> str:
+    return _dumps({"schema": SCHEMA, "sequences": [sequence_layout(s) for s in sequences]})
+
+
+def trace_lines(runs) -> str:
+    """The trace events of the steps of each run, one compact line each,
+    naming the index of its run as its `sequence`."""
+    return "".join(json.dumps({"sequence": i, **event_layout(s.outcome)}, sort_keys=True) + "\n"
+                   for i, steps in enumerate(runs) for s in steps if s.outcome is not None)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

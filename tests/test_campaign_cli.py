@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import example, given, strategies as st
 import devs_scc.campaign as campaign_mod
 from devs_scc.campaign import (
     Campaign,
+    StepWriter,
     dump_json,
     load_config,
     load_plan,
@@ -21,8 +24,9 @@ from devs_scc.context import Context
 from devs_scc.selector import SimulationConfig
 from devs_scc.sequencer import SimulationSequence
 from devs_scc.simulator import TraceEvent
-from devs_scc.values import TAU, Lit, num
-from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS
+from devs_scc.values import INF, TAU, Lit, Tup, num
+from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_PAIRS_SELECTIONS, SODA_SELECTIONS
+from tests import oracle
 
 
 def run_cli(*args):
@@ -297,7 +301,7 @@ def test_elevator_first_class_config_simulates_cleanly(tmp_path):
     sccs, _ = cases_criterion(ctx)
     cfg = select_config(sccs[0], ctx)
     path = tmp_path / "scc1.config.json"
-    path.write_text(json.dumps({"schema": "devs-scc/1", **cfg.to_json()}))
+    path.write_text(json.dumps({"schema": "devs-scc/1", **oracle.step_layout(cfg)}))
     code, out, err = run_cli(
         "simulate",
         "--model", str(FIXTURES / "elevator.devs"),
@@ -496,10 +500,10 @@ def test_a_config_and_a_step_share_one_layout_and_one_reader(tmp_path):
     ran = SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(0), outcome=fired)
     path = tmp_path / "input.json"
     for step in (config, unselected):
-        path.write_text(dump_json(step.to_json()))
+        path.write_text(dump_json(oracle.step_layout(step)))
         assert load_config(str(path)) == step
     sequence = SimulationSequence([ran, config, unselected])
-    path.write_text(dump_json({"sequences": [sequence.to_json()]}))
+    path.write_text(StepWriter().sequences([sequence]))
     assert load_sequences(str(path)) == [SimulationSequence(
         [SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(0)), config, unselected])]
 
@@ -533,7 +537,7 @@ def test_unselectable_class_is_selected_once_and_named_once(toggle, toggle_bound
     assert report["config_errors"] == [message]
     assert report["findings"] == []
     assert not any("class 3" in note for note in result.notes)
-    assert result.sequences[-1].to_json()["steps"][0]["error"] == "no representative within bounds"
+    assert result.sequences[-1].steps[0].error == "no representative within bounds"
 
 
 def test_run_campaign_runs_each_sequence_step_once(monkeypatch):
@@ -554,6 +558,30 @@ def test_run_campaign_runs_each_sequence_step_once(monkeypatch):
     assert len(calls) == len(ran) == 92
     assert sum(1 for step in ran if step.error) == 2
     assert len(result.report_json()["findings"]) == 2
+
+
+def test_a_campaign_probes_each_distinct_configuration_once(monkeypatch):
+    """The probe runs each distinct sampled state, event and time once a
+    campaign and gives every class that samples it the signature of that
+    run: its reports are those of probes that share nothing."""
+    import devs_scc.simulator as simulator
+
+    runs = []
+    run_config = simulator.run_config
+
+    def counting(cfg, ctx):
+        runs.append((tuple(cfg.state.items()), cfg.event, cfg.time))
+        return run_config(cfg, ctx)
+
+    campaign = _elevator_campaign()
+    campaign.probe_k = 4
+    monkeypatch.setattr(simulator, "run_config", counting)
+    result = run_campaign(campaign)
+    assert len(runs) == len(set(runs)) == 87
+    monkeypatch.undo()
+    alone = [simulator.uniformity_probe(scc, 4, campaign.context()) for scc in result.base()]
+    assert result.probe_flags == [p.to_json() for p in alone if not p.uniform]
+    assert len(result.probe_flags) == 15
 
 
 TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURES / "toggle.bounds")]
@@ -915,6 +943,71 @@ def test_dump_json_refuses_what_the_standard_library_refuses():
             dump_json(obj)
 
 
+# ---------------------------------------------------------------------------
+# the step writer against the reference layouts dumped by the standard library
+
+_names = st.sampled_from(["m", "a", "a b", "é", "\x00", '"']) | st.text(max_size=3)
+_texts = (st.text() | st.text(st.characters(max_codepoint=0x1F))
+          | st.sampled_from(["", 'say "hi"', "back\\slash", "é 😀", "\x00\x1f\n\x7f"]))
+_values = st.recursive(
+    (st.integers() | st.fractions(max_denominator=60)).map(num)
+    | st.just(INF) | _names.map(Lit),
+    lambda inner: st.lists(inner, min_size=2, max_size=3).map(lambda items: Tup(tuple(items))),
+    max_leaves=6,
+)
+_states = st.dictionaries(_names, _values, max_size=4)
+_fired = st.tuples(st.sampled_from(["dext", "dint", "lambda", "é\""]), st.integers(0, 40))
+
+
+@st.composite
+def _runs(draw) -> tuple[dict, list[SimulationSequence]]:
+    """Steps by class id and sequences of them, their states and values
+    drawn from small pools so that the writer meets each more than once."""
+    value = st.sampled_from(draw(st.lists(_values, min_size=2, max_size=3)))
+    # most of them over the same variables, so that they differ in values only
+    names = draw(st.lists(_names, unique=True, min_size=1, max_size=4))
+    state = st.sampled_from(draw(st.lists(
+        st.fixed_dictionaries({n: value for n in names}) | _states, min_size=2, max_size=3)))
+
+    def event(error: bool):
+        return draw(st.builds(
+            TraceEvent, value, st.sampled_from(["internal", "external", "error"]),
+            st.none() if error else _fired, state,
+            input=st.none() | value, output=st.none() | value, tie=st.booleans(),
+            error=_texts if error else st.none() | _texts))
+
+    def step(scc_id: int) -> SimulationConfig:
+        error = draw(st.none() | _texts)
+        outcome = draw(st.booleans()) and event(error is not None)
+        return SimulationConfig(scc_id, draw(state), draw(value), draw(value),
+                                outcome=outcome or None, error=error)
+
+    ids = draw(st.lists(st.integers(0, 99), unique=True, min_size=1, max_size=5))
+    sequences = [SimulationSequence([step(i) for i in chunk])
+                 for chunk in draw(st.lists(st.lists(st.sampled_from(ids), max_size=3),
+                                            min_size=1, max_size=3))]
+    return {i: step(i) for i in ids}, sequences
+
+
+@given(_runs())
+@example(({}, []))
+@example(({}, [SimulationSequence()]))
+@example(({7: SimulationConfig(7, {}, TAU, num(0))}, [SimulationSequence(
+    [SimulationConfig(7, {}, TAU, num(0), error="")])]))
+@example(({i: SimulationConfig(i, {"m": v}, Lit("go"), num(Fraction(-1, 2)))
+           for i, v in enumerate([Lit("A"), num(1), Tup((INF, Lit("A")))])}, []))
+def test_the_step_writer_writes_what_the_reference_layouts_dump(run):
+    """One writer's three files, its memo shared among them, are the
+    reference layouts as `json.dumps` writes them: indented for
+    `configs.json` and `sequences.json`, compact for each trace line."""
+    configs, sequences = run
+    writer = StepWriter()
+    assert writer.configs(configs) == oracle.configs_json(configs)
+    assert writer.sequences(sequences) == oracle.sequences_json(sequences)
+    runs = [seq.steps for seq in sequences] + [list(configs.values())]
+    assert writer.traces(runs) == oracle.trace_lines(runs)
+
+
 WORKED_CAMPAIGNS = {
     "toggle": [*TOGGLE_ARGS, "--criteria", "cases", "--criteria", "extensional input",
                "--criteria", "extensional state:m"],
@@ -934,6 +1027,30 @@ def campaign_artifacts(args: list[str], out) -> dict:
            for name in ("report", "catalog", "configs", "sequences")}
     art["traces"] = (out / "traces.jsonl").read_text().splitlines()
     return art
+
+
+@pytest.mark.parametrize("name", ["soda", "elevator"])
+def test_the_shipped_campaigns_write_the_committed_artifacts(name, tmp_path, capsys):
+    """The campaign of `scripts/run_<name>_campaign.py`, written to a
+    fresh directory, is the committed `out/<name>/` byte for byte."""
+    assert main(["campaign", *WORKED_CAMPAIGNS[name], "--out", str(tmp_path)]) == 0
+    committed = FIXTURES.parent / "out" / name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in committed.iterdir())
+    for path in committed.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_soda_all_pairs_matches_its_pinned_digests(tmp_path, capsys):
+    assert main(["campaign", "--model", str(FIXTURES / "soda.devs"),
+                 "--bounds", str(FIXTURES / "soda.bounds"),
+                 *[arg for sel in SODA_PAIRS_SELECTIONS for arg in ("--criteria", sel)],
+                 "--all-pairs", "--probe-k", "4", "--out", str(tmp_path)]) == 0
+    pinned = {}
+    for line in (FIXTURES / "expected" / "soda-all-pairs.sha256").read_text().splitlines():
+        digest, name = line.split()
+        pinned[name] = digest
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in pinned} == pinned
 
 
 @pytest.mark.parametrize("name", list(WORKED_CAMPAIGNS))
@@ -958,7 +1075,8 @@ def test_every_report_count_is_what_the_other_artifacts_hold(name, tmp_path, cap
 def test_a_class_selection_could_not_represent_may_still_be_chained(tmp_path, capsys):
     """With a 3-attempt search budget selection finds no representative of
     classes 2 and 5; both are named in `config_errors` and left out of
-    `configs.json`, yet chaining covers each with a step that runs."""
+    `configs.json`, yet chaining covers each with a step that runs, which
+    a note of the report names."""
     bounds = tmp_path / "frugal.bounds"
     bounds.write_text((FIXTURES / "toggle.bounds").read_text().replace("10000", "3"))
     art = campaign_artifacts([*WORKED_CAMPAIGNS["toggle"], "--bounds", str(bounds)], tmp_path / "out")
@@ -966,9 +1084,14 @@ def test_a_class_selection_could_not_represent_may_still_be_chained(tmp_path, ca
     assert [e.split(":")[0] for e in report["config_errors"]] == ["class 2", "class 5"]
     assert [c["scc"] for c in art["configs"]["configs"]] == [1, 3, 4]
     assert report["configs_selected"] + len(report["config_errors"]) == report["catalog_size"]
-    steps = {s["scc"]: s for seq in art["sequences"]["sequences"] for s in seq["steps"]}
-    assert sorted(steps) == [1, 2, 3, 4, 5]
-    assert all(steps[i]["state"] and "error" not in steps[i] for i in (2, 5))
+    ran_in = {s["scc"]: (n, s) for n, seq in enumerate(art["sequences"]["sequences"])
+              for s in seq["steps"]}
+    assert sorted(ran_in) == [1, 2, 3, 4, 5]
+    assert all(ran_in[i][1]["state"] and "error" not in ran_in[i][1] for i in (2, 5))
+    # and the report says which sequence covers each
+    assert [note for note in report["notes"] if "chained" in note] == [
+        f"class {i}: selection found no representative, "
+        f"but sequence {ran_in[i][0]} covers it with a chained step" for i in (2, 5)]
 
 
 def test_a_campaign_stopped_after_sequencing_reports_the_findings_of_its_steps():

@@ -14,7 +14,7 @@ from devs_scc.bounds import (
 from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
-from oracle import eval_expr, eval_pred, joint_space, state_space
+from oracle import eval_expr, eval_pred, joint_space, state_space, step_layout
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file, parse_model_text
 from devs_scc.partitions import builtin_tables
 from devs_scc.sat import satisfiable
@@ -109,8 +109,8 @@ def test_soda_diet_class_picks_zero_money_and_zero_price(soda, soda_bounds):
 def test_selection_is_deterministic(elevator, elevator_bounds):
     ctx = Context(elevator, elevator_bounds)
     sccs, _ = cases_criterion(ctx)
-    first = [select_config(s, ctx).to_json() for s in sccs[:8]]
-    second = [select_config(s, ctx).to_json() for s in sccs[:8]]
+    first = [step_layout(select_config(s, ctx)) for s in sccs[:8]]
+    second = [step_layout(select_config(s, ctx)) for s in sccs[:8]]
     assert first == second
 
 
@@ -142,7 +142,7 @@ def test_sampling_returns_distinct_members(soda, soda_bounds):
     coin = sccs[0]
     samples = sample_configs(coin, 6, ctx)
     assert len(samples) >= 3
-    keys = {repr(c.to_json()) for c in samples}
+    keys = {repr(step_layout(c)) for c in samples}
     assert len(keys) == len(samples)
     consts = const_env(soda_bounds, soda)
     for cfg in samples:
@@ -152,8 +152,8 @@ def test_sampling_returns_distinct_members(soda, soda_bounds):
 def test_sampling_is_deterministic(soda, soda_bounds):
     ctx = Context(soda, soda_bounds)
     sccs, _ = cases_criterion(ctx)
-    a = [c.to_json() for c in sample_configs(sccs[3], 5, ctx)]
-    b = [c.to_json() for c in sample_configs(sccs[3], 5, ctx)]
+    a = [step_layout(c) for c in sample_configs(sccs[3], 5, ctx)]
+    b = [step_layout(c) for c in sample_configs(sccs[3], 5, ctx)]
     assert a == b
 
 
@@ -213,7 +213,7 @@ def scan_samples(scc, k, model, bounds, scan_cap):
                 cfg = SimulationConfig(
                     scc.id, {n: env[n] for n in model.schema.names()}, env["x"], env["t"]
                 )
-                found.setdefault(repr(cfg.to_json()), cfg)
+                found.setdefault(repr(step_layout(cfg)), cfg)
                 break
     return list(found.values())
 
@@ -228,8 +228,8 @@ def _fixture(name, bounds_text=None):
 
 def _same_samples(scc, k, model, bounds, scan_cap):
     with mock.patch.object(selector, "_SCAN_CAP", scan_cap):
-        got = [c.to_json() for c in sample_configs(scc, k, Context(model, bounds))]
-    want = [c.to_json() for c in scan_samples(scc, k, model, bounds, scan_cap)]
+        got = [step_layout(c) for c in sample_configs(scc, k, Context(model, bounds))]
+    want = [step_layout(c) for c in scan_samples(scc, k, model, bounds, scan_cap)]
     assert got == want, (scc.id, k, scan_cap)
     return len(got)
 
@@ -273,8 +273,8 @@ def test_low_max_attempts_does_not_change_the_samples(soda, soda_bounds):
     ctx = Context(soda, soda_bounds)
     sccs, _ = cases_criterion(ctx)
     for scc in sccs:
-        want = [c.to_json() for c in sample_configs(scc, 4, ctx)]
-        assert [c.to_json() for c in sample_configs(scc, 4, Context(soda, frugal))] == want
+        want = [step_layout(c) for c in sample_configs(scc, 4, ctx)]
+        assert [step_layout(c) for c in sample_configs(scc, 4, Context(soda, frugal))] == want
         assert _same_samples(scc, 4, soda, frugal, 1500) <= 4
 
 
@@ -344,7 +344,7 @@ def two_path_select(scc, ctx):
 
 def _outcome(select, scc, ctx):
     try:
-        return select(scc, ctx).to_json()
+        return step_layout(select(scc, ctx))
     except SelectError as err:
         return str(err)
 
@@ -418,7 +418,7 @@ def repr_dedupe_samples(scc, k, model, bounds, scan_cap=20_000):
         scanned += digits_index(verdict.index, sizes) - start + 1
         w = verdict.witness
         cfg = SimulationConfig(scc.id, {n: w[n] for n in model.schema.names()}, w["x"], w["t"])
-        found.setdefault(repr(cfg.to_json()), cfg)
+        found.setdefault(repr(step_layout(cfg)), cfg)
     return list(found.values())
 
 
@@ -449,6 +449,6 @@ def test_strata_that_meet_one_member_sample_it_once(bounds_text):
         for k in (2, 4, 6):
             got = sample_configs(scc, k, ctx)
             assert got == repr_dedupe_samples(scc, k, model, bounds), (scc.target, k)
-            assert len({repr(c.to_json()) for c in got}) == len(got)
+            assert len({repr(step_layout(c)) for c in got}) == len(got)
     one = make_scc(b, last, "manual", "one member")
     assert len(sample_configs(one, 4, ctx)) == (1 if "samples = {0, 1, 2}" in bounds_text else 0)

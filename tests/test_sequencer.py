@@ -5,7 +5,7 @@ import pytest
 from devs_scc.bounds import const_env
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
-from oracle import eval_pred, joint_space
+from oracle import eval_pred, event_layout, joint_space, sequence_layout
 from devs_scc.scc import SCC, make_scc
 from devs_scc.selector import SimulationConfig
 from devs_scc.sequencer import build_sequences
@@ -75,7 +75,7 @@ def test_selected_representatives_are_reused(toggle, toggle_bounds, monkeypatch)
 
     monkeypatch.setattr(sequencer, "select_config", refuse)
     sequences, notes = build_sequences(classes, ctx, configs)
-    assert [s.to_json() for s in sequences] == [s.to_json() for s in expected]
+    assert [sequence_layout(s) for s in sequences] == [sequence_layout(s) for s in expected]
     assert notes == expected_notes
 
 
@@ -92,7 +92,7 @@ def test_chaining_removes_the_next_class_by_position(request, monkeypatch):
     monkeypatch.setattr(SCC, "__eq__", no_equality)
     sequences, _ = build_sequences(result.catalog, Context(model, bounds))
     assert any(len(seq.covered) > 1 for seq in sequences)
-    assert [s.to_json() for s in sequences] == [s.to_json() for s in result.sequences]
+    assert [sequence_layout(s) for s in sequences] == [sequence_layout(s) for s in result.sequences]
 
 
 def test_disjoint_classes_get_one_sequence_each(toggle, toggle_bounds):
@@ -141,7 +141,7 @@ def test_sequences_are_deterministic(elevator, elevator_bounds):
     sccs, _ = cases_criterion(ctx)
     a, _ = build_sequences(sccs, ctx)
     b, _ = build_sequences(sccs, ctx)
-    assert [s.to_json() for s in a] == [s.to_json() for s in b]
+    assert [sequence_layout(s) for s in a] == [sequence_layout(s) for s in b]
 
 
 def test_failing_step_ends_the_sequence_and_continues(toggle, toggle_bounds):
@@ -253,7 +253,7 @@ def test_recorded_traces_equal_a_replay(name, request):
     for seq in sequences:
         replayed = replay_sequence(seq, ctx)
         assert replayed == seq.steps
-        assert [e.to_json() for e in events(seq.steps)] == [e.to_json() for e in events(replayed)]
+        assert [event_layout(e) for e in events(seq.steps)] == [event_layout(e) for e in events(replayed)]
         assert failures(seq.steps) == failures(replayed)
     assert sum(len(events(seq.steps)) for seq in sequences) > 0
     if model.name != "toggle":

@@ -1,14 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracle import state_space
+from oracle import state_space, step_layout
+from devs_scc.campaign import StepWriter
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
 from devs_scc.parser import parse_model_text
 from devs_scc.scc import make_scc
 from devs_scc.selector import SimulationConfig, select_config
+from devs_scc.sequencer import SimulationSequence
 from devs_scc.simulator import (
     SimError,
     UndefinedTransition,
@@ -158,7 +161,8 @@ def test_run_config_surfaces_the_missed_case(soda, soda_bounds):
     assert (ran.outcome.kind, ran.outcome.error, ran.outcome.fired) == ("error", ran.error, None)
     assert ran.outcome.state_after == ran.state == cfg.state
     # and is written as the campaign writes a failed step, without `fired`
-    assert ran.to_json() == {**cfg.to_json(), "error": ran.error}
+    written = json.loads(StepWriter().sequences([SimulationSequence([ran])]))
+    assert written["sequences"][0]["steps"] == [{**step_layout(cfg), "error": ran.error}]
 
 
 def test_elevator_first_class_witness_fires_case_one(elevator, elevator_bounds):
