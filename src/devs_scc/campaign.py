@@ -426,52 +426,10 @@ def replay_sequence(seq: SimulationSequence, ctx: Context) -> list[SimulationCon
 # artifact files
 
 def dump_json(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)` and a newline, byte for
-    byte, written by `_write_json` rather than the standard library's
-    pure-Python encoder, which it takes whenever `indent` is set."""
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-
-
-def _write_json(obj, newline: str, out: list[str]) -> None:
-    """Append the text of `obj` to `out`, its nested lines starting with
-    `newline`.  Strings go through the encoder `json.dumps` uses and ints
-    through `int.__repr__`, as there; other scalars, and a dict with a
-    key that is not a string (which `json.dumps` converts or rejects), go
-    through `json.dumps` itself."""
-    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
-        items = [(_encode_str(key) + ": ", obj[key]) for key in sorted(obj)]
-        opening, closing = "{", "}"
-    elif isinstance(obj, (list, tuple)):
-        items = [("", item) for item in obj]
-        opening, closing = "[", "]"
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-        return
-    else:
-        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
-        return
-    if not items:
-        out.append(opening + closing)
-        return
-    inner = newline + "  "
-    sep = opening + inner
-    for label, value in items:
-        cls = value.__class__
-        if cls is str:
-            out.append(sep + label + _encode_str(value))
-        elif cls is int:
-            out.append(sep + label + int.__repr__(value))
-        else:
-            out.append(sep + label)
-            _write_json(value, inner, out)
-        sep = "," + inner
-    out.append(newline + closing)
 
 
 def write_artifacts(result: CampaignResult, out_dir: str) -> None:
@@ -501,12 +459,14 @@ class StepWriter:
 
     A step holds its class id, its `state`, its `input` (event and time)
     and either the function and case its trace event `fired` or its
-    `error`; a trace event holds `at`, `kind` and `state`, and when it has
-    them `error`, `fired`, `input`, `output` and `tie`, beside the index
-    of its run as `sequence`.  The writer renders each distinct value and
-    each distinct state once, so one writer serves the three files of a
-    campaign, where a chained step starts from the state the trace event
-    before it left."""
+    `error`.  A step that ran writes a trace line: its event's `at`,
+    `fired` and `state`, with `output` and `tie` when the event has them,
+    its `kind`, `external` for a `dext` step, which also writes the step's
+    event as `input`, else `internal`, and the index of its run as
+    `sequence`.  A failed step writes none: its `error` is on the step.
+    The writer renders each distinct value and each distinct state once,
+    so one writer serves the three files of a campaign, where a chained
+    step starts from the state the trace event before it left."""
 
     __slots__ = ("_values", "_states")
 
@@ -542,16 +502,17 @@ class StepWriter:
         lines = []
         for i, steps in enumerate(runs):
             sequence = int.__repr__(i)
-            for ev in events(steps):
-                line = '{"at": ' + value(ev.at)
-                if ev.error:
-                    line += ', "error": ' + _encode_str(ev.error)
-                if ev.fired:
-                    line += ', "fired": {"case": %s, "function": %s}' % (
-                        int.__repr__(ev.fired[1]), _encode_str(ev.fired[0]))
-                if ev.input is not None:
-                    line += ', "input": ' + value(ev.input)
-                line += ', "kind": ' + _encode_str(ev.kind)
+            for step in steps:
+                ev = step.outcome
+                if ev is None:
+                    continue
+                function, case = ev.fired
+                line = '{"at": %s, "fired": {"case": %s, "function": %s}' % (
+                    value(ev.at), int.__repr__(case), _encode_str(function))
+                if function == "dext":
+                    line += ', "input": ' + value(step.event) + ', "kind": "external"'
+                else:
+                    line += ', "kind": "internal"'
                 if ev.output is not None:
                     line += ', "output": ' + value(ev.output)
                 line += ', "sequence": ' + sequence + ', "state": ' + self._state(ev.state_after)[1]
@@ -563,11 +524,10 @@ class StepWriter:
         inner = newline + "  "
         deeper = inner + "  "
         head = ""
-        if step.error is None:
-            if step.outcome is not None:
-                function, case = step.outcome.fired
-                head = (f'{inner}"fired": {{{deeper}"case": {int.__repr__(case)},'
-                        f'{deeper}"function": {_encode_str(function)}{inner}}},')
+        if step.outcome is not None:
+            function, case = step.outcome.fired
+            head = (f'{inner}"fired": {{{deeper}"case": {int.__repr__(case)},'
+                    f'{deeper}"function": {_encode_str(function)}{inner}}},')
         elif step.error:
             head = f'{inner}"error": {_encode_str(step.error)},'
         # encoded names and values escape their newlines, so the raw ones

@@ -4,9 +4,12 @@ Subcommands mirror the pipeline: parse, criteria, combine, select,
 sequence, simulate, campaign, report.  Exit codes: 0 clean, 2 parse or
 usage error; `simulate` alone also returns 3 when a run meets an
 undefined transition and 4 when an execution error stops one, each
-printed as `class N: <error>`; a step recorded with a selection failure
-never ran and sets none.  The pipeline commands, `campaign` included,
-exit 0 whatever they find and count their findings in the report.
+printed as `class N: <error>`.  It runs every step that has a state,
+whatever error the step was recorded with, so its findings are the
+model's; a step with no state, a class that selection could not
+represent, never ran and sets none.  The pipeline commands, `campaign`
+included, exit 0 whatever they find and count their findings in the
+report.
 """
 
 from __future__ import annotations

@@ -116,8 +116,8 @@ class SimulationConfig(Record):
     """A class's initial state and timed input, written in one layout to
     `configs.json` and `sequences.json` (`campaign.StepWriter`).  Run as
     a step (`run_step`), it keeps the trace event it fired (`outcome`) or
-    the error it failed with, and in a replay both; a class with no
-    representative is a step with its `SelectError` text and an empty
+    the error it failed with, the one record of a failure; a class with
+    no representative is a step with its `SelectError` text and an empty
     state, which never ran."""
 
     __slots__ = ("scc_id", "state", "event", "time", "outcome", "error")

@@ -13,9 +13,11 @@ class, the state it started from and the pair it applied, covers its
 class, and every class is consumed exactly once, so the class ids of the
 produced sequences' steps (`SimulationSequence.covered`) partition the
 input catalog.  Each step runs once by `simulator.run_step` and keeps
-the trace event it fired, or the error it failed with; a sequence's
-events and findings are read from its steps (`simulator.events`,
-`failures`).  A failing step ends its sequence with the failure
+the trace event it fired, or the error it failed with, the one record
+of its failure; a sequence's events and findings are read from its
+steps (`simulator.events`, `failures`), and a replay
+(`simulator.run_steps`) runs every step with a state again and gives
+the same steps.  A failing step ends its sequence with the failure
 recorded and the remaining classes continue in fresh sequences.
 """
 

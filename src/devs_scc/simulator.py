@@ -14,7 +14,10 @@ principal validation finding this tool exists to surface.  `_fire` picks
 the case that fires, for both halves of `step`, by the first match of
 `evaluator.compile_cases` kept in the context, and is the one place that
 raises `UndefinedTransition`.  `run_step` records the finding on the
-step as an "undefined transition" error, not a crash.
+step as an "undefined transition" error, not a crash; the step is its
+one record, and a failed step fires no trace event.  A replay
+(`run_steps`) runs every step with a state again, whatever error it was
+recorded with, so the findings it reports are the model's.
 """
 
 from __future__ import annotations
@@ -66,23 +69,19 @@ class SimState(Struct):
 
 
 class TraceEvent(Struct):
-    """One transition or error recorded while simulating, a line of
-    `traces.jsonl` (`campaign.StepWriter`)."""
+    """The transition one step fired, written with its step as a line of
+    `traces.jsonl` (`campaign.StepWriter`): the step holds the input, and
+    `fired[0]` the kind, `dext` external and `dint` internal."""
 
-    __slots__ = ("at", "kind", "fired", "state_after", "input", "output", "tie", "error")
+    __slots__ = ("at", "fired", "state_after", "output", "tie")
 
-    def __init__(self, at: Value, kind: str, fired: tuple[str, int] | None,
-                 state_after: dict[str, Value], input: Value | None = None,
-                 output: Value | None = None, tie: bool = False,
-                 error: str | None = None) -> None:
+    def __init__(self, at: Value, fired: tuple[str, int], state_after: dict[str, Value],
+                 output: Value | None = None, tie: bool = False) -> None:
         self.at = at
-        self.kind = kind  # "internal" | "external" | "error"
         self.fired = fired
         self.state_after = state_after
-        self.input = input
         self.output = output
         self.tie = tie
-        self.error = error
 
 
 def init(model: Model, s0: dict[str, Value]) -> SimState:
@@ -113,7 +112,8 @@ def step(
 ) -> tuple[SimState, Value | None, TraceEvent]:
     """One transition.  `injected` carries (event, absolute time); absent,
     the pending internal transition fires at its deadline, after the
-    output of the state it leaves."""
+    output of the state it leaves.  An injected event must fit the
+    model's input sort, as `init` requires of the state."""
     ta = time_advance(st, ctx)
     if injected is None:
         if isinstance(ta, Inf):
@@ -122,7 +122,8 @@ def step(
         env = {**ctx.consts, **st.state}
         output = _fire(ctx, "lambda", env, st.state)[1](env)
     else:
-        fn, x, at, output = "dext", injected[0], exact(injected[1]), None
+        fn, at, output = "dext", exact(injected[1]), None
+        x = coerce(injected[0], ctx.model.input_sort, "input")
         if at < st.clock:
             raise SimError("injected event lies in the past")
         e = exact(at - st.clock)
@@ -134,15 +135,7 @@ def step(
         env = {**ctx.consts, **st.state, "e": Num(e), "x": x}
     case, result = _fire(ctx, fn, env, st.state)
     new_state = _apply_result(ctx.model, result, env)
-    event = TraceEvent(
-        at=Num(at),
-        kind="internal" if fn == "dint" else "external",
-        fired=(fn, case.id),
-        state_after=dict(new_state),
-        input=x,
-        output=output,
-        tie=tie,
-    )
+    event = TraceEvent(Num(at), (fn, case.id), dict(new_state), output, tie)
     return SimState(new_state, at), output, event
 
 
@@ -209,14 +202,15 @@ def run_config(config: SimulationConfig, ctx: Context) -> list[SimulationConfig]
 
 
 def run_steps(steps: Iterable[SimulationConfig], ctx: Context) -> list[SimulationConfig]:
-    """The steps as `run_step` ran them from the first one's state; one
-    recorded with an error is kept, not run again.  A first state `init`
-    rejects fails its step with `setup failed: …`, and a step that fails
-    running keeps its `error` event as `outcome`; either ends the run."""
+    """The steps as `run_step` ran them from the first one's state,
+    whatever error each was read with; a step with no state is a class
+    that never ran, kept as read.  A first state `init` rejects fails its
+    step with `setup failed: …`; either that or a step that fails running
+    ends the run."""
     ran: list[SimulationConfig] = []
     st = None
     for s in steps:
-        if s.error is not None:
+        if not s.state:
             ran.append(s)
             continue
         if st is None:
@@ -226,13 +220,10 @@ def run_steps(steps: Iterable[SimulationConfig], ctx: Context) -> list[Simulatio
                 ran.append(SimulationConfig(s.scc_id, s.state, s.event, s.time,
                                             error=f"setup failed: {err}"))
                 break
-        nxt, done = run_step(st, s, ctx)
+        st, done = run_step(st, s, ctx)
         ran.append(done)
-        if nxt is None:
-            done.outcome = TraceEvent(at=Num(st.clock), kind="error", fired=None,
-                                      state_after=done.state, error=done.error)
+        if st is None:
             break
-        st = nxt
     return ran
 
 
@@ -303,15 +294,19 @@ def uniformity_probe(scc: SCC, k: int, ctx: Context,
 
 
 def _signature(ran: list[SimulationConfig]) -> str:
-    """A run's behavior: each event's function and case, or `undefined`,
-    and the shape of its output."""
+    """A run's behavior: each step's function and case, or `undefined`
+    for one that failed, and the shape of its output."""
     sig = []
-    for ev in events(ran):
-        step_sig = ev.fired[0] + ":" + str(ev.fired[1]) if ev.fired else "undefined"
+    for step in ran:
+        ev = step.outcome
+        if ev is None:
+            sig.append("undefined")
+            continue
+        step_sig = ev.fired[0] + ":" + str(ev.fired[1])
         if ev.output is not None:
             step_sig += "/" + _shape(ev.output)
         sig.append(step_sig)
-    return ";".join(sig) if sig else "no-step"
+    return ";".join(sig)
 
 
 def _shape(v: Value) -> str:

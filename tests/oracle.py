@@ -29,8 +29,8 @@ lexer replaced; both give `(kind, text, line, col)` tuples.
 child fields, which the product's `walk`, `free_vars` and `subst`, reading
 children from a node's own fields, replaced.
 `step_layout`, `sequence_layout` and `event_layout` build the JSON
-object of a configuration or sequence step, a sequence and a trace
-event, and `configs_json`, `sequences_json` and `trace_lines` write them
+object of a configuration or sequence step, a sequence and the trace
+event of a step, and `configs_json`, `sequences_json` and `trace_lines` write them
 with `json.dumps`: the reference for `devs_scc.campaign.StepWriter`,
 which fills fixed templates of these layouts.
 """
@@ -743,17 +743,17 @@ def lex(text: str) -> list[tuple[str, str, int, int]]:
 
 def step_layout(step) -> dict:
     """A configuration or sequence step: its class id, state and input,
-    and either the function and case its trace event fired or its error;
-    an empty error is left out, as is `fired` then."""
+    and either the function and case its trace event fired or its error,
+    which is left out when empty."""
     rec = {
         "scc": step.scc_id,
         "state": {k: render_value(v) for k, v in step.state.items()},
         "input": {"event": render_value(step.event), "time": render_value(step.time)},
     }
-    if step.error is None and step.outcome is not None:
+    if step.outcome is not None:
         function, case = step.outcome.fired
         rec["fired"] = {"function": function, "case": case}
-    if step.error:
+    elif step.error:
         rec["error"] = step.error
     return rec
 
@@ -762,23 +762,24 @@ def sequence_layout(seq) -> dict:
     return {"steps": [step_layout(s) for s in seq.steps], "covered": seq.covered}
 
 
-def event_layout(ev) -> dict:
-    """A trace event, without the index of its run."""
+def event_layout(step) -> dict:
+    """The trace event of a step that ran, without the index of its run:
+    its event's time, function and case, state, output and tie, and from
+    the step its kind and, for a `dext` step, its input."""
+    ev = step.outcome
+    function, case = ev.fired
     rec = {
         "at": render_value(ev.at),
-        "kind": ev.kind,
+        "fired": {"function": function, "case": case},
+        "kind": "external" if function == "dext" else "internal",
         "state": {k: render_value(v) for k, v in ev.state_after.items()},
     }
-    if ev.fired:
-        rec["fired"] = {"function": ev.fired[0], "case": ev.fired[1]}
-    if ev.input is not None:
-        rec["input"] = render_value(ev.input)
+    if function == "dext":
+        rec["input"] = render_value(step.event)
     if ev.output is not None:
         rec["output"] = render_value(ev.output)
     if ev.tie:
         rec["tie"] = True
-    if ev.error:
-        rec["error"] = ev.error
     return rec
 
 
@@ -796,7 +797,7 @@ def sequences_json(sequences) -> str:
 def trace_lines(runs) -> str:
     """The trace events of the steps of each run, one compact line each,
     naming the index of its run as its `sequence`."""
-    return "".join(json.dumps({"sequence": i, **event_layout(s.outcome)}, sort_keys=True) + "\n"
+    return "".join(json.dumps({"sequence": i, **event_layout(s)}, sort_keys=True) + "\n"
                    for i, steps in enumerate(runs) for s in steps if s.outcome is not None)
 
 

@@ -104,8 +104,9 @@ def test_simulate_config_reproduces_the_missed_case_finding(tmp_path):
     )
     assert code == 3
     assert err.startswith("finding: class 0: undefined transition: no dext case matches (m=idle, ")
+    # the failed step fired no event: its finding is its one record
     expected = FIXTURES / "expected" / "soda-missed-case.trace.jsonl"
-    assert (tmp_path / "trace.jsonl").read_text() == expected.read_text()
+    assert (tmp_path / "trace.jsonl").read_text() == expected.read_text() == ""
 
 
 def test_simulate_tau_on_passive_state_is_an_execution_error(tmp_path):
@@ -219,12 +220,14 @@ def _soda_campaign() -> Campaign:
 
 
 def test_simulate_sequence_file_replays(tmp_path):
-    """`simulate --sequence` on a campaign's own sequences.json replays
-    its traces.jsonl byte for byte."""
+    """`simulate --sequence` on a campaign's own sequences.json runs every
+    step again, failed ones included, and replays its traces.jsonl byte
+    for byte and its report's findings, which no trace line holds."""
     for name, campaign, events in (("elevator", _elevator_campaign(plan=True), 90),
                                    ("soda", _soda_campaign(), 31)):
         out = tmp_path / name
-        write_artifacts(run_campaign(campaign), str(out))
+        result = run_campaign(campaign)
+        write_artifacts(result, str(out))
         code, _, stderr = run_cli(
             "simulate",
             "--model", str(FIXTURES / f"{name}.devs"),
@@ -238,6 +241,17 @@ def test_simulate_sequence_file_replays(tmp_path):
         recorded = (out / "traces.jsonl").read_text()
         assert len(recorded.splitlines()) == events
         assert (out / "replay.jsonl").read_text() == recorded, name
+        findings = [line.split(": ", 1)[1] for line in stderr.splitlines()
+                    if line.startswith(("finding: ", "error: "))]
+        assert sorted(findings) == sorted(result.report_json()["findings"]), name
+        assert_no_error_in_traces(recorded)
+
+
+def assert_no_error_in_traces(text: str) -> None:
+    """A failure is recorded on its step only: no trace line names one."""
+    for line in text.splitlines():
+        event = json.loads(line)
+        assert "error" not in event and event["kind"] in ("internal", "external"), line
 
 
 def test_select_and_sequence_commands(tmp_path):
@@ -401,9 +415,8 @@ def test_simulate_sequence_with_an_infinite_external_time_exits_4(tmp_path):
         code, out, err = run_cli("simulate", *toggle, *source)
         assert code == 4
         assert err == "error: class 1: external event needs a finite time\n"
-        # both modes write the failed step's error event
-        assert out == ('{"at": "0", "error": "external event needs a finite time", "kind": "error", '
-                       '"sequence": 0, "state": {"m": "A"}}\n')
+        # in both modes the failed step fired no event, so no trace line
+        assert out == ""
 
 
 def test_simulate_an_unusable_first_state_fails_setup_in_both_modes(tmp_path):
@@ -420,9 +433,9 @@ def test_simulate_an_unusable_first_state_fails_setup_in_both_modes(tmp_path):
 
 def test_a_step_that_fails_while_running_names_its_class_and_ends_its_run(tmp_path, capsys):
     """A `--sequence` step that fails while running prints `error: class
-    N: …` for its own class, writes its `error` event from the state it
-    failed in, ends its run, and exits 4; a class after it that never ran
-    is still noted.  A config without `scc` is class 0."""
+    N: …` for its own class, writes no trace line, ends its run, and exits
+    4; a class after it that never ran is still noted.  A config without
+    `scc` is class 0."""
     steps = [
         {"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "1"}},
         {"scc": 2, "state": {"m": "B"}, "input": {"event": "tau", "time": "0"}},
@@ -434,18 +447,13 @@ def test_a_step_that_fails_while_running_names_its_class_and_ends_its_run(tmp_pa
     assert main(["simulate", *TOGGLE_ARGS, "--sequence", str(sequences)]) == 4
     assert capsys.readouterr() == (
         '{"at": "1", "fired": {"case": 1, "function": "dext"}, "input": "go", "kind": "external", '
-        '"sequence": 0, "state": {"m": "B"}}\n'
-        '{"at": "1", "error": "passive state, no internal transition", "kind": "error", '
         '"sequence": 0, "state": {"m": "B"}}\n',
         "error: class 2: passive state, no internal transition\n"
         "note: class 4: no representative within bounds\n")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"state": {"m": "A"}, "input": {"event": "tau", "time": "0"}}))
     assert main(["simulate", *TOGGLE_ARGS, "--config", str(config)]) == 4
-    assert capsys.readouterr() == (
-        '{"at": "0", "error": "passive state, no internal transition", "kind": "error", '
-        '"sequence": 0, "state": {"m": "A"}}\n',
-        "error: class 0: passive state, no internal transition\n")
+    assert capsys.readouterr() == ("", "error: class 0: passive state, no internal transition\n")
 
 
 UNSELECTED = {"scc": 3, "state": {}, "input": {"event": "tau", "time": "0"},
@@ -454,26 +462,48 @@ UNDEFINED = {"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "1"
              "error": "undefined transition: no dext case matches (m=A, x=go, e=1)"}
 FAILED = {"scc": 2, "state": {"m": "B"}, "input": {"event": "go", "time": "infinity"},
           "error": "external event needs a finite time"}
+# recorded with errors that running them does not give
+BOGUS = {"scc": 1, "state": {"m": "A"}, "input": {"event": "go", "time": "0"},
+         "error": "undefined transition: bogus"}
+PASSIVE = {"scc": 2, "state": {"m": "B"}, "input": {"event": "tau", "time": "0"},
+           "error": "undefined transition: no dext case matches (m=B, x=go, e=0)"}
 
 
-@pytest.mark.parametrize("step, code, err", [
-    (UNSELECTED, 0, "note: class 3: no representative within bounds\n"),
-    (UNDEFINED, 3, "finding: class 1: undefined transition: no dext case matches (m=A, x=go, e=1)\n"),
-    (FAILED, 4, "error: class 2: external event needs a finite time\n"),
-])
-def test_simulate_reads_a_recorded_error_and_does_not_run_the_step(
-    step, code, err, tmp_path, capsys
+def _fired_go(at: str) -> str:
+    return ('{"at": "%s", "fired": {"case": 1, "function": "dext"}, "input": "go", '
+            '"kind": "external", "sequence": 0, "state": {"m": "B"}}\n' % at)
+
+
+def _outside_the_input_sort(event: str) -> dict:
+    return {"scc": 4, "state": {"m": "A"}, "input": {"event": event, "time": "0"}}
+
+
+@pytest.mark.parametrize("step, code, out, err", [
+    (UNSELECTED, 0, "", "note: class 3: no representative within bounds\n"),
+    (UNDEFINED, 0, _fired_go("1"), ""),
+    (BOGUS, 0, _fired_go("0"), ""),
+    (FAILED, 4, "", "error: class 2: external event needs a finite time\n"),
+    (PASSIVE, 4, "", "error: class 2: passive state, no internal transition\n"),
+    (_outside_the_input_sort("foo"), 4, "",
+     "error: class 4: value foo does not fit sort enum {go} in input\n"),
+    (_outside_the_input_sort("5"), 4, "",
+     "error: class 4: value 5 does not fit sort enum {go} in input\n"),
+], ids=["unselected", "undefined", "bogus", "failed", "passive", "foo", "5"])
+def test_simulate_runs_each_step_with_a_state_whatever_error_it_records(
+    step, code, out, err, tmp_path, capsys
 ):
-    """A step recorded with an error is read from a config file as from a
-    sequences file, and not run again.  One with no state is a class that
-    selection could not represent, which never ran: a note, exit 0."""
+    """A step is read from a config file as from a sequences file, and
+    run if it has a state, whatever error it was recorded with: its exit
+    code, trace and findings are the run's.  One with no state is a class
+    that selection could not represent, which never ran: a note, exit 0.
+    An event outside the model's input sort is an execution error, exit 4."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(step))
     sequences = tmp_path / "sequences.json"
     sequences.write_text(json.dumps({"sequences": [{"steps": [step], "covered": [step["scc"]]}]}))
     for source in (["--config", str(config)], ["--sequence", str(sequences)]):
         assert main(["simulate", *TOGGLE_ARGS, *source]) == code
-        assert capsys.readouterr() == ("", err)
+        assert capsys.readouterr() == (out, err)
 
 
 def test_only_the_steps_that_ran_set_the_simulate_exit_code(tmp_path, capsys):
@@ -496,7 +526,7 @@ def test_a_config_and_a_step_share_one_layout_and_one_reader(tmp_path):
     back equal, an executed step without the trace event it fired."""
     config = SimulationConfig(2, {"m": Lit("B")}, Lit("go"), num(1))
     unselected = SimulationConfig(3, {}, TAU, num(0), error="no representative within bounds")
-    fired = TraceEvent(num(0), "external", ("dext", 1), {"m": Lit("B")}, input=Lit("go"))
+    fired = TraceEvent(num(0), ("dext", 1), {"m": Lit("B")})
     ran = SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(0), outcome=fired)
     path = tmp_path / "input.json"
     for step in (config, unselected):
@@ -909,41 +939,6 @@ def test_a_file_system_error_exits_2(case, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the indented JSON writer against the standard library's
-
-_json_scalars = (
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text() | st.text(st.characters(max_codepoint=0x1F)) | st.sampled_from(["é", " ", "\x7f", "😀"])
-)
-_json_keys = st.text() | st.sampled_from(["", "é", "\x00", "\n", "a b"])
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(_json_keys, inner, max_size=4)
-        | st.dictionaries(st.integers(), inner, max_size=3)
-    ),
-    max_leaves=24,
-)
-
-
-@given(_json_values)
-@example({"a": [], "b": {}, "c": ((), [{}]), "d": [1.5, float("inf"), True, False, None]})
-@example({"non-ascii é": "\x00\x1f\"\\   😀", "": {3: {"x": (1, 2)}, 1: []}})
-def test_dump_json_writes_what_the_standard_library_writes(obj):
-    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def test_dump_json_refuses_what_the_standard_library_refuses():
-    for obj in ({"a": {1: 2, "b": 3}}, [{None: 1, 2: 3}], {"a": object()}):
-        with pytest.raises(TypeError):
-            json.dumps(obj, sort_keys=True, indent=2)
-        with pytest.raises(TypeError):
-            dump_json(obj)
-
-
-# ---------------------------------------------------------------------------
 # the step writer against the reference layouts dumped by the standard library
 
 _names = st.sampled_from(["m", "a", "a b", "é", "\x00", '"']) | st.text(max_size=3)
@@ -969,18 +964,15 @@ def _runs(draw) -> tuple[dict, list[SimulationSequence]]:
     state = st.sampled_from(draw(st.lists(
         st.fixed_dictionaries({n: value for n in names}) | _states, min_size=2, max_size=3)))
 
-    def event(error: bool):
-        return draw(st.builds(
-            TraceEvent, value, st.sampled_from(["internal", "external", "error"]),
-            st.none() if error else _fired, state,
-            input=st.none() | value, output=st.none() | value, tie=st.booleans(),
-            error=_texts if error else st.none() | _texts))
-
     def step(scc_id: int) -> SimulationConfig:
+        # a step keeps the event it fired or its error, or neither
         error = draw(st.none() | _texts)
-        outcome = draw(st.booleans()) and event(error is not None)
+        outcome = None
+        if error is None and draw(st.booleans()):
+            outcome = draw(st.builds(TraceEvent, value, _fired, state,
+                                     output=st.none() | value, tie=st.booleans()))
         return SimulationConfig(scc_id, draw(state), draw(value), draw(value),
-                                outcome=outcome or None, error=error)
+                                outcome=outcome, error=error)
 
     ids = draw(st.lists(st.integers(0, 99), unique=True, min_size=1, max_size=5))
     sequences = [SimulationSequence([step(i) for i in chunk])
@@ -992,6 +984,11 @@ def _runs(draw) -> tuple[dict, list[SimulationSequence]]:
 @given(_runs())
 @example(({}, []))
 @example(({}, [SimulationSequence()]))
+@example(({}, [SimulationSequence([
+    SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(0),
+                     outcome=TraceEvent(num(0), ("dext", 1), {"m": Lit("B")}, tie=True)),
+    SimulationConfig(2, {"m": Lit("B")}, TAU, num(0),
+                     outcome=TraceEvent(num(5), ("dint", 2), {"m": Lit("A")}, Lit("ping")))])]))
 @example(({7: SimulationConfig(7, {}, TAU, num(0))}, [SimulationSequence(
     [SimulationConfig(7, {}, TAU, num(0), error="")])]))
 @example(({i: SimulationConfig(i, {"m": v}, Lit("go"), num(Fraction(-1, 2)))
@@ -1064,6 +1061,7 @@ def test_every_report_count_is_what_the_other_artifacts_hold(name, tmp_path, cap
     assert report["configs_selected"] == len(art["configs"]["configs"])
     assert report["sequences"] == len(sequences)
     assert report["trace_events"] == len(art["traces"])
+    assert_no_error_in_traces("\n".join(art["traces"]))
     # a failed step with a state is a finding; one with none never ran
     for key, ran in (("findings", True), ("config_errors", False)):
         assert report[key] == [f"class {s['scc']}: {s['error']}" for s in failed

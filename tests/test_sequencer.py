@@ -253,7 +253,8 @@ def test_recorded_traces_equal_a_replay(name, request):
     for seq in sequences:
         replayed = replay_sequence(seq, ctx)
         assert replayed == seq.steps
-        assert [event_layout(e) for e in events(seq.steps)] == [event_layout(e) for e in events(replayed)]
+        assert ([event_layout(s) for s in seq.steps if s.outcome]
+                == [event_layout(s) for s in replayed if s.outcome])
         assert failures(seq.steps) == failures(replayed)
     assert sum(len(events(seq.steps)) for seq in sequences) > 0
     if model.name != "toggle":

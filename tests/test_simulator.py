@@ -14,6 +14,7 @@ from devs_scc.selector import SimulationConfig, select_config
 from devs_scc.sequencer import SimulationSequence
 from devs_scc.simulator import (
     SimError,
+    TraceEvent,
     UndefinedTransition,
     advance,
     events,
@@ -156,13 +157,16 @@ def test_run_config_surfaces_the_missed_case(soda, soda_bounds):
     [ran] = run_config(cfg, Context(soda, soda_bounds))
     assert ran.error.startswith("undefined transition: no dext case matches (m=idle, ")
     assert failures([ran]) == ([f"class 7: {ran.error}"], [])
-    # the failed step keeps its error event, in the state it failed in
-    assert events([ran]) == [ran.outcome]
-    assert (ran.outcome.kind, ran.outcome.error, ran.outcome.fired) == ("error", ran.error, None)
-    assert ran.outcome.state_after == ran.state == cfg.state
+    # the failed step, in the state it failed in, is the one record of
+    # its failure: it fired no trace event
+    assert (ran.outcome, ran.state) == (None, cfg.state)
+    assert events([ran]) == []
     # and is written as the campaign writes a failed step, without `fired`
-    written = json.loads(StepWriter().sequences([SimulationSequence([ran])]))
+    # and without a trace line
+    writer = StepWriter()
+    written = json.loads(writer.sequences([SimulationSequence([ran])]))
     assert written["sequences"][0]["steps"] == [{**step_layout(cfg), "error": ran.error}]
+    assert writer.traces([[ran]]) == ""
 
 
 def test_elevator_first_class_witness_fires_case_one(elevator, elevator_bounds):
@@ -189,19 +193,32 @@ def test_run_step_records_the_step_from_the_state_it_ran_in(toggle, toggle_bound
                                       error="passive state, no internal transition")
 
 
-def test_run_steps_keeps_recorded_failures_and_stops_at_a_new_one(toggle, toggle_bounds):
+def test_run_steps_runs_every_step_with_a_state_and_stops_at_a_failure(toggle, toggle_bounds):
+    """A step recorded with an error runs again from the state the run
+    reached; one with no state never ran and is kept as read; the first
+    step that fails running ends the run."""
     ctx = Context(toggle, toggle_bounds)
-    recorded = SimulationConfig(3, {"m": Lit("A")}, Lit("go"), num(0), error="recorded")
+    unselected = SimulationConfig(6, {}, TAU, num(0), error="no representative within bounds")
     steps = [
-        recorded,
+        SimulationConfig(3, {"m": Lit("A")}, Lit("go"), num(0), error="recorded"),
+        unselected,
         SimulationConfig(1, {"m": Lit("A")}, Lit("go"), num(1)),
         SimulationConfig(2, {"m": Lit("B")}, Lit("go"), INF),
         SimulationConfig(4, {"m": Lit("A")}, Lit("go"), num(1)),
     ]
     ran = run_steps(steps, ctx)
-    assert len(ran) == 3 and ran[0] is recorded
-    assert [e.kind for e in events(ran)] == ["external", "error"]
-    assert failures(ran) == (["class 3: recorded", "class 2: external event needs a finite time"], [])
+    assert ran[1] is unselected
+    assert ran == [
+        SimulationConfig(3, {"m": Lit("A")}, Lit("go"), num(0),
+                         outcome=TraceEvent(num(0), ("dext", 1), {"m": Lit("B")})),
+        unselected,
+        SimulationConfig(1, {"m": Lit("B")}, Lit("go"), num(1),
+                         outcome=TraceEvent(num(1), ("dext", 2), {"m": Lit("A")})),
+        SimulationConfig(2, {"m": Lit("A")}, Lit("go"), INF,
+                         error="external event needs a finite time"),
+    ]
+    assert failures(ran) == (["class 2: external event needs a finite time"],
+                             ["class 6: no representative within bounds"])
     assert run_steps([SimulationConfig(5, {"m": Lit("C")}, Lit("go"), num(0))], ctx) == [
         SimulationConfig(5, {"m": Lit("C")}, Lit("go"), num(0),
                          error="setup failed: value C does not fit sort enum {A, B} in initial m")]
@@ -275,9 +292,9 @@ def test_advance_fires_tau_and_injects_relative_to_the_last_transition(soda, sod
     ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state(ot=num(10)))
     st, ev = advance(st, TAU, num(0), ctx)
-    assert (ev.kind, ev.fired, st.clock) == ("internal", ("dint", 5), 10)
+    assert (ev.at, ev.fired, st.clock) == (num(10), ("dint", 5), 10)
     st, ev = advance(st, Lit("c25"), num(3), ctx)
-    assert (ev.kind, ev.at, ev.fired) == ("external", num(13), ("dext", 1))
+    assert (ev.at, ev.fired, ev.output) == (num(13), ("dext", 1), None)
     with pytest.raises(SimError, match="finite time"):
         advance(st, Lit("c25"), INF, ctx)
 

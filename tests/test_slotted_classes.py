@@ -63,8 +63,8 @@ DATACLASSES = {
     Diagnostic: (False, [("line", REQUIRED), ("col", REQUIRED), ("message", REQUIRED)]),
     SimState: (False, [("state", REQUIRED), ("clock", REQUIRED)]),
     TraceEvent: (False, [
-        ("at", REQUIRED), ("kind", REQUIRED), ("fired", REQUIRED), ("state_after", REQUIRED),
-        ("input", None), ("output", None), ("tie", False), ("error", None),
+        ("at", REQUIRED), ("fired", REQUIRED), ("state_after", REQUIRED),
+        ("output", None), ("tie", False),
     ]),
     ProbeReport: (False, [
         ("scc_id", REQUIRED), ("uniform", REQUIRED), ("signatures", REQUIRED), ("note", ""),
