@@ -43,7 +43,6 @@ from .parser import (
     parse_bounds_file,
     parse_model_file,
 )
-from .selector import SelectError
 from .simulator import failures, run_steps
 
 EXIT_OK = 0
@@ -93,9 +92,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="most combinations attempted; the rest are skipped "
                             "with a note (default 1000)")
         p.add_argument("--out", help="output directory (campaign) or file")
-        p.add_argument("--probe-k", type=int, default=0, metavar="K",
-                       help="uniformity probe: sample up to K distinct executable "
-                            "members of each base class; 0 (off) or at least 2")
+    # the other pipeline commands stop before the probe
+    sub.choices["campaign"].add_argument(
+        "--probe-k", type=int, default=0, metavar="K",
+        help="uniformity probe: sample up to K distinct executable "
+             "members of each base class; 0 (off) or at least 2")
 
     p_sim = sub.add_parser("simulate", help="run a config or sequence file")
     p_sim.add_argument("--model", required=True)
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_PARSE
     except (BindError, BoundsError, CampaignError, CriterionError, DnfCapError,
-            SelectError, OSError) as err:
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -159,7 +160,8 @@ def _load_model_and_bounds(args) -> tuple[Model, Bounds]:
 
 
 def _build_campaign(args) -> tuple[Campaign, list[str]]:
-    if args.probe_k == 1 or args.probe_k < 0:
+    probe_k = getattr(args, "probe_k", 0)  # `campaign` alone takes --probe-k
+    if probe_k == 1 or probe_k < 0:
         # one sample cannot disagree with itself
         raise CampaignError("--probe-k must be 0 (off) or at least 2")
     # the combination flags, in the layout of a plan file
@@ -189,7 +191,7 @@ def _build_campaign(args) -> tuple[Campaign, list[str]]:
         selections=args.criteria,
         plan=plan,
         include_otherwise=args.include_otherwise,
-        probe_k=args.probe_k,
+        probe_k=probe_k,
     )
     return campaign, notes
 

@@ -24,9 +24,10 @@ from .values import TAU, TIME, Sort, Value
 
 
 class ClassForms:
-    """A class's member and runnable search forms and its state test,
-    each made on first use.  It holds the class, so the class's `id`, its
-    key in `Context.classes`, stays its own."""
+    """A class's member and runnable search forms and its state tests
+    (the tuple `selector.state_tests`), each made on first use.  It
+    holds the class, so the class's `id`, its key in `Context.classes`,
+    stays its own."""
 
     __slots__ = ("scc", "member", "runnable", "state")
 

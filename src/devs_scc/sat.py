@@ -1,14 +1,13 @@
 """Bounded satisfiability and witness search.
 
-One depth-first search enumerates the witnesses of a predicate over the
-declared variable order with each variable's grid ascending, so the
-first witness found is the lexicographically least satisfying
+One depth-first search walks the grids of a predicate's variables in the
+declared order, each grid ascending, and returns its verdict at the
+first witness, so the witness is the lexicographically least satisfying
 assignment — reproducible across runs and platforms.  `satisfiable` is
-its first result.  `coverage` runs the coverage and disjointness checks
-of a case table on it, deciding first, without a search, each pair of
-cases whose guards admit no common value of some variable.  The search
-is one loop over an explicit stack of grid positions, one per variable,
-rather than one generator frame per variable.
+that search.  `coverage` runs the coverage and disjointness checks of a
+case table on it, deciding first, without a search, each pair of cases
+whose guards admit no common value of some variable.  The search is one
+loop over an explicit stack of grid positions, one per variable.
 
 A predicate is searched in its prepared form, a `Conjunction`: its
 normal form's conjuncts in canonical order, each with its text, its free
@@ -78,10 +77,6 @@ from .values import Sort, Struct, Value
 Space = list[tuple[str, list[Value]]]
 
 
-class BudgetExhausted(Exception):
-    pass
-
-
 class SatResult(Struct):
     """A search verdict, with the least witness when sat."""
 
@@ -97,16 +92,6 @@ class SatResult(Struct):
     @property
     def sat(self) -> bool:
         return self.status == "sat"
-
-
-class _Budget(Struct):
-    """The attempts one search may spend and has spent."""
-
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: int, used: int = 0) -> None:
-        self.limit = limit
-        self.used = used
 
 
 class Conjunct:
@@ -211,16 +196,9 @@ def satisfiable(
     per variable, lexicographic order); `limit` replaces the budget of
     the context's `bounds.max_attempts`.  The context's constants are
     bound, under `base_env`."""
-    budget = _Budget(ctx.bounds.max_attempts if limit is None else limit)
-    search = _witnesses(_form(pred, ctx), space, _env(ctx, base_env), budget, lo, hi)
-    try:
-        found = next(search, None)
-    except BudgetExhausted:
-        return SatResult("unknown", attempts=budget.used)
-    if found is None:
-        return SatResult("unsat", attempts=budget.used)
-    index, witness = found
-    return SatResult("sat", witness=witness, attempts=budget.used, index=index)
+    form = pred if isinstance(pred, Conjunction) else prepare(pred, ctx)
+    return _search(form, space, _env(ctx, base_env),
+                   ctx.bounds.max_attempts if limit is None else limit, lo, hi)
 
 
 def coverage(
@@ -256,40 +234,31 @@ def coverage(
     return gap, overlaps
 
 
-def _form(pred, ctx) -> Conjunction:
-    return pred if isinstance(pred, Conjunction) else prepare(pred, ctx)
-
-
 def _env(ctx, base_env) -> dict[str, Value]:
     return {**ctx.consts, **base_env} if base_env else dict(ctx.consts)
 
 
-def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=None, hi=None):
-    """(grid positions, witness) pairs in lexicographic order, within the
-    positions `lo` to `hi` when given; raises BudgetExhausted when the
-    budget runs out first.  The attempts are counted in a local and are
-    in `budget.used` whenever the search yields, returns or raises."""
+def _search(form: Conjunction, space: Space, env: dict, limit: int,
+            lo=None, hi=None) -> SatResult:
+    """The least witness within the positions `lo` to `hi` when given,
+    else unsat, or unknown once more than `limit` attempts are spent."""
     if form.false:
-        return
+        return SatResult("unsat")
     names = tuple(n for n, _ in space)
     grids = [g for _, g in space]
     # per depth: the tests of its unary and of its other conjuncts, None
     # without any
     pre, unary_tests, joint_tests = _by_depth(form, names)
-    used, limit = budget.used, budget.limit
+    used = 0
     for test in pre:
         used += 1
         if used > limit:
-            budget.used = used
-            raise BudgetExhausted()
+            return SatResult("unknown", attempts=used)
         if not all_hold((test,), env):
-            budget.used = used
-            return
+            return SatResult("unsat", attempts=used)
     n = len(names)
     if n == 0:
-        budget.used = used
-        yield (), {}
-        return
+        return SatResult("sat", witness={}, attempts=used, index=())
     # for unary conjuncts, per depth: each grid index's verdict once
     # evaluated, and how many indices have failed
     known = [None if tests is None else [None] * len(grid)
@@ -316,8 +285,7 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
             continue
         used += 1
         if used > limit:
-            budget.used = used
-            raise BudgetExhausted()
+            return SatResult("unknown", attempts=used)
         env[names[d]] = grids[d][i]
         if memo is not None and memo[i] is None:
             memo[i] = all_hold(unary_tests[d], env)
@@ -330,16 +298,15 @@ def _witnesses(form: Conjunction, space: Space, env: dict, budget: _Budget, lo=N
         if tests is not None and not all_hold(tests, env):
             continue
         if d == last:
-            budget.used = used
-            yield tuple(p - 1 for p in pos), {name: env[name] for name in names}
-            continue
+            return SatResult("sat", witness={name: env[name] for name in names},
+                             attempts=used, index=tuple(p - 1 for p in pos))
         down_lo = lo_tight[d] and i == lo[d]
         down_hi = hi_tight[d] and i == hi[d]
         d += 1
         lo_tight[d], hi_tight[d] = down_lo, down_hi
         pos[d] = lo[d] if down_lo else 0
         end[d] = hi[d] if down_hi else len(grids[d]) - 1
-    budget.used = used
+    return SatResult("unsat", attempts=used)
 
 
 def _by_depth(form: Conjunction, names: tuple[str, ...]):

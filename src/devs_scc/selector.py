@@ -9,11 +9,12 @@ joint predicate, linking state and input through the original guard, so
 the chosen state and event actually exercise the targeted case).  Every
 class is solved by one search over the joint space of its `member_form`,
 prepared once per context and kept in its `ClassForms`.  The selected
-witness is re-checked on the class's state test, kept there as well
-because chaining decides on it too, and on its pair predicate: each is
-the all-of the interned conjunct tests of its normalized predicate
-(`sat.interned`), in their canonical order, so a class compiles nothing
-that its context has compiled before.
+witness is re-checked on the class's state tests, kept there as well
+because chaining decides on them too, and on its pair tests: the
+interned tests of each predicate's conjuncts (`sat.interned`), decided
+by `evaluator.all_hold`, the search's own rule.  A class compiles
+nothing that its context has compiled before, and a conjunct that fails
+to evaluate at the witness fails the re-check.
 
 A configuration is only executable when its pair time fits inside the
 chosen state's time advance (the total-state constraint 0 <= e <= ta),
@@ -37,7 +38,7 @@ from .bounds import digits_index, index_digits
 from .context import Context
 # `eval_pred` is not called here, but `bench/layers.py` rebinds
 # `selector.eval_pred` and stops on a missing name
-from .evaluator import eval_pred  # noqa: F401
+from .evaluator import all_hold, eval_pred  # noqa: F401
 from .model import Model
 from .sat import Conjunction, SatResult, interned, prepare_conjuncts, satisfiable
 from .scc import SCC
@@ -87,29 +88,18 @@ def runnable_form(scc: SCC, ctx: Context) -> Conjunction:
     return forms.runnable
 
 
-def state_test(scc: SCC, ctx: Context):
-    """The test of `scc.init_states`, made once per context; selection
-    and chaining both decide on it."""
+def state_tests(scc: SCC, ctx: Context) -> tuple:
+    """The interned tests of `scc.init_states`' conjuncts, in their
+    order, made once per context; selection and chaining both decide on
+    them with `all_hold`."""
     forms = ctx.forms(scc)
     if forms.state is None:
-        forms.state = _all_of(scc.init_states, ctx)
+        forms.state = _tests(scc.init_states, ctx)
     return forms.state
 
 
-def _all_of(pred: Predicate, ctx: Context):
-    """A test that `pred`'s conjuncts all hold, tried in their order, as
-    the compiled conjunction would: the first that fails decides, and an
-    EvalError propagates."""
-    tests = tuple(c.test for c in interned(conjuncts(pred), ctx))
-    if len(tests) == 1:
-        return tests[0]
-
-    def all_of(env):
-        for test in tests:
-            if not test(env):
-                return False
-        return True
-    return all_of
+def _tests(pred: Predicate, ctx: Context) -> tuple:
+    return tuple(c.test for c in interned(conjuncts(pred), ctx))
 
 
 class SimulationConfig(Record):
@@ -139,7 +129,7 @@ class SimulationConfig(Record):
 
 def select_config(scc: SCC, ctx: Context) -> SimulationConfig:
     """Least executable member of a class, else its least member,
-    re-checked by the class's kept state test and its pair predicate."""
+    re-checked by the class's kept state tests and its pair predicate."""
     space = ctx.joint_space
     verdict = satisfiable(runnable_form(scc, ctx), space, ctx)
     if verdict.status != "sat":
@@ -164,10 +154,10 @@ def _require_sat(verdict: SatResult, scc: SCC) -> None:
 
 def _check_membership(config: SimulationConfig, scc: SCC, ctx: Context) -> None:
     consts = ctx.consts
-    if not state_test(scc, ctx)({**consts, **config.state}):
+    if not all_hold(state_tests(scc, ctx), {**consts, **config.state}):
         raise SelectError(scc.id, "selected state fails its own predicate")
     env = {**consts, "x": config.event, "t": config.time}
-    if not all(c.test(env) for c in interned(conjuncts(scc.input_pairs), ctx)):
+    if not all_hold(_tests(scc.input_pairs, ctx), env):
         raise SelectError(scc.id, "selected input pair fails its own predicate")
 
 

@@ -24,9 +24,10 @@ recorded and the remaining classes continue in fresh sequences.
 from __future__ import annotations
 
 from .context import Context
+from .evaluator import all_hold
 from .sat import satisfiable
 from .scc import SCC
-from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_test
+from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_tests
 from .simulator import init, run_step, time_advance
 from .values import EvalError, Inf, Struct
 
@@ -100,7 +101,7 @@ def _next_reachable(remaining, sim, ctx):
     space = None
     for at, scc in enumerate(remaining):
         try:
-            if not state_test(scc, ctx)(env):
+            if not all_hold(state_tests(scc, ctx), env):
                 continue
         except EvalError:
             continue

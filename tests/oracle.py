@@ -14,11 +14,13 @@ evaluate witnesses nothing, but an unbound name is raised.
 
 `time_points`, `state_space` and `joint_space` build the search spaces
 afresh from the bounds on every call, the reference for the spaces a
-`devs_scc.context.Context` keeps.  `iter_witnesses` drains the product's
-witness search, which `src/`
-only ever asks for its first witness.  `split` divides a prepared form's
-conjuncts by search depth from their variables on every call, the
-reference for the search's split from the placements its conjuncts keep.  `ref_render_pred` and
+`devs_scc.context.Context` keeps.  `iter_witnesses` enumerates every
+witness of a predicate by a recursive search of its own that decides
+each conjunct with `eval_pred` once its variables are bound, the
+reference for the product's search, which returns only the first, and
+independent of it.  `split` divides a prepared form's conjuncts by
+search depth from their variables on every call, the reference for the
+search's split from the placements its conjuncts keep.  `ref_render_pred` and
 `ref_render_expr` are the renderer that walks the whole tree on every
 call, with the precedence of the enclosing place passed down; the
 product's renderer keeps each node's text and must agree with it.
@@ -42,11 +44,10 @@ import json
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from devs_scc.bounds import grid
+from devs_scc.bounds import const_env, grid
 from devs_scc.campaign import SCHEMA
 from devs_scc.model import GuardedCase, Model, OperatorDef
 from devs_scc.parser import Diagnostic, ParseFailure
-from devs_scc.sat import BudgetExhausted, _Budget, _env, _form, _witnesses
 from devs_scc.syntax import (
     And,
     Apply,
@@ -68,6 +69,8 @@ from devs_scc.syntax import (
     Proj,
     Ref,
     TupleExpr,
+    conjuncts,
+    normalize,
     render_expr,
 )
 from devs_scc.values import (
@@ -427,15 +430,37 @@ def joint_space(model: Model, bounds) -> list[tuple[str, list[Value]]]:
             *state_space(model, bounds)]
 
 
-def iter_witnesses(pred, space, ctx, base_env=None, limit: int = 1_000_000):
-    """All witnesses in lexicographic order, stopping quietly once `limit`
-    attempts are spent."""
-    search = _witnesses(_form(pred, ctx), space, _env(ctx, base_env), _Budget(limit))
-    try:
-        for _, witness in search:
-            yield witness
-    except BudgetExhausted:
-        return
+def iter_witnesses(pred, space, ctx):
+    """All witnesses of `pred` over `space` in lexicographic order, the
+    model's constants bound: a recursive search that decides each
+    conjunct of the normal form by `eval_pred` as soon as its deepest
+    variable is bound, or before any when it names none.  A conjunct that
+    fails to evaluate does not hold, but an unbound name is raised."""
+    model, bounds = ctx.model, ctx.bounds
+    depth = {name: d for d, (name, _) in enumerate(space)}
+    # checked at level k: the conjuncts whose deepest variable is k - 1
+    at = [[] for _ in range(len(space) + 1)]
+    for c in conjuncts(normalize(pred)):
+        at[max((depth[v] + 1 for v in pred_vars(c) if v in depth), default=0)].append(c)
+    env = {} if model is None else const_env(bounds, model)
+
+    def search(level):
+        try:
+            if not all(eval_pred(c, env, model, bounds) for c in at[level]):
+                return
+        except UnboundName:
+            raise
+        except EvalError:
+            return
+        if level == len(space):
+            yield {name: env[name] for name, _ in space}
+            return
+        name, values = space[level]
+        for value in values:
+            env[name] = value
+            yield from search(level + 1)
+
+    return search(0)
 
 
 def split(form, names: tuple[str, ...]):

@@ -349,7 +349,6 @@ ELEVATOR_ARGS = [
     "--group", "1,49",
     "--group", "13,59,85",
     "--max-arity", "3",
-    "--probe-k", "2",
     *[arg for sel in ELEVATOR_SELECTIONS for arg in ("--criteria", sel)],
 ]
 LATER_STAGES = {
@@ -368,7 +367,7 @@ LATER_STAGES = {
 def test_pipeline_commands_stop_after_their_stage(
     command, artifact, last_stage, tmp_path, monkeypatch, capsys
 ):
-    assert main(["campaign", *ELEVATOR_ARGS, "--out", str(tmp_path / "full")]) == 0
+    assert main(["campaign", *ELEVATOR_ARGS, "--probe-k", "2", "--out", str(tmp_path / "full")]) == 0
     capsys.readouterr()
 
     def unreachable(*args, **kwargs):
@@ -885,11 +884,22 @@ def test_a_malformed_report_exits_2(text, message, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("k", ["1", "-3"])
-def test_a_probe_k_that_cannot_probe_exits_2(k, tmp_path, capsys):
-    args = ["campaign", *TOGGLE_ARGS, "--criteria", "cases", "--probe-k", k, "--out", str(tmp_path / "out")]
-    assert main(args) == 2
-    assert capsys.readouterr() == ("", "error: --probe-k must be 0 (off) or at least 2\n")
+@pytest.mark.parametrize("command, k", [
+    ("campaign", "1"), ("campaign", "-3"),
+    ("criteria", "4"), ("combine", "4"), ("select", "4"), ("sequence", "4"),
+])
+def test_a_probe_k_that_cannot_probe_exits_2(command, k, tmp_path, capsys):
+    args = [command, *TOGGLE_ARGS, "--criteria", "cases", "--probe-k", k, "--out", str(tmp_path / "out")]
+    if command == "campaign":
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", "error: --probe-k must be 0 (off) or at least 2\n")
+    else:
+        # the commands that stop before the probe do not take the option
+        with pytest.raises(SystemExit) as stop:
+            main(args)
+        assert stop.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: unrecognized arguments: --probe-k {k}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -908,10 +918,11 @@ def test_help_describes_every_command_and_pipeline_option(capsys):
         text = " ".join(capsys.readouterr().out.split())
         for phrase in ("--include-otherwise the cases criterion adds the catch-all cases",
                        "largest group a plan combines (default 2)",
-                       "--budget BUDGET most combinations attempted",
-                       "--probe-k K uniformity probe: sample up to K distinct executable "
-                       "members of each base class; 0 (off) or at least 2"):
+                       "--budget BUDGET most combinations attempted"):
             assert phrase in text, (name, phrase)
+        probe = ("--probe-k K uniformity probe: sample up to K distinct executable "
+                 "members of each base class; 0 (off) or at least 2")
+        assert probe in text if name == "campaign" else "--probe-k" not in text, name
 
 
 @pytest.mark.parametrize("case", [

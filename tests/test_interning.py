@@ -19,14 +19,16 @@ from devs_scc.bounds import grid
 from devs_scc.campaign import Campaign, load_plan, load_tables, run_campaign
 from devs_scc.check import validate_model
 from devs_scc.context import Context
-from devs_scc.evaluator import compile_expr, compile_pred
+from devs_scc.evaluator import all_hold, compile_expr, compile_pred
 from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_file
 from devs_scc.sat import prepare, prepare_conjuncts, satisfiable
 from devs_scc.scc import SCC, assign_ids, make_scc
 from devs_scc.sequencer import build_sequences
-from devs_scc.selector import SimulationConfig, member_form, runnable_form, select_config
+from devs_scc.selector import (
+    SelectError, SimulationConfig, member_form, runnable_form, select_config,
+)
 from devs_scc.syntax import (
-    And, Apply, Cmp, Const, Exists, Ref, conjuncts, normalize, render_pred,
+    And, Apply, BinOp, Cmp, Const, Exists, Ref, conjuncts, normalize, render_pred,
 )
 from devs_scc.values import INF, NAT, EvalError, Lit, num
 from oracle import iter_subpreds, joint_space, state_space
@@ -296,29 +298,38 @@ def test_selection_and_chaining_compile_each_class_state_test_once(monkeypatch):
             monkeypatch.setattr(module, "compile_pred", counting)
     made = []
 
-    def counting_tests(pred, *args, _make=selector._all_of):
+    def counting_tests(pred, *args, _make=selector._tests):
         made.append(pred)
         return _make(pred, *args)
 
-    monkeypatch.setattr(selector, "_all_of", counting_tests)
+    monkeypatch.setattr(selector, "_tests", counting_tests)
+    assert all(id(scc) not in ctx.classes for scc in catalog)
     configs = {scc.id: select_config(scc, ctx) for scc in catalog}
-    # selection re-checks each representative on its class's state test,
+    kept = [ctx.classes[id(scc)].state for scc in catalog]
+    # selection re-checks each representative on its class's state tests,
     # made once from the conjuncts the context interned, and on the
     # interned conjuncts of its pair predicate, so no class predicate is
     # compiled ...
     assert compiled == []
-    assert made == [scc.init_states for scc in catalog]
+    assert made == [p for scc in catalog for p in (scc.init_states, scc.input_pairs)]
     interned = ctx.conjuncts
-    for scc in catalog:
-        if len(conjuncts(scc.init_states)) == 1:
-            assert selector.state_test(scc, ctx) is interned[render_pred(scc.init_states)].test
+    for scc, tests in zip(catalog, kept):
+        assert isinstance(tests, tuple)
+        expected = [interned[render_pred(c)].test for c in conjuncts(scc.init_states)]
+        assert len(tests) == len(expected) and all(a is b for a, b in zip(tests, expected))
+        assert selector.state_tests(scc, ctx) is tests
         assert all(render_pred(c) in interned for c in conjuncts(scc.input_pairs))
+    # a second selection makes only the pair tests again ...
+    del made[:]
     assert [select_config(scc, ctx) for scc in catalog] == list(configs.values())
-    assert len(made) == len(catalog)
-    # ... and chaining tests states on the same kept state tests
+    assert made == [scc.input_pairs for scc in catalog]
+    assert all(ctx.classes[id(scc)].state is tests for scc, tests in zip(catalog, kept))
+    # ... and chaining tests states on the same kept state tests, making none
+    del made[:]
     sequences, _ = build_sequences(catalog, ctx, configs)
     assert sum(len(s.covered) for s in sequences) == len(catalog)
-    assert len(made) == len(catalog)
+    assert all(ctx.classes[id(scc)].state is tests for scc, tests in zip(catalog, kept))
+    assert made == []
     assert compiled == []
 
 
@@ -346,12 +357,27 @@ def test_a_class_test_raises_where_its_compiled_predicate_raises():
     with pytest.raises(EvalError) as compiled:
         compile_pred(two.init_states, ctx)({"m": Lit("B")})
     with pytest.raises(EvalError) as kept:
-        selector.state_test(two, ctx)({"m": Lit("B")})
+        all_hold(selector.state_tests(two, ctx), {"m": Lit("B")})
     assert str(kept.value) == str(compiled.value) == "unbound variable a"
     # selection finds m = B from the joint predicate, then its re-check
     # raises as the compiled predicate does
     with pytest.raises(EvalError, match="^unbound variable a$"):
         select_config(two, ctx)
+
+
+def test_a_state_conjunct_that_fails_to_evaluate_fails_the_re_check():
+    model, bounds = _fresh("toggle")
+    # the member predicate pins m = B; the state predicate's second
+    # conjunct divides by zero there, which the search reads as false
+    at_b = Cmp("=", Ref("m"), Const(Lit("B")))
+    go = Cmp("=", Ref("x"), Const(Lit("go")))
+    by_zero = Cmp("=", BinOp("div", Const(num(1)), Const(num(0))), Const(num(0)))
+    scc = make_scc(And((at_b, by_zero)), go, "manual", "zero", joint=And((at_b, go)), id=1)
+    ctx = Context(model, bounds)
+    with pytest.raises(EvalError, match="division by zero"):
+        compile_pred(scc.init_states, ctx)({"m": Lit("B")})
+    with pytest.raises(SelectError, match="^class 1: selected state fails its own predicate$"):
+        select_config(scc, ctx)
 
 
 def test_chaining_skips_a_class_whose_state_test_raises():

@@ -129,7 +129,7 @@ def test_every_record_class_has_samples():
 
     classes = record_classes() - {Node, Struct}
     assert classes == {type(s) for s in SAMPLES} | set(CLASSES)
-    assert len(SAMPLES_CLASSES := {type(s) for s in SAMPLES}) == 38 and len(classes) == 38 + 15
+    assert len(SAMPLES_CLASSES := {type(s) for s in SAMPLES}) == 38 and len(classes) == 38 + 14
     assert not SAMPLES_CLASSES & set(CLASSES)
     assert Node in record_classes()
     assert set(Node.__subclasses__()) == {c for c in classes if c.__module__ == "devs_scc.syntax"}

@@ -1,6 +1,7 @@
 import itertools
 from math import prod
 
+import pytest
 from hypothesis import given, strategies as st
 
 from devs_scc.bounds import Bounds, grid, index_digits
@@ -8,9 +9,9 @@ from oracle import eval_pred, iter_witnesses, pred_vars
 from devs_scc.context import Context
 from devs_scc.sat import coverage, prepare, project_exists, satisfiable
 from devs_scc.syntax import (
-    And, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, render_pred,
+    And, BinOp, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, render_pred,
 )
-from devs_scc.values import EnumSort, EvalError, Lit, NAT, TIME, num
+from devs_scc.values import EnumSort, EvalError, Lit, NAT, TIME, UnboundName, num
 
 ONOFF = EnumSort(("ON", "OFF"))
 
@@ -85,6 +86,38 @@ def test_iter_witnesses_in_grid_order():
     assert [(w["n"], w["m"].name) for w in ws] == [
         (num(2), "ON"), (num(2), "OFF"), (num(3), "ON"), (num(3), "OFF"),
     ]
+
+
+def test_iter_witnesses_reads_a_failed_evaluation_as_false_and_raises_an_unbound_name():
+    b, space = toy_space(3)
+    ctx = Context(None, b)
+    # 1 div n = 1 fails to evaluate at n = 0 and holds only at n = 1
+    p = Cmp("=", BinOp("div", Const(num(1)), Ref("n")), Const(num(1)))
+    ws = list(iter_witnesses(p, space, ctx))
+    assert [(w["n"], w["m"].name) for w in ws] == [(num(1), "ON"), (num(1), "OFF")]
+    assert satisfiable(p, space, ctx).witness == ws[0]
+    # k is in no space: its conjunct is reached at n = 2 and raises there
+    q = And((Cmp(">=", Ref("n"), Const(num(2))), Cmp("=", Ref("k"), Const(num(0)))))
+    with pytest.raises(UnboundName, match="k"):
+        list(iter_witnesses(q, space, ctx))
+
+
+def test_iter_witnesses_decides_a_conjunct_of_no_variable_before_binding_any():
+    b, space = toy_space(3)
+    ctx = Context(None, b)
+    # 1 div 0 = 0 fails to evaluate before n is bound: no witness, as the
+    # search finds after one attempt
+    p = And((Cmp("=", BinOp("div", Const(num(1)), Const(num(0))), Const(num(0))),
+             Cmp(">=", Ref("n"), Const(num(0)))))
+    assert list(iter_witnesses(p, space, ctx)) == []
+    assert satisfiable(p, space, ctx).status == "unsat"
+    # k = 0 names nothing of the space, so it raises even where the
+    # space has no point, as in the search
+    q = Cmp("=", Ref("k"), Const(num(0)))
+    for search in (lambda: list(iter_witnesses(q, [("n", [])], ctx)),
+                   lambda: satisfiable(q, [("n", [])], ctx)):
+        with pytest.raises(UnboundName, match="^unbound variable k$"):
+            search()
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +299,6 @@ def test_binary_contradiction_still_exhausts_a_tiny_budget():
     verdict = satisfiable(p, space, Context(None, Bounds(max_attempts=3)))
     assert verdict.status == "unknown"
     assert satisfiable(p, space, Context(None, Bounds())).status == "unsat"
-
-
-def test_iter_witnesses_stops_quietly_at_its_limit():
-    b, space = toy_space(3)
-    # n = 0, m = ON, m = OFF, n = 1, m = ON: five attempts, three witnesses
-    ws = list(iter_witnesses(TRUE, space, Context(None, b), limit=5))
-    assert [(w["n"], w["m"].name) for w in ws] == [
-        (num(0), "ON"), (num(0), "OFF"), (num(1), "ON"),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +520,6 @@ def recursive_search(pred, space, limit, lo=None, hi=None):
     return "sat", budget[0], *found
 
 
-def recursive_drain(pred, space, limit):
-    out, budget = [], [0, limit]
-    try:
-        for _, witness in recursive_witnesses(pred, space, budget):
-            out.append(witness)
-    except _Exhausted:
-        pass
-    return out
-
-
 @given(problems(), st.data(), st.integers(0, 8))
 def test_kernel_matches_the_recursive_kernel(problem, data, budget):
     space, pred = problem
@@ -519,9 +533,6 @@ def test_kernel_matches_the_recursive_kernel(problem, data, budget):
     verdict = satisfiable(pred, space, Context(None, Bounds(max_attempts=budget)), lo=lo, hi=hi)
     assert (verdict.status, verdict.attempts, verdict.index, verdict.witness) == (
         recursive_search(pred, space, budget, lo, hi)
-    )
-    assert list(iter_witnesses(pred, space, Context(None, Bounds()), limit=budget)) == (
-        recursive_drain(pred, space, budget)
     )
 
 

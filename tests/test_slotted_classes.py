@@ -21,7 +21,7 @@ from devs_scc.campaign import Campaign, CampaignResult
 from devs_scc.check import Ctx
 from devs_scc.model import Model, ValidationReport
 from devs_scc.parser import Diagnostic
-from devs_scc.sat import SatResult, _Budget
+from devs_scc.sat import SatResult
 from devs_scc.scc import SCC
 from devs_scc.sequencer import SimulationSequence
 from devs_scc.simulator import ProbeReport, SimState, TraceEvent
@@ -54,7 +54,6 @@ DATACLASSES = {
         ("time_samples", None), ("const_values", dict), ("max_attempts", 200_000),
     ]),
     SatResult: (False, [("status", REQUIRED), ("witness", None), ("attempts", 0), ("index", None)]),
-    _Budget: (False, [("limit", REQUIRED), ("used", 0)]),
     CombineReport: (False, [
         ("attempted", 0), ("kept", 0), ("dropped", 0), ("unknown", 0),
         ("budget_exhausted", False), ("notes", list),
