@@ -45,7 +45,7 @@ from .model import Model
 from .parser import ParseFailure, _parse_value, _whole, parse_expr_text, parse_pred_text
 from .partitions import StandardPartition, builtin_tables, check_partition
 from .scc import SCC, assign_ids, scc_to_json, shape_overlaps
-from .selector import SelectError, SimulationConfig, select_config
+from .selector import SimulationConfig, select_config
 from .sequencer import SimulationSequence, build_sequences
 from .simulator import events, failures, run_steps, uniformity_probe
 from .syntax import Apply, holding, walk
@@ -78,6 +78,8 @@ def apply_selection(
         raise CampaignError("empty criteria selection")
     kind = words[0]
     if kind == "cases":
+        if len(words) != 1:
+            raise CampaignError(f"cases takes no target, not {' '.join(words[1:])!r}")
         sccs, notes = cases_criterion(ctx, include_otherwise)
         return "cases", sccs, notes
     if kind == "extensional":
@@ -130,11 +132,15 @@ def apply_selection(
                 if not cid.isdigit():
                     raise CampaignError(f"bad case id {cid!r} in {word!r}")
                 occurrences.append(Occurrence(fn, int(cid)))
+        if not occurrences:
+            raise CampaignError("standard needs at least one occurrence <fn>:<case,...>")
         if ops is not None:
             occurrences = [Occurrence(o.function, o.case_id, ops) for o in occurrences]
         sccs, notes = standard_partition_criterion(tables[table_name], occurrences, ctx)
         return f"standard {table_name}", sccs, notes
     if kind == "time":
+        if len(words) == 1:
+            raise CampaignError("time needs a segment: chain:, interval: or point:")
         intervals: list[tuple] = []
         points: list = []
         chain: list = []
@@ -203,10 +209,17 @@ def load_plan(path: str) -> CombinationPlan:
     return _load_json(path, build_plan)
 
 
+_PLAN_KEYS = ("groups", "allPairs", "maxArity", "budget")
+
+
 def build_plan(raw) -> CombinationPlan:
     """The plan of a plan file's mapping, or of the one the combination
-    flags build; an omitted key takes `CombinationPlan`'s default."""
+    flags build; an omitted key takes `CombinationPlan`'s default, and
+    any other key is an error."""
     raw = _shaped(raw, dict, "a plan")
+    for key in raw:
+        if key not in _PLAN_KEYS:
+            raise ValueError(f"unknown plan key {key!r}, want one of {', '.join(_PLAN_KEYS)}")
     limits = {name: raw[key] for key, name in (("maxArity", "max_arity"), ("budget", "budget"))
               if key in raw}
     return CombinationPlan(
@@ -278,9 +291,9 @@ class CampaignResult(Struct):
     """One campaign's record.  It holds what only the run knows: the
     model's name, the classes each selection made, the duplicates merged,
     the combination counts, the non-uniform probes and the notes.  Beside
-    them are the catalog, each class's step (its representative, or its
-    `SelectError`'s step) and the sequences, from which the report reads
-    every other count and list."""
+    them are the catalog, each class's step (its representative, or the
+    failed step selection returned) and the sequences, from which the
+    report reads every other count and list."""
 
     __slots__ = ("model", "criteria_counts", "duplicates_removed", "combine", "probe_flags",
                  "notes", "catalog", "configs", "sequences")
@@ -393,12 +406,9 @@ def _run(c: Campaign, ctx: Context, stop_after: str) -> CampaignResult:
     if stop_after == "combine":
         return result
 
-    # each class's representative, or its SelectError's step
+    # each class's step: its representative, or the reason it has none
     for scc in result.catalog:
-        try:
-            result.configs[scc.id] = select_config(scc, ctx)
-        except SelectError as err:
-            result.configs[scc.id] = err.step
+        result.configs[scc.id] = select_config(scc, ctx)
     if stop_after == "select":
         return result
 
@@ -614,16 +624,19 @@ def _sequences(raw) -> list[SimulationSequence]:
 
 def _step(raw, what: str, scc_optional: bool = False) -> SimulationConfig:
     """A configuration or sequence step from the JSON `StepWriter`
-    writes: its class id `scc`, which only a config may omit (read as 0),
-    its `state`, its `input` and the `error` it was recorded with, if
-    any.  The trace event it fired is not read back.  A state names a
-    variable: an empty one records a class that never ran, and its error."""
+    writes: its class id `scc`, an integer which only a config may omit
+    (read as 0), its `state`, its `input` and the `error` string it was
+    recorded with, if any.  The trace event it fired is not read back.
+    A state names a variable: an empty one records a class that never
+    ran, and its error."""
     raw = _shaped(raw, dict, what)
     pair = _shaped(raw["input"], dict, "an input")
     event, time = _value(pair["event"]), _value(pair["time"])
     scc_id = raw.get("scc", 0) if scc_optional else raw["scc"]
+    if isinstance(scc_id, bool) or not isinstance(scc_id, int):
+        raise ValueError(f"scc must be an integer, not {scc_id!r}")
     state = {k: _value(v) for k, v in _shaped(raw["state"], dict, "a state").items()}
-    error = raw.get("error")
+    error = _shaped(raw["error"], str, "an error") if "error" in raw else None
     if not state and error is None:
         raise ValueError(f"{what} without an error must have a state")
     return SimulationConfig(scc_id, state, event, time, error=error)

@@ -40,21 +40,13 @@ from .context import Context
 # `selector.eval_pred` and stops on a missing name
 from .evaluator import all_hold, eval_pred  # noqa: F401
 from .model import Model
-from .sat import Conjunction, SatResult, interned, prepare_conjuncts, satisfiable
+from .sat import Conjunction, interned, prepare_conjuncts, satisfiable
 from .scc import SCC
 from .syntax import Cmp, MinOp, Predicate, Ref, conjuncts
 from .values import TAU, Num, Record, Value
 
 if TYPE_CHECKING:  # the simulator imports this module
     from .simulator import TraceEvent
-
-
-class SelectError(Exception):
-    """A class with no usable representative; the message names the class."""
-
-    def __init__(self, scc_id: int, reason: str):
-        self.step = SimulationConfig(scc_id, {}, TAU, Num(0), error=reason)
-        super().__init__(self.step.failure())
 
 
 def executability(model: Model) -> list[Predicate]:
@@ -107,7 +99,7 @@ class SimulationConfig(Record):
     `configs.json` and `sequences.json` (`campaign.StepWriter`).  Run as
     a step (`run_step`), it keeps the trace event it fired (`outcome`) or
     the error it failed with, the one record of a failure; a class with
-    no representative is a step with its `SelectError` text and an empty
+    no representative is a step with the reason as its error and an empty
     state, which never ran."""
 
     __slots__ = ("scc_id", "state", "event", "time", "outcome", "error")
@@ -129,36 +121,33 @@ class SimulationConfig(Record):
 
 def select_config(scc: SCC, ctx: Context) -> SimulationConfig:
     """Least executable member of a class, else its least member,
-    re-checked by the class's kept state tests and its pair predicate."""
+    re-checked by the class's kept state tests and its pair predicate;
+    the class's step either way: that member, or a step that never ran,
+    with an empty state and the first reason that applies as its error."""
     space = ctx.joint_space
     verdict = satisfiable(runnable_form(scc, ctx), space, ctx)
     if verdict.status != "sat":
         verdict = satisfiable(member_form(scc, ctx), space, ctx)
-    _require_sat(verdict, scc)
-    config = _config(scc, verdict.witness, ctx)
-    _check_membership(config, scc, ctx)
-    return config
+    if verdict.status == "unsat":
+        reason = "no representative within bounds"
+    elif verdict.status == "unknown":
+        reason = "witness search exhausted its attempt budget"
+    else:
+        config = _config(scc, verdict.witness, ctx)
+        consts = ctx.consts
+        if not all_hold(state_tests(scc, ctx), {**consts, **config.state}):
+            reason = "selected state fails its own predicate"
+        elif not all_hold(_tests(scc.input_pairs, ctx),
+                          {**consts, "x": config.event, "t": config.time}):
+            reason = "selected input pair fails its own predicate"
+        else:
+            return config
+    return SimulationConfig(scc.id, {}, TAU, Num(0), error=reason)
 
 
 def _config(scc: SCC, witness: dict[str, Value], ctx: Context) -> SimulationConfig:
     state = {n: witness[n] for n in ctx.model.schema.names()}
     return SimulationConfig(scc.id, state, witness["x"], witness["t"])
-
-
-def _require_sat(verdict: SatResult, scc: SCC) -> None:
-    if verdict.status == "unsat":
-        raise SelectError(scc.id, "no representative within bounds")
-    if verdict.status == "unknown":
-        raise SelectError(scc.id, "witness search exhausted its attempt budget")
-
-
-def _check_membership(config: SimulationConfig, scc: SCC, ctx: Context) -> None:
-    consts = ctx.consts
-    if not all_hold(state_tests(scc, ctx), {**consts, **config.state}):
-        raise SelectError(scc.id, "selected state fails its own predicate")
-    env = {**consts, "x": config.event, "t": config.time}
-    if not all_hold(_tests(scc.input_pairs, ctx), env):
-        raise SelectError(scc.id, "selected input pair fails its own predicate")
 
 
 _STRIDES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)

@@ -27,7 +27,7 @@ from .context import Context
 from .evaluator import all_hold
 from .sat import satisfiable
 from .scc import SCC
-from .selector import SelectError, SimulationConfig, runnable_form, select_config, state_tests
+from .selector import SimulationConfig, runnable_form, select_config, state_tests
 from .simulator import init, run_step, time_advance
 from .values import EvalError, Inf, Struct
 
@@ -52,8 +52,8 @@ def build_sequences(
     configs: dict[int, SimulationConfig] | None = None,
 ) -> tuple[list[SimulationSequence], list[str]]:
     """Chain the classes into sequences.  `configs` holds, by class id,
-    what selection already gave a class: its representative, or the step
-    of its `SelectError`; a head not in it is selected here."""
+    what selection already gave a class: its representative, or the
+    failed step it returned; a head not in it is selected here."""
     configs = configs or {}
     remaining = sorted(sccs, key=lambda s: s.id)
     sequences: list[SimulationSequence] = []
@@ -63,12 +63,7 @@ def build_sequences(
         scc = remaining.pop(0)
         seq = SimulationSequence()
         sequences.append(seq)
-        cfg = configs.get(scc.id)
-        if cfg is None:
-            try:
-                cfg = select_config(scc, ctx)
-            except SelectError as err:
-                cfg = err.step
+        cfg = configs.get(scc.id) or select_config(scc, ctx)
         if cfg.error is not None:
             seq.steps.append(cfg)
             continue

@@ -675,6 +675,24 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
      "a group's class ids must be integers, not True"),
     ("combine", ["--plan"], '{"groups": [[1.0, 2]]}',
      "a group's class ids must be integers, not 1.0"),
+    ("combine", ["--plan"], '{"allpairs": true}',
+     "unknown plan key 'allpairs', want one of groups, allPairs, maxArity, budget"),
+    ("simulate", ["--config"], '{"scc": "x", "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}',
+     "scc must be an integer, not 'x'"),
+    ("simulate", ["--config"], '{"scc": true, "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}',
+     "scc must be an integer, not True"),
+    ("simulate", ["--config"], '{"scc": 1.5, "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}',
+     "scc must be an integer, not 1.5"),
+    ("simulate", ["--config"], '{"scc": null, "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}',
+     "scc must be an integer, not None"),
+    ("simulate", ["--sequence"],
+     '{"sequences": [{"covered": ["x"], "steps": [{"scc": "x", "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}]}]}',
+     "scc must be an integer, not 'x'"),
+    ("simulate", ["--config"], '{"error": 5, "state": {}, "input": {"event": "go", "time": "0"}}',
+     "an error must be a string, not a number"),
+    ("simulate", ["--sequence"],
+     '{"sequences": [{"covered": [1], "steps": [{"scc": 1, "error": null, "state": {}, "input": {"event": "go", "time": "0"}}]}]}',
+     "an error must be a string, not null"),
 ])
 def test_malformed_combination_or_simulation_input_exits_2(
     command, flags, text, message, tmp_path, capsys
@@ -739,6 +757,10 @@ def _fixture_args(name):
     ("toggle", "intentional state min(q, 1) = 0", "unbound variable q (in intentional state)\n"),
     ("toggle", "intentional state q.1 = A", "unbound variable q (in intentional state)\n"),
     ("toggle", "intentional input q + 1 = 2", "unbound variable q (in intentional input)\n"),
+    ("toggle", "cases extra", "cases takes no target, not 'extra'\n"),
+    ("toggle", "time", "time needs a segment: chain:, interval: or point:\n"),
+    ("soda", "standard >= ops:<",
+     "standard needs at least one occurrence <fn>:<case,...>\n"),
 ])
 def test_a_selection_that_cannot_be_applied_exits_2(fixture, selection, message, capsys):
     assert main(["criteria", *_fixture_args(fixture), "--criteria", selection]) == 2

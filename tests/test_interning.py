@@ -24,9 +24,7 @@ from devs_scc.parser import parse_bounds_file, parse_bounds_text, parse_model_fi
 from devs_scc.sat import prepare, prepare_conjuncts, satisfiable
 from devs_scc.scc import SCC, assign_ids, make_scc
 from devs_scc.sequencer import build_sequences
-from devs_scc.selector import (
-    SelectError, SimulationConfig, member_form, runnable_form, select_config,
-)
+from devs_scc.selector import SimulationConfig, member_form, runnable_form, select_config
 from devs_scc.syntax import (
     And, Apply, BinOp, Cmp, Const, Exists, Ref, conjuncts, normalize, render_pred,
 )
@@ -376,8 +374,10 @@ def test_a_state_conjunct_that_fails_to_evaluate_fails_the_re_check():
     ctx = Context(model, bounds)
     with pytest.raises(EvalError, match="division by zero"):
         compile_pred(scc.init_states, ctx)({"m": Lit("B")})
-    with pytest.raises(SelectError, match="^class 1: selected state fails its own predicate$"):
-        select_config(scc, ctx)
+    step = select_config(scc, ctx)
+    assert step.error == "selected state fails its own predicate"
+    assert step.failure() == "class 1: selected state fails its own predicate"
+    assert step.state == {} and step.outcome is None
 
 
 def test_chaining_skips_a_class_whose_state_test_raises():
@@ -466,8 +466,9 @@ def test_a_campaign_and_a_validation_free_their_model_and_context_without_the_co
 
 
 def test_a_campaign_with_unselectable_classes_frees_its_context_without_the_collector():
-    """A class's `SelectError` is kept without its traceback, whose frames
-    would otherwise hold the campaign and its context in a cycle."""
+    """A class selection could not represent is kept as its failed step,
+    which holds no frame, so nothing holds the campaign and its context
+    in a cycle."""
     model, _ = _fresh("toggle")
     frugal = parse_bounds_text((FIXTURES / "toggle.bounds").read_text().replace("10000", "3"))
     tables, _ = load_tables([])

@@ -22,14 +22,13 @@ from devs_scc.scc import make_scc
 import devs_scc.selector as selector
 from devs_scc.selector import (
     _STRIDES,
-    SelectError,
     SimulationConfig,
     executability,
     runnable_form,
     sample_configs,
     select_config,
 )
-from devs_scc.syntax import TRUE, And, Cmp, Const, FALSE, Ref, conj, conjuncts
+from devs_scc.syntax import TRUE, And, BinOp, Cmp, Const, FALSE, Ref, conj, conjuncts
 from devs_scc.values import EvalError, Inf, Lit, Num, TAU, num
 
 from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS, soda_contradiction
@@ -79,8 +78,10 @@ def test_toy_class_selects_the_least_member(toy, toy_bounds):
 
 def test_unsatisfiable_class_is_an_error(toy, toy_bounds):
     scc = make_scc(FALSE, Cmp("=", Ref("x"), Const(num(0))), "t", "empty", id=9)
-    with pytest.raises(SelectError, match="no representative within bounds"):
-        select_config(scc, Context(toy, toy_bounds))
+    step = select_config(scc, Context(toy, toy_bounds))
+    assert step.error == "no representative within bounds"
+    assert step.failure() == "class 9: no representative within bounds"
+    assert step.state == {} and step.outcome is None
 
 
 def test_budget_exhaustion_is_an_error(toy):
@@ -89,8 +90,24 @@ def test_budget_exhaustion_is_an_error(toy):
         Cmp(">", Ref("n"), Const(num(19))), Cmp("=", Ref("x"), Const(num(0))),
         "t", "deep", id=5,
     )
-    with pytest.raises(SelectError, match="budget"):
-        select_config(scc, Context(toy, tiny))
+    step = select_config(scc, Context(toy, tiny))
+    assert step.error == "witness search exhausted its attempt budget"
+    assert step.failure() == "class 5: witness search exhausted its attempt budget"
+    assert step.state == {} and step.outcome is None
+
+
+def test_a_pair_that_fails_its_own_predicate_is_an_error():
+    model, bounds = _fixture("toggle")
+    # the joint predicate pins m = B and x = go; the pair predicate's
+    # second conjunct divides by zero, which the re-check reads as false
+    at_b = Cmp("=", Ref("m"), Const(Lit("B")))
+    go = Cmp("=", Ref("x"), Const(Lit("go")))
+    by_zero = Cmp("=", BinOp("div", Const(num(1)), Const(num(0))), Const(num(0)))
+    scc = make_scc(at_b, And((go, by_zero)), "manual", "zero", joint=And((at_b, go)), id=3)
+    step = select_config(scc, Context(model, bounds))
+    assert step.error == "selected input pair fails its own predicate"
+    assert step.failure() == "class 3: selected input pair fails its own predicate"
+    assert step.state == {} and step.outcome is None
 
 
 def test_soda_diet_class_picks_zero_money_and_zero_price(soda, soda_bounds):
@@ -293,21 +310,24 @@ def test_repeated_grid_values_keep_the_scan_accounting():
 # the single selection rule against the former two-path rule
 
 
+# the reason a search's verdict gives a class no representative
+_UNSELECTABLE = {"unsat": "no representative within bounds",
+                 "unknown": "witness search exhausted its attempt budget"}
+
+
 def two_path_select(scc, ctx):
     """Reference: the rule `select_config` replaced.  A class with a joint
     predicate gets one joint search; any other class gets independent
     state and pair searches, kept when the pair fits the state's time
-    advance by evaluation, else retried jointly."""
+    advance by evaluation, else retried jointly.  A class with no
+    representative gets a failed step: an empty state, no event at time
+    0, and the first reason that applies as its error."""
     model, bounds = ctx.model, ctx.bounds
     names = model.schema.names()
     exec_conjs = executability(model)
 
-    def require(verdict):
-        if verdict.status == "unsat":
-            raise SelectError(scc.id, "no representative within bounds")
-        if verdict.status == "unknown":
-            raise SelectError(scc.id, "witness search exhausted its attempt budget")
-        return verdict.witness
+    def failed(reason):
+        return SimulationConfig(scc.id, {}, TAU, num(0), error=reason)
 
     def config(state_w, pair_w):
         return SimulationConfig(scc.id, {n: state_w[n] for n in names}, pair_w["x"], pair_w["t"])
@@ -317,13 +337,18 @@ def two_path_select(scc, ctx):
         verdict = satisfiable(conj(conjuncts(scc.joint) + exec_conjs), space, ctx)
         if verdict.status != "sat":
             verdict = satisfiable(scc.joint, space, ctx)
-        w = require(verdict)
-        cfg = config(w, w)
+        if not verdict.sat:
+            return failed(_UNSELECTABLE[verdict.status])
+        cfg = config(verdict.witness, verdict.witness)
     else:
-        state = require(satisfiable(scc.init_states, state_space(model, bounds), ctx))
+        state = satisfiable(scc.init_states, state_space(model, bounds), ctx)
+        if not state.sat:
+            return failed(_UNSELECTABLE[state.status])
         pair_space = joint_space(model, bounds)[:2]
-        pair = require(satisfiable(scc.input_pairs, pair_space, ctx))
-        cfg = config(state, pair)
+        pair = satisfiable(scc.input_pairs, pair_space, ctx)
+        if not pair.sat:
+            return failed(_UNSELECTABLE[pair.status])
+        cfg = config(state.witness, pair.witness)
         ta = eval_expr(model.ta, {**const_env(bounds, model), **cfg.state}, model)
         if cfg.event == TAU:
             runs = not isinstance(ta, Inf)
@@ -336,17 +361,14 @@ def two_path_select(scc, ctx):
                 cfg = config(retry.witness, retry.witness)
     consts = const_env(bounds, model)
     if not eval_pred(scc.init_states, {**consts, **cfg.state}, model, bounds):
-        raise SelectError(scc.id, "selected state fails its own predicate")
+        return failed("selected state fails its own predicate")
     if not eval_pred(scc.input_pairs, {**consts, "x": cfg.event, "t": cfg.time}, model, bounds):
-        raise SelectError(scc.id, "selected input pair fails its own predicate")
+        return failed("selected input pair fails its own predicate")
     return cfg
 
 
 def _outcome(select, scc, ctx):
-    try:
-        return step_layout(select(scc, ctx))
-    except SelectError as err:
-        return str(err)
+    return step_layout(select(scc, ctx))
 
 
 def _catalog(model, bounds, selections, plan, tables=None):
@@ -380,8 +402,8 @@ def test_single_rule_matches_the_two_path_rule(name, elevator_tables):
     assert any(scc.joint is None for scc in catalog)
     assert any(scc.joint is not None for scc in catalog)
     if name == "soda all-pairs":
-        assert [new for new, _ in outcomes if isinstance(new, str)] == [
-            f"class {len(catalog)}: no representative within bounds"
+        assert [(new["scc"], new["error"]) for new, _ in outcomes if "error" in new] == [
+            (len(catalog), "no representative within bounds")
         ]
 
 
