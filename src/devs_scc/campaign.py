@@ -44,12 +44,12 @@ from .criteria import (
 from .model import Model
 from .parser import ParseFailure, _parse_value, _whole, parse_expr_text, parse_pred_text
 from .partitions import StandardPartition, builtin_tables, check_partition
-from .scc import SCC, assign_ids, scc_to_json, shape_overlaps
+from .scc import SCC, assign_ids, shape_overlaps
 from .selector import SimulationConfig, select_config
 from .sequencer import SimulationSequence, build_sequences
 from .simulator import events, failures, run_steps, uniformity_probe
-from .syntax import Apply, holding, walk
-from .values import Struct, Value, render_value
+from .syntax import Apply, holding, render_pred, walk
+from .values import Lit, Num, Struct, Value, render_value, value_key
 
 SCHEMA = "devs-scc/1"
 
@@ -361,9 +361,6 @@ class CampaignResult(Struct):
                 for i, step in sorted(self.configs.items())
                 if step.error is not None and not step.state and i in ran_in]
 
-    def catalog_json(self) -> dict:
-        return {"schema": SCHEMA, "classes": [scc_to_json(s) for s in self.catalog]}
-
 
 # Pipeline stages a campaign can stop after, in order; the sequencer has
 # run every step, so "simulate" only runs the uniformity probe.
@@ -449,11 +446,11 @@ def write_artifacts(result: CampaignResult, out_dir: str) -> None:
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    steps = StepWriter()
-    write("catalog.json", dump_json(result.catalog_json()))
-    write("configs.json", steps.configs(result.configs))
-    write("sequences.json", steps.sequences(result.sequences))
-    write("traces.jsonl", steps.traces([seq.steps for seq in result.sequences]))
+    writer = StepWriter()
+    write("catalog.json", writer.catalog(result.catalog))
+    write("configs.json", writer.configs(result.configs))
+    write("sequences.json", writer.sequences(result.sequences))
+    write("traces.jsonl", writer.traces([seq.steps for seq in result.sequences]))
     write("report.json", dump_json(result.report_json()))
     write("report.csv", _report_csv(result))
 
@@ -462,11 +459,14 @@ _SCHEMA_TEXT = _encode_str(SCHEMA)
 
 
 class StepWriter:
-    """The text of `configs.json`, `sequences.json` and `traces.jsonl`:
-    what `dump_json` of their layouts writes for the two files, and
-    `json.dumps(event, sort_keys=True)` for each trace line, byte for
-    byte, filled into fixed templates of those layouts.
+    """The text of `catalog.json`, `configs.json`, `sequences.json` and
+    `traces.jsonl`: what `dump_json` of their layouts writes for the three
+    files, and `json.dumps(event, sort_keys=True)` for each trace line,
+    byte for byte, filled into fixed templates of those layouts.
 
+    A class writes its id, criterion and target, the texts of its state
+    and pair predicates and, when it has one, of its joint predicate, and
+    the ids it was `combined_from` when a combination made it.
     A step holds its class id, its `state`, its `input` (event and time)
     and either the function and case its trace event `fired` or its
     `error`.  A step that ran writes a trace line: its event's `at`,
@@ -475,15 +475,39 @@ class StepWriter:
     event as `input`, else `internal`, and the index of its run as
     `sequence`.  A failed step writes none: its `error` is on the step.
     The writer renders each distinct value and each distinct state once,
-    so one writer serves the three files of a campaign, where a chained
-    step starts from the state the trace event before it left."""
+    keyed on what they hold (`value_key`), so one writer serves the files
+    of a campaign, where a chained step starts from the state the trace
+    event before it left."""
 
     __slots__ = ("_values", "_states")
 
     def __init__(self) -> None:
-        self._values: dict[Value, str] = {}
-        # tuple(state.items()) -> (indented text, compact text)
+        # value_key(value) -> its text
+        self._values: dict = {}
+        # the state's names, then the keys of their values -> (indented
+        # text, compact text)
         self._states: dict[tuple, tuple[str, str]] = {}
+
+    def catalog(self, classes: list[SCC]) -> str:
+        """`catalog.json`: the classes in their order."""
+        texts = []
+        for scc in classes:
+            combined = joint = ""
+            if scc.combined_from:
+                combined = ('\n      "combined_from": '
+                            + _items([int.__repr__(i) for i in scc.combined_from], "\n      ")
+                            + ",")
+            if scc.joint is not None:
+                joint = '\n      "joint": ' + _encode_str(render_pred(scc.joint)) + ","
+            texts.append(
+                '{%s\n      "criterion": %s,\n      "id": %s,\n      "init_states": %s,'
+                '\n      "input_pairs": %s,%s\n      "target": %s\n    }' % (
+                    combined, _encode_str(scc.criterion), int.__repr__(scc.id),
+                    _encode_str(render_pred(scc.init_states)),
+                    _encode_str(render_pred(scc.input_pairs)), joint,
+                    _encode_str(scc.target)))
+        return ('{\n  "classes": ' + _items(texts, "\n  ")
+                + ',\n  "schema": ' + _SCHEMA_TEXT + "\n}\n")
 
     def configs(self, configs: dict[int, SimulationConfig]) -> str:
         """`configs.json`: each class's representative in id order; a
@@ -538,7 +562,7 @@ class StepWriter:
             function, case = step.outcome.fired
             head = (f'{inner}"fired": {{{deeper}"case": {int.__repr__(case)},'
                     f'{deeper}"function": {_encode_str(function)}{inner}}},')
-        elif step.error:
+        elif step.error is not None:
             head = f'{inner}"error": {_encode_str(step.error)},'
         # encoded names and values escape their newlines, so the raw ones
         # are the state's line breaks
@@ -552,7 +576,9 @@ class StepWriter:
     def _state(self, state: dict[str, Value]) -> tuple[str, str]:
         """A state's object, its variables in name order: indented, as
         `dump_json` writes it at the top level, and on one line."""
-        key = tuple(state.items())
+        # `value_key` of each value, its two common cases inlined
+        key = (*state, *[v.value if v.__class__ is Num else v.name if v.__class__ is Lit
+                         else value_key(v) for v in state.values()])
         texts = self._states.get(key)
         if texts is None:
             value = self._value
@@ -562,9 +588,11 @@ class StepWriter:
         return texts
 
     def _value(self, v: Value) -> str:
-        text = self._values.get(v)
+        cls = v.__class__
+        key = v.value if cls is Num else v.name if cls is Lit else value_key(v)
+        text = self._values.get(key)
         if text is None:
-            text = self._values[v] = _encode_str(render_value(v))
+            text = self._values[key] = _encode_str(render_value(v))
         return text
 
 
@@ -625,10 +653,11 @@ def _sequences(raw) -> list[SimulationSequence]:
 def _step(raw, what: str, scc_optional: bool = False) -> SimulationConfig:
     """A configuration or sequence step from the JSON `StepWriter`
     writes: its class id `scc`, an integer which only a config may omit
-    (read as 0), its `state`, its `input` and the `error` string it was
-    recorded with, if any.  The trace event it fired is not read back.
-    A state names a variable: an empty one records a class that never
-    ran, and its error."""
+    (read as 0), its `state`, its `input` and the `error` it was recorded
+    with, if any, which is a non-empty string, as the writer writes one.
+    The trace event it fired is not read back.  A state names a
+    variable: an empty one records a class that never ran, and its
+    error."""
     raw = _shaped(raw, dict, what)
     pair = _shaped(raw["input"], dict, "an input")
     event, time = _value(pair["event"]), _value(pair["time"])
@@ -637,6 +666,8 @@ def _step(raw, what: str, scc_optional: bool = False) -> SimulationConfig:
         raise ValueError(f"scc must be an integer, not {scc_id!r}")
     state = {k: _value(v) for k, v in _shaped(raw["state"], dict, "a state").items()}
     error = _shaped(raw["error"], str, "an error") if "error" in raw else None
+    if error == "":
+        raise ValueError("an error must be a non-empty string, not ''")
     if not state and error is None:
         raise ValueError(f"{what} without an error must have a state")
     return SimulationConfig(scc_id, state, event, time, error=error)

@@ -25,7 +25,6 @@ from .campaign import (
     _load_json,
     _shaped,
     build_plan,
-    dump_json,
     load_config,
     load_plan,
     load_sequences,
@@ -209,13 +208,13 @@ def _cmd_pipeline(args) -> int:
     report = result.report_json()
 
     if args.command == "criteria":
-        _emit(args, dump_json(result.catalog_json()))
+        _emit(args, StepWriter().catalog(result.catalog))
         for label, n in result.criteria_counts:
             print(f"{label}: {n} classes")
         print(f"base catalog: {report['base_classes']} classes")
         return EXIT_OK
     if args.command == "combine":
-        _emit(args, dump_json(result.catalog_json()))
+        _emit(args, StepWriter().catalog(result.catalog))
         if result.combine:
             c = result.combine
             print(f"combinations: {c.attempted} attempted, {c.kept} kept, "

@@ -111,17 +111,3 @@ def shape_overlaps(sccs: list[SCC]) -> list[str]:
             )
     return notes
 
-
-def scc_to_json(scc: SCC) -> dict:
-    record = {
-        "id": scc.id,
-        "init_states": render_pred(scc.init_states),
-        "input_pairs": render_pred(scc.input_pairs),
-        "criterion": scc.criterion,
-        "target": scc.target,
-    }
-    if scc.combined_from:
-        record["combined_from"] = list(scc.combined_from)
-    if scc.joint is not None:
-        record["joint"] = render_pred(scc.joint)
-    return record

@@ -43,7 +43,7 @@ from .model import Model
 from .sat import Conjunction, interned, prepare_conjuncts, satisfiable
 from .scc import SCC
 from .syntax import Cmp, MinOp, Predicate, Ref, conjuncts
-from .values import TAU, Num, Record, Value
+from .values import TAU, Num, Record, Value, value_key
 
 if TYPE_CHECKING:  # the simulator imports this module
     from .simulator import TraceEvent
@@ -185,7 +185,8 @@ def sample_configs(scc: SCC, k: int, ctx: Context) -> list[SimulationConfig]:
     form = runnable_form(scc, ctx)
     strides = [_STRIDES[dim % len(_STRIDES)] for dim in reversed(range(len(space)))]
 
-    found: dict[tuple[Value, ...], SimulationConfig] = {}
+    # the keys of a witness's values -> its configuration
+    found: dict[tuple, SimulationConfig] = {}
     scanned = 0
     for s in range(min(k, total)):
         if scanned >= _SCAN_CAP:
@@ -203,7 +204,7 @@ def sample_configs(scc: SCC, k: int, ctx: Context) -> list[SimulationConfig]:
             scanned += end - start
             continue
         scanned += digits_index(verdict.index, sizes) - start + 1
-        key = tuple(verdict.witness.values())
+        key = tuple(map(value_key, verdict.witness.values()))
         if key not in found:
             found[key] = _config(scc, verdict.witness, ctx)
     return list(found.values())

@@ -42,6 +42,7 @@ from .values import (
     coerce,
     exact,
     render_value,
+    value_key,
 )
 
 
@@ -270,9 +271,10 @@ def uniformity_probe(scc: SCC, k: int, ctx: Context,
     signatures (case fired plus output shape).  Differing signatures mean
     the class is not uniform and should be re-partitioned.  `seen` holds
     the signature of each configuration run so far, by its state, event
-    and time, which alone decide the run: one in it is not run again, so
-    a campaign that passes one to all its probes runs each distinct
-    sampled configuration once."""
+    and time, which alone decide the run, keyed on what they hold (the
+    state's names, then the `value_key` of each value): one in it is not
+    run again, so a campaign that passes one to all its probes runs each
+    distinct sampled configuration once."""
     samples = sample_configs(scc, k, ctx)
     if len(samples) < 2:
         return ProbeReport(
@@ -283,7 +285,8 @@ def uniformity_probe(scc: SCC, k: int, ctx: Context,
         seen = {}
     signatures = []
     for cfg in samples:
-        key = (tuple(cfg.state.items()), cfg.event, cfg.time)
+        key = (*cfg.state, *map(value_key, cfg.state.values()),
+               value_key(cfg.event), value_key(cfg.time))
         signature = seen.get(key)
         if signature is None:
             signature = seen[key] = _signature(run_config(cfg, ctx))

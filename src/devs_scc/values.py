@@ -298,6 +298,22 @@ def num(x) -> Num:
     return Num(exact(Fraction(x)))
 
 
+def value_key(v: Value):
+    """What a value holds, for a memo keyed on values: a number's `value`,
+    a literal's `name`, the keys of a tuple's items, and infinity itself.
+    Two keys are equal exactly when their values are, as `exact` fixes
+    the form a number holds, and the key of a number or a literal hashes
+    in C, where a record's `__hash__` is a call into Python."""
+    cls = v.__class__
+    if cls is Num:
+        return v.value
+    if cls is Lit:
+        return v.name
+    if cls is Tup:
+        return tuple(map(value_key, v.items))
+    return v
+
+
 def render_value(v: Value) -> str:
     if isinstance(v, Num):
         return str(v.value)

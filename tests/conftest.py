@@ -1,4 +1,6 @@
+import gc
 import pathlib
+from contextlib import contextmanager
 
 import hypothesis
 import pytest
@@ -7,7 +9,7 @@ from devs_scc.campaign import load_tables
 from devs_scc.parser import parse_bounds_file, parse_model_file
 from devs_scc.scc import make_scc
 from devs_scc.syntax import TRUE, Cmp, Const, Ref, conj
-from devs_scc.values import Lit
+from devs_scc.values import Lit, Num
 
 hypothesis.settings.register_profile("ci", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("ci")
@@ -89,3 +91,20 @@ def toggle():
 @pytest.fixture(scope="session")
 def toggle_bounds():
     return parse_bounds_file(str(FIXTURES / "toggle.bounds"))
+
+
+def _hashed(value):
+    raise AssertionError(f"{value!r} was hashed")
+
+
+@contextmanager
+def values_unhashed():
+    """A block in which hashing a `Num` or a `Lit` raises: a memo keyed
+    on such values, not on what they hold, fails in it.  The syntax
+    nodes no longer in use are collected before it, and those in use
+    must outlive it, as their table's keys hold values."""
+    gc.collect()
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (Num, Lit):
+            patch.setattr(cls, "__hash__", _hashed)
+        yield

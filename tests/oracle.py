@@ -30,11 +30,12 @@ lexer replaced; both give `(kind, text, line, col)` tuples.
 `subst_expr` and `subst_pred` are the traversals that name each class's
 child fields, which the product's `walk`, `free_vars` and `subst`, reading
 children from a node's own fields, replaced.
-`step_layout`, `sequence_layout` and `event_layout` build the JSON
-object of a configuration or sequence step, a sequence and the trace
-event of a step, and `configs_json`, `sequences_json` and `trace_lines` write them
-with `json.dumps`: the reference for `devs_scc.campaign.StepWriter`,
-which fills fixed templates of these layouts.
+`scc_layout`, `step_layout`, `sequence_layout` and `event_layout`
+build the JSON object of a class, a configuration or sequence step, a
+sequence and the trace event of a step, and `catalog_json`,
+`configs_json`, `sequences_json` and `trace_lines` write them with
+`json.dumps`: the reference for `devs_scc.campaign.StepWriter`, which
+fills fixed templates of these layouts.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from devs_scc.syntax import (
     conjuncts,
     normalize,
     render_expr,
+    render_pred,
 )
 from devs_scc.values import (
     EvalError,
@@ -764,12 +766,38 @@ def lex(text: str) -> list[tuple[str, str, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# the layouts of configs.json, sequences.json and traces.jsonl
+# the layouts of catalog.json, configs.json, sequences.json and traces.jsonl
+
+def scc_layout(scc) -> dict:
+    """A class: its id, predicates, criterion and target, the ids it was
+    combined from when a combination made it, and its joint predicate
+    when it has one."""
+    rec = {
+        "id": scc.id,
+        "init_states": render_pred(scc.init_states),
+        "input_pairs": render_pred(scc.input_pairs),
+        "criterion": scc.criterion,
+        "target": scc.target,
+    }
+    if scc.combined_from:
+        rec["combined_from"] = list(scc.combined_from)
+    if scc.joint is not None:
+        rec["joint"] = render_pred(scc.joint)
+    return rec
+
+
+def catalog_layout(classes) -> dict:
+    return {"schema": SCHEMA, "classes": [scc_layout(s) for s in classes]}
+
+
+def catalog_json(classes) -> str:
+    return _dumps(catalog_layout(classes))
+
 
 def step_layout(step) -> dict:
     """A configuration or sequence step: its class id, state and input,
     and either the function and case its trace event fired or its error,
-    which is left out when empty."""
+    which is left out when there is none."""
     rec = {
         "scc": step.scc_id,
         "state": {k: render_value(v) for k, v in step.state.items()},
@@ -778,7 +806,7 @@ def step_layout(step) -> dict:
     if step.outcome is not None:
         function, case = step.outcome.fired
         rec["fired"] = {"function": function, "case": case}
-    elif step.error:
+    elif step.error is not None:
         rec["error"] = step.error
     return rec
 

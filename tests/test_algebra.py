@@ -12,7 +12,7 @@ from devs_scc.sat import satisfiable
 from devs_scc.scc import SCC, assign_ids, make_scc
 from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, render_pred
 from devs_scc.values import Lit, num
-from oracle import state_space
+from oracle import scc_layout, state_space
 
 TOY_MODEL = """
 model toy {
@@ -365,14 +365,13 @@ COMBINATION_CASES = ["toggle all-pairs", "soda all-pairs", "elevator worked plan
 
 @pytest.mark.parametrize("name", COMBINATION_CASES)
 def test_deciding_before_building_matches_building_first(name, request):
-    from devs_scc.scc import scc_to_json
     from devs_scc.selector import member_form
 
     model, bounds, base, plan = _combination_case(name, request)
     ctx = Context(model, bounds)
     got, got_report = combine_and_prune(base, plan, ctx)
     want, want_report = _build_then_decide(base, plan, ctx)
-    assert [scc_to_json(s) for s in got] == [scc_to_json(s) for s in want]
+    assert [scc_layout(s) for s in got] == [scc_layout(s) for s in want]
     assert got_report == want_report
     if name == "unknown emptiness":
         assert [n.split(":")[0] for n in got_report.notes] == [

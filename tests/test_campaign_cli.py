@@ -11,6 +11,7 @@ import devs_scc.campaign as campaign_mod
 from devs_scc.campaign import (
     Campaign,
     StepWriter,
+    build_plan,
     dump_json,
     load_config,
     load_plan,
@@ -21,11 +22,20 @@ from devs_scc.campaign import (
 )
 from devs_scc.cli import main
 from devs_scc.context import Context
+from devs_scc.parser import parse_pred_text
+from devs_scc.scc import SCC
 from devs_scc.selector import SimulationConfig
 from devs_scc.sequencer import SimulationSequence
 from devs_scc.simulator import TraceEvent
-from devs_scc.values import INF, TAU, Lit, Tup, num
-from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_PAIRS_SELECTIONS, SODA_SELECTIONS
+from devs_scc.syntax import TRUE
+from devs_scc.values import INF, TAU, Inf, Lit, Num, Tup, num
+from tests.conftest import (
+    ELEVATOR_SELECTIONS,
+    FIXTURES,
+    SODA_PAIRS_SELECTIONS,
+    SODA_SELECTIONS,
+    values_unhashed,
+)
 from tests import oracle
 
 
@@ -693,6 +703,11 @@ TOGGLE_ARGS = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(FIXTURE
     ("simulate", ["--sequence"],
      '{"sequences": [{"covered": [1], "steps": [{"scc": 1, "error": null, "state": {}, "input": {"event": "go", "time": "0"}}]}]}',
      "an error must be a string, not null"),
+    ("simulate", ["--config"], '{"error": "", "state": {"m": "A"}, "input": {"event": "go", "time": "0"}}',
+     "an error must be a non-empty string, not ''"),
+    ("simulate", ["--sequence"],
+     '{"sequences": [{"covered": [1], "steps": [{"scc": 1, "error": "", "state": {}, "input": {"event": "go", "time": "0"}}]}]}',
+     "an error must be a non-empty string, not ''"),
 ])
 def test_malformed_combination_or_simulation_input_exits_2(
     command, flags, text, message, tmp_path, capsys
@@ -988,13 +1003,36 @@ _fired = st.tuples(st.sampled_from(["dext", "dint", "lambda", "é\""]), st.integ
 
 
 @st.composite
+def _copy(draw, v):
+    """A value equal to `v` made of new objects, each whole number held as
+    an int or as an integral Fraction, as a `Num` built around one is."""
+    cls = v.__class__
+    if cls is Num:
+        x = v.value
+        return Num(Fraction(x) if x.__class__ is int and draw(st.booleans()) else x)
+    if cls is Lit:
+        return Lit(v.name)
+    if cls is Tup:
+        return Tup(tuple(draw(_copy(item)) for item in v.items))
+    return Inf()
+
+
+def _pooled(pool: list):
+    """An item of `pool`, or a copy of one that is equal but shares no object."""
+    return st.sampled_from(pool) | st.sampled_from(pool).flatmap(
+        lambda v: st.fixed_dictionaries({n: _copy(x) for n, x in v.items()})
+        if isinstance(v, dict) else _copy(v))
+
+
+@st.composite
 def _runs(draw) -> tuple[dict, list[SimulationSequence]]:
     """Steps by class id and sequences of them, their states and values
-    drawn from small pools so that the writer meets each more than once."""
-    value = st.sampled_from(draw(st.lists(_values, min_size=2, max_size=3)))
+    drawn from small pools so that the writer meets each more than once,
+    as the same objects or as equal ones."""
+    value = _pooled(draw(st.lists(_values, min_size=2, max_size=3)))
     # most of them over the same variables, so that they differ in values only
     names = draw(st.lists(_names, unique=True, min_size=1, max_size=4))
-    state = st.sampled_from(draw(st.lists(
+    state = _pooled(draw(st.lists(
         st.fixed_dictionaries({n: value for n in names}) | _states, min_size=2, max_size=3)))
 
     def step(scc_id: int) -> SimulationConfig:
@@ -1026,6 +1064,9 @@ def _runs(draw) -> tuple[dict, list[SimulationSequence]]:
     [SimulationConfig(7, {}, TAU, num(0), error="")])]))
 @example(({i: SimulationConfig(i, {"m": v}, Lit("go"), num(Fraction(-1, 2)))
            for i, v in enumerate([Lit("A"), num(1), Tup((INF, Lit("A")))])}, []))
+@example(({i: SimulationConfig(i, {"m": v, "n": Lit("A")}, Lit("go"), t) for i, (v, t) in
+           enumerate([(num(2), num(3)), (Num(Fraction(2)), Num(Fraction(3))),
+                      (Tup((Num(Fraction(2)), Inf())), INF), (Tup((num(2), INF)), Inf())])}, []))
 def test_the_step_writer_writes_what_the_reference_layouts_dump(run):
     """One writer's three files, its memo shared among them, are the
     reference layouts as `json.dumps` writes them: indented for
@@ -1036,6 +1077,36 @@ def test_the_step_writer_writes_what_the_reference_layouts_dump(run):
     assert writer.sequences(sequences) == oracle.sequences_json(sequences)
     runs = [seq.steps for seq in sequences] + [list(configs.values())]
     assert writer.traces(runs) == oracle.trace_lines(runs)
+
+
+_preds = st.sampled_from(["true", "m = A", "0 < d /\\ d < np", "x in {c25, c50}",
+                          "!(t <= TA) \\/ d + 1 = 2"]).map(parse_pred_text)
+_classes = st.builds(
+    SCC, st.integers(0, 10**6), _preds, _preds, _texts, _texts,
+    st.lists(st.integers(0, 10**6), max_size=3).map(tuple), st.none() | _preds)
+
+
+@given(st.lists(_classes, max_size=4))
+@example([])
+@example([SCC(1, TRUE, TRUE, "cases", 'say "hi" \\ é 😀', (2, 3), TRUE)])
+def test_the_catalog_template_writes_what_the_reference_layout_dumps(classes):
+    """A catalog's text is its reference layout as `dump_json` writes it,
+    whether its classes were combined or not, have a joint predicate or
+    not, and whatever their criteria and targets hold."""
+    assert StepWriter().catalog(classes) == json.dumps(
+        oracle.catalog_layout(classes), sort_keys=True, indent=2) + "\n"
+
+
+def test_the_catalog_template_writes_the_fixture_catalogs_as_the_reference_does(
+    toggle, toggle_bounds
+):
+    tables, _ = load_tables([])
+    for campaign in (Campaign(toggle, toggle_bounds, tables,
+                              ["cases", "extensional input", "extensional state:m"],
+                              plan=build_plan({"allPairs": True})),
+                     _soda_campaign(), _elevator_campaign(plan=True)):
+        catalog = run_campaign(campaign, stop_after="combine").catalog
+        assert StepWriter().catalog(catalog) == oracle.catalog_json(catalog)
 
 
 WORKED_CAMPAIGNS = {
@@ -1066,6 +1137,20 @@ def test_the_shipped_campaigns_write_the_committed_artifacts(name, tmp_path, cap
     assert main(["campaign", *WORKED_CAMPAIGNS[name], "--out", str(tmp_path)]) == 0
     committed = FIXTURES.parent / "out" / name
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in committed.iterdir())
+    for path in committed.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("name", ["soda", "elevator"])
+def test_the_artifacts_are_written_without_hashing_a_value(name, tmp_path):
+    """The writer keys its memos on what values hold: with the hashes of
+    `Num` and `Lit` raising, the shipped campaigns still write the
+    committed `out/<name>/` byte for byte."""
+    campaign = _soda_campaign() if name == "soda" else _elevator_campaign(plan=True)
+    result = run_campaign(campaign)
+    with values_unhashed():
+        write_artifacts(result, str(tmp_path))
+    committed = FIXTURES.parent / "out" / name
     for path in committed.iterdir():
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 

@@ -29,6 +29,7 @@ from devs_scc.simulator import (
 )
 from devs_scc.syntax import Cmp, Const, Ref, TRUE
 from devs_scc.values import INF, Lit, Num, TAU, Tup, num
+from tests.conftest import values_unhashed
 
 
 def coins(*xs):
@@ -277,6 +278,36 @@ def test_probe_flags_a_deliberately_coarse_class(soda, soda_bounds):
     assert "re-partition" in report.note
     assert any("undefined" in sig for sig in report.signatures)
     assert any("dext:2" in sig for sig in report.signatures)
+
+
+def test_the_probe_runs_samples_equal_by_value_once_and_hashes_no_value(
+    soda, soda_bounds, monkeypatch
+):
+    """Two samples whose states, events and times hold equal values in
+    distinct objects, a number held once as an int and once as an
+    integral Fraction, are one configuration: the probe runs it once,
+    keying its memo on what the values hold without hashing one."""
+    import devs_scc.simulator as simulator
+
+    samples = [
+        SimulationConfig(1, soda_idle_state(), TAU, num(10)),
+        SimulationConfig(1, soda_idle_state(d=Num(Fraction(0)), ms=coins(2, 2, 2)),
+                         Lit("tau"), Num(Fraction(10))),
+    ]
+    assert samples[0] == samples[1] and samples[0].state["m"] is not samples[1].state["m"]
+    runs = []
+
+    def run_once(cfg, ctx):
+        runs.append(cfg)
+        return [SimulationConfig(cfg.scc_id, cfg.state, cfg.event, cfg.time, error="stub")]
+
+    monkeypatch.setattr(simulator, "sample_configs", lambda scc, k, ctx: samples)
+    monkeypatch.setattr(simulator, "run_config", run_once)
+    scc, ctx = make_scc(TRUE, TRUE, "manual", "any", id=1), Context(soda, soda_bounds)
+    with values_unhashed():
+        report = uniformity_probe(scc, 2, ctx)
+    assert runs == samples[:1]
+    assert report.uniform and report.signatures == ["undefined", "undefined"]
 
 
 def test_probe_with_too_few_witnesses_is_skipped(soda, soda_bounds):

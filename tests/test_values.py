@@ -27,6 +27,7 @@ from devs_scc.values import (
     v_min,
     v_sub,
     value_conforms,
+    value_key,
 )
 
 import oracle
@@ -96,6 +97,21 @@ _values = st.recursive(
 @given(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), _values, _values)
 def test_compare_agrees_with_the_ranking_oracle(op, a, b):
     assert compare(op, a, b) == oracle.compare(op, a, b)
+
+
+# literals named as a number or infinity renders
+_keyed = st.recursive(
+    _scalars | st.sampled_from([Lit("0"), Lit("1"), Lit("infinity")]),
+    lambda inner: st.builds(lambda xs: Tup(tuple(xs)), st.lists(inner, min_size=2, max_size=3)),
+    max_leaves=4,
+)
+
+
+@given(_keyed, _keyed)
+def test_two_values_have_equal_keys_exactly_when_they_are_equal(a, b):
+    assert (value_key(a) == value_key(b)) is (a == b)
+    if a == b:
+        assert hash(value_key(a)) == hash(value_key(b))
 
 
 def test_an_unknown_comparison_is_an_evaluation_error():
