@@ -475,7 +475,7 @@ def _suggest_time_vars(model: Model, report: ValidationReport) -> None:
     """Non-binding hint: variables that look time-interacting but carry no
     @time annotation.  Looks for atoms mixing a state variable with the
     elapsed time and for variables feeding the time advance."""
-    suspects: set[str] = free_vars(model.ta) if model.ta is not None else set()
+    suspects = free_vars(model.ta) if model.ta is not None else frozenset()
     state_names = set(model.schema.names())
     for case in model.delta_ext:
         groups = [free_vars(n) for n in walk(case.guard) if isinstance(n, Cmp)]

@@ -4,9 +4,12 @@ list of simulation configuration classes with provenance.
 Criteria are pure functions of (model, selection, bounds) with no shared
 state but the forms their `context.Context` keeps, so applying them in
 any order yields the same catalog; those that search take the context,
-the others the model.  Each function returns its classes with local
-1-based ids plus notes for the report; campaign assembly renumbers
-globally and removes structural duplicates.
+the others the model.  A criterion that meets one search twice in a call
+(the cells of sibling partition occurrences, the projection clusters
+that cases share) makes it once, and keeps nothing past the call.  Each
+function returns its classes with local 1-based ids plus notes for the
+report; campaign assembly renumbers globally and removes structural
+duplicates.
 """
 
 from __future__ import annotations
@@ -77,11 +80,14 @@ def cases_criterion(ctx: Context, include_otherwise: bool = False) -> tuple[list
     the elapsed time at which the event hits the initial state.  For an
     internal case the states are exactly the guard and the pair is
     (tau, 0): configure the state and let the pending transition fire.
+    Cases share conjuncts, so the projections search each distinct
+    cluster once per call (`project_exists`'s `decided`).
     """
     model = ctx.model
     notes: list[str] = []
     sccs: list[SCC] = []
     state_names = [(n, s) for n, s in model.schema.vars]
+    decided: dict = {}  # (cluster, bound variables) -> inhabited, see `project_exists`
     for case in model.delta_ext:
         if case.is_otherwise and not include_otherwise:
             notes.append("dext otherwise case excluded (enable with include_otherwise)")
@@ -91,9 +97,10 @@ def cases_criterion(ctx: Context, include_otherwise: bool = False) -> tuple[list
         if "e" in free_vars(guard):
             notes.append(f"{target}: guard constrains the elapsed time; "
                          "its input pairs inherit the constraint via t = e")
-        init = project_exists(guard, [("e", TIME), ("x", model.input_sort)], ctx)
-        pairs = project_exists(_e_to_t(guard), state_names, ctx)
-        sccs.append(make_scc(init, pairs, "cases", target, joint=_e_to_t(guard)))
+        joint = _e_to_t(guard)
+        init = project_exists(guard, [("e", TIME), ("x", model.input_sort)], ctx, decided)
+        pairs = project_exists(joint, state_names, ctx, decided)
+        sccs.append(make_scc(init, pairs, "cases", target, joint=joint))
     for case in model.delta_int:
         if case.is_otherwise and not include_otherwise:
             notes.append("dint otherwise case excluded (enable with include_otherwise)")
@@ -191,7 +198,11 @@ def standard_partition_criterion(
     atom's operands and conjoined with the remaining guard context (the
     atom itself removed, so cells contradicting it still appear: that is
     how the missing-case cells show up).  Cells unsatisfiable within
-    bounds are dropped and counted.
+    bounds are dropped and counted.  Sibling occurrences often give the
+    same cells, so each distinct cell is decided once per call, keyed by
+    its occurrence's context and the instantiated cell: a repeat is the
+    first one's class under its own target, with the first one's verdict,
+    and counts as a drop or an unknown as the first did.
     """
     model = ctx.model
     notes: list[str] = []
@@ -199,6 +210,7 @@ def standard_partition_criterion(
     dropped = 0
     unknown = 0
     space = ctx.state_space
+    decided: dict[tuple, tuple[SCC, str]] = {}  # (context, cell) -> first class, verdict
     for occ in occurrences:
         try:
             cases = model.cases(occ.function)
@@ -219,6 +231,7 @@ def standard_partition_criterion(
                 "comparison occurrences are binary"
             )
         states, joint, pairs = _occurrence_context(ctx, occ.function, context)
+        occurrence = (tuple(states), tuple(joint), pairs)
         for atom in atoms:
             cells = instantiate(table, [atom.left, atom.right])
             for cell_no, cell in enumerate(cells, start=1):
@@ -227,14 +240,21 @@ def standard_partition_criterion(
                     f"{render_expr(atom.right)}) at {occ.function} case "
                     f"{occ.case_id} cell {cell_no}"
                 )
-                scc = make_scc(conj(states + conjuncts(cell)), pairs, "standard", target,
-                               joint=conj(joint + conjuncts(cell)))
-                init = prepare_conjuncts(conjuncts(scc.init_states), ctx)
-                verdict = satisfiable(init, space, ctx)
-                if verdict.status == "unsat":
+                first = decided.get((occurrence, cell))
+                if first is None:
+                    scc = make_scc(conj(states + conjuncts(cell)), pairs, "standard", target,
+                                   joint=conj(joint + conjuncts(cell)))
+                    init = prepare_conjuncts(conjuncts(scc.init_states), ctx)
+                    status = satisfiable(init, space, ctx).status
+                    decided[occurrence, cell] = scc, status
+                else:
+                    scc, status = first
+                    scc = SCC(0, scc.init_states, scc.input_pairs, "standard", target,
+                              joint=scc.joint)
+                if status == "unsat":
                     dropped += 1
                     continue
-                if verdict.status == "unknown":
+                if status == "unknown":
                     unknown += 1
                 sccs.append(scc)
     if dropped:

@@ -377,6 +377,7 @@ def project_exists(
     pred: Predicate,
     drop: list[tuple[str, Sort]],
     ctx: Context,
+    decided: dict | None = None,
 ) -> Predicate:
     """Project a predicate onto the variables outside `drop`.
 
@@ -386,7 +387,11 @@ def project_exists(
     constant is decided by bounded search (a found witness discharges it
     to true), and any cluster that cannot be discharged stays behind a
     first-class existential whose membership tests enumerate the bounds.
+    A caller projecting many predicates over one context passes the same
+    `decided` to each call; it keeps, by cluster and bound variables,
+    whether the search found a witness, so each cluster is searched once.
     """
+    decided = {} if decided is None else decided
     drop_sorts = dict(drop)
     drop_order = [n for n, _ in drop]
     keep: list[Predicate] = []
@@ -411,12 +416,14 @@ def project_exists(
     const_names = set() if ctx.model is None else {n for n, _ in ctx.model.constants}
     for vars_, preds in clusters:
         body = conj(preds)
-        bound = [(n, drop_sorts[n]) for n in drop_order if n in vars_]
+        bound = tuple((n, drop_sorts[n]) for n in drop_order if n in vars_)
         free_outside = free_vars(body) - vars_ - const_names
         if not free_outside:
-            space = [(n, ctx.grid(n, s)) for n, s in bound]
-            verdict = satisfiable(body, space, ctx)
-            if verdict.sat:
-                continue  # inhabited: contributes nothing to the projection
-        keep.append(Exists(tuple(bound), body))
+            inhabited = decided.get((body, bound))
+            if inhabited is None:
+                space = [(n, ctx.grid(n, s)) for n, s in bound]
+                inhabited = decided[body, bound] = satisfiable(body, space, ctx).sat
+            if inhabited:
+                continue  # contributes nothing to the projection
+        keep.append(Exists(bound, body))
     return normalize(conj(keep))

@@ -19,9 +19,22 @@ steps (`simulator.events`, `failures`), and a replay
 (`simulator.run_steps`) runs every step with a state again and gives
 the same steps.  A failing step ends its sequence with the failure
 recorded and the remaining classes continue in fresh sequences.
+
+Chaining costs per distinct state, not per step: whether a class can
+run from a state depends on that state alone, and the remaining classes
+only shrink, so a class a state rejected once (its state test false or
+failing to evaluate, or its runnable search not `sat`) stays rejected.
+Within one `build_sequences` call each post-state seen, keyed by its
+values' `values.value_key` in schema order, keeps a cursor, the least
+class id it has not rejected, and a later visit resumes the scan there.
+A class whose state test passed but whose state's time advance failed
+is not rejected, so the "cannot chain" note comes on every visit.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from math import inf
 
 from .context import Context
 from .evaluator import all_hold
@@ -29,7 +42,7 @@ from .sat import satisfiable
 from .scc import SCC
 from .selector import SimulationConfig, runnable_form, select_config, state_tests
 from .simulator import init, run_step, time_advance
-from .values import EvalError, Inf, Struct
+from .values import EvalError, Inf, Struct, value_key
 
 
 class SimulationSequence(Struct):
@@ -55,9 +68,10 @@ def build_sequences(
     what selection already gave a class: its representative, or the
     failed step it returned; a head not in it is selected here."""
     configs = configs or {}
-    remaining = sorted(sccs, key=lambda s: s.id)
+    remaining = sorted(sccs, key=_id)
     sequences: list[SimulationSequence] = []
     notes: list[str] = []
+    cursors: dict[tuple, float] = {}  # a post-state's value keys -> least id not rejected
 
     while remaining:
         scc = remaining.pop(0)
@@ -74,7 +88,7 @@ def build_sequences(
             if sim is None:
                 break
             try:
-                found = _next_reachable(remaining, sim, ctx)
+                found = _next_reachable(remaining, sim, ctx, cursors)
             except EvalError as err:
                 notes.append(f"class {ran.scc_id}: cannot chain from its post-state: {err}")
                 break
@@ -86,23 +100,32 @@ def build_sequences(
     return sequences, notes
 
 
-def _next_reachable(remaining, sim, ctx):
+def _next_reachable(remaining, sim, ctx, cursors):
     """Position of the first remaining class (ascending id) with a runnable
-    member made of the current state, and that member's pair.  The pair
-    space is the context's, without the no-event marker when the state's
-    time advance is infinite; an EvalError from that time advance ends
-    the chain."""
+    member made of the current state, and that member's pair.  The scan
+    starts at the state's cursor in `cursors` and moves it past every
+    class it rejects.  The pair space is the context's, without the
+    no-event marker when the state's time advance is infinite; an
+    EvalError from that time advance ends the chain."""
+    key = tuple(map(value_key, sim.state.values()))
     env = {**ctx.consts, **sim.state}
     space = None
-    for at, scc in enumerate(remaining):
+    for at in range(bisect_left(remaining, cursors.get(key, 0), key=_id), len(remaining)):
+        scc = remaining[at]
         try:
             if not all_hold(state_tests(scc, ctx), env):
                 continue
         except EvalError:
             continue
+        cursors[key] = scc.id  # kept if the search finds a pair or the time advance fails
         if space is None:
             space = ctx.pair_spaces[not isinstance(time_advance(sim, ctx), Inf)]
         verdict = satisfiable(runnable_form(scc, ctx), space, ctx, base_env=env)
         if verdict.sat:
             return at, (verdict.witness["x"], verdict.witness["t"])
+    cursors[key] = inf
     return None
+
+
+def _id(scc: SCC) -> int:
+    return scc.id

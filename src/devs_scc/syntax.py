@@ -5,8 +5,9 @@ looks its class and fields up in a module-level table of weak
 references, so structurally equal nodes are one object and equality is
 identity (`Ref("x")` is not `ConstRef("x")`).  The table keeps no node
 alive; copies and pickles re-intern.  A node keeps its hash, its
-canonical text and its normal form once worked out, so each distinct
-predicate is rendered and normalized once while it lives.
+canonical text, its normal form and its free variables once worked
+out, so each distinct predicate is rendered, normalized and walked for
+its variables once while it lives.
 
 The renderer is the canonical form: two predicates are treated as
 structurally equal exactly when their rendered strings agree, and the
@@ -17,9 +18,10 @@ Traversals read a node's children from its own fields, each holding a
 node or a tuple of nodes (Laemmel & Peyton Jones 2003, "Scrap your
 boilerplate"), so a new node class needs no walker edits.  `walk` yields
 a node and all below it, parents first; `free_vars` collects the names
-of `Ref`s no existential binds; `subst` replaces those an environment
-names.  `map_children` rebuilds a node from its mapped children, or gives
-it back when none changed, for substitution, binding, `=>` and `exists`.
+of `Ref`s no existential binds, kept on the node as a frozenset; `subst`
+replaces those an environment names.  `map_children` rebuilds a node
+from its mapped children, or gives it back when none changed, for
+substitution, binding, `=>` and `exists`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _intern(cls: type, fields: tuple) -> "Node":
         for name, value in zip(cls.__slots__, fields):
             setattr(node, name, value)
         node._hash = hash(fields)
-        node._text = node._norm = None
+        node._text = node._norm = node._vars = None
         _TABLE[key] = ref(node, partial(_forget, key))
         if _HELD is not None:
             _HELD.append(node)
@@ -72,9 +74,10 @@ def holding():
 
 class Node(Record):
     """A syntax node, made by its class's `__new__` through `_intern`.  Its
-    text and its normal form (True: itself) are filled in on first use."""
+    text, its normal form (True: itself) and its free variables are
+    filled in on first use."""
 
-    __slots__ = ("_hash", "_text", "_norm", "__weakref__")
+    __slots__ = ("_hash", "_text", "_norm", "_vars", "__weakref__")
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__
@@ -370,18 +373,19 @@ def walk(node: Node) -> Iterator[Node]:
         stack.extend(reversed(children(node)))
 
 
-def free_vars(node: Node) -> set[str]:
-    """The names of the `Ref`s in `node`, existentially bound ones excluded."""
-    out: set[str] = set()
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node.__class__ is Ref:
-            out.add(node.name)
-        elif node.__class__ is Exists:
-            out |= free_vars(node.body).difference(name for name, _ in node.bound)
+def free_vars(node: Node) -> frozenset[str]:
+    """The names of the `Ref`s in `node`, existentially bound ones
+    excluded; worked out once per node and kept on it."""
+    out = node._vars
+    if out is None:
+        cls = node.__class__
+        if cls is Ref:
+            out = frozenset((node.name,))
+        elif cls is Exists:
+            out = free_vars(node.body).difference(name for name, _ in node.bound)
         else:
-            stack += children(node)
+            out = frozenset().union(*map(free_vars, children(node)))
+        node._vars = out
     return out
 
 

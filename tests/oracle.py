@@ -18,9 +18,13 @@ afresh from the bounds on every call, the reference for the spaces a
 witness of a predicate by a recursive search of its own that decides
 each conjunct with `eval_pred` once its variables are bound, the
 reference for the product's search, which returns only the first, and
-independent of it.  `split` divides a prepared form's conjuncts by
-search depth from their variables on every call, the reference for the
-search's split from the placements its conjuncts keep.  `ref_render_pred` and
+independent of it.  `next_reachable` is the chaining rule by a full
+scan of the remaining classes, on the classes' compiled tests but with a
+pair enumeration of its own: the reference for `devs_scc.sequencer`,
+which resumes each post-state's scan past the classes it rejected.
+`split` divides a prepared form's conjuncts by search depth from their
+variables on every call, the reference for the search's split from the
+placements its conjuncts keep.  `ref_render_pred` and
 `ref_render_expr` are the renderer that walks the whole tree on every
 call, with the precedence of the enclosing place passed down; the
 product's renderer keeps each node's text and must agree with it.
@@ -47,8 +51,10 @@ from typing import Iterator, Mapping
 
 from devs_scc.bounds import const_env, grid
 from devs_scc.campaign import SCHEMA
+from devs_scc.evaluator import all_hold
 from devs_scc.model import GuardedCase, Model, OperatorDef
 from devs_scc.parser import Diagnostic, ParseFailure
+from devs_scc.selector import runnable_form, state_tests
 from devs_scc.syntax import (
     And,
     Apply,
@@ -463,6 +469,47 @@ def iter_witnesses(pred, space, ctx):
             yield from search(level + 1)
 
     return search(0)
+
+
+def next_reachable(remaining, state: Env, ctx):
+    """The chaining rule by a full scan of `remaining` (ascending id),
+    deciding every class afresh on every call: the position of the first
+    class whose state tests hold at `state` and whose runnable form has a
+    member made of `state`, with the least such member's pair; None when
+    no class has one.  The pairs are enumerated by a loop of their own,
+    not the product's search: the input grid, with the no-event marker
+    when the state's time advance is finite, then the finite time grid.
+    A state test that fails to evaluate does not hold; a time advance
+    that fails to evaluate or is negative raises `EvalError` once some
+    class's state tests hold."""
+    model, bounds = ctx.model, ctx.bounds
+    env = {**const_env(bounds, model), **state}
+    xs = None
+    for at, scc in enumerate(remaining):
+        try:
+            if not all_hold(state_tests(scc, ctx), env):
+                continue
+        except EvalError:
+            continue
+        if xs is None:
+            ta = eval_expr(model.ta, env, model)
+            if not (isinstance(ta, Inf) or isinstance(ta, Num) and ta.value >= 0):
+                raise EvalError(f"ta produced {render_value(ta)}")
+            xs = grid(bounds, "x", model.input_sort) + ([] if isinstance(ta, Inf) else [TAU])
+        # the runnable form's tests by the deepest of x and t they read
+        levels = ([], [], [])
+        for c in runnable_form(scc, ctx).items:
+            levels[2 if "t" in c.vars else "x" in c.vars].append(c.test)
+        if not all_hold(levels[0], env):
+            continue
+        for x in xs:
+            point = {**env, "x": x}
+            if all_hold(levels[1], point):
+                for t in time_points(bounds):
+                    point["t"] = t
+                    if all_hold(levels[2], point):
+                        return at, (x, t)
+    return None
 
 
 def split(form, names: tuple[str, ...]):

@@ -1155,17 +1155,32 @@ def test_the_artifacts_are_written_without_hashing_a_value(name, tmp_path):
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def assert_pinned_digests(out, name: str) -> None:
+    """Every file `fixtures/expected/<name>.sha256` names has its digest in `out`."""
+    pinned = {}
+    for line in (FIXTURES / "expected" / f"{name}.sha256").read_text().splitlines():
+        digest, file = line.split()
+        pinned[file] = digest
+    assert {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in pinned} == pinned
+
+
 def test_soda_all_pairs_matches_its_pinned_digests(tmp_path, capsys):
     assert main(["campaign", "--model", str(FIXTURES / "soda.devs"),
                  "--bounds", str(FIXTURES / "soda.bounds"),
                  *[arg for sel in SODA_PAIRS_SELECTIONS for arg in ("--criteria", sel)],
                  "--all-pairs", "--probe-k", "4", "--out", str(tmp_path)]) == 0
-    pinned = {}
-    for line in (FIXTURES / "expected" / "soda-all-pairs.sha256").read_text().splitlines():
-        digest, name = line.split()
-        pinned[name] = digest
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in pinned} == pinned
+    assert_pinned_digests(tmp_path, "soda-all-pairs")
+
+
+def test_elevator_all_pairs_matches_its_pinned_digests(tmp_path, capsys):
+    assert main(["campaign", "--model", str(FIXTURES / "elevator.devs"),
+                 "--bounds", str(FIXTURES / "elevator.bounds"),
+                 "--parts", str(FIXTURES / "elevator.parts"),
+                 *[arg for sel in ELEVATOR_SELECTIONS for arg in ("--criteria", sel)],
+                 "--all-pairs", "--budget", "10000", "--probe-k", "4",
+                 "--out", str(tmp_path)]) == 0
+    assert_pinned_digests(tmp_path, "elevator-all-pairs")
 
 
 @pytest.mark.parametrize("name", list(WORKED_CAMPAIGNS))

@@ -94,6 +94,30 @@ def test_cases_witnesses_admit_an_elapsed_time(soda, soda_bounds):
         assert taken > 0
 
 
+@pytest.mark.parametrize("fixture", ["soda", "elevator", "toggle"])
+def test_cases_criterion_decides_each_projection_cluster_once(fixture, request, monkeypatch):
+    """Sharing the projections' verdicts across the cases keeps the
+    classes and notes of projecting each case afresh, and searches each
+    cluster once."""
+    import devs_scc.criteria as criteria
+    import devs_scc.sat as sat
+
+    ctx = Context(request.getfixturevalue(fixture), request.getfixturevalue(f"{fixture}_bounds"))
+    with monkeypatch.context() as patch:
+        patch.setattr(criteria, "project_exists",
+                      lambda pred, drop, ctx, decided=None: sat.project_exists(pred, drop, ctx))
+        expected = cases_criterion(ctx)
+    searched = []
+
+    def satisfiable(body, space, ctx, _search=sat.satisfiable):
+        searched.append((body, tuple(name for name, _ in space)))
+        return _search(body, space, ctx)
+
+    monkeypatch.setattr(sat, "satisfiable", satisfiable)
+    assert cases_criterion(ctx) == expected
+    assert len(searched) == len(set(searched))
+
+
 # ---------------------------------------------------------------------------
 # extensional sets
 
@@ -259,6 +283,79 @@ def test_occurrence_under_false_guard_yields_nothing(soda_bounds):
     sccs, _ = standard_partition_criterion(
         builtin_tables()["<"], [Occurrence("dext", 1)], Context(model, Bounds()))
     assert sccs == []
+
+
+def fresh_standard_partition(table, occurrences, ctx):
+    """The standard partition criterion with one search per cell: the
+    reference for the criterion, which decides each distinct cell of an
+    occurrence context once per call."""
+    from devs_scc.criteria import _number, _occurrence_context, _split_guard
+    from devs_scc.partitions import instantiate
+    from devs_scc.sat import prepare_conjuncts, satisfiable
+    from devs_scc.scc import make_scc
+    from devs_scc.syntax import conj, conjuncts, render_expr
+
+    sccs, notes, dropped, unknown = [], [], 0, 0
+    for occ in occurrences:
+        case = next(c for c in ctx.model.cases(occ.function) if c.id == occ.case_id)
+        atoms, context = _split_guard(ctx.model, case, occ.ops)
+        states, joint, pairs = _occurrence_context(ctx, occ.function, context)
+        for atom in atoms:
+            for no, cell in enumerate(instantiate(table, [atom.left, atom.right]), start=1):
+                target = (f"operator {atom.op} ({render_expr(atom.left)}, "
+                          f"{render_expr(atom.right)}) at {occ.function} case "
+                          f"{occ.case_id} cell {no}")
+                scc = make_scc(conj(states + conjuncts(cell)), pairs, "standard", target,
+                               joint=conj(joint + conjuncts(cell)))
+                init = prepare_conjuncts(conjuncts(scc.init_states), ctx)
+                status = satisfiable(init, ctx.state_space, ctx).status
+                dropped += status == "unsat"
+                unknown += status == "unknown"
+                if status != "unsat":
+                    sccs.append(scc)
+    if dropped:
+        notes.append(f"standard partition: {dropped} infeasible cells dropped")
+    if unknown:
+        notes.append(f"standard partition: {unknown} cells kept with unknown feasibility")
+    return _number(sccs), notes
+
+
+STANDARD_SELECTIONS = {
+    "elevator dint:6,7,13,14": ("elevator", "ordcmp", [("dint", i, None) for i in (6, 7, 13, 14)]),
+    "elevator dint:6,6": ("elevator", "ordcmp", [("dint", 6, None), ("dint", 6, None)]),
+    "soda dext:2,3": ("soda", ">=", [("dext", 2, None), ("dext", 3, None)]),
+    "soda dext:2,3 ops:>=": ("soda", ">=", [("dext", 2, (">=",)), ("dext", 3, (">=",))]),
+}
+
+
+@pytest.mark.parametrize("name", list(STANDARD_SELECTIONS))
+def test_standard_partition_decides_each_distinct_cell_once(name, request, monkeypatch):
+    """Deciding a repeated cell once keeps the classes, their targets,
+    the notes and the duplicates `assign_ids` removes of deciding every
+    cell afresh, and searches each distinct cell once."""
+    import devs_scc.criteria as criteria
+    from devs_scc.scc import assign_ids
+
+    fixture, table_name, occs = STANDARD_SELECTIONS[name]
+    model = request.getfixturevalue(fixture)
+    ctx = Context(model, request.getfixturevalue(f"{fixture}_bounds"))
+    table = (request.getfixturevalue("elevator_tables") if fixture == "elevator"
+             else builtin_tables())[table_name]
+    occurrences = [Occurrence(fn, i) if ops is None else Occurrence(fn, i, ops)
+                   for fn, i, ops in occs]
+    expected, expected_notes = fresh_standard_partition(table, occurrences, ctx)
+    searched = []
+
+    def satisfiable(form, *args, _search=criteria.satisfiable):
+        searched.append(tuple(c.text for c in form.items))
+        return _search(form, *args)
+
+    monkeypatch.setattr(criteria, "satisfiable", satisfiable)
+    sccs, notes = standard_partition_criterion(table, occurrences, ctx)
+    assert sccs == expected
+    assert notes == expected_notes
+    assert assign_ids(sccs)[1] == assign_ids(expected)[1]
+    assert len(searched) == len(set(searched))
 
 
 # ---------------------------------------------------------------------------

@@ -47,19 +47,22 @@ def test_worked_elevator_campaign_search_counts(
     run_campaign(Campaign(elevator, elevator_bounds, elevator_tables,
                           list(ELEVATOR_SELECTIONS), plan=plan))
     by_module = {name: (c["calls"], c["attempts"]) for name, c in search_counts.items()}
+    # each cell of sibling partition occurrences, each projection cluster
+    # of the cases criterion and each class a post-state rejected is
+    # searched once per campaign
     assert by_module == {
-        "sat": (43, 195),  # project_exists, for the cases criterion
-        "criteria": (62, 663),
+        "sat": (24, 114),  # project_exists, for the cases criterion
+        "criteria": (36, 359),
         "algebra": (4, 107),
         "selector": (92, 2655),
-        "sequencer": (88, 938),
+        "sequencer": (70, 686),
     }
     totals = _totals(search_counts)
-    assert (totals["calls"], totals["attempts"], totals["unknown"]) == (289, 4558, 0)
+    assert (totals["calls"], totals["attempts"], totals["unknown"]) == (226, 3921, 0)
 
 
 def test_elevator_probe_search_counts(search_counts, elevator, elevator_bounds, elevator_tables):
     run_campaign(Campaign(elevator, elevator_bounds, elevator_tables,
                           list(ELEVATOR_SELECTIONS), probe_k=4))
     totals = _totals(search_counts)
-    assert (totals["calls"], totals["attempts"], totals["unknown"]) == (482, 11031, 0)
+    assert (totals["calls"], totals["attempts"], totals["unknown"]) == (419, 10394, 0)

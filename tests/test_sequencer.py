@@ -1,17 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
 from devs_scc.bounds import const_env
 from devs_scc.context import Context
 from devs_scc.criteria import cases_criterion
-from oracle import eval_pred, event_layout, joint_space, sequence_layout
+from oracle import eval_pred, event_layout, joint_space, next_reachable, sequence_layout
 from devs_scc.scc import SCC, make_scc
 from devs_scc.selector import SimulationConfig
 from devs_scc.sequencer import build_sequences
 from devs_scc.simulator import events, failures
 from devs_scc.syntax import TRUE, And, Cmp, Const, Ref, conj
-from devs_scc.values import TAU, Lit, num
+from devs_scc.values import TAU, Lit, num, render_value
 from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_PAIRS_SELECTIONS, soda_contradiction
 
 
@@ -221,6 +222,8 @@ def _sequenced(name, request):
     fixture, plan, selections = {
         "elevator worked plan": (
             "elevator", load_plan(str(FIXTURES / "elevator.plan.json")), ELEVATOR_SELECTIONS),
+        "elevator all-pairs": (
+            "elevator", CombinationPlan(all_pairs=True, budget=10_000), ELEVATOR_SELECTIONS),
         "soda all-pairs": ("soda", CombinationPlan(all_pairs=True), SODA_PAIRS_SELECTIONS),
         "toggle all-pairs": (
             "toggle", CombinationPlan(all_pairs=True),
@@ -232,6 +235,31 @@ def _sequenced(name, request):
     result = run_campaign(Campaign(model, bounds, tables, list(selections), plan=plan),
                           stop_after="sequence")
     return model, bounds, result
+
+
+def reference_build(classes, ctx, configs=None):
+    """`build_sequences` with the full-scan chaining rule of
+    `oracle.next_reachable` in place of the sequencer's cursors."""
+    import devs_scc.sequencer as sequencer
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequencer, "_next_reachable",
+                      lambda remaining, sim, ctx, cursors: next_reachable(remaining, sim.state, ctx))
+        return build_sequences(classes, ctx, configs)
+
+
+@pytest.mark.parametrize("name", ["toggle all-pairs", "soda all-pairs", "elevator all-pairs"])
+def test_chaining_matches_the_full_scan_reference(name, request):
+    """Resuming each post-state's scan where it stopped chains the steps,
+    and gives the notes, that scanning every remaining class does."""
+    model, bounds, result = _sequenced(name, request)
+    ctx = Context(model, bounds)
+    got, notes = build_sequences(result.catalog, ctx, result.configs)
+    expected, expected_notes = reference_build(result.catalog, ctx, result.configs)
+    assert any(len(seq.steps) > 1 for seq in expected)
+    assert [sequence_layout(s) for s in got] == [sequence_layout(s) for s in expected]
+    assert [sequence_layout(s) for s in result.sequences] == [sequence_layout(s) for s in got]
+    assert notes == expected_notes
 
 
 @pytest.mark.parametrize("name", CAMPAIGNS)
@@ -340,6 +368,72 @@ def test_a_post_state_without_a_valid_time_advance_ends_its_sequence():
         replayed = replay_sequence(seq, Context(model, bounds))
         assert replayed == seq.steps
         assert failures(replayed) == failures(seq.steps)
+
+
+def _spy_on_chaining(monkeypatch, classes, ctx, name):
+    """Counters, by class id and the value of state variable `name`, of
+    the state tests and the runnable searches chaining makes."""
+    import devs_scc.sequencer as sequencer
+    from devs_scc.selector import runnable_form, state_tests
+
+    owner = {id(state_tests(s, ctx)): s.id for s in classes}
+    owner.update({id(runnable_form(s, ctx)): s.id for s in classes})
+    tested, searched = Counter(), Counter()
+
+    def all_hold(tests, env, _all_hold=sequencer.all_hold):
+        tested[owner[id(tests)], render_value(env[name])] += 1
+        return _all_hold(tests, env)
+
+    def satisfiable(form, space, ctx, base_env, _satisfiable=sequencer.satisfiable):
+        searched[owner[id(form)], render_value(base_env[name])] += 1
+        return _satisfiable(form, space, ctx, base_env=base_env)
+
+    monkeypatch.setattr(sequencer, "all_hold", all_hold)
+    monkeypatch.setattr(sequencer, "satisfiable", satisfiable)
+    return tested, searched
+
+
+def test_a_recurring_state_tests_a_class_it_rejected_once(toggle, toggle_bounds, monkeypatch):
+    """The toggle leaves B after steps 1 and 4 and A after steps 3 and 5.
+    Class 2 admits B, but its pair time lies off the time grid, so its
+    search from B fails; A fails its state test.  Each state decides it
+    once, and the sequences are the full scan's."""
+    ctx = Context(toggle, toggle_bounds)
+    late = And((_at("m", "B"), _go(), Cmp("=", Ref("t"), Const(num(5)))))
+    classes = [make_scc(_at("m", "A"), _go(), "manual", "a", id=1),
+               make_scc(_at("m", "B"), _go(), "manual", "late", joint=late, id=2),
+               make_scc(_at("m", "B"), _go(), "manual", "b", id=3),
+               make_scc(_at("m", "A"), _go(), "manual", "a again", id=4),
+               make_scc(_at("m", "B"), _go(), "manual", "b again", id=5)]
+    expected, expected_notes = reference_build(classes, ctx)
+    tested, searched = _spy_on_chaining(monkeypatch, classes, ctx, "m")
+    sequences, notes = build_sequences(classes, ctx)
+    assert [seq.covered for seq in sequences] == [[1, 3, 4, 5], [2]]
+    assert [sequence_layout(s) for s in sequences] == [sequence_layout(s) for s in expected]
+    assert notes == expected_notes == []
+    assert (tested[2, "B"], searched[2, "B"], tested[2, "A"]) == (1, 1, 1)
+
+
+def test_a_time_advance_that_fails_on_a_recurring_state_gives_its_note_each_visit(monkeypatch):
+    """Classes 1 and 2 both step from c = 5 to c = 0, where class 3's
+    state test holds but the time advance is -1: each visit to c = 0
+    tests class 3 again and ends its sequence with a note."""
+    from devs_scc.parser import parse_bounds_text, parse_model_text
+
+    model, report = parse_model_text(LATE_MODEL)
+    assert report.usable, report.errors
+    ctx = Context(model, parse_bounds_text("bounds {\n  time samples = {0, 1, 5, 6};\n}\n"))
+    at_c = lambda v: Cmp("=", Ref("c"), Const(num(v)))
+    classes = [make_scc(at_c(5), _go(), "manual", "one", id=1),
+               make_scc(at_c(5), _go(), "manual", "two", id=2),
+               make_scc(at_c(0), _go(), "manual", "three", id=3)]
+    expected, expected_notes = reference_build(classes, ctx)
+    tested, _ = _spy_on_chaining(monkeypatch, classes, ctx, "c")
+    sequences, notes = build_sequences(classes, ctx)
+    assert notes == expected_notes == [
+        f"class {i}: cannot chain from its post-state: ta produced -1" for i in (1, 2)]
+    assert [sequence_layout(s) for s in sequences] == [sequence_layout(s) for s in expected]
+    assert tested[3, "0"] == 2
 
 
 @pytest.mark.parametrize("fixture", ["soda", "elevator"])

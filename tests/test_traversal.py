@@ -2,8 +2,10 @@
 read a node's children from its own fields, and agree with the reference
 walkers in `oracle`, which spell out the child fields of each class, on
 random trees of every node class, existentials whose bound names shadow
-the substitution included."""
+the substitution included, and on every node of the fixtures' cases and
+campaign catalogs."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 import devs_scc.syntax as syntax
@@ -36,6 +38,7 @@ from devs_scc.syntax import (
     walk,
 )
 from devs_scc.values import NAT, TIME, num
+from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES, SODA_SELECTIONS
 
 EXPR_CLASSES = (Const, Ref, ConstRef, BinOp, Neg, MinOp, TupleExpr, Proj, Apply)
 
@@ -121,6 +124,75 @@ def test_subst_gives_the_node_itself_when_no_name_of_env_is_free_in_it(e, p, env
     finally:
         syntax._intern = real
     assert made == []
+
+
+def _fixture_nodes(fixture, request):
+    """Every guard, result and time advance of a fixture model, and every
+    predicate of its campaign's catalog, the combinations included."""
+    from devs_scc.algebra import CombinationPlan
+    from devs_scc.campaign import Campaign, load_plan, run_campaign
+    from devs_scc.partitions import builtin_tables
+
+    model = request.getfixturevalue(fixture)
+    bounds = request.getfixturevalue(f"{fixture}_bounds")
+    if fixture == "elevator":
+        tables, selections = request.getfixturevalue("elevator_tables"), ELEVATOR_SELECTIONS
+        plan = load_plan(str(FIXTURES / "elevator.plan.json"))
+    else:
+        tables, plan = builtin_tables(), CombinationPlan(all_pairs=True)
+        selections = {"soda": SODA_SELECTIONS,
+                      "toggle": ["cases", "extensional input", "extensional state:m"]}[fixture]
+    result = run_campaign(Campaign(model, bounds, tables, list(selections), plan=plan),
+                          stop_after="combine")
+    cases = [c for fn in ("dext", "dint", "lambda") for c in model.cases(fn)]
+    cases += [c for op in model.operators for c in op.cases]
+    roots = [model.ta] + [c.guard for c in cases] + [c.result for c in cases]
+    for scc in result.catalog:
+        roots += [scc.init_states, scc.input_pairs] + ([scc.joint] if scc.joint else [])
+    return [n for root in roots for n in walk(root)]
+
+
+@pytest.mark.parametrize("fixture", ["soda", "toggle", "elevator"])
+def test_the_free_vars_a_node_keeps_are_the_reference_free_variables(fixture, request):
+    nodes = _fixture_nodes(fixture, request)
+    # the elevator's cases projections keep existentials
+    assert any(isinstance(n, Exists) for n in nodes) == (fixture == "elevator")
+    for node in nodes:
+        want = oracle.expr_vars(node) if isinstance(node, EXPR_CLASSES) else oracle.pred_vars(node)
+        got = free_vars(node)
+        assert isinstance(got, frozenset) and got == want, node
+        assert free_vars(node) is got  # kept on the node
+
+
+def test_a_caller_growing_the_free_vars_leaves_the_kept_ones_alone():
+    pred = Cmp("<", Ref("a"), BinOp("+", Ref("b"), Ref("e")))
+    suspects = free_vars(pred)
+    suspects |= {"c"}
+    suspects -= {"e"}
+    assert suspects == {"a", "b", "c"}
+    assert free_vars(pred) == {"a", "b", "e"}
+
+
+def test_the_time_variable_hint_reads_the_free_vars():
+    """A variable compared with the elapsed time, or read by the time
+    advance, without @time is named in one note, as before the free
+    variables were kept."""
+    from devs_scc.parser import parse_model_text
+
+    model, report = parse_model_text("""
+    model hint {
+      state { c: time; n: nat; w: nat; k: time @time; }
+      input enum {go};
+      output enum {ping};
+      ta = c + k;
+      dext(s, e, x) { case x = go /\\ e < n -> (c, n, w + 1, k); }
+      dint(s) { otherwise -> (c, n, w, k); }
+      lambda(s) { otherwise -> ping; }
+    }
+    """)
+    assert report.usable, report.errors
+    assert [n for n in report.notes if "@time" in n] == [
+        "variables that appear time-interacting but lack @time: c, n"]
 
 
 def test_an_existential_shadows_its_bound_names():
