@@ -48,7 +48,7 @@ from .scc import SCC, assign_ids, shape_overlaps
 from .selector import SimulationConfig, select_config
 from .sequencer import SimulationSequence, build_sequences
 from .simulator import events, failures, run_steps, uniformity_probe
-from .syntax import Apply, holding, render_pred, walk
+from .syntax import Apply, render_pred, walk
 from .values import Lit, Num, Struct, Value, render_value, value_key
 
 SCHEMA = "devs-scc/1"
@@ -93,6 +93,8 @@ def apply_selection(
             all_sccs: list[SCC] = []
             notes = []
             for var in target[len("state:"):].split(","):
+                if not var:
+                    raise CampaignError(f"empty state variable name in {' '.join(words)!r}")
                 sccs, n = extensional_criterion(model, var)
                 all_sccs.extend(sccs)
                 notes.extend(n)
@@ -367,12 +369,12 @@ class CampaignResult(Struct):
 STAGES = ("combine", "select", "sequence", "simulate")
 
 
-@holding()
 def run_campaign(c: Campaign, stop_after: str = "simulate") -> CampaignResult:
     """Run the pipeline up to and including the stage `stop_after`; the
-    artifacts of the stages after it stay empty.  The syntax nodes it
-    makes live until it returns (`syntax.holding`), as do the forms its
-    context prepares for the classes."""
+    artifacts of the stages after it stay empty.  The forms its context
+    prepares for the classes live until it returns; a syntax node lives
+    while something refers to it, such as a class, a kept form or a
+    stage's memo."""
     if stop_after not in STAGES:
         raise ValueError(f"unknown stage {stop_after!r}, want one of {STAGES}")
     ctx = c.context()

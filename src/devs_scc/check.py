@@ -384,7 +384,8 @@ def _bind_model(model: Model) -> tuple[Model, ValidationReport]:
 def bounds_errors(model: Model, bounds: Bounds) -> list[str]:
     """A bounds `set` that names no state variable, and values of a `set`
     outside the sort of its state variable: every search would range over
-    states no run can reach."""
+    states no run can reach.  A bounds `const` outside the sort of its
+    model constant: every run would read a value the model excludes."""
     state = dict(model.schema.vars)
     return [
         f"bounds set {name} names no state variable"
@@ -394,6 +395,10 @@ def bounds_errors(model: Model, bounds: Bounds) -> list[str]:
         for name, sort in model.schema.vars
         for v in bounds.value_sets.get(name, ())
         if not value_conforms(v, sort)
+    ] + [
+        f"bounds const {name} holds {render_value(v)}, outside its sort {sort}"
+        for name, sort in model.constants
+        if (v := bounds.const_values.get(name)) is not None and not value_conforms(v, sort)
     ]
 
 

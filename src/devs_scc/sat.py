@@ -32,13 +32,11 @@ the plain search, so the witness and every verdict the plain search
 reaches stay the same.  `coverage` applies the same consistency eagerly,
 once per case: a bit mask per variable of the grid positions the case's
 unary conjuncts admit.  The split of conjuncts by depth is one helper,
-`_by_depth`, for both.  Each conjunct keeps its placement for every
-order of search variables it has been searched over: no search variable,
-unary at depth d, or joint and checked at its deepest depth d, where the
-search first has all its variables bound (Haralick & Elliott 1980).  A
-split is then one look-up per conjunct, and a form keeps its split for
-the order it was last searched over, so a form searched many times over
-one space, as chaining and the probe search, is split once.
+`_split`, for both, run on each call.  Each conjunct keeps its
+placement for every order of search variables it has been searched
+over: no search variable, unary at depth d, or joint and checked at its
+deepest depth d, where the search first has all its variables bound
+(Haralick & Elliott 1980).  A split is then one look-up per conjunct.
 
 A search can be confined to an inclusive range of grid positions,
 given as the least and the greatest position tuple in lexicographic
@@ -124,17 +122,13 @@ class Conjunct:
 class Conjunction:
     """A normalized conjunction prepared for search: its conjuncts in
     canonical order (ascending text, no two alike), or false.  `a & b` is
-    the prepared form of the normalized conjunction of both.  It keeps
-    the split of its conjuncts by search depth for the order of the
-    search variables it was last searched over, assembled from the
-    conjuncts' placements, see `_by_depth`."""
+    the prepared form of the normalized conjunction of both."""
 
-    __slots__ = ("items", "false", "split")
+    __slots__ = ("items", "false")
 
     def __init__(self, items: tuple[Conjunct, ...] = (), false: bool = False):
         self.items = items
         self.false = false
-        self.split: tuple | None = None  # (variable order, split)
 
     def __and__(self, other: Conjunction) -> Conjunction:
         if self.false or not (other.items or other.false):
@@ -186,7 +180,7 @@ def satisfiable(
     *,
     lo: Sequence[int] | None = None,
     hi: Sequence[int] | None = None,
-    limit: int | None = None,
+    limit: float | None = None,
 ) -> SatResult:
     """Least witness over `space`, or unsat-within-bounds, or unknown when
     the attempt budget runs out.
@@ -194,8 +188,8 @@ def satisfiable(
     `pred` is a predicate or its prepared form; `lo` and `hi` bound the
     search to grid positions from `lo` to `hi` (inclusive, one position
     per variable, lexicographic order); `limit` replaces the budget of
-    the context's `bounds.max_attempts`.  The context's constants are
-    bound, under `base_env`."""
+    the context's `bounds.max_attempts`, `math.inf` for none.  The
+    context's constants are bound, under `base_env`."""
     form = pred if isinstance(pred, Conjunction) else prepare(pred, ctx)
     return _search(form, space, _env(ctx, base_env),
                    ctx.bounds.max_attempts if limit is None else limit, lo, hi)
@@ -238,7 +232,7 @@ def _env(ctx, base_env) -> dict[str, Value]:
     return {**ctx.consts, **base_env} if base_env else dict(ctx.consts)
 
 
-def _search(form: Conjunction, space: Space, env: dict, limit: int,
+def _search(form: Conjunction, space: Space, env: dict, limit: float,
             lo=None, hi=None) -> SatResult:
     """The least witness within the positions `lo` to `hi` when given,
     else unsat, or unknown once more than `limit` attempts are spent."""
@@ -248,7 +242,7 @@ def _search(form: Conjunction, space: Space, env: dict, limit: int,
     grids = [g for _, g in space]
     # per depth: the tests of its unary and of its other conjuncts, None
     # without any
-    pre, unary_tests, joint_tests = _by_depth(form, names)
+    pre, unary_tests, joint_tests = _split(form, names)
     used = 0
     for test in pre:
         used += 1
@@ -309,21 +303,12 @@ def _search(form: Conjunction, space: Space, env: dict, limit: int,
     return SatResult("unsat", attempts=used)
 
 
-def _by_depth(form: Conjunction, names: tuple[str, ...]):
+def _split(form: Conjunction, names: tuple[str, ...]):
     """The tests of `form`'s conjuncts split by the search variables
     `names` they mention: those that mention none; and per depth, those
     that mention that variable only (unary), and the others whose deepest
     variable it is, where the search first has them all bound, each None
-    without any.  The split is kept on the form for the last order of
-    `names` it was made for: a search that repeats, such as chaining's
-    per state or the probe's per stratum, repeats over one order."""
-    kept = form.split
-    if kept is None or kept[0] != names:
-        kept = form.split = (names, _split(form, names))
-    return kept[1]
-
-
-def _split(form: Conjunction, names: tuple[str, ...]):
+    without any."""
     order = " ".join(names)
     n = len(names)
     pre = []
@@ -356,7 +341,7 @@ def _admitted(form: Conjunction, space: Space, env: dict) -> list[int]:
     """Per variable of `space`, the bit mask of the grid positions whose
     value satisfies all of `form`'s unary conjuncts on it under `env`
     (every position when it has none)."""
-    _, unary, _ = _by_depth(form, tuple(n for n, _ in space))
+    _, unary, _ = _split(form, tuple(n for n, _ in space))
     env = dict(env)
     masks = []
     for (name, grid), tests in zip(space, unary):

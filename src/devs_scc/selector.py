@@ -31,7 +31,7 @@ index space rather than random draws.
 
 from __future__ import annotations
 
-from math import prod
+from math import inf, prod
 from typing import TYPE_CHECKING
 
 from .bounds import digits_index, index_digits
@@ -174,8 +174,9 @@ def sample_configs(scc: SCC, k: int, ctx: Context) -> list[SimulationConfig]:
     include the selected representative, and a class with no member in
     any window yields none.  Each window is searched by the pruned
     witness search over the reversed joint space, whose lexicographic
-    order is the numbering above, with a budget that covers every node
-    of the window, so `bounds.max_attempts` never cuts it short.
+    order is the numbering above, with no attempt limit: a window of W
+    points visits at most `len(space) * W` grid values, so the search
+    always ends and `bounds.max_attempts` never cuts it short.
     """
     space = ctx.joint_space[::-1]
     sizes = [len(g) for _, g in space]
@@ -198,7 +199,7 @@ def sample_configs(scc: SCC, k: int, ctx: Context) -> list[SimulationConfig]:
             form, space, ctx,
             lo=lo,
             hi=index_digits(end - 1, sizes),
-            limit=len(space) * (end - start) + len(form.items),
+            limit=inf,
         )
         if not verdict.sat:
             scanned += end - start

@@ -7,7 +7,9 @@ identity (`Ref("x")` is not `ConstRef("x")`).  The table keeps no node
 alive; copies and pickles re-intern.  A node keeps its hash, its
 canonical text, its normal form and its free variables once worked
 out, so each distinct predicate is rendered, normalized and walked for
-its variables once while it lives.
+its variables once while it lives.  It lives while something refers to
+it, such as a model, a class, a prepared form or a stage's memo; one
+made again after it died is rendered and normalized again.
 
 The renderer is the canonical form: two predicates are treated as
 structurally equal exactly when their rendered strings agree, and the
@@ -26,7 +28,6 @@ substitution, binding, `=>` and `exists`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import partial
 from typing import Iterator, Mapping, Union
 from weakref import ref
@@ -34,7 +35,6 @@ from weakref import ref
 from .values import Record, Sort, Value, render_value
 
 _TABLE: dict = {}  # (class, *fields) -> weak reference to the one such node
-_HELD: list | None = None  # the nodes made while `holding`
 
 
 def _forget(key: tuple, entry: ref, table: dict = _TABLE) -> None:
@@ -55,21 +55,7 @@ def _intern(cls: type, fields: tuple) -> "Node":
         node._hash = hash(fields)
         node._text = node._norm = node._vars = None
         _TABLE[key] = ref(node, partial(_forget, key))
-        if _HELD is not None:
-            _HELD.append(node)
     return node
-
-
-@contextmanager
-def holding():
-    """Keep every node made in the block alive until the block ends, so
-    that none is made, rendered or normalized twice in it."""
-    global _HELD
-    outer, _HELD = _HELD, [] if _HELD is None else _HELD
-    try:
-        yield
-    finally:
-        _HELD = outer
 
 
 class Node(Record):

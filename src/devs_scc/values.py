@@ -23,6 +23,7 @@ number it computes is a new `Num`.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Union
@@ -300,10 +301,11 @@ def num(x) -> Num:
 
 def value_key(v: Value):
     """What a value holds, for a memo keyed on values: a number's `value`,
-    a literal's `name`, the keys of a tuple's items, and infinity itself.
-    Two keys are equal exactly when their values are, as `exact` fixes
-    the form a number holds, and the key of a number or a literal hashes
-    in C, where a record's `__hash__` is a call into Python."""
+    a literal's `name`, the keys of a tuple's items, and `math.inf` for
+    infinity, which equals no int, Fraction or name.  Two keys are equal
+    exactly when their values are, as `exact` fixes the form a number
+    holds, and a key hashes in C, where a record's `__hash__` is a call
+    into Python."""
     cls = v.__class__
     if cls is Num:
         return v.value
@@ -311,7 +313,7 @@ def value_key(v: Value):
         return v.name
     if cls is Tup:
         return tuple(map(value_key, v.items))
-    return v
+    return math.inf
 
 
 def render_value(v: Value) -> str:

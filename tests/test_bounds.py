@@ -4,6 +4,7 @@ and the search spaces, shared read-only by every search over it."""
 
 import copy
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,16 @@ def test_a_set_value_outside_its_sort_is_a_validation_error(toggle):
     assert report.warnings == []
     _, clean = validate_model(toggle, parse_bounds_text("bounds { set m = {B}; }"))
     assert clean.usable
+
+
+@pytest.mark.parametrize("const, value", [("TD1", "-2"), ("TGF", "-1/2")])
+def test_a_const_value_outside_its_sort_is_a_validation_error(elevator, const, value):
+    text = (FIXTURES / "elevator.bounds").read_text()
+    b = parse_bounds_text(re.sub(f"const {const} = [^;]*;", f"const {const} = {value};", text))
+    _, report = validate_model(elevator, b)
+    assert not report.usable
+    assert report.errors == [f"bounds const {const} holds {value}, outside its sort time"]
+    assert report.warnings == []
 
 
 @pytest.mark.parametrize("fixture, sets, names", [

@@ -394,16 +394,27 @@ def test_run_campaign_rejects_an_unknown_stage():
         run_campaign(_elevator_campaign(), stop_after="replay")
 
 
-def test_set_value_outside_its_sort_exits_2(tmp_path):
+# a model, a bounds file for it with a value outside its sort, and the error
+_OUTSIDE_SORT = [
+    ("toggle", "bounds { set m = {C}; time samples = {0, 1, 2}; }",
+     "bounds set m holds C, outside its sort enum {A, B}"),
+    ("elevator", (FIXTURES / "elevator.bounds").read_text()
+     .replace("const TD1 = 2;", "const TD1 = -2;"),
+     "bounds const TD1 holds -2, outside its sort time"),
+]
+
+
+@pytest.mark.parametrize("name, text, error", _OUTSIDE_SORT, ids=["set", "const"])
+def test_a_bounds_value_outside_its_sort_exits_2(name, text, error, tmp_path):
     bad = tmp_path / "bad.bounds"
-    bad.write_text("bounds { set m = {C}; time samples = {0, 1, 2}; }")
-    message = "error: bounds set m holds C, outside its sort enum {A, B}\n"
-    code, out, err = run_cli("parse", str(FIXTURES / "toggle.devs"), "--bounds", str(bad))
+    bad.write_text(text)
+    message = f"error: {error}\n"
+    code, out, err = run_cli("parse", str(FIXTURES / f"{name}.devs"), "--bounds", str(bad))
     assert code == 2
     assert err.startswith(message)
     code, out, err = run_cli(
         "select",
-        "--model", str(FIXTURES / "toggle.devs"),
+        "--model", str(FIXTURES / f"{name}.devs"),
         "--bounds", str(bad),
         "--criteria", "cases",
     )
@@ -763,6 +774,8 @@ def _fixture_args(name):
     ("elevator", "intentional state " + " /\\ ".join(["(f = 0 \\/ f = 1)"] * 13),
      "DNF clause cap 4096 exceeded"),
     ("toggle", "extensional state:zz", "no state variable named zz"),
+    ("toggle", "extensional state:", "empty state variable name in 'extensional state:'\n"),
+    ("toggle", "extensional state:m,,m", "empty state variable name in 'extensional state:m,,m'\n"),
     ("elevator", "time chain:TD1,TA interval:TD1..TD2",
      "time chain cannot mix with interval/point segments"),
     ("elevator", "time interval:TA..TD1", "interval needs TA < TD1 under the constant bindings"),
@@ -893,15 +906,16 @@ def test_a_set_that_names_no_state_variable_exits_2(command, tmp_path, capsys):
                    if command[0] == "parse" else "")
 
 
-def test_simulate_checks_the_bounds_as_select_does(tmp_path, capsys):
+@pytest.mark.parametrize("name, text, error", _OUTSIDE_SORT, ids=["set", "const"])
+def test_simulate_checks_the_bounds_as_select_does(name, text, error, tmp_path, capsys):
     bad = tmp_path / "bad.bounds"
-    bad.write_text("bounds { set m = {C}; time samples = {0, 1, 2}; }")
+    bad.write_text(text)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"state": {"m": "A"}, "input": {"event": "go", "time": "0"}}))
-    model = ["--model", str(FIXTURES / "toggle.devs"), "--bounds", str(bad)]
+    model = ["--model", str(FIXTURES / f"{name}.devs"), "--bounds", str(bad)]
     for command in (["select", *model, "--criteria", "cases"], ["simulate", *model, "--config", str(config)]):
         assert main(command) == 2
-        assert capsys.readouterr() == ("", "error: bounds set m holds C, outside its sort enum {A, B}\n")
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -219,7 +219,6 @@ def test_a_campaign_normalizes_and_renders_each_predicate_once(monkeypatch):
     # counted again, so the counts depend on the tests run before this one
     assert len(normalized) > 20 and max(normalized.values()) == 1
     assert len(rendered) > 20 and max(rendered.values()) == 1
-    assert syntax._HELD is None
 
 
 # ---------------------------------------------------------------------------

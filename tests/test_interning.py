@@ -195,33 +195,6 @@ def test_spaces_are_built_once_per_model_and_bounds(elevator):
     assert other.pair_spaces == ctx.pair_spaces
 
 
-def test_a_form_keeps_its_split_while_searched_over_one_order(elevator, elevator_bounds,
-                                                              monkeypatch):
-    split = sat._split
-    made = []
-
-    def counting(form, names):
-        made.append(names)
-        return split(form, names)
-
-    monkeypatch.setattr(sat, "_split", counting)
-    result = _worked_campaign(elevator, elevator_bounds, stop_after="combine")
-    ctx = Context(elevator, elevator_bounds)
-    space = ctx.joint_space
-    # selection splits the class's runnable form over the joint order
-    made.clear()
-    select_config(result.catalog[0], ctx)
-    assert made == [tuple(n for n, _ in space)]
-    form = runnable_form(result.catalog[0], ctx)
-    made.clear()
-    for _ in range(3):
-        assert satisfiable(form, space, ctx).sat
-    assert made == []
-    for _ in range(3):
-        assert satisfiable(form, space[::-1], ctx).sat
-    assert made == [tuple(n for n, _ in space[::-1])]
-
-
 def _bench_workloads():
     """The benchmark's workloads module, `bench/workloads.py`."""
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")

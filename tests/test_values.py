@@ -112,6 +112,8 @@ def test_two_values_have_equal_keys_exactly_when_they_are_equal(a, b):
     assert (value_key(a) == value_key(b)) is (a == b)
     if a == b:
         assert hash(value_key(a)) == hash(value_key(b))
+    # infinity's key is a float, whose hash runs in C
+    assert value_key(INF).__class__ is float
 
 
 def test_an_unknown_comparison_is_an_evaluation_error():
