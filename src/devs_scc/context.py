@@ -4,7 +4,8 @@ Every form the pipeline derives is a function of the model and of the
 bounds it is searched within, so a `Context` built from that pair holds
 them all: each variable's grid, the finite time grid and the search
 spaces, made here on first use, and, each made on first use by the
-module that uses it, the constants, the interned conjuncts (`sat`),
+module that uses it, the constants, the interned conjuncts and the
+plan of each search space made here (`sat`),
 the executability form and each class's `ClassForms` (`selector`), and
 the compiled atom, reference, operator, case and `ta` closures
 (`evaluator`, `simulator`).  It is passed to every stage explicitly, so
@@ -39,17 +40,21 @@ class ClassForms:
 class Context:
     """The forms prepared from one model under one bounds object."""
 
-    __slots__ = ("model", "bounds", "grids", "_times", "_state", "_pairs", "_joint", "_consts",
-                 "conjuncts", "executable", "atoms", "refs", "operators", "cases", "ta",
-                 "classes", "__weakref__")
+    __slots__ = ("model", "bounds", "grids", "_times", "_state", "_pairs", "_joint", "_reversed",
+                 "_consts", "plans", "conjuncts", "executable", "atoms", "refs", "operators",
+                 "cases", "ta", "classes", "__weakref__")
 
     def __init__(self, model: Model | None, bounds: Bounds | None = None) -> None:
         self.model, self.bounds = model, bounds
         # the spaces are made on first use: `evaluator._compile_apply`
         # makes a context per call of a recursive operator
-        self._times = self._state = self._pairs = self._joint = None
+        self._times = self._state = self._pairs = self._joint = self._reversed = None
         self._consts = self.executable = self.ta = None
         self.grids: dict = {}  # (name, sort) -> grid
+        # id(space) -> its `sat.Plan`, None until first searched, for the
+        # spaces made here only: each lives as long as the context, so its
+        # id stays its own
+        self.plans: dict = {}
         self.conjuncts: dict = {}  # canonical text -> sat.Conjunct
         self.atoms: dict = {}  # (operator, kind, name, constant) -> test
         self.refs: dict = {}  # (kind, name) -> lookup
@@ -83,7 +88,7 @@ class Context:
     def state_space(self) -> list[tuple[str, list[Value]]]:
         """(name, grid) of each state variable, in schema order."""
         if self._state is None:
-            self._state = [(n, self.grid(n, sort)) for n, sort in self.model.schema.vars]
+            self._state = self._own([(n, self.grid(n, sort)) for n, sort in self.model.schema.vars])
         return self._state
 
     @property
@@ -92,8 +97,8 @@ class Context:
         ranges over the no-event marker too."""
         if self._pairs is None:
             xs = self.grid("x", self.model.input_sort)
-            self._pairs = ([("x", xs), ("t", self.times)],
-                           [("x", [*xs, TAU]), ("t", self.times)])
+            self._pairs = (self._own([("x", xs), ("t", self.times)]),
+                           self._own([("x", [*xs, TAU]), ("t", self.times)]))
         return self._pairs
 
     @property
@@ -103,8 +108,21 @@ class Context:
         constraints (t bounded by each timer) can prune the state search at
         the depth of the timer variables."""
         if self._joint is None:
-            self._joint = [*self.pair_spaces[True], *self.state_space]
+            self._joint = self._own([*self.pair_spaces[True], *self.state_space])
         return self._joint
+
+    @property
+    def reversed_joint_space(self) -> list[tuple[str, list[Value]]]:
+        """The joint space in reverse order: the state variables last to
+        first, then t, then x; the probe's numbering of the joint grid."""
+        if self._reversed is None:
+            self._reversed = self._own(self.joint_space[::-1])
+        return self._reversed
+
+    def _own(self, space: list) -> list:
+        """`space`, with a slot for its search plan."""
+        self.plans[id(space)] = None
+        return space
 
     def forms(self, scc) -> ClassForms:
         forms = self.classes.get(id(scc))

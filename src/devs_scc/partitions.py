@@ -14,8 +14,8 @@ import itertools
 from .bounds import Bounds
 from .context import Context
 from .sat import coverage
-from .syntax import And, Cmp, Const, Predicate, Ref, subst
-from .values import Num, Record
+from .syntax import And, Cmp, Const, Predicate, Ref, subst, walk
+from .values import Num, Record, num
 
 
 class StandardPartition(Record):
@@ -56,10 +56,12 @@ def builtin_tables() -> dict[str, StandardPartition]:
 
 
 def check_partition(table: StandardPartition) -> tuple[bool, bool]:
-    """(disjoint, exhaustive) over the integers -2..2 for each formal,
-    decided by the bounded search; a search that runs out of budget
-    fails its check."""
-    grid = [Num(k) for k in range(-2, 3)]
+    """(disjoint, exhaustive) over the numbers c-2..c+2 for each formal,
+    around 0 and around each number c the cells mention, decided by the
+    bounded search; a search that runs out of budget fails its check."""
+    centres = {0, *(n.value.value for cell in table.cells for n in walk(cell)
+                    if isinstance(n, Const) and isinstance(n.value, Num))}
+    grid = [num(v) for v in sorted({c + k for c in centres for k in range(-2, 3)})]
     gap, overlaps = coverage(table.cells, False, [(f, grid) for f in table.formals],
                              Context(None, Bounds()))
     disjoint = all(found.status == "unsat" for _, found in overlaps)

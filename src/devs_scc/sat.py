@@ -32,11 +32,16 @@ the plain search, so the witness and every verdict the plain search
 reaches stay the same.  `coverage` applies the same consistency eagerly,
 once per case: a bit mask per variable of the grid positions the case's
 unary conjuncts admit.  The split of conjuncts by depth is one helper,
-`_split`, for both, run on each call.  Each conjunct keeps its
-placement for every order of search variables it has been searched
-over: no search variable, unary at depth d, or joint and checked at its
-deepest depth d, where the search first has all its variables bound
-(Haralick & Elliott 1980).  A split is then one look-up per conjunct.
+`_split`, for both: on each call, one pass over the form's conjuncts
+into per-depth test tuples.  Each conjunct keeps its placement for
+every order of search variables it has been searched over: no search
+variable, unary at depth d, or joint and checked at its deepest depth
+d, where the search first has all its variables bound (Haralick &
+Elliott 1980).  A split is then one look-up per conjunct.  What a
+search needs of its space alone is the space's `Plan`: the context
+keeps one for each space it owns, made at its first search, and any
+other space gets one for that call only.  A depth's unary memo is made
+at its first unary evaluation.
 
 A search can be confined to an inclusive range of grid positions,
 given as the least and the greatest position tuple in lexicographic
@@ -191,7 +196,7 @@ def satisfiable(
     the context's `bounds.max_attempts`, `math.inf` for none.  The
     context's constants are bound, under `base_env`."""
     form = pred if isinstance(pred, Conjunction) else prepare(pred, ctx)
-    return _search(form, space, _env(ctx, base_env),
+    return _search(form, _plan(space, ctx), _env(ctx, base_env),
                    ctx.bounds.max_attempts if limit is None else limit, lo, hi)
 
 
@@ -214,8 +219,8 @@ def coverage(
     budget first.  Every other pair is searched."""
     gap = None if total else satisfiable(conj([Not(p) for p in preds]), space, ctx)
     forms = [prepare(p, ctx) for p in preds]
-    env = _env(ctx, None)
-    masks = [_admitted(f, space, env) for f in forms]
+    env, plan = _env(ctx, None), _plan(space, ctx)
+    masks = [_admitted(f, plan, env) for f in forms]
 
     def decide(i, j):
         if any(not a & b for a, b in zip(masks[i], masks[j])):
@@ -232,17 +237,43 @@ def _env(ctx, base_env) -> dict[str, Value]:
     return {**ctx.consts, **base_env} if base_env else dict(ctx.consts)
 
 
-def _search(form: Conjunction, space: Space, env: dict, limit: float,
+class Plan:
+    """What a search over one space needs of the space alone: its names,
+    its grids, its order key (the names joined by spaces, the key of a
+    conjunct's placements), each grid's last index and an all-None
+    per-depth template.  A context keeps one for each space it owns."""
+
+    __slots__ = ("names", "grids", "order", "last", "blank")
+
+    def __init__(self, space: Space) -> None:
+        self.names = tuple(n for n, _ in space)
+        self.grids = tuple(g for _, g in space)
+        self.order = " ".join(self.names)
+        self.last = tuple(len(g) - 1 for g in self.grids)
+        self.blank = (None,) * len(space)
+
+
+def _plan(space: Space, ctx: Context) -> Plan:
+    """The plan of `space`: the one `ctx` keeps when it owns the space,
+    made on first use, else one for this call."""
+    key = id(space)
+    plan = ctx.plans.get(key)
+    if plan is None:
+        plan = Plan(space)
+        if key in ctx.plans:
+            ctx.plans[key] = plan
+    return plan
+
+
+def _search(form: Conjunction, plan: Plan, env: dict, limit: float,
             lo=None, hi=None) -> SatResult:
     """The least witness within the positions `lo` to `hi` when given,
     else unsat, or unknown once more than `limit` attempts are spent."""
     if form.false:
         return SatResult("unsat")
-    names = tuple(n for n, _ in space)
-    grids = [g for _, g in space]
     # per depth: the tests of its unary and of its other conjuncts, None
     # without any
-    pre, unary_tests, joint_tests = _split(form, names)
+    pre, unary_tests, joint_tests = _split(form, plan)
     used = 0
     for test in pre:
         used += 1
@@ -250,30 +281,37 @@ def _search(form: Conjunction, space: Space, env: dict, limit: float,
             return SatResult("unknown", attempts=used)
         if not all_hold((test,), env):
             return SatResult("unsat", attempts=used)
+    names, grids = plan.names, plan.grids
     n = len(names)
     if n == 0:
         return SatResult("sat", witness={}, attempts=used, index=())
     # for unary conjuncts, per depth: each grid index's verdict once
-    # evaluated, and how many indices have failed
-    known = [None if tests is None else [None] * len(grid)
-             for tests, grid in zip(unary_tests, grids)]
+    # evaluated, made at the depth's first evaluation, and how many
+    # indices have failed
+    known = list(plan.blank)
     failed = [0] * n
-    # the stack: per depth the next grid index to try, the last one in
-    # range, and whether the positions above it equal the prefix of lo / hi
-    pos, end = [0] * n, [0] * n
-    lo_tight, hi_tight = [False] * n, [False] * n
-    lo_tight[0], hi_tight[0] = lo is not None, hi is not None
-    pos[0] = lo[0] if lo is not None else 0
-    end[0] = hi[0] if hi is not None else len(grids[0]) - 1
+    # the stack: per depth the grid index being tried and the last one in
+    # range; with a window, also whether the positions above it equal the
+    # prefix of lo / hi
+    pos = [-1] * n
+    end = plan.last
+    windowed = lo is not None or hi is not None
+    if windowed:
+        end = list(end)
+        lo_tight, hi_tight = [lo is not None] * n, [hi is not None] * n
+        if lo is not None:
+            pos[0] = lo[0] - 1
+        if hi is not None:
+            end[0] = hi[0]
     last, d = n - 1, 0
     while True:
-        i = pos[d]
+        i = pos[d] + 1
         if i > end[d]:
             if d == 0:
                 break
             d -= 1
             continue
-        pos[d] = i + 1
+        pos[d] = i
         memo = known[d]
         if memo is not None and memo[i] is False:
             continue
@@ -281,8 +319,11 @@ def _search(form: Conjunction, space: Space, env: dict, limit: float,
         if used > limit:
             return SatResult("unknown", attempts=used)
         env[names[d]] = grids[d][i]
-        if memo is not None and memo[i] is None:
-            memo[i] = all_hold(unary_tests[d], env)
+        tests = unary_tests[d]
+        if tests is not None and (memo is None or memo[i] is None):
+            if memo is None:
+                memo = known[d] = [None] * len(grids[d])
+            memo[i] = all_hold(tests, env)
             if not memo[i]:
                 failed[d] += 1
                 if failed[d] == len(grids[d]):
@@ -292,59 +333,57 @@ def _search(form: Conjunction, space: Space, env: dict, limit: float,
         if tests is not None and not all_hold(tests, env):
             continue
         if d == last:
-            return SatResult("sat", witness={name: env[name] for name in names},
-                             attempts=used, index=tuple(p - 1 for p in pos))
-        down_lo = lo_tight[d] and i == lo[d]
-        down_hi = hi_tight[d] and i == hi[d]
-        d += 1
-        lo_tight[d], hi_tight[d] = down_lo, down_hi
-        pos[d] = lo[d] if down_lo else 0
-        end[d] = hi[d] if down_hi else len(grids[d]) - 1
+            return SatResult("sat", witness=dict(zip(names, map(env.__getitem__, names))),
+                             attempts=used, index=tuple(pos))
+        if windowed:
+            down_lo = lo_tight[d] and i == lo[d]
+            down_hi = hi_tight[d] and i == hi[d]
+            d += 1
+            lo_tight[d], hi_tight[d] = down_lo, down_hi
+            pos[d] = lo[d] - 1 if down_lo else -1
+            end[d] = hi[d] if down_hi else plan.last[d]
+        else:
+            d += 1
+            pos[d] = -1
     return SatResult("unsat", attempts=used)
 
 
-def _split(form: Conjunction, names: tuple[str, ...]):
-    """The tests of `form`'s conjuncts split by the search variables
-    `names` they mention: those that mention none; and per depth, those
-    that mention that variable only (unary), and the others whose deepest
-    variable it is, where the search first has them all bound, each None
-    without any."""
-    order = " ".join(names)
-    n = len(names)
+def _split(form: Conjunction, plan: Plan):
+    """The tests of `form`'s conjuncts split by the search variables of
+    `plan` they mention, in one pass: those that mention none; and per
+    depth, those that mention that variable only (unary), and the others
+    whose deepest variable it is, where the search first has them all
+    bound, each None without any."""
+    order = plan.order
     pre = []
-    unary: dict[int, list] = {}
-    joint: dict[int, list] = {}
+    unary = list(plan.blank)
+    joint = list(plan.blank)
     for c in form.items:
         at = c.placed.get(order, _UNPLACED)
         if at is _UNPLACED:
-            at = c.place(order, names)
+            at = c.place(order, plan.names)
         if at is None:
             pre.append(c.test)
         elif at >= 0:
-            unary.setdefault(at, []).append(c.test)
+            tests = unary[at]
+            unary[at] = (c.test,) if tests is None else (*tests, c.test)
         else:
-            joint.setdefault(~at, []).append(c.test)
-    # only the depths in use are assembled
-    unary_at: list = [None] * n
-    for d, tests in unary.items():
-        unary_at[d] = tuple(tests)
-    joint_at: list = [None] * n
-    for d, tests in joint.items():
-        joint_at[d] = tuple(tests)
-    return tuple(pre), tuple(unary_at), tuple(joint_at)
+            tests = joint[~at]
+            joint[~at] = (c.test,) if tests is None else (*tests, c.test)
+    return tuple(pre), unary, joint
 
 
 _UNPLACED = object()  # a placement not yet worked out
 
 
-def _admitted(form: Conjunction, space: Space, env: dict) -> list[int]:
-    """Per variable of `space`, the bit mask of the grid positions whose
-    value satisfies all of `form`'s unary conjuncts on it under `env`
-    (every position when it has none)."""
-    _, unary, _ = _split(form, tuple(n for n, _ in space))
+def _admitted(form: Conjunction, plan: Plan, env: dict) -> list[int]:
+    """Per variable of `plan`'s space, the bit mask of the grid positions
+    whose value satisfies all of `form`'s unary conjuncts on it under
+    `env` (every position when it has none)."""
+    _, unary, _ = _split(form, plan)
     env = dict(env)
     masks = []
-    for (name, grid), tests in zip(space, unary):
+    for name, grid, tests in zip(plan.names, plan.grids, unary):
         mask = (1 << len(grid)) - 1
         if tests is not None:
             for i, value in enumerate(grid):

@@ -178,7 +178,7 @@ def sample_configs(scc: SCC, k: int, ctx: Context) -> list[SimulationConfig]:
     points visits at most `len(space) * W` grid values, so the search
     always ends and `bounds.max_attempts` never cuts it short.
     """
-    space = ctx.joint_space[::-1]
+    space = ctx.reversed_joint_space
     sizes = [len(g) for _, g in space]
     total = prod(sizes)
     if total == 0 or k <= 0:

@@ -530,8 +530,8 @@ def split(form, names: tuple[str, ...]):
         else:
             joint.setdefault(max(touched), []).append(c.test)
     return (tuple(pre),
-            tuple(tuple(unary[d]) if d in unary else None for d in range(len(names))),
-            tuple(tuple(joint[d]) if d in joint else None for d in range(len(names))))
+            [tuple(unary[d]) if d in unary else None for d in range(len(names))],
+            [tuple(joint[d]) if d in joint else None for d in range(len(names))])
 
 
 # ---------------------------------------------------------------------------

@@ -230,20 +230,20 @@ def test_every_class_form_splits_as_the_reference(name, request):
         model, bounds, result = _sequenced(name, request)
         catalog = result.catalog
     ctx = Context(model, bounds)
-    joint = tuple(n for n, _ in ctx.joint_space)
-    orders = [joint, joint[::-1], ("x", "t"), tuple(n for n, _ in ctx.state_space)]
+    plans = [sat._plan(space, ctx) for space in (
+        ctx.joint_space, ctx.reversed_joint_space, ctx.pair_spaces[False], ctx.state_space)]
     forms = [f(scc, ctx) for scc in catalog for f in (member_form, runnable_form)]
     for _ in range(2):
         for form in forms:
-            for names in orders:
-                assert sat._split(form, names) == split(form, names)
+            for plan in plans:
+                assert sat._split(form, plan) == split(form, plan.names)
     # each conjunct keeps its placement in every order, keyed by the names
-    keys = {" ".join(names) for names in orders}
+    keys = {" ".join(plan.names) for plan in plans}
     assert all(keys <= c.placed.keys() for form in forms for c in form.items)
     # a form prepared without a model places conjuncts of its own
     fresh = prepare_conjuncts(catalog[-1].member)
-    for names in orders:
-        assert sat._split(fresh, names) == split(fresh, names)
+    for plan in plans:
+        assert sat._split(fresh, plan) == split(fresh, plan.names)
 
 
 # ---------------------------------------------------------------------------

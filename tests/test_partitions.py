@@ -1,5 +1,6 @@
 import pytest
 
+from devs_scc.campaign import load_tables
 from devs_scc.partitions import (
     StandardPartition,
     builtin_tables,
@@ -31,6 +32,23 @@ def test_ordcmp_fixture_table_is_healthy(elevator_tables):
     assert len(table.cells) == 13
     disjoint, exhaustive = check_partition(table)
     assert disjoint and exhaustive
+
+
+def test_a_table_is_checked_around_the_numbers_its_cells_mention(tmp_path):
+    """A gap or an overlap at a number the cells mention shows on the
+    check grid, wherever that number lies."""
+    path = tmp_path / "around.parts"
+    path.write_text(
+        'partition "gap" (a) { a < 5; a > 5; }\n'
+        'partition "overlap" (a) { a <= 5; a >= 5; }\n'
+        'partition "half" (a, b) { a < 1/2 /\\ b = 0; a > 1/2 /\\ b = 0; b != 0; }\n'
+        'partition "healthy" (a) { a < -7; a >= -7; }\n')
+    _, notes = load_tables([str(path)])
+    assert notes == [
+        "partition gap: cells leave gaps on the check grid",
+        "partition overlap: cells overlap on the check grid",
+        "partition half: cells leave gaps on the check grid",
+    ]
 
 
 def test_instantiation_substitutes_operands():

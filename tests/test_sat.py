@@ -1,17 +1,23 @@
+import gc
 import itertools
+import random
 from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from devs_scc.bounds import Bounds, grid, index_digits
+from devs_scc.bounds import Bounds, const_env, grid, index_digits
 from oracle import eval_pred, iter_witnesses, pred_vars
+from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.context import Context
-from devs_scc.sat import coverage, prepare, project_exists, satisfiable
+from devs_scc.sat import Plan, coverage, prepare, project_exists, satisfiable
+from devs_scc.selector import executability
 from devs_scc.syntax import (
     And, BinOp, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, render_pred,
 )
 from devs_scc.values import EnumSort, EvalError, Lit, NAT, TIME, UnboundName, num
+
+from tests.conftest import ELEVATOR_SELECTIONS, FIXTURES
 
 ONOFF = EnumSort(("ON", "OFF"))
 
@@ -435,10 +441,11 @@ class _NoValue(Exception):
     pass
 
 
-def recursive_witnesses(pred, space, budget, lo=None, hi=None):
+def recursive_witnesses(pred, space, budget, lo=None, hi=None, ctx=None, base_env=None):
     """The recursive depth-first kernel: one generator frame per variable,
     conjuncts decided by `eval_pred` after re-normalizing the predicate,
-    with the same lazy unary memo, window tightness and attempt charge.
+    with the same lazy unary memo, window tightness and attempt charge;
+    with a context, its model's constants are bound, under `base_env`.
     `budget` is a two-item list [attempts used, limit]; an attempt past the
     limit is counted, then raises _Exhausted.  Yields (grid positions,
     witness)."""
@@ -456,7 +463,8 @@ def recursive_witnesses(pred, space, budget, lo=None, hi=None):
             unary[touched.pop()].append(c)
         else:
             joint[max(touched)].append(c)
-    env = {}
+    model, bounds = (None, None) if ctx is None else (ctx.model, ctx.bounds)
+    env = {**({} if model is None else const_env(bounds, model)), **(base_env or {})}
 
     def spend():
         budget[0] += 1
@@ -465,7 +473,7 @@ def recursive_witnesses(pred, space, budget, lo=None, hi=None):
 
     def holds(c):
         try:
-            return eval_pred(c, env)
+            return eval_pred(c, env, model, bounds)
         except EvalError:
             return False
 
@@ -508,11 +516,11 @@ def recursive_witnesses(pred, space, budget, lo=None, hi=None):
         return
 
 
-def recursive_search(pred, space, limit, lo=None, hi=None):
+def recursive_search(pred, space, limit, lo=None, hi=None, ctx=None, base_env=None):
     """(status, attempts, index, witness) of the recursive kernel."""
     budget = [0, limit]
     try:
-        found = next(recursive_witnesses(pred, space, budget, lo, hi), None)
+        found = next(recursive_witnesses(pred, space, budget, lo, hi, ctx, base_env), None)
     except _Exhausted:
         return "unknown", budget[0], None, None
     if found is None:
@@ -534,6 +542,106 @@ def test_kernel_matches_the_recursive_kernel(problem, data, budget):
     assert (verdict.status, verdict.attempts, verdict.index, verdict.witness) == (
         recursive_search(pred, space, budget, lo, hi)
     )
+
+
+@pytest.fixture(scope="module")
+def elevator_catalog(elevator, elevator_bounds, elevator_tables):
+    """The elevator's worked-plan catalog, with the context of its
+    bounds, whose spaces the searches below run over."""
+    plan = load_plan(str(FIXTURES / "elevator.plan.json"))
+    catalog = run_campaign(Campaign(elevator, elevator_bounds, elevator_tables,
+                                    list(ELEVATOR_SELECTIONS), plan=plan),
+                           stop_after="combine").catalog
+    return Context(elevator, elevator_bounds), catalog
+
+
+def assert_kernels_agree(pred, space, ctx, limit, base_env=None, lo=None, hi=None):
+    """A search over a space of `ctx`, through the plan it keeps, is the
+    recursive kernel's: status, attempts, index and witness."""
+    verdict = satisfiable(pred, space, ctx, base_env, lo=lo, hi=hi, limit=limit)
+    assert ctx.plans[id(space)] is not None
+    assert (verdict.status, verdict.attempts, verdict.index, verdict.witness) == (
+        recursive_search(pred, space, limit, lo, hi, ctx, base_env)
+    )
+    return verdict
+
+
+def test_kernel_matches_the_recursive_kernel_on_the_state_and_joint_spaces(elevator_catalog):
+    ctx, catalog = elevator_catalog
+    runnable = executability(ctx.model)
+    for scc in catalog:
+        for limit in (25, 400):
+            assert_kernels_agree(scc.init_states, ctx.state_space, ctx, limit)
+            assert_kernels_agree(conj(scc.member), ctx.joint_space, ctx, limit)
+            assert_kernels_agree(conj(scc.member + runnable), ctx.joint_space, ctx, limit)
+
+
+def test_kernel_matches_the_recursive_kernel_on_the_pair_spaces(elevator_catalog):
+    """The pair searches of chaining, with a state as the base
+    environment: the class's own least state, and one of another class."""
+    ctx, catalog = elevator_catalog
+    runnable = executability(ctx.model)
+    names = ctx.model.schema.names()
+    states = []
+    for scc in catalog:
+        found = satisfiable(scc.init_states, ctx.state_space, ctx)
+        if found.sat:
+            states.append({n: found.witness[n] for n in names})
+    assert len(states) > len(catalog) // 2
+    statuses = set()
+    for k, scc in enumerate(catalog):
+        pred = conj(scc.member + runnable)
+        for state in (states[k % len(states)], states[(7 * k + 3) % len(states)]):
+            for space in ctx.pair_spaces:
+                statuses.add(assert_kernels_agree(pred, space, ctx, 60, base_env=state).status)
+    assert statuses == {"sat", "unsat"}
+
+
+def test_kernel_matches_the_recursive_kernel_on_the_reversed_joint_space(elevator_catalog):
+    """The probe's windowed searches over the reversed joint space, with
+    small attempt limits."""
+    ctx, catalog = elevator_catalog
+    runnable = executability(ctx.model)
+    space = ctx.reversed_joint_space
+    sizes = [len(g) for _, g in space]
+    total = prod(sizes)
+    rng = random.Random(5)
+    statuses = set()
+    for scc in catalog:
+        pred = conj(scc.member + runnable)
+        for limit in (0, 3, 40, 300):
+            first = rng.randrange(total)
+            last = min(total - 1, first + rng.choice((0, 7, 300, 20_000)))
+            lo, hi = index_digits(first, sizes), index_digits(last, sizes)
+            statuses.add(assert_kernels_agree(pred, space, ctx, limit, lo=lo, hi=hi).status)
+    assert statuses == {"sat", "unsat", "unknown"}
+
+
+def test_a_context_keeps_one_plan_per_space_it_owns(elevator, elevator_bounds, elevator_tables):
+    """The plans a context keeps are those of the spaces it made, made
+    once; a space built per call leaves none behind, and warm probe
+    campaigns leave every plan as it was."""
+    campaign = Campaign(elevator, elevator_bounds, elevator_tables,
+                        list(ELEVATOR_SELECTIONS), probe_k=4)
+    run_campaign(campaign)
+    ctx = campaign.context()
+    owned = [ctx.state_space, *ctx.pair_spaces, ctx.joint_space, ctx.reversed_joint_space]
+    assert ctx.plans.keys() == {id(space) for space in owned}
+    for space in owned:
+        plan = ctx.plans[id(space)]
+        assert plan is None or plan.grids == tuple(g for _, g in space)
+    kept = dict(ctx.plans)
+    assert sum(plan is not None for plan in kept.values()) >= 3
+    assert satisfiable(TRUE, [("t", ctx.times)], ctx).sat
+    assert satisfiable(TRUE, list(ctx.state_space), ctx).sat
+    gc.collect()
+    live = sum(isinstance(o, Plan) for o in gc.get_objects())
+    for _ in range(10):
+        run_campaign(campaign)
+    assert ctx.plans.keys() == kept.keys()
+    assert all(ctx.plans[key] is plan for key, plan in kept.items())
+    gc.collect()
+    assert sum(isinstance(o, Plan) for o in gc.get_objects()) == live
 
 
 @given(problems(), problems(), st.booleans())
