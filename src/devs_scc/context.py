@@ -42,7 +42,7 @@ class Context:
 
     __slots__ = ("model", "bounds", "grids", "_times", "_state", "_pairs", "_joint", "_reversed",
                  "_consts", "plans", "conjuncts", "executable", "atoms", "refs", "operators",
-                 "cases", "ta", "classes", "__weakref__")
+                 "cases", "ta", "scope", "classes", "__weakref__")
 
     def __init__(self, model: Model | None, bounds: Bounds | None = None) -> None:
         self.model, self.bounds = model, bounds
@@ -50,6 +50,7 @@ class Context:
         # makes a context per call of a recursive operator
         self._times = self._state = self._pairs = self._joint = self._reversed = None
         self._consts = self.executable = self.ta = None
+        self.scope = ({}, ())  # the names bound and the memo of `evaluator.compile_cases`
         self.grids: dict = {}  # (name, sort) -> grid
         # id(space) -> its `sat.Plan`, None until first searched, for the
         # spaces made here only: each lives as long as the context, so its
@@ -59,7 +60,7 @@ class Context:
         self.atoms: dict = {}  # (operator, kind, name, constant) -> test
         self.refs: dict = {}  # (kind, name) -> lookup
         self.operators: dict = {}  # name -> call, None while it compiles
-        self.cases: dict = {}  # function -> its first match, `evaluator.compile_cases`
+        self.cases: dict = {}  # function -> its first match, `simulator._fire`
         # by id(class); `campaign.run_campaign` empties it when it ends
         self.classes: dict[int, ClassForms] = {}
 

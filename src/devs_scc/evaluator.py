@@ -22,9 +22,11 @@ witness, folding constant expressions).  The closures dispatch on value
 classes directly and decide comparisons through `values.COMPARISONS`,
 or, for an atom comparing a variable with a number, through
 `values.compare_lookup`, and with a literal by `=` or `!=`, through
-`values.literal_lookup`.  `compile_cases` turns a case table into its
-first match, the one loop that picks a case: an operator's, and a model
-function's for the simulator.  A `context.Context` keeps one closure per
+`values.literal_lookup`.  `compile_cases` turns a case table, an
+operator's or a model function's, into its first match: it tries only
+the cases whose leading `v = literal` can hold, evaluates an expression
+the table repeats once a call and builds a transition's next state,
+checking a slot unless its value is proven to fit.  A `context.Context` keeps one closure per
 atom `v op constant`, per reference and per operator compiled in it; a call
 met while its operator compiles (recursion), or to an operator the model
 lacks, compiles it in a context of its own when it runs, so no closure
@@ -35,7 +37,9 @@ tested against lives with the tests, in `tests/oracle.py`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .context import Context
@@ -62,6 +66,7 @@ from .syntax import (
     Ref,
     TupleExpr,
     render_expr,
+    walk,
 )
 from .values import (
     COMPARISONS,
@@ -81,6 +86,7 @@ from .values import (
     v_mul,
     v_neg,
     v_sub,
+    value_conforms,
 )
 
 Env = Mapping[str, Value]
@@ -104,12 +110,6 @@ def eval_pred(pred: Predicate, env: Env, ctx: Context | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # compiled closures
 
-def compile_expr(expr: Expr, ctx: Context | None = None) -> Callable[[Env], Value]:
-    """A closure computing the value of `expr` in an environment, with
-    the operators of the context's model."""
-    return _expr(expr, ctx)
-
-
 def compile_pred(pred: Predicate, ctx: Context | None = None) -> Callable[[Env], bool]:
     """A closure deciding `pred` in an environment.  An existential
     ranges over the grids of the context's bounds; without bounds it
@@ -120,14 +120,14 @@ def compile_pred(pred: Predicate, ctx: Context | None = None) -> Callable[[Env],
     if isinstance(pred, Cmp):
         return _compile_cmp(pred, ctx)
     if isinstance(pred, InSet):
-        arg, literals = _expr(pred.expr, ctx), frozenset(pred.literals)
+        arg, literals = compile_expr(pred.expr, ctx), frozenset(pred.literals)
 
         def in_set(env):
             v = arg(env)
             return v.__class__ is Lit and v.name in literals
         return in_set
     if isinstance(pred, InBase):
-        arg = _expr(pred.expr, ctx)
+        arg = compile_expr(pred.expr, ctx)
         return lambda env: arg(env).__class__ is Num
     if isinstance(pred, Not):
         inner = compile_pred(pred.arg, ctx)
@@ -186,7 +186,7 @@ def _compile_cmp(pred: Cmp, ctx):
                 raise UnboundName(f"unbound {_kind(missing)} {missing.name}") from None
             return test(a, b)
         return ref_ref
-    lhs, rhs = _expr(left, ctx), _expr(right, ctx)
+    lhs, rhs = compile_expr(left, ctx), compile_expr(right, ctx)
     return lambda env: test(lhs(env), rhs(env))
 
 
@@ -195,9 +195,11 @@ def _compile_exists(pred: Exists, ctx):
     ascending product order, until the compiled body holds; a point
     where the body fails to evaluate witnesses nothing, as `all_hold`
     reads it.  The grids are the context's, taken when it is compiled."""
-    body = compile_pred(pred.body, ctx)
     if ctx is None or ctx.bounds is None:
         return _fails("existential membership test needs bounds")
+    scope, ctx.scope = ctx.scope, ({}, ())  # the body rebinds names
+    body = compile_pred(pred.body, ctx)
+    ctx.scope = scope
     names = [name for name, _ in pred.bound]
     grids = [ctx.grid(name, sort) for name, sort in pred.bound]
     tests = (body,)
@@ -248,8 +250,24 @@ def _kind(ref: Ref | ConstRef) -> str:
 _ARITH = {"+": v_add, "-": v_sub, "*": v_mul, "div": v_div}
 
 
-def _expr(e: Expr, ctx):
-    """A closure computing the value of `e` in an environment."""
+def _fits(e: Expr, sort, ctx) -> bool:
+    """Whether compilation proves the value of `e` fits `sort`."""
+    cls = e.__class__
+    return (value_conforms(e.value, sort) if cls is Const else cls is Ref and ctx.scope[0].get(e.name) == sort
+            or cls is Apply and any(op.name == e.op and op.result == sort for op in ctx.model.operators))
+
+
+def compile_expr(e: Expr, ctx: Context | None = None) -> Callable[[Env], Value]:
+    """A closure computing the value of `e` in an environment, with the
+    operators of the context's model."""
+    sorts, memo = ({}, ()) if ctx is None else ctx.scope
+    if id(e) in memo:  # evaluated once a call, kept under a name no variable has
+        memo.discard(id(e))
+        value, key = compile_expr(e, ctx), f"#{id(e)}"
+        memo.add(id(e))
+        return lambda env: env[key] if key in env else env.setdefault(key, value(env))
+    if e.__class__ is Ref and e.name in sorts:
+        return itemgetter(e.name)  # bound in every environment of the table
     if isinstance(e, Const):
         value = e.value
         return lambda env: value
@@ -268,16 +286,16 @@ def _expr(e: Expr, ctx):
     if isinstance(e, BinOp):
         # an unknown operator fails once both operands are known
         arith = _ARITH.get(e.op) or _fails(f"unknown operator {e.op}")
-        left, right = _expr(e.left, ctx), _expr(e.right, ctx)
+        left, right = compile_expr(e.left, ctx), compile_expr(e.right, ctx)
         return lambda env: arith(left(env), right(env))
     if isinstance(e, Neg):
-        arg = _expr(e.arg, ctx)
+        arg = compile_expr(e.arg, ctx)
         return lambda env: v_neg(arg(env))
     if isinstance(e, MinOp):
-        args = tuple(_expr(a, ctx) for a in e.args)
+        args = tuple(compile_expr(a, ctx) for a in e.args)
         return lambda env: v_min([a(env) for a in args])
     if isinstance(e, TupleExpr):
-        items = tuple(_expr(a, ctx) for a in e.items)
+        items = tuple(compile_expr(a, ctx) for a in e.items)
         return lambda env: Tup(tuple([a(env) for a in items]))
     if isinstance(e, Proj):
         return _compile_proj(e, ctx)
@@ -290,22 +308,25 @@ def _compile_apply(e: Apply, ctx):
     model = None if ctx is None else ctx.model
     if model is None:
         return _fails(f"no model supplies operator {e.op}")
-    name, args = e.op, tuple(_expr(a, ctx) for a in e.args)
-    call = _operator(ctx, name) if any(op.name == name for op in model.operators) else None
-    if call is not None:
-        return lambda env: call([a(env) for a in args], env)
+    name, args = e.op, tuple(compile_expr(a, ctx) for a in e.args)
+    op = next((op for op in model.operators if op.name == name), None)
+    checks = tuple((i, sort, f"{name} parameter {p}") for i, ((p, sort), arg)  # the args not proven to fit
+                   in enumerate(zip(op.params if op else (), e.args)) if not _fits(arg, sort, ctx))
+    call = op and _operator(ctx, name)
+    if call:
+        return lambda env: call([a(env) for a in args], env, checks)
     bounds = ctx.bounds
 
     def apply(env):
         # recursive or undefined: compiled when it runs, in a context of
         # its own; an undefined operator raises KeyError here
         call = _operator(Context(model, bounds), name)
-        return call([a(env) for a in args], env)
+        return call([a(env) for a in args], env, checks)
     return apply
 
 
 def _compile_proj(e: Proj, ctx):
-    base, index = _expr(e.base, ctx), e.index
+    base, index = compile_expr(e.base, ctx), e.index
 
     def proj(env):
         v = base(env)
@@ -329,20 +350,22 @@ def _operator(ctx: Context, name: str):
 
 
 def _compile_operator(ctx: Context, op: OperatorDef):
-    arity, consts = len(op.params), tuple(n for n, _ in ctx.model.constants)
-    params = [(name, sort, f"{op.name} parameter {name}") for name, sort in op.params]
-    first = compile_cases(op.cases, ctx)
+    arity, names = len(op.params), [name for name, _ in op.params]
+    body = [n for case in op.cases for part in (case.guard, case.result) for n in walk(part)]
+    consts = [k for k, _ in ctx.model.constants if any(n.__class__ is Apply or n == ConstRef(k) for n in body)]
+    first = compile_cases(op.cases, ctx, dict(op.params))
     sort, where = op.result, f"{op.name} result"
 
-    def call(args, outer_env):
+    def call(args, outer_env, checks):
         if len(args) != arity:
             raise EvalError(f"{op.name} expects {arity} arguments")
-        # the model constants bound by the caller: all an operator sees of
-        # it, and one application deeper than the caller runs
+        # the model constants its body names (all, if it calls an operator),
+        # bound by the caller: all it sees of the caller, one application deeper
         env = {k: outer_env[k] for k in consts if k in outer_env}
         env[_DEPTH] = depth = outer_env.get(_DEPTH, 0) + 1
-        for (name, param_sort, param_where), arg in zip(params, args):
-            env[name] = coerce(arg, param_sort, param_where)
+        for i, param_sort, param_where in checks:
+            coerce(args[i], param_sort, param_where)
+        env.update(zip(names, args))
         if depth > _MAX_DEPTH:
             raise EvalError("operator expansion too deep (recursive definition?)")
         fired = first(env)
@@ -352,18 +375,47 @@ def _compile_operator(ctx: Context, op: OperatorDef):
     return call
 
 
-def compile_cases(cases: tuple[GuardedCase, ...], ctx: Context | None = None):
-    """A closure returning the first of `cases`, in order, whose guard
-    holds in an environment, with its compiled result; None when no
-    guard holds.  An `otherwise` case holds in every environment."""
-    compiled = [
-        (case, None if case.is_otherwise else compile_pred(case.guard, ctx), _expr(case.result, ctx))
-        for case in cases
-    ]
+def compile_cases(cases: tuple[GuardedCase, ...], ctx: Context, sorts: dict, slots=None):
+    """A closure giving the first of `cases`, in order, whose guard holds
+    in an environment, with its result's closure (`_result`), else None.
+    For the first `v` of `sorts` (the names all environments bind) a case
+    leads with `v = literal` on, the cases leading with another literal are skipped."""
+    counts = Counter(id(n) for case in cases for part in (case.guard, case.result)
+                     for n in walk(part) if n.__class__ in (BinOp, Neg, MinOp, TupleExpr, Proj, Apply))
+    scope, ctx.scope = ctx.scope, (sorts, {k for k, n in counts.items() if n > 1})
+    entries = [(case, None if case.is_otherwise else compile_pred(case.guard, ctx),
+                _result(case.result, slots, ctx)) for case in cases]
+    ctx.scope = scope
+    leads = [(h := c.guard.items[0] if c.guard.__class__ is And else c.guard).__class__ is Cmp and h.op == "="
+             and h.left.__class__ is Ref and h.left.name in sorts and h.right.__class__ is Const
+             and h.right.value.__class__ is Lit and (h.left.name, h.right.value.name) for c in cases]
+    var = next((lead[0] for lead in leads if lead), None)
+    keys = [lead and lead[0] == var and lead[1] or None for lead in leads]
+    buckets = {k: tuple(e for e, key in zip(entries, keys) if key in (None, k)) for k in (None, *keys)}
 
     def first(env):
-        for case, guard, result in compiled:
+        for case, guard, result in buckets.get(getattr(env.get(var), "name", None), buckets[None]):
             if guard is None or guard(env):
                 return case, result
         return None
     return first
+
+
+def _result(expr: Expr, slots, ctx):
+    """A case result's closure; for `slots`, the (name, sort) of each state
+    variable, the next state, each slot checked unless its item fits."""
+    if slots is None:
+        return compile_expr(expr, ctx)
+    names, n = [name for name, _ in slots], len(slots)
+    items = (expr,) if n == 1 else expr.items if expr.__class__ is TupleExpr and len(expr.items) == n else ()
+    fns, whole = [compile_expr(item, ctx) for item in items], not items and compile_expr(expr, ctx)
+    checks = [(i, sort, name) for i, (name, sort) in enumerate(slots) if not (items and _fits(items[i], sort, ctx))]
+
+    def build(env):
+        values = [f(env) for f in fns] if fns else whole(env)
+        if not fns and (values.__class__ is not Tup or len(values.items) != n):
+            raise EvalError("transition result does not match the state schema")
+        for i, sort, where in checks:
+            coerce(values[i] if fns else values.items[i], sort, where)
+        return dict(zip(names, values if fns else values.items))
+    return build

@@ -140,7 +140,9 @@ class Conjunction:
             return self
         if other.false or not self.items:
             return other
-        return _ordered(self.items + other.items)
+        texts = {c.text for c in self.items}  # both in order: sorting merges them
+        return Conjunction(tuple(sorted((*self.items, *(c for c in other.items if c.text not in texts)),
+                                        key=lambda c: c.text)))
 
 
 def _ordered(items) -> Conjunction:

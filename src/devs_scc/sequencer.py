@@ -119,7 +119,7 @@ def _next_reachable(remaining, sim, ctx, cursors):
             continue
         cursors[key] = scc.id  # kept if the search finds a pair or the time advance fails
         if space is None:
-            space = ctx.pair_spaces[not isinstance(time_advance(sim, ctx), Inf)]
+            space = ctx.pair_spaces[not isinstance(time_advance(sim, ctx, env), Inf)]
         verdict = satisfiable(runnable_form(scc, ctx), space, ctx, base_env=env)
         if verdict.sat:
             return at, (verdict.witness["x"], verdict.witness["t"])

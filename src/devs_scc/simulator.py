@@ -10,14 +10,15 @@ exactly on the internal deadline is applied as the external transition
 and the step is annotated so the engineer sees the tie.
 
 A concrete (state, event, elapsed) with no matching guard is the
-principal validation finding this tool exists to surface.  `_fire` picks
-the case that fires, for both halves of `step`, by the first match of
-`evaluator.compile_cases` kept in the context, and is the one place that
-raises `UndefinedTransition`.  `run_step` records the finding on the
-step as an "undefined transition" error, not a crash; the step is its
-one record, and a failed step fires no trace event.  A replay
-(`run_steps`) runs every step with a state again, whatever error it was
-recorded with, so the findings it reports are the model's.
+principal validation finding this tool exists to surface.  A step reads
+its time advance and both halves in one environment; `_fire` picks the
+case that fires by the first match of `evaluator.compile_cases` kept in
+the context, which builds a next state, and is the one place that raises
+`UndefinedTransition`.  `run_step` records the finding on the step as an
+"undefined transition" error, not a crash; the step is its one record,
+and a failed step fires no trace event.  A replay (`run_steps`) runs
+every step with a state again, whatever error it was recorded with, so
+the findings it reports are the model's.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .values import (
     Rational,
     Struct,
     TAU,
+    TIME,
     Tup,
     Value,
     coerce,
@@ -91,17 +93,17 @@ def init(model: Model, s0: dict[str, Value]) -> SimState:
         if name not in s0:
             raise SimError(f"initial state misses variable {name}")
         state[name] = coerce(s0[name], sort, f"initial {name}")
+    if len(s0) > len(state):
+        raise SimError(f"initial state names unknown variable {next(n for n in s0 if n not in state)}")
     return SimState(state=state, clock=0)
 
 
-def time_advance(st: SimState, ctx: Context) -> Value:
+def time_advance(st: SimState, ctx: Context, env=None) -> Value:
     ta = ctx.ta
     if ta is None:
         ta = ctx.ta = compile_expr(ctx.model.ta, ctx)
-    v = ta({**ctx.consts, **st.state})
-    if isinstance(v, Inf):
-        return v
-    if isinstance(v, Num) and v.value >= 0:
+    v = ta({**ctx.consts, **st.state} if env is None else env)  # env: one made of `st` already
+    if isinstance(v, Inf) or isinstance(v, Num) and v.value >= 0:
         return v
     raise EvalError(f"ta produced {render_value(v)}")
 
@@ -115,12 +117,12 @@ def step(
     the pending internal transition fires at its deadline, after the
     output of the state it leaves.  An injected event must fit the
     model's input sort, as `init` requires of the state."""
-    ta = time_advance(st, ctx)
+    env = {**ctx.consts, **st.state}
+    ta = time_advance(st, ctx, env)
     if injected is None:
         if isinstance(ta, Inf):
             raise SimError("passive state, no internal transition")
-        fn, x, at, tie = "dint", None, exact(st.clock + ta.value), False
-        env = {**ctx.consts, **st.state}
+        fn, at, tie = "dint", exact(st.clock + ta.value), False
         output = _fire(ctx, "lambda", env, st.state)[1](env)
     else:
         fn, at, output = "dext", exact(injected[1]), None
@@ -128,16 +130,13 @@ def step(
         if at < st.clock:
             raise SimError("injected event lies in the past")
         e = exact(at - st.clock)
-        tie = False
-        if not isinstance(ta, Inf):
-            if e > ta.value:
-                raise SimError("event after internal deadline")
-            tie = e == ta.value
-        env = {**ctx.consts, **st.state, "e": Num(e), "x": x}
+        if not isinstance(ta, Inf) and e > ta.value:
+            raise SimError("event after internal deadline")
+        tie = not isinstance(ta, Inf) and e == ta.value
+        env["e"], env["x"] = Num(e), x
     case, result = _fire(ctx, fn, env, st.state)
-    new_state = _apply_result(ctx.model, result, env)
-    event = TraceEvent(Num(at), (fn, case.id), dict(new_state), output, tie)
-    return SimState(new_state, at), output, event
+    new_state = result(env)
+    return SimState(new_state, at), output, TraceEvent(Num(at), (fn, case.id), new_state, output, tie)
 
 
 def advance(st: SimState, event: Value, rel_time: Value, ctx: Context) -> tuple[SimState, TraceEvent]:
@@ -159,7 +158,9 @@ def _fire(ctx: Context, fn: str, env, state: dict[str, Value]):
     `state` and for `dext` the input and elapsed time, when none holds."""
     first = ctx.cases.get(fn)
     if first is None:
-        first = ctx.cases[fn] = compile_cases(ctx.model.cases(fn), ctx)
+        model, bound = ctx.model, {"e": TIME, "x": ctx.model.input_sort} if fn == "dext" else {}
+        first = ctx.cases[fn] = compile_cases(model.cases(fn), ctx, dict(model.schema.vars, **bound),
+                                              None if fn == "lambda" else model.schema.vars)
     fired = first(env)
     if fired is None:
         detail = ", ".join(f"{k}={render_value(v)}" for k, v in state.items())
@@ -169,32 +170,16 @@ def _fire(ctx: Context, fn: str, env, state: dict[str, Value]):
     return fired
 
 
-def _apply_result(model: Model, result, env) -> dict[str, Value]:
-    """The next state from a case's compiled result: the value itself for
-    a one-variable schema, else a tuple with one item per variable."""
-    value = result(env)
-    if len(model.schema.vars) == 1:
-        name, sort = model.schema.vars[0]
-        return {name: coerce(value, sort, name)}
-    if not isinstance(value, Tup) or len(value.items) != len(model.schema.vars):
-        raise EvalError("transition result does not match the state schema")
-    return {
-        name: coerce(part, sort, name)
-        for (name, sort), part in zip(model.schema.vars, value.items)
-    }
-
-
 def run_step(st: SimState, step: SimulationConfig,
              ctx: Context) -> tuple[SimState | None, SimulationConfig]:
     """Run a configured step's pair from `st`: the state it left (None if
     it failed) and the step as it ran from `st`'s state, with the event it
     fired as its `outcome` or with the error it failed with."""
-    state = dict(st.state)
     try:
         nxt, ev = advance(st, step.event, step.time, ctx)
     except (UndefinedTransition, SimError, EvalError) as err:
-        return None, SimulationConfig(step.scc_id, state, step.event, step.time, error=str(err))
-    return nxt, SimulationConfig(step.scc_id, state, step.event, step.time, outcome=ev)
+        return None, SimulationConfig(step.scc_id, st.state, step.event, step.time, error=str(err))
+    return nxt, SimulationConfig(step.scc_id, st.state, step.event, step.time, outcome=ev)
 
 
 def run_config(config: SimulationConfig, ctx: Context) -> list[SimulationConfig]:

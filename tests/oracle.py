@@ -28,6 +28,10 @@ placements its conjuncts keep.  `ref_render_pred` and
 `ref_render_expr` are the renderer that walks the whole tree on every
 call, with the precedence of the enclosing place passed down; the
 product's renderer keeps each node's text and must agree with it.
+`step` is one transition of the abstract simulator by that interpreter,
+every slot of its next state checked: the reference for
+`devs_scc.simulator.step`, which compiles each transition function into
+a case-dispatching next-state builder, and independent of it.
 `lex` is the character-by-character scanner the product's one-pattern
 lexer replaced; both give `(kind, text, line, col)` tuples.
 `expr_nodes`, `pred_exprs`, `iter_subpreds`, `expr_vars`, `pred_vars`,
@@ -415,6 +419,55 @@ def _le(a: Value, b: Value) -> bool:
         x, y = a.value, b.value
         return x._numerator * y._denominator <= y._numerator * x._denominator
     return (cls is Num or cls is Inf) and b.__class__ is Inf
+
+
+# ---------------------------------------------------------------------------
+# the reference step
+
+
+def step(model: Model, bounds, state: dict[str, Value], clock, injected=None):
+    """One transition of the abstract simulator from `state` at `clock`,
+    by the interpreter above: `injected`, (event, absolute time), fires
+    the external transition, None the internal one after the output.  It
+    gives (case id, next state, output, tie), or the text of the error
+    the step fails with.  Every slot of the next state is checked."""
+    env = {**const_env(bounds, model), **state}
+    try:
+        ta = eval_expr(model.ta, env, model)
+        if not (isinstance(ta, Inf) or isinstance(ta, Num) and ta.value >= 0):
+            return f"ta produced {render_value(ta)}"
+        detail = ", ".join(f"{k}={render_value(v)}" for k, v in state.items())
+        if injected is None:
+            if isinstance(ta, Inf):
+                return "passive state, no internal transition"
+            fn, tie = "dint", False
+            case = select_case(model.output_fn, env, model, bounds)
+            if case is None:
+                return f"undefined transition: no lambda case matches ({detail})"
+            output = eval_expr(case.result, env, model)
+        else:
+            fn, output = "dext", None
+            x = coerce(injected[0], model.input_sort, "input")
+            e = Fraction(injected[1]) - Fraction(clock)
+            if e < 0:
+                return "injected event lies in the past"
+            if isinstance(ta, Num) and e > ta.value:
+                return "event after internal deadline"
+            tie = isinstance(ta, Num) and e == ta.value
+            env.update(e=Num(e), x=x)
+            detail += f", x={render_value(x)}, e={e}"
+        case = select_case(model.cases(fn), env, model, bounds)
+        if case is None:
+            return f"undefined transition: no {fn} case matches ({detail})"
+        value = eval_expr(case.result, env, model)
+        names = model.schema.vars
+        if len(names) == 1:
+            value = Tup((value,))
+        elif not isinstance(value, Tup) or len(value.items) != len(names):
+            return "transition result does not match the state schema"
+        return case.id, {n: coerce(v, sort, n) for (n, sort), v in zip(names, value.items)}, output, tie
+    except EvalError as err:
+        return str(err)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,27 @@ def test_simulate_config_reproduces_the_missed_case_finding(tmp_path):
     assert (tmp_path / "trace.jsonl").read_text() == expected.read_text() == ""
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"bogus": "7"}, "initial state names unknown variable bogus"),
+    ({"d": None}, "initial state misses variable d"),
+], ids=["unknown", "missing"])
+def test_simulate_config_whose_state_names_other_variables_fails_setup(change, message, tmp_path):
+    """A config state that names a variable the schema lacks, or lacks
+    one it has, fails set-up: exit 4, no trace line."""
+    config = json.loads((FIXTURES / "soda-missed-case.config.json").read_text())
+    config["state"].update(change)
+    config["state"] = {k: v for k, v in config["state"].items() if v is not None}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(
+        "simulate",
+        "--model", str(FIXTURES / "soda.devs"),
+        "--bounds", str(FIXTURES / "soda.bounds"),
+        "--config", str(path),
+    )
+    assert (code, out, err) == (4, "", f"error: class 0: setup failed: {message}\n")
+
+
 def test_simulate_tau_on_passive_state_is_an_execution_error(tmp_path):
     config = {
         "schema": "devs-scc/1",

@@ -10,7 +10,9 @@ from devs_scc.bounds import Bounds, const_env, grid, index_digits
 from oracle import eval_pred, iter_witnesses, pred_vars
 from devs_scc.campaign import Campaign, load_plan, run_campaign
 from devs_scc.context import Context
-from devs_scc.sat import Plan, coverage, prepare, project_exists, satisfiable
+from devs_scc.sat import (
+    Conjunction, Plan, _ordered, coverage, prepare, project_exists, satisfiable,
+)
 from devs_scc.selector import executability
 from devs_scc.syntax import (
     And, BinOp, Cmp, Const, Exists, FALSE, Ref, TRUE, conj, conjuncts, normalize, render_pred,
@@ -654,3 +656,23 @@ def test_conjoined_forms_are_the_form_of_the_conjunction(first, second, contradi
     assert both.false == (norm == FALSE)
     expected = [] if both.false else [render_pred(c) for c in conjuncts(norm)]
     assert [c.text for c in both.items] == expected
+
+
+OPERANDS = st.sampled_from(["prepared", "false", "empty"])
+
+
+@given(problems(), problems(), st.booleans(), OPERANDS, OPERANDS)
+def test_conjoining_merges_the_operands_as_ordering_both_would(first, second, overlap, a_is, b_is):
+    """`a & b` is `_ordered(a.items + b.items)`, the first conjunct of
+    each text kept, or false when either operand is; an empty operand
+    leaves the other.  Forms prepared without a context make a conjunct
+    per call, so which of two alike conjuncts is kept shows."""
+    p, q = first[1], second[1]
+    if overlap:
+        q = And((q, p))
+    made = {"prepared": None, "false": Conjunction(false=True), "empty": Conjunction()}
+    a, b = made[a_is] or prepare(p), made[b_is] or prepare(q)
+    both = a & b
+    assert both.false == (a.false or b.false)
+    if not both.false:
+        assert [id(c) for c in both.items] == [id(c) for c in _ordered(a.items + b.items).items]

@@ -57,6 +57,18 @@ def test_init_starts_the_clock_at_zero(soda, soda_bounds):
     assert st.clock == 0
 
 
+def test_init_rejects_a_state_that_names_a_variable_the_schema_lacks(soda, soda_bounds):
+    with pytest.raises(SimError, match="^initial state names unknown variable bogus$"):
+        init(soda, soda_idle_state(bogus=num(7)))
+    with pytest.raises(SimError, match="^initial state misses variable d$"):
+        init(soda, {k: v for k, v in soda_idle_state(bogus=num(7)).items() if k != "d"})
+    ctx = Context(soda, soda_bounds)
+    cfg = SimulationConfig(0, soda_idle_state(bogus=num(7)), Lit("getNormal"), num(1))
+    assert run_steps([cfg], ctx) == [SimulationConfig(
+        0, cfg.state, cfg.event, cfg.time,
+        error="setup failed: initial state names unknown variable bogus")]
+
+
 def test_time_advance_is_min_of_the_two_timers(soda, soda_bounds):
     ctx = Context(soda, soda_bounds)
     st = init(soda, soda_idle_state(ot=num(7), it=num(300)))
