@@ -170,10 +170,12 @@ def apply_selection(
 
 
 def _bind_timespec(spec: TimeSpec, model: Model) -> TimeSpec:
-    from .check import check_expr, state_ctx
+    """`spec` bound over the model's constants and operators: no
+    endpoint names a variable."""
+    from .check import Ctx, check_expr
     from .values import TIME
 
-    ctx = state_ctx(model, "time spec")
+    ctx = Ctx({}, dict(model.constants), {op.name: op for op in model.operators}, "time spec")
     fix = lambda e: check_expr(e, ctx, TIME)
     return TimeSpec(
         intervals=tuple((fix(a), fix(b)) for a, b in spec.intervals),

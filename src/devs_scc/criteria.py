@@ -14,16 +14,15 @@ duplicates.
 
 from __future__ import annotations
 
-import itertools
-
 from .context import Context
 from .evaluator import eval_expr
 from .model import GuardedCase, Model
-from .partitions import StandardPartition, instantiate
+from .partitions import StandardPartition, cuts, instantiate
 from .sat import prepare_conjuncts, project_exists, satisfiable
 from .scc import SCC, make_scc
 from .syntax import (
     And,
+    Apply,
     Cmp,
     Const,
     Expr,
@@ -38,10 +37,12 @@ from .syntax import (
     render_expr,
     render_pred,
     subst,
+    walk,
 )
 from .dnf import to_dnf
 from .values import (
     EnumSort,
+    EvalError,
     ExtSort,
     Inf,
     Lit,
@@ -205,6 +206,11 @@ def standard_partition_criterion(
     and counts as a drop or an unknown as the first did.
     """
     model = ctx.model
+    undefined = sorted({n.op for cell in table.cells for n in walk(cell) if isinstance(n, Apply)}
+                       - {op.name for op in model.operators})
+    if undefined:
+        raise CriterionError(f"partition {table.name} applies {', '.join(undefined)}, "
+                             "which the model does not define")
     notes: list[str] = []
     sccs: list[SCC] = []
     dropped = 0
@@ -312,12 +318,12 @@ def _occurrence_context(ctx, fn, context):
 # time partitions
 
 class TimeSpec(Record):
-    """Key time intervals and points for the time criterion.
+    """Key time intervals and points for the time criterion; each
+    segment's classes are those of `t` cut at its points (`cuts`).
 
-    With refine=True all endpoints are merged into one ascending chain
-    and the emitted classes are the atoms of the partition of t >= 0
-    that the chain induces (one point class per endpoint, one open
-    interval between neighbours, one beyond the last).
+    With refine=True all endpoints are merged into one ascending chain,
+    and the classes are the atoms of the partition of t >= 0 that the
+    chain induces: no class below 0 when the least endpoint is 0.
     """
 
     __slots__ = ("intervals", "points", "refine")
@@ -330,71 +336,46 @@ class TimeSpec(Record):
 
 
 def time_partition_criterion(spec: TimeSpec, ctx: Context) -> tuple[list[SCC], list[str]]:
+    """The classes of `spec`, labelled by their texts: after `interval [A, B]: `
+    with the endpoints shown as a and b, after `point P: ` with the point
+    shown as p.  Each endpoint is a finite number >= 0 under the constant
+    bindings; a class that no time sample is in is dropped with a note."""
     notes: list[str] = []
 
     def value_of(e: Expr) -> Rational:
-        v = eval_expr(e, ctx.consts, ctx)
+        try:
+            v = eval_expr(e, ctx.consts, ctx)
+        except EvalError as err:
+            raise CriterionError(
+                f"time endpoint {render_expr(e)} cannot be evaluated: {err}") from None
         if isinstance(v, Inf) or not isinstance(v, Num):
             raise CriterionError(f"time endpoint {render_expr(e)} is not finite")
         if v.value < 0:
             raise CriterionError(f"time endpoint {render_expr(e)} is negative")
         return v.value
 
-    def check_interval(a: Expr, b: Expr) -> None:
+    for a, b in spec.intervals:
         if not value_of(a) < value_of(b):
             raise CriterionError(f"interval needs {render_expr(a)} < {render_expr(b)} "
                                  "under the constant bindings")
-
+    chain: dict[Rational, Expr] = {}
+    for e in (*spec.points, *(e for ab in spec.intervals for e in ab)):
+        chain.setdefault(value_of(e), e)
     t = Ref("t")
-    preds: list[tuple[Predicate, str]] = []
     if spec.refine:
-        chain: dict[Rational, Expr] = {}
-        for e in spec.points:
-            chain.setdefault(value_of(e), e)
-        for a, b in spec.intervals:
-            check_interval(a, b)
-            chain.setdefault(value_of(a), a)
-            chain.setdefault(value_of(b), b)
-        points = [chain[v] for v in sorted(chain)]
-        values = sorted(chain)
-        if not points:
+        if not chain:
             raise CriterionError("refined time spec needs at least one endpoint")
-        first, fval = points[0], values[0]
-        if fval == 0:
-            preds.append((Cmp("=", t, first), f"t = {render_expr(first)}"))
-        else:
-            preds.append((Cmp("<", t, first), f"t < {render_expr(first)}"))
-            preds.append((Cmp("=", t, first), f"t = {render_expr(first)}"))
-        for prev, nxt in itertools.pairwise(points):
-            preds.append((
-                And((Cmp("<", Ref("t"), nxt), Cmp(">", Ref("t"), prev))),
-                f"{render_expr(prev)} < t < {render_expr(nxt)}",
-            ))
-            preds.append((Cmp("=", t, nxt), f"t = {render_expr(nxt)}"))
-        preds.append((Cmp(">", t, points[-1]), f"t > {render_expr(points[-1])}"))
+        classes = cuts(t, [chain[v] for v in sorted(chain)], below=min(chain) != 0)
     else:
-        for a, b in spec.intervals:
-            check_interval(a, b)
-            ivl = f"interval [{render_expr(a)}, {render_expr(b)}]"
-            preds.extend([
-                (Cmp("<", t, a), f"{ivl}: t < a"),
-                (Cmp("=", t, a), f"{ivl}: t = a"),
-                (And((Cmp(">", Ref("t"), a), Cmp("<", Ref("t"), b))), f"{ivl}: a < t < b"),
-                (Cmp("=", t, b), f"{ivl}: t = b"),
-                (Cmp(">", t, b), f"{ivl}: t > b"),
-            ])
-        for pnt in spec.points:
-            value_of(pnt)
-            pt = f"point {render_expr(pnt)}"
-            preds.extend([
-                (Cmp("<", t, pnt), f"{pt}: t < p"),
-                (Cmp("=", t, pnt), f"{pt}: t = p"),
-                (Cmp(">", t, pnt), f"{pt}: t > p"),
-            ])
+        classes = [(p, f"interval [{render_expr(a)}, {render_expr(b)}]: {text}")
+                   for a, b in spec.intervals
+                   for p, text in cuts(t, [a, b], {a: "a", b: "b"}.get)]
+        classes += [(p, f"point {render_expr(pnt)}: {text}")
+                    for pnt in spec.points for p, text in cuts(t, [pnt], lambda _: "p")]
 
     sccs: list[SCC] = []
     tspace = [("t", ctx.times)]
-    for pred, label in preds:
+    for pred, label in classes:
         verdict = satisfiable(pred, tspace, ctx)
         if verdict.status == "unsat":
             notes.append(f"time class {label} empty within bounds, dropped")

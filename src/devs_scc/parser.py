@@ -36,6 +36,7 @@ from .syntax import (
     Ref,
     TRUE,
     TupleExpr,
+    free_vars,
     subst,
 )
 from .values import (
@@ -532,7 +533,13 @@ def parse_parts_text(text: str) -> list[StandardPartition]:
         p.expect("{")
         cells: list[Predicate] = []
         while not p.at("}"):
+            line, col = p.tok[2:]
             cells.append(p.pred())
+            stray = free_vars(cells[-1]).difference(formals)
+            if stray:
+                raise ParseFailure([Diagnostic(line, col, (
+                    f"a cell of partition {name} names {', '.join(sorted(stray))}, "
+                    f"not one of its operands {', '.join(formals)}"))])
             p.expect(";")
         p.expect("}")
         if not cells:

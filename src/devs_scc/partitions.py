@@ -2,19 +2,22 @@
 
 A table carries cell predicates over formal operand names; applying it
 means substituting the actual operands of an operator occurrence into
-each cell.  Built-in tables cover the usual arithmetic and comparison
-operators with the nine-cell sign table, and min with the three-way
-order table.  Tables compose by domain propagation: the partition of a
-complex operator is the product of the partitions of its parts.
+each cell.  `cuts` splits an ordered axis at points: the built-in sign
+table (for arithmetic and comparisons) cuts each operand at 0, the order
+table (for min) cuts one operand at the other, and the time criterion
+cuts `t` at its key time points.  Tables compose by domain propagation:
+the partition of a complex operator is the product of the partitions of
+its parts.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Sequence
 from .bounds import Bounds
 from .context import Context
 from .sat import coverage
-from .syntax import And, Cmp, Const, Predicate, Ref, subst, walk
+from .syntax import And, Apply, Cmp, Const, Expr, Predicate, Ref, render_expr, subst, walk
 from .values import Num, Record, num
 
 
@@ -31,27 +34,34 @@ class StandardPartition(Record):
         return len(self.formals)
 
 
-def _sign_cells() -> tuple[Predicate, ...]:
-    zero = Const(Num(0))
-    cells = []
-    for la in ("<", "=", ">"):
-        for lb in ("<", "=", ">"):
-            cells.append(And((Cmp(la, Ref("a"), zero), Cmp(lb, Ref("b"), zero))))
-    return tuple(cells)
-
-
-def _order_cells() -> tuple[Predicate, ...]:
-    return tuple(Cmp(op, Ref("a"), Ref("b")) for op in ("<", "=", ">"))
+def cuts(subject: Expr, points: Sequence[Expr], show: Callable[[Expr], str] = render_expr,
+         below: bool = True) -> list[tuple[Predicate, str]]:
+    """The classes of `subject`'s axis cut at the ascending `points`, in
+    order and each with its text (a point's text as `show` gives it):
+    below the first point when `below`, at each point and strictly
+    between neighbours, then above the last."""
+    s = render_expr(subject)
+    first = points[0]
+    out = [(Cmp("<", subject, first), f"{s} < {show(first)}")] if below else []
+    out.append((Cmp("=", subject, first), f"{s} = {show(first)}"))
+    for lo, hi in itertools.pairwise(points):
+        out.append((And((Cmp(">", subject, lo), Cmp("<", subject, hi))),
+                    f"{show(lo)} < {s} < {show(hi)}"))
+        out.append((Cmp("=", subject, hi), f"{s} = {show(hi)}"))
+    out.append((Cmp(">", subject, points[-1]), f"{s} > {show(points[-1])}"))
+    return out
 
 
 def builtin_tables() -> dict[str, StandardPartition]:
     """Tables shipped with the tool, keyed by operator name."""
-    sign = _sign_cells()
+    a, b, zero = Ref("a"), Ref("b"), Const(Num(0))
+    sign = tuple(And((ca, cb)) for (ca, _), (cb, _)
+                 in itertools.product(cuts(a, [zero]), cuts(b, [zero])))
     tables = {
         name: StandardPartition(name, ("a", "b"), sign)
         for name in ("<", "<=", ">", ">=", "=", "+", "-", "*", "div")
     }
-    tables["min"] = StandardPartition("min", ("a", "b"), _order_cells())
+    tables["min"] = StandardPartition("min", ("a", "b"), tuple(c for c, _ in cuts(a, [b])))
     return tables
 
 
@@ -90,23 +100,13 @@ def domain_propagation(
     outer operands; each cell conjoins one inner cell with one outer cell
     in which the fed operand is the inner application itself.
     """
-    from .syntax import Apply
-
     if not 1 <= feed <= outer.arity:
         raise ValueError(f"feed position {feed} out of range for {outer.name}")
-    inner_formals = tuple(f"i{k+1}" for k in range(inner.arity))
-    rest = tuple(
-        f"o{k+1}" for k in range(outer.arity) if k != feed - 1
-    )
-    inner_cells = instantiate(inner, [Ref(f) for f in inner_formals])
-    composed = Apply(inner.name, tuple(Ref(f) for f in inner_formals))
-    outer_args: list = []
-    rest_iter = iter(rest)
-    for k in range(outer.arity):
-        outer_args.append(composed if k == feed - 1 else Ref(next(rest_iter)))
-    outer_cells = instantiate(outer, outer_args)
-    cells = tuple(
-        And((ic, oc)) for ic, oc in itertools.product(inner_cells, outer_cells)
-    )
+    inner_args = tuple(Ref(f"i{k+1}") for k in range(inner.arity))
+    outer_args = [Apply(inner.name, inner_args) if k == feed - 1 else Ref(f"o{k+1}")
+                  for k in range(outer.arity)]
+    cells = tuple(And((ic, oc)) for ic, oc in itertools.product(
+        instantiate(inner, inner_args), instantiate(outer, outer_args)))
+    formals = tuple(a.name for a in (*inner_args, *outer_args) if isinstance(a, Ref))
     name = composed_name or f"{outer.name}.{inner.name}@{feed}"
-    return StandardPartition(name, inner_formals + rest, cells)
+    return StandardPartition(name, formals, cells)

@@ -788,6 +788,14 @@ def _fixture_args(name):
     ("toggle", "intentional state m = Q", "unbound variable Q"),
     ("toggle", "intentional input x in {foo}", "foo is not a literal of enum {go}"),
     ("toggle", "time chain:0,NOPE", "unbound variable NOPE"),
+    # a time endpoint names no state variable and evaluates to a number
+    ("elevator", "time point:f", "unbound variable f (in time spec)\n"),
+    ("elevator", "time chain:0,at", "unbound variable at (in time spec)\n"),
+    ("elevator", "time interval:0..f", "unbound variable f (in time spec)\n"),
+    ("elevator", "time point:TD1*infinity",
+     "time endpoint TD1 * infinity cannot be evaluated: cannot multiply 2 and infinity\n"),
+    ("elevator", "time point:TD1-infinity",
+     "time endpoint TD1 - infinity cannot be evaluated: cannot subtract infinity from 2\n"),
     ("soda", "standard >= dext:x", "bad case id 'x' in 'dext:x'"),
     ("soda", "standard >= dext:2 ops:~", "bad operators 'ops:~', want some of = != < <= > >="),
     ("soda", "standard >= dext:2 ops:", "bad operators 'ops:', want some of = != < <= > >="),
@@ -817,6 +825,25 @@ def test_a_selection_that_cannot_be_applied_exits_2(fixture, selection, message,
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["criteria", "select", "campaign"])
+@pytest.mark.parametrize("cell, message", [
+    ("c < b", "3:3: a cell of partition s names c, not one of its operands a, b"),
+    ("a = on", "3:3: a cell of partition s names on, not one of its operands a, b"),
+    ("a < TD1", "3:3: a cell of partition s names TD1, not one of its operands a, b"),
+    ("f(a) < b", "partition s applies f, which the model does not define"),
+])
+def test_a_parts_cell_that_names_more_than_its_operands_exits_2(
+        command, cell, message, tmp_path, capsys):
+    """A cell names its operands and numbers only, and applies only the
+    operators the model defines."""
+    parts = tmp_path / "bad.parts"
+    parts.write_text(f'partition "s" (a, b) {{\n  a < b;\n  {cell};\n}}\n')
+    assert main([command, *_fixture_args("elevator"), "--parts", str(parts),
+                 "--criteria", "standard s dint:6", "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("selection, classes", [

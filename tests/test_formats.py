@@ -114,6 +114,19 @@ def test_parts_file_round_trip():
     assert render_pred(tables[0].cells[1]) == "a = b"
 
 
+@pytest.mark.parametrize("cell, names", [
+    ("c < b", "c"), ("a = on", "on"), ("a < TD1", "TD1"), ("a < c /\\ d > b", "c, d"),
+])
+def test_a_parts_cell_names_only_its_operands(cell, names):
+    """A cell that names anything but its operands and numbers fails at
+    its own line and column."""
+    text = f'partition "s" (a, b) {{\n  a < b;\n    {cell};\n}}\n'
+    with pytest.raises(ParseFailure) as err:
+        parse_parts_text(text)
+    assert str(err.value) == f"3:5: a cell of partition s names {names}, not one of its operands a, b"
+    assert len(parse_parts_text('partition "s" (a, b) { a < 1/2 /\\ b = 0; a >= 1/2; }')) == 1
+
+
 def test_unhealthy_user_table_is_noted(tmp_path):
     path = tmp_path / "bad.parts"
     path.write_text(

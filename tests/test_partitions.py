@@ -5,10 +5,57 @@ from devs_scc.partitions import (
     StandardPartition,
     builtin_tables,
     check_partition,
+    cuts,
     domain_propagation,
     instantiate,
 )
-from devs_scc.syntax import Cmp, Ref, TRUE, render_pred
+from devs_scc.syntax import And, Cmp, Const, Ref, TRUE, render_pred
+from devs_scc.values import Num
+
+
+def test_builtin_tables_are_the_sign_and_order_tables():
+    """Each built-in cell renders as it always has and is the one node
+    that building it by hand gives."""
+    tables = builtin_tables()
+    assert list(tables) == ["<", "<=", ">", ">=", "=", "+", "-", "*", "div", "min"]
+    a, b, zero = Ref("a"), Ref("b"), Const(Num(0))
+    signs = [(la, lb) for la in "<=>" for lb in "<=>"]
+    for name, table in tables.items():
+        assert table.name == name and table.formals == ("a", "b")
+        if name == "min":
+            assert [render_pred(c) for c in table.cells] == ["a < b", "a = b", "a > b"]
+            assert all(c is Cmp(op, a, b) for c, op in zip(table.cells, "<=>", strict=True))
+            continue
+        assert [render_pred(c) for c in table.cells] == [
+            f"a {la} 0 /\\ b {lb} 0" for la, lb in signs]
+        assert all(c is And((Cmp(la, a, zero), Cmp(lb, b, zero)))
+                   for c, (la, lb) in zip(table.cells, signs, strict=True))
+
+
+def test_cuts_at_one_point():
+    x, zero = Ref("x"), Const(Num(0))
+    assert cuts(x, [zero]) == [(Cmp("<", x, zero), "x < 0"), (Cmp("=", x, zero), "x = 0"),
+                               (Cmp(">", x, zero), "x > 0")]
+    assert cuts(x, [zero], below=False) == cuts(x, [zero])[1:]
+
+
+def test_cuts_at_several_points_with_their_texts():
+    t, lo, mid, hi = Ref("t"), Const(Num(0)), Ref("TD1"), Ref("TA")
+    assert [text for _, text in cuts(t, [lo, mid, hi])] == [
+        "t < 0", "t = 0", "0 < t < TD1", "t = TD1", "TD1 < t < TA", "t = TA", "t > TA"]
+    classes = cuts(t, [lo, mid, hi], below=False)
+    assert [text for _, text in classes] == [
+        "t = 0", "0 < t < TD1", "t = TD1", "TD1 < t < TA", "t = TA", "t > TA"]
+    assert classes[1][0] is And((Cmp(">", t, lo), Cmp("<", t, mid)))
+    assert classes[-1][0] is Cmp(">", t, hi)
+
+
+def test_cuts_show_the_points_as_given():
+    t, a, b = Ref("t"), Ref("TD1"), Ref("TD2")
+    assert [text for _, text in cuts(t, [a, b], {a: "a", b: "b"}.get)] == [
+        "t < a", "t = a", "a < t < b", "t = b", "t > b"]
+    assert [text for _, text in cuts(t, [a], lambda _: "p", below=False)] == ["t = p", "t > p"]
+    assert [p for p, _ in cuts(t, [a, b], {a: "a", b: "b"}.get)] == [p for p, _ in cuts(t, [a, b])]
 
 
 def test_builtin_less_than_has_nine_cells():
